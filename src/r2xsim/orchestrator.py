@@ -40,6 +40,9 @@ WAREHOUSE_METHODS = ("stop_and_go", "lorc_p", "lorc_sc", "lorc_sc_p")
 
 _WEIGHT_SUM_TOL = 1e-6
 
+# Shadowing samples turned into Python floats at a time.
+_SHADOW_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class OrchestratorConfig:
@@ -361,7 +364,13 @@ class ExternalIntentEngine:
     Each call opens a connection, writes one request line
     ``{"intent": ..., "context": ..., "errors": [...]}`` and reads one
     response line containing the raw configuration message.
+
+    ``timeout_s`` bounds the whole call (connect, send and every read), and
+    a response longer than ``MAX_RESPONSE_BYTES`` is refused, so a server
+    that drips bytes or never ends its line cannot hold the caller.
     """
+
+    MAX_RESPONSE_BYTES = 65536
 
     def __init__(self, host: str, port: int, timeout_s: float = 5.0):
         self.host = host
@@ -372,15 +381,31 @@ class ExternalIntentEngine:
         request = {"intent": intent_text, "context": context}
         if errors:
             request["errors"] = list(errors)
+        deadline = time.monotonic() + self.timeout_s
+
+        def remaining() -> float:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("timed out")
+            return left
+
         try:
             with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
+                sock.settimeout(remaining())
                 sock.sendall((json.dumps(request, sort_keys=True) + "\n").encode())
                 buf = b""
                 while not buf.endswith(b"\n"):
+                    sock.settimeout(remaining())
                     chunk = sock.recv(65536)
                     if not chunk:
                         break
                     buf += chunk
+                    if len(buf) > self.MAX_RESPONSE_BYTES:
+                        raise IntentEngineError(
+                            f"intent engine response exceeds {self.MAX_RESPONSE_BYTES} bytes"
+                        )
+        except TimeoutError as exc:
+            raise IntentEngineError(f"intent engine exceeded its {self.timeout_s} s deadline") from exc
         except OSError as exc:
             raise IntentEngineError(f"intent engine unreachable: {exc}") from exc
         if not buf.strip():
@@ -524,17 +549,28 @@ class WarehouseSimulation:
         self._events: List[Tuple[float, int, int, str, Optional[Cell]]] = []
         self._event_seq = 0
         self._solo_paths: Dict[int, SpaceTimePath] = {}
+        self._parked_worlds: Dict[frozenset, GridWorld] = {}
 
     def _shadow_series(self, seed: int, rid: int, n: int) -> np.ndarray:
         rng = np.random.default_rng([seed, rid, 7])
         rho = self.gain_map.shadowing_rho
         sigma = self.gain_map.shadowing_sigma_db
-        out = np.zeros(n)
-        if sigma > 0:
-            out[0] = rng.normal(0.0, sigma)
-            innov = sigma * math.sqrt(1.0 - rho * rho)
-            for i in range(1, n):
-                out[i] = rho * out[i - 1] + rng.normal(0.0, innov)
+        if sigma <= 0:
+            return np.zeros(n)
+        # One draw for all innovations gives the same values, in the same
+        # order, as n scalar rng.normal(0, s) calls, each of which is 0 + s * z.
+        # The recursion runs on Python floats, one block at a time.
+        out = rng.standard_normal(n)
+        first = sigma * out[0]
+        out *= sigma * math.sqrt(1.0 - rho * rho)
+        out[0] = first
+        prev = 0.0
+        for lo in range(0, n, _SHADOW_BLOCK):
+            block = out[lo:lo + _SHADOW_BLOCK].tolist()
+            for j, step in enumerate(block):
+                prev = rho * prev + step
+                block[j] = prev
+            out[lo:lo + _SHADOW_BLOCK] = block
         return out
 
     # -- helpers ----------------------------------------------------------
@@ -617,21 +653,25 @@ class WarehouseSimulation:
         or None when planning is infeasible right now."""
         frame = self._frame(plan_time)
         active = sorted(self._active_ids())
-        parked = {
+        parked = frozenset(
             tuple(rt.state.goal)
             for i, rt in self.robots.items()
             if rt.state.status == "arrived" and i not in active
-        }
+        )
         world = self.world
         if parked:
-            world = GridWorld(
-                world.width,
-                world.height,
-                world.cell_size_m,
-                world.blocked | parked,
-                world.frame_period_s,
-                world.cell_traverse_s,
-            )
+            # one world per set of parked cells, so its tables are built once
+            world = self._parked_worlds.get(parked)
+            if world is None:
+                base = self.world
+                world = self._parked_worlds[parked] = GridWorld(
+                    base.width,
+                    base.height,
+                    base.cell_size_m,
+                    base.blocked | parked,
+                    base.frame_period_s,
+                    base.cell_traverse_s,
+                )
         states = []
         for i in active:
             rt = self.robots[i]

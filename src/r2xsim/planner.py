@@ -5,17 +5,28 @@ with a wait action. Robot-robot conflicts are resolved one-sidedly: the
 lower-priority robot receives a constraint around the conflict, widened by a
 configurable time-gap window, and replans. Human forecasts enter as vertex
 constraints for every robot.
+
+As in Silver 2005 ("Cooperative Pathfinding", HCA*), what stays fixed is
+computed once and what changes is kept in a reservation table:
+
+- each ``GridWorld`` builds its neighbour table and, per goal, the BFS
+  distance field that serves as the A* heuristic, once, on first use;
+- ``plan`` turns the human forecasts into one cell -> blocked-steps table
+  per call; each robot searches under a copy of it (a
+  :class:`ReservationTable`) to which its conflict constraints are added as
+  they arrive. ``Constraint`` objects for the forecasts are built only for a
+  :class:`PlanningInfeasible` report.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .world import Cell, GridWorld, RobotState, neighbors
+from .world import Cell, GridWorld, RobotState
 
 OBJECTIVES = ("makespan", "safety_first")
 
@@ -139,36 +150,68 @@ def default_horizon(world: GridWorld) -> int:
     return 4 * (world.width + world.height)
 
 
-def _index_constraints(constraints: Iterable[Constraint]):
-    """Split constraints into vertex-block and edge-block lookups."""
-    cell_blocks: Dict[Cell, set] = {}
-    edge_blocks = set()
-    for c in constraints:
+class ReservationTable:
+    """One robot's reservation table: for each cell the steps at which the
+    robot may not occupy it, and the ``(cell, to_cell, step)`` moves it may
+    not make.
+
+    ``cells`` may be shared with other tables: :meth:`add` replaces a cell's
+    step set instead of changing it, and :meth:`copy` copies the dict, so a
+    copy can take constraints without touching the table it came from.
+    ``forecasts`` is ``(world, pairs, objective)`` when ``cells`` starts from
+    the human forecasts of :func:`plan`; :meth:`constraints` rebuilds their
+    ``Constraint`` objects from it.
+    """
+
+    __slots__ = ("robot_id", "cells", "edges", "added", "forecasts")
+
+    def __init__(
+        self,
+        robot_id: int,
+        cells: Dict[Cell, AbstractSet[int]],
+        forecasts: Optional[Tuple[GridWorld, List[Tuple[Cell, int]], str]] = None,
+    ):
+        self.robot_id = robot_id
+        self.cells = cells
+        self.edges: Set[Tuple[Cell, Cell, int]] = set()
+        self.added: List[Constraint] = []
+        self.forecasts = forecasts
+
+    @classmethod
+    def index(cls, robot_id: int, constraints: Iterable[Constraint]) -> "ReservationTable":
+        """The table of robot ``robot_id``'s constraints among ``constraints``."""
+        table = cls(robot_id, {})
+        for c in constraints:
+            if c.robot_id == robot_id:
+                table.add(c)
+        return table
+
+    def copy(self) -> "ReservationTable":
+        out = ReservationTable(self.robot_id, dict(self.cells), self.forecasts)
+        out.edges = set(self.edges)
+        out.added = list(self.added)
+        return out
+
+    def add(self, c: Constraint) -> None:
         if c.kind == "edge":
-            edge_blocks.add((c.cell, c.to_cell, c.step_lo))
+            self.edges.add((c.cell, c.to_cell, c.step_lo))
         else:
-            steps = cell_blocks.setdefault(c.cell, set())
-            steps.update(range(c.step_lo, c.step_hi + 1))
-    return cell_blocks, edge_blocks
+            steps = range(c.step_lo, c.step_hi + 1)
+            self.cells[c.cell] = self.cells.get(c.cell, frozenset()).union(steps)
+        self.added.append(c)
 
-
-def _goal_distance_field(world: GridWorld, goal: Cell) -> Dict[Cell, int]:
-    """Static BFS distance to ``goal``; admissible A* heuristic."""
-    dist = {goal: 0}
-    queue = deque([goal])
-    while queue:
-        cur = queue.popleft()
-        for nxt in neighbors(world, cur):
-            if nxt != cur and nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    return dist
+    def constraints(self) -> List[Constraint]:
+        """Every constraint behind the table, forecasts first."""
+        if self.forecasts is None:
+            return list(self.added)
+        world, pairs, objective = self.forecasts
+        return _human_base_constraints(world, [self.robot_id], pairs, objective)[self.robot_id] + self.added
 
 
 def low_level_search(
     world: GridWorld,
     robot: RobotState,
-    constraints: Sequence[Constraint] = (),
+    constraints: Union[Sequence[Constraint], ReservationTable] = (),
     horizon: Optional[int] = None,
 ) -> SpaceTimePath:
     """Minimum-arrival-step route for one robot under the given constraints.
@@ -177,33 +220,46 @@ def low_level_search(
     afterwards, so the arrival step must clear every constraint on the goal
     cell. Expansion order (N, E, S, W, wait; FIFO among equal f-values) makes
     the result deterministic.
+
+    ``constraints`` is either a plain list, of which only the robot's own
+    constraints count and which is indexed into a :class:`ReservationTable`
+    once here, or the robot's reservation table itself, as :func:`plan`
+    passes it. The search reads the world's neighbour table and its cached
+    BFS distance field to the goal, the admissible heuristic (Silver 2005).
     """
     if horizon is None:
         horizon = default_horizon(world)
     start, goal = tuple(robot.cell), tuple(robot.goal)
     if not world.passable(start) or not world.passable(goal):
         raise PlanningError(f"robot {robot.id}: start {start} or goal {goal} not passable")
-    own = [c for c in constraints if c.robot_id == robot.id]
-    cell_blocks, edge_blocks = _index_constraints(own)
-    goal_latest = max(cell_blocks.get(goal, {-1}), default=-1)
+    if isinstance(constraints, ReservationTable):
+        if constraints.robot_id != robot.id:
+            raise ValueError(f"reservation table of robot {constraints.robot_id} given for robot {robot.id}")
+        table = constraints
+    else:
+        table = ReservationTable.index(robot.id, constraints)
+    cell_blocks, edge_blocks = table.cells, table.edges
+    goal_latest = max(cell_blocks.get(goal, ()), default=-1)
     if 0 in cell_blocks.get(start, ()):
-        raise PlanningInfeasible(robot.id, own, horizon)
-    hfield = _goal_distance_field(world, goal)
+        raise PlanningInfeasible(robot.id, table.constraints(), horizon)
+    hfield = world.goal_distances(goal)
     if start not in hfield:
-        raise PlanningInfeasible(robot.id, own, horizon)
+        raise PlanningInfeasible(robot.id, table.constraints(), horizon)
 
+    # A node's f-value (step + distance to goal) is fixed, so its first push
+    # is also the first of its copies to pop: a node is pushed only once,
+    # and being in ``parent`` marks it as reached.
+    moves = world.neighbor_table
+    push, pop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     heap = [(hfield[start], next(counter), 0, start)]
     parent: Dict[Tuple[Cell, int], Tuple[Cell, int]] = {}
-    closed = set()
     while heap:
-        _, _, step, cell = heapq.heappop(heap)
-        if (cell, step) in closed:
-            continue
-        closed.add((cell, step))
+        _, _, step, cell = pop(heap)
+        node = (cell, step)
         if cell == goal and step > goal_latest:
             cells = [cell]
-            key = (cell, step)
+            key = node
             while key in parent:
                 key = parent[key]
                 cells.append(key[0])
@@ -212,20 +268,21 @@ def low_level_search(
         nstep = step + 1
         if nstep > horizon:
             continue
-        for nxt in neighbors(world, cell):
-            if (nxt, nstep) in closed:
+        for nxt in moves[cell]:
+            child = (nxt, nstep)
+            if child in parent:
                 continue
-            if nstep in cell_blocks.get(nxt, ()):
+            blocked = cell_blocks.get(nxt)
+            if blocked is not None and nstep in blocked:
                 continue
-            if (cell, nxt, step) in edge_blocks:
+            if edge_blocks and (cell, nxt, step) in edge_blocks:
                 continue
             h = hfield.get(nxt)
             if h is None or nstep + h > horizon:
                 continue
-            if (nxt, nstep) not in parent:
-                parent[(nxt, nstep)] = (cell, step)
-            heapq.heappush(heap, (nstep + h, next(counter), nstep, nxt))
-    raise PlanningInfeasible(robot.id, own, horizon)
+            parent[child] = node
+            push(heap, (nstep + h, next(counter), nstep, nxt))
+    raise PlanningInfeasible(robot.id, table.constraints(), horizon)
 
 
 def detect_first_conflict(paths: Sequence[SpaceTimePath]) -> Optional[Conflict]:
@@ -237,19 +294,22 @@ def detect_first_conflict(paths: Sequence[SpaceTimePath]) -> Optional[Conflict]:
     if len(paths) < 2:
         return None
     last = max(p.arrival_step for p in paths)
+    cells = [p.cells + (p.cells[-1],) * (last - p.arrival_step) for p in paths]
     n = len(paths)
     for t in range(last + 1):
         for i in range(n):
+            here = cells[i][t]
             for j in range(i + 1, n):
-                if paths[i].at(t) == paths[j].at(t):
-                    return Conflict("vertex", t, paths[i].robot_id, paths[j].robot_id, paths[i].at(t))
+                if here == cells[j][t]:
+                    return Conflict("vertex", t, paths[i].robot_id, paths[j].robot_id, here)
         if t == last:
             break
         for i in range(n):
+            a0, a1 = cells[i][t], cells[i][t + 1]
+            if a0 == a1:
+                continue
             for j in range(i + 1, n):
-                a0, a1 = paths[i].at(t), paths[i].at(t + 1)
-                b0, b1 = paths[j].at(t), paths[j].at(t + 1)
-                if a0 != a1 and a0 == b1 and a1 == b0:
+                if a0 == cells[j][t + 1] and a1 == cells[j][t]:
                     return Conflict("edge", t, paths[i].robot_id, paths[j].robot_id, a0, a1)
     return None
 
@@ -284,6 +344,32 @@ def _human_base_constraints(
     return out
 
 
+def _human_reservations(
+    world: GridWorld, pairs: Sequence[Tuple[Cell, int]], objective: str
+) -> Dict[Cell, AbstractSet[int]]:
+    """The cells and steps that :func:`_human_base_constraints` blocks for
+    each robot, as one cell -> steps table."""
+    table = world.neighbor_table
+    safety = objective == "safety_first"
+    blocks: Dict[Cell, set] = defaultdict(set)
+    for cell, step in set(pairs):  # forecasts repeat a (cell, step) often
+        if step < 0:
+            raise ValueError("constraint steps must satisfy 0 <= step_lo <= step_hi")
+        if not safety:
+            blocks[cell].add(step)
+            continue
+        blocks[cell].update((step - 1, step, step + 1) if step else (0, 1))
+        moves = table.get(cell)
+        if moves is None:  # a forecast on a blocked cell still rings its free neighbours
+            x, y = cell
+            ring = [c for c in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)) if c in table]
+        else:
+            ring = moves[:-1]
+        for nxt in ring:
+            blocks[nxt].add(step)
+    return dict(blocks)
+
+
 def _widen_conflict(conflict: Conflict, lower_id: int, gap: int) -> List[Constraint]:
     if conflict.kind == "vertex":
         lo = max(0, conflict.step - gap)
@@ -300,25 +386,27 @@ def _solve_ordering(
     world: GridWorld,
     robots: Dict[int, RobotState],
     order: Sequence[int],
-    base: Dict[int, List[Constraint]],
+    base: Dict[int, ReservationTable],
     gap: int,
     horizon: int,
 ) -> Dict[int, SpaceTimePath]:
     rank = {rid: i for i, rid in enumerate(order)}
-    cons = {rid: list(base[rid]) for rid in order}
-    paths = {rid: low_level_search(world, robots[rid], cons[rid], horizon) for rid in order}
+    tables = {rid: base[rid].copy() for rid in order}
+    paths = {rid: low_level_search(world, robots[rid], tables[rid], horizon) for rid in order}
     for _ in range(_MAX_RESOLUTION_ROUNDS):
         conflict = detect_first_conflict([paths[rid] for rid in order])
         if conflict is None:
             return paths
         lower = conflict.robot_a if rank[conflict.robot_a] > rank[conflict.robot_b] else conflict.robot_b
-        new = _widen_conflict(conflict, lower, gap)
-        existing = set(cons[lower])
-        fresh = [c for c in new if c not in existing]
+        # A new constraint can only repeat an earlier conflict's: forecasts
+        # give no edge constraints, and the conflict's window covers a cell and
+        # step the robot's path uses, which no forecast constraint does.
+        fresh = [c for c in _widen_conflict(conflict, lower, gap) if c not in tables[lower].added]
         if not fresh:
             raise PlanningError(f"conflict {conflict} produced no new constraint")
-        cons[lower].extend(fresh)
-        paths[lower] = low_level_search(world, robots[lower], cons[lower], horizon)
+        for c in fresh:
+            tables[lower].add(c)
+        paths[lower] = low_level_search(world, robots[lower], tables[lower], horizon)
     raise PlanningError("conflict resolution did not converge")
 
 
@@ -330,12 +418,23 @@ def _time_expanded_layers(
     cell_blocks,
     edge_blocks,
 ):
-    """Cells the lead robot may occupy at each step on some optimal route."""
+    """Cells the lead robot may occupy at each step on some optimal route.
+
+    The forward sweep keeps only cells from which the goal is still within
+    reach by ``arrival`` (by the static distance field); no cell of a route
+    that arrives then is left out.
+    """
+    moves = world.neighbor_table
+    hfield = world.goal_distances(goal)
     fwd = [set() for _ in range(arrival + 1)]
     fwd[0].add(start)
     for t in range(arrival):
+        left = arrival - t - 1
         for cell in fwd[t]:
-            for nxt in neighbors(world, cell):
+            for nxt in moves[cell]:
+                h = hfield.get(nxt)
+                if h is None or h > left:
+                    continue
                 if (t + 1) in cell_blocks.get(nxt, ()):
                     continue
                 if (cell, nxt, t) in edge_blocks:
@@ -345,7 +444,7 @@ def _time_expanded_layers(
     bwd[arrival].add(goal)
     for t in range(arrival - 1, -1, -1):
         for cell in fwd[t]:
-            for nxt in neighbors(world, cell):
+            for nxt in moves[cell]:
                 if nxt in bwd[t + 1] and (t + 1) not in cell_blocks.get(nxt, ()) and (cell, nxt, t) not in edge_blocks:
                     bwd[t].add(cell)
                     break
@@ -356,7 +455,7 @@ def _joint_best_response(
     world: GridWorld,
     lead: RobotState,
     follow: RobotState,
-    base: Dict[int, List[Constraint]],
+    base: Dict[int, ReservationTable],
     horizon: int,
 ) -> Optional[Tuple[int, SpaceTimePath, SpaceTimePath]]:
     """Exact best makespan when ``lead`` plans first and ``follow`` responds.
@@ -366,16 +465,18 @@ def _joint_best_response(
     finds the follower response minimizing the makespan. Only used for the
     two-robot makespan objective with a zero gap window.
     """
-    lead_cb, lead_eb = _index_constraints(base[lead.id])
-    fol_cb, fol_eb = _index_constraints(base[follow.id])
+    lead_table, fol_table = base[lead.id], base[follow.id]
+    lead_eb = lead_table.edges
+    fol_cb, fol_eb = fol_table.cells, fol_table.edges
     try:
-        solo = low_level_search(world, lead, base[lead.id], horizon)
+        solo = low_level_search(world, lead, lead_table, horizon)
     except PlanningInfeasible:
         return None
     t1 = solo.arrival_step
-    layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, lead_cb, lead_eb)
+    layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, lead_table.cells, lead_eb)
     goal1, goal2 = tuple(lead.goal), tuple(follow.goal)
-    fol_goal_latest = max(fol_cb.get(goal2, {-1}), default=-1)
+    fol_goal_latest = max(fol_cb.get(goal2, ()), default=-1)
+    moves = world.neighbor_table
 
     start_state = (tuple(lead.cell), tuple(follow.cell))
     frontier = {start_state}
@@ -405,11 +506,11 @@ def _joint_best_response(
         lead_layer = set(layers[t + 1]) if t + 1 <= t1 else {goal1}
         for c1, c2 in sorted(frontier):
             if t + 1 <= t1:
-                moves1 = [n for n in neighbors(world, c1) if n in lead_layer and (c1, n, t) not in lead_eb]
+                moves1 = [n for n in moves[c1] if n in lead_layer and (c1, n, t) not in lead_eb]
             else:
                 moves1 = [goal1]
             moves2 = []
-            for n in neighbors(world, c2):
+            for n in moves[c2]:
                 if (t + 1) in fol_cb.get(n, ()):
                     continue
                 if (c2, n, t) in fol_eb:
@@ -460,7 +561,9 @@ def plan(
     if len(set(starts)) != len(starts) or len(set(goals)) != len(goals):
         raise PlanningError("robot starts and goals must be pairwise distinct")
 
-    base = _human_base_constraints(world, ids, human_forecasts, cfg.objective)
+    pairs = [(tuple(c), int(s)) for c, s in human_forecasts]
+    human = _human_reservations(world, pairs, cfg.objective)
+    base = {rid: ReservationTable(rid, human, (world, pairs, cfg.objective)) for rid in ids}
     gap = cfg.min_time_gap_at_conflict
 
     if cfg.priority_robot is not None:
@@ -486,7 +589,7 @@ def plan(
             if res is not None and (best is None or res[0] < best[0]):
                 best = res
         if best is None:
-            raise PlanningInfeasible(order[-1], base[order[-1]], horizon)
+            raise PlanningInfeasible(order[-1], base[order[-1]].constraints(), horizon)
         solved = {best[1].robot_id: best[1], best[2].robot_id: best[2]}
         return [solved[r.id] for r in robots]
 

@@ -8,8 +8,10 @@ frames; robots traverse one cell per ``cell_traverse_s`` seconds.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +28,10 @@ class GridWorld:
     """Immutable occupancy grid.
 
     ``blocked`` holds cells that can never be entered (racks, walls).
+
+    Tables derived from the grid (the neighbour table and the goal distance
+    fields) are built on first use and kept on the instance; they take no
+    part in equality or hashing.
     """
 
     width: int
@@ -54,20 +60,57 @@ class GridWorld:
     def passable(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and cell not in self.blocked
 
+    @cached_property
+    def neighbor_table(self) -> Dict[Cell, Tuple[Cell, ...]]:
+        """``{cell: moves}`` for every passable cell: the in-bounds, unblocked
+        moves in N, E, S, W order, then the wait move (the cell itself).
+        Its keys are exactly the passable cells."""
+        width, height, blocked = self.width, self.height, self.blocked
+        table = {}
+        for x in range(width):
+            for y in range(height):
+                cell = (x, y)
+                if cell in blocked:
+                    continue
+                moves = [(x + dx, y + dy) for dx, dy in _NESW]
+                table[cell] = tuple(
+                    c for c in moves if 0 <= c[0] < width and 0 <= c[1] < height and c not in blocked
+                ) + (cell,)
+        return table
+
+    @cached_property
+    def _goal_fields(self) -> Dict[Cell, Dict[Cell, int]]:
+        return {}
+
+    def goal_distances(self, goal: Cell) -> Dict[Cell, int]:
+        """Step distance to ``goal`` from every cell that can reach it (a
+        breadth-first search from a passable ``goal``), computed once per goal.
+        The returned dict is shared between callers and must not be changed."""
+        dist = self._goal_fields.get(goal)
+        if dist is None:
+            table = self.neighbor_table
+            if goal not in table:
+                raise ValueError(f"cell {goal} is blocked or out of bounds")
+            dist = {goal: 0}
+            queue = deque([goal])
+            while queue:
+                cur = queue.popleft()
+                d = dist[cur] + 1
+                for nxt in table[cur]:
+                    if nxt not in dist:
+                        dist[nxt] = d
+                        queue.append(nxt)
+            self._goal_fields[goal] = dist
+        return dist
+
 
 def neighbors(world: GridWorld, cell: Cell) -> List[Cell]:
     """In-bounds, unblocked moves from ``cell`` in N, E, S, W order, then the
     wait move (the cell itself) last."""
-    if not world.passable(cell):
+    moves = world.neighbor_table.get(tuple(cell))
+    if moves is None:
         raise ValueError(f"cell {cell} is blocked or out of bounds")
-    x, y = cell
-    out = []
-    for dx, dy in _NESW:
-        nxt = (x + dx, y + dy)
-        if world.passable(nxt):
-            out.append(nxt)
-    out.append(cell)
-    return out
+    return list(moves)
 
 
 def cell_transition_time(world: GridWorld) -> float:

@@ -1,6 +1,7 @@
 """Intent resolution, configuration validation, and the closed-loop engine."""
 
 import json
+import math
 import socket
 import threading
 import time
@@ -393,6 +394,44 @@ class LineServer:
         self.thread.join(timeout=5.0)
 
 
+class StreamServer:
+    """Accepts one connection, reads the request line, then sends ``chunk``
+    again and again, ``delay_s`` apart, until the client hangs up (or, for a
+    client without bounds, 3 s or 16 MiB have gone by)."""
+
+    def __init__(self, chunk, delay_s=0.0):
+        self.srv = socket.socket()
+        self.srv.bind(("127.0.0.1", 0))
+        self.srv.listen(1)
+        self.port = self.srv.getsockname()[1]
+        self.sent = 0
+        self.thread = threading.Thread(target=self._run, args=(chunk, delay_s), daemon=True)
+        self.thread.start()
+
+    def _run(self, chunk, delay_s):
+        conn, _ = self.srv.accept()
+        try:
+            data = b""
+            while not data.endswith(b"\n"):
+                part = conn.recv(65536)
+                if not part:
+                    break
+                data += part
+            stop = time.monotonic() + 3.0
+            while self.sent < 1 << 24 and time.monotonic() < stop:
+                conn.sendall(chunk)
+                self.sent += len(chunk)
+                time.sleep(delay_s)
+        except OSError:
+            pass  # the client hung up
+        finally:
+            conn.close()
+            self.srv.close()
+
+    def join(self):
+        self.thread.join(timeout=5.0)
+
+
 class TestExternalIntentEngine:
     def test_round_trip_and_request_shape(self):
         reply = json.dumps(VALID_MESSAGE).encode() + b"\n"
@@ -438,6 +477,27 @@ class TestExternalIntentEngine:
         engine = ExternalIntentEngine("127.0.0.1", port, timeout_s=0.5)
         with pytest.raises(IntentEngineError, match="unreachable"):
             engine.propose("hello", {})
+
+    def test_slow_drip_hits_total_deadline(self):
+        # one byte every 50 ms never completes a line: each recv succeeds, so
+        # only a deadline over the whole call stops it
+        server = StreamServer(b"{", delay_s=0.05)
+        engine = ExternalIntentEngine("127.0.0.1", server.port, timeout_s=0.5)
+        started = time.monotonic()
+        with pytest.raises(IntentEngineError, match="deadline"):
+            engine.propose("hello", {})
+        assert time.monotonic() - started < 2.0
+        server.join()
+        assert not server.thread.is_alive()
+
+    def test_endless_line_hits_size_cap(self):
+        server = StreamServer(b"x" * 4096)
+        engine = ExternalIntentEngine("127.0.0.1", server.port, timeout_s=5.0)
+        with pytest.raises(IntentEngineError, match="exceeds"):
+            engine.propose("hello", {})
+        server.join()
+        assert not server.thread.is_alive()
+        assert server.sent > ExternalIntentEngine.MAX_RESPONSE_BYTES
 
     def test_correction_loop_over_the_wire(self):
         bad = json.dumps({"pp_config": {"objective": "x"}}).encode() + b"\n"
@@ -515,6 +575,19 @@ class TestWarehouseSimulation:
                 0,
                 {"raw": 1, "semantic_feature": 1},
             )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shadow_series_matches_scalar_draws(self, seed):
+        rho, sigma, n = 0.9, 4.0, 2500  # n spans several blocks
+        gains = PathGainMap(np.full((1, 6), -60.0), shadowing_rho=rho, shadowing_sigma_db=sigma)
+        sim = make_sim("lorc_sc_p", gains=gains, seed=seed)
+        rng = np.random.default_rng([seed, 1, 7])
+        ref = np.zeros(n)
+        ref[0] = rng.normal(0.0, sigma)
+        innov = sigma * math.sqrt(1.0 - rho * rho)
+        for i in range(1, n):
+            ref[i] = rho * ref[i - 1] + rng.normal(0.0, innov)
+        assert np.array_equal(sim._shadow_series(seed, 1, n), ref)
 
     def test_fast_loop_never_stalls(self):
         """5160 B at 3 bps/Hz on 10 MHz: the loop closes in 0.262376 s,

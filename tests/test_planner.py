@@ -12,8 +12,10 @@ from r2xsim.planner import (
     PlanConfig,
     PlanningError,
     PlanningInfeasible,
+    ReservationTable,
     SpaceTimePath,
     _human_base_constraints,
+    _human_reservations,
     _widen_conflict,
     default_horizon,
     detect_first_conflict,
@@ -134,6 +136,69 @@ class TestLowLevelSearch:
     def test_default_horizon(self):
         assert default_horizon(world_of(5, 5)) == 40
         assert default_horizon(world_of(12, 9)) == 84
+
+
+class TestReservationTable:
+    def test_index_keeps_own_constraints(self):
+        cons = [
+            Constraint.window(1, (1, 0), 2, 4),
+            Constraint.vertex(2, (0, 0), 1),
+            Constraint.edge(1, (0, 0), (1, 0), 3),
+            Constraint.vertex(1, (1, 0), 6),
+        ]
+        table = ReservationTable.index(1, cons)
+        assert table.cells == {(1, 0): {2, 3, 4, 6}}
+        assert table.edges == {((0, 0), (1, 0), 3)}
+        assert table.constraints() == [cons[0], cons[2], cons[3]]
+
+    def test_copy_takes_constraints_without_changing_the_original(self):
+        w = world_of(3, 3)
+        pairs = [((1, 1), 2)]
+        base = ReservationTable(1, {(1, 1): frozenset({2})}, (w, pairs, "makespan"))
+        copy = base.copy()
+        added = [Constraint.window(1, (1, 1), 5, 6), Constraint.edge(1, (0, 0), (0, 1), 0)]
+        for c in added:
+            copy.add(c)
+        assert base.cells == {(1, 1): {2}} and not base.edges and not base.added
+        assert copy.cells == {(1, 1): {2, 5, 6}} and copy.edges == {((0, 0), (0, 1), 0)}
+        assert copy.constraints() == [Constraint.vertex(1, (1, 1), 2)] + added
+        assert base.constraints() == [Constraint.vertex(1, (1, 1), 2)]
+
+    @pytest.mark.parametrize("objective", ["makespan", "safety_first"])
+    def test_forecast_table_indexes_the_forecast_constraints(self, objective):
+        # forecasts on free, blocked and edge cells, at step 0, repeated
+        w = world_of(4, 3, blocked={(1, 1), (2, 2)})
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            pairs = [
+                ((int(rng.integers(0, 4)), int(rng.integers(0, 3))), int(rng.integers(0, 4)))
+                for _ in range(int(rng.integers(1, 8)))
+            ]
+            pairs += pairs[:2]
+            expected = ReservationTable.index(3, _human_base_constraints(w, [3], pairs, objective)[3])
+            assert _human_reservations(w, pairs, objective) == expected.cells
+
+    def test_list_and_table_searches_agree(self):
+        rng = np.random.default_rng(7)
+        w = world_of(5, 5, blocked={(2, 2)})
+        for _ in range(50):
+            cons = [
+                Constraint.window(1, tuple(rng.integers(0, 5, 2)), int(lo), int(lo) + int(rng.integers(0, 3)))
+                for lo in rng.integers(1, 8, 6)
+            ]
+            cons = [c for c in cons if c.cell != (2, 2)]
+            robot = RobotState(1, (0, 0), (4, 4))
+            try:
+                expected = low_level_search(w, robot, cons)
+            except PlanningInfeasible:
+                with pytest.raises(PlanningInfeasible):
+                    low_level_search(w, robot, ReservationTable.index(1, cons))
+                continue
+            assert low_level_search(w, robot, ReservationTable.index(1, cons)) == expected
+
+    def test_table_of_another_robot_rejected(self):
+        with pytest.raises(ValueError):
+            low_level_search(world_of(3, 1), RobotState(1, (0, 0), (2, 0)), ReservationTable(2, {}))
 
 
 class TestDetectFirstConflict:
@@ -332,6 +397,20 @@ class TestPlan:
         a = plan(w, robots, [], PlanConfig())
         b = plan(w, robots, [], PlanConfig())
         assert [p.cells for p in a] == [p.cells for p in b]
+
+    @pytest.mark.parametrize("objective", ["makespan", "safety_first"])
+    @pytest.mark.parametrize("n_robots", [1, 2])
+    def test_infeasible_carries_forecast_constraints(self, objective, n_robots):
+        # robot 1's start is ringed by forecast cells at every step
+        w = world_of(5, 5)
+        horizon = default_horizon(w)
+        ring = ((2, 3), (3, 2), (2, 1), (1, 2))
+        humans = [(c, s) for c in ring for s in range(1, horizon + 1)]
+        robots = [RobotState(1, (2, 2), (4, 4)), RobotState(2, (0, 0), (0, 4))][:n_robots]
+        with pytest.raises(PlanningInfeasible) as exc:
+            plan(w, robots, humans, PlanConfig(objective=objective))
+        rid = exc.value.robot_id
+        assert list(exc.value.constraints) == _human_base_constraints(w, [rid], humans, objective)[rid]
 
     def test_input_validation(self):
         w = world_of(3, 3)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BUNDLED_DIR, WAREHOUSE_IDS
+from r2xsim.scenarios import build_warehouse, load_scenario
 from r2xsim.world import (
     Clock,
     GridWorld,
@@ -72,6 +74,64 @@ class TestNeighbors:
         world = GridWorld(3, 3, blocked=frozenset({(1, 1)}))
         with pytest.raises(ValueError):
             neighbors(world, (1, 1))
+
+
+def scan_neighbors(world, cell):
+    """Reference for ``neighbors``: a direct N, E, S, W, wait scan."""
+    x, y = cell
+    out = []
+    for nxt in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+        if 0 <= nxt[0] < world.width and 0 <= nxt[1] < world.height and nxt not in world.blocked:
+            out.append(nxt)
+    return out + [cell]
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("park_goal", [False, True], ids=["open", "parked"])
+    @pytest.mark.parametrize("sid", WAREHOUSE_IDS)
+    def test_matches_scan_on_bundled_layouts(self, sid, park_goal):
+        world, robots, *_ = build_warehouse(load_scenario(BUNDLED_DIR / f"{sid}.json"))
+        if park_goal:
+            world = GridWorld(
+                world.width, world.height, world.cell_size_m, world.blocked | {robots[0].goal},
+                world.frame_period_s, world.cell_traverse_s,
+            )
+        free = [
+            (x, y) for x in range(world.width) for y in range(world.height)
+            if (x, y) not in world.blocked
+        ]
+        for cell in free:
+            assert neighbors(world, cell) == scan_neighbors(world, cell)
+        assert set(world.neighbor_table) == set(free)
+        if park_goal:
+            with pytest.raises(ValueError):
+                neighbors(world, robots[0].goal)
+
+    def test_neighbors_returns_a_fresh_list(self):
+        world = open_world()
+        first = neighbors(world, (1, 1))
+        first.clear()
+        assert neighbors(world, (1, 1)) == [(1, 2), (2, 1), (1, 0), (0, 1), (1, 1)]
+
+    def test_goal_distances_are_bfs_and_cached(self):
+        world = GridWorld(3, 3, blocked=frozenset({(1, 1), (1, 2)}))
+        dist = world.goal_distances((2, 2))
+        assert dist == {
+            (2, 2): 0, (2, 1): 1, (2, 0): 2, (1, 0): 3, (0, 0): 4, (0, 1): 5, (0, 2): 6,
+        }
+        assert world.goal_distances((2, 2)) is dist
+        with pytest.raises(ValueError):
+            world.goal_distances((1, 1))
+
+    def test_caches_leave_equality_and_hash_alone(self):
+        a = GridWorld(4, 3, blocked=frozenset({(1, 1)}))
+        b = GridWorld(4, 3, blocked=frozenset({(1, 1)}))
+        neighbors(a, (0, 0))
+        a.goal_distances((3, 2))
+        assert a == b and hash(a) == hash(b)
+        assert {b: "b"}[a] == "b"
+        assert repr(a) == repr(b)
+        assert a != GridWorld(4, 3, blocked=frozenset({(1, 2)}))
 
 
 class TestRobotState:
