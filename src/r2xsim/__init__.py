@@ -2,7 +2,7 @@
 prioritized grid planning, link adaptation under delayed feedback, semantic
 sensing payloads, and intent-driven configuration."""
 
-from .linkadapt import PolicySpec, gains, run_policy, snr_conditioned_stats
+from .linkadapt import PolicySpec, gains, run_policy
 from .metrics import KpiRecord, completion_time, run_summary, tail_stats, utfr
 from .orchestrator import (
     ExternalIntentEngine,
@@ -31,12 +31,11 @@ from .radio import (
 )
 from .scenarios import Scenario, ScenarioError, load_scenario, run_one
 from .sensing import Codebook, PayloadParams, SenseConfig, payload_bytes, vq_decode, vq_encode
-from .world import Clock, GridWorld, HumanTrack, RobotState, human_forecast
+from .world import GridWorld, HumanTrack, RobotState, human_forecast
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Clock",
     "Codebook",
     "Constraint",
     "ExternalIntentEngine",
@@ -79,7 +78,6 @@ __all__ = [
     "sample_trace",
     "select_mcs",
     "select_sense_mode",
-    "snr_conditioned_stats",
     "tail_stats",
     "utfr",
     "validate",

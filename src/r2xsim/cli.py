@@ -4,7 +4,7 @@ Subcommands:
   run       execute a scenario's (method, seed) grid, writing results.jsonl
             (one run per line, ordered by method then seed) and summary.csv
   compare   rank methods by the median of a metric across result directories
-  validate  check a scenario file against the schema
+  validate  check a scenario file against the schema and build it
 
 Seed precedence for ``run``: ``--seeds`` beats the ``R2X_SEED`` environment
 variable, which beats the seeds listed in the scenario file.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,9 +18,7 @@ from .radio import LinkState, McsTable, PathGainMap, bler, select_mcs, simulate_
 from .world import Cell
 
 POLICY_KINDS = ("oracle", "ideal", "delayed", "predictive")
-BUILTIN_PREDICTORS = ("last_value", "linear", "map_aware")
 
-_LINEAR_WINDOW = 20
 _MAP_AWARE_MIN_SAMPLES = 8
 
 
@@ -28,36 +26,21 @@ _MAP_AWARE_MIN_SAMPLES = 8
 class PolicySpec:
     """Which estimate drives MCS selection.
 
-    oracle      -- true SNR, plus optional skipping of slots whose best
-                   feasible rate is below ``skip_below_rate`` (a scheduling
-                   advantage only the oracle can have; 0 disables it)
+    oracle      -- true SNR
     ideal       -- true instantaneous SNR
     delayed     -- the true SNR ``delay`` steps ago
-    predictive  -- a predictor extrapolating from feedback that is ``delay``
-                   steps old
+    predictive  -- the map-aware predictor extrapolating from feedback that
+                   is ``delay`` steps old
     """
 
     kind: str
     delay: int = 0
-    predictor: Union[str, Callable] = "map_aware"
-    skip_below_rate: float = 0.0
-    predictor_backoff: float = 1.0
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"kind {self.kind!r} not in {POLICY_KINDS}")
         if self.delay < 0:
             raise ValueError("delay must be nonnegative")
-        if isinstance(self.predictor, str) and self.predictor not in BUILTIN_PREDICTORS:
-            raise ValueError(f"unknown predictor {self.predictor!r}; builtins: {BUILTIN_PREDICTORS}")
-
-    def label(self) -> str:
-        if self.kind == "delayed":
-            return f"delayed_{self.delay}"
-        if self.kind == "predictive":
-            name = self.predictor if isinstance(self.predictor, str) else "custom"
-            return f"predictive_{name}_{self.delay}"
-        return self.kind
 
 
 class MapAwarePredictor:
@@ -69,8 +52,7 @@ class MapAwarePredictor:
     only ever uses information available at feedback time.
     """
 
-    def __init__(self, backoff: float = 1.0):
-        self.backoff = backoff
+    def __init__(self):
         self._n = 0
         self._s1 = 0.0
         self._s2 = 0.0
@@ -95,48 +77,15 @@ class MapAwarePredictor:
         sigma = math.sqrt(max(var, 0.0))
         decay = rho**delay
         spread = sigma * math.sqrt(max(1.0 - decay * decay, 0.0))
-        return map_snr_target + decay * self._last - self.backoff * spread
-
-
-def predict_snr(predictor: Union[str, Callable], history: Sequence[float], context: Dict) -> float:
-    """One-shot prediction from an SNR history ending at feedback time.
-
-    ``context`` carries whatever the predictor needs; built-ins use:
-      last_value -- nothing
-      linear     -- ``delay`` (least-squares line over the last window,
-                    extrapolated ``delay`` steps past the history end)
-      map_aware  -- ``map_snr_history`` (aligned with ``history``),
-                    ``map_snr_target``, ``delay``, optional ``backoff``
-    """
-    hist = np.asarray(history, dtype=float)
-    if hist.size == 0:
-        raise ValueError("history must be nonempty")
-    if callable(predictor):
-        return float(predictor(hist, context))
-    if predictor == "last_value":
-        return float(hist[-1])
-    if predictor == "linear":
-        delay = int(context.get("delay", 1))
-        window = hist[-min(_LINEAR_WINDOW, hist.size):]
-        if window.size == 1:
-            return float(window[0])
-        xs = np.arange(window.size, dtype=float)
-        slope, intercept = np.polyfit(xs, window, 1)
-        return float(intercept + slope * (window.size - 1 + delay))
-    if predictor == "map_aware":
-        map_hist = np.asarray(context["map_snr_history"], dtype=float)
-        if map_hist.shape != hist.shape:
-            raise ValueError("map_snr_history must align with history")
-        model = MapAwarePredictor(backoff=float(context.get("backoff", 1.0)))
-        for r in hist - map_hist:
-            model.observe(float(r))
-        return model.predict(float(context["map_snr_target"]), int(context.get("delay", 1)))
-    raise ValueError(f"unknown predictor {predictor!r}")
+        return map_snr_target + decay * self._last - spread
 
 
 @dataclass
 class PolicyTimeSeries:
-    """Per-step outcomes of one policy over one trace."""
+    """Per-step outcomes of one policy over one trace.
+
+    No policy skips a slot; ``skipped`` is all False and stays a field so
+    that positional construction keeps its shape."""
 
     policy: PolicySpec
     mcs_index: np.ndarray
@@ -161,11 +110,6 @@ class PolicyTimeSeries:
         return float(np.mean(self.bler_realized <= level))
 
 
-def best_feasible_rate(table: McsTable, snr_db: float, bler_target: float) -> float:
-    sel = select_mcs(table, snr_db, bler_target)
-    return table.entries[sel.index].rate_bps_per_hz if sel.feasible else 0.0
-
-
 def run_policy(
     trace: Sequence[LinkState],
     spec: PolicySpec,
@@ -181,10 +125,10 @@ def run_policy(
     """Walk ``trace`` under ``spec``; realized outcomes always come from the
     true SNR regardless of what the policy believed.
 
-    ``cells`` and ``gain_map`` are required for the map_aware predictor (it
-    needs the route and the average-gain field). The same ``seed`` across
-    policies shares no randomness between steps beyond the per-attempt
-    failure draws, so traces are comparable policy-to-policy.
+    ``cells`` and ``gain_map`` are required for predictive policies (the
+    predictor needs the route and the average-gain field). The same ``seed``
+    across policies shares no randomness between steps beyond the
+    per-attempt failure draws, so traces are comparable policy-to-policy.
     """
     n = len(trace)
     if n == 0:
@@ -193,10 +137,9 @@ def run_policy(
         raise ValueError(f"trace length {n} must exceed policy delay {spec.delay}")
     true_snr = np.array([ls.snr_db for ls in trace], dtype=float)
 
-    uses_map = spec.kind == "predictive" and spec.predictor == "map_aware"
-    if uses_map:
+    if spec.kind == "predictive":
         if cells is None or gain_map is None:
-            raise ValueError("map_aware policy needs cells and gain_map")
+            raise ValueError("predictive policy needs cells and gain_map")
         if len(cells) != n:
             raise ValueError("cells must align with trace")
         map_snr = np.array(
@@ -204,7 +147,7 @@ def run_policy(
             dtype=float,
         )
         residuals = true_snr - map_snr
-        model = MapAwarePredictor(backoff=spec.predictor_backoff)
+        model = MapAwarePredictor()
         observed_up_to = -1
 
     rng = np.random.default_rng(seed)
@@ -213,7 +156,6 @@ def run_policy(
     lat = np.zeros(n)
     blr = np.zeros(n)
     succ = np.zeros(n, dtype=bool)
-    skip = np.zeros(n, dtype=bool)
 
     for t in range(n):
         if spec.kind in ("oracle", "ideal"):
@@ -222,25 +164,10 @@ def run_policy(
             estimate = true_snr[max(0, t - spec.delay)]
         else:
             feedback_at = t - spec.delay
-            if spec.predictor == "map_aware":
-                while observed_up_to < feedback_at:
-                    observed_up_to += 1
-                    model.observe(float(residuals[observed_up_to]))
-                estimate = model.predict(float(map_snr[t]), spec.delay)
-            elif spec.predictor == "last_value":
-                estimate = true_snr[max(0, feedback_at)]
-            elif spec.predictor == "linear":
-                hist = true_snr[: max(1, feedback_at + 1)]
-                estimate = predict_snr("linear", hist, {"delay": spec.delay})
-            else:
-                hist = true_snr[: max(1, feedback_at + 1)]
-                estimate = predict_snr(spec.predictor, hist, {"delay": spec.delay, "step": t})
-
-        if spec.kind == "oracle" and spec.skip_below_rate > 0.0:
-            if best_feasible_rate(table, true_snr[t], bler_target) < spec.skip_below_rate:
-                mcs[t] = -1
-                skip[t] = True
-                continue
+            while observed_up_to < feedback_at:
+                observed_up_to += 1
+                model.observe(float(residuals[observed_up_to]))
+            estimate = model.predict(float(map_snr[t]), spec.delay)
 
         sel = select_mcs(table, float(estimate), bler_target)
         entry = table.entries[sel.index]
@@ -253,7 +180,7 @@ def run_policy(
         blr[t] = bler(entry, float(true_snr[t]))
         if result.success and result.latency_s > 0:
             tput[t] = payload_bytes_per_step * 8.0 / result.latency_s
-    return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ, skip)
+    return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ, np.zeros(n, dtype=bool))
 
 
 def gains(proposed: PolicyTimeSeries, baseline: PolicyTimeSeries) -> Tuple[float, float]:
@@ -269,66 +196,3 @@ def gains(proposed: PolicyTimeSeries, baseline: PolicyTimeSeries) -> Tuple[float
     tp_p = proposed.mean_throughput_bps
     lat_p = proposed.mean_latency_s
     return 100.0 * (tp_p - tp_b) / tp_b, 100.0 * (lat_b - lat_p) / lat_b
-
-
-@dataclass
-class SnrBin:
-    lo: float
-    hi: float
-    count: int
-    mean_throughput_bps: float
-    mean_latency_s: float
-
-
-@dataclass
-class SnrConditionedStats:
-    bins: List[Optional[SnrBin]]
-    bler_sorted: np.ndarray
-
-    def bler_quantile(self, q: float) -> float:
-        """Nearest-rank empirical quantile of realized BLER."""
-        if not 0 < q <= 1:
-            raise ValueError("q must be in (0, 1]")
-        n = len(self.bler_sorted)
-        if n == 0:
-            raise ValueError("no BLER samples")
-        return float(self.bler_sorted[max(0, math.ceil(q * n) - 1)])
-
-
-def snr_conditioned_stats(
-    series: PolicyTimeSeries,
-    trace: Sequence[LinkState],
-    bin_edges: Sequence[float],
-) -> SnrConditionedStats:
-    """Mean throughput/latency per true-SNR bin plus the realized-BLER CDF.
-
-    Bins are ``[edge_i, edge_i+1)`` with the last bin closed; bins with no
-    samples are reported as ``None`` rather than zeros.
-    """
-    edges = [float(e) for e in bin_edges]
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("bin_edges must be strictly increasing with >= 2 values")
-    true_snr = np.array([ls.snr_db for ls in trace], dtype=float)
-    if len(true_snr) != len(series):
-        raise ValueError("trace and series lengths differ")
-    bins: List[Optional[SnrBin]] = []
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        if i == len(edges) - 2:
-            mask = (true_snr >= lo) & (true_snr <= hi)
-        else:
-            mask = (true_snr >= lo) & (true_snr < hi)
-        count = int(np.sum(mask))
-        if count == 0:
-            bins.append(None)
-        else:
-            bins.append(
-                SnrBin(
-                    lo,
-                    hi,
-                    count,
-                    float(np.mean(series.throughput_bps[mask])),
-                    float(np.mean(series.latency_s[mask])),
-                )
-            )
-    return SnrConditionedStats(bins, np.sort(series.bler_realized))

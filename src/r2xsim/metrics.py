@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ def completion_time(
     paths: Sequence[SpaceTimePath],
     stop_log: Mapping[int, float],
     step_duration_s: float,
-    statuses: Optional[Mapping[int, str]] = None,
 ) -> float:
     """Seconds until the last robot is done.
 
@@ -52,11 +51,6 @@ def completion_time(
         raise ValueError("no paths")
     if step_duration_s <= 0:
         raise ValueError("step_duration_s must be positive")
-    if statuses is not None:
-        for p in paths:
-            status = statuses.get(p.robot_id, "arrived")
-            if status != "arrived":
-                raise ValueError(f"robot {p.robot_id} has not arrived (status {status!r})")
     return max(
         p.arrival_step * step_duration_s + float(stop_log.get(p.robot_id, 0.0)) for p in paths
     )

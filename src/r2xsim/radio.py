@@ -8,8 +8,6 @@ logistic waterfall per modulation-and-coding scheme (MCS); a slope of
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -128,8 +126,7 @@ class RadioConfig:
 class PathGainMap:
     """Per-cell average path gain in dB plus lognormal shadowing parameters.
 
-    ``gains`` is indexed ``[y][x]``; NaN marks cells with no radio coverage
-    (blocked cells in exported maps).
+    ``gains`` is indexed ``[y][x]``; NaN marks cells with no radio coverage.
     """
 
     gains: np.ndarray
@@ -162,22 +159,6 @@ class PathGainMap:
         if math.isnan(g):
             raise ValueError(f"cell {cell} has no radio coverage (NaN gain)")
         return g
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in self.gains:
-            writer.writerow(["nan" if math.isnan(v) else repr(float(v)) for v in row])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str, shadowing_rho: float = 0.0, shadowing_sigma_db: float = 0.0) -> "PathGainMap":
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
-        data = [[float(v) for v in row] for row in rows]
-        widths = {len(r) for r in data}
-        if len(widths) != 1:
-            raise ValueError("all gain map rows must have the same length")
-        return PathGainMap(np.array(data, dtype=float), shadowing_rho, shadowing_sigma_db)
 
 
 def required_power(
@@ -320,30 +301,4 @@ def sample_trace(
         if i > 0:
             s = rho * s + (rng.normal(0.0, innovation) if sigma > 0 else 0.0)
         trace.append(LinkState.from_gain(gain_map.gain_at(cell) + s, power, cfg.noise_dbm))
-    return trace
-
-
-def trace_to_csv(trace: Sequence[LinkState]) -> str:
-    """Export a trace as ``step,gain_db,snr_db`` rows with a header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["step", "gain_db", "snr_db"])
-    for i, ls in enumerate(trace):
-        writer.writerow([i, repr(ls.gain_db), repr(ls.snr_db)])
-    return buf.getvalue()
-
-
-def trace_from_csv(text: str, noise_dbm: float = DEFAULT_NOISE_DBM) -> List[LinkState]:
-    """Rebuild link states from ``step,gain_db,snr_db`` rows; the transmit
-    power is recovered from the dB identity."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    if not rows or [c.strip() for c in rows[0]] != ["step", "gain_db", "snr_db"]:
-        raise ValueError("expected header 'step,gain_db,snr_db'")
-    trace = []
-    for expect, row in enumerate(rows[1:]):
-        step, gain_db, snr_db = int(row[0]), float(row[1]), float(row[2])
-        if step != expect:
-            raise ValueError(f"non-contiguous step {step} (expected {expect})")
-        tx = snr_db + noise_dbm - gain_db
-        trace.append(LinkState(gain_db, tx, noise_dbm, snr_db, tx + gain_db))
     return trace

@@ -37,16 +37,7 @@ from .orchestrator import (
     correct_loop,
     select_sense_mode,
 )
-from .radio import (
-    DEFAULT_BANDWIDTH_HZ,
-    DEFAULT_NOISE_DBM,
-    DEFAULT_SLOT_S,
-    McsTable,
-    PathGainMap,
-    RadioConfig,
-    default_mcs_table,
-    sample_trace,
-)
+from .radio import McsTable, PathGainMap, RadioConfig, default_mcs_table, sample_trace
 from .sensing import SenseConfig
 from .world import GridWorld, HumanTrack, RobotState
 
@@ -244,9 +235,20 @@ def validate_scenario_dict(data) -> List[str]:
     if kind == "warehouse":
         _validate_warehouse(ck, section)
     elif kind == "mcs":
-        _validate_mcs(ck, section)
+        _validate_mcs(ck, section, methods)
     else:
         _validate_followme(ck, section)
+    if not ck.errors and kind != "followme":
+        # The model constructors hold the true bounds; a document the schema
+        # accepts must also build.
+        scn = Scenario(sid, kind, tuple(seeds), tuple(methods), section)
+        try:
+            if kind == "warehouse":
+                build_warehouse(scn)
+            else:
+                build_mcs_corridor(scn)
+        except ValueError as exc:
+            ck.fail(f"scenario.{kind}", str(exc))
     return ck.errors
 
 
@@ -271,9 +273,9 @@ def _validate_warehouse(ck: _Checker, sec) -> None:
     if world is not None:
         width = ck.integer(world, f"{p}.world", "width", lo=1)
         height = ck.integer(world, f"{p}.world", "height", lo=1)
-        ck.num(world, f"{p}.world", "cell_size_m", lo=0.0)
-        ck.num(world, f"{p}.world", "frame_period_s", lo=0.0)
-        ck.num(world, f"{p}.world", "cell_traverse_s", lo=0.0)
+        ck.num(world, f"{p}.world", "cell_size_m")
+        ck.num(world, f"{p}.world", "frame_period_s")
+        ck.num(world, f"{p}.world", "cell_traverse_s")
         for i, raw in enumerate(world.get("blocked", [])):
             cell = ck.cell(raw, f"{p}.world.blocked[{i}]")
             if cell:
@@ -340,6 +342,8 @@ def _validate_warehouse(ck: _Checker, sec) -> None:
                 break
             if width is not None and not in_world(cell):
                 ck.fail(f"{hp}.waypoints[{j}]", f"cell {cell} outside the world")
+            elif cell in blocked:
+                ck.fail(f"{hp}.waypoints[{j}]", f"cell {cell} is blocked")
             if prev is not None and abs(cell[0] - prev[0]) + abs(cell[1] - prev[1]) > 1:
                 ck.fail(f"{hp}.waypoints[{j}]", f"{prev} -> {cell} is not a stand or 4-neighbor move")
             prev = cell
@@ -409,10 +413,10 @@ def _validate_radio(ck: _Checker, radio, path: str) -> None:
     ck.integer(robj, path, "max_retx", lo=0)
     ck.num(robj, path, "noise_dbm")
     ck.num(robj, path, "bandwidth_hz", lo=1.0)
-    ck.num(robj, path, "slot_s", lo=0.0)
+    ck.num(robj, path, "slot_s")
 
 
-def _validate_mcs(ck: _Checker, sec) -> None:
+def _validate_mcs(ck: _Checker, sec, methods) -> None:
     p = "scenario.mcs"
     sec = ck.obj(
         sec, p,
@@ -423,7 +427,12 @@ def _validate_mcs(ck: _Checker, sec) -> None:
     )
     if sec is None:
         return
-    ck.integer(sec, p, "steps", lo=1)
+    steps = ck.integer(sec, p, "steps", lo=1)
+    if steps is not None and isinstance(methods, list):
+        for m in methods:
+            match = isinstance(m, str) and _MCS_METHOD_RE.match(m)
+            if match and match.group(1) and int(match.group(1)) >= steps:
+                ck.fail(f"{p}.steps", f"{steps} must exceed the delay of method {m!r}")
     ck.integer(sec, p, "corridor_cells", lo=2)
     prof = ck.obj(
         sec.get("gain_profile"), f"{p}.gain_profile",
@@ -558,6 +567,8 @@ def synthetic_gain_map(width: int, height: int, gain: dict) -> PathGainMap:
     gains = base - slope * dist
     for zone in gain.get("dead_zones", []):
         x0, y0, x1, y1 = zone["rect"]
+        if not (0 <= x0 <= x1 < width and 0 <= y0 <= y1 < height):
+            raise ValueError(f"dead zone rect {zone['rect']} is not inside the {width}x{height} map")
         gains[y0 : y1 + 1, x0 : x1 + 1] -= float(zone["extra_loss_db"])
     return PathGainMap(
         gains=gains,
@@ -660,7 +671,7 @@ def mcs_policy_from_method(method: str) -> PolicySpec:
     if name == "delayed":
         return PolicySpec(kind="delayed", delay=int(delay))
     if name == "predictive":
-        return PolicySpec(kind="predictive", delay=int(delay), predictor="map_aware")
+        return PolicySpec(kind="predictive", delay=int(delay))
     raise ValueError(f"unknown mcs method {method!r}")
 
 

@@ -1,6 +1,5 @@
 """Sensing payload models: raw frames, JPEG tables, feature vectors, and
-token-based vector quantization, plus the camera-ray back-projection used to
-turn a detection box into a 3D point.
+token-based vector quantization.
 """
 
 from __future__ import annotations
@@ -148,31 +147,6 @@ class Codebook:
     def index_bits(self) -> int:
         return index_bits(self.size)
 
-    def to_text(self) -> str:
-        lines = [f"{self.size} {self.dim}"]
-        for row in self.codewords:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "Codebook":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty codebook file")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise ValueError("codebook header must be 'size dim'")
-        size, dim = int(head[0]), int(head[1])
-        if len(lines) - 1 != size:
-            raise ValueError(f"expected {size} codeword rows, got {len(lines) - 1}")
-        rows = []
-        for ln in lines[1:]:
-            vals = [float(v) for v in ln.split()]
-            if len(vals) != dim:
-                raise ValueError(f"codeword row has {len(vals)} values, expected {dim}")
-            rows.append(vals)
-        return Codebook(np.array(rows, dtype=float))
-
 
 def vq_encode(x: Sequence[float], codebook: Codebook) -> int:
     """Index of the codeword nearest to ``x`` in squared Euclidean distance;
@@ -188,40 +162,3 @@ def vq_decode(index: int, codebook: Codebook) -> np.ndarray:
     if not 0 <= index < codebook.size:
         raise ValueError(f"index {index} outside codebook of size {codebook.size}")
     return codebook.codewords[index].copy()
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-
-    def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-
-
-def bbox_to_point(
-    bbox: Tuple[float, float, float, float],
-    depth_m: float,
-    intrinsics: CameraIntrinsics,
-) -> Tuple[float, float, float]:
-    """Back-project the center of a detection box to a camera-frame 3D point.
-
-    ``bbox`` is ``(u_min, v_min, u_max, v_max)`` in pixels; the box center is
-    pushed along its camera ray to ``depth_m``:
-    ``p = z * ((u_c - cx) / fx, (v_c - cy) / fy, 1)``.
-    """
-    u_min, v_min, u_max, v_max = bbox
-    if u_max < u_min or v_max < v_min:
-        raise ValueError("bbox must satisfy u_min <= u_max and v_min <= v_max")
-    if depth_m <= 0:
-        raise ValueError("depth must be positive")
-    u_c = (u_min + u_max) / 2.0
-    v_c = (v_min + v_max) / 2.0
-    return (
-        depth_m * (u_c - intrinsics.cx) / intrinsics.fx,
-        depth_m * (v_c - intrinsics.cy) / intrinsics.fy,
-        depth_m,
-    )

@@ -1,4 +1,4 @@
-"""Grid world primitives: cells, robots, scripted human tracks, and the frame clock.
+"""Grid world primitives: cells, robots and scripted human tracks.
 
 The world is a rectangular grid of square cells. Coordinates are ``(x, y)``
 with ``x`` growing east and ``y`` growing north. Time advances in fixed
@@ -7,17 +7,14 @@ frames; robots traverse one cell per ``cell_traverse_s`` seconds.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 Cell = Tuple[int, int]
 
-ROBOT_STATUSES = ("moving", "waiting", "arrived", "stopped")
+ROBOT_STATUSES = ("moving", "arrived")
 
 # Neighbor offsets in deterministic order: north, east, south, west.
 _NESW = ((0, 1), (1, 0), (0, -1), (-1, 0))
@@ -104,21 +101,6 @@ class GridWorld:
         return dist
 
 
-def neighbors(world: GridWorld, cell: Cell) -> List[Cell]:
-    """In-bounds, unblocked moves from ``cell`` in N, E, S, W order, then the
-    wait move (the cell itself) last."""
-    moves = world.neighbor_table.get(tuple(cell))
-    if moves is None:
-        raise ValueError(f"cell {cell} is blocked or out of bounds")
-    return list(moves)
-
-
-def cell_transition_time(world: GridWorld) -> float:
-    """Seconds a robot needs to move to an adjacent cell (also the cost of a
-    commanded wait step)."""
-    return world.cell_traverse_s
-
-
 @dataclass
 class RobotState:
     id: int
@@ -131,21 +113,6 @@ class RobotState:
         self.goal = tuple(self.goal)
         if self.status not in ROBOT_STATUSES:
             raise ValueError(f"status {self.status!r} not in {ROBOT_STATUSES}")
-
-
-@dataclass(frozen=True)
-class Clock:
-    """Frame counter; wall time is always ``step * frame_period_s``."""
-
-    frame_period_s: float = 0.5
-    step: int = 0
-
-    @property
-    def sim_time_s(self) -> float:
-        return self.step * self.frame_period_s
-
-    def advanced(self, steps: int = 1) -> "Clock":
-        return Clock(self.frame_period_s, self.step + steps)
 
 
 @dataclass(frozen=True)
@@ -178,70 +145,10 @@ class HumanTrack:
         return self.waypoints[step]
 
 
-def human_forecast(
-    track: HumanTrack,
-    step: int,
-    *,
-    error_prob: float = 0.0,
-    rng: "np.random.Generator | None" = None,
-    world: "GridWorld | None" = None,
-) -> List[Tuple[Cell, int]]:
+def human_forecast(track: HumanTrack, step: int) -> List[Tuple[Cell, int]]:
     """Forecast cells for the next ``track.horizon_frames`` frames after ``step``.
 
     Returns ``[(cell, step+1), ..., (cell, step+horizon)]``; the track is
-    extrapolated as stationary past its end. ``error_prob`` optionally
-    perturbs each forecast cell to a random free 4-neighbor, for robustness
-    experiments (requires ``rng`` and ``world``).
+    extrapolated as stationary past its end.
     """
-    out = []
-    for i in range(1, track.horizon_frames + 1):
-        cell = track.position_at(step + i)
-        if error_prob > 0.0:
-            if rng is None or world is None:
-                raise ValueError("error injection needs rng and world")
-            if rng.random() < error_prob:
-                options = [c for c in neighbors(world, cell) if c != cell]
-                if options:
-                    cell = options[rng.integers(len(options))]
-        out.append((cell, step + i))
-    return out
-
-
-def load_grid(text: str) -> GridWorld:
-    """Parse the plain-text map format.
-
-    First line: ``width height cell_size_m``. Then ``height`` rows of ``.``
-    (free) and ``#`` (blocked), the first row being the north edge
-    (``y = height - 1``).
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty map")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError("header must be 'width height cell_size_m'")
-    width, height = int(head[0]), int(head[1])
-    cell_size = float(head[2])
-    rows = lines[1:]
-    if len(rows) != height:
-        raise ValueError(f"expected {height} map rows, got {len(rows)}")
-    blocked = set()
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {r} has length {len(row)}, expected {width}")
-        y = height - 1 - r
-        for x, ch in enumerate(row):
-            if ch == "#":
-                blocked.add((x, y))
-            elif ch != ".":
-                raise ValueError(f"unknown map character {ch!r} at row {r}")
-    return GridWorld(width, height, cell_size, frozenset(blocked))
-
-
-def dump_grid(world: GridWorld) -> str:
-    """Inverse of :func:`load_grid`."""
-    lines = [f"{world.width} {world.height} {world.cell_size_m:g}"]
-    for r in range(world.height):
-        y = world.height - 1 - r
-        lines.append("".join("#" if (x, y) in world.blocked else "." for x in range(world.width)))
-    return "\n".join(lines) + "\n"
+    return [(track.position_at(step + i), step + i) for i in range(1, track.horizon_frames + 1)]

@@ -1,9 +1,10 @@
-"""Golden digests: bundled warehouse runs reproduce the pinned outputs.
+"""Golden digests: bundled runs reproduce the pinned outputs.
 
 ``perfbench/digests.json`` pins the sha256 of every ``results.jsonl`` record
-line the benchmark's workloads produce. Rerunning the same code twice (C12)
-cannot show that a refactor kept old outputs; comparing with these pins can.
-The makespan variants are written the way ``perfbench/run.py`` writes its
+line the benchmark's workloads produce, and of the ``summary.csv`` of each
+one-seed run. Rerunning the same code twice (C12) cannot show that a
+refactor kept old outputs; comparing with these pins can. The makespan
+variants are written the way ``perfbench/run.py`` writes its
 ``warehouse-makespan`` inputs.
 """
 
@@ -38,21 +39,32 @@ def scenario_file(name, makespan, work_dir):
     return path
 
 
-@pytest.mark.parametrize("makespan", [False, True], ids=["bundled", "makespan"])
-@pytest.mark.parametrize("name", WAREHOUSE_IDS)
+CASES = [
+    pytest.param(name, makespan, id=f"{name}-{'makespan' if makespan else 'bundled'}")
+    for name in WAREHOUSE_IDS
+    for makespan in (False, True)
+] + [pytest.param(name, False, id=f"{name}-bundled") for name in ("mcs-ar1", "followme-corridor")]
+
+
+@pytest.mark.parametrize("name,makespan", CASES)
 def test_records_match_pinned_digests(name, makespan, pinned, tmp_path):
     path = scenario_file(name, makespan, tmp_path)
-    out = tmp_path / "out"
-    seeds = ",".join(str(s) for s in SEEDS)
-    assert main(["run", str(path), "--seeds", seeds, "--parallel", "1", "--out", str(out)]) == 0
     sid = f"{name}-makespan" if makespan else name
-    expected = pinned[sid]["records"]
-    seen = set()
-    for line in (out / "results.jsonl").read_bytes().splitlines():
-        rec = json.loads(line)
-        assert rec["scenario_id"] == sid
-        key = f"{rec['method']}/{rec['seed']}"
-        assert hashlib.sha256(line).hexdigest() == expected[key], f"{sid} {key} differs from {DIGESTS.name}"
-        seen.add(key)
+    expected = pinned[sid]
     methods = json.loads(path.read_text())["methods"]
-    assert seen == {f"{m}/{s}" for m in methods for s in SEEDS}
+    # One seed per call: the summary pins are per seed.
+    for seed in SEEDS:
+        out = tmp_path / f"out-{seed}"
+        assert main(["run", str(path), "--seeds", str(seed), "--parallel", "1", "--out", str(out)]) == 0
+        seen = set()
+        for line in (out / "results.jsonl").read_bytes().splitlines():
+            rec = json.loads(line)
+            assert rec["scenario_id"] == sid
+            key = f"{rec['method']}/{rec['seed']}"
+            assert hashlib.sha256(line).hexdigest() == expected["records"][key], (
+                f"{sid} {key} differs from {DIGESTS.name}"
+            )
+            seen.add(key)
+        assert seen == {f"{m}/{seed}" for m in methods}
+        summary = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
+        assert summary == expected["summaries"][str(seed)], f"{sid} seed {seed} summary.csv differs"

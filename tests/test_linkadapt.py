@@ -9,11 +9,8 @@ from r2xsim.linkadapt import (
     MapAwarePredictor,
     PolicySpec,
     PolicyTimeSeries,
-    best_feasible_rate,
     gains,
-    predict_snr,
     run_policy,
-    snr_conditioned_stats,
 )
 from r2xsim.radio import (
     LinkState,
@@ -39,24 +36,15 @@ def trace_from_snrs(snrs, power=23.0, noise=-100.0):
 
 
 class TestPolicySpec:
-    def test_labels(self):
-        assert PolicySpec("oracle").label() == "oracle"
-        assert PolicySpec("ideal").label() == "ideal"
-        assert PolicySpec("delayed", delay=5).label() == "delayed_5"
-        assert PolicySpec("predictive", delay=3).label() == "predictive_map_aware_3"
-        assert PolicySpec("predictive", delay=2, predictor=lambda h, c: 0.0).label() == "predictive_custom_2"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PolicySpec("clairvoyant")
         with pytest.raises(ValueError):
             PolicySpec("delayed", delay=-1)
-        with pytest.raises(ValueError):
-            PolicySpec("predictive", predictor="kalman")
 
 
 class TestMapAwarePredictor:
-    def reference(self, residuals, target, delay, backoff):
+    def reference(self, residuals, target, delay):
         n = len(residuals)
         if n == 0:
             return target
@@ -70,7 +58,7 @@ class TestMapAwarePredictor:
         sigma = math.sqrt(max(var, 0.0))
         decay = rho**delay
         spread = sigma * math.sqrt(max(1.0 - decay * decay, 0.0))
-        return target + decay * residuals[-1] - backoff * spread
+        return target + decay * residuals[-1] - spread
 
     def test_no_samples_returns_map(self):
         assert MapAwarePredictor().predict(-7.5, 5) == -7.5
@@ -84,28 +72,16 @@ class TestMapAwarePredictor:
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(8)
         residuals = list(rng.normal(0, 3, size=25))
-        for backoff in (0.5, 1.0, 2.0):
-            m = MapAwarePredictor(backoff=backoff)
-            for r in residuals:
-                m.observe(r)
-            for delay in (1, 5, 30):
-                expected = self.reference(residuals, -4.0, delay, backoff)
-                assert m.predict(-4.0, delay) == pytest.approx(expected, abs=1e-12)
-
-    def test_backoff_lowers_prediction(self):
-        rng = np.random.default_rng(9)
-        residuals = rng.normal(0, 3, size=20)
-        preds = []
-        for backoff in (0.0, 1.0, 2.0):
-            m = MapAwarePredictor(backoff=backoff)
-            for r in residuals:
-                m.observe(float(r))
-            preds.append(m.predict(0.0, 10))
-        assert preds[0] > preds[1] > preds[2]
+        m = MapAwarePredictor()
+        for r in residuals:
+            m.observe(r)
+        for delay in (1, 5, 30):
+            expected = self.reference(residuals, -4.0, delay)
+            assert m.predict(-4.0, delay) == pytest.approx(expected, abs=1e-12)
 
     def test_long_delay_decays_residual(self):
         # with rho < 1 the residual term vanishes and the backoff saturates
-        m = MapAwarePredictor(backoff=1.0)
+        m = MapAwarePredictor()
         for r in (2.0, 1.8, 1.9, 2.1, 1.7, 2.2, 1.6, 2.0, 1.9, 2.05):
             m.observe(r)
         near = m.predict(0.0, 1)
@@ -115,60 +91,6 @@ class TestMapAwarePredictor:
         sigma = math.sqrt(s2 / 10 - (s1 / 10) ** 2)
         assert far == pytest.approx(-sigma, abs=1e-9)
         assert near > far  # positive last residual still helps at short delay
-
-
-class TestPredictSnr:
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            predict_snr("last_value", [], {})
-
-    def test_last_value(self):
-        assert predict_snr("last_value", [3.0, 7.0, -1.5], {}) == -1.5
-
-    def test_linear_exact_on_line(self):
-        hist = [2.0 + 0.5 * t for t in range(10)]
-        out = predict_snr("linear", hist, {"delay": 3})
-        assert out == pytest.approx(2.0 + 0.5 * 12, abs=1e-9)
-
-    def test_linear_single_sample(self):
-        assert predict_snr("linear", [4.0], {"delay": 10}) == 4.0
-
-    def test_linear_window_limits_history(self):
-        hist = [100.0, -50.0, 80.0] + [1.0 * t for t in range(20)]
-        out = predict_snr("linear", hist, {"delay": 2})
-        assert out == pytest.approx(21.0, abs=1e-9)
-
-    def test_map_aware_context_equivalence(self):
-        rng = np.random.default_rng(4)
-        map_hist = list(rng.normal(10, 2, size=15))
-        resid = list(rng.normal(0, 1.5, size=15))
-        hist = [m + r for m, r in zip(map_hist, resid)]
-        ctx = {"map_snr_history": map_hist, "map_snr_target": 12.0, "delay": 4, "backoff": 1.5}
-        out = predict_snr("map_aware", hist, ctx)
-        model = MapAwarePredictor(backoff=1.5)
-        for r in resid:
-            model.observe(r)
-        assert out == pytest.approx(model.predict(12.0, 4), abs=1e-9)
-
-    def test_map_aware_misaligned_rejected(self):
-        with pytest.raises(ValueError):
-            predict_snr("map_aware", [1.0, 2.0], {"map_snr_history": [1.0], "map_snr_target": 0.0})
-
-    def test_callable_passthrough(self):
-        out = predict_snr(lambda h, c: h[-1] + c["bump"], [5.0], {"bump": 2.0})
-        assert out == 7.0
-
-    def test_unknown_predictor(self):
-        with pytest.raises(ValueError):
-            predict_snr("bogus", [1.0], {})
-
-
-class TestBestFeasibleRate:
-    def test_values(self):
-        table = default_mcs_table()
-        assert best_feasible_rate(table, 15.0, 0.1) == 3.0
-        assert best_feasible_rate(table, 100.0, 0.1) == 6.0
-        assert best_feasible_rate(table, -50.0, 0.1) == 0.0
 
 
 class TestRunPolicy:
@@ -240,20 +162,6 @@ class TestRunPolicy:
         ideal = run_policy(trace, PolicySpec("ideal"), STEP_TABLE, 800, seed=1)
         assert list(pred.mcs_index) == list(ideal.mcs_index)
 
-    def test_oracle_skip_low_rate_slots(self):
-        table = default_mcs_table()
-        snrs = [-10.0] * 4 + [20.0] * 6
-        trace = trace_from_snrs(snrs)
-        spec = PolicySpec("oracle", skip_below_rate=1.0)
-        out = run_policy(trace, spec, table, 1500, seed=0)
-        assert list(out.mcs_index[:4]) == [-1] * 4
-        assert out.skipped[:4].all() and not out.skipped[4:].any()
-        assert (out.throughput_bps[:4] == 0).all()
-        assert (out.latency_s[:4] == 0).all()
-        no_skip = run_policy(trace, PolicySpec("oracle"), table, 1500, seed=0)
-        assert not no_skip.skipped.any()
-        assert (no_skip.mcs_index[:4] == 0).all()
-
     def test_seed_determinism(self):
         trace = trace_from_snrs(list(np.random.default_rng(0).uniform(0, 15, size=40)))
         spec = PolicySpec("delayed", delay=4)
@@ -295,56 +203,3 @@ class TestGains:
             gains(good, base_tp0)
         with pytest.raises(ValueError):
             gains(good, base_lat0)
-
-
-class TestSnrConditionedStats:
-    def make(self, snrs, tput, lat, blr):
-        trace = trace_from_snrs(snrs)
-        n = len(snrs)
-        series = PolicyTimeSeries(
-            PolicySpec("ideal"),
-            np.zeros(n, dtype=int),
-            np.array(tput, dtype=float),
-            np.array(lat, dtype=float),
-            np.array(blr, dtype=float),
-            np.ones(n, dtype=bool),
-            np.zeros(n, dtype=bool),
-        )
-        return series, trace
-
-    def test_bin_edges_and_membership(self):
-        series, trace = self.make(
-            [5.0, 15.0, 20.0, 9.999, 10.0],
-            [1, 2, 3, 4, 5],
-            [1, 1, 1, 1, 1],
-            [0.0] * 5,
-        )
-        stats = snr_conditioned_stats(series, trace, [0.0, 10.0, 20.0])
-        b0, b1 = stats.bins
-        assert b0.count == 2 and b0.mean_throughput_bps == pytest.approx(2.5)
-        assert b1.count == 3 and b1.mean_throughput_bps == pytest.approx(10 / 3)
-
-    def test_empty_bin_is_none(self):
-        series, trace = self.make([5.0, 6.0], [1, 1], [1, 1], [0, 0])
-        stats = snr_conditioned_stats(series, trace, [0.0, 10.0, 20.0])
-        assert stats.bins[1] is None
-
-    def test_bler_quantile_nearest_rank(self):
-        series, trace = self.make(
-            [1.0] * 5, [1] * 5, [1] * 5, [0.4, 0.0, 0.3, 0.1, 0.2]
-        )
-        stats = snr_conditioned_stats(series, trace, [0.0, 2.0])
-        assert stats.bler_quantile(0.95) == 0.4
-        assert stats.bler_quantile(0.2) == 0.0
-        assert stats.bler_quantile(1.0) == 0.4
-        with pytest.raises(ValueError):
-            stats.bler_quantile(0.0)
-
-    def test_validation(self):
-        series, trace = self.make([1.0, 2.0], [1, 1], [1, 1], [0, 0])
-        with pytest.raises(ValueError):
-            snr_conditioned_stats(series, trace, [0.0])
-        with pytest.raises(ValueError):
-            snr_conditioned_stats(series, trace, [0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            snr_conditioned_stats(series, trace[:1], [0.0, 1.0])

@@ -29,13 +29,6 @@ class TestCompletionTime:
         out = completion_time(paths, {2: 4.0}, 1.4)
         assert out == pytest.approx(8.2)  # 3*1.4 + 4.0 beats 5*1.4
 
-    def test_statuses_must_be_arrived(self):
-        with pytest.raises(ValueError):
-            completion_time([path(1, 2)], {}, 1.0, statuses={1: "moving"})
-        assert completion_time([path(1, 2)], {}, 1.0, statuses={1: "arrived"}) == 2.0
-        # robots absent from the mapping are assumed done
-        assert completion_time([path(1, 2)], {}, 1.0, statuses={}) == 2.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             completion_time([], {}, 1.0)

@@ -21,8 +21,6 @@ from r2xsim.radio import (
     select_mcs,
     serialization_time_s,
     simulate_transmission,
-    trace_from_csv,
-    trace_to_csv,
 )
 
 TABLE = default_mcs_table()
@@ -111,15 +109,6 @@ class TestPathGainMap:
             PathGainMap(np.zeros((2, 2)), shadowing_rho=1.0)
         with pytest.raises(ValueError):
             PathGainMap(np.zeros((2, 2)), shadowing_sigma_db=-1.0)
-
-    def test_csv_round_trip(self):
-        m = PathGainMap(np.array([[-60.125, float("nan")], [-72.3, -81.0]]))
-        again = PathGainMap.from_csv(m.to_csv())
-        assert np.array_equal(m.gains, again.gains, equal_nan=True)
-
-    def test_csv_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            PathGainMap.from_csv("1.0,2.0\n3.0\n")
 
 
 class TestRequiredPower:
@@ -346,22 +335,3 @@ class TestSampleTrace:
         assert abs(s11.std(ddof=1) - sigma) < 0.25
         corr = np.corrcoef(s10, s11)[0, 1]
         assert abs(corr - rho) < 0.05
-
-
-class TestTraceCsv:
-    def test_round_trip(self):
-        m = PathGainMap(np.full((1, 6), -70.0), 0.5, 3.0)
-        cfg = RadioConfig()
-        trace = sample_trace(m, [(x, 0) for x in range(6)], cfg, seed=9)
-        again = trace_from_csv(trace_to_csv(trace), noise_dbm=cfg.noise_dbm)
-        assert len(again) == len(trace)
-        for a, b in zip(trace, again):
-            assert b.gain_db == a.gain_db
-            assert b.snr_db == a.snr_db
-            assert b.tx_power_dbm == pytest.approx(a.tx_power_dbm, abs=1e-9)
-
-    def test_header_and_step_validation(self):
-        with pytest.raises(ValueError):
-            trace_from_csv("a,b,c\n0,1.0,2.0\n")
-        with pytest.raises(ValueError):
-            trace_from_csv("step,gain_db,snr_db\n0,1.0,2.0\n2,1.0,2.0\n")

@@ -218,6 +218,27 @@ class TestValidation:
             (lambda s: s.update(max_sim_time_s=0.5), "must be >= 1"),
             (lambda s: s.update(radio={"max_retx": -1}), "scenario.warehouse.radio.max_retx"),
             (lambda s: s.update(radio={"warp": 1}), "scenario.warehouse.radio.warp: unknown field"),
+            (
+                lambda s: (s["world"].update(blocked=[[1, 0]]), s.update(humans=[{"waypoints": [[1, 0]]}])),
+                "scenario.warehouse.humans[0].waypoints[0]: cell (1, 0) is blocked",
+            ),
+            # accepted by the schema, refused by the builder
+            (lambda s: s["world"].update(frame_period_s=0), "scenario.warehouse: frame_period_s"),
+            (
+                lambda s: s["world"].update(cell_traverse_s=0),
+                "scenario.warehouse: frame_period_s and cell_traverse_s must be positive",
+            ),
+            (lambda s: s["world"].update(cell_size_m=0), "scenario.warehouse: cell_size_m must be positive"),
+            (lambda s: s["world"].update(blocked=[[9, 0]]), "scenario.warehouse: blocked cell (9, 0) outside"),
+            (lambda s: s.update(radio={"slot_s": 0}), "scenario.warehouse: bandwidth_hz and slot_s"),
+            (
+                lambda s: s["gain"].update(dead_zones=[{"rect": [50, 50, 60, 60], "extra_loss_db": 5.0}]),
+                "scenario.warehouse: dead zone rect [50, 50, 60, 60] is not inside the 4x1 map",
+            ),
+            (
+                lambda s: s["gain"].update(dead_zones=[{"rect": [-1, 0, 0, 0], "extra_loss_db": 5.0}]),
+                "scenario.warehouse: dead zone rect [-1, 0, 0, 0] is not inside",
+            ),
         ],
     )
     def test_warehouse_section(self, mutate, needle):
@@ -235,6 +256,8 @@ class TestValidation:
             (lambda s: s.update(shadowing_rho=-0.1), "must be in [0, 1)"),
             (lambda s: s.update(bler_target=1.5), "must be in (0, 1)"),
             (lambda s: s.update(payload_bytes=0), "must be >= 1"),
+            (lambda s: s.update(steps=2), "scenario.mcs.steps: 2 must exceed the delay of method 'delayed_2'"),
+            (lambda s: s.update(radio={"slot_s": 0}), "scenario.mcs: bandwidth_hz and slot_s"),
         ],
     )
     def test_mcs_section(self, mutate, needle):
@@ -436,7 +459,7 @@ class TestMcsPolicyFromMethod:
         spec = mcs_policy_from_method("delayed_3")
         assert (spec.kind, spec.delay) == ("delayed", 3)
         spec = mcs_policy_from_method("predictive_7")
-        assert (spec.kind, spec.delay, spec.predictor) == ("predictive", 7, "map_aware")
+        assert (spec.kind, spec.delay) == ("predictive", 7)
 
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown mcs method"):

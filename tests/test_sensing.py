@@ -1,4 +1,4 @@
-"""Payload accounting, VQ codebooks, and detection back-projection."""
+"""Payload accounting and VQ codebooks."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from r2xsim.sensing import (
-    CameraIntrinsics,
     Codebook,
     PayloadParams,
     SenseConfig,
-    bbox_to_point,
     format_vit_grid,
     index_bits,
     parse_vit_grid,
@@ -141,20 +139,6 @@ class TestCodebook:
         with pytest.raises(ValueError):
             Codebook(np.zeros((0, 2)))
 
-    def test_text_round_trip_exact(self):
-        rng = np.random.default_rng(3)
-        cb = Codebook(rng.normal(size=(16, 5)))
-        again = Codebook.from_text(cb.to_text())
-        assert np.array_equal(cb.codewords, again.codewords)
-
-    @pytest.mark.parametrize(
-        "text",
-        ["", "2\n0 0\n1 1\n", "2 2\n0 0\n", "2 2\n0 0\n1 1 1\n"],
-    )
-    def test_from_text_rejects(self, text):
-        with pytest.raises(ValueError):
-            Codebook.from_text(text)
-
 
 class TestVqEncode:
     def brute_force(self, v, cb):
@@ -220,32 +204,3 @@ class TestVqDecode:
             vq_decode(2, cb)
         with pytest.raises(ValueError):
             vq_decode(-1, cb)
-
-
-class TestBackProjection:
-    INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
-
-    def test_exact_center_projection(self):
-        p = bbox_to_point((100, 200, 300, 400), 2.0, self.INTR)
-        assert p == (pytest.approx(-0.48), pytest.approx(0.24), 2.0)
-
-    def test_principal_point_maps_to_axis(self):
-        p = bbox_to_point((320, 240, 320, 240), 5.0, self.INTR)
-        assert p == (0.0, 0.0, 5.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bbox_to_point((10, 10, 5, 20), 1.0, self.INTR)
-        with pytest.raises(ValueError):
-            bbox_to_point((0, 0, 1, 1), 0.0, self.INTR)
-        with pytest.raises(ValueError):
-            CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0)
-
-    @given(depth=st.floats(0.1, 50.0))
-    @settings(max_examples=40, deadline=None)
-    def test_depth_scales_ray_linearly(self, depth):
-        x, y, z = bbox_to_point((0, 0, 100, 100), depth, self.INTR)
-        x1, y1, z1 = bbox_to_point((0, 0, 100, 100), 1.0, self.INTR)
-        assert x == pytest.approx(depth * x1, rel=1e-12)
-        assert y == pytest.approx(depth * y1, rel=1e-12)
-        assert z == depth

@@ -1,23 +1,10 @@
-"""Grid, robot-state, human-track, and map-format behavior."""
+"""Grid, robot-state and human-track behavior."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import BUNDLED_DIR, WAREHOUSE_IDS
 from r2xsim.scenarios import build_warehouse, load_scenario
-from r2xsim.world import (
-    Clock,
-    GridWorld,
-    HumanTrack,
-    RobotState,
-    cell_transition_time,
-    dump_grid,
-    human_forecast,
-    load_grid,
-    neighbors,
-)
+from r2xsim.world import GridWorld, HumanTrack, RobotState, human_forecast
 
 
 def open_world(w=3, h=3, **kw):
@@ -53,37 +40,34 @@ class TestGridWorld:
         with pytest.raises(ValueError):
             GridWorld(**kwargs)
 
-    def test_transition_time(self):
-        assert cell_transition_time(GridWorld(2, 2, cell_traverse_s=0.7)) == 0.7
-
 
 class TestNeighbors:
     def test_order_is_nesw_then_wait(self):
         world = open_world()
-        assert neighbors(world, (1, 1)) == [(1, 2), (2, 1), (1, 0), (0, 1), (1, 1)]
+        assert world.neighbor_table[(1, 1)] == ((1, 2), (2, 1), (1, 0), (0, 1), (1, 1))
 
     def test_corner(self):
         world = open_world()
-        assert neighbors(world, (0, 0)) == [(0, 1), (1, 0), (0, 0)]
+        assert world.neighbor_table[(0, 0)] == ((0, 1), (1, 0), (0, 0))
 
     def test_blocked_excluded(self):
         world = GridWorld(3, 3, blocked=frozenset({(1, 0)}))
-        assert neighbors(world, (0, 0)) == [(0, 1), (0, 0)]
+        assert world.neighbor_table[(0, 0)] == ((0, 1), (0, 0))
 
     def test_from_blocked_cell_raises(self):
         world = GridWorld(3, 3, blocked=frozenset({(1, 1)}))
-        with pytest.raises(ValueError):
-            neighbors(world, (1, 1))
+        with pytest.raises(KeyError):
+            world.neighbor_table[(1, 1)]
 
 
 def scan_neighbors(world, cell):
-    """Reference for ``neighbors``: a direct N, E, S, W, wait scan."""
+    """Reference for ``neighbor_table``: a direct N, E, S, W, wait scan."""
     x, y = cell
     out = []
     for nxt in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
         if 0 <= nxt[0] < world.width and 0 <= nxt[1] < world.height and nxt not in world.blocked:
             out.append(nxt)
-    return out + [cell]
+    return tuple(out) + (cell,)
 
 
 class TestNeighborTable:
@@ -101,17 +85,10 @@ class TestNeighborTable:
             if (x, y) not in world.blocked
         ]
         for cell in free:
-            assert neighbors(world, cell) == scan_neighbors(world, cell)
+            assert world.neighbor_table[cell] == scan_neighbors(world, cell)
         assert set(world.neighbor_table) == set(free)
         if park_goal:
-            with pytest.raises(ValueError):
-                neighbors(world, robots[0].goal)
-
-    def test_neighbors_returns_a_fresh_list(self):
-        world = open_world()
-        first = neighbors(world, (1, 1))
-        first.clear()
-        assert neighbors(world, (1, 1)) == [(1, 2), (2, 1), (1, 0), (0, 1), (1, 1)]
+            assert robots[0].goal not in world.neighbor_table
 
     def test_goal_distances_are_bfs_and_cached(self):
         world = GridWorld(3, 3, blocked=frozenset({(1, 1), (1, 2)}))
@@ -126,7 +103,7 @@ class TestNeighborTable:
     def test_caches_leave_equality_and_hash_alone(self):
         a = GridWorld(4, 3, blocked=frozenset({(1, 1)}))
         b = GridWorld(4, 3, blocked=frozenset({(1, 1)}))
-        neighbors(a, (0, 0))
+        a.neighbor_table
         a.goal_distances((3, 2))
         assert a == b and hash(a) == hash(b)
         assert {b: "b"}[a] == "b"
@@ -143,15 +120,6 @@ class TestRobotState:
     def test_bad_status(self):
         with pytest.raises(ValueError):
             RobotState(1, (0, 0), (1, 1), status="parked")
-
-
-class TestClock:
-    def test_time_and_advance(self):
-        c = Clock(0.25)
-        assert c.sim_time_s == 0.0
-        c2 = c.advanced(3)
-        assert c2.step == 3 and c2.sim_time_s == 0.75
-        assert c.step == 0  # immutable
 
 
 class TestHumanTrack:
@@ -190,78 +158,3 @@ class TestHumanForecast:
     def test_extrapolates_stationary(self):
         t = HumanTrack([(0, 0), (1, 0)], horizon_frames=2)
         assert human_forecast(t, 5) == [((1, 0), 6), ((1, 0), 7)]
-
-    def test_error_injection_moves_to_free_neighbor(self):
-        world = open_world()
-        t = HumanTrack([(1, 1)], horizon_frames=4)
-        rng = np.random.default_rng(0)
-        out = human_forecast(t, 0, error_prob=1.0, rng=rng, world=world)
-        cells = [c for c, _ in out]
-        assert all(c != (1, 1) for c in cells)
-        legal = {(1, 2), (2, 1), (1, 0), (0, 1)}
-        assert all(c in legal for c in cells)
-
-    def test_error_injection_with_no_options_keeps_cell(self):
-        world = GridWorld(1, 1)
-        t = HumanTrack([(0, 0)], horizon_frames=2)
-        rng = np.random.default_rng(0)
-        out = human_forecast(t, 0, error_prob=1.0, rng=rng, world=world)
-        assert [c for c, _ in out] == [(0, 0), (0, 0)]
-
-    def test_error_injection_requires_rng_and_world(self):
-        t = HumanTrack([(0, 0)])
-        with pytest.raises(ValueError):
-            human_forecast(t, 0, error_prob=0.5)
-
-
-class TestGridFormat:
-    MAP = "3 2 1.0\n#..\n..#\n"
-
-    def test_orientation_first_row_is_north(self):
-        world = load_grid(self.MAP)
-        assert world.width == 3 and world.height == 2
-        assert world.cell_size_m == 1.0
-        assert world.blocked == frozenset({(0, 1), (2, 0)})
-
-    def test_dump_round_trip(self):
-        world = load_grid(self.MAP)
-        again = load_grid(dump_grid(world))
-        assert again.width == world.width
-        assert again.height == world.height
-        assert again.blocked == world.blocked
-        assert again.cell_size_m == world.cell_size_m
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "3 2\n...\n...\n",
-            "3 2 1.0\n...\n",
-            "3 2 1.0\n..\n...\n",
-            "3 2 1.0\n...\n..x\n",
-        ],
-    )
-    def test_bad_maps_rejected(self, text):
-        with pytest.raises(ValueError):
-            load_grid(text)
-
-    @given(
-        width=st.integers(1, 6),
-        height=st.integers(1, 6),
-        cell_size=st.sampled_from([0.5, 1.0, 2.0, 2.5]),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_random_grids(self, width, height, cell_size, seed):
-        rng = np.random.default_rng(seed)
-        blocked = frozenset(
-            (x, y)
-            for x in range(width)
-            for y in range(height)
-            if rng.random() < 0.3
-        )
-        world = GridWorld(width, height, cell_size, blocked)
-        again = load_grid(dump_grid(world))
-        assert (again.width, again.height) == (width, height)
-        assert again.cell_size_m == cell_size
-        assert again.blocked == blocked
