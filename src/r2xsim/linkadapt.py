@@ -120,7 +120,7 @@ def run_policy(
     seed: int = 0,
     cells: Optional[Sequence[Cell]] = None,
     gain_map: Optional[PathGainMap] = None,
-    max_retx: Optional[int] = 4,
+    max_retx: int = 4,
 ) -> PolicyTimeSeries:
     """Walk ``trace`` under ``spec``; realized outcomes always come from the
     true SNR regardless of what the policy believed.

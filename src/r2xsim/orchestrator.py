@@ -16,6 +16,7 @@ import json
 import math
 import re
 import socket
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
@@ -25,10 +26,12 @@ import numpy as np
 from .metrics import KpiRecord, completion_time
 from .planner import PlanConfig, PlanningError, SpaceTimePath, low_level_search, plan
 from .radio import (
+    _WEIGHT_SUM_TOL,
     McsTable,
     PathGainMap,
     RadioConfig,
     allocate,
+    ar1_series,
     required_power,
     select_mcs,
     simulate_transmission,
@@ -37,11 +40,6 @@ from .sensing import SenseConfig, parse_vit_grid
 from .world import Cell, GridWorld, HumanTrack, RobotState, human_forecast
 
 WAREHOUSE_METHODS = ("stop_and_go", "lorc_p", "lorc_sc", "lorc_sc_p")
-
-_WEIGHT_SUM_TOL = 1e-6
-
-# Shadowing samples turned into Python floats at a time.
-_SHADOW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,15 @@ def select_sense_mode(rssi_dbm: float) -> SenseConfig:
 
 # --------------------------------------------------------------------------
 # configuration message schema
+
+
+def _is_number(v) -> bool:
+    """A JSON number, not a bool, that converts to a finite float.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity`` and turns ``1e400`` into
+    ``inf``; the magnitude bound rejects those and integers too large for a float.
+    """
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _check_unknown(section: dict, path: str, allowed: Sequence[str], errors: List[str]) -> None:
@@ -187,10 +194,8 @@ def validate(
                 f"ra_config.fairness: {fairness!r} is not one of {{'max_min', 'proportional'}}"
             )
         raw_w = ra.get("priority_weights")
-        if not isinstance(raw_w, (list, tuple)) or not raw_w or not all(
-            isinstance(w, (int, float)) and not isinstance(w, bool) for w in raw_w
-        ):
-            errors.append("ra_config.priority_weights: must be a nonempty list of numbers")
+        if not isinstance(raw_w, (list, tuple)) or not raw_w or not all(_is_number(w) for w in raw_w):
+            errors.append("ra_config.priority_weights: must be a nonempty list of finite numbers")
         else:
             if any(w < 0 for w in raw_w):
                 errors.append("ra_config.priority_weights: weights must be nonnegative")
@@ -539,7 +544,10 @@ class WarehouseSimulation:
                 executed=[tuple(r.cell)],
             )
             self.robots[r.id] = rt
-            self._shadow[r.id] = self._shadow_series(seed, r.id, n_frames)
+            self._shadow[r.id] = ar1_series(
+                np.random.default_rng([seed, r.id, 7]), n_frames,
+                gain_map.shadowing_rho, gain_map.shadowing_sigma_db,
+            )
             sel = select_mcs(self.table, cfg.ra.target_snr_db)
             rt.last_rate = self.table.entries[sel.index].rate_bps_per_hz
         self._tx_rng = {
@@ -550,28 +558,6 @@ class WarehouseSimulation:
         self._event_seq = 0
         self._solo_paths: Dict[int, SpaceTimePath] = {}
         self._parked_worlds: Dict[frozenset, GridWorld] = {}
-
-    def _shadow_series(self, seed: int, rid: int, n: int) -> np.ndarray:
-        rng = np.random.default_rng([seed, rid, 7])
-        rho = self.gain_map.shadowing_rho
-        sigma = self.gain_map.shadowing_sigma_db
-        if sigma <= 0:
-            return np.zeros(n)
-        # One draw for all innovations gives the same values, in the same
-        # order, as n scalar rng.normal(0, s) calls, each of which is 0 + s * z.
-        # The recursion runs on Python floats, one block at a time.
-        out = rng.standard_normal(n)
-        first = sigma * out[0]
-        out *= sigma * math.sqrt(1.0 - rho * rho)
-        out[0] = first
-        prev = 0.0
-        for lo in range(0, n, _SHADOW_BLOCK):
-            block = out[lo:lo + _SHADOW_BLOCK].tolist()
-            for j, step in enumerate(block):
-                prev = rho * prev + step
-                block[j] = prev
-            out[lo:lo + _SHADOW_BLOCK] = block
-        return out
 
     # -- helpers ----------------------------------------------------------
 

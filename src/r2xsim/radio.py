@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,9 @@ DEFAULT_BANDWIDTH_HZ = 10e6
 DEFAULT_SLOT_S = 1e-3
 
 _WEIGHT_SUM_TOL = 1e-6
+
+# Shadowing samples turned into Python floats at a time.
+_AR1_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,8 @@ class RadioConfig:
             raise ValueError(f"fairness {self.fairness!r} not in {FAIRNESS_MODES}")
         weights = tuple(float(w) for w in self.priority_weights)
         object.__setattr__(self, "priority_weights", weights)
-        if any(w < 0 for w in weights):
-            raise ValueError("priority weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("priority weights must be finite and nonnegative")
         if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"priority weights sum {sum(weights)} != 1 (tolerance {_WEIGHT_SUM_TOL})")
         if self.max_retx < 0:
@@ -140,7 +143,7 @@ class PathGainMap:
         object.__setattr__(self, "gains", g)
         if not 0.0 <= self.shadowing_rho < 1.0:
             raise ValueError("shadowing_rho must be in [0, 1)")
-        if self.shadowing_sigma_db < 0:
+        if not self.shadowing_sigma_db >= 0:
             raise ValueError("shadowing_sigma_db must be nonnegative")
 
     @property
@@ -226,31 +229,25 @@ def simulate_transmission(
     snr_db_at_attempts: Sequence[float],
     table: McsTable,
     rng: np.random.Generator,
-    max_retx: Optional[int] = 4,
+    max_retx: int = 4,
 ) -> TransmissionResult:
     """HARQ transmission as independent Bernoulli attempts.
 
     Attempt ``i`` fails with probability ``bler(entry, snr[i])``; the SNR
-    sequence is extended by repeating its last element. ``max_retx`` bounds
-    retransmissions (``None`` retries until success). Latency counts every
-    attempt: ``attempts * (serialization + slot)``.
+    sequence is extended by repeating its last element. At most ``max_retx``
+    retransmissions follow the first attempt. Latency counts every attempt:
+    ``attempts * (serialization + slot)``.
     """
     if not snr_db_at_attempts:
         raise ValueError("need at least one SNR sample")
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be nonnegative")
+    if payload_bytes < 0 or max_retx < 0:
+        raise ValueError("payload_bytes and max_retx must be nonnegative")
     per_attempt = serialization_time_s(payload_bytes, entry, table) + table.slot_s
-    attempts = 0
-    success = False
-    while True:
-        snr = snr_db_at_attempts[min(attempts, len(snr_db_at_attempts) - 1)]
-        attempts += 1
-        if rng.random() >= bler(entry, snr):
-            success = True
-            break
-        if max_retx is not None and attempts >= max_retx + 1:
-            break
-    return TransmissionResult(attempts * per_attempt, success, attempts)
+    last = len(snr_db_at_attempts) - 1
+    for attempts in range(1, max_retx + 2):
+        if rng.random() >= bler(entry, snr_db_at_attempts[min(attempts - 1, last)]):
+            return TransmissionResult(attempts * per_attempt, True, attempts)
+    return TransmissionResult(attempts * per_attempt, False, attempts)
 
 
 def allocate(unit_rates: Sequence[float], cfg: RadioConfig) -> List[float]:
@@ -275,30 +272,48 @@ def allocate(unit_rates: Sequence[float], cfg: RadioConfig) -> List[float]:
     return [v / total for v in inv]
 
 
+def ar1_series(rng: np.random.Generator, n: int, rho: float, sigma: float) -> np.ndarray:
+    """``n`` steps of stationary AR(1) shadowing in dB (Gudmundson 1991).
+
+    ``s(0) ~ Normal(0, sigma)`` and ``s(t) = rho * s(t-1) + eps`` with
+    ``eps ~ Normal(0, sigma * sqrt(1 - rho^2))``, so the marginal std is
+    ``sigma`` at every step. Returns zeros, drawing nothing from ``rng``,
+    when ``sigma <= 0`` or ``n == 0``.
+    """
+    if sigma <= 0 or n == 0:
+        return np.zeros(n)
+    # One draw for all innovations gives the same values, in the same
+    # order, as n scalar rng.normal(0, s) calls, each of which is 0 + s * z.
+    # The recursion runs on Python floats, one block at a time.
+    out = rng.standard_normal(n)
+    first = sigma * out[0]
+    out *= sigma * math.sqrt(1.0 - rho * rho)
+    out[0] = first
+    prev = 0.0
+    for lo in range(0, n, _AR1_BLOCK):
+        block = out[lo:lo + _AR1_BLOCK].tolist()
+        for j, step in enumerate(block):
+            prev = rho * prev + step
+            block[j] = prev
+        out[lo:lo + _AR1_BLOCK] = block
+    return out
+
+
 def sample_trace(
     gain_map: PathGainMap,
     cells: Sequence[Cell],
     cfg: RadioConfig,
     seed: int,
-    tx_power_dbm: Optional[float] = None,
 ) -> List[LinkState]:
-    """Link states along a cell route with AR(1) shadowing.
+    """Link states along a cell route: map gain plus ``ar1_series`` shadowing.
 
-    ``gain(t) = map_gain(cell_t) + s(t)`` with
-    ``s(t) = rho * s(t-1) + eps``, ``eps ~ Normal(0, sigma * sqrt(1 - rho^2))``
-    and ``s(0) ~ Normal(0, sigma)`` so the marginal std is ``sigma`` at every
-    step. Transmit power is fixed (default: the power budget); power control
-    is a per-step decision of the callers that need it.
+    Transmit power is fixed at the power budget; power control is a
+    per-step decision of the callers that need it.
     """
-    rng = np.random.default_rng(seed)
-    rho = gain_map.shadowing_rho
-    sigma = gain_map.shadowing_sigma_db
-    power = cfg.max_power_dbm if tx_power_dbm is None else tx_power_dbm
-    innovation = sigma * math.sqrt(1.0 - rho * rho)
-    trace = []
-    s = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-    for i, cell in enumerate(cells):
-        if i > 0:
-            s = rho * s + (rng.normal(0.0, innovation) if sigma > 0 else 0.0)
-        trace.append(LinkState.from_gain(gain_map.gain_at(cell) + s, power, cfg.noise_dbm))
-    return trace
+    shadow = ar1_series(
+        np.random.default_rng(seed), len(cells), gain_map.shadowing_rho, gain_map.shadowing_sigma_db
+    ).tolist()
+    return [
+        LinkState.from_gain(gain_map.gain_at(cell) + s, cfg.max_power_dbm, cfg.noise_dbm)
+        for cell, s in zip(cells, shadow)
+    ]

@@ -34,10 +34,11 @@ from .orchestrator import (
     LoopBudget,
     RuleIntentEngine,
     WarehouseSimulation,
+    _is_number,
     correct_loop,
     select_sense_mode,
 )
-from .radio import McsTable, PathGainMap, RadioConfig, default_mcs_table, sample_trace
+from .radio import McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table, sample_trace
 from .sensing import SenseConfig
 from .world import GridWorld, HumanTrack, RobotState
 
@@ -68,6 +69,14 @@ class ScenarioError(ValueError):
 # validation helpers
 
 
+def _is_int_list(value, n: int) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == n
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in value)
+    )
+
+
 class _Checker:
     def __init__(self) -> None:
         self.errors: List[str] = []
@@ -91,8 +100,8 @@ class _Checker:
         if key not in d:
             return default
         v = d[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            self.fail(f"{path}.{key}", f"{v!r} must be a number")
+        if not _is_number(v):
+            self.fail(f"{path}.{key}", f"{v!r} must be a finite number")
             return default
         if lo is not None and v < lo:
             self.fail(f"{path}.{key}", f"{v!r} must be >= {lo}")
@@ -112,14 +121,31 @@ class _Checker:
         return v
 
     def cell(self, value, path: str) -> Optional[Tuple[int, int]]:
-        if (
-            isinstance(value, (list, tuple))
-            and len(value) == 2
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in value)
-        ):
+        if _is_int_list(value, 2):
             return (value[0], value[1])
         self.fail(path, f"{value!r} must be an [x, y] integer pair")
         return None
+
+    def rect(self, value, path: str) -> Optional[Tuple[int, int, int, int]]:
+        if _is_int_list(value, 4) and value[0] <= value[2] and value[1] <= value[3]:
+            return (value[0], value[1], value[2], value[3])
+        self.fail(path, f"{value!r} must be [x0, y0, x1, y1] integers with x0 <= x1 and y0 <= y1")
+        return None
+
+    def items(self, d: dict, path: str, key: str) -> list:
+        """The optional list ``d[key]``; empty when it is absent or not a list."""
+        v = d.get(key, [])
+        if not isinstance(v, list):
+            self.fail(f"{path}.{key}", "must be a list")
+            return []
+        return v
+
+    def ar1(self, d: dict, path: str, rho_key: str, sigma_key: str) -> None:
+        """An AR(1) shadowing pair: ``rho`` in [0, 1) and ``sigma >= 0``."""
+        rho = self.num(d, path, rho_key)
+        if rho is not None and not 0.0 <= rho < 1.0:
+            self.fail(f"{path}.{rho_key}", f"{rho!r} must be in [0, 1)")
+        self.num(d, path, sigma_key, lo=0.0)
 
     def curve(self, d: dict, path: str, key: str, min_points: int = 2) -> Optional[List[Tuple[float, float]]]:
         raw = d.get(key)
@@ -128,12 +154,8 @@ class _Checker:
             return None
         pts = []
         for i, p in enumerate(raw):
-            if (
-                not isinstance(p, (list, tuple))
-                or len(p) != 2
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
-            ):
-                self.fail(f"{path}.{key}[{i}]", f"{p!r} must be an [x, y] number pair")
+            if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(_is_number(c) for c in p):
+                self.fail(f"{path}.{key}[{i}]", f"{p!r} must be an [x, y] finite number pair")
                 return None
             pts.append((float(p[0]), float(p[1])))
         xs = [p[0] for p in pts]
@@ -276,19 +298,14 @@ def _validate_warehouse(ck: _Checker, sec) -> None:
         ck.num(world, f"{p}.world", "cell_size_m")
         ck.num(world, f"{p}.world", "frame_period_s")
         ck.num(world, f"{p}.world", "cell_traverse_s")
-        for i, raw in enumerate(world.get("blocked", [])):
+        for i, raw in enumerate(ck.items(world, f"{p}.world", "blocked")):
             cell = ck.cell(raw, f"{p}.world.blocked[{i}]")
             if cell:
                 blocked.add(cell)
-        for i, raw in enumerate(world.get("blocked_rects", [])):
-            if (
-                isinstance(raw, (list, tuple))
-                and len(raw) == 4
-                and all(isinstance(c, int) and not isinstance(c, bool) for c in raw)
-            ):
-                blocked.update(_rect_cells(tuple(raw)))
-            else:
-                ck.fail(f"{p}.world.blocked_rects[{i}]", f"{raw!r} must be [x0, y0, x1, y1]")
+        for i, raw in enumerate(ck.items(world, f"{p}.world", "blocked_rects")):
+            rect = ck.rect(raw, f"{p}.world.blocked_rects[{i}]")
+            if rect:
+                blocked.update(_rect_cells(rect))
 
     def in_world(cell: Tuple[int, int]) -> bool:
         return (
@@ -325,7 +342,7 @@ def _validate_warehouse(ck: _Checker, sec) -> None:
         if len(set(goals)) != len(goals):
             ck.fail(f"{p}.robots", "robot goals must be distinct")
 
-    for i, raw in enumerate(sec.get("humans", [])):
+    for i, raw in enumerate(ck.items(sec, p, "humans")):
         hp = f"{p}.humans[{i}]"
         hobj = ck.obj(raw, hp, ("waypoints", "horizon_frames"), ("waypoints",))
         if hobj is None:
@@ -357,23 +374,14 @@ def _validate_warehouse(ck: _Checker, sec) -> None:
     if gain is not None:
         ck.num(gain, f"{p}.gain", "base_gain_db")
         ck.num(gain, f"{p}.gain", "slope_db_per_cell", lo=0.0)
-        rho = ck.num(gain, f"{p}.gain", "shadowing_rho", default=0.0)
-        if rho is not None and not (0.0 <= rho < 1.0):
-            ck.fail(f"{p}.gain.shadowing_rho", f"{rho!r} must be in [0, 1)")
-        ck.num(gain, f"{p}.gain", "shadowing_sigma_db", lo=0.0)
+        ck.ar1(gain, f"{p}.gain", "shadowing_rho", "shadowing_sigma_db")
         ck.cell(gain.get("ap"), f"{p}.gain.ap")
-        for i, raw in enumerate(gain.get("dead_zones", [])):
+        for i, raw in enumerate(ck.items(gain, f"{p}.gain", "dead_zones")):
             zp = f"{p}.gain.dead_zones[{i}]"
             zobj = ck.obj(raw, zp, ("rect", "extra_loss_db"), ("rect", "extra_loss_db"))
             if zobj is None:
                 continue
-            rect = zobj.get("rect")
-            if not (
-                isinstance(rect, (list, tuple))
-                and len(rect) == 4
-                and all(isinstance(c, int) and not isinstance(c, bool) for c in rect)
-            ):
-                ck.fail(f"{zp}.rect", f"{rect!r} must be [x0, y0, x1, y1]")
+            ck.rect(zobj.get("rect"), f"{zp}.rect")
             ck.num(zobj, zp, "extra_loss_db", lo=0.0)
 
     _validate_radio(ck, sec.get("radio"), f"{p}.radio")
@@ -443,10 +451,7 @@ def _validate_mcs(ck: _Checker, sec, methods) -> None:
         ck.num(prof, f"{p}.gain_profile", "base_db")
         ck.num(prof, f"{p}.gain_profile", "amplitude_db", lo=0.0)
         ck.num(prof, f"{p}.gain_profile", "period_cells", lo=1.0)
-    rho = ck.num(sec, p, "shadowing_rho")
-    if rho is not None and not (0.0 <= rho < 1.0):
-        ck.fail(f"{p}.shadowing_rho", f"{rho!r} must be in [0, 1)")
-    ck.num(sec, p, "shadowing_sigma_db", lo=0.0)
+    ck.ar1(sec, p, "shadowing_rho", "shadowing_sigma_db")
     ck.integer(sec, p, "payload_bytes", lo=1)
     target = ck.num(sec, p, "bler_target", default=0.1)
     if target is not None and not (0.0 < target < 1.0):
@@ -476,10 +481,7 @@ def _validate_followme(ck: _Checker, sec) -> None:
     ck.curve(sec, p, "rssi_curve")
     noise = ck.obj(sec.get("noise"), f"{p}.noise", ("rho", "sigma_db"), ("rho", "sigma_db"))
     if noise is not None:
-        rho = ck.num(noise, f"{p}.noise", "rho")
-        if rho is not None and not (0.0 <= rho < 1.0):
-            ck.fail(f"{p}.noise.rho", f"{rho!r} must be in [0, 1)")
-        ck.num(noise, f"{p}.noise", "sigma_db", lo=0.0)
+        ck.ar1(noise, f"{p}.noise", "rho", "sigma_db")
     thr = ck.curve(sec, p, "throughput_curve")
     if thr is not None and any(y <= 0 for _, y in thr):
         ck.fail(f"{p}.throughput_curve", "throughputs must be positive")
@@ -493,7 +495,7 @@ def _validate_followme(ck: _Checker, sec) -> None:
             if not (
                 isinstance(pair, (list, tuple))
                 and len(pair) == 2
-                and all(isinstance(c, (int, float)) and not isinstance(c, bool) and c >= 0 for c in pair)
+                and all(_is_number(c) and c >= 0 for c in pair)
             ):
                 ck.fail(f"{p}.codec_s.{key}", f"{pair!r} must be [encode_s, decode_s]")
     payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", _FOLLOWME_FIXED, _FOLLOWME_FIXED)
@@ -771,17 +773,12 @@ def run_followme(scn: Scenario, method: str, seed: int) -> dict:
     """
     sec = scn.params
     total = sec["total_steps"]
-    rho = float(sec["noise"]["rho"])
-    sigma = float(sec["noise"]["sigma_db"])
-    rng_noise = np.random.default_rng([seed, 21])
+    noise = ar1_series(
+        np.random.default_rng([seed, 21]), total,
+        float(sec["noise"]["rho"]), float(sec["noise"]["sigma_db"]),
+    )
     rng_loss = np.random.default_rng([seed, 22])
     rng_perc = np.random.default_rng([seed, 23])
-    noise = np.zeros(total)
-    if sigma > 0:
-        noise[0] = rng_noise.normal(0.0, sigma)
-        innov = sigma * math.sqrt(1.0 - rho * rho)
-        for i in range(1, total):
-            noise[i] = rho * noise[i - 1] + rng_noise.normal(0.0, innov)
 
     perc = sec["perception"]
     codec = sec["codec_s"]

@@ -136,6 +136,14 @@ class TestValidate:
             (lambda m: m["ra_config"].update(priority_weights=[-0.2, 1.2]), "nonnegative"),
             (lambda m: m["ra_config"].update(priority_weights=[0.6, 0.6]), "sum"),
             (lambda m: m["ra_config"].update(priority_weights=[1.0]), "1 weights for 2 robots"),
+            (
+                lambda m: m["ra_config"].update(priority_weights=[math.nan, math.nan]),
+                "ra_config.priority_weights: must be a nonempty list of finite numbers",
+            ),
+            (
+                lambda m: m["ra_config"].update(priority_weights=[10**400, 0]),
+                "priority_weights: must be a nonempty list of finite numbers",
+            ),
         ],
     )
     def test_error_catalogue(self, mutate, needle):
@@ -575,19 +583,6 @@ class TestWarehouseSimulation:
                 0,
                 {"raw": 1, "semantic_feature": 1},
             )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_shadow_series_matches_scalar_draws(self, seed):
-        rho, sigma, n = 0.9, 4.0, 2500  # n spans several blocks
-        gains = PathGainMap(np.full((1, 6), -60.0), shadowing_rho=rho, shadowing_sigma_db=sigma)
-        sim = make_sim("lorc_sc_p", gains=gains, seed=seed)
-        rng = np.random.default_rng([seed, 1, 7])
-        ref = np.zeros(n)
-        ref[0] = rng.normal(0.0, sigma)
-        innov = sigma * math.sqrt(1.0 - rho * rho)
-        for i in range(1, n):
-            ref[i] = rho * ref[i - 1] + rng.normal(0.0, innov)
-        assert np.array_equal(sim._shadow_series(seed, 1, n), ref)
 
     def test_fast_loop_never_stalls(self):
         """5160 B at 3 bps/Hz on 10 MHz: the loop closes in 0.262376 s,

@@ -1,4 +1,4 @@
-"""Link algebra, MCS curves, HARQ statistics, allocation, shadowing traces."""
+"""Link algebra, MCS curves, HARQ statistics, allocation, AR(1) shadowing, traces."""
 
 import math
 
@@ -14,6 +14,7 @@ from r2xsim.radio import (
     PathGainMap,
     RadioConfig,
     allocate,
+    ar1_series,
     bler,
     default_mcs_table,
     required_power,
@@ -83,6 +84,8 @@ class TestRadioConfig:
         with pytest.raises(ValueError):
             RadioConfig(priority_weights=(-0.1, 1.1))
         with pytest.raises(ValueError):
+            RadioConfig(priority_weights=(math.nan, math.nan))
+        with pytest.raises(ValueError):
             RadioConfig(max_retx=-1)
         # within the declared sum tolerance
         RadioConfig(priority_weights=(0.5 + 4e-7, 0.5))
@@ -109,6 +112,8 @@ class TestPathGainMap:
             PathGainMap(np.zeros((2, 2)), shadowing_rho=1.0)
         with pytest.raises(ValueError):
             PathGainMap(np.zeros((2, 2)), shadowing_sigma_db=-1.0)
+        with pytest.raises(ValueError):
+            PathGainMap(np.zeros((2, 2)), shadowing_sigma_db=math.nan)
 
 
 class TestRequiredPower:
@@ -223,6 +228,8 @@ class TestSimulateTransmission:
             simulate_transmission(100, TABLE.entries[0], [], TABLE, rng)
         with pytest.raises(ValueError):
             simulate_transmission(-1, TABLE.entries[0], [0.0], TABLE, rng)
+        with pytest.raises(ValueError):
+            simulate_transmission(100, TABLE.entries[0], [0.0], TABLE, rng, max_retx=-1)
 
     def test_attempt_statistics_at_half_bler(self):
         # SNR pinned at the threshold: every attempt fails with p = 1/2
@@ -242,19 +249,6 @@ class TestSimulateTransmission:
         # success = 1 - 0.5^3, attempts mean = 1.75; both within 4 sigma
         assert abs(success_rate - 0.875) < 0.021
         assert abs(mean_attempts - 1.75) < 0.053
-
-    def test_unbounded_retries_always_succeed(self):
-        entry = TABLE.entries[2]
-        snr = [entry.snr_threshold_db]
-        rng = np.random.default_rng(7)
-        n = 4000
-        results = [
-            simulate_transmission(1200, entry, snr, TABLE, rng, max_retx=None)
-            for _ in range(n)
-        ]
-        assert all(r.success for r in results)
-        mean_attempts = np.mean([r.attempts for r in results])
-        assert abs(mean_attempts - 2.0) < 0.09  # geometric mean 2, 4 sigma
 
 
 class TestAllocate:
@@ -293,6 +287,35 @@ class TestAllocate:
         assert all(s > 0 for s in shares)
 
 
+class TestAr1Series:
+    @staticmethod
+    def scalar_reference(rng, n, rho, sigma):
+        ref = np.zeros(n)
+        if n:
+            ref[0] = rng.normal(0.0, sigma)
+        innov = sigma * math.sqrt(1.0 - rho * rho)
+        for i in range(1, n):
+            ref[i] = rho * ref[i - 1] + rng.normal(0.0, innov)
+        return ref
+
+    @pytest.mark.parametrize(
+        "seed,n",
+        [(seed, 2500) for seed in range(5)] + [(0, 0), (0, 1), (0, 1025)],
+    )
+    def test_matches_scalar_draws(self, seed, n):
+        rho, sigma = 0.9, 4.0  # n = 2500 and 1025 span more than one block
+        series = ar1_series(np.random.default_rng([seed, 1, 7]), n, rho, sigma)
+        ref = self.scalar_reference(np.random.default_rng([seed, 1, 7]), n, rho, sigma)
+        assert series.shape == (n,)
+        assert np.array_equal(series, ref)
+
+    def test_zero_sigma_is_zeros_and_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        series = ar1_series(rng, 10, 0.9, 0.0)
+        assert np.array_equal(series, np.zeros(10))
+        assert rng.random() == np.random.default_rng(3).random()
+
+
 class TestSampleTrace:
     def flat_map(self, rho=0.0, sigma=0.0):
         return PathGainMap(np.full((1, 12), -60.0), rho, sigma)
@@ -304,11 +327,6 @@ class TestSampleTrace:
         assert all(ls.gain_db == -60.0 for ls in trace)
         assert all(ls.tx_power_dbm == cfg.max_power_dbm for ls in trace)
         assert trace[0].snr_db == 23.0 - 60.0 + 100.0
-
-    def test_power_override(self):
-        cfg = RadioConfig()
-        trace = sample_trace(self.flat_map(), [(0, 0)], cfg, seed=0, tx_power_dbm=10.0)
-        assert trace[0].tx_power_dbm == 10.0
 
     def test_seed_determinism(self):
         m = self.flat_map(rho=0.9, sigma=4.0)

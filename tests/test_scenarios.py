@@ -239,6 +239,24 @@ class TestValidation:
                 lambda s: s["gain"].update(dead_zones=[{"rect": [-1, 0, 0, 0], "extra_loss_db": 5.0}]),
                 "scenario.warehouse: dead zone rect [-1, 0, 0, 0] is not inside",
             ),
+            # non-finite numbers, non-list sections, reversed rectangles
+            (
+                lambda s: s.update(max_sim_time_s=math.inf),
+                "scenario.warehouse.max_sim_time_s: inf must be a finite number",
+            ),
+            (
+                lambda s: s["budget"].update(detection_s=math.nan),
+                "scenario.warehouse.budget.detection_s: nan must be a finite number",
+            ),
+            (lambda s: s["world"].update(blocked=5), "scenario.warehouse.world.blocked: must be a list"),
+            (lambda s: s["world"].update(blocked_rects=5), "scenario.warehouse.world.blocked_rects: must be a list"),
+            (lambda s: s.update(humans=5), "scenario.warehouse.humans: must be a list"),
+            (lambda s: s["gain"].update(dead_zones=5), "scenario.warehouse.gain.dead_zones: must be a list"),
+            (
+                lambda s: s["world"].update(blocked_rects=[[5, 5, 3, 3]]),
+                "scenario.warehouse.world.blocked_rects[0]: [5, 5, 3, 3] must be [x0, y0, x1, y1] integers "
+                "with x0 <= x1 and y0 <= y1",
+            ),
         ],
     )
     def test_warehouse_section(self, mutate, needle):
@@ -258,6 +276,10 @@ class TestValidation:
             (lambda s: s.update(payload_bytes=0), "must be >= 1"),
             (lambda s: s.update(steps=2), "scenario.mcs.steps: 2 must exceed the delay of method 'delayed_2'"),
             (lambda s: s.update(radio={"slot_s": 0}), "scenario.mcs: bandwidth_hz and slot_s"),
+            (
+                lambda s: s.update(shadowing_sigma_db=math.nan),
+                "scenario.mcs.shadowing_sigma_db: nan must be a finite number",
+            ),
         ],
     )
     def test_mcs_section(self, mutate, needle):
@@ -278,6 +300,18 @@ class TestValidation:
             (lambda s: s["perception"]["lose_prob"].update(jpeg_q95=1.5), "must be in [0, 1]"),
             (lambda s: s["perception"].pop("reacquire_prob"), "perception.reacquire_prob"),
             (lambda s: s["noise"].update(rho=1.0), "must be in [0, 1)"),
+            (
+                lambda s: s["noise"].update(sigma_db=math.nan),
+                "scenario.followme.noise.sigma_db: nan must be a finite number",
+            ),
+            (
+                lambda s: s.update(rssi_curve=[[0.0, -30.0], [5.0, math.nan]]),
+                "scenario.followme.rssi_curve[1]: [5.0, nan] must be an [x, y] finite number pair",
+            ),
+            (
+                lambda s: s["codec_s"].update(vq=[0.01, math.inf]),
+                "scenario.followme.codec_s.vq: [0.01, inf] must be [encode_s, decode_s]",
+            ),
         ],
     )
     def test_followme_section(self, mutate, needle):
