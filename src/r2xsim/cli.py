@@ -49,25 +49,16 @@ def _run_job(args: Tuple[str, str, int]) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        for err in exc.errors:
-            print(err, file=sys.stderr)
-        return 2
-
-    try:
-        seeds: Optional[Sequence[int]] = None
-        if args.seeds is not None:
-            seeds = _parse_seed_list(args.seeds, "--seeds")
-        elif os.environ.get("R2X_SEED"):
-            seeds = _parse_seed_list(os.environ["R2X_SEED"], "R2X_SEED")
-        methods = args.methods.split(",") if args.methods is not None else None
-        scn = scn.with_overrides(seeds=seeds, methods=methods)
-    except ScenarioError as exc:
-        for err in exc.errors:
-            print(err, file=sys.stderr)
-        return 2
+    scn = load_scenario(args.scenario)
+    if args.parallel < 1:
+        raise ScenarioError([f"--parallel: {args.parallel} must be at least 1"])
+    seeds: Optional[Sequence[int]] = None
+    if args.seeds is not None:
+        seeds = _parse_seed_list(args.seeds, "--seeds")
+    elif os.environ.get("R2X_SEED"):
+        seeds = _parse_seed_list(os.environ["R2X_SEED"], "R2X_SEED")
+    methods = args.methods.split(",") if args.methods is not None else None
+    scn = scn.with_overrides(seeds=seeds, methods=methods)
 
     jobs = [
         (str(scn.path), method, seed)
@@ -81,10 +72,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 records = list(pool.map(_run_job, jobs, chunksize=1))
         else:
             records = [run_one(scn, method, seed) for _, method, seed in jobs]
-    except ScenarioError as exc:
-        for err in exc.errors:
-            print(err, file=sys.stderr)
-        return 2
+    except ScenarioError:
+        raise
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -130,27 +119,22 @@ def _load_records(dirs: Sequence[str]) -> List[dict]:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        records = _load_records(args.dirs)
-        ids = {rec.get("scenario_id") for rec in records}
-        if len(ids) != 1:
-            raise ScenarioError(
-                [f"scenario_id: result dirs mix different scenarios {sorted(ids)}"]
-            )
-        values: dict = {}
-        for rec in records:
-            metric = rec.get("metrics", {}).get(args.metric)
-            if metric is None:
-                continue
-            values.setdefault(rec["method"], []).append(float(metric))
-        if not values:
-            raise ScenarioError(
-                [f"--metric: {args.metric!r} not present in any record"]
-            )
-    except ScenarioError as exc:
-        for err in exc.errors:
-            print(err, file=sys.stderr)
-        return 2
+    records = _load_records(args.dirs)
+    ids = {rec.get("scenario_id") for rec in records}
+    if len(ids) != 1:
+        raise ScenarioError(
+            [f"scenario_id: result dirs mix different scenarios {sorted(ids)}"]
+        )
+    values: dict = {}
+    for rec in records:
+        metric = rec.get("metrics", {}).get(args.metric)
+        if metric is None:
+            continue
+        values.setdefault(rec["method"], []).append(float(metric))
+    if not values:
+        raise ScenarioError(
+            [f"--metric: {args.metric!r} not present in any record"]
+        )
 
     import statistics
 
@@ -166,12 +150,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        for err in exc.errors:
-            print(err, file=sys.stderr)
-        return 2
+    scn = load_scenario(args.scenario)
     print(
         f"{args.scenario}: OK "
         f"(kind {scn.kind}, {len(scn.methods)} methods, {len(scn.seeds)} seeds)"
@@ -191,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seeds", help="comma-separated seed override")
     p_run.add_argument("--methods", help="comma-separated method subset")
-    p_run.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p_run.add_argument("--parallel", type=int, default=1, help="worker processes (at least 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="rank methods by a metric median")
@@ -207,7 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioError as exc:
+        for err in exc.errors:
+            print(err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

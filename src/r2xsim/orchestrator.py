@@ -24,9 +24,10 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .metrics import KpiRecord, completion_time
-from .planner import PlanConfig, PlanningError, SpaceTimePath, low_level_search, plan
+from .planner import OBJECTIVES, PlanConfig, PlanningError, SpaceTimePath, low_level_search, plan
 from .radio import (
     _WEIGHT_SUM_TOL,
+    FAIRNESS_MODES,
     McsTable,
     PathGainMap,
     RadioConfig,
@@ -36,7 +37,15 @@ from .radio import (
     select_mcs,
     simulate_transmission,
 )
-from .sensing import SenseConfig, parse_vit_grid
+from .sensing import (
+    FEATURE_BITS,
+    JPEG_QUALITIES,
+    QOS_CLASSES,
+    SENSE_MODES,
+    VIT_GRIDS,
+    SenseConfig,
+    parse_vit_grid,
+)
 from .world import Cell, GridWorld, HumanTrack, RobotState, human_forecast
 
 WAREHOUSE_METHODS = ("stop_and_go", "lorc_p", "lorc_sc", "lorc_sc_p")
@@ -108,10 +117,112 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _check_unknown(section: dict, path: str, allowed: Sequence[str], errors: List[str]) -> None:
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown field")
+def _is_int_list(value, n: int) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == n
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in value)
+    )
+
+
+class _Checker:
+    """Collects every error of a strict JSON document, each as
+    ``"<field path>: <message>"``; used for configuration messages and
+    scenario files."""
+
+    def __init__(self) -> None:
+        self.errors: List[str] = []
+
+    def fail(self, path: str, msg: str) -> None:
+        self.errors.append(f"{path}: {msg}")
+
+    def obj(self, value, path: str, allowed: Sequence[str], required: Sequence[str]) -> Optional[dict]:
+        if not isinstance(value, dict):
+            self.fail(path, "must be an object")
+            return None
+        for key in value:
+            if key not in allowed:
+                self.fail(f"{path}.{key}", "unknown field")
+        for key in required:
+            if key not in value:
+                self.fail(f"{path}.{key}", "required field missing")
+        return value
+
+    def one_of(self, value, path: str, choices: Sequence):
+        """``value`` when it is one of ``choices``, else None; the error lists
+        the choices in their own order."""
+        if value in choices:
+            return value
+        self.fail(path, f"{value!r} is not one of {tuple(choices)}")
+        return None
+
+    def num(self, d: dict, path: str, key: str, lo: Optional[float] = None, default=None):
+        if key not in d:
+            return default
+        v = d[key]
+        if not _is_number(v):
+            self.fail(f"{path}.{key}", f"{v!r} must be a finite number")
+            return default
+        if lo is not None and v < lo:
+            self.fail(f"{path}.{key}", f"{v!r} must be >= {lo}")
+            return default
+        return float(v)
+
+    def integer(self, d: dict, path: str, key: str, lo: Optional[int] = None, default=None):
+        if key not in d:
+            return default
+        v = d[key]
+        if not isinstance(v, int) or isinstance(v, bool):
+            self.fail(f"{path}.{key}", f"{v!r} must be an integer")
+            return default
+        if lo is not None and v < lo:
+            self.fail(f"{path}.{key}", f"{v!r} must be >= {lo}")
+            return default
+        return v
+
+    def cell(self, value, path: str) -> Optional[Tuple[int, int]]:
+        if _is_int_list(value, 2):
+            return (value[0], value[1])
+        self.fail(path, f"{value!r} must be an [x, y] integer pair")
+        return None
+
+    def rect(self, value, path: str) -> Optional[Tuple[int, int, int, int]]:
+        if _is_int_list(value, 4) and value[0] <= value[2] and value[1] <= value[3]:
+            return (value[0], value[1], value[2], value[3])
+        self.fail(path, f"{value!r} must be [x0, y0, x1, y1] integers with x0 <= x1 and y0 <= y1")
+        return None
+
+    def items(self, d: dict, path: str, key: str) -> list:
+        """The optional list ``d[key]``; empty when it is absent or not a list."""
+        v = d.get(key, [])
+        if not isinstance(v, list):
+            self.fail(f"{path}.{key}", "must be a list")
+            return []
+        return v
+
+    def ar1(self, d: dict, path: str, rho_key: str, sigma_key: str) -> None:
+        """An AR(1) shadowing pair: ``rho`` in [0, 1) and ``sigma >= 0``."""
+        rho = self.num(d, path, rho_key)
+        if rho is not None and not 0.0 <= rho < 1.0:
+            self.fail(f"{path}.{rho_key}", f"{rho!r} must be in [0, 1)")
+        self.num(d, path, sigma_key, lo=0.0)
+
+    def curve(self, d: dict, path: str, key: str, min_points: int = 2) -> Optional[List[Tuple[float, float]]]:
+        raw = d.get(key)
+        if not isinstance(raw, list) or len(raw) < min_points:
+            self.fail(f"{path}.{key}", f"must be a list of at least {min_points} [x, y] pairs")
+            return None
+        pts = []
+        for i, p in enumerate(raw):
+            if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(_is_number(c) for c in p):
+                self.fail(f"{path}.{key}[{i}]", f"{p!r} must be an [x, y] finite number pair")
+                return None
+            pts.append((float(p[0]), float(p[1])))
+        xs = [p[0] for p in pts]
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            self.fail(f"{path}.{key}", "x values must be strictly increasing")
+            return None
+        return pts
 
 
 def fallback_message(robot_ids: Sequence[int] = (1, 2)) -> dict:
@@ -138,132 +249,73 @@ def validate(
     are errors at every level. ``sense_config`` is optional and defaults to
     the conservative single-tile token payload.
     """
-    errors: List[str] = []
-    if not isinstance(message, dict):
-        return None, ["message: must be a JSON object"]
-    _check_unknown(message, "message", ("pp_config", "ra_config", "sense_config"), errors)
+    ck = _Checker()
+    if ck.obj(message, "message", ("pp_config", "ra_config", "sense_config"), ()) is None:
+        return None, ck.errors
 
-    pp = message.get("pp_config")
-    objective = "safety_first"
-    priority: Optional[int] = None
-    gap = 1
-    if not isinstance(pp, dict):
-        errors.append("pp_config: required object missing")
-    else:
-        _check_unknown(pp, "pp_config", ("objective", "priority_robot", "min_time_gap_at_conflict"), errors)
-        objective = pp.get("objective")
-        if objective not in ("makespan", "safety_first"):
-            errors.append(
-                f"pp_config.objective: {objective!r} is not one of {{'makespan', 'safety_first'}}"
-            )
-        if "priority_robot" not in pp:
-            errors.append("pp_config.priority_robot: required field missing")
-        else:
-            raw = pp["priority_robot"]
-            m = re.fullmatch(r"robot_(\d+)", raw) if isinstance(raw, str) else None
-            if raw == "none":
-                priority = None
-            elif m:
-                priority = int(m.group(1))
-                if robot_ids is not None and priority not in robot_ids:
-                    errors.append(
-                        f"pp_config.priority_robot: robot_{priority} not among robots {sorted(robot_ids)}"
-                    )
-            else:
-                errors.append(
-                    f"pp_config.priority_robot: {raw!r} must be 'none' or 'robot_<id>'"
-                )
-        raw_gap = pp.get("min_time_gap_at_conflict")
-        if not isinstance(raw_gap, int) or isinstance(raw_gap, bool) or raw_gap < 0:
-            errors.append(
-                f"pp_config.min_time_gap_at_conflict: {raw_gap!r} must be a nonnegative integer"
-            )
-        else:
-            gap = raw_gap
+    pp = ck.obj(
+        message.get("pp_config"), "pp_config",
+        ("objective", "priority_robot", "min_time_gap_at_conflict"),
+        ("priority_robot", "min_time_gap_at_conflict"),
+    )
+    if pp is not None:
+        objective = ck.one_of(pp.get("objective"), "pp_config.objective", OBJECTIVES)
+        raw = pp.get("priority_robot", "none")
+        m = re.fullmatch(r"robot_(\d+)", raw) if isinstance(raw, str) else None
+        priority = int(m.group(1)) if m else None
+        if m is None and raw != "none":
+            ck.fail("pp_config.priority_robot", f"{raw!r} must be 'none' or 'robot_<id>'")
+        elif m and robot_ids is not None and priority not in robot_ids:
+            ck.fail("pp_config.priority_robot", f"robot_{priority} not among robots {sorted(robot_ids)}")
+        gap = ck.integer(pp, "pp_config", "min_time_gap_at_conflict", lo=0)
 
-    ra = message.get("ra_config")
-    fairness = "max_min"
-    weights: Tuple[float, ...] = (0.5, 0.5)
-    if not isinstance(ra, dict):
-        errors.append("ra_config: required object missing")
-    else:
-        _check_unknown(ra, "ra_config", ("fairness", "priority_weights"), errors)
-        fairness = ra.get("fairness")
-        if fairness not in ("max_min", "proportional"):
-            errors.append(
-                f"ra_config.fairness: {fairness!r} is not one of {{'max_min', 'proportional'}}"
-            )
-        raw_w = ra.get("priority_weights")
-        if not isinstance(raw_w, (list, tuple)) or not raw_w or not all(_is_number(w) for w in raw_w):
-            errors.append("ra_config.priority_weights: must be a nonempty list of finite numbers")
+    ra = ck.obj(message.get("ra_config"), "ra_config", ("fairness", "priority_weights"), ())
+    if ra is not None:
+        fairness = ck.one_of(ra.get("fairness"), "ra_config.fairness", FAIRNESS_MODES)
+        weights = ra.get("priority_weights")
+        if not isinstance(weights, (list, tuple)) or not weights or not all(_is_number(w) for w in weights):
+            ck.fail("ra_config.priority_weights", "must be a nonempty list of finite numbers")
         else:
-            if any(w < 0 for w in raw_w):
-                errors.append("ra_config.priority_weights: weights must be nonnegative")
-            total = sum(raw_w)
+            if any(w < 0 for w in weights):
+                ck.fail("ra_config.priority_weights", "weights must be nonnegative")
+            total = sum(weights)
             if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-                errors.append(
-                    f"ra_config.priority_weights: sum {total:g} != 1 (tolerance {_WEIGHT_SUM_TOL})"
-                )
-            if robot_ids is not None and len(raw_w) != len(robot_ids):
-                errors.append(
-                    f"ra_config.priority_weights: {len(raw_w)} weights for {len(robot_ids)} robots"
-                )
-            weights = tuple(float(w) for w in raw_w)
+                ck.fail("ra_config.priority_weights", f"sum {total:g} != 1 (tolerance {_WEIGHT_SUM_TOL})")
+            if robot_ids is not None and len(weights) != len(robot_ids):
+                ck.fail("ra_config.priority_weights", f"{len(weights)} weights for {len(robot_ids)} robots")
 
     sense_raw = message.get("sense_config")
     sense = SenseConfig(mode="vq", vit_grid=(1, 1), qos="best_effort")
     if sense_raw is not None:
-        if not isinstance(sense_raw, dict):
-            errors.append("sense_config: must be an object")
-        else:
-            _check_unknown(
-                sense_raw,
-                "sense_config",
-                ("mode", "jpeg_quality", "vit_grid", "feature_dim", "feature_bits", "qos"),
-                errors,
-            )
-            mode = sense_raw.get("mode")
-            if mode not in ("raw", "jpeg", "semantic_feature", "vq"):
-                errors.append(
-                    f"sense_config.mode: {mode!r} is not one of "
-                    "{'raw', 'jpeg', 'semantic_feature', 'vq'}"
-                )
-            qos = sense_raw.get("qos", "best_effort")
-            if qos not in ("reliable", "best_effort"):
-                errors.append(
-                    f"sense_config.qos: {qos!r} is not one of {{'reliable', 'best_effort'}}"
-                )
+        semantic = isinstance(sense_raw, dict) and sense_raw.get("mode") == "semantic_feature"
+        s = ck.obj(
+            sense_raw, "sense_config",
+            ("mode", "jpeg_quality", "vit_grid", "feature_dim", "feature_bits", "qos"),
+            ("feature_dim",) if semantic else (),
+        )
+        if s is not None:
+            mode = ck.one_of(s.get("mode"), "sense_config.mode", SENSE_MODES)
+            qos = ck.one_of(s.get("qos", "best_effort"), "sense_config.qos", QOS_CLASSES)
             kwargs = {}
             if mode == "jpeg":
-                q = sense_raw.get("jpeg_quality")
-                if q not in (95, 80, 60):
-                    errors.append(f"sense_config.jpeg_quality: {q!r} is not one of {{95, 80, 60}}")
-                kwargs["jpeg_quality"] = q
+                quality = s.get("jpeg_quality")
+                kwargs["jpeg_quality"] = ck.one_of(quality, "sense_config.jpeg_quality", JPEG_QUALITIES)
             if mode == "vq":
-                grid_raw = sense_raw.get("vit_grid", "1x1")
+                grid = s.get("vit_grid", "1x1")
                 try:
-                    grid = parse_vit_grid(grid_raw)
-                    if grid not in ((1, 1), (1, 2), (1, 3)):
-                        raise ValueError
-                    kwargs["vit_grid"] = grid
-                except (ValueError, TypeError):
-                    errors.append(
-                        f"sense_config.vit_grid: {grid_raw!r} is not one of {{'1x1', '1x2', '1x3'}}"
-                    )
+                    grid = parse_vit_grid(grid)
+                except (ValueError, TypeError, LookupError, OverflowError):
+                    pass  # reported unparsed by one_of
+                kwargs["vit_grid"] = ck.one_of(grid, "sense_config.vit_grid", VIT_GRIDS)
             if mode == "semantic_feature":
-                dim = sense_raw.get("feature_dim")
-                bits = sense_raw.get("feature_bits")
-                if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-                    errors.append(f"sense_config.feature_dim: {dim!r} must be a positive integer")
-                if bits not in (4, 8, 16, 32):
-                    errors.append(f"sense_config.feature_bits: {bits!r} is not one of {{4, 8, 16, 32}}")
-                kwargs["feature_dim"] = dim
-                kwargs["feature_bits"] = bits
-            if not errors:
+                kwargs["feature_dim"] = ck.integer(s, "sense_config", "feature_dim", lo=1)
+                bits = s.get("feature_bits")
+                kwargs["feature_bits"] = ck.one_of(bits, "sense_config.feature_bits", FEATURE_BITS)
+            if not ck.errors:
                 sense = SenseConfig(mode=mode, qos=qos, **kwargs)
 
-    if errors:
-        return None, errors
+    if ck.errors:
+        return None, ck.errors
     cfg = OrchestratorConfig(
         pp=PlanConfig(objective=objective, priority_robot=priority, min_time_gap_at_conflict=gap),
         ra=RadioConfig(fairness=fairness, priority_weights=weights),

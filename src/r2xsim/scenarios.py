@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .orchestrator import (
     LoopBudget,
     RuleIntentEngine,
     WarehouseSimulation,
+    _Checker,
     _is_number,
     correct_loop,
     select_sense_mode,
@@ -42,17 +43,21 @@ from .radio import McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_t
 from .sensing import SenseConfig
 from .world import GridWorld, HumanTrack, RobotState
 
-SCENARIO_KINDS = ("warehouse", "mcs", "followme")
-FOLLOWME_METHODS = (
-    "jpeg_q95",
-    "jpeg_q80",
-    "jpeg_q60",
-    "vq_1x1",
-    "vq_1x2",
-    "vq_1x3",
-    "orchestrated",
-)
-_MCS_METHOD_RE = re.compile(r"^(?:oracle|ideal|(?:delayed|predictive)_(\d+))$")
+_FOLLOWME_MODE_CONFIGS = {
+    "jpeg_q95": SenseConfig(mode="jpeg", jpeg_quality=95, qos="reliable"),
+    "jpeg_q80": SenseConfig(mode="jpeg", jpeg_quality=80, qos="reliable"),
+    "jpeg_q60": SenseConfig(mode="jpeg", jpeg_quality=60, qos="reliable"),
+    "vq_1x1": SenseConfig(mode="vq", vit_grid=(1, 1), qos="best_effort"),
+    "vq_1x2": SenseConfig(mode="vq", vit_grid=(1, 2), qos="best_effort"),
+    "vq_1x3": SenseConfig(mode="vq", vit_grid=(1, 3), qos="best_effort"),
+}
+FOLLOWME_METHODS = (*_FOLLOWME_MODE_CONFIGS, "orchestrated")
+# Matched whole (fullmatch); groups: policy kind and delay of a delayed method.
+_MCS_METHOD_RE = re.compile(r"oracle|ideal|(delayed|predictive)_(\d+)")
+
+# A warehouse run draws max_sim_time_s / frame_period_s shadowing frames per
+# robot before it starts; the bundled files need at most a few thousand.
+_MAX_FRAMES = 10**6
 
 SCHEMA_VERSION = 1
 
@@ -63,106 +68,6 @@ class ScenarioError(ValueError):
     def __init__(self, errors: Sequence[str]):
         super().__init__("; ".join(errors))
         self.errors = list(errors)
-
-
-# --------------------------------------------------------------------------
-# validation helpers
-
-
-def _is_int_list(value, n: int) -> bool:
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == n
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in value)
-    )
-
-
-class _Checker:
-    def __init__(self) -> None:
-        self.errors: List[str] = []
-
-    def fail(self, path: str, msg: str) -> None:
-        self.errors.append(f"{path}: {msg}")
-
-    def obj(self, value, path: str, allowed: Sequence[str], required: Sequence[str]) -> Optional[dict]:
-        if not isinstance(value, dict):
-            self.fail(path, "must be an object")
-            return None
-        for key in value:
-            if key not in allowed:
-                self.fail(f"{path}.{key}", "unknown field")
-        for key in required:
-            if key not in value:
-                self.fail(f"{path}.{key}", "required field missing")
-        return value
-
-    def num(self, d: dict, path: str, key: str, lo: Optional[float] = None, default=None):
-        if key not in d:
-            return default
-        v = d[key]
-        if not _is_number(v):
-            self.fail(f"{path}.{key}", f"{v!r} must be a finite number")
-            return default
-        if lo is not None and v < lo:
-            self.fail(f"{path}.{key}", f"{v!r} must be >= {lo}")
-            return default
-        return float(v)
-
-    def integer(self, d: dict, path: str, key: str, lo: Optional[int] = None, default=None):
-        if key not in d:
-            return default
-        v = d[key]
-        if not isinstance(v, int) or isinstance(v, bool):
-            self.fail(f"{path}.{key}", f"{v!r} must be an integer")
-            return default
-        if lo is not None and v < lo:
-            self.fail(f"{path}.{key}", f"{v!r} must be >= {lo}")
-            return default
-        return v
-
-    def cell(self, value, path: str) -> Optional[Tuple[int, int]]:
-        if _is_int_list(value, 2):
-            return (value[0], value[1])
-        self.fail(path, f"{value!r} must be an [x, y] integer pair")
-        return None
-
-    def rect(self, value, path: str) -> Optional[Tuple[int, int, int, int]]:
-        if _is_int_list(value, 4) and value[0] <= value[2] and value[1] <= value[3]:
-            return (value[0], value[1], value[2], value[3])
-        self.fail(path, f"{value!r} must be [x0, y0, x1, y1] integers with x0 <= x1 and y0 <= y1")
-        return None
-
-    def items(self, d: dict, path: str, key: str) -> list:
-        """The optional list ``d[key]``; empty when it is absent or not a list."""
-        v = d.get(key, [])
-        if not isinstance(v, list):
-            self.fail(f"{path}.{key}", "must be a list")
-            return []
-        return v
-
-    def ar1(self, d: dict, path: str, rho_key: str, sigma_key: str) -> None:
-        """An AR(1) shadowing pair: ``rho`` in [0, 1) and ``sigma >= 0``."""
-        rho = self.num(d, path, rho_key)
-        if rho is not None and not 0.0 <= rho < 1.0:
-            self.fail(f"{path}.{rho_key}", f"{rho!r} must be in [0, 1)")
-        self.num(d, path, sigma_key, lo=0.0)
-
-    def curve(self, d: dict, path: str, key: str, min_points: int = 2) -> Optional[List[Tuple[float, float]]]:
-        raw = d.get(key)
-        if not isinstance(raw, list) or len(raw) < min_points:
-            self.fail(f"{path}.{key}", f"must be a list of at least {min_points} [x, y] pairs")
-            return None
-        pts = []
-        for i, p in enumerate(raw):
-            if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(_is_number(c) for c in p):
-                self.fail(f"{path}.{key}[{i}]", f"{p!r} must be an [x, y] finite number pair")
-                return None
-            pts.append((float(p[0]), float(p[1])))
-        xs = [p[0] for p in pts]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            self.fail(f"{path}.{key}", "x values must be strictly increasing")
-            return None
-        return pts
 
 
 def _rect_cells(rect: Tuple[int, int, int, int]) -> List[Tuple[int, int]]:
@@ -208,8 +113,7 @@ def validate_scenario_dict(data) -> List[str]:
     top = ck.obj(
         data,
         "scenario",
-        ("schema_version", "id", "kind", "description", "seeds", "methods",
-         "warehouse", "mcs", "followme"),
+        ("schema_version", "id", "kind", "description", "seeds", "methods", *_KINDS),
         ("schema_version", "id", "kind", "seeds", "methods"),
     )
     if top is None:
@@ -220,10 +124,10 @@ def validate_scenario_dict(data) -> List[str]:
     sid = data.get("id")
     if not isinstance(sid, str) or not sid:
         ck.fail("scenario.id", f"{sid!r} must be a nonempty string")
-    kind = data.get("kind")
-    if kind not in SCENARIO_KINDS:
-        ck.fail("scenario.kind", f"{kind!r} is not one of {set(SCENARIO_KINDS)}")
+    kind = ck.one_of(data.get("kind"), "scenario.kind", tuple(_KINDS))
+    if kind is None:
         return ck.errors
+    spec = _KINDS[kind]
     seeds = data.get("seeds")
     if (
         not isinstance(seeds, list)
@@ -238,43 +142,32 @@ def validate_scenario_dict(data) -> List[str]:
         ck.fail("scenario.methods", "must be a nonempty list of method names")
     else:
         for m in methods:
-            if kind == "warehouse" and m not in WAREHOUSE_METHODS:
-                ck.fail("scenario.methods", f"{m!r} is not one of {set(WAREHOUSE_METHODS)}")
-            elif kind == "mcs" and not _MCS_METHOD_RE.match(m):
+            if spec.methods is not None:
+                ck.one_of(m, "scenario.methods", spec.methods)
+            elif not _MCS_METHOD_RE.fullmatch(m):
                 ck.fail(
                     "scenario.methods",
                     f"{m!r} must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'",
                 )
-            elif kind == "followme" and m not in FOLLOWME_METHODS:
-                ck.fail("scenario.methods", f"{m!r} is not one of {set(FOLLOWME_METHODS)}")
-    for other in SCENARIO_KINDS:
+    for other in _KINDS:
         if other != kind and other in data:
             ck.fail(f"scenario.{other}", f"section not allowed for kind {kind!r}")
     section = data.get(kind)
     if section is None:
         ck.fail(f"scenario.{kind}", "required section missing")
         return ck.errors
-    if kind == "warehouse":
-        _validate_warehouse(ck, section)
-    elif kind == "mcs":
-        _validate_mcs(ck, section, methods)
-    else:
-        _validate_followme(ck, section)
-    if not ck.errors and kind != "followme":
+    spec.validate(ck, section, methods)
+    if not ck.errors and spec.build is not None:
         # The model constructors hold the true bounds; a document the schema
         # accepts must also build.
-        scn = Scenario(sid, kind, tuple(seeds), tuple(methods), section)
         try:
-            if kind == "warehouse":
-                build_warehouse(scn)
-            else:
-                build_mcs_corridor(scn)
+            globals()[spec.build](Scenario(sid, kind, tuple(seeds), tuple(methods), section))
         except ValueError as exc:
             ck.fail(f"scenario.{kind}", str(exc))
     return ck.errors
 
 
-def _validate_warehouse(ck: _Checker, sec) -> None:
+def _validate_warehouse(ck: _Checker, sec, methods) -> None:
     p = "scenario.warehouse"
     sec = ck.obj(
         sec, p,
@@ -438,8 +331,8 @@ def _validate_mcs(ck: _Checker, sec, methods) -> None:
     steps = ck.integer(sec, p, "steps", lo=1)
     if steps is not None and isinstance(methods, list):
         for m in methods:
-            match = isinstance(m, str) and _MCS_METHOD_RE.match(m)
-            if match and match.group(1) and int(match.group(1)) >= steps:
+            match = isinstance(m, str) and _MCS_METHOD_RE.fullmatch(m)
+            if match and match.group(2) and int(match.group(2)) >= steps:
                 ck.fail(f"{p}.steps", f"{steps} must exceed the delay of method {m!r}")
     ck.integer(sec, p, "corridor_cells", lo=2)
     prof = ck.obj(
@@ -459,10 +352,7 @@ def _validate_mcs(ck: _Checker, sec, methods) -> None:
     _validate_radio(ck, sec.get("radio"), f"{p}.radio")
 
 
-_FOLLOWME_FIXED = FOLLOWME_METHODS[:-1]
-
-
-def _validate_followme(ck: _Checker, sec) -> None:
+def _validate_followme(ck: _Checker, sec, methods) -> None:
     p = "scenario.followme"
     sec = ck.obj(
         sec, p,
@@ -498,9 +388,10 @@ def _validate_followme(ck: _Checker, sec) -> None:
                 and all(_is_number(c) and c >= 0 for c in pair)
             ):
                 ck.fail(f"{p}.codec_s.{key}", f"{pair!r} must be [encode_s, decode_s]")
-    payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", _FOLLOWME_FIXED, _FOLLOWME_FIXED)
+    modes = _FOLLOWME_MODE_CONFIGS
+    payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes, modes)
     if payloads is not None:
-        for key in _FOLLOWME_FIXED:
+        for key in modes:
             ck.integer(payloads, f"{p}.payload_bytes", key, lo=1)
     perc = ck.obj(
         sec.get("perception"), f"{p}.perception",
@@ -512,10 +403,10 @@ def _validate_followme(ck: _Checker, sec) -> None:
             ("lose_prob", True), ("far_lose_prob", True),
             ("far_distance_m", False), ("reacquire_prob", True),
         ):
-            table = ck.obj(perc.get(key), f"{p}.perception.{key}", _FOLLOWME_FIXED, _FOLLOWME_FIXED)
+            table = ck.obj(perc.get(key), f"{p}.perception.{key}", modes, modes)
             if table is None:
                 continue
-            for mode in _FOLLOWME_FIXED:
+            for mode in modes:
                 v = ck.num(table, f"{p}.perception.{key}", mode, lo=0.0)
                 if must_prob and v is not None and v > 1.0:
                     ck.fail(f"{p}.perception.{key}.{mode}", f"{v!r} must be in [0, 1]")
@@ -523,6 +414,26 @@ def _validate_followme(ck: _Checker, sec) -> None:
     ck.integer(sec, p, "loss_threshold_steps", lo=0)
     ck.integer(sec, p, "max_attempts", lo=1)
     ck.num(sec, p, "slot_s", lo=0.0)
+
+
+class _Kind(NamedTuple):
+    """How one scenario kind is checked, built and run.
+
+    ``build`` and ``run`` name functions of this module and are looked up
+    when called, so a wrapper set on the module attribute sees every call.
+    """
+
+    methods: Optional[Tuple[str, ...]]  # None: mcs names, matched by _MCS_METHOD_RE
+    validate: Callable[[_Checker, dict, list], None]
+    build: Optional[str]
+    run: str
+
+
+_KINDS = {
+    "warehouse": _Kind(WAREHOUSE_METHODS, _validate_warehouse, "build_warehouse", "run_warehouse"),
+    "mcs": _Kind(None, _validate_mcs, "build_mcs_corridor", "run_mcs"),
+    "followme": _Kind(FOLLOWME_METHODS, _validate_followme, None, "run_followme"),
+}
 
 
 def parse_scenario(data: dict, path: Optional[Path] = None) -> Scenario:
@@ -549,6 +460,8 @@ def load_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}:{exc.lineno}: invalid JSON: {exc.msg}"]) from exc
+    except ValueError as exc:  # an integer literal too long for int()
+        raise ScenarioError([f"{path}: invalid JSON: {exc}"]) from exc
     try:
         return parse_scenario(data, path)
     except ScenarioError as exc:
@@ -626,6 +539,11 @@ def build_warehouse(scn: Scenario):
         )
         for h in sec.get("humans", [])
     ]
+    frames = float(sec.get("max_sim_time_s", 3600.0)) / world.frame_period_s
+    if frames > _MAX_FRAMES:
+        raise ValueError(
+            f"max_sim_time_s / world.frame_period_s is {frames:g} frames, more than {_MAX_FRAMES}"
+        )
     gain_map = synthetic_gain_map(world.width, world.height, sec["gain"])
     ids = sorted(r.id for r in robots)
     resolution = correct_loop(RuleIntentEngine(), sec["intent_text"], {"robot_ids": ids})
@@ -643,21 +561,14 @@ def build_warehouse(scn: Scenario):
     return world, robots, tracks, gain_map, table, cfg, budget
 
 
-def run_warehouse(scn: Scenario, method: str, seed: int) -> dict:
+def run_warehouse(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     world, robots, tracks, gain_map, table, cfg, budget = build_warehouse(scn)
     sim = WarehouseSimulation(
         world, robots, tracks, gain_map, table, cfg, budget, method, seed,
         payload_table=scn.params["payloads"],
         max_sim_time_s=float(scn.params.get("max_sim_time_s", 3600.0)),
     )
-    record = sim.run()
-    return {
-        "scenario_id": scn.id,
-        "kind": scn.kind,
-        "method": method,
-        "seed": seed,
-        "metrics": record.as_metrics(),
-    }
+    return sim.run().as_metrics()
 
 
 # --------------------------------------------------------------------------
@@ -665,16 +576,12 @@ def run_warehouse(scn: Scenario, method: str, seed: int) -> dict:
 
 
 def mcs_policy_from_method(method: str) -> PolicySpec:
-    if method == "oracle":
-        return PolicySpec(kind="oracle")
-    if method == "ideal":
-        return PolicySpec(kind="ideal")
-    name, delay = method.rsplit("_", 1)
-    if name == "delayed":
-        return PolicySpec(kind="delayed", delay=int(delay))
-    if name == "predictive":
-        return PolicySpec(kind="predictive", delay=int(delay))
-    raise ValueError(f"unknown mcs method {method!r}")
+    match = _MCS_METHOD_RE.fullmatch(method)
+    if match is None:
+        raise ValueError(f"unknown mcs method {method!r}")
+    if match.group(1) is None:
+        return PolicySpec(kind=method)
+    return PolicySpec(kind=match.group(1), delay=int(match.group(2)))
 
 
 def build_mcs_corridor(scn: Scenario) -> Tuple[PathGainMap, List[Tuple[int, int]], RadioConfig, McsTable]:
@@ -696,7 +603,7 @@ def build_mcs_corridor(scn: Scenario) -> Tuple[PathGainMap, List[Tuple[int, int]
     return gain_map, cells, cfg, table
 
 
-def run_mcs(scn: Scenario, method: str, seed: int) -> dict:
+def run_mcs(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     sec = scn.params
     gain_map, cells, cfg, table = build_mcs_corridor(scn)
     trace = sample_trace(gain_map, cells, cfg, seed)
@@ -712,7 +619,7 @@ def run_mcs(scn: Scenario, method: str, seed: int) -> dict:
         gain_map=gain_map,
         max_retx=cfg.max_retx,
     )
-    metrics = {
+    return {
         "throughput_mean_bps": series.mean_throughput_bps,
         "latency_mean_s": series.mean_latency_s,
         "success_rate": float(np.mean(series.success)),
@@ -720,27 +627,10 @@ def run_mcs(scn: Scenario, method: str, seed: int) -> dict:
             float(sec.get("bler_target", 0.1))
         ),
     }
-    return {
-        "scenario_id": scn.id,
-        "kind": scn.kind,
-        "method": method,
-        "seed": seed,
-        "metrics": metrics,
-    }
 
 
 # --------------------------------------------------------------------------
 # followme family
-
-
-_FOLLOWME_MODE_CONFIGS = {
-    "jpeg_q95": SenseConfig(mode="jpeg", jpeg_quality=95, qos="reliable"),
-    "jpeg_q80": SenseConfig(mode="jpeg", jpeg_quality=80, qos="reliable"),
-    "jpeg_q60": SenseConfig(mode="jpeg", jpeg_quality=60, qos="reliable"),
-    "vq_1x1": SenseConfig(mode="vq", vit_grid=(1, 1), qos="best_effort"),
-    "vq_1x2": SenseConfig(mode="vq", vit_grid=(1, 2), qos="best_effort"),
-    "vq_1x3": SenseConfig(mode="vq", vit_grid=(1, 3), qos="best_effort"),
-}
 
 
 def _mode_name(cfg: SenseConfig) -> str:
@@ -761,7 +651,7 @@ def _lin_interp(x: float, pts: Sequence[Tuple[float, float]]) -> float:
     return float(np.interp(x, xs, ys))
 
 
-def run_followme(scn: Scenario, method: str, seed: int) -> dict:
+def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     """Replay the corridor trace under one sensing policy.
 
     Per frame: the user distance sets the mean RSSI (plus AR(1) noise), the
@@ -836,13 +726,7 @@ def run_followme(scn: Scenario, method: str, seed: int) -> dict:
         mean, _, p95 = tail_stats(cta_samples)
         metrics["cta_mean_s"] = mean
         metrics["cta_p95_s"] = p95
-    return {
-        "scenario_id": scn.id,
-        "kind": scn.kind,
-        "method": method,
-        "seed": seed,
-        "metrics": metrics,
-    }
+    return metrics
 
 
 # --------------------------------------------------------------------------
@@ -853,11 +737,8 @@ def run_one(scn: Scenario, method: str, seed: int) -> dict:
         raise ScenarioError(
             [f"methods: {method!r} not offered by scenario {scn.id!r}"]
         )
-    if scn.kind == "warehouse":
-        return run_warehouse(scn, method, seed)
-    if scn.kind == "mcs":
-        return run_mcs(scn, method, seed)
-    return run_followme(scn, method, seed)
+    metrics = globals()[_KINDS[scn.kind].run](scn, method, seed)
+    return {"scenario_id": scn.id, "kind": scn.kind, "method": method, "seed": seed, "metrics": metrics}
 
 
 def bundled_scenario_path(name: str) -> Path:

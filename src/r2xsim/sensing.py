@@ -34,10 +34,6 @@ def parse_vit_grid(value) -> Tuple[int, int]:
     return grid
 
 
-def format_vit_grid(grid: Tuple[int, int]) -> str:
-    return f"{grid[0]}x{grid[1]}"
-
-
 @dataclass(frozen=True)
 class SenseConfig:
     """What the robot uplinks per frame and with which delivery class."""
@@ -61,7 +57,7 @@ class SenseConfig:
             grid = parse_vit_grid(self.vit_grid)
             object.__setattr__(self, "vit_grid", grid)
             if grid not in VIT_GRIDS:
-                raise ValueError(f"vit_grid {format_vit_grid(grid)!r} not in {{1x1, 1x2, 1x3}}")
+                raise ValueError(f"vit_grid {grid} not in {VIT_GRIDS}")
         if self.mode == "semantic_feature":
             if self.feature_dim is None or self.feature_dim < 1:
                 raise ValueError("semantic_feature mode needs feature_dim >= 1")

@@ -120,6 +120,13 @@ class TestRun:
         assert code == 2
         assert "--seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_below_one(self, followme_file, tmp_path, capsys, workers):
+        code = main(["run", str(followme_file), "--out", str(tmp_path / "o"), "--parallel", workers])
+        assert code == 2
+        assert f"--parallel: {workers} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_env_seed(self, followme_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("R2X_SEED", "nope")
         assert main(["run", str(followme_file), "--out", str(tmp_path / "o")]) == 2

@@ -113,13 +113,13 @@ class TestValidate:
 
     def test_non_dict_message(self):
         cfg, errors = validate(["nope"])
-        assert cfg is None and errors == ["message: must be a JSON object"]
+        assert cfg is None and errors == ["message: must be an object"]
 
     @pytest.mark.parametrize(
         "mutate,needle",
         [
-            (lambda m: m.pop("pp_config"), "pp_config: required object missing"),
-            (lambda m: m.pop("ra_config"), "ra_config: required object missing"),
+            (lambda m: m.pop("pp_config"), "pp_config: must be an object"),
+            (lambda m: m.pop("ra_config"), "ra_config: must be an object"),
             (lambda m: m.update(extra=1), "message.extra: unknown field"),
             (lambda m: m["pp_config"].update(speed=2), "pp_config.speed: unknown field"),
             (lambda m: m["pp_config"].update(objective="fastest"), "pp_config.objective"),
@@ -164,6 +164,12 @@ class TestValidate:
             ({"mode": "vq", "vit_grid": "2x2"}, "sense_config.vit_grid"),
             ({"mode": "semantic_feature", "feature_dim": 0, "feature_bits": 8}, "feature_dim"),
             ({"mode": "semantic_feature", "feature_dim": 64, "feature_bits": 7}, "feature_bits"),
+            (
+                {"mode": "vq", "vit_grid": {}},
+                "sense_config.vit_grid: {} is not one of ((1, 1), (1, 2), (1, 3))",
+            ),
+            ({"mode": "vq", "vit_grid": [1.0]}, "sense_config.vit_grid: [1.0] is not one of"),
+            ({"mode": "vq", "vit_grid": [math.inf, 1]}, "sense_config.vit_grid: [inf, 1] is not one of"),
         ],
     )
     def test_sense_errors(self, sense, needle):

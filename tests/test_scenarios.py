@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from r2xsim.planner import PlanConfig
 from r2xsim.scenarios import (
@@ -43,7 +45,7 @@ def tiny_warehouse():
         "seeds": [0],
         "methods": ["stop_and_go", "lorc_sc_p"],
         "warehouse": {
-            "world": {"width": 4, "height": 1},
+            "world": {"width": 4, "height": 1, "frame_period_s": 0.5},
             "robots": [{"id": 1, "start": [0, 0], "goal": [3, 0]}],
             "gain": {"base_gain_db": -50.0, "ap": [0, 0], "slope_db_per_cell": 1.0},
             "budget": {
@@ -54,6 +56,7 @@ def tiny_warehouse():
             },
             "payloads": {"raw": 6220800, "semantic_feature": 5160},
             "intent_text": "go fast",
+            "max_sim_time_s": 3600.0,
         },
     }
 
@@ -110,6 +113,25 @@ def tiny_followme():
             "loss_threshold_steps": 3,
         },
     }
+
+
+def leaf_paths(node, path=()):
+    """Key paths of the scalar leaves of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in children:
+        yield from leaf_paths(child, path + (key,))
+
+
+LEAVES = [(make, path) for make in (tiny_warehouse, tiny_mcs, tiny_followme) for path in leaf_paths(make())]
+# No large integers: a huge steps or width would allocate before it ran.
+LEAF_VALUES = (0, 1, -1, 2.5, 1e15, math.nan, math.inf, "x", None, [], {}, True)
+DELETE = object()
 
 
 class TestBundledCorpus:
@@ -172,7 +194,19 @@ class TestValidation:
         doc = tiny_warehouse()
         doc["kind"] = "circus"
         errors = validate_scenario_dict(doc)
-        assert len(errors) == 1 and "scenario.kind" in errors[0]
+        assert errors == ["scenario.kind: 'circus' is not one of ('warehouse', 'mcs', 'followme')"]
+
+    def test_allowed_methods_listed_in_order(self):
+        doc = tiny_warehouse()
+        doc["methods"] = ["warp"]
+        assert validate_scenario_dict(doc) == [
+            "scenario.methods: 'warp' is not one of ('stop_and_go', 'lorc_p', 'lorc_sc', 'lorc_sc_p')"
+        ]
+        doc = tiny_mcs()
+        doc["methods"] = ["oracle\n"]
+        assert validate_scenario_dict(doc) == [
+            "scenario.methods: 'oracle\\n' must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'"
+        ]
 
     @pytest.mark.parametrize(
         "mutate,needle",
@@ -252,6 +286,16 @@ class TestValidation:
             (lambda s: s["world"].update(blocked_rects=5), "scenario.warehouse.world.blocked_rects: must be a list"),
             (lambda s: s.update(humans=5), "scenario.warehouse.humans: must be a list"),
             (lambda s: s["gain"].update(dead_zones=5), "scenario.warehouse.gain.dead_zones: must be a list"),
+            # more shadowing frames than the cap
+            (
+                lambda s: s.update(max_sim_time_s=1e15),
+                "scenario.warehouse: max_sim_time_s / world.frame_period_s is 2e+15 frames, "
+                "more than 1000000",
+            ),
+            (
+                lambda s: s["world"].update(frame_period_s=1e-300),
+                "scenario.warehouse: max_sim_time_s / world.frame_period_s is 3.6e+303 frames",
+            ),
             (
                 lambda s: s["world"].update(blocked_rects=[[5, 5, 3, 3]]),
                 "scenario.warehouse.world.blocked_rects[0]: [5, 5, 3, 3] must be [x0, y0, x1, y1] integers "
@@ -320,6 +364,33 @@ class TestValidation:
         errors = validate_scenario_dict(doc)
         assert any(needle in e for e in errors), errors
 
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(LEAVES), st.sampled_from(LEAF_VALUES + (DELETE,)))
+    def test_mutated_leaf_is_named_or_runs(self, leaf, value):
+        """A document with one leaf replaced or deleted is either rejected
+        with field paths, or runs to a record or the simulator's own
+        RuntimeError."""
+        make, path = leaf
+        doc = make()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+        errors = validate_scenario_dict(doc)
+        if errors:
+            assert all(e.startswith("scenario.") for e in errors), errors
+            return
+        scn = parse_scenario(doc)
+        try:
+            record = run_one(scn, scn.methods[0], 0)
+        except RuntimeError as exc:
+            assert type(exc) is RuntimeError
+        else:
+            assert record["kind"] == scn.kind
+
     def test_errors_accumulate(self):
         doc = tiny_warehouse()
         doc["seeds"] = []
@@ -372,6 +443,12 @@ class TestLoadScenario:
         p = tmp_path / "broken.json"
         p.write_text('{\n  "id": oops\n}\n')
         with pytest.raises(ScenarioError, match=r"broken\.json:2: invalid JSON"):
+            load_scenario(p)
+
+    def test_overlong_integer_is_invalid_json(self, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text('{"seeds": [' + "1" * 5000 + "]}")
+        with pytest.raises(ScenarioError, match=r"long\.json: invalid JSON: Exceeds the limit"):
             load_scenario(p)
 
     def test_validation_errors_prefixed_with_path(self, tmp_path):

@@ -9,7 +9,6 @@ from r2xsim.sensing import (
     Codebook,
     PayloadParams,
     SenseConfig,
-    format_vit_grid,
     index_bits,
     parse_vit_grid,
     payload_bytes,
@@ -24,9 +23,6 @@ class TestVitGrid:
         assert parse_vit_grid("1X2") == (1, 2)
         assert parse_vit_grid((2, 2)) == (2, 2)
         assert parse_vit_grid([1, 1]) == (1, 1)
-
-    def test_format_round_trip(self):
-        assert format_vit_grid(parse_vit_grid("1x3")) == "1x3"
 
     @pytest.mark.parametrize("bad", ["1x", "3", "1x2x3", (0, 1), (1, 0)])
     def test_rejects(self, bad):
