@@ -10,8 +10,7 @@ import sys
 
 import numpy as np
 
-from r2xsim.linkadapt import gains, run_policy
-from r2xsim.radio import sample_trace
+from r2xsim.linkadapt import LinkTable, gains, run_policy
 from r2xsim.scenarios import (
     build_mcs_corridor,
     bundled_scenario_path,
@@ -23,17 +22,12 @@ DELAYS = (3, 10, 30)
 N_SEEDS = 5
 
 
-def run(scn, method, seed, trace, setup):
-    gain_map, cells, cfg, table = setup
+def run(scn, method, seed, link, cfg):
     return run_policy(
-        trace,
+        link,
         mcs_policy_from_method(method),
-        table,
         scn.params["payload_bytes"],
-        bler_target=float(scn.params.get("bler_target", 0.1)),
         seed=seed,
-        cells=cells,
-        gain_map=gain_map,
         max_retx=cfg.max_retx,
     )
 
@@ -41,23 +35,24 @@ def run(scn, method, seed, trace, setup):
 def main():
     n_seeds = int(sys.argv[1]) if len(sys.argv) > 1 else N_SEEDS
     scn = load_scenario(bundled_scenario_path("mcs-ar1"))
-    setup = build_mcs_corridor(scn)
-    gain_map, cells, cfg, _ = setup
+    gain_map, cells, cfg, table = build_mcs_corridor(scn)
+    target = float(scn.params.get("bler_target", 0.1))
     seeds = scn.seeds[:n_seeds]
     print(f"{scn.id}: {len(cells)} steps, rho={scn.params['shadowing_rho']}, "
           f"sigma={scn.params['shadowing_sigma_db']} dB, {len(seeds)} seeds")
     print()
-    traces = {seed: sample_trace(gain_map, cells, cfg, seed) for seed in seeds}
+    # One link table per seed, shared by every policy replayed on it.
+    links = {seed: LinkTable.sample(gain_map, cells, cfg, table, seed, target) for seed in seeds}
 
     oracle_tp = np.mean(
-        [run(scn, "oracle", s, traces[s], setup).mean_throughput_bps for s in seeds]
+        [run(scn, "oracle", s, links[s], cfg).mean_throughput_bps for s in seeds]
     )
     print(f"{'policy':<16} {'tput Mb/s':>10} {'mass(BLER<=0.1)':>16} {'vs delayed':>11}")
     print(f"{'oracle':<16} {oracle_tp / 1e6:>10.3f} {'':>16} {'':>11}")
     for d in DELAYS:
         rows = {}
         for kind in ("delayed", "predictive"):
-            series = [run(scn, f"{kind}_{d}", s, traces[s], setup) for s in seeds]
+            series = [run(scn, f"{kind}_{d}", s, links[s], cfg) for s in seeds]
             rows[kind] = series
         tp_d = np.mean([s.mean_throughput_bps for s in rows["delayed"]])
         tp_p = np.mean([s.mean_throughput_bps for s in rows["predictive"]])

@@ -2,7 +2,7 @@
 prioritized grid planning, link adaptation under delayed feedback, semantic
 sensing payloads, and intent-driven configuration."""
 
-from .linkadapt import PolicySpec, gains, run_policy
+from .linkadapt import LinkTable, PolicySpec, gains, run_policy
 from .metrics import KpiRecord, completion_time, run_summary, tail_stats, utfr
 from .orchestrator import (
     ExternalIntentEngine,
@@ -43,6 +43,7 @@ __all__ = [
     "HumanTrack",
     "KpiRecord",
     "LinkState",
+    "LinkTable",
     "LoopBudget",
     "McsTable",
     "OrchestratorConfig",

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands:
-  run       execute a scenario's (method, seed) grid, writing results.jsonl
-            (one run per line, ordered by method then seed) and summary.csv
+  run       execute a scenario's (method, seed) grid seed by seed, writing
+            results.jsonl (one run per line, ordered by method then seed)
+            and summary.csv
   compare   rank methods by the median of a metric across result directories
   validate  check a scenario file against the schema and build it
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .metrics import run_summary
-from .scenarios import ScenarioError, load_scenario, run_one
+from .scenarios import Scenario, ScenarioError, load_scenario, run_one
 
 RESULTS_NAME = "results.jsonl"
 SUMMARY_NAME = "summary.csv"
@@ -42,10 +44,15 @@ def _parse_seed_list(text: str, source: str) -> List[int]:
     return seeds
 
 
-def _run_job(args: Tuple[str, str, int]) -> dict:
-    path, method, seed = args
-    scn = load_scenario(path)
-    return run_one(scn, method, seed)
+def _run_seed(scn: Scenario, seed: int) -> List[dict]:
+    """Every method of ``scn`` on one seed, so that the methods share what
+    the seed alone determines."""
+    return [run_one(scn, method, seed) for method in sorted(scn.methods)]
+
+
+def _run_job(args: Tuple[str, Tuple[str, ...], int]) -> List[dict]:
+    path, methods, seed = args
+    return _run_seed(load_scenario(path).with_overrides(methods=methods), seed)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -60,23 +67,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     methods = args.methods.split(",") if args.methods is not None else None
     scn = scn.with_overrides(seeds=seeds, methods=methods)
 
-    jobs = [
-        (str(scn.path), method, seed)
-        for method, seed in sorted(
-            (m, s) for m in scn.methods for s in scn.seeds
-        )
-    ]
     try:
         if args.parallel > 1:
+            jobs = [(str(scn.path), scn.methods, seed) for seed in scn.seeds]
             with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-                records = list(pool.map(_run_job, jobs, chunksize=1))
+                batches = list(pool.map(_run_job, jobs, chunksize=1))
         else:
-            records = [run_one(scn, method, seed) for _, method, seed in jobs]
+            batches = [_run_seed(scn, seed) for seed in scn.seeds]
     except ScenarioError:
         raise
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    records = sorted(
+        (rec for batch in batches for rec in batch), key=lambda rec: (rec["method"], rec["seed"])
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -184,8 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -9,17 +9,24 @@ much an estimate's staleness costs.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .radio import LinkState, McsTable, PathGainMap, bler, select_mcs, simulate_transmission
+from .radio import McsEntry, McsTable, PathGainMap, RadioConfig, bler, sample_trace, serialization_time_s
 from .world import Cell
 
 POLICY_KINDS = ("oracle", "ideal", "delayed", "predictive")
 
 _MAP_AWARE_MIN_SAMPLES = 8
+
+# HARQ draws turned into Python floats at a time.
+_DRAW_BLOCK = 4096
+
+_SIGN_BIT = 1 << 63
+_MAGNITUDE_BITS = _SIGN_BIT - 1
 
 
 @dataclass(frozen=True)
@@ -110,77 +117,189 @@ class PolicyTimeSeries:
         return float(np.mean(self.bler_realized <= level))
 
 
+class LinkTable:
+    """Every seed-dependent quantity of one link trace, computed once and read
+    by every policy replayed over it.
+
+    ``true_snr`` is the SNR each step is sent on; ``map_snr`` (needed by
+    predictive policies only) is what the average-gain map predicts for
+    that step. Built here, once:
+
+    - ``bler[t, e]``: ``radio.bler`` of entry ``e`` at ``true_snr[t]``, each
+      value from the scalar ``math`` formula;
+    - ``best[t]``: what ``select_mcs`` picks at ``true_snr[t]``;
+    - ``cutoff[e]``: the least float ``x`` with ``bler(e, x) <= bler_target``
+      (NaN when no float qualifies). ``bler`` is nonincreasing in the SNR,
+      so ``bler(e, x) <= bler_target`` exactly when ``x >= cutoff[e]``.
+    """
+
+    def __init__(
+        self,
+        true_snr: Sequence[float],
+        table: McsTable,
+        bler_target: float = 0.1,
+        map_snr: Optional[Sequence[float]] = None,
+    ):
+        if not 0.0 < bler_target < 1.0:
+            raise ValueError("bler_target must be in (0, 1)")
+        self.true_snr = [float(x) for x in true_snr]
+        n = len(self.true_snr)
+        if n == 0:
+            raise ValueError("empty trace")
+        if not all(math.isfinite(x) for x in self.true_snr):
+            raise ValueError("true SNRs must be finite")
+        self.map_snr = None
+        if map_snr is not None:
+            self.map_snr = [float(x) for x in map_snr]
+            if len(self.map_snr) != n:
+                raise ValueError(f"{len(self.map_snr)} map SNRs for a {n}-step trace")
+            if not all(math.isfinite(x) for x in self.map_snr):
+                raise ValueError("map SNRs must be finite")
+        self.table = table
+        self.bler_target = bler_target
+        self.bler = np.empty((n, len(table.entries)))
+        for entry in table.entries:
+            self.bler[:, entry.index] = [bler(entry, x) for x in self.true_snr]
+        self.best = _highest_true(self.bler <= bler_target)
+        self.cutoff = np.array([_cutoff(entry, bler_target) for entry in table.entries])
+
+    @classmethod
+    def sample(
+        cls,
+        gain_map: PathGainMap,
+        cells: Sequence[Cell],
+        cfg: RadioConfig,
+        table: McsTable,
+        seed: int,
+        bler_target: float = 0.1,
+    ) -> "LinkTable":
+        """The table of ``sample_trace(gain_map, cells, cfg, seed)``."""
+        trace = sample_trace(gain_map, cells, cfg, seed)
+        gain = {cell: gain_map.gain_at(cell) for cell in set(cells)}
+        return cls(
+            [ls.snr_db for ls in trace],
+            table,
+            bler_target,
+            [ls.tx_power_dbm + gain[cell] - ls.noise_dbm for ls, cell in zip(trace, cells)],
+        )
+
+    def __len__(self) -> int:
+        return len(self.true_snr)
+
+    def select(self, estimates: Sequence[float]) -> np.ndarray:
+        """``select_mcs`` index for each SNR estimate, by the cut-offs."""
+        return _highest_true(np.asarray(estimates, dtype=float)[:, np.newaxis] >= self.cutoff)
+
+    def predict(self, delay: int) -> List[float]:
+        """``MapAwarePredictor`` estimates for every step from feedback
+        ``delay`` steps old: step ``t`` has seen the residuals up to
+        ``t - delay``."""
+        if self.map_snr is None:
+            raise ValueError("predictive policy needs the map SNR of every step")
+        model = MapAwarePredictor()
+        estimates = self.map_snr[:delay]
+        for t in range(delay, len(self)):
+            model.observe(self.true_snr[t - delay] - self.map_snr[t - delay])
+            estimates.append(model.predict(self.map_snr[t], delay))
+        return estimates
+
+
+def _highest_true(ok: np.ndarray) -> np.ndarray:
+    """Per row, the highest column index that is True, or 0 if none is."""
+    last = ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)
+    return np.where(ok.any(axis=1), last, 0)
+
+
+def _float_key(x: float) -> int:
+    """An integer that orders like ``x`` among non-NaN floats: consecutive
+    floats get consecutive integers, and both zeros get 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & _MAGNITUDE_BITS)
+
+
+def _key_float(key: int) -> float:
+    bits = key if key >= 0 else -key | _SIGN_BIT
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _cutoff(entry: McsEntry, target: float) -> float:
+    """Bisection over every float for the least ``x`` with
+    ``bler(entry, x) <= target``; NaN when there is none."""
+    if bler(entry, -math.inf) <= target:
+        return -math.inf
+    if not bler(entry, math.inf) <= target:
+        return math.nan
+    lo, hi = _float_key(-math.inf), _float_key(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bler(entry, _key_float(mid)) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return _key_float(hi)
+
+
 def run_policy(
-    trace: Sequence[LinkState],
+    link: LinkTable,
     spec: PolicySpec,
-    table: McsTable,
     payload_bytes_per_step: int,
-    bler_target: float = 0.1,
     *,
     seed: int = 0,
-    cells: Optional[Sequence[Cell]] = None,
-    gain_map: Optional[PathGainMap] = None,
     max_retx: int = 4,
 ) -> PolicyTimeSeries:
-    """Walk ``trace`` under ``spec``; realized outcomes always come from the
+    """Replay ``link`` under ``spec``; realized outcomes always come from the
     true SNR regardless of what the policy believed.
 
-    ``cells`` and ``gain_map`` are required for predictive policies (the
-    predictor needs the route and the average-gain field). The same ``seed``
-    across policies shares no randomness between steps beyond the
-    per-attempt failure draws, so traces are comparable policy-to-policy.
+    Per step this equals ``select_mcs`` on the policy's estimate followed by
+    ``simulate_transmission`` at the true SNR, with every HARQ attempt
+    drawing, in step order, from one ``default_rng(seed)``: the same
+    ``seed`` across policies gives each the same stream of draws.
     """
-    n = len(trace)
-    if n == 0:
-        raise ValueError("empty trace")
+    n = len(link)
     if spec.kind in ("delayed", "predictive") and spec.delay >= n:
         raise ValueError(f"trace length {n} must exceed policy delay {spec.delay}")
-    true_snr = np.array([ls.snr_db for ls in trace], dtype=float)
-
-    if spec.kind == "predictive":
-        if cells is None or gain_map is None:
-            raise ValueError("predictive policy needs cells and gain_map")
-        if len(cells) != n:
-            raise ValueError("cells must align with trace")
-        map_snr = np.array(
-            [trace[t].tx_power_dbm + gain_map.gain_at(cells[t]) - trace[t].noise_dbm for t in range(n)],
-            dtype=float,
-        )
-        residuals = true_snr - map_snr
-        model = MapAwarePredictor()
-        observed_up_to = -1
-
-    rng = np.random.default_rng(seed)
-    mcs = np.zeros(n, dtype=int)
+    if payload_bytes_per_step < 0 or max_retx < 0:
+        raise ValueError("payload_bytes and max_retx must be nonnegative")
+    if spec.kind in ("oracle", "ideal"):
+        mcs = link.best
+    elif spec.kind == "delayed":
+        mcs = link.best[np.maximum(np.arange(n) - spec.delay, 0)]
+    else:
+        mcs = link.select(link.predict(spec.delay))
+    blr = link.bler[np.arange(n), mcs]
+    attempts, succ = _harq(np.random.default_rng(seed), blr.tolist(), max_retx)
+    table = link.table
+    per_attempt = np.array(
+        [serialization_time_s(payload_bytes_per_step, e, table) + table.slot_s for e in table.entries]
+    )
+    lat = attempts * per_attempt[mcs]
     tput = np.zeros(n)
-    lat = np.zeros(n)
-    blr = np.zeros(n)
-    succ = np.zeros(n, dtype=bool)
+    np.divide(payload_bytes_per_step * 8.0, lat, out=tput, where=succ & (lat > 0))
+    return PolicyTimeSeries(spec, mcs.astype(int), tput, lat, blr, succ, np.zeros(n, dtype=bool))
 
-    for t in range(n):
-        if spec.kind in ("oracle", "ideal"):
-            estimate = true_snr[t]
-        elif spec.kind == "delayed":
-            estimate = true_snr[max(0, t - spec.delay)]
-        else:
-            feedback_at = t - spec.delay
-            while observed_up_to < feedback_at:
-                observed_up_to += 1
-                model.observe(float(residuals[observed_up_to]))
-            estimate = model.predict(float(map_snr[t]), spec.delay)
 
-        sel = select_mcs(table, float(estimate), bler_target)
-        entry = table.entries[sel.index]
-        result = simulate_transmission(
-            payload_bytes_per_step, entry, [float(true_snr[t])], table, rng, max_retx
-        )
-        mcs[t] = entry.index
-        lat[t] = result.latency_s
-        succ[t] = result.success
-        blr[t] = bler(entry, float(true_snr[t]))
-        if result.success and result.latency_s > 0:
-            tput[t] = payload_bytes_per_step * 8.0 / result.latency_s
-    return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ, np.zeros(n, dtype=bool))
+def _harq(rng: np.random.Generator, p_fail: List[float], max_retx: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Attempts and success per step: attempt ``i`` of step ``t`` fails when
+    its draw is below ``p_fail[t]``, and a step stops at its first success or
+    after ``max_retx + 1`` attempts. Draws are taken in blocks; they equal
+    the scalar ``rng.random()`` draws of ``simulate_transmission``."""
+    attempts = [0] * len(p_fail)
+    success = [False] * len(p_fail)
+    draws: List[float] = []
+    pos = 0
+    for t, p in enumerate(p_fail):
+        a = 0
+        while a <= max_retx:
+            if pos == len(draws):
+                draws = rng.random(_DRAW_BLOCK).tolist()
+                pos = 0
+            a += 1
+            pos += 1
+            if draws[pos - 1] >= p:
+                success[t] = True
+                break
+        attempts[t] = a
+    return np.array(attempts), np.array(success, dtype=bool)
 
 
 def gains(proposed: PolicyTimeSeries, baseline: PolicyTimeSeries) -> Tuple[float, float]:

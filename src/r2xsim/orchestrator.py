@@ -239,6 +239,12 @@ def fallback_message(robot_ids: Sequence[int] = (1, 2)) -> dict:
     }
 
 
+# A priority robot id has at most this many digits, so that int() never meets
+# a string past its digit limit.
+_MAX_ID_DIGITS = 18
+_PRIORITY_ROBOT_RE = re.compile(rf"robot_(\d{{1,{_MAX_ID_DIGITS}}})")
+
+
 def validate(
     message: dict, robot_ids: Optional[Sequence[int]] = None
 ) -> Tuple[Optional[OrchestratorConfig], List[str]]:
@@ -261,10 +267,13 @@ def validate(
     if pp is not None:
         objective = ck.one_of(pp.get("objective"), "pp_config.objective", OBJECTIVES)
         raw = pp.get("priority_robot", "none")
-        m = re.fullmatch(r"robot_(\d+)", raw) if isinstance(raw, str) else None
+        m = _PRIORITY_ROBOT_RE.fullmatch(raw) if isinstance(raw, str) else None
         priority = int(m.group(1)) if m else None
         if m is None and raw != "none":
-            ck.fail("pp_config.priority_robot", f"{raw!r} must be 'none' or 'robot_<id>'")
+            ck.fail(
+                "pp_config.priority_robot",
+                f"{raw!r} must be 'none' or 'robot_<id>' with at most {_MAX_ID_DIGITS} digits",
+            )
         elif m and robot_ids is not None and priority not in robot_ids:
             ck.fail("pp_config.priority_robot", f"robot_{priority} not among robots {sorted(robot_ids)}")
         gap = ck.integer(pp, "pp_config", "min_time_gap_at_conflict", lo=0)
@@ -278,7 +287,7 @@ def validate(
         else:
             if any(w < 0 for w in weights):
                 ck.fail("ra_config.priority_weights", "weights must be nonnegative")
-            total = sum(weights)
+            total = sum(float(w) for w in weights)  # inf, not OverflowError, past the float range
             if abs(total - 1.0) > _WEIGHT_SUM_TOL:
                 ck.fail("ra_config.priority_weights", f"sum {total:g} != 1 (tolerance {_WEIGHT_SUM_TOL})")
             if robot_ids is not None and len(weights) != len(robot_ids):
@@ -510,7 +519,10 @@ def correct_loop(
             last_errors = [f"engine: response exceeded {timeout_s} s budget"]
             history.append(last_errors)
             continue
-        cfg, errors = validate(message, robot_ids)
+        try:
+            cfg, errors = validate(message, robot_ids)
+        except Exception as exc:  # a message the schema did not foresee is a failed attempt too
+            cfg, errors = None, [f"message: {type(exc).__name__}: {exc}"]
         if cfg is not None:
             return IntentResolution(cfg, attempt, False, history)
         last_errors = errors

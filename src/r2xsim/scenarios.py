@@ -21,13 +21,13 @@ import dataclasses
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linkadapt import PolicySpec, run_policy
+from .linkadapt import LinkTable, PolicySpec, run_policy
 from .metrics import tail_stats, utfr
 from .orchestrator import (
     WAREHOUSE_METHODS,
@@ -39,7 +39,7 @@ from .orchestrator import (
     correct_loop,
     select_sense_mode,
 )
-from .radio import McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table, sample_trace
+from .radio import McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table
 from .sensing import SenseConfig
 from .world import GridWorld, HumanTrack, RobotState
 
@@ -87,6 +87,9 @@ class Scenario:
     methods: Tuple[str, ...]
     params: dict
     path: Optional[Path] = None
+    # (seed, LinkTable, RadioConfig) of the last mcs seed run; a copy made
+    # by with_overrides starts empty.
+    _mcs_link: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def with_overrides(
         self,
@@ -603,29 +606,30 @@ def build_mcs_corridor(scn: Scenario) -> Tuple[PathGainMap, List[Tuple[int, int]
     return gain_map, cells, cfg, table
 
 
+def _mcs_link(scn: Scenario, seed: int) -> Tuple[LinkTable, RadioConfig]:
+    """The seed's link table and radio configuration, built on the first
+    call for that seed and kept on ``scn`` until another seed is asked for."""
+    if scn._mcs_link is None or scn._mcs_link[0] != seed:
+        gain_map, cells, cfg, table = build_mcs_corridor(scn)
+        target = float(scn.params.get("bler_target", 0.1))
+        scn._mcs_link = (seed, LinkTable.sample(gain_map, cells, cfg, table, seed, target), cfg)
+    return scn._mcs_link[1], scn._mcs_link[2]
+
+
 def run_mcs(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
-    sec = scn.params
-    gain_map, cells, cfg, table = build_mcs_corridor(scn)
-    trace = sample_trace(gain_map, cells, cfg, seed)
-    spec = mcs_policy_from_method(method)
+    link, cfg = _mcs_link(scn, seed)
     series = run_policy(
-        trace,
-        spec,
-        table,
-        sec["payload_bytes"],
-        bler_target=float(sec.get("bler_target", 0.1)),
+        link,
+        mcs_policy_from_method(method),
+        scn.params["payload_bytes"],
         seed=seed,
-        cells=cells,
-        gain_map=gain_map,
         max_retx=cfg.max_retx,
     )
     return {
         "throughput_mean_bps": series.mean_throughput_bps,
         "latency_mean_s": series.mean_latency_s,
         "success_rate": float(np.mean(series.success)),
-        "bler_mass_le_target": series.bler_mass_at_or_below(
-            float(sec.get("bler_target", 0.1))
-        ),
+        "bler_mass_le_target": series.bler_mass_at_or_below(link.bler_target),
     }
 
 

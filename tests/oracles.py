@@ -1,4 +1,5 @@
-"""Independent reference implementations used to cross-check the planner.
+"""Independent reference implementations used to cross-check the planner
+and the link-adaptation kernel.
 
 The joint-makespan oracle answers: for two robots on a small grid with
 static humans, what is the best makespan achievable when one robot is
@@ -11,6 +12,11 @@ with the production planner.
 """
 
 from collections import deque
+
+import numpy as np
+
+from r2xsim.linkadapt import MapAwarePredictor, PolicyTimeSeries
+from r2xsim.radio import bler, select_mcs, simulate_transmission
 
 
 def bfs_dist_field(world, goal, banned):
@@ -127,3 +133,55 @@ def random_planner_instance(rng, width=5, height=5, max_humans=2):
     goals = [chosen[2], chosen[3]]
     humans = chosen[4:]
     return starts, goals, humans
+
+
+def reference_run_policy(
+    trace, spec, table, payload_bytes_per_step, bler_target=0.1, *,
+    seed=0, cells=None, gain_map=None, max_retx=4,
+):
+    """Walk a ``LinkState`` trace one step at a time: ``select_mcs`` on the
+    policy's estimate, then ``simulate_transmission`` at the true SNR, all
+    attempts drawing scalars from one ``default_rng(seed)``. This is the
+    per-step loop ``linkadapt.run_policy`` replaced with per-seed tables."""
+    n = len(trace)
+    true_snr = np.array([ls.snr_db for ls in trace], dtype=float)
+    if spec.kind == "predictive":
+        map_snr = np.array(
+            [trace[t].tx_power_dbm + gain_map.gain_at(cells[t]) - trace[t].noise_dbm for t in range(n)],
+            dtype=float,
+        )
+        residuals = true_snr - map_snr
+        model = MapAwarePredictor()
+        observed_up_to = -1
+
+    rng = np.random.default_rng(seed)
+    mcs = np.zeros(n, dtype=int)
+    tput = np.zeros(n)
+    lat = np.zeros(n)
+    blr = np.zeros(n)
+    succ = np.zeros(n, dtype=bool)
+
+    for t in range(n):
+        if spec.kind in ("oracle", "ideal"):
+            estimate = true_snr[t]
+        elif spec.kind == "delayed":
+            estimate = true_snr[max(0, t - spec.delay)]
+        else:
+            feedback_at = t - spec.delay
+            while observed_up_to < feedback_at:
+                observed_up_to += 1
+                model.observe(float(residuals[observed_up_to]))
+            estimate = model.predict(float(map_snr[t]), spec.delay)
+
+        sel = select_mcs(table, float(estimate), bler_target)
+        entry = table.entries[sel.index]
+        result = simulate_transmission(
+            payload_bytes_per_step, entry, [float(true_snr[t])], table, rng, max_retx
+        )
+        mcs[t] = entry.index
+        lat[t] = result.latency_s
+        succ[t] = result.success
+        blr[t] = bler(entry, float(true_snr[t]))
+        if result.success and result.latency_s > 0:
+            tput[t] = payload_bytes_per_step * 8.0 / result.latency_s
+    return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ, np.zeros(n, dtype=bool))

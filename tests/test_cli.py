@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from r2xsim import cli
 from r2xsim.cli import main
-from test_scenarios import tiny_followme, tiny_warehouse
+from r2xsim.scenarios import parse_scenario, run_one
+from test_scenarios import tiny_followme, tiny_mcs, tiny_warehouse
 
 
 @pytest.fixture(autouse=True)
@@ -158,6 +160,58 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("run failed:") and "exceeded" in err
+
+
+class TestSeedBySeed:
+    @pytest.fixture
+    def mcs_file(self, tmp_path):
+        doc = tiny_mcs()
+        doc["seeds"] = [3, 0, 1]
+        path = tmp_path / "mcs.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_records_in_method_seed_order(self, mcs_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(mcs_file), "--out", str(out)]) == 0
+        scn = parse_scenario(tiny_mcs())
+        expected = [run_one(parse_scenario(tiny_mcs()), m, s)
+                    for m in sorted(scn.methods) for s in (0, 1, 3)]
+        assert read_results(out) == expected
+
+    def test_calls_run_one_once_per_pair_seed_by_seed(self, mcs_file, tmp_path, monkeypatch):
+        calls = []
+        real = cli.run_one
+        monkeypatch.setattr(cli, "run_one", lambda scn, m, s: calls.append((m, s)) or real(scn, m, s))
+        assert main(["run", str(mcs_file), "--out", str(tmp_path / "o"), "--methods", "ideal,oracle"]) == 0
+        assert calls == [(m, s) for s in (3, 0, 1) for m in ("ideal", "oracle")]
+
+    def test_parallel_matches_serial(self, mcs_file, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", str(mcs_file), "--out", str(a)]) == 0
+        assert main(["run", str(mcs_file), "--out", str(b), "--parallel", "2",
+                     "--methods", "predictive_2,oracle,ideal,delayed_2"]) == 0
+        for name in ("results.jsonl", "summary.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestParser:
+    def test_built_once_across_calls(self, tmp_path, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["run"])  # no scenario, no --out
+            assert exc.value.code == 2
+            assert main(["validate", str(tmp_path / "absent.json")]) == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["frobnicate"])
+            assert exc.value.code == 2
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
 
 
 def write_records(dirpath, records):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reference_run_policy
 from r2xsim.linkadapt import (
+    LinkTable,
     MapAwarePredictor,
     PolicySpec,
     PolicyTimeSeries,
@@ -13,11 +15,20 @@ from r2xsim.linkadapt import (
     run_policy,
 )
 from r2xsim.radio import (
-    LinkState,
     McsEntry,
     McsTable,
     PathGainMap,
+    RadioConfig,
+    bler,
     default_mcs_table,
+    sample_trace,
+    select_mcs,
+)
+from r2xsim.scenarios import (
+    build_mcs_corridor,
+    bundled_scenario_path,
+    load_scenario,
+    mcs_policy_from_method,
 )
 
 # Two-rung step table: rung 0 always decodes, rung 1 needs snr > 4 dB.
@@ -29,10 +40,6 @@ STEP_TABLE = McsTable(
     bandwidth_hz=1e6,
     slot_s=1e-3,
 )
-
-
-def trace_from_snrs(snrs, power=23.0, noise=-100.0):
-    return [LinkState.from_gain(s - power + noise, power, noise) for s in snrs]
 
 
 class TestPolicySpec:
@@ -93,21 +100,23 @@ class TestMapAwarePredictor:
         assert near > far  # positive last residual still helps at short delay
 
 
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestRunPolicy:
     def test_rising_edge_delayed_selection_lags(self):
-        snrs = [0.0] * 5 + [10.0] * 25
-        trace = trace_from_snrs(snrs)
-        ideal = run_policy(trace, PolicySpec("ideal"), STEP_TABLE, 1000, seed=0)
+        link = LinkTable([0.0] * 5 + [10.0] * 25, STEP_TABLE)
+        ideal = run_policy(link, PolicySpec("ideal"), 1000, seed=0)
         assert list(ideal.mcs_index) == [0] * 5 + [1] * 25
         assert ideal.success.all()
-        delayed = run_policy(trace, PolicySpec("delayed", delay=3), STEP_TABLE, 1000, seed=0)
+        delayed = run_policy(link, PolicySpec("delayed", delay=3), 1000, seed=0)
         assert list(delayed.mcs_index) == [0] * 8 + [1] * 22
         assert delayed.success.all()
 
     def test_falling_edge_delayed_overshoots_and_fails(self):
-        snrs = [10.0] * 5 + [-10.0] * 10
-        trace = trace_from_snrs(snrs)
-        delayed = run_policy(trace, PolicySpec("delayed", delay=3), STEP_TABLE, 1000, seed=0)
+        link = LinkTable([10.0] * 5 + [-10.0] * 10, STEP_TABLE)
+        delayed = run_policy(link, PolicySpec("delayed", delay=3), 1000, seed=0)
         # steps 5..7 still trust the stale high SNR, pick rung 1, and fail
         assert list(delayed.success) == [True] * 5 + [False] * 3 + [True] * 7
         per = 1000 * 8 / (2.0 * 1e6) + 1e-3
@@ -117,18 +126,15 @@ class TestRunPolicy:
             assert delayed.bler_realized[t] == 1.0
 
     def test_max_retx_zero_single_attempt(self):
-        snrs = [10.0] * 5 + [-10.0] * 5
-        trace = trace_from_snrs(snrs)
-        out = run_policy(
-            trace, PolicySpec("delayed", delay=3), STEP_TABLE, 1000, seed=0, max_retx=0
-        )
+        link = LinkTable([10.0] * 5 + [-10.0] * 5, STEP_TABLE)
+        out = run_policy(link, PolicySpec("delayed", delay=3), 1000, seed=0, max_retx=0)
         per = 1000 * 8 / (2.0 * 1e6) + 1e-3
         assert out.latency_s[5] == pytest.approx(per)
 
     def test_throughput_identity(self):
-        rng_snrs = np.random.default_rng(2).uniform(-5, 25, size=60)
-        trace = trace_from_snrs(list(rng_snrs))
-        out = run_policy(trace, PolicySpec("delayed", delay=2), default_mcs_table(), 1500, seed=5)
+        snrs = np.random.default_rng(2).uniform(-5, 25, size=60)
+        link = LinkTable(snrs, default_mcs_table())
+        out = run_policy(link, PolicySpec("delayed", delay=2), 1500, seed=5)
         for t in range(len(out)):
             if out.success[t]:
                 assert out.throughput_bps[t] == pytest.approx(1500 * 8 / out.latency_s[t])
@@ -136,39 +142,189 @@ class TestRunPolicy:
                 assert out.throughput_bps[t] == 0.0
 
     def test_delay_must_be_shorter_than_trace(self):
-        trace = trace_from_snrs([10.0] * 5)
+        link = LinkTable([10.0] * 5, STEP_TABLE)
         with pytest.raises(ValueError):
-            run_policy(trace, PolicySpec("delayed", delay=5), STEP_TABLE, 100)
+            run_policy(link, PolicySpec("delayed", delay=5), 100)
         with pytest.raises(ValueError):
-            run_policy([], PolicySpec("ideal"), STEP_TABLE, 100)
+            LinkTable([], STEP_TABLE)
+
+    def test_negative_payload_or_retx_rejected(self):
+        link = LinkTable([10.0] * 5, STEP_TABLE)
+        with pytest.raises(ValueError):
+            run_policy(link, PolicySpec("ideal"), -1)
+        with pytest.raises(ValueError):
+            run_policy(link, PolicySpec("ideal"), 100, max_retx=-1)
 
     def test_map_aware_requires_route_context(self):
-        trace = trace_from_snrs([10.0] * 6)
         spec = PolicySpec("predictive", delay=2)
         with pytest.raises(ValueError):
-            run_policy(trace, spec, STEP_TABLE, 100)
-        gm = PathGainMap(np.full((1, 3), -113.0))
+            run_policy(LinkTable([10.0] * 6, STEP_TABLE), spec, 100)
         with pytest.raises(ValueError):
-            run_policy(trace, spec, STEP_TABLE, 100, cells=[(0, 0)] * 5, gain_map=gm)
+            LinkTable([10.0] * 6, STEP_TABLE, map_snr=[10.0] * 5)
 
     def test_map_aware_with_clean_map_matches_ideal(self):
         # no shadowing: residuals are zero, prediction equals the map SNR
         gm = PathGainMap(np.array([[-113.0, -108.0, -103.0, -113.0, -108.0, -103.0]]))
         cells = [(x, 0) for x in range(6)] * 4
-        snrs = [23.0 + gm.gain_at(c) + 100.0 for c in cells]
-        trace = trace_from_snrs(snrs)
-        spec = PolicySpec("predictive", delay=3)
-        pred = run_policy(trace, spec, STEP_TABLE, 800, seed=1, cells=cells, gain_map=gm)
-        ideal = run_policy(trace, PolicySpec("ideal"), STEP_TABLE, 800, seed=1)
+        link = LinkTable.sample(gm, cells, RadioConfig(), STEP_TABLE, seed=1)
+        assert link.map_snr == link.true_snr
+        pred = run_policy(link, PolicySpec("predictive", delay=3), 800, seed=1)
+        ideal = run_policy(link, PolicySpec("ideal"), 800, seed=1)
         assert list(pred.mcs_index) == list(ideal.mcs_index)
 
     def test_seed_determinism(self):
-        trace = trace_from_snrs(list(np.random.default_rng(0).uniform(0, 15, size=40)))
+        link = LinkTable(np.random.default_rng(0).uniform(0, 15, size=40), default_mcs_table())
         spec = PolicySpec("delayed", delay=4)
-        a = run_policy(trace, spec, default_mcs_table(), 1500, seed=3)
-        b = run_policy(trace, spec, default_mcs_table(), 1500, seed=3)
+        a = run_policy(link, spec, 1500, seed=3)
+        b = run_policy(link, spec, 1500, seed=3)
         assert np.array_equal(a.success, b.success)
         assert np.array_equal(a.latency_s, b.latency_s)
+
+
+class TestLinkTable:
+    def test_tables_match_scalar_functions(self):
+        table = default_mcs_table()
+        snrs = list(np.random.default_rng(4).uniform(-10, 30, size=200)) + [-2.0, 22.0]
+        link = LinkTable(snrs, table, 0.1)
+        for t, x in enumerate(snrs):
+            assert link.best[t] == select_mcs(table, x, 0.1).index
+            for e in table.entries:
+                assert link.bler[t, e.index] == bler(e, x)
+
+    def test_sample_reads_one_trace(self):
+        scn = load_scenario(bundled_scenario_path("mcs-ar1"))
+        gain_map, cells, cfg, table = build_mcs_corridor(scn)
+        trace = sample_trace(gain_map, cells, cfg, 7)
+        link = LinkTable.sample(gain_map, cells, cfg, table, 7)
+        assert link.true_snr == [ls.snr_db for ls in trace]
+        assert link.map_snr == [
+            ls.tx_power_dbm + gain_map.gain_at(c) - ls.noise_dbm for ls, c in zip(trace, cells)
+        ]
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.1, math.nan])
+    def test_bler_target_range(self, target):
+        with pytest.raises(ValueError):
+            LinkTable([1.0], STEP_TABLE, target)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_snrs_must_be_finite(self, bad):
+        with pytest.raises(ValueError):
+            LinkTable([1.0, bad], STEP_TABLE)
+        with pytest.raises(ValueError):
+            LinkTable([1.0, 2.0], STEP_TABLE, map_snr=[1.0, bad])
+
+
+# Tables whose cut-offs are checked: the default waterfall, a step curve, and
+# slopes steep and shallow enough that the exp clamp and subnormal BLERs show.
+CUTOFF_TABLES = [
+    (default_mcs_table(), 0.1),
+    (default_mcs_table(), 0.5),
+    (default_mcs_table(), 1e-300),
+    (STEP_TABLE, 0.1),
+    (STEP_TABLE, 0.5),
+    (McsTable((McsEntry(0, 1.0, -3.7, 0.013), McsEntry(1, 2.0, 5.1, 250.0))), 0.3),
+]
+
+
+class TestCutoff:
+    @pytest.mark.parametrize("table,target", CUTOFF_TABLES)
+    def test_exact_near_each_cutoff(self, table, target):
+        link = LinkTable([0.0], table, target)
+        for e in table.entries:
+            cut = float(link.cutoff[e.index])
+            assert math.isfinite(cut)
+            below = above = cut
+            for _ in range(2**12):
+                below = math.nextafter(below, -math.inf)
+                above = math.nextafter(above, math.inf)
+                assert not bler(e, below) <= target
+                assert bler(e, above) <= target
+            assert bler(e, cut) <= target
+
+    @pytest.mark.parametrize("table,target", CUTOFF_TABLES)
+    def test_exact_on_random_points(self, table, target):
+        link = LinkTable([0.0], table, target)
+        xs = np.random.default_rng(11).uniform(-60, 60, size=10**5).tolist()
+        for e in table.entries:
+            cut = float(link.cutoff[e.index])
+            assert [bler(e, x) <= target for x in xs] == [x >= cut for x in xs]
+
+    def test_no_feasible_snr_is_nan(self):
+        # bler never falls below ~1e-304 (the exp clamp), so no SNR meets 1e-310
+        link = LinkTable([0.0, 1e6], default_mcs_table(), 1e-310)
+        assert np.isnan(link.cutoff).all()
+        assert list(link.select([0.0, 1e6, 1e300])) == [0, 0, 0]
+
+    def test_select_matches_select_mcs(self):
+        table = default_mcs_table()
+        link = LinkTable([0.0], table, 0.1)
+        xs = list(np.random.default_rng(5).uniform(-20, 40, size=2000))
+        assert list(link.select(xs)) == [select_mcs(table, x, 0.1).index for x in xs]
+
+
+SPECS = [
+    PolicySpec("oracle"),
+    PolicySpec("ideal"),
+    PolicySpec("delayed", 0),
+    PolicySpec("delayed", 1),
+    PolicySpec("delayed", 7),
+    PolicySpec("predictive", 0),
+    PolicySpec("predictive", 1),
+    PolicySpec("predictive", 9),
+]
+
+
+@pytest.fixture(scope="module")
+def bundled_corridor():
+    scn = load_scenario(bundled_scenario_path("mcs-ar1"))
+    return scn, build_mcs_corridor(scn)
+
+
+def assert_matches_reference(link, trace, spec, table, payload, target, seed, cells, gain_map, max_retx):
+    got = run_policy(link, spec, payload, seed=seed, max_retx=max_retx)
+    want = reference_run_policy(
+        trace, spec, table, payload, target,
+        seed=seed, cells=cells, gain_map=gain_map, max_retx=max_retx,
+    )
+    for name in ("mcs_index", "throughput_bps", "latency_s", "bler_realized", "success"):
+        assert bitwise_equal(getattr(got, name), getattr(want, name)), f"{spec} {name}"
+
+
+class TestKernelMatchesReference:
+    """``run_policy`` gives the per-step loop's arrays bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_bundled_method(self, bundled_corridor, seed):
+        scn, (gain_map, cells, cfg, table) = bundled_corridor
+        target = scn.params["bler_target"]
+        trace = sample_trace(gain_map, cells, cfg, seed)
+        link = LinkTable.sample(gain_map, cells, cfg, table, seed, target)
+        for method in scn.methods:
+            assert_matches_reference(
+                link, trace, mcs_policy_from_method(method), table, scn.params["payload_bytes"],
+                target, seed, cells, gain_map, cfg.max_retx,
+            )
+
+    @pytest.mark.parametrize("target", [0.1, 0.5])
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    def test_step_curve_table(self, target, sigma):
+        # With no shadowing the SNRs 0, 4 and 8 dB hit rung 1's threshold
+        # exactly, where the step curve's BLER is 0.5.
+        gm = PathGainMap(np.array([[-123.0, -119.0, -115.0, -119.0]]), 0.9, sigma)
+        cells = [(x % 4, 0) for x in range(300)]
+        cfg = RadioConfig()
+        trace = sample_trace(gm, cells, cfg, 3)
+        link = LinkTable.sample(gm, cells, cfg, STEP_TABLE, 3, target)
+        for spec in SPECS:
+            assert_matches_reference(link, trace, spec, STEP_TABLE, 700, target, 3, cells, gm, 4)
+
+    def test_max_retx_zero(self, bundled_corridor):
+        scn, (gain_map, cells, cfg, table) = bundled_corridor
+        cells = cells[:600]
+        trace = sample_trace(gain_map, cells, cfg, 4)
+        link = LinkTable.sample(gain_map, cells, cfg, table, 4)
+        for spec in SPECS:
+            assert_matches_reference(link, trace, spec, table, 1500, 0.1, 4, cells, gain_map, 0)
 
 
 class TestGains:

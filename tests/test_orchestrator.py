@@ -8,7 +8,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from r2xsim import orchestrator
 from r2xsim.orchestrator import (
     ExternalIntentEngine,
     IntentEngineError,
@@ -85,6 +88,31 @@ class TestSelectSenseMode:
             assert cfg.vit_grid == detail
 
 
+def json_messages():
+    """Any JSON value, with the schema's own keys and values drawn often
+    enough that deep fields are reached."""
+    keys = st.sampled_from(
+        ["pp_config", "ra_config", "sense_config", "objective", "priority_robot",
+         "min_time_gap_at_conflict", "fairness", "priority_weights", "mode", "jpeg_quality",
+         "vit_grid", "feature_dim", "feature_bits", "qos"]
+    ) | st.text(max_size=4)
+    leaves = (
+        st.none() | st.booleans() | st.floats()
+        | st.integers() | st.sampled_from([10**400, -(10**400), 1 << 1023, 0, 1, 2, 8, 60, 95])
+        | st.text(max_size=6)
+        | st.sampled_from(["none", "safety_first", "makespan", "max_min", "proportional",
+                           "vq", "jpeg", "raw", "semantic_feature", "1x1", "1x3", "2x", "x",
+                           "reliable", "best_effort", "robot_1", "robot_2", "robot_٣"])
+        | st.integers(min_value=0).map(lambda n: f"robot_{n}")
+        | st.integers(1, 6000).map(lambda n: "robot_" + "9" * n)
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=5),
+        max_leaves=20,
+    )
+
+
 VALID_MESSAGE = {
     "pp_config": {
         "objective": "safety_first",
@@ -144,6 +172,15 @@ class TestValidate:
                 lambda m: m["ra_config"].update(priority_weights=[10**400, 0]),
                 "priority_weights: must be a nonempty list of finite numbers",
             ),
+            (
+                lambda m: m["pp_config"].update(priority_robot="robot_" + "9" * 5000),
+                "must be 'none' or 'robot_<id>' with at most 18 digits",
+            ),
+            (
+                lambda m: m["pp_config"].update(priority_robot="robot_" + "1" * 19),
+                "at most 18 digits",
+            ),
+            (lambda m: m["ra_config"].update(priority_weights=[1 << 1023] * 3), "sum inf != 1"),
         ],
     )
     def test_error_catalogue(self, mutate, needle):
@@ -190,6 +227,22 @@ class TestValidate:
         msg["sense_config"] = {"mode": "vq", "vit_grid": "1x3"}
         cfg, errors = validate(msg, (1, 2))
         assert errors == [] and cfg.sense.vit_grid == (1, 3)
+
+    def test_longest_priority_id(self):
+        msg = json.loads(json.dumps(VALID_MESSAGE))
+        msg["pp_config"]["priority_robot"] = "robot_" + "9" * 18
+        cfg, errors = validate(msg, (1, 10**18 - 1))
+        assert errors == [] and cfg.pp.priority_robot == 10**18 - 1
+
+    @given(message=json_messages())
+    @settings(max_examples=250, deadline=None)
+    @example(message={"pp_config": {"priority_robot": "robot_" + "7" * 5000}})
+    @example(message={"ra_config": {"priority_weights": [1 << 1023, 1 << 1023]}})
+    def test_any_json_value_gives_errors_or_config(self, message):
+        for robot_ids in ((1, 2), None):
+            cfg, errors = validate(message, robot_ids)
+            assert (cfg is None) != (errors == [])
+            assert all(isinstance(e, str) for e in errors)
 
     def test_multiple_errors_accumulate(self):
         msg = {
@@ -360,6 +413,20 @@ class TestCorrectLoop:
         res = correct_loop(engine, "x", {"robot_ids": (1, 2)})
         assert res.attempts == 2 and not res.fallback
         assert res.error_history[0] == ["engine: boom"]
+
+    def test_validator_exceptions_are_attempts(self, monkeypatch):
+        odd = {"pp_config": "odd"}
+        real = orchestrator.validate
+
+        def explode(message, robot_ids):
+            if message is odd:
+                raise KeyError("unforeseen")
+            return real(message, robot_ids)
+
+        monkeypatch.setattr(orchestrator, "validate", explode)
+        res = correct_loop(RecordingEngine([odd] * 2), "x", {"robot_ids": (1, 2)}, max_attempts=2)
+        assert res.fallback and res.attempts == 2
+        assert res.error_history == [["message: KeyError: 'unforeseen'"]] * 2
 
     def test_all_exceptions_fall_back(self):
         engine = RecordingEngine([RuntimeError("a"), RuntimeError("b")])

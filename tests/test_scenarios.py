@@ -1,8 +1,10 @@
 """Scenario schema, builders, and the three per-kind runners."""
 
 import copy
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +159,17 @@ class TestBundledCorpus:
         assert bundled_scenario_path("warehouse-s1").name == "warehouse-s1.json"
         with pytest.raises(FileNotFoundError, match="available"):
             bundled_scenario_path("warehouse-s9")
+
+    def test_generator_reproduces_bundled_files(self, bundled_dir, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "make_scenarios", Path(__file__).resolve().parents[1] / "tools" / "make_scenarios.py"
+        )
+        make_scenarios = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_scenarios)
+        make_scenarios.main([str(tmp_path)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.json" for n in BUNDLED)
+        for name in BUNDLED:
+            assert (tmp_path / f"{name}.json").read_bytes() == (bundled_dir / f"{name}.json").read_bytes()
 
 
 class TestValidation:
@@ -613,6 +626,21 @@ class TestRunOne:
         oracle = run_one(scn, "oracle", 0)["metrics"]["throughput_mean_bps"]
         stale = run_one(scn, "delayed_2", 0)["metrics"]["throughput_mean_bps"]
         assert oracle >= stale
+
+    def test_mcs_link_table_kept_for_one_seed(self):
+        scn = parse_scenario(tiny_mcs())
+        fresh = {
+            (m, s): run_one(parse_scenario(tiny_mcs()), m, s) for m in scn.methods for s in scn.seeds
+        }
+        # Any order of calls on one Scenario gives the records of fresh ones.
+        for m, s in [("ideal", 0), ("predictive_2", 0), ("oracle", 1), ("ideal", 0), ("delayed_2", 1)]:
+            assert run_one(scn, m, s) == fresh[m, s]
+        first = scn._mcs_link[1]
+        run_one(scn, "oracle", 1)
+        assert scn._mcs_link[1] is first  # same seed: reused
+        run_one(scn, "oracle", 0)
+        assert scn._mcs_link[0] == 0 and scn._mcs_link[1] is not first
+        assert scn.with_overrides(seeds=[0])._mcs_link is None
 
     @pytest.mark.parametrize("method", ["jpeg_q80", "vq_1x1", "orchestrated"])
     def test_followme_record(self, method):

@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Regenerate the bundled scenario JSON files.
 
+    python tools/make_scenarios.py            # rewrite src/r2xsim/scenarios/
+    python tools/make_scenarios.py OUT_DIR    # write the six files elsewhere
+
 The constants here were tuned once so the method orderings hold with margin
 across seeds; rerunning the script reproduces byte-identical files.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
+from typing import Optional, Sequence
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "r2xsim" / "scenarios"
 
@@ -291,10 +296,14 @@ def followme_corridor():
     }
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    parser = argparse.ArgumentParser(description="Write the bundled scenario files.")
+    parser.add_argument("out_dir", nargs="?", type=Path, default=OUT,
+                        help=f"output directory (default: {OUT})")
+    out = parser.parse_args(argv).out_dir
+    out.mkdir(parents=True, exist_ok=True)
     for doc in (s1(), s2(), s3(), s4(), mcs_ar1(), followme_corridor()):
-        path = OUT / f"{doc['id']}.json"
+        path = out / f"{doc['id']}.json"
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print("wrote", path)
 
