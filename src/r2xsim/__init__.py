@@ -5,14 +5,12 @@ sensing payloads, and intent-driven configuration."""
 from .linkadapt import LinkTable, PolicySpec, gains, run_policy
 from .metrics import KpiRecord, completion_time, run_summary, tail_stats, utfr
 from .orchestrator import (
-    ExternalIntentEngine,
     LoopBudget,
     OrchestratorConfig,
     RuleIntentEngine,
     WarehouseSimulation,
     correct_loop,
     loop_feasible,
-    offload_gate,
     rule_intent,
     select_sense_mode,
     validate,
@@ -38,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Codebook",
     "Constraint",
-    "ExternalIntentEngine",
     "GridWorld",
     "HumanTrack",
     "KpiRecord",
@@ -69,7 +66,6 @@ __all__ = [
     "human_forecast",
     "load_scenario",
     "loop_feasible",
-    "offload_gate",
     "payload_bytes",
     "plan",
     "rule_intent",

@@ -23,7 +23,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .metrics import run_summary
 from .scenarios import Scenario, ScenarioError, load_scenario, run_one
@@ -50,11 +50,6 @@ def _run_seed(scn: Scenario, seed: int) -> List[dict]:
     return [run_one(scn, method, seed) for method in sorted(scn.methods)]
 
 
-def _run_job(args: Tuple[str, Tuple[str, ...], int]) -> List[dict]:
-    path, methods, seed = args
-    return _run_seed(load_scenario(path).with_overrides(methods=methods), seed)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = load_scenario(args.scenario)
     if args.parallel < 1:
@@ -69,9 +64,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         if args.parallel > 1:
-            jobs = [(str(scn.path), scn.methods, seed) for seed in scn.seeds]
             with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-                batches = list(pool.map(_run_job, jobs, chunksize=1))
+                batches = list(pool.map(functools.partial(_run_seed, scn), scn.seeds, chunksize=1))
         else:
             batches = [_run_seed(scn, seed) for seed in scn.seeds]
     except ScenarioError:

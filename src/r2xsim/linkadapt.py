@@ -89,10 +89,7 @@ class MapAwarePredictor:
 
 @dataclass
 class PolicyTimeSeries:
-    """Per-step outcomes of one policy over one trace.
-
-    No policy skips a slot; ``skipped`` is all False and stays a field so
-    that positional construction keeps its shape."""
+    """Per-step outcomes of one policy over one trace."""
 
     policy: PolicySpec
     mcs_index: np.ndarray
@@ -100,7 +97,6 @@ class PolicyTimeSeries:
     latency_s: np.ndarray
     bler_realized: np.ndarray
     success: np.ndarray
-    skipped: np.ndarray
 
     def __len__(self) -> int:
         return len(self.mcs_index)
@@ -275,7 +271,7 @@ def run_policy(
     lat = attempts * per_attempt[mcs]
     tput = np.zeros(n)
     np.divide(payload_bytes_per_step * 8.0, lat, out=tput, where=succ & (lat > 0))
-    return PolicyTimeSeries(spec, mcs.astype(int), tput, lat, blr, succ, np.zeros(n, dtype=bool))
+    return PolicyTimeSeries(spec, mcs.astype(int), tput, lat, blr, succ)
 
 
 def _harq(rng: np.random.Generator, p_fail: List[float], max_retx: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import json
 import math
 import re
-import socket
+import reprlib
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -80,12 +78,6 @@ def loop_feasible(budget: LoopBudget) -> Tuple[float, bool]:
     return total, total < budget.deadline_s
 
 
-def offload_gate(t_uplink_s: float, t_edge_s: float, t_downlink_s: float, t_wait_s: float) -> bool:
-    """Offload only when the full round trip strictly undercuts the on-robot
-    wait it replaces; equality stays local."""
-    return t_uplink_s + t_edge_s + t_downlink_s < t_wait_s
-
-
 def select_sense_mode(rssi_dbm: float) -> SenseConfig:
     """Payload ladder driven by measured RSSI.
 
@@ -117,6 +109,19 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+# Error lines echo values through _echo, and correct_loop sends them back to the
+# engine as its next prompt; reprlib elides long values without a full repr.
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
+_ECHO_CHARS = 60
+
+
+def _echo(value) -> str:
+    """``repr(value)``, shortened to at most ``_ECHO_CHARS`` characters."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
+
+
 def _is_int_list(value, n: int) -> bool:
     return (
         isinstance(value, (list, tuple))
@@ -142,7 +147,7 @@ class _Checker:
             return None
         for key in value:
             if key not in allowed:
-                self.fail(f"{path}.{key}", "unknown field")
+                self.fail(f"{path}.{str(key)[:_ECHO_CHARS]}", "unknown field")
         for key in required:
             if key not in value:
                 self.fail(f"{path}.{key}", "required field missing")
@@ -153,7 +158,7 @@ class _Checker:
         the choices in their own order."""
         if value in choices:
             return value
-        self.fail(path, f"{value!r} is not one of {tuple(choices)}")
+        self.fail(path, f"{_echo(value)} is not one of {tuple(choices)}")
         return None
 
     def num(self, d: dict, path: str, key: str, lo: Optional[float] = None, default=None):
@@ -161,10 +166,10 @@ class _Checker:
             return default
         v = d[key]
         if not _is_number(v):
-            self.fail(f"{path}.{key}", f"{v!r} must be a finite number")
+            self.fail(f"{path}.{key}", f"{_echo(v)} must be a finite number")
             return default
         if lo is not None and v < lo:
-            self.fail(f"{path}.{key}", f"{v!r} must be >= {lo}")
+            self.fail(f"{path}.{key}", f"{_echo(v)} must be >= {lo}")
             return default
         return float(v)
 
@@ -173,23 +178,23 @@ class _Checker:
             return default
         v = d[key]
         if not isinstance(v, int) or isinstance(v, bool):
-            self.fail(f"{path}.{key}", f"{v!r} must be an integer")
+            self.fail(f"{path}.{key}", f"{_echo(v)} must be an integer")
             return default
         if lo is not None and v < lo:
-            self.fail(f"{path}.{key}", f"{v!r} must be >= {lo}")
+            self.fail(f"{path}.{key}", f"{_echo(v)} must be >= {lo}")
             return default
         return v
 
     def cell(self, value, path: str) -> Optional[Tuple[int, int]]:
         if _is_int_list(value, 2):
             return (value[0], value[1])
-        self.fail(path, f"{value!r} must be an [x, y] integer pair")
+        self.fail(path, f"{_echo(value)} must be an [x, y] integer pair")
         return None
 
     def rect(self, value, path: str) -> Optional[Tuple[int, int, int, int]]:
         if _is_int_list(value, 4) and value[0] <= value[2] and value[1] <= value[3]:
             return (value[0], value[1], value[2], value[3])
-        self.fail(path, f"{value!r} must be [x0, y0, x1, y1] integers with x0 <= x1 and y0 <= y1")
+        self.fail(path, f"{_echo(value)} must be [x0, y0, x1, y1] integers with x0 <= x1 and y0 <= y1")
         return None
 
     def items(self, d: dict, path: str, key: str) -> list:
@@ -204,7 +209,7 @@ class _Checker:
         """An AR(1) shadowing pair: ``rho`` in [0, 1) and ``sigma >= 0``."""
         rho = self.num(d, path, rho_key)
         if rho is not None and not 0.0 <= rho < 1.0:
-            self.fail(f"{path}.{rho_key}", f"{rho!r} must be in [0, 1)")
+            self.fail(f"{path}.{rho_key}", f"{_echo(rho)} must be in [0, 1)")
         self.num(d, path, sigma_key, lo=0.0)
 
     def curve(self, d: dict, path: str, key: str, min_points: int = 2) -> Optional[List[Tuple[float, float]]]:
@@ -215,7 +220,7 @@ class _Checker:
         pts = []
         for i, p in enumerate(raw):
             if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(_is_number(c) for c in p):
-                self.fail(f"{path}.{key}[{i}]", f"{p!r} must be an [x, y] finite number pair")
+                self.fail(f"{path}.{key}[{i}]", f"{_echo(p)} must be an [x, y] finite number pair")
                 return None
             pts.append((float(p[0]), float(p[1])))
         xs = [p[0] for p in pts]
@@ -225,7 +230,7 @@ class _Checker:
         return pts
 
 
-def fallback_message(robot_ids: Sequence[int] = (1, 2)) -> dict:
+def fallback_message(robot_ids: Sequence[int]) -> dict:
     """Conservative configuration used when intent resolution fails."""
     n = max(1, len(robot_ids))
     return {
@@ -239,10 +244,12 @@ def fallback_message(robot_ids: Sequence[int] = (1, 2)) -> dict:
     }
 
 
-# A priority robot id has at most this many digits, so that int() never meets
-# a string past its digit limit.
+# A robot id has at most this many digits, and no longer digit run is read as
+# a number (here or in intent text), so int() never meets its digit limit.
 _MAX_ID_DIGITS = 18
 _PRIORITY_ROBOT_RE = re.compile(rf"robot_(\d{{1,{_MAX_ID_DIGITS}}})")
+_ROBOT_MENTION_RE = re.compile(rf"robot[\s_]*(\d{{1,{_MAX_ID_DIGITS}}})(?!\d)")
+_GAP_RE = re.compile(rf"gap\s+(\d{{1,{_MAX_ID_DIGITS}}})(?!\d)")
 
 
 def validate(
@@ -272,7 +279,7 @@ def validate(
         if m is None and raw != "none":
             ck.fail(
                 "pp_config.priority_robot",
-                f"{raw!r} must be 'none' or 'robot_<id>' with at most {_MAX_ID_DIGITS} digits",
+                f"{_echo(raw)} must be 'none' or 'robot_<id>' with at most {_MAX_ID_DIGITS} digits",
             )
         elif m and robot_ids is not None and priority not in robot_ids:
             ck.fail("pp_config.priority_robot", f"robot_{priority} not among robots {sorted(robot_ids)}")
@@ -337,10 +344,6 @@ def validate(
 # intent engines
 
 
-class IntentEngineError(Exception):
-    pass
-
-
 class IntentEngine(Protocol):
     def propose(self, intent_text: str, context: dict, errors: Optional[List[str]] = None) -> dict:
         ...
@@ -351,7 +354,7 @@ _IMPORTANCE_WORDS = ("important", "priority", "critical", "urgent")
 
 def _favored_robot(text: str, robot_ids: Sequence[int]) -> Optional[int]:
     """Robot named closest before an importance keyword, by majority vote."""
-    mentions = [(m.start(), int(m.group(1))) for m in re.finditer(r"robot[\s_]*(\d+)", text)]
+    mentions = [(m.start(), int(m.group(1))) for m in _ROBOT_MENTION_RE.finditer(text)]
     mentions = [(pos, rid) for pos, rid in mentions if rid in robot_ids]
     if not mentions:
         return None
@@ -367,7 +370,7 @@ def _favored_robot(text: str, robot_ids: Sequence[int]) -> Optional[int]:
     return min(rid for rid, v in votes.items() if v == best)
 
 
-def rule_intent(intent_text: str, robot_ids: Sequence[int] = (1, 2)) -> dict:
+def rule_intent(intent_text: str, robot_ids: Sequence[int]) -> dict:
     """Deterministic keyword rules mapping operator text to a raw
     configuration message.
 
@@ -375,7 +378,8 @@ def rule_intent(intent_text: str, robot_ids: Sequence[int] = (1, 2)) -> dict:
     additionally widens the conflict gap to 3 steps unless an explicit
     "gap N" is given. Guaranteed-minimum-quality or worst-case wording
     selects max-min fairness. A robot named before importance keywords
-    becomes the priority robot and receives 70% of the priority weight.
+    becomes the priority robot and receives 70% of the priority weight
+    (all of it when it is the only robot).
     """
     ids = sorted(robot_ids)
     if not intent_text or not intent_text.strip():
@@ -385,7 +389,7 @@ def rule_intent(intent_text: str, robot_ids: Sequence[int] = (1, 2)) -> dict:
     safety = "safe" in text
     objective = "safety_first" if safety else "makespan"
 
-    gap_match = re.search(r"gap\s+(\d+)", text)
+    gap_match = _GAP_RE.search(text)
     if gap_match:
         gap = int(gap_match.group(1))
     elif re.search(r"very\s+safe", text):
@@ -400,8 +404,8 @@ def rule_intent(intent_text: str, robot_ids: Sequence[int] = (1, 2)) -> dict:
         weights = [1.0 / len(ids)] * len(ids)
         priority = "none"
     else:
-        rest = 0.3 / (len(ids) - 1) if len(ids) > 1 else 0.0
-        weights = [0.7 if rid == favored else rest for rid in ids]
+        top, rest = (0.7, 0.3 / (len(ids) - 1)) if len(ids) > 1 else (1.0, 0.0)
+        weights = [top if rid == favored else rest for rid in ids]
         priority = f"robot_{favored}"
 
     max_min = ("minimum quality" in text and "guarantee" in text) or "worst" in text
@@ -421,65 +425,7 @@ class RuleIntentEngine:
     """Offline engine backed by the deterministic keyword rules."""
 
     def propose(self, intent_text: str, context: dict, errors: Optional[List[str]] = None) -> dict:
-        return rule_intent(intent_text, context.get("robot_ids", (1, 2)))
-
-
-class ExternalIntentEngine:
-    """Client for an external intent engine speaking line-delimited JSON.
-
-    Each call opens a connection, writes one request line
-    ``{"intent": ..., "context": ..., "errors": [...]}`` and reads one
-    response line containing the raw configuration message.
-
-    ``timeout_s`` bounds the whole call (connect, send and every read), and
-    a response longer than ``MAX_RESPONSE_BYTES`` is refused, so a server
-    that drips bytes or never ends its line cannot hold the caller.
-    """
-
-    MAX_RESPONSE_BYTES = 65536
-
-    def __init__(self, host: str, port: int, timeout_s: float = 5.0):
-        self.host = host
-        self.port = port
-        self.timeout_s = timeout_s
-
-    def propose(self, intent_text: str, context: dict, errors: Optional[List[str]] = None) -> dict:
-        request = {"intent": intent_text, "context": context}
-        if errors:
-            request["errors"] = list(errors)
-        deadline = time.monotonic() + self.timeout_s
-
-        def remaining() -> float:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError("timed out")
-            return left
-
-        try:
-            with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
-                sock.settimeout(remaining())
-                sock.sendall((json.dumps(request, sort_keys=True) + "\n").encode())
-                buf = b""
-                while not buf.endswith(b"\n"):
-                    sock.settimeout(remaining())
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    buf += chunk
-                    if len(buf) > self.MAX_RESPONSE_BYTES:
-                        raise IntentEngineError(
-                            f"intent engine response exceeds {self.MAX_RESPONSE_BYTES} bytes"
-                        )
-        except TimeoutError as exc:
-            raise IntentEngineError(f"intent engine exceeded its {self.timeout_s} s deadline") from exc
-        except OSError as exc:
-            raise IntentEngineError(f"intent engine unreachable: {exc}") from exc
-        if not buf.strip():
-            raise IntentEngineError("intent engine sent no response")
-        try:
-            return json.loads(buf.decode())
-        except json.JSONDecodeError as exc:
-            raise IntentEngineError(f"intent engine sent invalid JSON: {exc}") from exc
+        return rule_intent(intent_text, context["robot_ids"])
 
 
 @dataclass
@@ -493,30 +439,27 @@ class IntentResolution:
 def correct_loop(
     engine: IntentEngine,
     intent_text: str,
-    context: Optional[dict] = None,
+    context: dict,
     max_attempts: int = 3,
-    timeout_s: float = 5.0,
 ) -> IntentResolution:
     """Propose, validate, and re-prompt with the validation errors.
 
-    After ``max_attempts`` failed proposals (including engine errors and
-    responses slower than ``timeout_s``) the conservative fallback
-    configuration is returned with the ``fallback`` flag set.
+    ``context["robot_ids"]`` is the fleet the configuration is for. An
+    engine runs in-process and is trusted: an exception it raises, or a
+    message ``validate`` rejects, counts as a failed attempt, and its running
+    time is not bounded. After ``max_attempts`` failed attempts the
+    conservative fallback configuration is returned with the ``fallback``
+    flag set.
     """
-    context = dict(context or {})
-    robot_ids = context.get("robot_ids")
+    context = dict(context)
+    robot_ids = context["robot_ids"]
     history: List[List[str]] = []
     last_errors: Optional[List[str]] = None
     for attempt in range(1, max_attempts + 1):
-        started = time.monotonic()
         try:
             message = engine.propose(intent_text, context, errors=last_errors)
         except Exception as exc:  # engine failures must not escape the loop
             last_errors = [f"engine: {exc}"]
-            history.append(last_errors)
-            continue
-        if time.monotonic() - started > timeout_s:
-            last_errors = [f"engine: response exceeded {timeout_s} s budget"]
             history.append(last_errors)
             continue
         try:
@@ -527,7 +470,7 @@ def correct_loop(
             return IntentResolution(cfg, attempt, False, history)
         last_errors = errors
         history.append(errors)
-    cfg, errors = validate(fallback_message(robot_ids or (1, 2)), robot_ids)
+    cfg, errors = validate(fallback_message(robot_ids), robot_ids)
     assert cfg is not None, f"fallback configuration failed validation: {errors}"
     return IntentResolution(dataclasses.replace(cfg, fallback=True), max_attempts, True, history)
 

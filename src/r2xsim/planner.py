@@ -390,6 +390,9 @@ def _solve_ordering(
     gap: int,
     horizon: int,
 ) -> Dict[int, SpaceTimePath]:
+    # Exact: a conflict step is at most the horizon and no search reads a step
+    # past it; without the clip each window materialises 2 * gap + 1 steps.
+    gap = min(gap, horizon)
     rank = {rid: i for i, rid in enumerate(order)}
     tables = {rid: base[rid].copy() for rid in order}
     paths = {rid: low_level_search(world, robots[rid], tables[rid], horizon) for rid in order}

@@ -30,11 +30,13 @@ import numpy as np
 from .linkadapt import LinkTable, PolicySpec, run_policy
 from .metrics import tail_stats, utfr
 from .orchestrator import (
+    _MAX_ID_DIGITS,
     WAREHOUSE_METHODS,
     LoopBudget,
     RuleIntentEngine,
     WarehouseSimulation,
     _Checker,
+    _echo,
     _is_number,
     correct_loop,
     select_sense_mode,
@@ -52,8 +54,9 @@ _FOLLOWME_MODE_CONFIGS = {
     "vq_1x3": SenseConfig(mode="vq", vit_grid=(1, 3), qos="best_effort"),
 }
 FOLLOWME_METHODS = (*_FOLLOWME_MODE_CONFIGS, "orchestrated")
-# Matched whole (fullmatch); groups: policy kind and delay of a delayed method.
-_MCS_METHOD_RE = re.compile(r"oracle|ideal|(delayed|predictive)_(\d+)")
+# Matched whole (fullmatch); groups: policy kind and delay of a delayed method,
+# at most _MAX_ID_DIGITS digits so that int() never meets its digit limit.
+_MCS_METHOD_RE = re.compile(rf"oracle|ideal|(delayed|predictive)_(\d{{1,{_MAX_ID_DIGITS}}})")
 
 # A warehouse run draws max_sim_time_s / frame_period_s shadowing frames per
 # robot before it starts; the bundled files need at most a few thousand.
@@ -103,7 +106,7 @@ class Scenario:
             unknown = [m for m in methods if m not in self.methods]
             if unknown:
                 raise ScenarioError(
-                    [f"methods: {m!r} not offered by scenario {self.id!r} "
+                    [f"methods: {_echo(m)} not offered by scenario {_echo(self.id)} "
                      f"(available: {list(self.methods)})" for m in unknown]
                 )
             out = dataclasses.replace(out, methods=tuple(methods))
@@ -123,10 +126,10 @@ def validate_scenario_dict(data) -> List[str]:
         return ck.errors
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
-        ck.fail("scenario.schema_version", f"{version!r} is not the supported version {SCHEMA_VERSION}")
+        ck.fail("scenario.schema_version", f"{_echo(version)} is not the supported version {SCHEMA_VERSION}")
     sid = data.get("id")
     if not isinstance(sid, str) or not sid:
-        ck.fail("scenario.id", f"{sid!r} must be a nonempty string")
+        ck.fail("scenario.id", f"{_echo(sid)} must be a nonempty string")
     kind = ck.one_of(data.get("kind"), "scenario.kind", tuple(_KINDS))
     if kind is None:
         return ck.errors
@@ -150,11 +153,11 @@ def validate_scenario_dict(data) -> List[str]:
             elif not _MCS_METHOD_RE.fullmatch(m):
                 ck.fail(
                     "scenario.methods",
-                    f"{m!r} must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'",
+                    f"{_echo(m)} must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'",
                 )
     for other in _KINDS:
         if other != kind and other in data:
-            ck.fail(f"scenario.{other}", f"section not allowed for kind {kind!r}")
+            ck.fail(f"scenario.{other}", f"section not allowed for kind {_echo(kind)}")
     section = data.get(kind)
     if section is None:
         ck.fail(f"scenario.{kind}", "required section missing")
@@ -222,17 +225,19 @@ def _validate_warehouse(ck: _Checker, sec, methods) -> None:
             if robj is None:
                 continue
             rid = ck.integer(robj, rp, "id", lo=0)
+            if rid is not None and rid >= 10**_MAX_ID_DIGITS:
+                ck.fail(f"{rp}.id", f"{_echo(rid)} must have at most {_MAX_ID_DIGITS} digits")
             if rid in seen_ids:
-                ck.fail(f"{rp}.id", f"duplicate robot id {rid}")
+                ck.fail(f"{rp}.id", f"duplicate robot id {_echo(rid)}")
             seen_ids.add(rid)
             for key, bucket in (("start", starts), ("goal", goals)):
                 cell = ck.cell(robj.get(key), f"{rp}.{key}")
                 if cell is not None:
                     bucket.append(cell)
                     if in_world(cell) and cell in blocked:
-                        ck.fail(f"{rp}.{key}", f"cell {cell} is blocked")
+                        ck.fail(f"{rp}.{key}", f"cell {_echo(cell)} is blocked")
                     if width is not None and not in_world(cell):
-                        ck.fail(f"{rp}.{key}", f"cell {cell} outside {width}x{height} world")
+                        ck.fail(f"{rp}.{key}", f"cell {_echo(cell)} outside {_echo(width)}x{_echo(height)} world")
         if len(set(starts)) != len(starts):
             ck.fail(f"{p}.robots", "robot starts must be distinct")
         if len(set(goals)) != len(goals):
@@ -254,11 +259,11 @@ def _validate_warehouse(ck: _Checker, sec, methods) -> None:
             if cell is None:
                 break
             if width is not None and not in_world(cell):
-                ck.fail(f"{hp}.waypoints[{j}]", f"cell {cell} outside the world")
+                ck.fail(f"{hp}.waypoints[{j}]", f"cell {_echo(cell)} outside the world")
             elif cell in blocked:
-                ck.fail(f"{hp}.waypoints[{j}]", f"cell {cell} is blocked")
+                ck.fail(f"{hp}.waypoints[{j}]", f"cell {_echo(cell)} is blocked")
             if prev is not None and abs(cell[0] - prev[0]) + abs(cell[1] - prev[1]) > 1:
-                ck.fail(f"{hp}.waypoints[{j}]", f"{prev} -> {cell} is not a stand or 4-neighbor move")
+                ck.fail(f"{hp}.waypoints[{j}]", f"{_echo(prev)} -> {_echo(cell)} is not a stand or 4-neighbor move")
             prev = cell
 
     gain = ck.obj(
@@ -336,7 +341,7 @@ def _validate_mcs(ck: _Checker, sec, methods) -> None:
         for m in methods:
             match = isinstance(m, str) and _MCS_METHOD_RE.fullmatch(m)
             if match and match.group(2) and int(match.group(2)) >= steps:
-                ck.fail(f"{p}.steps", f"{steps} must exceed the delay of method {m!r}")
+                ck.fail(f"{p}.steps", f"{_echo(steps)} must exceed the delay of method {_echo(m)}")
     ck.integer(sec, p, "corridor_cells", lo=2)
     prof = ck.obj(
         sec.get("gain_profile"), f"{p}.gain_profile",
@@ -351,7 +356,7 @@ def _validate_mcs(ck: _Checker, sec, methods) -> None:
     ck.integer(sec, p, "payload_bytes", lo=1)
     target = ck.num(sec, p, "bler_target", default=0.1)
     if target is not None and not (0.0 < target < 1.0):
-        ck.fail(f"{p}.bler_target", f"{target!r} must be in (0, 1)")
+        ck.fail(f"{p}.bler_target", f"{_echo(target)} must be in (0, 1)")
     _validate_radio(ck, sec.get("radio"), f"{p}.radio")
 
 
@@ -390,7 +395,7 @@ def _validate_followme(ck: _Checker, sec, methods) -> None:
                 and len(pair) == 2
                 and all(_is_number(c) and c >= 0 for c in pair)
             ):
-                ck.fail(f"{p}.codec_s.{key}", f"{pair!r} must be [encode_s, decode_s]")
+                ck.fail(f"{p}.codec_s.{key}", f"{_echo(pair)} must be [encode_s, decode_s]")
     modes = _FOLLOWME_MODE_CONFIGS
     payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes, modes)
     if payloads is not None:
@@ -412,7 +417,7 @@ def _validate_followme(ck: _Checker, sec, methods) -> None:
             for mode in modes:
                 v = ck.num(table, f"{p}.perception.{key}", mode, lo=0.0)
                 if must_prob and v is not None and v > 1.0:
-                    ck.fail(f"{p}.perception.{key}.{mode}", f"{v!r} must be in [0, 1]")
+                    ck.fail(f"{p}.perception.{key}.{mode}", f"{_echo(v)} must be in [0, 1]")
     ck.num(sec, p, "cta_useful_s", lo=0.0)
     ck.integer(sec, p, "loss_threshold_steps", lo=0)
     ck.integer(sec, p, "max_attempts", lo=1)
@@ -486,7 +491,7 @@ def synthetic_gain_map(width: int, height: int, gain: dict) -> PathGainMap:
     for zone in gain.get("dead_zones", []):
         x0, y0, x1, y1 = zone["rect"]
         if not (0 <= x0 <= x1 < width and 0 <= y0 <= y1 < height):
-            raise ValueError(f"dead zone rect {zone['rect']} is not inside the {width}x{height} map")
+            raise ValueError(f"dead zone rect {_echo(zone['rect'])} is not inside the {_echo(width)}x{_echo(height)} map")
         gains[y0 : y1 + 1, x0 : x1 + 1] -= float(zone["extra_loss_db"])
     return PathGainMap(
         gains=gains,
@@ -739,7 +744,7 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
 def run_one(scn: Scenario, method: str, seed: int) -> dict:
     if method not in scn.methods:
         raise ScenarioError(
-            [f"methods: {method!r} not offered by scenario {scn.id!r}"]
+            [f"methods: {_echo(method)} not offered by scenario {_echo(scn.id)}"]
         )
     metrics = globals()[_KINDS[scn.kind].run](scn, method, seed)
     return {"scenario_id": scn.id, "kind": scn.kind, "method": method, "seed": seed, "metrics": metrics}

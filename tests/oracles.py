@@ -184,4 +184,4 @@ def reference_run_policy(
         blr[t] = bler(entry, float(true_snr[t]))
         if result.success and result.latency_s > 0:
             tput[t] = payload_bytes_per_step * 8.0 / result.latency_s
-    return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ, np.zeros(n, dtype=bool))
+    return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ)

@@ -325,7 +325,6 @@ def test_c11_reported_gains(acceptance_log):
             np.array(lat, dtype=float),
             np.zeros(n),
             np.ones(n, dtype=bool),
-            np.zeros(n, dtype=bool),
         )
 
     base = series([1.0] * 8, [1.0] * 8)

@@ -95,6 +95,22 @@ class TestRun:
         main(["run", str(followme_file), "--out", str(parallel), "--parallel", "2"])
         assert (serial / "results.jsonl").read_bytes() == (parallel / "results.jsonl").read_bytes()
 
+    def test_parallel_workers_get_the_loaded_scenario(self, followme_file, tmp_path, monkeypatch):
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        assert main(["run", str(followme_file), "--out", str(serial)]) == 0
+        real = cli.load_scenario
+
+        def load_then_remove(path):
+            scn = real(path)
+            followme_file.unlink()
+            return scn
+
+        monkeypatch.setattr(cli, "load_scenario", load_then_remove)
+        assert main(["run", str(followme_file), "--out", str(parallel), "--parallel", "2"]) == 0
+        assert not followme_file.exists()
+        for name in ("results.jsonl", "summary.csv"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
     def test_seed_flag_beats_env_beats_file(self, followme_file, tmp_path, monkeypatch):
         out = tmp_path / "flag"
         monkeypatch.setenv("R2X_SEED", "5")

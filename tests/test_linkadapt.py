@@ -337,7 +337,6 @@ class TestGains:
             np.array(lat, dtype=float),
             np.zeros(n),
             np.ones(n, dtype=bool),
-            np.zeros(n, dtype=bool),
         )
 
     def test_self_comparison_is_zero(self):

@@ -36,6 +36,8 @@ BUNDLED = (
     "followme-corridor",
 )
 
+LONG = "x" * 5000
+
 FM_MODES = ("jpeg_q95", "jpeg_q80", "jpeg_q60", "vq_1x1", "vq_1x2", "vq_1x3")
 
 
@@ -227,6 +229,10 @@ class TestValidation:
             (lambda s: s["world"].pop("width"), "scenario.warehouse.world.width: required field missing"),
             (lambda s: s["world"].update(width=0), "must be >= 1"),
             (lambda s: s["world"].update(turbo=1), "scenario.warehouse.world.turbo: unknown field"),
+            (
+                lambda s: s["robots"][0].update(id=10**18),
+                "scenario.warehouse.robots[0].id: 1000000000000000000 must have at most 18 digits",
+            ),
             (lambda s: s["world"].update(blocked=[[0, 0, 0]]), "scenario.warehouse.world.blocked[0]"),
             (lambda s: s["world"].update(blocked_rects=[[0, 0, 1]]), "blocked_rects[0]"),
             (lambda s: s.update(robots=[]), "scenario.warehouse.robots: must be a nonempty list"),
@@ -404,6 +410,39 @@ class TestValidation:
         else:
             assert record["kind"] == scn.kind
 
+    def test_mcs_delay_has_at_most_18_digits(self):
+        doc = tiny_mcs()
+        doc["methods"] = ["delayed_" + "1" * 5000, "predictive_" + "1" * 19]
+        errors = validate_scenario_dict(doc)
+        assert len(errors) == 2 and all("must be 'oracle', 'ideal'" in e for e in errors), errors
+
+    @pytest.mark.parametrize(
+        "make,mutate",
+        [
+            (tiny_warehouse, lambda d: d.update(schema_version=LONG)),
+            (tiny_warehouse, lambda d: d.update(kind=LONG)),
+            (tiny_warehouse, lambda d: d.update(methods=[LONG])),
+            (tiny_warehouse, lambda d: d.update({LONG: 1})),
+            (tiny_warehouse, lambda d: d["warehouse"]["world"].update(width=LONG, height=[LONG] * 5000)),
+            (tiny_warehouse, lambda d: d["warehouse"]["robots"][0].update(id=LONG, start=LONG, goal=[LONG, 1])),
+            (tiny_warehouse, lambda d: d["warehouse"]["robots"][0].update(id=10**4000, start=[10**4000, 0])),
+            (tiny_warehouse, lambda d: d["warehouse"].update(humans=[{"waypoints": [[0, 0], [10**4000, 0]]}])),
+            (tiny_warehouse, lambda d: d["warehouse"]["gain"].update(dead_zones=[{"rect": LONG, "extra_loss_db": LONG}])),
+            (tiny_warehouse, lambda d: d["warehouse"]["gain"].update(dead_zones=[{"rect": [0, 0, 10**4000, 0], "extra_loss_db": 1}])),
+            (tiny_mcs, lambda d: d.update(methods=[LONG, "delayed_" + "1" * 5000])),
+            (tiny_mcs, lambda d: d["mcs"].update(bler_target=LONG, steps=LONG)),
+            (tiny_followme, lambda d: d["followme"]["codec_s"].update(jpeg=[LONG, LONG])),
+            (tiny_followme, lambda d: d["followme"]["perception"]["lose_prob"].update(jpeg_q80=LONG)),
+            (tiny_followme, lambda d: d["followme"].update(rssi_curve=[[LONG, 1], [2, 3]], noise={"rho": LONG, "sigma_db": 1})),
+        ],
+    )
+    def test_long_values_give_short_error_lines(self, make, mutate):
+        doc = make()
+        mutate(doc)
+        errors = validate_scenario_dict(doc)
+        assert errors
+        assert max(len(e) for e in errors) <= 200, [e[:300] for e in errors]
+
     def test_errors_accumulate(self):
         doc = tiny_warehouse()
         doc["seeds"] = []
@@ -445,6 +484,15 @@ class TestScenarioObject:
         scn = parse_scenario(tiny_mcs())
         with pytest.raises(ScenarioError, match="not offered by scenario 'tiny-mcs'"):
             scn.with_overrides(methods=["delayed_9"])
+
+    def test_long_method_and_id_give_short_error_lines(self):
+        doc = tiny_mcs()
+        doc["id"] = LONG
+        scn = parse_scenario(doc)
+        for call in (lambda: scn.with_overrides(methods=[LONG]), lambda: run_one(scn, LONG, 0)):
+            with pytest.raises(ScenarioError, match="not offered by scenario 'xxx") as exc:
+                call()
+            assert max(len(e) for e in exc.value.errors) <= 200
 
 
 class TestLoadScenario:
@@ -588,6 +636,20 @@ class TestMcsPolicyFromMethod:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown mcs method"):
             mcs_policy_from_method("psychic_3")
+
+
+class TestConflictGap:
+    def test_gap_past_the_horizon_runs_as_the_horizon(self):
+        """A gap of 10**15 would materialise 2 * 10**15 + 1 steps per conflict
+        window; clipped to the planning horizon it gives the same runs as any
+        other gap past the conflict steps."""
+        scn = load_scenario(bundled_scenario_path("warehouse-s4"))
+        metrics = {}
+        for gap in (100, 10**15):
+            copy_ = scn.with_overrides()
+            copy_.params = dict(scn.params, intent_text=f"keep gap {gap}")
+            metrics[gap] = [run_one(copy_, m, 0)["metrics"] for m in scn.methods]
+        assert metrics[10**15] == metrics[100]
 
 
 class TestRunOne:
