@@ -15,7 +15,7 @@ from .orchestrator import (
     select_sense_mode,
     validate,
 )
-from .planner import Constraint, PlanConfig, PlanningInfeasible, SpaceTimePath, plan
+from .planner import PlanConfig, PlanningInfeasible, SpaceTimePath, plan
 from .radio import (
     LinkState,
     McsTable,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Codebook",
-    "Constraint",
     "GridWorld",
     "HumanTrack",
     "KpiRecord",

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .metrics import run_summary
+from .orchestrator import _echo
 from .scenarios import Scenario, ScenarioError, load_scenario, run_one
 
 RESULTS_NAME = "results.jsonl"
@@ -36,7 +37,7 @@ def _parse_seed_list(text: str, source: str) -> List[int]:
     try:
         seeds = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ScenarioError([f"{source}: {text!r} is not a comma-separated integer list"])
+        raise ScenarioError([f"{source}: {_echo(text)} is not a comma-separated integer list"])
     if not seeds:
         raise ScenarioError([f"{source}: no seeds given"])
     if any(s < 0 for s in seeds):
@@ -132,7 +133,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         values.setdefault(rec["method"], []).append(float(metric))
     if not values:
         raise ScenarioError(
-            [f"--metric: {args.metric!r} not present in any record"]
+            [f"--metric: {_echo(args.metric)} not present in any record"]
         )
 
     import statistics

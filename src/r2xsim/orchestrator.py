@@ -173,7 +173,9 @@ class _Checker:
             return default
         return float(v)
 
-    def integer(self, d: dict, path: str, key: str, lo: Optional[int] = None, default=None):
+    def integer(
+        self, d: dict, path: str, key: str, lo: Optional[int] = None, hi: Optional[int] = None, default=None
+    ):
         if key not in d:
             return default
         v = d[key]
@@ -182,6 +184,9 @@ class _Checker:
             return default
         if lo is not None and v < lo:
             self.fail(f"{path}.{key}", f"{_echo(v)} must be >= {lo}")
+            return default
+        if hi is not None and v > hi:
+            self.fail(f"{path}.{key}", f"{_echo(v)} must be <= {hi}")
             return default
         return v
 

@@ -2,20 +2,20 @@
 
 Single-robot routes come from a space-time A* over ``(cell, step)`` nodes
 with a wait action. Robot-robot conflicts are resolved one-sidedly: the
-lower-priority robot receives a constraint around the conflict, widened by a
-configurable time-gap window, and replans. Human forecasts enter as vertex
-constraints for every robot.
+lower-priority robot is barred from the conflict, widened by a configurable
+time-gap window, and replans. Human forecasts block cells at steps for every
+robot.
 
 As in Silver 2005 ("Cooperative Pathfinding", HCA*), what stays fixed is
 computed once and what changes is kept in a reservation table:
 
 - each ``GridWorld`` builds its neighbour table and, per goal, the BFS
   distance field that serves as the A* heuristic, once, on first use;
-- ``plan`` turns the human forecasts into one cell -> blocked-steps table
-  per call; each robot searches under a copy of it (a
-  :class:`ReservationTable`) to which its conflict constraints are added as
-  they arrive. ``Constraint`` objects for the forecasts are built only for a
-  :class:`PlanningInfeasible` report.
+- each robot has one :class:`ReservationTable`, the planner's only form of
+  constraint, as a per-agent constraint set in Sharon et al. 2015 (CBS).
+  ``plan`` turns the human forecasts into one cell -> blocked-steps table
+  per call; each robot searches under a copy of it, into which its conflict
+  windows and blocked moves are written as they arrive.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .world import Cell, GridWorld, RobotState
 
@@ -42,56 +42,12 @@ class PlanningError(Exception):
 
 
 class PlanningInfeasible(PlanningError):
-    """No path exists within the horizon; carries the constraints that bound
-    the failed search."""
+    """No path exists for robot ``robot_id`` within ``horizon`` steps."""
 
-    def __init__(self, robot_id: int, constraints: Sequence["Constraint"], horizon: int):
+    def __init__(self, robot_id: int, horizon: int):
         self.robot_id = robot_id
-        self.constraints = tuple(constraints)
         self.horizon = horizon
-        super().__init__(
-            f"no feasible path for robot {robot_id} within horizon {horizon} "
-            f"under {len(self.constraints)} constraints"
-        )
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """Forbidden occupancy or transition for one robot.
-
-    Kinds:
-      vertex  -- may not occupy ``cell`` at step ``step_lo`` (== ``step_hi``)
-      window  -- may not occupy ``cell`` at any step in [step_lo, step_hi]
-      edge    -- may not move ``cell -> to_cell`` between ``step_lo`` and
-                 ``step_lo + 1`` (edge constraints are single-step)
-    """
-
-    robot_id: int
-    kind: str
-    cell: Cell
-    step_lo: int
-    step_hi: int
-    to_cell: Optional[Cell] = None
-
-    def __post_init__(self):
-        if self.kind not in ("vertex", "window", "edge"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.step_lo < 0 or self.step_hi < self.step_lo:
-            raise ValueError("constraint steps must satisfy 0 <= step_lo <= step_hi")
-        if self.kind == "edge" and (self.to_cell is None or self.step_lo != self.step_hi):
-            raise ValueError("edge constraints need to_cell and a single step")
-
-    @staticmethod
-    def vertex(robot_id: int, cell: Cell, step: int) -> "Constraint":
-        return Constraint(robot_id, "vertex", tuple(cell), step, step)
-
-    @staticmethod
-    def window(robot_id: int, cell: Cell, step_lo: int, step_hi: int) -> "Constraint":
-        return Constraint(robot_id, "window", tuple(cell), step_lo, step_hi)
-
-    @staticmethod
-    def edge(robot_id: int, cell: Cell, to_cell: Cell, step: int) -> "Constraint":
-        return Constraint(robot_id, "edge", tuple(cell), step, step, tuple(to_cell))
+        super().__init__(f"no feasible path for robot {robot_id} within horizon {horizon}")
 
 
 @dataclass(frozen=True)
@@ -155,96 +111,66 @@ class ReservationTable:
     robot may not occupy it, and the ``(cell, to_cell, step)`` moves it may
     not make.
 
-    ``cells`` may be shared with other tables: :meth:`add` replaces a cell's
-    step set instead of changing it, and :meth:`copy` copies the dict, so a
-    copy can take constraints without touching the table it came from.
-    ``forecasts`` is ``(world, pairs, objective)`` when ``cells`` starts from
-    the human forecasts of :func:`plan`; :meth:`constraints` rebuilds their
-    ``Constraint`` objects from it.
+    ``cells`` may be shared with other tables: :meth:`block_cell` replaces a
+    cell's step set instead of changing it, and :meth:`copy` copies the
+    dict, so a copy can take blocks without touching the table it came from.
     """
 
-    __slots__ = ("robot_id", "cells", "edges", "added", "forecasts")
+    __slots__ = ("robot_id", "cells", "edges")
 
-    def __init__(
-        self,
-        robot_id: int,
-        cells: Dict[Cell, AbstractSet[int]],
-        forecasts: Optional[Tuple[GridWorld, List[Tuple[Cell, int]], str]] = None,
-    ):
+    def __init__(self, robot_id: int, cells: Dict[Cell, AbstractSet[int]]):
         self.robot_id = robot_id
         self.cells = cells
         self.edges: Set[Tuple[Cell, Cell, int]] = set()
-        self.added: List[Constraint] = []
-        self.forecasts = forecasts
-
-    @classmethod
-    def index(cls, robot_id: int, constraints: Iterable[Constraint]) -> "ReservationTable":
-        """The table of robot ``robot_id``'s constraints among ``constraints``."""
-        table = cls(robot_id, {})
-        for c in constraints:
-            if c.robot_id == robot_id:
-                table.add(c)
-        return table
 
     def copy(self) -> "ReservationTable":
-        out = ReservationTable(self.robot_id, dict(self.cells), self.forecasts)
+        out = ReservationTable(self.robot_id, dict(self.cells))
         out.edges = set(self.edges)
-        out.added = list(self.added)
         return out
 
-    def add(self, c: Constraint) -> None:
-        if c.kind == "edge":
-            self.edges.add((c.cell, c.to_cell, c.step_lo))
-        else:
-            steps = range(c.step_lo, c.step_hi + 1)
-            self.cells[c.cell] = self.cells.get(c.cell, frozenset()).union(steps)
-        self.added.append(c)
+    def block_cell(self, cell: Cell, step_lo: int, step_hi: int) -> None:
+        """Bar ``cell`` at every step in [step_lo, step_hi]."""
+        self.cells[cell] = self.cells.get(cell, frozenset()).union(range(step_lo, step_hi + 1))
 
-    def constraints(self) -> List[Constraint]:
-        """Every constraint behind the table, forecasts first."""
-        if self.forecasts is None:
-            return list(self.added)
-        world, pairs, objective = self.forecasts
-        return _human_base_constraints(world, [self.robot_id], pairs, objective)[self.robot_id] + self.added
+    def block_move(self, cell: Cell, to_cell: Cell, step: int) -> None:
+        """Bar the move ``cell -> to_cell`` from ``step`` to ``step + 1``."""
+        self.edges.add((cell, to_cell, step))
 
 
 def low_level_search(
     world: GridWorld,
     robot: RobotState,
-    constraints: Union[Sequence[Constraint], ReservationTable] = (),
+    table: Optional[ReservationTable] = None,
     horizon: Optional[int] = None,
 ) -> SpaceTimePath:
-    """Minimum-arrival-step route for one robot under the given constraints.
+    """Minimum-arrival-step route for one robot under its reservation table.
 
     Cost is the arrival step; the robot is considered parked at its goal
-    afterwards, so the arrival step must clear every constraint on the goal
+    afterwards, so the arrival step must clear every block on the goal
     cell. Expansion order (N, E, S, W, wait; FIFO among equal f-values) makes
     the result deterministic.
 
-    ``constraints`` is either a plain list, of which only the robot's own
-    constraints count and which is indexed into a :class:`ReservationTable`
-    once here, or the robot's reservation table itself, as :func:`plan`
-    passes it. The search reads the world's neighbour table and its cached
-    BFS distance field to the goal, the admissible heuristic (Silver 2005).
+    ``table`` is the robot's own :class:`ReservationTable`; without one the
+    route is unconstrained. The search reads the world's neighbour table and
+    its cached BFS distance field to the goal, the admissible heuristic
+    (Silver 2005).
     """
     if horizon is None:
         horizon = default_horizon(world)
     start, goal = tuple(robot.cell), tuple(robot.goal)
     if not world.passable(start) or not world.passable(goal):
         raise PlanningError(f"robot {robot.id}: start {start} or goal {goal} not passable")
-    if isinstance(constraints, ReservationTable):
-        if constraints.robot_id != robot.id:
-            raise ValueError(f"reservation table of robot {constraints.robot_id} given for robot {robot.id}")
-        table = constraints
-    else:
-        table = ReservationTable.index(robot.id, constraints)
+    if table is None:
+        table = ReservationTable(robot.id, {})
+    elif table.robot_id != robot.id:
+        raise ValueError(f"reservation table of robot {table.robot_id} given for robot {robot.id}")
     cell_blocks, edge_blocks = table.cells, table.edges
     goal_latest = max(cell_blocks.get(goal, ()), default=-1)
     if 0 in cell_blocks.get(start, ()):
-        raise PlanningInfeasible(robot.id, table.constraints(), horizon)
+        raise PlanningInfeasible(robot.id, horizon)
     hfield = world.goal_distances(goal)
     if start not in hfield:
-        raise PlanningInfeasible(robot.id, table.constraints(), horizon)
+        raise PlanningInfeasible(robot.id, horizon)
 
     # A node's f-value (step + distance to goal) is fixed, so its first push
     # is also the first of its copies to pop: a node is pushed only once,
@@ -282,7 +208,7 @@ def low_level_search(
                 continue
             parent[child] = node
             push(heap, (nstep + h, next(counter), nstep, nxt))
-    raise PlanningInfeasible(robot.id, table.constraints(), horizon)
+    raise PlanningInfeasible(robot.id, horizon)
 
 
 def detect_first_conflict(paths: Sequence[SpaceTimePath]) -> Optional[Conflict]:
@@ -318,43 +244,22 @@ def makespan(paths: Iterable[SpaceTimePath]) -> int:
     return max(p.arrival_step for p in paths)
 
 
-def _human_base_constraints(
-    world: GridWorld,
-    robot_ids: Sequence[int],
-    human_forecasts: Iterable[Tuple[Cell, int]],
-    objective: str,
-) -> Dict[int, List[Constraint]]:
-    """Vertex constraints from human forecasts, for every robot.
-
-    Under ``safety_first`` each forecast cell is widened to a +-1 step window
-    and its free 4-neighbors are blocked at the forecast step.
-    """
-    pairs = [(tuple(c), int(s)) for c, s in human_forecasts]
-    out: Dict[int, List[Constraint]] = {rid: [] for rid in robot_ids}
-    for rid in robot_ids:
-        for cell, step in pairs:
-            if objective == "safety_first":
-                out[rid].append(Constraint.window(rid, cell, max(0, step - 1), step + 1))
-                x, y = cell
-                for nxt in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
-                    if world.passable(nxt):
-                        out[rid].append(Constraint.vertex(rid, nxt, step))
-            else:
-                out[rid].append(Constraint.vertex(rid, cell, step))
-    return out
-
-
 def _human_reservations(
     world: GridWorld, pairs: Sequence[Tuple[Cell, int]], objective: str
 ) -> Dict[Cell, AbstractSet[int]]:
-    """The cells and steps that :func:`_human_base_constraints` blocks for
-    each robot, as one cell -> steps table."""
+    """The cells and steps the human forecasts block for every robot, as one
+    cell -> steps table.
+
+    A forecast ``(cell, step)`` blocks its cell at its step. Under
+    ``safety_first`` it blocks the cell over steps ``step - 1 .. step + 1``
+    (from 0) and each free 4-neighbour at the step.
+    """
     table = world.neighbor_table
     safety = objective == "safety_first"
     blocks: Dict[Cell, set] = defaultdict(set)
     for cell, step in set(pairs):  # forecasts repeat a (cell, step) often
         if step < 0:
-            raise ValueError("constraint steps must satisfy 0 <= step_lo <= step_hi")
+            raise ValueError(f"forecast step {step} is negative")
         if not safety:
             blocks[cell].add(step)
             continue
@@ -370,16 +275,25 @@ def _human_reservations(
     return dict(blocks)
 
 
-def _widen_conflict(conflict: Conflict, lower_id: int, gap: int) -> List[Constraint]:
+def _widen_conflict(conflict: Conflict, table: ReservationTable, gap: int) -> bool:
+    """Bar the table's robot from the conflict over ``gap`` steps either
+    side: the vertex cell over the window, or the robot's own move of an
+    edge conflict at each step of it. False when the table already barred
+    the conflict's own cell-step or move, so that replanning cannot help.
+    """
+    lo, hi = max(0, conflict.step - gap), conflict.step + gap
     if conflict.kind == "vertex":
-        lo = max(0, conflict.step - gap)
-        return [Constraint.window(lower_id, conflict.cell, lo, conflict.step + gap)]
-    if lower_id == conflict.robot_a:
+        fresh = conflict.step not in table.cells.get(conflict.cell, ())
+        table.block_cell(conflict.cell, lo, hi)
+        return fresh
+    if table.robot_id == conflict.robot_a:
         frm, to = conflict.cell, conflict.to_cell
     else:
         frm, to = conflict.to_cell, conflict.cell
-    lo = max(0, conflict.step - gap)
-    return [Constraint.edge(lower_id, frm, to, s) for s in range(lo, conflict.step + gap + 1)]
+    fresh = (frm, to, conflict.step) not in table.edges
+    for s in range(lo, hi + 1):
+        table.block_move(frm, to, s)
+    return fresh
 
 
 def _solve_ordering(
@@ -401,14 +315,10 @@ def _solve_ordering(
         if conflict is None:
             return paths
         lower = conflict.robot_a if rank[conflict.robot_a] > rank[conflict.robot_b] else conflict.robot_b
-        # A new constraint can only repeat an earlier conflict's: forecasts
-        # give no edge constraints, and the conflict's window covers a cell and
-        # step the robot's path uses, which no forecast constraint does.
-        fresh = [c for c in _widen_conflict(conflict, lower, gap) if c not in tables[lower].added]
-        if not fresh:
-            raise PlanningError(f"conflict {conflict} produced no new constraint")
-        for c in fresh:
-            tables[lower].add(c)
+        # The lower robot's path was searched under its table, so the table
+        # cannot bar the conflict itself unless the search is wrong.
+        if not _widen_conflict(conflict, tables[lower], gap):
+            raise PlanningError(f"conflict {conflict} is already barred for robot {lower}")
         paths[lower] = low_level_search(world, robots[lower], tables[lower], horizon)
     raise PlanningError("conflict resolution did not converge")
 
@@ -566,7 +476,7 @@ def plan(
 
     pairs = [(tuple(c), int(s)) for c, s in human_forecasts]
     human = _human_reservations(world, pairs, cfg.objective)
-    base = {rid: ReservationTable(rid, human, (world, pairs, cfg.objective)) for rid in ids}
+    base = {rid: ReservationTable(rid, human) for rid in ids}
     gap = cfg.min_time_gap_at_conflict
 
     if cfg.priority_robot is not None:
@@ -592,7 +502,7 @@ def plan(
             if res is not None and (best is None or res[0] < best[0]):
                 best = res
         if best is None:
-            raise PlanningInfeasible(order[-1], base[order[-1]].constraints(), horizon)
+            raise PlanningInfeasible(order[-1], horizon)
         solved = {best[1].robot_id: best[1], best[2].robot_id: best[2]}
         return [solved[r.id] for r in robots]
 

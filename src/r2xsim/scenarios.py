@@ -58,9 +58,11 @@ FOLLOWME_METHODS = (*_FOLLOWME_MODE_CONFIGS, "orchestrated")
 # at most _MAX_ID_DIGITS digits so that int() never meets its digit limit.
 _MCS_METHOD_RE = re.compile(rf"oracle|ideal|(delayed|predictive)_(\d{{1,{_MAX_ID_DIGITS}}})")
 
-# A warehouse run draws max_sim_time_s / frame_period_s shadowing frames per
-# robot before it starts; the bundled files need at most a few thousand.
-_MAX_FRAMES = 10**6
+# A run builds every per-step series before it starts: the warehouse
+# shadowing frames (max_sim_time_s / frame_period_s per robot), the mcs
+# corridor's steps and cells and the followme frames. Each is at most this
+# long; the bundled files need at most a few thousand.
+_MAX_STEPS = 10**6
 
 SCHEMA_VERSION = 1
 
@@ -191,26 +193,34 @@ def _validate_warehouse(ck: _Checker, sec, methods) -> None:
     )
     width = height = None
     blocked: set = set()
-    if world is not None:
-        width = ck.integer(world, f"{p}.world", "width", lo=1)
-        height = ck.integer(world, f"{p}.world", "height", lo=1)
-        ck.num(world, f"{p}.world", "cell_size_m")
-        ck.num(world, f"{p}.world", "frame_period_s")
-        ck.num(world, f"{p}.world", "cell_traverse_s")
-        for i, raw in enumerate(ck.items(world, f"{p}.world", "blocked")):
-            cell = ck.cell(raw, f"{p}.world.blocked[{i}]")
-            if cell:
-                blocked.add(cell)
-        for i, raw in enumerate(ck.items(world, f"{p}.world", "blocked_rects")):
-            rect = ck.rect(raw, f"{p}.world.blocked_rects[{i}]")
-            if rect:
-                blocked.update(_rect_cells(rect))
 
     def in_world(cell: Tuple[int, int]) -> bool:
         return (
             width is not None and height is not None
             and 0 <= cell[0] < width and 0 <= cell[1] < height
         )
+
+    if world is not None:
+        width = ck.integer(world, f"{p}.world", "width", lo=1)
+        height = ck.integer(world, f"{p}.world", "height", lo=1)
+        ck.num(world, f"{p}.world", "cell_size_m")
+        ck.num(world, f"{p}.world", "frame_period_s")
+        ck.num(world, f"{p}.world", "cell_traverse_s")
+        # found[:2] and found[-2:] are a cell itself or a rect's two corners.
+        # Both must lie in a world of known size, so that a huge rect is
+        # refused before it is expanded into cells.
+        for key, parse in (("blocked", ck.cell), ("blocked_rects", ck.rect)):
+            for i, raw in enumerate(ck.items(world, f"{p}.world", key)):
+                bp = f"{p}.world.{key}[{i}]"
+                found = parse(raw, bp)
+                if found is None or width is None or height is None:
+                    continue
+                if not (in_world(found[:2]) and in_world(found[-2:])):
+                    ck.fail(bp, f"{_echo(raw)} outside {_echo(width)}x{_echo(height)} world")
+                elif key == "blocked":
+                    blocked.add(found)
+                else:
+                    blocked.update(_rect_cells(found))
 
     robots = sec.get("robots")
     seen_ids = set()
@@ -336,13 +346,13 @@ def _validate_mcs(ck: _Checker, sec, methods) -> None:
     )
     if sec is None:
         return
-    steps = ck.integer(sec, p, "steps", lo=1)
+    steps = ck.integer(sec, p, "steps", lo=1, hi=_MAX_STEPS)
     if steps is not None and isinstance(methods, list):
         for m in methods:
             match = isinstance(m, str) and _MCS_METHOD_RE.fullmatch(m)
             if match and match.group(2) and int(match.group(2)) >= steps:
                 ck.fail(f"{p}.steps", f"{_echo(steps)} must exceed the delay of method {_echo(m)}")
-    ck.integer(sec, p, "corridor_cells", lo=2)
+    ck.integer(sec, p, "corridor_cells", lo=2, hi=_MAX_STEPS)
     prof = ck.obj(
         sec.get("gain_profile"), f"{p}.gain_profile",
         ("base_db", "amplitude_db", "period_cells"),
@@ -373,7 +383,7 @@ def _validate_followme(ck: _Checker, sec, methods) -> None:
     )
     if sec is None:
         return
-    ck.integer(sec, p, "total_steps", lo=1)
+    ck.integer(sec, p, "total_steps", lo=1, hi=_MAX_STEPS)
     ck.num(sec, p, "frame_period_s", lo=0.0)
     ck.curve(sec, p, "distance_profile")
     ck.curve(sec, p, "rssi_curve")
@@ -548,9 +558,9 @@ def build_warehouse(scn: Scenario):
         for h in sec.get("humans", [])
     ]
     frames = float(sec.get("max_sim_time_s", 3600.0)) / world.frame_period_s
-    if frames > _MAX_FRAMES:
+    if frames > _MAX_STEPS:
         raise ValueError(
-            f"max_sim_time_s / world.frame_period_s is {frames:g} frames, more than {_MAX_FRAMES}"
+            f"max_sim_time_s / world.frame_period_s is {frames:g} frames, more than {_MAX_STEPS}"
         )
     gain_map = synthetic_gain_map(world.width, world.height, sec["gain"])
     ids = sorted(r.id for r in robots)

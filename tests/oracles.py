@@ -122,6 +122,23 @@ def joint_makespan_oracle(world, starts, goals, humans, horizon=40):
     return best
 
 
+def forecast_reservations(world, forecasts, objective):
+    """Cell -> steps that human forecasts bar every robot from, one forecast
+    at a time: the forecast cell at its step, or under safety_first the cell
+    over step - 1 .. step + 1 (from 0) and each passable 4-neighbour at the
+    step."""
+    barred = {}
+    for (x, y), step in forecasts:
+        if objective == "safety_first":
+            barred.setdefault((x, y), set()).update(range(max(0, step - 1), step + 2))
+            for nxt in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+                if world.passable(nxt):
+                    barred.setdefault(nxt, set()).add(step)
+        else:
+            barred.setdefault((x, y), set()).add(step)
+    return barred
+
+
 def random_planner_instance(rng, width=5, height=5, max_humans=2):
     """Starts/goals for two robots plus 0..max_humans static human cells,
     all distinct, humans never on a start or goal."""

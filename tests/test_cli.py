@@ -138,6 +138,11 @@ class TestRun:
         assert code == 2
         assert "--seeds" in capsys.readouterr().err
 
+    def test_long_bad_seed_list_gives_a_short_line(self, followme_file, tmp_path, capsys):
+        assert main(["run", str(followme_file), "--out", str(tmp_path / "o"), "--seeds", "x" * 5000]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--seeds: ") and len(err.splitlines()[0]) <= 200, err[:300]
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_parallel_below_one(self, followme_file, tmp_path, capsys, workers):
         code = main(["run", str(followme_file), "--out", str(tmp_path / "o"), "--parallel", workers])
@@ -288,6 +293,13 @@ class TestCompare:
         write_records(d, [rec("alpha", 0, 1.0)])
         assert main(["compare", str(d), "--metric", "zzz"]) == 2
         assert "'zzz' not present" in capsys.readouterr().err
+
+    def test_long_absent_metric_gives_a_short_line(self, tmp_path, capsys):
+        d = tmp_path / "d"
+        write_records(d, [rec("alpha", 0, 1.0)])
+        assert main(["compare", str(d), "--metric", "z" * 5000]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--metric: 'zzz") and len(err.splitlines()[0]) <= 200, err[:300]
 
     def test_mixed_scenarios_rejected(self, tmp_path, capsys):
         write_records(tmp_path / "a", [rec("alpha", 0, 1.0, sid="one")])

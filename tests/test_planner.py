@@ -1,20 +1,18 @@
-"""Prioritized planner: search determinism, constraints, conflict handling."""
+"""Prioritized planner: search determinism, reservation tables, conflict handling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import joint_makespan_oracle, random_planner_instance
+from oracles import forecast_reservations, joint_makespan_oracle, random_planner_instance
 from r2xsim.planner import (
     Conflict,
-    Constraint,
     PlanConfig,
     PlanningError,
     PlanningInfeasible,
     ReservationTable,
     SpaceTimePath,
-    _human_base_constraints,
     _human_reservations,
     _widen_conflict,
     default_horizon,
@@ -28,26 +26,6 @@ from r2xsim.world import GridWorld, RobotState
 
 def world_of(w, h, blocked=()):
     return GridWorld(w, h, blocked=frozenset(blocked))
-
-
-class TestConstraint:
-    def test_factories(self):
-        v = Constraint.vertex(1, (2, 3), 5)
-        assert (v.kind, v.cell, v.step_lo, v.step_hi) == ("vertex", (2, 3), 5, 5)
-        w = Constraint.window(1, (0, 0), 2, 6)
-        assert (w.step_lo, w.step_hi) == (2, 6)
-        e = Constraint.edge(2, (0, 0), (1, 0), 4)
-        assert e.to_cell == (1, 0) and e.step_lo == e.step_hi == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Constraint(1, "diagonal", (0, 0), 0, 0)
-        with pytest.raises(ValueError):
-            Constraint(1, "window", (0, 0), 3, 1)
-        with pytest.raises(ValueError):
-            Constraint(1, "vertex", (0, 0), -1, -1)
-        with pytest.raises(ValueError):
-            Constraint(1, "edge", (0, 0), 2, 2)  # missing to_cell
 
 
 class TestSpaceTimePath:
@@ -79,35 +57,29 @@ class TestLowLevelSearch:
 
     def test_vertex_constraint_forces_wait(self):
         w = world_of(3, 1)
-        cons = [Constraint.vertex(1, (1, 0), 1)]
-        path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), cons)
+        path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, {(1, 0): {1}}))
         assert path.cells == ((0, 0), (0, 0), (1, 0), (2, 0))
 
     def test_edge_constraint_forces_wait(self):
         w = world_of(2, 1)
-        cons = [Constraint.edge(1, (0, 0), (1, 0), 0)]
-        path = low_level_search(w, RobotState(1, (0, 0), (1, 0)), cons)
+        table = ReservationTable(1, {})
+        table.block_move((0, 0), (1, 0), 0)
+        path = low_level_search(w, RobotState(1, (0, 0), (1, 0)), table)
         assert path.cells == ((0, 0), (0, 0), (1, 0))
 
     def test_goal_window_delays_arrival(self):
         w = world_of(3, 1)
-        cons = [Constraint.window(1, (2, 0), 0, 4)]
-        path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), cons)
+        table = ReservationTable(1, {})
+        table.block_cell((2, 0), 0, 4)
+        path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), table)
         assert path.arrival_step == 5
         assert path.cells[-1] == (2, 0)
         assert all(c != (2, 0) for c in path.cells[:5])
 
-    def test_other_robots_constraints_ignored(self):
-        w = world_of(3, 1)
-        cons = [Constraint.vertex(2, (1, 0), 1)]
-        path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), cons)
-        assert path.arrival_step == 2
-
     def test_blocked_start_step0_infeasible(self):
         w = world_of(3, 1)
-        cons = [Constraint.vertex(1, (0, 0), 0)]
         with pytest.raises(PlanningInfeasible):
-            low_level_search(w, RobotState(1, (0, 0), (2, 0)), cons)
+            low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, {(0, 0): {0}}))
 
     def test_unreachable_goal_infeasible(self):
         w = world_of(3, 1, blocked={(1, 0)})
@@ -126,12 +98,10 @@ class TestLowLevelSearch:
 
     def test_infeasible_carries_context(self):
         w = world_of(3, 1)
-        cons = [Constraint.vertex(7, (0, 0), 0)]
         with pytest.raises(PlanningInfeasible) as exc:
-            low_level_search(w, RobotState(7, (0, 0), (2, 0)), cons, horizon=9)
+            low_level_search(w, RobotState(7, (0, 0), (2, 0)), ReservationTable(7, {(0, 0): {0}}), horizon=9)
         assert exc.value.robot_id == 7
         assert exc.value.horizon == 9
-        assert len(exc.value.constraints) == 1
 
     def test_default_horizon(self):
         assert default_horizon(world_of(5, 5)) == 40
@@ -139,30 +109,17 @@ class TestLowLevelSearch:
 
 
 class TestReservationTable:
-    def test_index_keeps_own_constraints(self):
-        cons = [
-            Constraint.window(1, (1, 0), 2, 4),
-            Constraint.vertex(2, (0, 0), 1),
-            Constraint.edge(1, (0, 0), (1, 0), 3),
-            Constraint.vertex(1, (1, 0), 6),
-        ]
-        table = ReservationTable.index(1, cons)
-        assert table.cells == {(1, 0): {2, 3, 4, 6}}
-        assert table.edges == {((0, 0), (1, 0), 3)}
-        assert table.constraints() == [cons[0], cons[2], cons[3]]
-
     def test_copy_takes_constraints_without_changing_the_original(self):
-        w = world_of(3, 3)
-        pairs = [((1, 1), 2)]
-        base = ReservationTable(1, {(1, 1): frozenset({2})}, (w, pairs, "makespan"))
+        shared = {2}  # forecast step sets are shared by every robot's table
+        base = ReservationTable(1, {(1, 1): shared})
         copy = base.copy()
-        added = [Constraint.window(1, (1, 1), 5, 6), Constraint.edge(1, (0, 0), (0, 1), 0)]
-        for c in added:
-            copy.add(c)
-        assert base.cells == {(1, 1): {2}} and not base.edges and not base.added
-        assert copy.cells == {(1, 1): {2, 5, 6}} and copy.edges == {((0, 0), (0, 1), 0)}
-        assert copy.constraints() == [Constraint.vertex(1, (1, 1), 2)] + added
-        assert base.constraints() == [Constraint.vertex(1, (1, 1), 2)]
+        copy.block_cell((1, 1), 5, 6)
+        copy.block_cell((1, 0), 2, 4)
+        copy.block_cell((1, 0), 6, 6)
+        copy.block_move((0, 0), (0, 1), 0)
+        assert shared == {2} and base.cells == {(1, 1): {2}} and not base.edges
+        assert copy.cells == {(1, 1): {2, 5, 6}, (1, 0): {2, 3, 4, 6}}
+        assert copy.edges == {((0, 0), (0, 1), 0)}
 
     @pytest.mark.parametrize("objective", ["makespan", "safety_first"])
     def test_forecast_table_indexes_the_forecast_constraints(self, objective):
@@ -175,26 +132,7 @@ class TestReservationTable:
                 for _ in range(int(rng.integers(1, 8)))
             ]
             pairs += pairs[:2]
-            expected = ReservationTable.index(3, _human_base_constraints(w, [3], pairs, objective)[3])
-            assert _human_reservations(w, pairs, objective) == expected.cells
-
-    def test_list_and_table_searches_agree(self):
-        rng = np.random.default_rng(7)
-        w = world_of(5, 5, blocked={(2, 2)})
-        for _ in range(50):
-            cons = [
-                Constraint.window(1, tuple(rng.integers(0, 5, 2)), int(lo), int(lo) + int(rng.integers(0, 3)))
-                for lo in rng.integers(1, 8, 6)
-            ]
-            cons = [c for c in cons if c.cell != (2, 2)]
-            robot = RobotState(1, (0, 0), (4, 4))
-            try:
-                expected = low_level_search(w, robot, cons)
-            except PlanningInfeasible:
-                with pytest.raises(PlanningInfeasible):
-                    low_level_search(w, robot, ReservationTable.index(1, cons))
-                continue
-            assert low_level_search(w, robot, ReservationTable.index(1, cons)) == expected
+            assert _human_reservations(w, pairs, objective) == forecast_reservations(w, pairs, objective)
 
     def test_table_of_another_robot_rejected(self):
         with pytest.raises(ValueError):
@@ -246,44 +184,54 @@ class TestDetectFirstConflict:
 class TestHumanConstraints:
     def test_makespan_vertex_only(self):
         w = world_of(3, 3)
-        out = _human_base_constraints(w, [1, 2], [((1, 1), 2)], "makespan")
-        assert set(out) == {1, 2}
-        assert out[1] == [Constraint.vertex(1, (1, 1), 2)]
+        assert _human_reservations(w, [((1, 1), 2)], "makespan") == {(1, 1): {2}}
 
     def test_safety_first_widens(self):
         w = world_of(3, 3)
-        out = _human_base_constraints(w, [1], [((1, 1), 2)], "safety_first")
-        cons = out[1]
-        assert cons[0] == Constraint.window(1, (1, 1), 1, 3)
-        ring = {(c.cell, c.step_lo) for c in cons[1:]}
-        assert ring == {((1, 2), 2), ((2, 1), 2), ((1, 0), 2), ((0, 1), 2)}
+        assert _human_reservations(w, [((1, 1), 2)], "safety_first") == {
+            (1, 1): {1, 2, 3},
+            (1, 2): {2},
+            (2, 1): {2},
+            (1, 0): {2},
+            (0, 1): {2},
+        }
 
     def test_safety_first_skips_blocked_neighbors_and_clamps(self):
         w = world_of(3, 3, blocked={(1, 2)})
-        out = _human_base_constraints(w, [1], [((1, 1), 0)], "safety_first")
-        cons = out[1]
-        assert cons[0] == Constraint.window(1, (1, 1), 0, 1)
-        ring = {c.cell for c in cons[1:]}
-        assert ring == {(2, 1), (1, 0), (0, 1)}
+        assert _human_reservations(w, [((1, 1), 0)], "safety_first") == {
+            (1, 1): {0, 1},
+            (2, 1): {0},
+            (1, 0): {0},
+            (0, 1): {0},
+        }
 
 
 class TestWidenConflict:
     def test_vertex_becomes_window(self):
-        c = Conflict("vertex", 5, 1, 2, (3, 3))
-        out = _widen_conflict(c, 2, 2)
-        assert out == [Constraint.window(2, (3, 3), 3, 7)]
+        table = ReservationTable(2, {})
+        assert _widen_conflict(Conflict("vertex", 5, 1, 2, (3, 3)), table, 2)
+        assert table.cells == {(3, 3): {3, 4, 5, 6, 7}} and not table.edges
 
     def test_vertex_window_clamps_at_zero(self):
-        c = Conflict("vertex", 1, 1, 2, (3, 3))
-        out = _widen_conflict(c, 1, 3)
-        assert out == [Constraint.window(1, (3, 3), 0, 4)]
+        table = ReservationTable(1, {})
+        assert _widen_conflict(Conflict("vertex", 1, 1, 2, (3, 3)), table, 3)
+        assert table.cells == {(3, 3): {0, 1, 2, 3, 4}}
 
     def test_edge_direction_per_robot(self):
         c = Conflict("edge", 5, 1, 2, (0, 0), (1, 0))
-        for_a = _widen_conflict(c, 1, 1)
-        assert for_a == [Constraint.edge(1, (0, 0), (1, 0), s) for s in (4, 5, 6)]
-        for_b = _widen_conflict(c, 2, 1)
-        assert for_b == [Constraint.edge(2, (1, 0), (0, 0), s) for s in (4, 5, 6)]
+        for_a = ReservationTable(1, {})
+        assert _widen_conflict(c, for_a, 1)
+        assert for_a.edges == {((0, 0), (1, 0), s) for s in (4, 5, 6)} and not for_a.cells
+        for_b = ReservationTable(2, {})
+        assert _widen_conflict(c, for_b, 1)
+        assert for_b.edges == {((1, 0), (0, 0), s) for s in (4, 5, 6)}
+
+    def test_conflict_already_barred_is_reported(self):
+        vertex = ReservationTable(2, {(3, 3): {5}})
+        assert not _widen_conflict(Conflict("vertex", 5, 1, 2, (3, 3)), vertex, 0)
+        edge = ReservationTable(2, {})
+        edge.block_move((1, 0), (0, 0), 5)
+        assert not _widen_conflict(Conflict("edge", 5, 1, 2, (0, 0), (1, 0)), edge, 0)
 
 
 def assert_valid_plan(world, paths, robots, humans=()):
@@ -400,7 +348,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("objective", ["makespan", "safety_first"])
     @pytest.mark.parametrize("n_robots", [1, 2])
-    def test_infeasible_carries_forecast_constraints(self, objective, n_robots):
+    def test_infeasible_under_forecasts_carries_robot_and_horizon(self, objective, n_robots):
         # robot 1's start is ringed by forecast cells at every step
         w = world_of(5, 5)
         horizon = default_horizon(w)
@@ -409,8 +357,8 @@ class TestPlan:
         robots = [RobotState(1, (2, 2), (4, 4)), RobotState(2, (0, 0), (0, 4))][:n_robots]
         with pytest.raises(PlanningInfeasible) as exc:
             plan(w, robots, humans, PlanConfig(objective=objective))
-        rid = exc.value.robot_id
-        assert list(exc.value.constraints) == _human_base_constraints(w, [rid], humans, objective)[rid]
+        assert exc.value.robot_id in {r.id for r in robots}
+        assert exc.value.horizon == horizon
 
     def test_input_validation(self):
         w = world_of(3, 3)

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,11 @@ class TestValidation:
                 lambda s: (s["world"].update(blocked=[[3, 0]]),),
                 "cell (3, 0) is blocked",
             ),
+            (lambda s: s["world"].update(blocked=[[9, 0]]), "scenario.warehouse.world.blocked[0]: [9, 0] outside 4x1 world"),
+            (
+                lambda s: s["world"].update(blocked_rects=[[-1, 0, 0, 0]]),
+                "scenario.warehouse.world.blocked_rects[0]: [-1, 0, 0, 0] outside 4x1 world",
+            ),
             (
                 lambda s: s.update(humans=[{"waypoints": [[0, 0], [2, 0]]}]),
                 "not a stand or 4-neighbor move",
@@ -282,7 +288,6 @@ class TestValidation:
                 "scenario.warehouse: frame_period_s and cell_traverse_s must be positive",
             ),
             (lambda s: s["world"].update(cell_size_m=0), "scenario.warehouse: cell_size_m must be positive"),
-            (lambda s: s["world"].update(blocked=[[9, 0]]), "scenario.warehouse: blocked cell (9, 0) outside"),
             (lambda s: s.update(radio={"slot_s": 0}), "scenario.warehouse: bandwidth_hz and slot_s"),
             (
                 lambda s: s["gain"].update(dead_zones=[{"rect": [50, 50, 60, 60], "extra_loss_db": 5.0}]),
@@ -338,6 +343,8 @@ class TestValidation:
             (lambda s: s.update(bler_target=1.5), "must be in (0, 1)"),
             (lambda s: s.update(payload_bytes=0), "must be >= 1"),
             (lambda s: s.update(steps=2), "scenario.mcs.steps: 2 must exceed the delay of method 'delayed_2'"),
+            (lambda s: s.update(steps=10**6 + 1), "scenario.mcs.steps: 1000001 must be <= 1000000"),
+            (lambda s: s.update(corridor_cells=10**6 + 1), "scenario.mcs.corridor_cells: 1000001 must be <= 1000000"),
             (lambda s: s.update(radio={"slot_s": 0}), "scenario.mcs: bandwidth_hz and slot_s"),
             (
                 lambda s: s.update(shadowing_sigma_db=math.nan),
@@ -355,6 +362,7 @@ class TestValidation:
         "mutate,needle",
         [
             (lambda s: s.update(distance_profile=[[0, 1]]), "at least 2"),
+            (lambda s: s.update(total_steps=10**6 + 1), "scenario.followme.total_steps: 1000001 must be <= 1000000"),
             (lambda s: s.update(rssi_curve=[[5.0, -30.0], [2.0, -40.0]]), "strictly increasing"),
             (lambda s: s.update(throughput_curve=[[-60.0, 0.0], [-30.0, 1e6]]), "throughputs must be positive"),
             (lambda s: s.update(bit_error_curve=[[-60.0, 1.5], [-30.0, 1e-7]]), "must be in (0, 1)"),
@@ -442,6 +450,23 @@ class TestValidation:
         errors = validate_scenario_dict(doc)
         assert errors
         assert max(len(e) for e in errors) <= 200, [e[:300] for e in errors]
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("blocked", [[10**4000, 0]]),
+            ("blocked_rects", [[0, 0, 2000, 2000]]),
+            ("blocked_rects", [[0, 0, 10**9, 10**9]]),
+        ],
+    )
+    def test_blocked_outside_the_world_is_one_short_field_error(self, key, value):
+        doc = tiny_warehouse()
+        doc["warehouse"]["world"][key] = value
+        t0 = time.process_time()
+        errors = validate_scenario_dict(doc)
+        assert time.process_time() - t0 < 1.0
+        assert len(errors) == 1, [e[:300] for e in errors]
+        assert errors[0].startswith(f"scenario.warehouse.world.{key}[0]: ") and len(errors[0]) <= 200, errors
 
     def test_errors_accumulate(self):
         doc = tiny_warehouse()
