@@ -12,7 +12,6 @@ import numpy as np
 
 from r2xsim.linkadapt import LinkTable, gains, run_policy
 from r2xsim.scenarios import (
-    build_mcs_corridor,
     bundled_scenario_path,
     load_scenario,
     mcs_policy_from_method,
@@ -22,37 +21,36 @@ DELAYS = (3, 10, 30)
 N_SEEDS = 5
 
 
-def run(scn, method, seed, link, cfg):
+def run(scn, method, seed, link):
     return run_policy(
         link,
         mcs_policy_from_method(method),
-        scn.params["payload_bytes"],
+        scn.inputs.payload_bytes,
         seed=seed,
-        max_retx=cfg.max_retx,
+        max_retx=scn.inputs.cfg.max_retx,
     )
 
 
 def main():
     n_seeds = int(sys.argv[1]) if len(sys.argv) > 1 else N_SEEDS
     scn = load_scenario(bundled_scenario_path("mcs-ar1"))
-    gain_map, cells, cfg, table = build_mcs_corridor(scn)
-    target = float(scn.params.get("bler_target", 0.1))
+    gain_map, cells, cfg, table, target, _ = scn.inputs
     seeds = scn.seeds[:n_seeds]
-    print(f"{scn.id}: {len(cells)} steps, rho={scn.params['shadowing_rho']}, "
-          f"sigma={scn.params['shadowing_sigma_db']} dB, {len(seeds)} seeds")
+    print(f"{scn.id}: {len(cells)} steps, rho={gain_map.shadowing_rho}, "
+          f"sigma={gain_map.shadowing_sigma_db} dB, {len(seeds)} seeds")
     print()
     # One link table per seed, shared by every policy replayed on it.
     links = {seed: LinkTable.sample(gain_map, cells, cfg, table, seed, target) for seed in seeds}
 
     oracle_tp = np.mean(
-        [run(scn, "oracle", s, links[s], cfg).mean_throughput_bps for s in seeds]
+        [run(scn, "oracle", s, links[s]).mean_throughput_bps for s in seeds]
     )
     print(f"{'policy':<16} {'tput Mb/s':>10} {'mass(BLER<=0.1)':>16} {'vs delayed':>11}")
     print(f"{'oracle':<16} {oracle_tp / 1e6:>10.3f} {'':>16} {'':>11}")
     for d in DELAYS:
         rows = {}
         for kind in ("delayed", "predictive"):
-            series = [run(scn, f"{kind}_{d}", s, links[s], cfg) for s in seeds]
+            series = [run(scn, f"{kind}_{d}", s, links[s]) for s in seeds]
             rows[kind] = series
         tp_d = np.mean([s.mean_throughput_bps for s in rows["delayed"]])
         tp_p = np.mean([s.mean_throughput_bps for s in rows["predictive"]])

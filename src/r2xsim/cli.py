@@ -23,10 +23,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .metrics import run_summary
-from .orchestrator import _echo
+from .orchestrator import _echo, _is_number
 from .scenarios import Scenario, ScenarioError, load_scenario, run_one
 
 RESULTS_NAME = "results.jsonl"
@@ -98,21 +98,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_records(dirs: Sequence[str]) -> List[dict]:
+def _load_records(dirs: Sequence[str]) -> List[Tuple[str, object]]:
+    """Every JSON value in the results files of ``dirs``, each with its
+    ``file:line``."""
     records = []
     for d in dirs:
         path = Path(d) / RESULTS_NAME
         if not path.exists():
             raise ScenarioError([f"{path}: no such results file"])
-        with path.open() as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ScenarioError([f"{path}:{lineno}: invalid JSON: {exc.msg}"])
+        try:
+            lines = path.read_text(encoding="utf-8").split("\n")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError([f"{path}: cannot read: {exc}"])
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ScenarioError([f"{path}:{lineno}: invalid JSON: {exc.msg}"])
+            except ValueError as exc:  # an integer literal too long for int()
+                raise ScenarioError([f"{path}:{lineno}: invalid JSON: {exc}"])
+            records.append((f"{path}:{lineno}", rec))
     if not records:
         raise ScenarioError(["no result records found"])
     return records
@@ -120,16 +128,23 @@ def _load_records(dirs: Sequence[str]) -> List[dict]:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     records = _load_records(args.dirs)
-    ids = {rec.get("scenario_id") for rec in records}
+    for where, rec in records:
+        if not (isinstance(rec, dict) and isinstance(rec.get("method"), str)
+                and isinstance(rec.get("scenario_id", ""), str) and isinstance(rec.get("metrics", {}), dict)):
+            raise ScenarioError([f"{where}: not a result record: method and scenario_id must be strings, "
+                                 "metrics an object"])
+    ids = {rec.get("scenario_id") for _, rec in records}
     if len(ids) != 1:
         raise ScenarioError(
-            [f"scenario_id: result dirs mix different scenarios {sorted(ids)}"]
+            [f"scenario_id: result dirs mix different scenarios {_echo(sorted(ids, key=repr))}"]
         )
     values: dict = {}
-    for rec in records:
+    for where, rec in records:
         metric = rec.get("metrics", {}).get(args.metric)
         if metric is None:
             continue
+        if not _is_number(metric):
+            raise ScenarioError([f"{where}: metric {_echo(args.metric)}: {_echo(metric)} must be a finite number"])
         values.setdefault(rec["method"], []).append(float(metric))
     if not values:
         raise ScenarioError(

@@ -161,7 +161,9 @@ class _Checker:
         self.fail(path, f"{_echo(value)} is not one of {tuple(choices)}")
         return None
 
-    def num(self, d: dict, path: str, key: str, lo: Optional[float] = None, default=None):
+    def num(
+        self, d: dict, path: str, key: str, lo: Optional[float] = None, gt: Optional[float] = None, default=None
+    ):
         if key not in d:
             return default
         v = d[key]
@@ -170,6 +172,9 @@ class _Checker:
             return default
         if lo is not None and v < lo:
             self.fail(f"{path}.{key}", f"{_echo(v)} must be >= {lo}")
+            return default
+        if gt is not None and v <= gt:
+            self.fail(f"{path}.{key}", f"{_echo(v)} must be > {gt}")
             return default
         return float(v)
 
@@ -210,12 +215,12 @@ class _Checker:
             return []
         return v
 
-    def ar1(self, d: dict, path: str, rho_key: str, sigma_key: str) -> None:
+    def ar1(self, d: dict, path: str, rho_key: str, sigma_key: str) -> Tuple[Optional[float], Optional[float]]:
         """An AR(1) shadowing pair: ``rho`` in [0, 1) and ``sigma >= 0``."""
         rho = self.num(d, path, rho_key)
         if rho is not None and not 0.0 <= rho < 1.0:
             self.fail(f"{path}.{rho_key}", f"{_echo(rho)} must be in [0, 1)")
-        self.num(d, path, sigma_key, lo=0.0)
+        return rho, self.num(d, path, sigma_key, lo=0.0)
 
     def curve(self, d: dict, path: str, key: str, min_points: int = 2) -> Optional[List[Tuple[float, float]]]:
         raw = d.get(key)

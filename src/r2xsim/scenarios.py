@@ -2,7 +2,9 @@
 
 A scenario is a strict JSON document (``schema_version`` 1). Unknown fields
 are rejected at every level, mirroring the orchestrator's configuration
-strictness, and every validation error names the offending field.
+strictness, and every validation error names the offending field. Each
+kind's section is checked and built once, when the file is loaded, by its
+``build_<kind>`` function; every run of the file reads those inputs.
 
 Three kinds are supported:
 
@@ -23,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .orchestrator import (
     _MAX_ID_DIGITS,
     WAREHOUSE_METHODS,
     LoopBudget,
+    OrchestratorConfig,
     RuleIntentEngine,
     WarehouseSimulation,
     _Checker,
@@ -61,7 +64,8 @@ _MCS_METHOD_RE = re.compile(rf"oracle|ideal|(delayed|predictive)_(\d{{1,{_MAX_ID
 # A run builds every per-step series before it starts: the warehouse
 # shadowing frames (max_sim_time_s / frame_period_s per robot), the mcs
 # corridor's steps and cells and the followme frames. Each is at most this
-# long; the bundled files need at most a few thousand.
+# long, and a warehouse world has at most this many cells; the bundled files
+# need at most a few thousand.
 _MAX_STEPS = 10**6
 
 SCHEMA_VERSION = 1
@@ -75,11 +79,6 @@ class ScenarioError(ValueError):
         self.errors = list(errors)
 
 
-def _rect_cells(rect: Tuple[int, int, int, int]) -> List[Tuple[int, int]]:
-    x0, y0, x1, y1 = rect
-    return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
-
-
 # --------------------------------------------------------------------------
 # scenario document
 
@@ -91,9 +90,12 @@ class Scenario:
     seeds: Tuple[int, ...]
     methods: Tuple[str, ...]
     params: dict
+    # What the kind's builder made of ``params`` at load: read, never
+    # changed, by every run of this scenario and of its with_overrides copies.
+    inputs: Union[WarehouseInputs, McsInputs, FollowmeInputs] = field(repr=False, compare=False)
     path: Optional[Path] = None
-    # (seed, LinkTable, RadioConfig) of the last mcs seed run; a copy made
-    # by with_overrides starts empty.
+    # (seed, LinkTable) of the last mcs seed run; a copy made by
+    # with_overrides starts empty.
     _mcs_link: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def with_overrides(
@@ -117,6 +119,35 @@ class Scenario:
 
 def validate_scenario_dict(data) -> List[str]:
     """All schema violations in a parsed scenario document."""
+    try:
+        parse_scenario(data)
+    except ScenarioError as exc:
+        return exc.errors
+    return []
+
+
+class _Kind(NamedTuple):
+    """How one scenario kind is checked and built, and run.
+
+    ``build`` and ``run`` name functions of this module and are looked up
+    when called, so a wrapper set on the module attribute sees every call.
+    """
+
+    methods: Optional[Tuple[str, ...]]  # None: mcs names, matched by _MCS_METHOD_RE
+    build: str
+    run: str
+
+
+_KINDS = {
+    "warehouse": _Kind(WAREHOUSE_METHODS, "build_warehouse", "run_warehouse"),
+    "mcs": _Kind(None, "build_mcs_corridor", "run_mcs"),
+    "followme": _Kind(FOLLOWME_METHODS, "build_followme", "run_followme"),
+}
+
+
+def parse_scenario(data, path: Optional[Path] = None) -> Scenario:
+    """Check a parsed scenario document and build its section's run inputs,
+    once; raises ScenarioError with every violation."""
     ck = _Checker()
     top = ck.obj(
         data,
@@ -125,7 +156,7 @@ def validate_scenario_dict(data) -> List[str]:
         ("schema_version", "id", "kind", "seeds", "methods"),
     )
     if top is None:
-        return ck.errors
+        raise ScenarioError(ck.errors)
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         ck.fail("scenario.schema_version", f"{_echo(version)} is not the supported version {SCHEMA_VERSION}")
@@ -134,7 +165,7 @@ def validate_scenario_dict(data) -> List[str]:
         ck.fail("scenario.id", f"{_echo(sid)} must be a nonempty string")
     kind = ck.one_of(data.get("kind"), "scenario.kind", tuple(_KINDS))
     if kind is None:
-        return ck.errors
+        raise ScenarioError(ck.errors)
     spec = _KINDS[kind]
     seeds = data.get("seeds")
     if (
@@ -163,19 +194,81 @@ def validate_scenario_dict(data) -> List[str]:
     section = data.get(kind)
     if section is None:
         ck.fail(f"scenario.{kind}", "required section missing")
-        return ck.errors
-    spec.validate(ck, section, methods)
-    if not ck.errors and spec.build is not None:
-        # The model constructors hold the true bounds; a document the schema
-        # accepts must also build.
-        try:
-            globals()[spec.build](Scenario(sid, kind, tuple(seeds), tuple(methods), section))
-        except ValueError as exc:
-            ck.fail(f"scenario.{kind}", str(exc))
-    return ck.errors
+        raise ScenarioError(ck.errors)
+    try:
+        inputs = globals()[spec.build](ck, section, methods)
+    except ValueError as exc:
+        # The model constructors hold the true bounds; a document the
+        # checker accepts must also build.
+        ck.fail(f"scenario.{kind}", str(exc))
+    if ck.errors:
+        raise ScenarioError(ck.errors)
+    return Scenario(sid, kind, tuple(seeds), tuple(methods), section, inputs, path)
 
 
-def _validate_warehouse(ck: _Checker, sec, methods) -> None:
+def load_scenario(path) -> Scenario:
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError([f"{path}: cannot read: {exc}"]) from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError([f"{path}:{exc.lineno}: invalid JSON: {exc.msg}"]) from exc
+    except ValueError as exc:  # an integer literal too long for int()
+        raise ScenarioError([f"{path}: invalid JSON: {exc}"]) from exc
+    try:
+        return parse_scenario(data, path)
+    except ScenarioError as exc:
+        raise ScenarioError([f"{path}: {e}" for e in exc.errors]) from exc
+
+
+def _radio(ck: _Checker, sec: dict, path: str) -> Tuple[dict, McsTable]:
+    """A section's optional ``radio`` object: the ``RadioConfig`` fields it
+    sets, and the default MCS table with its bandwidth and slot."""
+    path = f"{path}.radio"
+    robj = sec.get("radio")
+    if robj is not None:
+        robj = ck.obj(
+            robj, path,
+            ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm", "bandwidth_hz", "slot_s"),
+            (),
+        )
+    given = {} if robj is None else {
+        "target_snr_db": ck.num(robj, path, "target_snr_db"),
+        "max_power_dbm": ck.num(robj, path, "max_power_dbm"),
+        "max_retx": ck.integer(robj, path, "max_retx", lo=0),
+        "noise_dbm": ck.num(robj, path, "noise_dbm"),
+        "bandwidth_hz": ck.num(robj, path, "bandwidth_hz", lo=1.0),
+        "slot_s": ck.num(robj, path, "slot_s", gt=0.0),
+    }
+    given = {key: v for key, v in given.items() if v is not None}
+    table = default_mcs_table(**{key: given.pop(key) for key in ("bandwidth_hz", "slot_s") if key in given})
+    return given, table
+
+
+# --------------------------------------------------------------------------
+# warehouse family
+
+
+class WarehouseInputs(NamedTuple):
+    """What every run of a warehouse scenario starts from."""
+
+    world: GridWorld
+    robots: List[RobotState]
+    tracks: List[HumanTrack]
+    gain_map: PathGainMap
+    table: McsTable
+    cfg: OrchestratorConfig
+    budget: LoopBudget
+    payloads: Dict[str, int]
+    max_sim_time_s: float
+
+
+def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
+    """Check a warehouse section field by field, then build its world,
+    robots, tracks, gain map, MCS table, resolved configuration and budget."""
     p = "scenario.warehouse"
     sec = ck.obj(
         sec, p,
@@ -184,46 +277,50 @@ def _validate_warehouse(ck: _Checker, sec, methods) -> None:
         ("world", "robots", "gain", "budget", "payloads", "intent_text"),
     )
     if sec is None:
-        return
+        return None
     world = ck.obj(
         sec.get("world"), f"{p}.world",
         ("width", "height", "cell_size_m", "frame_period_s", "cell_traverse_s",
          "blocked", "blocked_rects"),
         ("width", "height"),
-    )
-    width = height = None
+    ) or {}  # not an object: already an error, and read as empty
+    width = ck.integer(world, f"{p}.world", "width", lo=1)
+    height = ck.integer(world, f"{p}.world", "height", lo=1)
+    # Checked before anything of world size is allocated.
+    if width is not None and height is not None and width * height > _MAX_STEPS:
+        ck.fail(f"{p}.world", f"{_echo(width)}x{_echo(height)} is more than {_MAX_STEPS} cells")
+        width = height = None
     blocked: set = set()
 
-    def in_world(cell: Tuple[int, int]) -> bool:
-        return (
-            width is not None and height is not None
-            and 0 <= cell[0] < width and 0 <= cell[1] < height
+    def in_world(found) -> bool:
+        """A cell, or both corners of a rect, in a world of known size."""
+        return width is not None and height is not None and all(
+            0 <= x < width and 0 <= y < height for x, y in (found[:2], found[-2:])
         )
 
-    if world is not None:
-        width = ck.integer(world, f"{p}.world", "width", lo=1)
-        height = ck.integer(world, f"{p}.world", "height", lo=1)
-        ck.num(world, f"{p}.world", "cell_size_m")
-        ck.num(world, f"{p}.world", "frame_period_s")
-        ck.num(world, f"{p}.world", "cell_traverse_s")
-        # found[:2] and found[-2:] are a cell itself or a rect's two corners.
-        # Both must lie in a world of known size, so that a huge rect is
-        # refused before it is expanded into cells.
-        for key, parse in (("blocked", ck.cell), ("blocked_rects", ck.rect)):
-            for i, raw in enumerate(ck.items(world, f"{p}.world", key)):
-                bp = f"{p}.world.{key}[{i}]"
-                found = parse(raw, bp)
-                if found is None or width is None or height is None:
-                    continue
-                if not (in_world(found[:2]) and in_world(found[-2:])):
-                    ck.fail(bp, f"{_echo(raw)} outside {_echo(width)}x{_echo(height)} world")
-                elif key == "blocked":
-                    blocked.add(found)
-                else:
-                    blocked.update(_rect_cells(found))
+    cell_size_m = ck.num(world, f"{p}.world", "cell_size_m", gt=0.0, default=2.0)
+    frame_period_s = ck.num(world, f"{p}.world", "frame_period_s", gt=0.0, default=0.5)
+    cell_traverse_s = ck.num(world, f"{p}.world", "cell_traverse_s", gt=0.0, default=1.4)
+    # found[:2] and found[-2:] are a cell itself or a rect's two corners.
+    # Both must lie in a world of known size, so that a huge rect is
+    # refused before it is expanded into cells.
+    for key, parse in (("blocked", ck.cell), ("blocked_rects", ck.rect)):
+        for i, raw in enumerate(ck.items(world, f"{p}.world", key)):
+            bp = f"{p}.world.{key}[{i}]"
+            found = parse(raw, bp)
+            if found is None or width is None or height is None:
+                continue
+            if not in_world(found):
+                ck.fail(bp, f"{_echo(raw)} outside {_echo(width)}x{_echo(height)} world")
+            elif key == "blocked":
+                blocked.add(found)
+            else:
+                x0, y0, x1, y1 = found
+                blocked.update((x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
 
     robots = sec.get("robots")
     seen_ids = set()
+    ids = []
     starts = []
     goals = []
     if not isinstance(robots, list) or not robots:
@@ -240,6 +337,7 @@ def _validate_warehouse(ck: _Checker, sec, methods) -> None:
             if rid in seen_ids:
                 ck.fail(f"{rp}.id", f"duplicate robot id {_echo(rid)}")
             seen_ids.add(rid)
+            ids.append(rid)
             for key, bucket in (("start", starts), ("goal", goals)):
                 cell = ck.cell(robj.get(key), f"{rp}.{key}")
                 if cell is not None:
@@ -253,17 +351,18 @@ def _validate_warehouse(ck: _Checker, sec, methods) -> None:
         if len(set(goals)) != len(goals):
             ck.fail(f"{p}.robots", "robot goals must be distinct")
 
+    tracks = []
     for i, raw in enumerate(ck.items(sec, p, "humans")):
         hp = f"{p}.humans[{i}]"
         hobj = ck.obj(raw, hp, ("waypoints", "horizon_frames"), ("waypoints",))
         if hobj is None:
             continue
-        ck.integer(hobj, hp, "horizon_frames", lo=1)
+        horizon = ck.integer(hobj, hp, "horizon_frames", lo=1, default=3)
         wps = hobj.get("waypoints")
         if not isinstance(wps, list) or not wps:
             ck.fail(f"{hp}.waypoints", "must be a nonempty list of cells")
             continue
-        prev = None
+        cells = []
         for j, wraw in enumerate(wps):
             cell = ck.cell(wraw, f"{hp}.waypoints[{j}]")
             if cell is None:
@@ -272,9 +371,10 @@ def _validate_warehouse(ck: _Checker, sec, methods) -> None:
                 ck.fail(f"{hp}.waypoints[{j}]", f"cell {_echo(cell)} outside the world")
             elif cell in blocked:
                 ck.fail(f"{hp}.waypoints[{j}]", f"cell {_echo(cell)} is blocked")
-            if prev is not None and abs(cell[0] - prev[0]) + abs(cell[1] - prev[1]) > 1:
-                ck.fail(f"{hp}.waypoints[{j}]", f"{_echo(prev)} -> {_echo(cell)} is not a stand or 4-neighbor move")
-            prev = cell
+            if cells and abs(cell[0] - cells[-1][0]) + abs(cell[1] - cells[-1][1]) > 1:
+                ck.fail(f"{hp}.waypoints[{j}]", f"{_echo(cells[-1])} -> {_echo(cell)} is not a stand or 4-neighbor move")
+            cells.append(cell)
+        tracks.append((tuple(cells), horizon))
 
     gain = ck.obj(
         sec.get("gain"), f"{p}.gain",
@@ -282,60 +382,105 @@ def _validate_warehouse(ck: _Checker, sec, methods) -> None:
          "shadowing_rho", "shadowing_sigma_db"),
         ("base_gain_db", "ap", "slope_db_per_cell"),
     )
+    zones = []
     if gain is not None:
-        ck.num(gain, f"{p}.gain", "base_gain_db")
-        ck.num(gain, f"{p}.gain", "slope_db_per_cell", lo=0.0)
-        ck.ar1(gain, f"{p}.gain", "shadowing_rho", "shadowing_sigma_db")
-        ck.cell(gain.get("ap"), f"{p}.gain.ap")
+        base_gain = ck.num(gain, f"{p}.gain", "base_gain_db")
+        slope = ck.num(gain, f"{p}.gain", "slope_db_per_cell", lo=0.0)
+        rho, sigma = ck.ar1(gain, f"{p}.gain", "shadowing_rho", "shadowing_sigma_db")
+        ap = ck.cell(gain.get("ap"), f"{p}.gain.ap")
         for i, raw in enumerate(ck.items(gain, f"{p}.gain", "dead_zones")):
             zp = f"{p}.gain.dead_zones[{i}]"
             zobj = ck.obj(raw, zp, ("rect", "extra_loss_db"), ("rect", "extra_loss_db"))
             if zobj is None:
                 continue
-            ck.rect(zobj.get("rect"), f"{zp}.rect")
-            ck.num(zobj, zp, "extra_loss_db", lo=0.0)
+            rect = ck.rect(zobj.get("rect"), f"{zp}.rect")
+            if rect and width is not None and height is not None and not in_world(rect):
+                ck.fail(f"{zp}.rect", f"{_echo(zobj['rect'])} outside {_echo(width)}x{_echo(height)} world")
+            zones.append((rect, ck.num(zobj, zp, "extra_loss_db", lo=0.0)))
 
-    _validate_radio(ck, sec.get("radio"), f"{p}.radio")
+    radio, table = _radio(ck, sec, p)
 
     budget = ck.obj(
         sec.get("budget"), f"{p}.budget",
         ("detection_s", "encode_s", "link_context_s", "orchestration_s", "deadline_s"),
         ("detection_s", "encode_s", "link_context_s", "orchestration_s"),
-    )
-    if budget is not None:
-        for key in ("detection_s", "encode_s", "link_context_s", "orchestration_s", "deadline_s"):
-            ck.num(budget, f"{p}.budget", key, lo=0.0)
+    ) or {}
+    times = {
+        key: ck.num(budget, f"{p}.budget", key, lo=0.0)
+        for key in ("detection_s", "encode_s", "link_context_s", "orchestration_s")
+    }
+    times["deadline_s"] = ck.num(budget, f"{p}.budget", "deadline_s", lo=0.0, default=cell_traverse_s)
 
     payloads = ck.obj(sec.get("payloads"), f"{p}.payloads", ("raw", "semantic_feature"),
-                      ("raw", "semantic_feature"))
-    if payloads is not None:
-        ck.integer(payloads, f"{p}.payloads", "raw", lo=1)
-        ck.integer(payloads, f"{p}.payloads", "semantic_feature", lo=1)
+                      ("raw", "semantic_feature")) or {}
+    payloads = {key: ck.integer(payloads, f"{p}.payloads", key, lo=1) for key in ("raw", "semantic_feature")}
 
     if not isinstance(sec.get("intent_text"), str):
         ck.fail(f"{p}.intent_text", "must be a string")
-    ck.num(sec, p, "max_sim_time_s", lo=1.0)
+    max_sim_time_s = ck.num(sec, p, "max_sim_time_s", lo=1.0, default=3600.0)
+    if ck.errors:
+        return None
+    frames = max_sim_time_s / frame_period_s
+    if frames > _MAX_STEPS:
+        ck.fail(p, f"max_sim_time_s / world.frame_period_s is {frames:g} frames, more than {_MAX_STEPS}")
+        return None
 
-
-def _validate_radio(ck: _Checker, radio, path: str) -> None:
-    if radio is None:
-        return
-    robj = ck.obj(
-        radio, path,
-        ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm", "bandwidth_hz", "slot_s"),
-        (),
+    # Distance falloff from the access point, less each dead zone's loss.
+    ys, xs = np.mgrid[0:height, 0:width]
+    gains = base_gain - slope * np.hypot(xs - ap[0], ys - ap[1])
+    for (x0, y0, x1, y1), loss in zones:
+        gains[y0 : y1 + 1, x0 : x1 + 1] -= loss
+    cfg = correct_loop(RuleIntentEngine(), sec["intent_text"], {"robot_ids": sorted(ids)}).config
+    return WarehouseInputs(
+        world=GridWorld(width, height, cell_size_m, frozenset(blocked), frame_period_s, cell_traverse_s),
+        robots=[RobotState(*robot) for robot in zip(ids, starts, goals)],
+        tracks=[HumanTrack(*track) for track in tracks],
+        gain_map=PathGainMap(gains, rho or 0.0, sigma or 0.0),  # no shadowing unless given
+        table=table,
+        cfg=dataclasses.replace(cfg, ra=dataclasses.replace(cfg.ra, **radio)),
+        budget=LoopBudget(**times),
+        payloads=payloads,
+        max_sim_time_s=max_sim_time_s,
     )
-    if robj is None:
-        return
-    ck.num(robj, path, "target_snr_db")
-    ck.num(robj, path, "max_power_dbm")
-    ck.integer(robj, path, "max_retx", lo=0)
-    ck.num(robj, path, "noise_dbm")
-    ck.num(robj, path, "bandwidth_hz", lo=1.0)
-    ck.num(robj, path, "slot_s")
 
 
-def _validate_mcs(ck: _Checker, sec, methods) -> None:
+def run_warehouse(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
+    w = scn.inputs
+    sim = WarehouseSimulation(
+        w.world, w.robots, w.tracks, w.gain_map, w.table, w.cfg, w.budget, method, seed,
+        payload_table=w.payloads,
+        max_sim_time_s=w.max_sim_time_s,
+    )
+    return sim.run().as_metrics()
+
+
+# --------------------------------------------------------------------------
+# mcs family
+
+
+class McsInputs(NamedTuple):
+    """What every run of an mcs scenario starts from: the corridor, its
+    per-step cells and the radio."""
+
+    gain_map: PathGainMap
+    cells: List[Tuple[int, int]]
+    cfg: RadioConfig
+    table: McsTable
+    bler_target: float
+    payload_bytes: int
+
+
+def mcs_policy_from_method(method: str) -> PolicySpec:
+    match = _MCS_METHOD_RE.fullmatch(method)
+    if match is None:
+        raise ValueError(f"unknown mcs method {method!r}")
+    if match.group(1) is None:
+        return PolicySpec(kind=method)
+    return PolicySpec(kind=match.group(1), delay=int(match.group(2)))
+
+
+def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
+    """Check an mcs section field by field, then build its corridor."""
     p = "scenario.mcs"
     sec = ck.obj(
         sec, p,
@@ -345,32 +490,99 @@ def _validate_mcs(ck: _Checker, sec, methods) -> None:
          "payload_bytes"),
     )
     if sec is None:
-        return
+        return None
     steps = ck.integer(sec, p, "steps", lo=1, hi=_MAX_STEPS)
     if steps is not None and isinstance(methods, list):
         for m in methods:
             match = isinstance(m, str) and _MCS_METHOD_RE.fullmatch(m)
             if match and match.group(2) and int(match.group(2)) >= steps:
                 ck.fail(f"{p}.steps", f"{_echo(steps)} must exceed the delay of method {_echo(m)}")
-    ck.integer(sec, p, "corridor_cells", lo=2, hi=_MAX_STEPS)
+    n = ck.integer(sec, p, "corridor_cells", lo=2, hi=_MAX_STEPS)
     prof = ck.obj(
         sec.get("gain_profile"), f"{p}.gain_profile",
         ("base_db", "amplitude_db", "period_cells"),
         ("base_db", "amplitude_db", "period_cells"),
-    )
-    if prof is not None:
-        ck.num(prof, f"{p}.gain_profile", "base_db")
-        ck.num(prof, f"{p}.gain_profile", "amplitude_db", lo=0.0)
-        ck.num(prof, f"{p}.gain_profile", "period_cells", lo=1.0)
-    ck.ar1(sec, p, "shadowing_rho", "shadowing_sigma_db")
-    ck.integer(sec, p, "payload_bytes", lo=1)
+    ) or {}
+    base = ck.num(prof, f"{p}.gain_profile", "base_db")
+    amplitude = ck.num(prof, f"{p}.gain_profile", "amplitude_db", lo=0.0)
+    period = ck.num(prof, f"{p}.gain_profile", "period_cells", lo=1.0)
+    rho, sigma = ck.ar1(sec, p, "shadowing_rho", "shadowing_sigma_db")
+    payload_bytes = ck.integer(sec, p, "payload_bytes", lo=1)
     target = ck.num(sec, p, "bler_target", default=0.1)
     if target is not None and not (0.0 < target < 1.0):
         ck.fail(f"{p}.bler_target", f"{_echo(target)} must be in (0, 1)")
-    _validate_radio(ck, sec.get("radio"), f"{p}.radio")
+    radio, table = _radio(ck, sec, p)
+    if ck.errors:
+        return None
+
+    row = base + amplitude * np.sin(2 * math.pi * np.arange(n) / period)
+    forward = list(range(n)) + list(range(n - 2, 0, -1))
+    return McsInputs(
+        gain_map=PathGainMap(gains=row[np.newaxis, :], shadowing_rho=rho, shadowing_sigma_db=sigma),
+        cells=[(forward[t % len(forward)], 0) for t in range(steps)],
+        cfg=RadioConfig(**radio),
+        table=table,
+        bler_target=target,
+        payload_bytes=payload_bytes,
+    )
 
 
-def _validate_followme(ck: _Checker, sec, methods) -> None:
+def _mcs_link(scn: Scenario, seed: int) -> LinkTable:
+    """The seed's link table, built on the first call for that seed and kept
+    on ``scn`` until another seed is asked for."""
+    if scn._mcs_link is None or scn._mcs_link[0] != seed:
+        c = scn.inputs
+        scn._mcs_link = (seed, LinkTable.sample(c.gain_map, c.cells, c.cfg, c.table, seed, c.bler_target))
+    return scn._mcs_link[1]
+
+
+def run_mcs(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
+    link = _mcs_link(scn, seed)
+    series = run_policy(
+        link,
+        mcs_policy_from_method(method),
+        scn.inputs.payload_bytes,
+        seed=seed,
+        max_retx=scn.inputs.cfg.max_retx,
+    )
+    return {
+        "throughput_mean_bps": series.mean_throughput_bps,
+        "latency_mean_s": series.mean_latency_s,
+        "success_rate": float(np.mean(series.success)),
+        "bler_mass_le_target": series.bler_mass_at_or_below(link.bler_target),
+    }
+
+
+# --------------------------------------------------------------------------
+# followme family
+
+
+class FollowmeInputs(NamedTuple):
+    """What every run of a followme scenario starts from. Each curve is the
+    ``(x, y)`` arrays ``np.interp`` reads; ``y`` is ``log10`` of the curve for
+    the two interpolated on a log scale."""
+
+    total_steps: int
+    noise: Tuple[float, float]  # AR(1) rho and sigma_db of the RSSI noise
+    distance: Tuple[np.ndarray, np.ndarray]
+    rssi: Tuple[np.ndarray, np.ndarray]
+    log_throughput: Tuple[np.ndarray, np.ndarray]
+    log_bit_error: Tuple[np.ndarray, np.ndarray]
+    codec_s: Dict[str, Tuple[float, float]]
+    payload_bytes: Dict[str, int]
+    perception: Dict[str, Dict[str, float]]
+    cta_useful_s: float
+    loss_threshold_steps: int
+    max_attempts: int
+    slot_s: float
+
+
+def _curve(pts: List[Tuple[float, float]], log: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    return np.array([x for x, _ in pts]), np.array([math.log10(y) if log else y for _, y in pts])
+
+
+def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
+    """Check a followme section field by field, then parse its curves."""
     p = "scenario.followme"
     sec = ck.obj(
         sec, p,
@@ -382,14 +594,13 @@ def _validate_followme(ck: _Checker, sec, methods) -> None:
          "cta_useful_s", "loss_threshold_steps"),
     )
     if sec is None:
-        return
-    ck.integer(sec, p, "total_steps", lo=1, hi=_MAX_STEPS)
+        return None
+    total = ck.integer(sec, p, "total_steps", lo=1, hi=_MAX_STEPS)
     ck.num(sec, p, "frame_period_s", lo=0.0)
-    ck.curve(sec, p, "distance_profile")
-    ck.curve(sec, p, "rssi_curve")
-    noise = ck.obj(sec.get("noise"), f"{p}.noise", ("rho", "sigma_db"), ("rho", "sigma_db"))
-    if noise is not None:
-        ck.ar1(noise, f"{p}.noise", "rho", "sigma_db")
+    distance = ck.curve(sec, p, "distance_profile")
+    rssi = ck.curve(sec, p, "rssi_curve")
+    noise = ck.obj(sec.get("noise"), f"{p}.noise", ("rho", "sigma_db"), ("rho", "sigma_db")) or {}
+    noise = ck.ar1(noise, f"{p}.noise", "rho", "sigma_db")
     thr = ck.curve(sec, p, "throughput_curve")
     if thr is not None and any(y <= 0 for _, y in thr):
         ck.fail(f"{p}.throughput_curve", "throughputs must be positive")
@@ -407,15 +618,14 @@ def _validate_followme(ck: _Checker, sec, methods) -> None:
             ):
                 ck.fail(f"{p}.codec_s.{key}", f"{_echo(pair)} must be [encode_s, decode_s]")
     modes = _FOLLOWME_MODE_CONFIGS
-    payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes, modes)
-    if payloads is not None:
-        for key in modes:
-            ck.integer(payloads, f"{p}.payload_bytes", key, lo=1)
+    payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes, modes) or {}
+    payloads = {key: ck.integer(payloads, f"{p}.payload_bytes", key, lo=1) for key in modes}
     perc = ck.obj(
         sec.get("perception"), f"{p}.perception",
         ("lose_prob", "far_lose_prob", "far_distance_m", "reacquire_prob"),
         ("lose_prob", "far_lose_prob", "far_distance_m", "reacquire_prob"),
     )
+    perception = {}
     if perc is not None:
         for key, must_prob in (
             ("lose_prob", True), ("far_lose_prob", True),
@@ -424,250 +634,28 @@ def _validate_followme(ck: _Checker, sec, methods) -> None:
             table = ck.obj(perc.get(key), f"{p}.perception.{key}", modes, modes)
             if table is None:
                 continue
+            perception[key] = {}
             for mode in modes:
-                v = ck.num(table, f"{p}.perception.{key}", mode, lo=0.0)
+                v = perception[key][mode] = ck.num(table, f"{p}.perception.{key}", mode, lo=0.0)
                 if must_prob and v is not None and v > 1.0:
                     ck.fail(f"{p}.perception.{key}.{mode}", f"{_echo(v)} must be in [0, 1]")
-    ck.num(sec, p, "cta_useful_s", lo=0.0)
-    ck.integer(sec, p, "loss_threshold_steps", lo=0)
-    ck.integer(sec, p, "max_attempts", lo=1)
-    ck.num(sec, p, "slot_s", lo=0.0)
-
-
-class _Kind(NamedTuple):
-    """How one scenario kind is checked, built and run.
-
-    ``build`` and ``run`` name functions of this module and are looked up
-    when called, so a wrapper set on the module attribute sees every call.
-    """
-
-    methods: Optional[Tuple[str, ...]]  # None: mcs names, matched by _MCS_METHOD_RE
-    validate: Callable[[_Checker, dict, list], None]
-    build: Optional[str]
-    run: str
-
-
-_KINDS = {
-    "warehouse": _Kind(WAREHOUSE_METHODS, _validate_warehouse, "build_warehouse", "run_warehouse"),
-    "mcs": _Kind(None, _validate_mcs, "build_mcs_corridor", "run_mcs"),
-    "followme": _Kind(FOLLOWME_METHODS, _validate_followme, None, "run_followme"),
-}
-
-
-def parse_scenario(data: dict, path: Optional[Path] = None) -> Scenario:
-    errors = validate_scenario_dict(data)
-    if errors:
-        raise ScenarioError(errors)
-    return Scenario(
-        id=data["id"],
-        kind=data["kind"],
-        seeds=tuple(data["seeds"]),
-        methods=tuple(data["methods"]),
-        params=data[data["kind"]],
-        path=path,
+    cta_useful_s = ck.num(sec, p, "cta_useful_s", lo=0.0)
+    loss_threshold_steps = ck.integer(sec, p, "loss_threshold_steps", lo=0)
+    max_attempts = ck.integer(sec, p, "max_attempts", lo=1, default=4)
+    slot_s = ck.num(sec, p, "slot_s", lo=0.0, default=0.001)
+    if ck.errors:
+        return None
+    return FollowmeInputs(
+        total, noise, _curve(distance), _curve(rssi), _curve(thr, log=True), _curve(ber, log=True),
+        {key: tuple(pair) for key, pair in codec.items()}, payloads, perception,
+        cta_useful_s, loss_threshold_steps, max_attempts, slot_s,
     )
-
-
-def load_scenario(path) -> Scenario:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError([f"{path}: cannot read: {exc}"]) from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError([f"{path}:{exc.lineno}: invalid JSON: {exc.msg}"]) from exc
-    except ValueError as exc:  # an integer literal too long for int()
-        raise ScenarioError([f"{path}: invalid JSON: {exc}"]) from exc
-    try:
-        return parse_scenario(data, path)
-    except ScenarioError as exc:
-        raise ScenarioError([f"{path}: {e}" for e in exc.errors]) from exc
-
-
-# --------------------------------------------------------------------------
-# warehouse family
-
-
-def synthetic_gain_map(width: int, height: int, gain: dict) -> PathGainMap:
-    """Distance-falloff gain map with optional rectangular dead zones."""
-    ap = tuple(gain["ap"])
-    base = float(gain["base_gain_db"])
-    slope = float(gain["slope_db_per_cell"])
-    ys, xs = np.mgrid[0:height, 0:width]
-    dist = np.hypot(xs - ap[0], ys - ap[1])
-    gains = base - slope * dist
-    for zone in gain.get("dead_zones", []):
-        x0, y0, x1, y1 = zone["rect"]
-        if not (0 <= x0 <= x1 < width and 0 <= y0 <= y1 < height):
-            raise ValueError(f"dead zone rect {_echo(zone['rect'])} is not inside the {_echo(width)}x{_echo(height)} map")
-        gains[y0 : y1 + 1, x0 : x1 + 1] -= float(zone["extra_loss_db"])
-    return PathGainMap(
-        gains=gains,
-        shadowing_rho=float(gain.get("shadowing_rho", 0.0)),
-        shadowing_sigma_db=float(gain.get("shadowing_sigma_db", 0.0)),
-    )
-
-
-def _radio_overrides(cfg: RadioConfig, radio: Optional[dict]) -> RadioConfig:
-    if not radio:
-        return cfg
-    fields = {}
-    for key in ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm"):
-        if key in radio:
-            fields[key] = radio[key]
-    return dataclasses.replace(cfg, **fields) if fields else cfg
-
-
-def _mcs_table(radio: Optional[dict]) -> McsTable:
-    table = default_mcs_table()
-    if not radio:
-        return table
-    fields = {}
-    if "bandwidth_hz" in radio:
-        fields["bandwidth_hz"] = float(radio["bandwidth_hz"])
-    if "slot_s" in radio:
-        fields["slot_s"] = float(radio["slot_s"])
-    return dataclasses.replace(table, **fields) if fields else table
-
-
-def build_warehouse(scn: Scenario):
-    """Instantiate world, robots, tracks, gain map, and configuration."""
-    sec = scn.params
-    w = sec["world"]
-    blocked = {tuple(c) for c in w.get("blocked", [])}
-    for rect in w.get("blocked_rects", []):
-        blocked.update(_rect_cells(tuple(rect)))
-    world = GridWorld(
-        width=w["width"],
-        height=w["height"],
-        cell_size_m=float(w.get("cell_size_m", 2.0)),
-        blocked=frozenset(blocked),
-        frame_period_s=float(w.get("frame_period_s", 0.5)),
-        cell_traverse_s=float(w.get("cell_traverse_s", 1.4)),
-    )
-    robots = [
-        RobotState(r["id"], tuple(r["start"]), tuple(r["goal"])) for r in sec["robots"]
-    ]
-    tracks = [
-        HumanTrack(
-            waypoints=tuple(tuple(c) for c in h["waypoints"]),
-            horizon_frames=h.get("horizon_frames", 3),
-        )
-        for h in sec.get("humans", [])
-    ]
-    frames = float(sec.get("max_sim_time_s", 3600.0)) / world.frame_period_s
-    if frames > _MAX_STEPS:
-        raise ValueError(
-            f"max_sim_time_s / world.frame_period_s is {frames:g} frames, more than {_MAX_STEPS}"
-        )
-    gain_map = synthetic_gain_map(world.width, world.height, sec["gain"])
-    ids = sorted(r.id for r in robots)
-    resolution = correct_loop(RuleIntentEngine(), sec["intent_text"], {"robot_ids": ids})
-    cfg = resolution.config
-    cfg = dataclasses.replace(cfg, ra=_radio_overrides(cfg.ra, sec.get("radio")))
-    b = sec["budget"]
-    budget = LoopBudget(
-        detection_s=float(b["detection_s"]),
-        encode_s=float(b["encode_s"]),
-        link_context_s=float(b["link_context_s"]),
-        orchestration_s=float(b["orchestration_s"]),
-        deadline_s=float(b.get("deadline_s", world.cell_traverse_s)),
-    )
-    table = _mcs_table(sec.get("radio"))
-    return world, robots, tracks, gain_map, table, cfg, budget
-
-
-def run_warehouse(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
-    world, robots, tracks, gain_map, table, cfg, budget = build_warehouse(scn)
-    sim = WarehouseSimulation(
-        world, robots, tracks, gain_map, table, cfg, budget, method, seed,
-        payload_table=scn.params["payloads"],
-        max_sim_time_s=float(scn.params.get("max_sim_time_s", 3600.0)),
-    )
-    return sim.run().as_metrics()
-
-
-# --------------------------------------------------------------------------
-# mcs family
-
-
-def mcs_policy_from_method(method: str) -> PolicySpec:
-    match = _MCS_METHOD_RE.fullmatch(method)
-    if match is None:
-        raise ValueError(f"unknown mcs method {method!r}")
-    if match.group(1) is None:
-        return PolicySpec(kind=method)
-    return PolicySpec(kind=match.group(1), delay=int(match.group(2)))
-
-
-def build_mcs_corridor(scn: Scenario) -> Tuple[PathGainMap, List[Tuple[int, int]], RadioConfig, McsTable]:
-    sec = scn.params
-    n = sec["corridor_cells"]
-    prof = sec["gain_profile"]
-    xs = np.arange(n)
-    row = prof["base_db"] + prof["amplitude_db"] * np.sin(2 * math.pi * xs / prof["period_cells"])
-    gain_map = PathGainMap(
-        gains=row[np.newaxis, :],
-        shadowing_rho=float(sec["shadowing_rho"]),
-        shadowing_sigma_db=float(sec["shadowing_sigma_db"]),
-    )
-    steps = sec["steps"]
-    forward = list(range(n)) + list(range(n - 2, 0, -1))
-    cells = [(forward[t % len(forward)], 0) for t in range(steps)]
-    cfg = _radio_overrides(RadioConfig(), sec.get("radio"))
-    table = _mcs_table(sec.get("radio"))
-    return gain_map, cells, cfg, table
-
-
-def _mcs_link(scn: Scenario, seed: int) -> Tuple[LinkTable, RadioConfig]:
-    """The seed's link table and radio configuration, built on the first
-    call for that seed and kept on ``scn`` until another seed is asked for."""
-    if scn._mcs_link is None or scn._mcs_link[0] != seed:
-        gain_map, cells, cfg, table = build_mcs_corridor(scn)
-        target = float(scn.params.get("bler_target", 0.1))
-        scn._mcs_link = (seed, LinkTable.sample(gain_map, cells, cfg, table, seed, target), cfg)
-    return scn._mcs_link[1], scn._mcs_link[2]
-
-
-def run_mcs(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
-    link, cfg = _mcs_link(scn, seed)
-    series = run_policy(
-        link,
-        mcs_policy_from_method(method),
-        scn.params["payload_bytes"],
-        seed=seed,
-        max_retx=cfg.max_retx,
-    )
-    return {
-        "throughput_mean_bps": series.mean_throughput_bps,
-        "latency_mean_s": series.mean_latency_s,
-        "success_rate": float(np.mean(series.success)),
-        "bler_mass_le_target": series.bler_mass_at_or_below(link.bler_target),
-    }
-
-
-# --------------------------------------------------------------------------
-# followme family
 
 
 def _mode_name(cfg: SenseConfig) -> str:
     if cfg.mode == "jpeg":
         return f"jpeg_q{cfg.jpeg_quality}"
     return f"vq_{cfg.vit_grid[0]}x{cfg.vit_grid[1]}"
-
-
-def _log_interp(x: float, pts: Sequence[Tuple[float, float]]) -> float:
-    xs = [p[0] for p in pts]
-    ys = [math.log10(p[1]) for p in pts]
-    return 10.0 ** float(np.interp(x, xs, ys))
-
-
-def _lin_interp(x: float, pts: Sequence[Tuple[float, float]]) -> float:
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return float(np.interp(x, xs, ys))
 
 
 def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
@@ -680,37 +668,28 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     within ``cta_useful_s``, and the perception tracker holds (or regains)
     lock on it.
     """
-    sec = scn.params
-    total = sec["total_steps"]
-    noise = ar1_series(
-        np.random.default_rng([seed, 21]), total,
-        float(sec["noise"]["rho"]), float(sec["noise"]["sigma_db"]),
-    )
+    fm = scn.inputs
+    total = fm.total_steps
+    noise = ar1_series(np.random.default_rng([seed, 21]), total, *fm.noise)
     rng_loss = np.random.default_rng([seed, 22])
     rng_perc = np.random.default_rng([seed, 23])
 
-    perc = sec["perception"]
-    codec = sec["codec_s"]
-    payloads = sec["payload_bytes"]
-    max_attempts = int(sec.get("max_attempts", 4))
-    slot_s = float(sec.get("slot_s", 0.001))
-    cta_bound = float(sec["cta_useful_s"])
-
+    perc = fm.perception
     fixed_cfg = _FOLLOWME_MODE_CONFIGS.get(method)
     locked = True
     arrivals: List[int] = []
     cta_samples: List[float] = []
     delivered_count = 0
     for t in range(total):
-        distance = _lin_interp(t, sec["distance_profile"])
-        rssi = _lin_interp(distance, sec["rssi_curve"]) + noise[t]
+        distance = float(np.interp(t, *fm.distance))
+        rssi = float(np.interp(distance, *fm.rssi)) + noise[t]
         cfg = fixed_cfg if fixed_cfg is not None else select_sense_mode(rssi)
         mode = _mode_name(cfg)
-        bits = payloads[mode] * 8
-        throughput = _log_interp(rssi, sec["throughput_curve"])
-        p_bit = _log_interp(rssi, sec["bit_error_curve"])
+        bits = fm.payload_bytes[mode] * 8
+        throughput = 10.0 ** float(np.interp(rssi, *fm.log_throughput))
+        p_bit = 10.0 ** float(np.interp(rssi, *fm.log_bit_error))
         p_loss = -math.expm1(bits * math.log1p(-p_bit))
-        attempts_allowed = max_attempts if cfg.qos == "reliable" else 1
+        attempts_allowed = fm.max_attempts if cfg.qos == "reliable" else 1
         attempts = 0
         delivered = False
         for _ in range(attempts_allowed):
@@ -721,10 +700,10 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
         useful = False
         if delivered:
             delivered_count += 1
-            enc, dec = codec["jpeg"] if cfg.mode == "jpeg" else codec["vq"]
-            cta = enc + attempts * (bits / throughput + slot_s) + dec
+            enc, dec = fm.codec_s[cfg.mode]
+            cta = enc + attempts * (bits / throughput + fm.slot_s) + dec
             cta_samples.append(cta)
-            useful = cta <= cta_bound
+            useful = cta <= fm.cta_useful_s
         if locked:
             far = distance > perc["far_distance_m"][mode]
             lose_p = perc["far_lose_prob"][mode] if far else perc["lose_prob"][mode]
@@ -737,7 +716,7 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
             arrivals.append(t)
 
     metrics: Dict[str, float] = {
-        "utfr_pct": utfr(arrivals, total, sec["loss_threshold_steps"]),
+        "utfr_pct": utfr(arrivals, total, fm.loss_threshold_steps),
         "delivered_frames": float(delivered_count),
         "arrival_frames": float(len(arrivals)),
     }

@@ -63,7 +63,7 @@ def corridor_policy_stats():
     ``r2xsim run`` orders them, so each seed's link table is built once."""
     start = time.monotonic()
     scn = load_scenario(BUNDLED_DIR / "mcs-ar1.json")
-    assert scn.params["bler_target"] == 0.1  # bler_mass is the mass at or below 0.1
+    assert scn.inputs.bler_target == 0.1  # bler_mass is the mass at or below 0.1
     delays = (3, 5, 10, 20, 30)
     methods = ["oracle", "delayed_1"] + [
         f"{kind}_{d}" for d in delays for kind in ("delayed", "predictive")

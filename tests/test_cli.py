@@ -318,3 +318,53 @@ class TestCompare:
         (d / "results.jsonl").write_text('{"ok": 1}\nnot json\n')
         assert main(["compare", str(d), "--metric", "m"]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5",
+            "[1, 2]",
+            json.dumps({"scenario_id": "cmp", "metrics": {"m": 1.0}}),
+            json.dumps({"scenario_id": "cmp", "method": 5, "metrics": {"m": 1.0}}),
+            json.dumps({"scenario_id": ["cmp"], "method": "alpha", "metrics": {"m": 1.0}}),
+            json.dumps({"scenario_id": "cmp", "method": "alpha", "metrics": [1.0]}),
+            json.dumps(rec("alpha", 1, "fast")),
+            json.dumps(rec("alpha", 1, [1.0])),
+            json.dumps(rec("alpha", 1, True)),
+            json.dumps(rec("alpha", 1, 10**400)),
+            '{"seed": ' + "1" * 5000 + "}",
+        ],
+        ids=[
+            "number", "list", "no-method", "int-method", "list-id", "list-metrics",
+            "string-metric", "list-metric", "bool-metric", "overflowing-metric", "overlong-integer",
+        ],
+    )
+    def test_unreadable_record_names_its_line(self, tmp_path, capsys, line):
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "results.jsonl").write_text(json.dumps(rec("alpha", 0, 1.0)) + "\n" + line + "\n")
+        assert main(["compare", str(d), "--metric", "m"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{d / 'results.jsonl'}:2: ") and len(err.splitlines()) == 1, err[:300]
+        assert len(err) <= 300, err[:400]
+
+    def test_undecodable_results_file(self, tmp_path, capsys):
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "results.jsonl").write_bytes(b'{"method": "caf\xe9"}\n')
+        assert main(["compare", str(d), "--metric", "m"]) == 2
+        assert capsys.readouterr().err.startswith(f"{d / 'results.jsonl'}: cannot read: 'utf-8' codec")
+
+    def test_records_without_scenario_id_are_a_mix(self, tmp_path, capsys):
+        write_records(tmp_path / "a", [rec("alpha", 0, 1.0)])
+        write_records(tmp_path / "b", [{"method": "alpha", "seed": 1, "metrics": {"m": 2.0}}])
+        code = main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--metric", "m"])
+        assert code == 2
+        assert capsys.readouterr().err == "scenario_id: result dirs mix different scenarios ['cmp', None]\n"
+
+    def test_long_scenario_ids_give_a_short_line(self, tmp_path, capsys):
+        write_records(tmp_path / "a", [rec("alpha", 0, 1.0, sid="a" * 5000)])
+        write_records(tmp_path / "b", [rec("alpha", 1, 2.0, sid="b" * 5000)])
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--metric", "m"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario_id: result dirs mix different scenarios ['aaa") and len(err) <= 200, err[:300]

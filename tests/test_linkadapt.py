@@ -25,7 +25,6 @@ from r2xsim.radio import (
     select_mcs,
 )
 from r2xsim.scenarios import (
-    build_mcs_corridor,
     bundled_scenario_path,
     load_scenario,
     mcs_policy_from_method,
@@ -193,7 +192,7 @@ class TestLinkTable:
 
     def test_sample_reads_one_trace(self):
         scn = load_scenario(bundled_scenario_path("mcs-ar1"))
-        gain_map, cells, cfg, table = build_mcs_corridor(scn)
+        gain_map, cells, cfg, table, *_ = scn.inputs
         trace = sample_trace(gain_map, cells, cfg, 7)
         link = LinkTable.sample(gain_map, cells, cfg, table, 7)
         assert link.true_snr == [ls.snr_db for ls in trace]
@@ -276,8 +275,7 @@ SPECS = [
 
 @pytest.fixture(scope="module")
 def bundled_corridor():
-    scn = load_scenario(bundled_scenario_path("mcs-ar1"))
-    return scn, build_mcs_corridor(scn)
+    return load_scenario(bundled_scenario_path("mcs-ar1"))
 
 
 def assert_matches_reference(link, trace, spec, table, payload, target, seed, cells, gain_map, max_retx):
@@ -295,13 +293,13 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_bundled_method(self, bundled_corridor, seed):
-        scn, (gain_map, cells, cfg, table) = bundled_corridor
-        target = scn.params["bler_target"]
+        scn = bundled_corridor
+        gain_map, cells, cfg, table, target, payload = scn.inputs
         trace = sample_trace(gain_map, cells, cfg, seed)
         link = LinkTable.sample(gain_map, cells, cfg, table, seed, target)
         for method in scn.methods:
             assert_matches_reference(
-                link, trace, mcs_policy_from_method(method), table, scn.params["payload_bytes"],
+                link, trace, mcs_policy_from_method(method), table, payload,
                 target, seed, cells, gain_map, cfg.max_retx,
             )
 
@@ -319,7 +317,7 @@ class TestKernelMatchesReference:
             assert_matches_reference(link, trace, spec, STEP_TABLE, 700, target, 3, cells, gm, 4)
 
     def test_max_retx_zero(self, bundled_corridor):
-        scn, (gain_map, cells, cfg, table) = bundled_corridor
+        gain_map, cells, cfg, table, *_ = bundled_corridor.inputs
         cells = cells[:600]
         trace = sample_trace(gain_map, cells, cfg, 4)
         link = LinkTable.sample(gain_map, cells, cfg, table, 4)

@@ -12,19 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from r2xsim import scenarios
 from r2xsim.planner import PlanConfig
 from r2xsim.scenarios import (
     FOLLOWME_METHODS,
     Scenario,
     ScenarioError,
-    build_mcs_corridor,
-    build_warehouse,
     bundled_scenario_path,
     load_scenario,
     mcs_policy_from_method,
     parse_scenario,
     run_one,
-    synthetic_gain_map,
     validate_scenario_dict,
 )
 
@@ -281,21 +279,21 @@ class TestValidation:
                 lambda s: (s["world"].update(blocked=[[1, 0]]), s.update(humans=[{"waypoints": [[1, 0]]}])),
                 "scenario.warehouse.humans[0].waypoints[0]: cell (1, 0) is blocked",
             ),
-            # accepted by the schema, refused by the builder
-            (lambda s: s["world"].update(frame_period_s=0), "scenario.warehouse: frame_period_s"),
+            # bounds the model constructors also hold, each at its own field
+            (lambda s: s["world"].update(frame_period_s=0), "scenario.warehouse.world.frame_period_s: 0 must be > 0.0"),
             (
                 lambda s: s["world"].update(cell_traverse_s=0),
-                "scenario.warehouse: frame_period_s and cell_traverse_s must be positive",
+                "scenario.warehouse.world.cell_traverse_s: 0 must be > 0.0",
             ),
-            (lambda s: s["world"].update(cell_size_m=0), "scenario.warehouse: cell_size_m must be positive"),
-            (lambda s: s.update(radio={"slot_s": 0}), "scenario.warehouse: bandwidth_hz and slot_s"),
+            (lambda s: s["world"].update(cell_size_m=0), "scenario.warehouse.world.cell_size_m: 0 must be > 0.0"),
+            (lambda s: s.update(radio={"slot_s": 0}), "scenario.warehouse.radio.slot_s: 0 must be > 0.0"),
             (
                 lambda s: s["gain"].update(dead_zones=[{"rect": [50, 50, 60, 60], "extra_loss_db": 5.0}]),
-                "scenario.warehouse: dead zone rect [50, 50, 60, 60] is not inside the 4x1 map",
+                "scenario.warehouse.gain.dead_zones[0].rect: [50, 50, 60, 60] outside 4x1 world",
             ),
             (
                 lambda s: s["gain"].update(dead_zones=[{"rect": [-1, 0, 0, 0], "extra_loss_db": 5.0}]),
-                "scenario.warehouse: dead zone rect [-1, 0, 0, 0] is not inside",
+                "scenario.warehouse.gain.dead_zones[0].rect: [-1, 0, 0, 0] outside 4x1 world",
             ),
             # non-finite numbers, non-list sections, reversed rectangles
             (
@@ -325,6 +323,21 @@ class TestValidation:
                 "scenario.warehouse.world.blocked_rects[0]: [5, 5, 3, 3] must be [x0, y0, x1, y1] integers "
                 "with x0 <= x1 and y0 <= y1",
             ),
+            # more values those bounds refuse
+            (
+                lambda s: s["world"].update(cell_traverse_s=-1),
+                "scenario.warehouse.world.cell_traverse_s: -1 must be > 0.0",
+            ),
+            (
+                lambda s: s["gain"].update(dead_zones=[{"rect": [0, 0, 99, 99], "extra_loss_db": 5.0}]),
+                "scenario.warehouse.gain.dead_zones[0].rect: [0, 0, 99, 99] outside 4x1 world",
+            ),
+            # more cells than the cap, refused before the world is allocated
+            (
+                lambda s: s["world"].update(width=10**9),
+                "scenario.warehouse.world: 1000000000x1 is more than 1000000 cells",
+            ),
+            (lambda s: s["world"].update(width=1001, height=1000), "scenario.warehouse.world: 1001x1000 is more"),
         ],
     )
     def test_warehouse_section(self, mutate, needle):
@@ -345,11 +358,12 @@ class TestValidation:
             (lambda s: s.update(steps=2), "scenario.mcs.steps: 2 must exceed the delay of method 'delayed_2'"),
             (lambda s: s.update(steps=10**6 + 1), "scenario.mcs.steps: 1000001 must be <= 1000000"),
             (lambda s: s.update(corridor_cells=10**6 + 1), "scenario.mcs.corridor_cells: 1000001 must be <= 1000000"),
-            (lambda s: s.update(radio={"slot_s": 0}), "scenario.mcs: bandwidth_hz and slot_s"),
+            (lambda s: s.update(radio={"slot_s": 0}), "scenario.mcs.radio.slot_s: 0 must be > 0.0"),
             (
                 lambda s: s.update(shadowing_sigma_db=math.nan),
                 "scenario.mcs.shadowing_sigma_db: nan must be a finite number",
             ),
+            (lambda s: s.update(radio={"slot_s": -1}), "scenario.mcs.radio.slot_s: -1 must be > 0.0"),
         ],
     )
     def test_mcs_section(self, mutate, needle):
@@ -525,6 +539,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(tmp_path / "nope.json")
 
+    def test_undecodable_file(self, tmp_path):
+        p = tmp_path / "latin.json"
+        p.write_bytes(b'{"id": "caf\xe9"}')
+        with pytest.raises(ScenarioError, match=r"latin\.json: cannot read: 'utf-8' codec"):
+            load_scenario(p)
+
     def test_invalid_json_reports_line(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text('{\n  "id": oops\n}\n')
@@ -545,6 +565,16 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as exc:
             load_scenario(p)
         assert all(str(p) in e for e in exc.value.errors)
+
+
+def synthetic_gain_map(width, height, gain):
+    """The gain map a warehouse section with this world size and ``gain``
+    object builds."""
+    doc = tiny_warehouse()
+    doc["warehouse"]["world"].update(width=width, height=height)
+    doc["warehouse"]["robots"] = [{"id": 1, "start": [0, 0], "goal": [1, 0]}]
+    doc["warehouse"]["gain"] = gain
+    return parse_scenario(doc).inputs.gain_map
 
 
 class TestSyntheticGainMap:
@@ -580,7 +610,7 @@ class TestSyntheticGainMap:
 class TestBuildWarehouse:
     def test_bundled_s1_configuration(self, bundled_dir):
         scn = load_scenario(bundled_dir / "warehouse-s1.json")
-        world, robots, tracks, gain_map, table, cfg, budget = build_warehouse(scn)
+        world, robots, tracks, gain_map, table, cfg, budget, *_ = scn.inputs
         assert (world.width, world.height) == (10, 10)
         assert world.frame_period_s == 0.7
         assert world.cell_traverse_s == 1.4
@@ -605,7 +635,7 @@ class TestBuildWarehouse:
             "slot_s": 0.002,
         }
         scn = parse_scenario(doc)
-        *_, table, cfg, budget = build_warehouse(scn)
+        table, cfg = scn.inputs.table, scn.inputs.cfg
         assert cfg.ra.target_snr_db == 12.0
         assert cfg.ra.max_power_dbm == 20.0
         assert table.bandwidth_hz == 5e6
@@ -619,7 +649,7 @@ class TestBuildWarehouse:
             "blocked": [[1, 2]],
             "blocked_rects": [[2, 1, 3, 1]],
         }
-        world, *_ = build_warehouse(parse_scenario(doc))
+        world = parse_scenario(doc).inputs.world
         assert world.blocked == frozenset({(1, 2), (2, 1), (3, 1)})
 
 
@@ -629,7 +659,7 @@ class TestBuildMcsCorridor:
         doc["mcs"]["corridor_cells"] = 4
         doc["mcs"]["steps"] = 9
         scn = parse_scenario(doc)
-        gain_map, cells, cfg, table = build_mcs_corridor(scn)
+        gain_map, cells, cfg, table, *_ = scn.inputs
         row = np.asarray(gain_map.gains)[0]
         assert row.shape == (4,)
         for x in range(4):
@@ -644,7 +674,7 @@ class TestBuildMcsCorridor:
     def test_radio_overrides(self):
         doc = tiny_mcs()
         doc["mcs"]["radio"] = {"target_snr_db": 10.0, "bandwidth_hz": 20e6}
-        _, _, cfg, table = build_mcs_corridor(parse_scenario(doc))
+        _, _, cfg, table, *_ = parse_scenario(doc).inputs
         assert cfg.target_snr_db == 10.0
         assert table.bandwidth_hz == 20e6
 
@@ -668,13 +698,40 @@ class TestConflictGap:
         """A gap of 10**15 would materialise 2 * 10**15 + 1 steps per conflict
         window; clipped to the planning horizon it gives the same runs as any
         other gap past the conflict steps."""
-        scn = load_scenario(bundled_scenario_path("warehouse-s4"))
+        doc = json.loads(bundled_scenario_path("warehouse-s4").read_text())
         metrics = {}
         for gap in (100, 10**15):
-            copy_ = scn.with_overrides()
-            copy_.params = dict(scn.params, intent_text=f"keep gap {gap}")
-            metrics[gap] = [run_one(copy_, m, 0)["metrics"] for m in scn.methods]
+            doc["warehouse"]["intent_text"] = f"keep gap {gap}"
+            scn = parse_scenario(doc)
+            assert scn.inputs.cfg.pp.min_time_gap_at_conflict == gap
+            metrics[gap] = [run_one(scn, m, 0)["metrics"] for m in scn.methods]
         assert metrics[10**15] == metrics[100]
+
+
+class TestSharedInputs:
+    """A file is checked and built once, when it is parsed; every run reads
+    the same inputs."""
+
+    BUILDERS = {"warehouse": "build_warehouse", "mcs": "build_mcs_corridor", "followme": "build_followme"}
+
+    @pytest.mark.parametrize("make", [tiny_warehouse, tiny_mcs, tiny_followme])
+    def test_built_once_per_file(self, make, monkeypatch):
+        doc = make()
+        name = self.BUILDERS[doc["kind"]]
+        calls = []
+        build = getattr(scenarios, name)
+        monkeypatch.setattr(scenarios, name, lambda *args: calls.append(1) or build(*args))
+        scn = parse_scenario(doc)
+        for seed in (0, 1):
+            for method in scn.methods:
+                run_one(scn, method, seed)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("make", [tiny_warehouse, tiny_mcs, tiny_followme])
+    def test_repeated_runs_give_equal_records(self, make):
+        scn = parse_scenario(make())
+        for method in scn.methods:
+            assert run_one(scn, method, 1) == run_one(scn, method, 1) == run_one(parse_scenario(make()), method, 1)
 
 
 class TestRunOne:

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import BUNDLED_DIR, WAREHOUSE_IDS
-from r2xsim.scenarios import build_warehouse, load_scenario
+from r2xsim.scenarios import load_scenario
 from r2xsim.world import GridWorld, HumanTrack, RobotState, human_forecast
 
 
@@ -74,7 +74,7 @@ class TestNeighborTable:
     @pytest.mark.parametrize("park_goal", [False, True], ids=["open", "parked"])
     @pytest.mark.parametrize("sid", WAREHOUSE_IDS)
     def test_matches_scan_on_bundled_layouts(self, sid, park_goal):
-        world, robots, *_ = build_warehouse(load_scenario(BUNDLED_DIR / f"{sid}.json"))
+        world, robots, *_ = load_scenario(BUNDLED_DIR / f"{sid}.json").inputs
         if park_goal:
             world = GridWorld(
                 world.width, world.height, world.cell_size_m, world.blocked | {robots[0].goal},
