@@ -16,6 +16,20 @@ computed once and what changes is kept in a reservation table:
   ``plan`` turns the human forecasts into one cell -> blocked-steps table
   per call; each robot searches under a copy of it, into which its conflict
   windows and blocked moves are written as they arrive.
+
+For two robots under the makespan objective with a zero gap, ``plan``
+searches the joint state space of each ordering exactly, breadth-first, and
+bounds each search by a step limit (Standley 2010: a cheap feasible plan
+bounds an exact cooperative search). A follower move to cell ``n`` at step
+``t`` is pruned when ``t`` plus the static distance from ``n`` to the
+follower's goal exceeds the limit. That distance changes by at most one per
+move, so a pruned state has no successor that reaches the joint goal by the
+limit: it is neither on the returned path nor the parent of a state on it,
+and the first goal state and every parent choice are those of the unbounded
+search. The first ordering's limit is the makespan of its prioritized plan,
+which lies in the joint search space; the second ordering's is one step
+less than the first ordering's result, since it is kept only when strictly
+better.
 """
 
 from __future__ import annotations
@@ -58,7 +72,9 @@ class SpaceTimePath:
     cells: Tuple[Cell, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(tuple(c) for c in self.cells))
+        cells = self.cells
+        if type(cells) is not tuple or not all(type(c) is tuple for c in cells):
+            object.__setattr__(self, "cells", tuple(tuple(c) for c in cells))
         if not self.cells:
             raise ValueError("path must contain at least the start cell")
 
@@ -303,13 +319,19 @@ def _solve_ordering(
     base: Dict[int, ReservationTable],
     gap: int,
     horizon: int,
+    solo: Optional[Dict[int, SpaceTimePath]] = None,
 ) -> Dict[int, SpaceTimePath]:
+    """Paths for ``order`` by priority; ``solo`` holds each robot's route
+    under its base table when that has been searched already."""
     # Exact: a conflict step is at most the horizon and no search reads a step
     # past it; without the clip each window materialises 2 * gap + 1 steps.
     gap = min(gap, horizon)
     rank = {rid: i for i, rid in enumerate(order)}
     tables = {rid: base[rid].copy() for rid in order}
-    paths = {rid: low_level_search(world, robots[rid], tables[rid], horizon) for rid in order}
+    if solo is None:
+        paths = {rid: low_level_search(world, robots[rid], tables[rid], horizon) for rid in order}
+    else:
+        paths = dict(solo)
     for _ in range(_MAX_RESOLUTION_ROUNDS):
         conflict = detect_first_conflict([paths[rid] for rid in order])
         if conflict is None:
@@ -369,80 +391,93 @@ def _joint_best_response(
     lead: RobotState,
     follow: RobotState,
     base: Dict[int, ReservationTable],
-    horizon: int,
+    solo: SpaceTimePath,
+    limit: int,
 ) -> Optional[Tuple[int, SpaceTimePath, SpaceTimePath]]:
-    """Exact best makespan when ``lead`` plans first and ``follow`` responds.
+    """Exact best makespan when ``lead`` plans first and ``follow`` responds,
+    if it is at most ``limit``; ``solo`` is the lead's route under its table.
 
     The lead may take any of its optimal solo routes; a breadth-first search
     over the joint state space, with the lead restricted to those routes,
-    finds the follower response minimizing the makespan. Only used for the
-    two-robot makespan objective with a zero gap window.
+    finds the follower response minimizing the makespan. Each layer is
+    expanded in sorted order and a state's parent is the first state to
+    reach it. A follower move is pruned when the goal is out of reach by
+    ``limit`` even on an empty grid. Only used for the two-robot makespan
+    objective with a zero gap window.
     """
     lead_table, fol_table = base[lead.id], base[follow.id]
     lead_eb = lead_table.edges
     fol_cb, fol_eb = fol_table.cells, fol_table.edges
-    try:
-        solo = low_level_search(world, lead, lead_table, horizon)
-    except PlanningInfeasible:
-        return None
     t1 = solo.arrival_step
+    if t1 > limit:
+        return None
     layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, lead_table.cells, lead_eb)
     goal1, goal2 = tuple(lead.goal), tuple(follow.goal)
     fol_goal_latest = max(fol_cb.get(goal2, ()), default=-1)
     moves = world.neighbor_table
+    hfield = world.goal_distances(goal2)
+    parked = [goal1]
 
     start_state = (tuple(lead.cell), tuple(follow.cell))
-    frontier = {start_state}
+    goal_state = (goal1, goal2)
+    frontier = [start_state]
     parents: List[Dict[Tuple[Cell, Cell], Tuple[Cell, Cell]]] = [{start_state: None}]
     t = 0
-    while t <= horizon:
-        if t >= t1 and t > fol_goal_latest:
-            for c1, c2 in sorted(frontier):
-                if c1 == goal1 and c2 == goal2:
-                    cells1, cells2 = [], []
-                    state, step = (c1, c2), t
-                    while state is not None:
-                        cells1.append(state[0])
-                        cells2.append(state[1])
-                        state = parents[step][state]
-                        step -= 1
-                    cells1.reverse()
-                    cells2.reverse()
-                    cells1 = cells1[: t1 + 1]
-                    while len(cells2) >= 2 and cells2[-1] == goal2 and cells2[-2] == goal2:
-                        cells2.pop()
-                    return t, SpaceTimePath(lead.id, tuple(cells1)), SpaceTimePath(follow.id, tuple(cells2))
-        if t == horizon:
-            break
-        nxt_frontier = set()
+    while True:
+        if t >= t1 and t > fol_goal_latest and goal_state in parents[t]:
+            cells1, cells2 = [], []
+            state, step = goal_state, t
+            while state is not None:
+                cells1.append(state[0])
+                cells2.append(state[1])
+                state = parents[step][state]
+                step -= 1
+            cells1.reverse()
+            cells2.reverse()
+            cells1 = cells1[: t1 + 1]
+            while len(cells2) >= 2 and cells2[-1] == goal2 and cells2[-2] == goal2:
+                cells2.pop()
+            return t, SpaceTimePath(lead.id, tuple(cells1)), SpaceTimePath(follow.id, tuple(cells2))
+        if t == limit:
+            return None
+        nstep = t + 1
+        slack = limit - nstep
+        # Each robot's moves depend only on its own cell within a layer.
+        lead_moves: Dict[Cell, List[Cell]] = {}
+        if nstep <= t1:
+            lead_layer = set(layers[nstep])
+            for c1, _ in frontier:
+                if c1 not in lead_moves:
+                    lead_moves[c1] = [n for n in moves[c1] if n in lead_layer and (c1, n, t) not in lead_eb]
+        fol_moves: Dict[Cell, List[Cell]] = {}
         nxt_parents: Dict[Tuple[Cell, Cell], Tuple[Cell, Cell]] = {}
-        lead_layer = set(layers[t + 1]) if t + 1 <= t1 else {goal1}
-        for c1, c2 in sorted(frontier):
-            if t + 1 <= t1:
-                moves1 = [n for n in moves[c1] if n in lead_layer and (c1, n, t) not in lead_eb]
-            else:
-                moves1 = [goal1]
-            moves2 = []
-            for n in moves[c2]:
-                if (t + 1) in fol_cb.get(n, ()):
-                    continue
-                if (c2, n, t) in fol_eb:
-                    continue
-                moves2.append(n)
+        for state in frontier:
+            c1, c2 = state
+            moves1 = lead_moves.get(c1, parked)
+            moves2 = fol_moves.get(c2)
+            if moves2 is None:
+                moves2 = fol_moves[c2] = []
+                for n in moves[c2]:
+                    d = hfield.get(n)
+                    if d is None or d > slack:
+                        continue
+                    if nstep in fol_cb.get(n, ()):
+                        continue
+                    if (c2, n, t) in fol_eb:
+                        continue
+                    moves2.append(n)
             for n1 in moves1:
                 for n2 in moves2:
                     if n1 == n2 or (n1 == c2 and n2 == c1):
                         continue
-                    state = (n1, n2)
-                    if state not in nxt_parents:
-                        nxt_parents[state] = (c1, c2)
-                        nxt_frontier.add(state)
-        if not nxt_frontier:
+                    child = (n1, n2)
+                    if child not in nxt_parents:
+                        nxt_parents[child] = state
+        if not nxt_parents:
             return None
-        frontier = nxt_frontier
+        frontier = sorted(nxt_parents)
         parents.append(nxt_parents)
-        t += 1
-    return None
+        t = nstep
 
 
 def plan(
@@ -496,11 +531,29 @@ def plan(
         and world.width * world.height <= _REFINE_CELL_CAP
     )
     if use_refinement:
+        # Each robot's solo route is searched once. The prioritized plan of
+        # the first ordering lies in that ordering's joint search space, so
+        # its makespan bounds the search, which then always finds a plan;
+        # without a prioritized plan the bound is the horizon. The second
+        # ordering is kept only when strictly better than the first.
+        solo: Dict[int, Optional[SpaceTimePath]] = {}
+        for rid in order:
+            try:
+                solo[rid] = low_level_search(world, by_id[rid], base[rid], horizon)
+            except PlanningInfeasible:
+                solo[rid] = None
+        limit = horizon
+        if None not in solo.values():
+            try:
+                limit = makespan(_solve_ordering(world, by_id, order, base, 0, horizon, solo).values())
+            except PlanningError:
+                pass
         best = None
-        for lead_id, follow_id in (order, list(reversed(order))):
-            res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], base, horizon)
-            if res is not None and (best is None or res[0] < best[0]):
-                best = res
+        for lead_id, follow_id in (order, order[::-1]):
+            if solo[lead_id] is not None:
+                res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], base, solo[lead_id], limit)
+                if res is not None:
+                    best, limit = res, res[0] - 1
         if best is None:
             raise PlanningInfeasible(order[-1], horizon)
         solved = {best[1].robot_id: best[1], best[2].robot_id: best[2]}

@@ -228,10 +228,10 @@ def _radio(ck: _Checker, sec: dict, path: str) -> Tuple[dict, McsTable]:
     """A section's optional ``radio`` object: the ``RadioConfig`` fields it
     sets, and the default MCS table with its bandwidth and slot."""
     path = f"{path}.radio"
-    robj = sec.get("radio")
-    if robj is not None:
+    robj = None
+    if "radio" in sec:
         robj = ck.obj(
-            robj, path,
+            sec["radio"], path,
             ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm", "bandwidth_hz", "slot_s"),
             (),
         )
@@ -290,13 +290,13 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     if width is not None and height is not None and width * height > _MAX_STEPS:
         ck.fail(f"{p}.world", f"{_echo(width)}x{_echo(height)} is more than {_MAX_STEPS} cells")
         width = height = None
+    # A cell is checked against the world only when both sizes are valid.
+    sized = width is not None and height is not None
     blocked: set = set()
 
     def in_world(found) -> bool:
         """A cell, or both corners of a rect, in a world of known size."""
-        return width is not None and height is not None and all(
-            0 <= x < width and 0 <= y < height for x, y in (found[:2], found[-2:])
-        )
+        return sized and all(0 <= x < width and 0 <= y < height for x, y in (found[:2], found[-2:]))
 
     cell_size_m = ck.num(world, f"{p}.world", "cell_size_m", gt=0.0, default=2.0)
     frame_period_s = ck.num(world, f"{p}.world", "frame_period_s", gt=0.0, default=0.5)
@@ -308,7 +308,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
         for i, raw in enumerate(ck.items(world, f"{p}.world", key)):
             bp = f"{p}.world.{key}[{i}]"
             found = parse(raw, bp)
-            if found is None or width is None or height is None:
+            if found is None or not sized:
                 continue
             if not in_world(found):
                 ck.fail(bp, f"{_echo(raw)} outside {_echo(width)}x{_echo(height)} world")
@@ -344,7 +344,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
                     bucket.append(cell)
                     if in_world(cell) and cell in blocked:
                         ck.fail(f"{rp}.{key}", f"cell {_echo(cell)} is blocked")
-                    if width is not None and not in_world(cell):
+                    if sized and not in_world(cell):
                         ck.fail(f"{rp}.{key}", f"cell {_echo(cell)} outside {_echo(width)}x{_echo(height)} world")
         if len(set(starts)) != len(starts):
             ck.fail(f"{p}.robots", "robot starts must be distinct")
@@ -367,7 +367,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
             cell = ck.cell(wraw, f"{hp}.waypoints[{j}]")
             if cell is None:
                 break
-            if width is not None and not in_world(cell):
+            if sized and not in_world(cell):
                 ck.fail(f"{hp}.waypoints[{j}]", f"cell {_echo(cell)} outside the world")
             elif cell in blocked:
                 ck.fail(f"{hp}.waypoints[{j}]", f"cell {_echo(cell)} is blocked")
@@ -394,7 +394,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
             if zobj is None:
                 continue
             rect = ck.rect(zobj.get("rect"), f"{zp}.rect")
-            if rect and width is not None and height is not None and not in_world(rect):
+            if rect and sized and not in_world(rect):
                 ck.fail(f"{zp}.rect", f"{_echo(zobj['rect'])} outside {_echo(width)}x{_echo(height)} world")
             zones.append((rect, ck.num(zobj, zp, "extra_loss_db", lo=0.0)))
 

@@ -9,6 +9,11 @@ robot's best response against each by breadth-first search over
 space-time, and keeps the minimum.  The overall optimum is the better of
 the two orderings.  This is deliberately brute force and shares no code
 with the production planner.
+
+``reference_makespan_plan`` is the two-robot makespan refinement as it was
+before its joint search was bounded: ``reference_joint_best_response`` is
+the unpruned breadth-first search, kept to check that the bound changes no
+plan and no error.
 """
 
 from collections import deque
@@ -16,6 +21,14 @@ from collections import deque
 import numpy as np
 
 from r2xsim.linkadapt import MapAwarePredictor, PolicyTimeSeries
+from r2xsim.planner import (
+    PlanningInfeasible,
+    ReservationTable,
+    SpaceTimePath,
+    _human_reservations,
+    _time_expanded_layers,
+    low_level_search,
+)
 from r2xsim.radio import bler, select_mcs, simulate_transmission
 
 
@@ -202,3 +215,96 @@ def reference_run_policy(
         if result.success and result.latency_s > 0:
             tput[t] = payload_bytes_per_step * 8.0 / result.latency_s
     return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ)
+
+
+def reference_joint_best_response(world, lead, follow, base, horizon):
+    """Best makespan when ``lead`` plans first and ``follow`` responds, by a
+    breadth-first search over both robots' states with no pruning: the lead
+    on any of its optimal solo routes, the follower anywhere its table
+    allows, every layer sorted and each state's parent the first state in
+    that order to reach it."""
+    lead_table, fol_table = base[lead.id], base[follow.id]
+    lead_eb = lead_table.edges
+    fol_cb, fol_eb = fol_table.cells, fol_table.edges
+    try:
+        solo = low_level_search(world, lead, lead_table, horizon)
+    except PlanningInfeasible:
+        return None
+    t1 = solo.arrival_step
+    layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, lead_table.cells, lead_eb)
+    goal1, goal2 = tuple(lead.goal), tuple(follow.goal)
+    fol_goal_latest = max(fol_cb.get(goal2, ()), default=-1)
+    moves = world.neighbor_table
+
+    start_state = (tuple(lead.cell), tuple(follow.cell))
+    frontier = {start_state}
+    parents = [{start_state: None}]
+    t = 0
+    while t <= horizon:
+        if t >= t1 and t > fol_goal_latest:
+            for c1, c2 in sorted(frontier):
+                if c1 == goal1 and c2 == goal2:
+                    cells1, cells2 = [], []
+                    state, step = (c1, c2), t
+                    while state is not None:
+                        cells1.append(state[0])
+                        cells2.append(state[1])
+                        state = parents[step][state]
+                        step -= 1
+                    cells1.reverse()
+                    cells2.reverse()
+                    cells1 = cells1[: t1 + 1]
+                    while len(cells2) >= 2 and cells2[-1] == goal2 and cells2[-2] == goal2:
+                        cells2.pop()
+                    return t, SpaceTimePath(lead.id, tuple(cells1)), SpaceTimePath(follow.id, tuple(cells2))
+        if t == horizon:
+            break
+        nxt_frontier = set()
+        nxt_parents = {}
+        lead_layer = set(layers[t + 1]) if t + 1 <= t1 else {goal1}
+        for c1, c2 in sorted(frontier):
+            if t + 1 <= t1:
+                moves1 = [n for n in moves[c1] if n in lead_layer and (c1, n, t) not in lead_eb]
+            else:
+                moves1 = [goal1]
+            moves2 = []
+            for n in moves[c2]:
+                if (t + 1) in fol_cb.get(n, ()):
+                    continue
+                if (c2, n, t) in fol_eb:
+                    continue
+                moves2.append(n)
+            for n1 in moves1:
+                for n2 in moves2:
+                    if n1 == n2 or (n1 == c2 and n2 == c1):
+                        continue
+                    state = (n1, n2)
+                    if state not in nxt_parents:
+                        nxt_parents[state] = (c1, c2)
+                        nxt_frontier.add(state)
+        if not nxt_frontier:
+            return None
+        frontier = nxt_frontier
+        parents.append(nxt_parents)
+        t += 1
+    return None
+
+
+def reference_makespan_plan(world, robots, forecasts, horizon):
+    """``plan(world, robots, forecasts, PlanConfig("makespan", None, 0),
+    horizon)`` for two robots on a grid of at most 200 cells: the better of
+    the two orderings' unpruned joint searches, the first on a tie."""
+    pairs = [(tuple(c), int(s)) for c, s in forecasts]
+    human = _human_reservations(world, pairs, "makespan")
+    by_id = {r.id: r for r in robots}
+    base = {rid: ReservationTable(rid, human) for rid in by_id}
+    order = sorted(by_id)
+    best = None
+    for lead_id, follow_id in (order, order[::-1]):
+        res = reference_joint_best_response(world, by_id[lead_id], by_id[follow_id], base, horizon)
+        if res is not None and (best is None or res[0] < best[0]):
+            best = res
+    if best is None:
+        raise PlanningInfeasible(order[-1], horizon)
+    solved = {best[1].robot_id: best[1], best[2].robot_id: best[2]}
+    return [solved[r.id] for r in robots]

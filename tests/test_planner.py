@@ -1,11 +1,18 @@
 """Prioritized planner: search determinism, reservation tables, conflict handling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import forecast_reservations, joint_makespan_oracle, random_planner_instance
+from oracles import (
+    forecast_reservations,
+    joint_makespan_oracle,
+    random_planner_instance,
+    reference_makespan_plan,
+)
 from r2xsim.planner import (
     Conflict,
     PlanConfig,
@@ -39,6 +46,16 @@ class TestSpaceTimePath:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SpaceTimePath(1, ())
+
+    def test_cells_kept_or_converted_to_tuples(self):
+        cells = ((0, 0), (0, 1))
+        kept = SpaceTimePath(1, cells)
+        assert kept.cells is cells
+        for given_cells in ([[0, 0], [0, 1]], ([0, 0], (0, 1))):
+            converted = SpaceTimePath(1, given_cells)
+            assert type(converted.cells) is tuple and all(type(c) is tuple for c in converted.cells)
+            assert converted.cells == cells
+            assert converted == kept and hash(converted) == hash(kept)
 
     def test_validate_rejects_jump_and_blocked(self):
         w = world_of(3, 3, blocked={(1, 0)})
@@ -412,3 +429,61 @@ class TestPlan:
             p.validate(w)
             for s in range(1, makespan(paths) + 1):
                 assert p.at(s) not in human_cells
+
+
+def random_makespan_instance(rng):
+    """Two robots with random distinct ids on a grid of at most 200 cells,
+    with random blocked cells, human forecasts (possibly on a start or goal)
+    and a horizon that is often too short."""
+    width = int(rng.integers(2, 15))
+    height = int(rng.integers(2, min(14, 200 // width) + 1))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    order = rng.permutation(len(cells))
+    n_blocked = int(rng.integers(0, (len(cells) - 4) // 3 + 1))
+    world = world_of(width, height, [cells[i] for i in order[:n_blocked]])
+    free = [cells[i] for i in order[n_blocked:]]
+    s1, s2, g1, g2 = free[:4]
+    if rng.random() < 0.1:
+        g1 = s1  # already at its goal
+    forecasts = []
+    for _ in range(int(rng.integers(0, 6))):
+        cell = free[int(rng.integers(len(free)))]
+        step = int(rng.integers(0, width + height))
+        forecasts += [(cell, step + k) for k in range(int(rng.integers(1, 5)))]
+    horizon = int(rng.integers(1, default_horizon(world) + 1))
+    id1 = int(rng.integers(0, 5))
+    id2 = id1 + int(rng.integers(1, 4))
+    robots = [RobotState(id1, s1, g1), RobotState(id2, s2, g2)]
+    if rng.random() < 0.5:
+        robots.reverse()
+    return world, robots, forecasts, horizon
+
+
+def plan_outcome(solve):
+    """The planned cells per robot, or the planning error's type and message."""
+    try:
+        return "ok", [(p.robot_id, p.cells) for p in solve()]
+    except PlanningError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBoundedJointSearch:
+    def test_plan_matches_unpruned_joint_search(self):
+        """The bounded two-robot makespan search gives the unpruned search's
+        paths, or its error, on every instance."""
+        rng = np.random.default_rng(10)
+        kinds = Counter()
+        for _ in range(200):
+            world, robots, forecasts, horizon = random_makespan_instance(rng)
+            got = plan_outcome(lambda: plan(world, robots, forecasts, PlanConfig("makespan", None, 0), horizon))
+            want = plan_outcome(lambda: reference_makespan_plan(world, robots, forecasts, horizon))
+            assert got == want, (world, robots, forecasts, horizon)
+            kinds[got[0]] += 1
+        assert kinds["ok"] >= 100 and kinds["PlanningInfeasible"] >= 30, kinds
+
+    def test_impassable_start_of_either_robot_is_a_planning_error(self):
+        w = world_of(4, 4, blocked={(3, 3)})
+        for starts in (((3, 3), (0, 0)), ((0, 0), (3, 3))):
+            robots = [RobotState(1, starts[0], (2, 0)), RobotState(2, starts[1], (0, 3))]
+            with pytest.raises(PlanningError, match=r"start \(3, 3\) or goal .* not passable"):
+                plan(w, robots, [], PlanConfig("makespan"))

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from r2xsim import scenarios
+from r2xsim.cli import main
 from r2xsim.planner import PlanConfig
 from r2xsim.scenarios import (
     FOLLOWME_METHODS,
@@ -481,6 +482,31 @@ class TestValidation:
         assert time.process_time() - t0 < 1.0
         assert len(errors) == 1, [e[:300] for e in errors]
         assert errors[0].startswith(f"scenario.warehouse.world.{key}[0]: ") and len(errors[0]) <= 200, errors
+
+    @pytest.mark.parametrize(
+        "key,value,error",
+        [
+            ("height", 0, "scenario.warehouse.world.height: 0 must be >= 1"),
+            ("width", 0, "scenario.warehouse.world.width: 0 must be >= 1"),
+            ("height", "x", "scenario.warehouse.world.height: 'x' must be an integer"),
+        ],
+    )
+    def test_one_bad_world_size_is_the_only_error(self, key, value, error):
+        """Cells are checked against the world only when both sizes are
+        valid, so a bad size gives no "outside" line per robot or waypoint."""
+        doc = tiny_warehouse()
+        doc["warehouse"]["world"][key] = value
+        doc["warehouse"]["humans"] = [{"waypoints": [[1, 0], [2, 0]]}]
+        assert validate_scenario_dict(doc) == [error]
+
+    @pytest.mark.parametrize("make,kind", [(tiny_warehouse, "warehouse"), (tiny_mcs, "mcs")])
+    def test_null_radio_is_an_error(self, make, kind, tmp_path):
+        doc = make()
+        doc[kind]["radio"] = None
+        assert validate_scenario_dict(doc) == [f"scenario.{kind}.radio: must be an object"]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
 
     def test_errors_accumulate(self):
         doc = tiny_warehouse()
