@@ -8,6 +8,8 @@ from .orchestrator import (
     LoopBudget,
     OrchestratorConfig,
     RuleIntentEngine,
+    UnfinishedRun,
+    WarehouseInputs,
     WarehouseSimulation,
     correct_loop,
     loop_feasible,
@@ -55,6 +57,8 @@ __all__ = [
     "ScenarioError",
     "SenseConfig",
     "SpaceTimePath",
+    "UnfinishedRun",
+    "WarehouseInputs",
     "WarehouseSimulation",
     "allocate",
     "bler",

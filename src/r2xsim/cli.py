@@ -10,7 +10,9 @@ Subcommands:
 Seed precedence for ``run``: ``--seeds`` beats the ``R2X_SEED`` environment
 variable, which beats the seeds listed in the scenario file.
 
-Exit codes: 0 success, 1 runtime failure, 2 validation failure.
+Exit codes: 0 success, 1 runtime failure, 2 validation failure or a
+warehouse run that did not finish within its ``max_sim_time_s``, named as
+``scenario.warehouse.max_sim_time_s: method M seed S did not finish ...``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .metrics import run_summary
-from .orchestrator import _echo, _is_number
+from .orchestrator import UnfinishedRun, _echo, _is_number
 from .scenarios import Scenario, ScenarioError, load_scenario, run_one
 
 RESULTS_NAME = "results.jsonl"
@@ -71,6 +73,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             batches = [_run_seed(scn, seed) for seed in scn.seeds]
     except ScenarioError:
         raise
+    except UnfinishedRun as exc:
+        raise ScenarioError([f"scenario.warehouse.max_sim_time_s: {exc}"])
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

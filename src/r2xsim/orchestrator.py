@@ -17,7 +17,7 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -302,8 +302,8 @@ def validate(
         if not isinstance(weights, (list, tuple)) or not weights or not all(_is_number(w) for w in weights):
             ck.fail("ra_config.priority_weights", "must be a nonempty list of finite numbers")
         else:
-            if any(w < 0 for w in weights):
-                ck.fail("ra_config.priority_weights", "weights must be nonnegative")
+            if any(w <= 0 for w in weights):  # a zero-weight robot could never uplink
+                ck.fail("ra_config.priority_weights", "weights must be positive")
             total = sum(float(w) for w in weights)  # inf, not OverflowError, past the float range
             if abs(total - 1.0) > _WEIGHT_SUM_TOL:
                 ck.fail("ra_config.priority_weights", f"sum {total:g} != 1 (tolerance {_WEIGHT_SUM_TOL})")
@@ -489,14 +489,41 @@ def correct_loop(
 # warehouse closed-loop engine
 
 
+class WarehouseInputs(NamedTuple):
+    """What every run of a warehouse scenario starts from."""
+
+    world: GridWorld
+    robots: List[RobotState]
+    tracks: List[HumanTrack]
+    gain_map: PathGainMap
+    table: McsTable
+    cfg: OrchestratorConfig
+    budget: LoopBudget
+    payloads: Dict[str, int]
+    max_sim_time_s: float
+
+
+class UnfinishedRun(RuntimeError):
+    """A warehouse run did not finish within its ``max_sim_time_s``."""
+
+    def __init__(self, method: str, seed: int, max_sim_time_s: float, reason: str):
+        # All four in args, so that the error pickles across worker processes.
+        super().__init__(method, seed, max_sim_time_s, reason)
+        self.method, self.seed, self.max_sim_time_s, self.reason = self.args
+
+    def __str__(self) -> str:
+        return (f"method {self.method} seed {self.seed} did not finish within "
+                f"{self.max_sim_time_s} s ({self.reason})")
+
+
 @dataclass
 class _RobotRuntime:
     state: RobotState
     executed: List[Cell]
+    last_rate: float
     halt_s: float = 0.0
     stop_events: int = 0
     last_measured_gain_db: Optional[float] = None
-    last_rate: float = 1.0
     land_time_s: float = 0.0
     pending_target: Optional[Cell] = None
 
@@ -514,62 +541,60 @@ class WarehouseSimulation:
       lorc_sc_p   -- compact semantic uplink, map-predictive power, central
                      replan
 
+    The run is event-scheduled: one routine per event kind, events ordered
+    by ``(time, robot, push order)``.
+
+      decide -- a replanning robot's first command and every retry: plan,
+                then start the step and the loop for the next command, or
+                wait one frame in place
+      next   -- the step has finished and the next command has arrived:
+                charge the stall, then decide
+      land   -- a robot reaches its next cell (both modes); a stop-and-go
+                robot then tries its following step
+      try    -- one stop-and-go step: go, or halt one transition
+
     Replanning robots never execute a command before it has arrived: when
     the loop round trip outlasts the cell transition, the robot waits in
     place and the wait is logged as a stop event.
     """
 
-    def __init__(
-        self,
-        world: GridWorld,
-        robots: Sequence[RobotState],
-        tracks: Sequence[HumanTrack],
-        gain_map: PathGainMap,
-        mcs_table: McsTable,
-        cfg: OrchestratorConfig,
-        budget: LoopBudget,
-        method: str,
-        seed: int,
-        payload_table: Dict[str, int],
-        max_sim_time_s: float = 3600.0,
-    ):
+    def __init__(self, inputs: WarehouseInputs, method: str, seed: int):
         if method not in WAREHOUSE_METHODS:
             raise ValueError(f"method {method!r} not in {WAREHOUSE_METHODS}")
+        world, gain_map, cfg = inputs.world, inputs.gain_map, inputs.cfg
         if gain_map.width != world.width or gain_map.height != world.height:
             raise ValueError("gain map dimensions must match the world")
-        self.world = world
-        self.tracks = list(tracks)
-        self.gain_map = gain_map
-        self.table = mcs_table
-        self.cfg = cfg
-        self.budget = budget
-        self.method = method
-        self.seed = seed
-        self.payload_table = dict(payload_table)
-        self.max_sim_time_s = max_sim_time_s
-
-        ids = sorted(r.id for r in robots)
+        ids = sorted(r.id for r in inputs.robots)
         if len(cfg.ra.priority_weights) != len(ids):
             raise ValueError("priority weights must match the robot count")
-        self._weight_of = {rid: w for rid, w in zip(ids, cfg.ra.priority_weights)}
+        self.world = world
+        self.tracks = inputs.tracks
+        self.gain_map = gain_map
+        self.table = inputs.table
+        self.cfg = cfg
+        self.budget = inputs.budget
+        self.method = method
+        self.seed = seed
+        self.max_sim_time_s = inputs.max_sim_time_s
+        self._payload_bytes = int(inputs.payloads["raw" if method == "lorc_p" else "semantic_feature"])
+        self._weight_of = dict(zip(ids, cfg.ra.priority_weights))
+
+        # Every robot's first rate is the entry chosen at the target SNR.
+        first_rate = self.table.entries[select_mcs(self.table, cfg.ra.target_snr_db).index].rate_bps_per_hz
+        n_frames = int(math.ceil(self.max_sim_time_s / world.frame_period_s)) + 8
         self.robots: Dict[int, _RobotRuntime] = {}
-        n_frames = int(math.ceil(max_sim_time_s / world.frame_period_s)) + 8
         self._shadow: Dict[int, np.ndarray] = {}
-        for r in robots:
-            rt = _RobotRuntime(
+        for r in inputs.robots:
+            self.robots[r.id] = _RobotRuntime(
                 state=RobotState(r.id, tuple(r.cell), tuple(r.goal), "moving"),
                 executed=[tuple(r.cell)],
+                last_rate=first_rate,
             )
-            self.robots[r.id] = rt
             self._shadow[r.id] = ar1_series(
                 np.random.default_rng([seed, r.id, 7]), n_frames,
                 gain_map.shadowing_rho, gain_map.shadowing_sigma_db,
             )
-            sel = select_mcs(self.table, cfg.ra.target_snr_db)
-            rt.last_rate = self.table.entries[sel.index].rate_bps_per_hz
-        self._tx_rng = {
-            rid: np.random.default_rng([seed, rid, 101]) for rid in self.robots
-        }
+        self._tx_rng = {rid: np.random.default_rng([seed, rid, 101]) for rid in self.robots}
         self.rtt_samples: List[float] = []
         self._events: List[Tuple[float, int, int, str, Optional[Cell]]] = []
         self._event_seq = 0
@@ -581,34 +606,26 @@ class WarehouseSimulation:
     def _frame(self, t: float) -> int:
         return int(t / self.world.frame_period_s + 1e-9)
 
-    def _true_gain(self, rid: int, cell: Cell, t: float) -> float:
-        return self.gain_map.gain_at(cell) + float(self._shadow[rid][self._frame(t)])
-
     def _push(self, t: float, rid: int, kind: str, target: Optional[Cell] = None) -> None:
         self._event_seq += 1
         heapq.heappush(self._events, (t, rid, self._event_seq, kind, target))
 
     def _active_ids(self) -> List[int]:
-        return [rid for rid, rt in self.robots.items() if rt.state.status != "arrived"]
+        return sorted(rid for rid, rt in self.robots.items() if rt.state.status != "arrived")
 
-    def _bandwidth_fraction(self, rid: int) -> float:
-        active = sorted(self._active_ids())
-        if rid not in active:
-            return 1.0
-        weights = [self._weight_of[i] for i in active]
-        total = sum(weights)
-        if total <= 0:
-            weights = [1.0] * len(active)
-            total = float(len(active))
-        ra = dataclasses.replace(
-            self.cfg.ra, priority_weights=tuple(w / total for w in weights)
+    def _unfinished(self, reason: str) -> UnfinishedRun:
+        return UnfinishedRun(self.method, self.seed, self.max_sim_time_s, reason)
+
+    def _occupied_next(self, rid: int, target: Cell) -> bool:
+        """True when ``target`` is the cell another active robot holds or is
+        currently flying into.  Plans are recomputed per robot, so a stalled
+        neighbour can invalidate the departure this robot's plan assumed;
+        this interlock keeps two robots from ever sharing a cell."""
+        return any(
+            tuple(other.pending_target or other.state.cell) == target
+            for other_id, other in self.robots.items()
+            if other_id != rid and other.state.status != "arrived"
         )
-        shares = allocate([self.robots[i].last_rate for i in active], ra)
-        return shares[active.index(rid)]
-
-    def _payload_bytes(self) -> int:
-        key = "raw" if self.method == "lorc_p" else "semantic_feature"
-        return int(self.payload_table[key])
 
     # -- the control loop -------------------------------------------------
 
@@ -617,31 +634,32 @@ class WarehouseSimulation:
         ``start_t`` while the robot heads for ``at_cell``; returns the time
         the next command is ready."""
         rt = self.robots[rid]
+        ra = self.cfg.ra
+        cell_gain = self.gain_map.gain_at(at_cell)
+        shadow = self._shadow[rid]
+        # No robot lands while the loop runs, so the uplink shares the
+        # bandwidth with the same robots, under the same weights, throughout.
+        active = self._active_ids()
+        index = active.index(rid)
+        weights = [self._weight_of[i] for i in active]
+        total = sum(weights)
+        share_cfg = dataclasses.replace(ra, priority_weights=tuple(w / total for w in weights))
         t = start_t
-        attempts_budget = int(self.max_sim_time_s / self.world.frame_period_s)
-        for _ in range(attempts_budget):
-            if self.method in ("lorc_p", "lorc_sc_p"):
-                gain_ref = self.gain_map.gain_at(at_cell)
+        for _ in range(int(self.max_sim_time_s / self.world.frame_period_s)):
+            if self.method == "lorc_sc" and rt.last_measured_gain_db is not None:
+                gain_ref = rt.last_measured_gain_db
             else:
-                gain_ref = (
-                    rt.last_measured_gain_db
-                    if rt.last_measured_gain_db is not None
-                    else self.gain_map.gain_at(at_cell)
-                )
-            power, _ = required_power(
-                gain_ref, self.cfg.ra.target_snr_db, self.cfg.ra.noise_dbm, self.cfg.ra.max_power_dbm
-            )
-            est_snr = power + gain_ref - self.cfg.ra.noise_dbm
-            true_gain = self._true_gain(rid, at_cell, t)
-            true_snr = power + true_gain - self.cfg.ra.noise_dbm
-            sel = select_mcs(self.table, est_snr)
-            entry = self.table.entries[sel.index]
+                gain_ref = cell_gain
+            power, _ = required_power(gain_ref, ra.target_snr_db, ra.noise_dbm, ra.max_power_dbm)
+            est_snr = power + gain_ref - ra.noise_dbm
+            true_gain = cell_gain + float(shadow[self._frame(t)])
+            true_snr = power + true_gain - ra.noise_dbm
+            entry = self.table.entries[select_mcs(self.table, est_snr).index]
             rt.last_rate = entry.rate_bps_per_hz
-            share = self._bandwidth_fraction(rid)
+            share = allocate([self.robots[i].last_rate for i in active], share_cfg)[index]
             eff_table = dataclasses.replace(self.table, bandwidth_hz=self.table.bandwidth_hz * share)
             result = simulate_transmission(
-                self._payload_bytes(), entry, [true_snr], eff_table, self._tx_rng[rid],
-                self.cfg.ra.max_retx,
+                self._payload_bytes, entry, [true_snr], eff_table, self._tx_rng[rid], ra.max_retx,
             )
             rt.last_measured_gain_db = true_gain
             if result.success:
@@ -649,31 +667,21 @@ class WarehouseSimulation:
                 self.rtt_samples.append(ready - start_t)
                 return ready
             t += self.world.frame_period_s
-        raise RuntimeError(f"robot {rid}: uplink never succeeded after {start_t:.1f} s")
+        raise self._unfinished(f"robot {rid}: uplink never succeeded after {start_t:.1f} s")
 
     def _plan_next(self, rid: int, plan_time: float) -> Optional[Cell]:
         """Central replan at ``plan_time``; returns robot ``rid``'s next cell
         or None when planning is infeasible right now."""
         frame = self._frame(plan_time)
-        active = sorted(self._active_ids())
-        parked = frozenset(
-            tuple(rt.state.goal)
-            for i, rt in self.robots.items()
-            if rt.state.status == "arrived" and i not in active
-        )
+        active = self._active_ids()
+        parked = frozenset(tuple(rt.state.goal) for rt in self.robots.values() if rt.state.status == "arrived")
         world = self.world
         if parked:
             # one world per set of parked cells, so its tables are built once
             world = self._parked_worlds.get(parked)
             if world is None:
-                base = self.world
-                world = self._parked_worlds[parked] = GridWorld(
-                    base.width,
-                    base.height,
-                    base.cell_size_m,
-                    base.blocked | parked,
-                    base.frame_period_s,
-                    base.cell_traverse_s,
+                world = self._parked_worlds[parked] = dataclasses.replace(
+                    self.world, blocked=self.world.blocked | parked
                 )
         states = []
         for i in active:
@@ -701,28 +709,25 @@ class WarehouseSimulation:
                 return p.at(1)
         return None
 
-    # -- event handlers ---------------------------------------------------
+    # -- event handlers: one per kind, each called as (t, rid, target) ----
 
-    def _handle_replan_land(self, t: float, rid: int, target: Cell) -> None:
+    def _decide(self, t: float, rid: int, target: Optional[Cell]) -> None:
         rt = self.robots[rid]
-        rt.state.cell = target
-        rt.pending_target = None
-        rt.executed.append(target)
-        rt.land_time_s = t
-        if target == tuple(rt.state.goal):
-            rt.state.status = "arrived"
-
-    def _start_transition(self, rid: int, t: float, target: Cell) -> None:
-        """Commit the robot to its next step and kick the loop for the
-        following command."""
-        rt = self.robots[rid]
+        nxt = self._plan_next(rid, t)
+        if nxt is not None and nxt != tuple(rt.state.cell) and self._occupied_next(rid, nxt):
+            nxt = None
+        if nxt is None:
+            rt.halt_s += self.world.frame_period_s
+            rt.stop_events += 1
+            self._push(t + self.world.frame_period_s, rid, "decide")
+            return
         land_t = t + self.world.cell_traverse_s
-        rt.pending_target = target
-        self._push(land_t, rid, "land", target)
-        ready = self._run_loop(rid, t, target)
-        self._push(max(ready, land_t), rid, "next_decide")
+        rt.pending_target = nxt
+        self._push(land_t, rid, "land", nxt)
+        ready = self._run_loop(rid, t, nxt)
+        self._push(max(ready, land_t), rid, "next")
 
-    def _handle_next_decide(self, t: float, rid: int) -> None:
+    def _next(self, t: float, rid: int, target: Optional[Cell]) -> None:
         rt = self.robots[rid]
         if rt.state.status == "arrived":
             return
@@ -731,113 +736,70 @@ class WarehouseSimulation:
         if stall > 1e-9:
             rt.halt_s += stall
             rt.stop_events += 1
-        self._handle_replan_decide_after_stall(t, rid)
+        self._decide(t, rid, None)
 
-    def _occupied_next(self, rid: int, target: Cell) -> bool:
-        """True when ``target`` is the cell another active robot holds or is
-        currently flying into.  Plans are recomputed per robot, so a stalled
-        neighbour can invalidate the departure this robot's plan assumed;
-        this interlock keeps two robots from ever sharing a cell."""
-        for other_id, other in self.robots.items():
-            if other_id == rid or other.state.status == "arrived":
-                continue
-            occupied = other.pending_target
-            if occupied is None:
-                occupied = tuple(other.state.cell)
-            if tuple(occupied) == target:
-                return True
-        return False
-
-    def _handle_replan_decide_after_stall(self, t: float, rid: int) -> None:
-        rt = self.robots[rid]
-        nxt = self._plan_next(rid, t)
-        if nxt is not None and nxt != tuple(rt.state.cell) and self._occupied_next(rid, nxt):
-            nxt = None
-        if nxt is None:
-            rt.halt_s += self.world.frame_period_s
-            rt.stop_events += 1
-            self._push(t + self.world.frame_period_s, rid, "retry_decide")
-            return
-        self._start_transition(rid, t, nxt)
-
-    def _handle_sg_try(self, t: float, rid: int) -> None:
-        rt = self.robots[rid]
-        if rt.state.status == "arrived":
-            return
-        path = self._solo_paths[rid]
-        idx = len(rt.executed) - 1
-        nxt = path.at(idx + 1)
-        frame = self._frame(t)
-        blocked = False
-        for track in self.tracks:
-            if track.position_at(frame) == nxt:
-                blocked = True
-            for cell, _ in human_forecast(track, frame):
-                if cell == nxt:
-                    blocked = True
-        for other_id, other in self.robots.items():
-            if other_id != rid and other.state.status != "arrived" and tuple(other.state.cell) == nxt:
-                blocked = True
-        if blocked and nxt != tuple(rt.state.cell):
-            rt.halt_s += self.world.cell_traverse_s
-            rt.stop_events += 1
-            self._push(t + self.world.cell_traverse_s, rid, "sg_try")
-            return
-        self._push(t + self.world.cell_traverse_s, rid, "sg_land", nxt)
-
-    def _handle_sg_land(self, t: float, rid: int, target: Cell) -> None:
+    def _land(self, t: float, rid: int, target: Cell) -> None:
         rt = self.robots[rid]
         rt.state.cell = target
+        rt.pending_target = None
         rt.executed.append(target)
         rt.land_time_s = t
         if target == tuple(rt.state.goal):
             rt.state.status = "arrived"
-        else:
-            self._push(t, rid, "sg_try")
+        elif self.method == "stop_and_go":
+            self._push(t, rid, "try")
+
+    def _try(self, t: float, rid: int, target: Optional[Cell]) -> None:
+        rt = self.robots[rid]
+        nxt = self._solo_paths[rid].at(len(rt.executed))
+        frame = self._frame(t)
+        blocked = nxt != tuple(rt.state.cell) and (
+            self._occupied_next(rid, nxt)
+            or any(
+                track.position_at(frame) == nxt or any(cell == nxt for cell, _ in human_forecast(track, frame))
+                for track in self.tracks
+            )
+        )
+        if blocked:
+            rt.halt_s += self.world.cell_traverse_s
+            rt.stop_events += 1
+            self._push(t + self.world.cell_traverse_s, rid, "try")
+            return
+        self._push(t + self.world.cell_traverse_s, rid, "land", nxt)
+
+    # On the class: bound methods kept on the instance would form a reference
+    # cycle, and every finished run would stay in memory until a collection.
+    _HANDLERS = {"decide": _decide, "next": _next, "land": _land, "try": _try}
 
     # -- public API -------------------------------------------------------
 
     def decision_step(self) -> Optional[Tuple[float, int, str]]:
         """Process the next pending event; returns ``(time, robot, kind)`` or
         None when the run is complete."""
-        while self._events:
-            t, rid, _, kind, target = heapq.heappop(self._events)
-            if t > self.max_sim_time_s:
-                raise RuntimeError(f"run exceeded {self.max_sim_time_s} s of simulated time")
-            if kind == "land":
-                self._handle_replan_land(t, rid, target)
-            elif kind == "next_decide":
-                self._handle_next_decide(t, rid)
-            elif kind in ("decide", "retry_decide"):
-                self._handle_replan_decide_after_stall(t, rid)
-            elif kind == "sg_try":
-                self._handle_sg_try(t, rid)
-            elif kind == "sg_land":
-                self._handle_sg_land(t, rid, target)
-            else:
-                raise RuntimeError(f"unknown event {kind}")
-            return t, rid, kind
-        return None
+        if not self._events:
+            return None
+        t, rid, _, kind, target = heapq.heappop(self._events)
+        if t > self.max_sim_time_s:
+            raise self._unfinished(f"an event fell due at {t:.1f} s")
+        self._HANDLERS[kind](self, t, rid, target)
+        return t, rid, kind
 
     def run(self) -> KpiRecord:
         if self.method == "stop_and_go":
             for rid, rt in self.robots.items():
                 self._solo_paths[rid] = low_level_search(self.world, rt.state)
-                self._push(0.0, rid, "sg_try")
+                self._push(0.0, rid, "try")
         else:
             for rid in sorted(self.robots):
                 # initial synchronization: first command fetched before moving
                 ready = self._run_loop(rid, 0.0, tuple(self.robots[rid].state.cell))
                 self._push(ready, rid, "decide")
-        while True:
-            step = self.decision_step()
-            if step is None:
-                break
+        while self.decision_step() is not None:
             if all(rt.state.status == "arrived" for rt in self.robots.values()):
                 break
         unfinished = [rid for rid, rt in self.robots.items() if rt.state.status != "arrived"]
         if unfinished:
-            raise RuntimeError(f"robots {unfinished} never arrived")
+            raise self._unfinished(f"robots {unfinished} never arrived")
         paths = [SpaceTimePath(rid, tuple(rt.executed)) for rid, rt in self.robots.items()]
         stop_log = {rid: rt.halt_s for rid, rt in self.robots.items()}
         total = completion_time(paths, stop_log, self.world.cell_traverse_s)

@@ -319,19 +319,21 @@ def _solve_ordering(
     base: Dict[int, ReservationTable],
     gap: int,
     horizon: int,
-    solo: Optional[Dict[int, SpaceTimePath]] = None,
+    solo: Dict[int, SpaceTimePath],
 ) -> Dict[int, SpaceTimePath]:
-    """Paths for ``order`` by priority; ``solo`` holds each robot's route
-    under its base table when that has been searched already."""
+    """Paths for ``order`` by priority. ``solo`` caches each robot's route
+    under its base table across the orderings of one ``plan``: a route is
+    searched, in ``order``, on first need; a failed search raises and is not
+    cached, so a later ordering meets the same error."""
+    for rid in order:
+        if rid not in solo:
+            solo[rid] = low_level_search(world, robots[rid], base[rid], horizon)
     # Exact: a conflict step is at most the horizon and no search reads a step
     # past it; without the clip each window materialises 2 * gap + 1 steps.
     gap = min(gap, horizon)
     rank = {rid: i for i, rid in enumerate(order)}
     tables = {rid: base[rid].copy() for rid in order}
-    if solo is None:
-        paths = {rid: low_level_search(world, robots[rid], tables[rid], horizon) for rid in order}
-    else:
-        paths = dict(solo)
+    paths = {rid: solo[rid] for rid in order}
     for _ in range(_MAX_RESOLUTION_ROUNDS):
         conflict = detect_first_conflict([paths[rid] for rid in order])
         if conflict is None:
@@ -519,10 +521,6 @@ def plan(
     else:
         order = sorted(ids)
 
-    if len(robots) == 1:
-        path = low_level_search(world, robots[0], base[ids[0]], horizon)
-        return [path]
-
     use_refinement = (
         cfg.objective == "makespan"
         and len(robots) == 2
@@ -536,21 +534,21 @@ def plan(
         # its makespan bounds the search, which then always finds a plan;
         # without a prioritized plan the bound is the horizon. The second
         # ordering is kept only when strictly better than the first.
-        solo: Dict[int, Optional[SpaceTimePath]] = {}
+        solo: Dict[int, SpaceTimePath] = {}
         for rid in order:
             try:
                 solo[rid] = low_level_search(world, by_id[rid], base[rid], horizon)
             except PlanningInfeasible:
-                solo[rid] = None
+                pass
         limit = horizon
-        if None not in solo.values():
+        if len(solo) == 2:
             try:
                 limit = makespan(_solve_ordering(world, by_id, order, base, 0, horizon, solo).values())
             except PlanningError:
                 pass
         best = None
         for lead_id, follow_id in (order, order[::-1]):
-            if solo[lead_id] is not None:
+            if lead_id in solo:
                 res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], base, solo[lead_id], limit)
                 if res is not None:
                     best, limit = res, res[0] - 1
@@ -571,9 +569,10 @@ def plan(
     best_paths = None
     best_span = None
     failure: Optional[PlanningInfeasible] = None
+    solo = {}
     for cand in orderings:
         try:
-            paths = _solve_ordering(world, by_id, cand, base, gap, horizon)
+            paths = _solve_ordering(world, by_id, cand, base, gap, horizon, solo)
         except PlanningInfeasible as exc:
             failure = exc
             continue

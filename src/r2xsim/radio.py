@@ -117,8 +117,8 @@ class RadioConfig:
             raise ValueError(f"fairness {self.fairness!r} not in {FAIRNESS_MODES}")
         weights = tuple(float(w) for w in self.priority_weights)
         object.__setattr__(self, "priority_weights", weights)
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise ValueError("priority weights must be finite and nonnegative")
+        if not all(math.isfinite(w) and w > 0 for w in weights):
+            raise ValueError("priority weights must be finite and positive")
         if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"priority weights sum {sum(weights)} != 1 (tolerance {_WEIGHT_SUM_TOL})")
         if self.max_retx < 0:
@@ -267,8 +267,6 @@ def allocate(unit_rates: Sequence[float], cfg: RadioConfig) -> List[float]:
         return list(weights)
     inv = [w / r for w, r in zip(weights, rates)]
     total = sum(inv)
-    if total <= 0:
-        raise ValueError("at least one priority weight must be positive")
     return [v / total for v in inv]
 
 

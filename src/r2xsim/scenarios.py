@@ -35,8 +35,8 @@ from .orchestrator import (
     _MAX_ID_DIGITS,
     WAREHOUSE_METHODS,
     LoopBudget,
-    OrchestratorConfig,
     RuleIntentEngine,
+    WarehouseInputs,
     WarehouseSimulation,
     _Checker,
     _echo,
@@ -252,20 +252,6 @@ def _radio(ck: _Checker, sec: dict, path: str) -> Tuple[dict, McsTable]:
 # warehouse family
 
 
-class WarehouseInputs(NamedTuple):
-    """What every run of a warehouse scenario starts from."""
-
-    world: GridWorld
-    robots: List[RobotState]
-    tracks: List[HumanTrack]
-    gain_map: PathGainMap
-    table: McsTable
-    cfg: OrchestratorConfig
-    budget: LoopBudget
-    payloads: Dict[str, int]
-    max_sim_time_s: float
-
-
 def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     """Check a warehouse section field by field, then build its world,
     robots, tracks, gain map, MCS table, resolved configuration and budget."""
@@ -445,13 +431,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
 
 
 def run_warehouse(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
-    w = scn.inputs
-    sim = WarehouseSimulation(
-        w.world, w.robots, w.tracks, w.gain_map, w.table, w.cfg, w.budget, method, seed,
-        payload_table=w.payloads,
-        max_sim_time_s=w.max_sim_time_s,
-    )
-    return sim.run().as_metrics()
+    return WarehouseSimulation(scn.inputs, method, seed).run().as_metrics()
 
 
 # --------------------------------------------------------------------------

@@ -14,20 +14,31 @@ with the production planner.
 before its joint search was bounded: ``reference_joint_best_response`` is
 the unpruned breadth-first search, kept to check that the bound changes no
 plan and no error.
+
+``reference_prioritized_plan`` is ``plan``'s prioritized loop as it was
+before solo routes were shared across orderings: every ordering searches
+every robot's solo route again, and one robot is planned by a single
+search. It is kept to check that sharing changes no plan and no error.
 """
 
+import itertools
 from collections import deque
 
 import numpy as np
 
 from r2xsim.linkadapt import MapAwarePredictor, PolicyTimeSeries
 from r2xsim.planner import (
+    _MAX_RESOLUTION_ROUNDS,
+    PlanningError,
     PlanningInfeasible,
     ReservationTable,
     SpaceTimePath,
     _human_reservations,
     _time_expanded_layers,
+    _widen_conflict,
+    detect_first_conflict,
     low_level_search,
+    makespan,
 )
 from r2xsim.radio import bler, select_mcs, simulate_transmission
 
@@ -308,3 +319,68 @@ def reference_makespan_plan(world, robots, forecasts, horizon):
         raise PlanningInfeasible(order[-1], horizon)
     solved = {best[1].robot_id: best[1], best[2].robot_id: best[2]}
     return [solved[r.id] for r in robots]
+
+
+def reference_solve_ordering(world, robots, order, base, gap, horizon):
+    """Paths for ``order`` by priority, every solo route searched afresh."""
+    gap = min(gap, horizon)
+    rank = {rid: i for i, rid in enumerate(order)}
+    tables = {rid: base[rid].copy() for rid in order}
+    paths = {rid: low_level_search(world, robots[rid], tables[rid], horizon) for rid in order}
+    for _ in range(_MAX_RESOLUTION_ROUNDS):
+        conflict = detect_first_conflict([paths[rid] for rid in order])
+        if conflict is None:
+            return paths
+        lower = conflict.robot_a if rank[conflict.robot_a] > rank[conflict.robot_b] else conflict.robot_b
+        if not _widen_conflict(conflict, tables[lower], gap):
+            raise PlanningError(f"conflict {conflict} is already barred for robot {lower}")
+        paths[lower] = low_level_search(world, robots[lower], tables[lower], horizon)
+    raise PlanningError("conflict resolution did not converge")
+
+
+def reference_prioritized_plan(world, robots, forecasts, cfg, horizon):
+    """``plan(world, robots, forecasts, cfg, horizon)`` when it does not use
+    the two-robot joint refinement, with one search per robot and ordering."""
+    ids = [r.id for r in robots]
+    if len(set(ids)) != len(ids):
+        raise PlanningError("duplicate robot ids")
+    by_id = {r.id: r for r in robots}
+    if cfg.priority_robot is not None and cfg.priority_robot not in by_id:
+        raise PlanningError(f"priority robot {cfg.priority_robot} not present")
+    starts = [tuple(r.cell) for r in robots]
+    goals = [tuple(r.goal) for r in robots]
+    if len(set(starts)) != len(starts) or len(set(goals)) != len(goals):
+        raise PlanningError("robot starts and goals must be pairwise distinct")
+    pairs = [(tuple(c), int(s)) for c, s in forecasts]
+    human = _human_reservations(world, pairs, cfg.objective)
+    base = {rid: ReservationTable(rid, human) for rid in ids}
+    if cfg.priority_robot is not None:
+        order = [cfg.priority_robot] + sorted(i for i in ids if i != cfg.priority_robot)
+    else:
+        order = sorted(ids)
+    if len(robots) == 1:
+        return [low_level_search(world, robots[0], base[ids[0]], horizon)]
+    if cfg.objective == "makespan" and len(robots) <= 4:
+        if cfg.priority_robot is not None:
+            rest = [i for i in order if i != cfg.priority_robot]
+            orderings = [[cfg.priority_robot] + list(p) for p in itertools.permutations(rest)]
+        else:
+            orderings = [list(p) for p in itertools.permutations(order)]
+    else:
+        orderings = [order]
+    best_paths = None
+    best_span = None
+    failure = None
+    for cand in orderings:
+        try:
+            paths = reference_solve_ordering(world, by_id, cand, base, cfg.min_time_gap_at_conflict, horizon)
+        except PlanningInfeasible as exc:
+            failure = exc
+            continue
+        span = makespan(paths.values())
+        if best_span is None or span < best_span:
+            best_span = span
+            best_paths = paths
+    if best_paths is None:
+        raise failure
+    return [best_paths[r.id] for r in robots]

@@ -7,7 +7,7 @@ import pytest
 
 from r2xsim import cli
 from r2xsim.cli import main
-from r2xsim.scenarios import parse_scenario, run_one
+from r2xsim.scenarios import bundled_scenario_path, parse_scenario, run_one
 from test_scenarios import tiny_followme, tiny_mcs, tiny_warehouse
 
 
@@ -28,6 +28,21 @@ def followme_file(tmp_path):
 def read_results(out_dir):
     lines = (out_dir / "results.jsonl").read_text().splitlines()
     return [json.loads(line) for line in lines if line.strip()]
+
+
+def slow_tiny_warehouse():
+    doc = tiny_warehouse()
+    doc["methods"] = ["stop_and_go"]
+    doc["warehouse"]["world"]["width"] = 8
+    doc["warehouse"]["robots"] = [{"id": 1, "start": [0, 0], "goal": [7, 0]}]
+    doc["warehouse"]["max_sim_time_s"] = 5.0
+    return doc
+
+
+def edited_s1(edit):
+    doc = json.loads(bundled_scenario_path("warehouse-s1").read_text())
+    edit(doc["warehouse"])
+    return doc
 
 
 class TestValidate:
@@ -170,17 +185,45 @@ class TestRun:
     def test_missing_scenario(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o")]) == 2
 
-    def test_runtime_failure_exits_one(self, tmp_path, capsys):
-        doc = tiny_warehouse()
-        doc["methods"] = ["stop_and_go"]
-        doc["warehouse"]["world"]["width"] = 8
-        doc["warehouse"]["robots"] = [{"id": 1, "start": [0, 0], "goal": [7, 0]}]
-        doc["warehouse"]["max_sim_time_s"] = 5.0
-        path = tmp_path / "slow.json"
-        path.write_text(json.dumps(doc))
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("run failed:") and "exceeded" in err
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    @pytest.mark.parametrize(
+        "make,method,line",
+        [
+            pytest.param(
+                slow_tiny_warehouse,
+                "stop_and_go",
+                "scenario.warehouse.max_sim_time_s: method stop_and_go seed 0 did not finish within 5.0 s "
+                "(an event fell due at 5.6 s)",
+                id="route-too-long",
+            ),
+            pytest.param(
+                lambda: edited_s1(lambda w: w["gain"].update(slope_db_per_cell=50)),
+                "lorc_p",
+                "scenario.warehouse.max_sim_time_s: method lorc_p seed 0 did not finish within 1800.0 s "
+                "(robot 1: uplink never succeeded after 0.0 s)",
+                id="s1-slope-50",
+            ),
+            pytest.param(
+                lambda: edited_s1(lambda w: w.update(max_sim_time_s=2.0)),
+                "lorc_p",
+                "scenario.warehouse.max_sim_time_s: method lorc_p seed 0 did not finish within 2.0 s "
+                "(an event fell due at 3.4 s)",
+                id="s1-max-time-2",
+            ),
+        ],
+    )
+    def test_run_that_cannot_finish_exits_two(self, tmp_path, capsys, make, method, line, parallel):
+        """Documents that validate but cannot finish a run: a route too long
+        for the time limit, no uplink that can close, a first step that
+        lands past the limit. The first failing seed is named."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(make()))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        code = main(["run", str(path), "--out", str(tmp_path / "o"), "--seeds", "0,1",
+                     "--methods", method, "--parallel", parallel])
+        assert code == 2
+        assert capsys.readouterr().err == line + "\n"
 
 
 class TestSeedBySeed:

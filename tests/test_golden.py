@@ -3,40 +3,30 @@
 ``perfbench/digests.json`` pins the sha256 of every ``results.jsonl`` record
 line the benchmark's workloads produce, and of the ``summary.csv`` of each
 one-seed run. Rerunning the same code twice (C12) cannot show that a
-refactor kept old outputs; comparing with these pins can. The makespan
-variants are written the way ``perfbench/run.py`` writes its
-``warehouse-makespan`` inputs.
+refactor kept old outputs; comparing with these pins can. The check is
+``tools/check_digests.py``'s, which also covers all 20 pinned seeds; here it
+runs on the first three.
 """
 
-import hashlib
-import json
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-from conftest import BUNDLED_DIR, WAREHOUSE_IDS
-from r2xsim.cli import main
+from conftest import WAREHOUSE_IDS
 
-DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+_spec = importlib.util.spec_from_file_location(
+    "check_digests", Path(__file__).resolve().parents[1] / "tools" / "check_digests.py"
+)
+check_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_digests)
+
 SEEDS = (0, 1, 2)
-MAKESPAN_INTENT = "Get both robots to their goals as fast as possible."
 
 
 @pytest.fixture(scope="module")
 def pinned():
-    return json.loads(DIGESTS.read_text())
-
-
-def scenario_file(name, makespan, work_dir):
-    path = BUNDLED_DIR / f"{name}.json"
-    if not makespan:
-        return path
-    data = json.loads(path.read_text())
-    data["id"] = f"{name}-makespan"
-    data["warehouse"]["intent_text"] = MAKESPAN_INTENT
-    path = work_dir / f"{data['id']}.json"
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
+    return check_digests.pinned()
 
 
 CASES = [
@@ -48,23 +38,8 @@ CASES = [
 
 @pytest.mark.parametrize("name,makespan", CASES)
 def test_records_match_pinned_digests(name, makespan, pinned, tmp_path):
-    path = scenario_file(name, makespan, tmp_path)
     sid = f"{name}-makespan" if makespan else name
-    expected = pinned[sid]
-    methods = json.loads(path.read_text())["methods"]
     # One seed per call: the summary pins are per seed.
     for seed in SEEDS:
-        out = tmp_path / f"out-{seed}"
-        assert main(["run", str(path), "--seeds", str(seed), "--parallel", "1", "--out", str(out)]) == 0
-        seen = set()
-        for line in (out / "results.jsonl").read_bytes().splitlines():
-            rec = json.loads(line)
-            assert rec["scenario_id"] == sid
-            key = f"{rec['method']}/{rec['seed']}"
-            assert hashlib.sha256(line).hexdigest() == expected["records"][key], (
-                f"{sid} {key} differs from {DIGESTS.name}"
-            )
-            seen.add(key)
-        assert seen == {f"{m}/{seed}" for m in methods}
-        summary = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
-        assert summary == expected["summaries"][str(seed)], f"{sid} seed {seed} summary.csv differs"
+        lines, problems = check_digests.check_seed(sid, seed, pinned[sid], tmp_path)
+        assert lines and not problems, problems

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from r2xsim.orchestrator import (
     LoopBudget,
     OrchestratorConfig,
     RuleIntentEngine,
+    UnfinishedRun,
+    WarehouseInputs,
     WarehouseSimulation,
     correct_loop,
     fallback_message,
@@ -146,7 +149,11 @@ class TestValidate:
             (lambda m: m["ra_config"].update(priority_weights=[]), "nonempty list"),
             (lambda m: m["ra_config"].update(priority_weights="half"), "nonempty list"),
             (lambda m: m["ra_config"].update(priority_weights=[0.5, True]), "nonempty list"),
-            (lambda m: m["ra_config"].update(priority_weights=[-0.2, 1.2]), "nonnegative"),
+            (lambda m: m["ra_config"].update(priority_weights=[-0.2, 1.2]), "weights must be positive"),
+            (
+                lambda m: m["ra_config"].update(priority_weights=[1.0, 0.0]),
+                "ra_config.priority_weights: weights must be positive",
+            ),
             (lambda m: m["ra_config"].update(priority_weights=[0.6, 0.6]), "sum"),
             (lambda m: m["ra_config"].update(priority_weights=[1.0]), "1 weights for 2 robots"),
             (
@@ -499,6 +506,7 @@ def make_sim(
     world=None,
     seed=0,
     max_sim_time_s=3600.0,
+    weights=None,
 ):
     world = world or GridWorld(6, 1, cell_size_m=2.0)
     robots = robots or [RobotState(1, (0, 0), (5, 0))]
@@ -511,24 +519,22 @@ def make_sim(
     cfg = OrchestratorConfig(
         pp=PlanConfig(objective="makespan"),
         ra=RadioConfig(
-            fairness="max_min", priority_weights=tuple([1.0 / len(robots)] * len(robots))
+            fairness="max_min", priority_weights=weights or tuple([1.0 / len(robots)] * len(robots))
         ),
         sense=SenseConfig(),
     )
-    budget = budget or LoopBudget(0.1, 0.01, 0.05, 0.1)
-    return WarehouseSimulation(
-        world,
-        robots,
-        list(tracks),
-        gain_map,
-        default_mcs_table(),
-        cfg,
-        budget,
-        method,
-        seed,
-        {"raw": 6220800, "semantic_feature": 5160},
-        max_sim_time_s,
+    inputs = WarehouseInputs(
+        world=world,
+        robots=robots,
+        tracks=list(tracks),
+        gain_map=gain_map,
+        table=default_mcs_table(),
+        cfg=cfg,
+        budget=budget or LoopBudget(0.1, 0.01, 0.05, 0.1),
+        payloads={"raw": 6220800, "semantic_feature": 5160},
+        max_sim_time_s=max_sim_time_s,
     )
+    return WarehouseSimulation(inputs, method, seed)
 
 
 class TestWarehouseSimulation:
@@ -537,23 +543,8 @@ class TestWarehouseSimulation:
             make_sim("teleport")
         with pytest.raises(ValueError, match="dimensions"):
             make_sim("lorc_sc_p", gains=np.full((2, 3), -60.0))
-        world = GridWorld(6, 1, cell_size_m=2.0)
-        cfg = OrchestratorConfig(
-            pp=PlanConfig(), ra=RadioConfig(priority_weights=(0.5, 0.5)), sense=SenseConfig()
-        )
         with pytest.raises(ValueError, match="weights"):
-            WarehouseSimulation(
-                world,
-                [RobotState(1, (0, 0), (5, 0))],
-                [],
-                PathGainMap(np.full((1, 6), -60.0)),
-                default_mcs_table(),
-                cfg,
-                LoopBudget(0.1, 0.01, 0.05, 0.1),
-                "lorc_sc_p",
-                0,
-                {"raw": 1, "semantic_feature": 1},
-            )
+            make_sim("lorc_sc_p", weights=(0.5, 0.5))
 
     def test_fast_loop_never_stalls(self):
         """5160 B at 3 bps/Hz on 10 MHz: the loop closes in 0.262376 s,
@@ -646,6 +637,10 @@ class TestWarehouseSimulation:
     def test_max_sim_time_guard(self):
         world = GridWorld(8, 1, cell_size_m=2.0)
         robots = [RobotState(1, (0, 0), (7, 0))]
-        sim = make_sim("stop_and_go", world=world, robots=robots, max_sim_time_s=5.0)
-        with pytest.raises(RuntimeError, match="run exceeded"):
+        sim = make_sim("stop_and_go", world=world, robots=robots, max_sim_time_s=5.0, seed=3)
+        with pytest.raises(UnfinishedRun) as info:
             sim.run()
+        err = info.value
+        assert (err.method, err.seed, err.max_sim_time_s) == ("stop_and_go", 3, 5.0)
+        assert str(err) == "method stop_and_go seed 3 did not finish within 5.0 s (an event fell due at 5.6 s)"
+        assert pickle.loads(pickle.dumps(err)).args == err.args

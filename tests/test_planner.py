@@ -12,7 +12,9 @@ from oracles import (
     joint_makespan_oracle,
     random_planner_instance,
     reference_makespan_plan,
+    reference_prioritized_plan,
 )
+from r2xsim import planner
 from r2xsim.planner import (
     Conflict,
     PlanConfig,
@@ -487,3 +489,67 @@ class TestBoundedJointSearch:
             robots = [RobotState(1, starts[0], (2, 0)), RobotState(2, starts[1], (0, 3))]
             with pytest.raises(PlanningError, match=r"start \(3, 3\) or goal .* not passable"):
                 plan(w, robots, [], PlanConfig("makespan"))
+
+
+def random_prioritized_instance(rng):
+    """One to four robots on a grid of at most 49 cells, with random blocked
+    cells, human forecasts, gap, objective, priority robot and a horizon that
+    is often too short."""
+    width = int(rng.integers(2, 8))
+    height = int(rng.integers(2, 8))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    n_robots = int(rng.integers(1, min(4, len(cells) // 2) + 1))
+    order = rng.permutation(len(cells))
+    n_blocked = int(rng.integers(0, (len(cells) - 2 * n_robots) // 3 + 1))
+    world = world_of(width, height, [cells[i] for i in order[:n_blocked]])
+    free = [cells[i] for i in order[n_blocked:]]
+    ids = sorted(int(i) for i in rng.choice(10, size=n_robots, replace=False))
+    robots = [RobotState(rid, free[2 * k], free[2 * k + 1]) for k, rid in enumerate(ids)]
+    forecasts = []
+    for _ in range(int(rng.integers(0, 5))):
+        cell = free[int(rng.integers(len(free)))]
+        step = int(rng.integers(0, width + height))
+        forecasts += [(cell, step + k) for k in range(int(rng.integers(1, 4)))]
+    cfg = PlanConfig(
+        objective=str(rng.choice(["makespan", "safety_first"])),
+        priority_robot=ids[int(rng.integers(n_robots))] if rng.random() < 0.3 else None,
+        min_time_gap_at_conflict=int(rng.integers(0, 3)),
+    )
+    horizon = int(rng.integers(1, default_horizon(world) + 1))
+    return world, robots, forecasts, cfg, horizon
+
+
+class TestSharedSoloRoutes:
+    def test_four_robot_plan_searches_each_solo_route_once(self, monkeypatch):
+        """24 orderings of four robots crossing an empty 10x10 grid share 4
+        solo searches; searching them per ordering made 158 calls."""
+        calls = Counter()
+        real = planner.low_level_search
+
+        def counted(world, robot, *args):
+            calls[robot.id] += 1
+            return real(world, robot, *args)
+
+        monkeypatch.setattr(planner, "low_level_search", counted)
+        corners = [((0, 0), (9, 9)), ((9, 9), (0, 0)), ((0, 9), (9, 0)), ((9, 0), (0, 9))]
+        robots = [RobotState(i + 1, start, goal) for i, (start, goal) in enumerate(corners)]
+        world = world_of(10, 10)
+        paths = plan(world, robots, [], PlanConfig("makespan"))
+        assert sum(calls.values()) == 66
+        assert paths == reference_prioritized_plan(world, robots, [], PlanConfig("makespan"), default_horizon(world))
+
+    def test_plan_matches_per_ordering_search(self):
+        """Sharing solo routes across orderings gives the per-ordering loop's
+        paths, or its error, on every instance the joint refinement skips."""
+        rng = np.random.default_rng(11)
+        kinds = Counter()
+        for _ in range(300):
+            world, robots, forecasts, cfg, horizon = random_prioritized_instance(rng)
+            if (len(robots) == 2 and cfg.objective == "makespan" and cfg.min_time_gap_at_conflict == 0
+                    and cfg.priority_robot is None):
+                continue
+            got = plan_outcome(lambda: plan(world, robots, forecasts, cfg, horizon))
+            want = plan_outcome(lambda: reference_prioritized_plan(world, robots, forecasts, cfg, horizon))
+            assert got == want, (world, robots, forecasts, cfg, horizon)
+            kinds[got[0]] += 1
+        assert kinds["ok"] >= 100 and kinds["PlanningInfeasible"] >= 50, kinds

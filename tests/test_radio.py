@@ -85,6 +85,8 @@ class TestRadioConfig:
             RadioConfig(priority_weights=(-0.1, 1.1))
         with pytest.raises(ValueError):
             RadioConfig(priority_weights=(math.nan, math.nan))
+        with pytest.raises(ValueError, match="positive"):
+            RadioConfig(priority_weights=(1.0, 0.0))
         with pytest.raises(ValueError):
             RadioConfig(max_retx=-1)
         # within the declared sum tolerance

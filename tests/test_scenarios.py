@@ -1,9 +1,12 @@
 """Scenario schema, builders, and the three per-kind runners."""
 
+import contextlib
 import copy
 import importlib.util
+import io
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
@@ -410,8 +413,8 @@ class TestValidation:
     @given(st.sampled_from(LEAVES), st.sampled_from(LEAF_VALUES + (DELETE,)))
     def test_mutated_leaf_is_named_or_runs(self, leaf, value):
         """A document with one leaf replaced or deleted is either rejected
-        with field paths, or runs to a record or the simulator's own
-        RuntimeError."""
+        with field paths, or ``r2xsim run`` on it exits 0, or exits 2 with
+        field-path lines (a run that did not finish in time)."""
         make, path = leaf
         doc = make()
         parent = doc
@@ -425,13 +428,17 @@ class TestValidation:
         if errors:
             assert all(e.startswith("scenario.") for e in errors), errors
             return
-        scn = parse_scenario(doc)
-        try:
-            record = run_one(scn, scn.methods[0], 0)
-        except RuntimeError as exc:
-            assert type(exc) is RuntimeError
-        else:
-            assert record["kind"] == scn.kind
+        method = parse_scenario(doc).methods[0]
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            code = main(["run", str(path), "--seeds", "0", "--methods", method, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2), stderr.getvalue()
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert lines and all(line.startswith("scenario.") for line in lines), lines
 
     def test_mcs_delay_has_at_most_18_digits(self):
         doc = tiny_mcs()

@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Check that the runs reproduce every output pinned in perfbench/digests.json.
+
+    PYTHONPATH=src python tools/check_digests.py
+
+``perfbench/digests.json`` pins, for the six bundled files and the makespan
+copies of the four warehouse files, the sha256 of every ``results.jsonl``
+record line of seeds 0-19 and of each one-seed ``summary.csv``. This script
+runs every pinned file one seed at a time, as ``r2xsim run`` does, and
+compares each record line and summary with its pin. A makespan copy is
+written the way ``perfbench/run.py`` writes its ``warehouse-makespan``
+inputs. It prints one line per mismatch and a count, and exits 1 on any
+mismatch. ``tests/test_golden.py`` runs the same check on seeds 0-2.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+from typing import List, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "perfbench" / "digests.json"
+SCENARIO_DIR = ROOT / "src" / "r2xsim" / "scenarios"
+MAKESPAN = "-makespan"
+MAKESPAN_INTENT = "Get both robots to their goals as fast as possible."
+SEEDS = range(20)
+
+
+def pinned() -> dict:
+    """Scenario id -> ``{"records": {"<method>/<seed>": sha256}, "summaries": {"<seed>": sha256}}``."""
+    return json.loads(DIGESTS.read_text())
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def scenario_file(sid: str, work_dir: Path) -> Path:
+    """The file pinned as ``sid``: a bundled file, or its makespan copy
+    written into ``work_dir``."""
+    name = sid.removesuffix(MAKESPAN)
+    path = SCENARIO_DIR / f"{name}.json"
+    if name == sid:
+        return path
+    data = json.loads(path.read_text())
+    data["id"] = sid
+    data["warehouse"]["intent_text"] = MAKESPAN_INTENT
+    path = work_dir / f"{sid}.json"
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def check_seed(sid: str, seed: int, expected: dict, work_dir: Path) -> Tuple[int, List[str]]:
+    """Run the file pinned as ``sid`` on one seed and compare its outputs
+    with ``expected``, its entry in the digests. Returns the number of
+    record lines compared and one line per mismatch."""
+    from r2xsim.cli import main
+
+    path = scenario_file(sid, work_dir)
+    out = work_dir / f"out-{sid}-{seed}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(path), "--seeds", str(seed), "--parallel", "1", "--out", str(out)])
+    if code != 0:
+        return 0, [f"{sid} seed {seed}: r2xsim run exited {code}"]
+    problems = []
+    lines = (out / "results.jsonl").read_bytes().splitlines()
+    seen = set()
+    for line in lines:
+        rec = json.loads(line)
+        key = f"{rec['method']}/{rec['seed']}"
+        seen.add(key)
+        if rec["scenario_id"] != sid:
+            problems.append(f"{sid} {key}: scenario_id {rec['scenario_id']!r}")
+        elif sha256(line) != expected["records"].get(key):
+            problems.append(f"{sid} {key} differs from {DIGESTS.name}")
+    want = {key for key in expected["records"] if key.endswith(f"/{seed}")}
+    if seen != want:
+        problems.append(f"{sid} seed {seed}: records {sorted(seen)}, pinned {sorted(want)}")
+    if sha256((out / "summary.csv").read_bytes()) != expected["summaries"][str(seed)]:
+        problems.append(f"{sid} seed {seed} summary.csv differs from {DIGESTS.name}")
+    return len(lines), problems
+
+
+def main() -> int:
+    pins = pinned()
+    lines = summaries = 0
+    problems: List[str] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for sid in sorted(pins):
+            for seed in SEEDS:
+                n, found = check_seed(sid, seed, pins[sid], Path(tmp))
+                lines += n
+                summaries += 1
+                problems += found
+    for line in problems:
+        print(line)
+    print(f"{lines} record lines and {summaries} summary.csv files of {len(pins)} files "
+          f"checked against {DIGESTS.name}: {len(problems)} mismatches")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
