@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,43 +49,6 @@ class PolicySpec:
             raise ValueError(f"kind {self.kind!r} not in {POLICY_KINDS}")
         if self.delay < 0:
             raise ValueError("delay must be nonnegative")
-
-
-class MapAwarePredictor:
-    """Predicts SNR as map gain at the target cell plus a decayed shadowing
-    residual, backed off by the residual's conditional spread.
-
-    The residual process statistics (lag-1 correlation and spread) are
-    estimated online from the residuals observed so far, so the predictor
-    only ever uses information available at feedback time.
-    """
-
-    def __init__(self):
-        self._n = 0
-        self._s1 = 0.0
-        self._s2 = 0.0
-        self._sx = 0.0
-        self._last = 0.0
-
-    def observe(self, residual: float) -> None:
-        if self._n >= 1:
-            self._sx += residual * self._last
-        self._n += 1
-        self._s1 += residual
-        self._s2 += residual * residual
-        self._last = residual
-
-    def predict(self, map_snr_target: float, delay: int) -> float:
-        if self._n == 0:
-            return map_snr_target
-        if self._n < _MAP_AWARE_MIN_SAMPLES:
-            return map_snr_target + self._last
-        rho = min(max(self._sx / self._s2, 0.0), 0.9999) if self._s2 > 0 else 0.0
-        var = self._s2 / self._n - (self._s1 / self._n) ** 2
-        sigma = math.sqrt(max(var, 0.0))
-        decay = rho**delay
-        spread = sigma * math.sqrt(max(1.0 - decay * decay, 0.0))
-        return map_snr_target + decay * self._last - spread
 
 
 @dataclass
@@ -186,17 +150,48 @@ class LinkTable:
         """``select_mcs`` index for each SNR estimate, by the cut-offs."""
         return _highest_true(np.asarray(estimates, dtype=float)[:, np.newaxis] >= self.cutoff)
 
-    def predict(self, delay: int) -> List[float]:
-        """``MapAwarePredictor`` estimates for every step from feedback
-        ``delay`` steps old: step ``t`` has seen the residuals up to
-        ``t - delay``."""
+    @cached_property
+    def _residual_stats(self) -> Tuple[List[float], List[float], List[float]]:
+        """The map-aware predictor's state after each number of observed
+        residuals ``true_snr - map_snr``, the same for every delay: index
+        ``k - 1`` holds, after ``k`` residuals, the last residual, the
+        lag-1 correlation ``rho`` clipped to [0, 0.9999] and the spread
+        ``sigma``, each from running sums in observation order."""
         if self.map_snr is None:
             raise ValueError("predictive policy needs the map SNR of every step")
-        model = MapAwarePredictor()
+        last: List[float] = []
+        rhos: List[float] = []
+        sigmas: List[float] = []
+        n = 0
+        s1 = s2 = sx = prev = 0.0
+        for true, mapped in zip(self.true_snr, self.map_snr):
+            r = true - mapped
+            if n >= 1:
+                sx += r * prev
+            n += 1
+            s1 += r
+            s2 += r * r
+            prev = r
+            last.append(r)
+            rhos.append(min(max(sx / s2, 0.0), 0.9999) if s2 > 0 else 0.0)
+            sigmas.append(math.sqrt(max(s2 / n - (s1 / n) ** 2, 0.0)))
+        return last, rhos, sigmas
+
+    def predict(self, delay: int) -> List[float]:
+        """Map-aware estimates for every step from feedback ``delay`` steps
+        old: step ``t`` has seen the residuals up to ``t - delay``. The
+        estimate is the map SNR plus the last residual while fewer than
+        ``_MAP_AWARE_MIN_SAMPLES`` residuals are seen, and afterwards the map
+        SNR plus the residual decayed by ``rho ** delay``, backed off by the
+        residual's conditional spread."""
+        last, rhos, sigmas = self._residual_stats
+        ahead = self.map_snr[delay:]
+        head = _MAP_AWARE_MIN_SAMPLES - 1
         estimates = self.map_snr[:delay]
-        for t in range(delay, len(self)):
-            model.observe(self.true_snr[t - delay] - self.map_snr[t - delay])
-            estimates.append(model.predict(self.map_snr[t], delay))
+        estimates += [m + r for m, r in zip(ahead[:head], last)]
+        for m, r, rho, sigma in zip(ahead[head:], last[head:], rhos[head:], sigmas[head:]):
+            decay = rho**delay
+            estimates.append(m + decay * r - sigma * math.sqrt(max(1.0 - decay * decay, 0.0)))
         return estimates
 
 

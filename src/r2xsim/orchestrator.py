@@ -17,7 +17,7 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .radio import (
     PathGainMap,
     RadioConfig,
     allocate,
-    ar1_series,
+    ar1_blocks,
     required_power,
     select_mcs,
     simulate_transmission,
@@ -78,6 +78,15 @@ def loop_feasible(budget: LoopBudget) -> Tuple[float, bool]:
     return total, total < budget.deadline_s
 
 
+# The rungs of the RSSI payload ladder, built once: every call returns one
+# of these frozen configurations.
+_SENSE_JPEG_Q80 = SenseConfig(mode="jpeg", jpeg_quality=80, qos="reliable")
+_SENSE_JPEG_Q60 = SenseConfig(mode="jpeg", jpeg_quality=60, qos="reliable")
+_SENSE_VQ_1X3 = SenseConfig(mode="vq", vit_grid=(1, 3), qos="best_effort")
+_SENSE_VQ_1X2 = SenseConfig(mode="vq", vit_grid=(1, 2), qos="best_effort")
+_SENSE_VQ_1X1 = SenseConfig(mode="vq", vit_grid=(1, 1), qos="best_effort")
+
+
 def select_sense_mode(rssi_dbm: float) -> SenseConfig:
     """Payload ladder driven by measured RSSI.
 
@@ -86,14 +95,14 @@ def select_sense_mode(rssi_dbm: float) -> SenseConfig:
     the single-tile token payload.
     """
     if rssi_dbm >= -39:
-        return SenseConfig(mode="jpeg", jpeg_quality=80, qos="reliable")
+        return _SENSE_JPEG_Q80
     if rssi_dbm >= -41:
-        return SenseConfig(mode="jpeg", jpeg_quality=60, qos="reliable")
+        return _SENSE_JPEG_Q60
     if rssi_dbm >= -43:
-        return SenseConfig(mode="vq", vit_grid=(1, 3), qos="best_effort")
+        return _SENSE_VQ_1X3
     if rssi_dbm >= -45:
-        return SenseConfig(mode="vq", vit_grid=(1, 2), qos="best_effort")
-    return SenseConfig(mode="vq", vit_grid=(1, 1), qos="best_effort")
+        return _SENSE_VQ_1X2
+    return _SENSE_VQ_1X1
 
 
 # --------------------------------------------------------------------------
@@ -583,14 +592,18 @@ class WarehouseSimulation:
         first_rate = self.table.entries[select_mcs(self.table, cfg.ra.target_snr_db).index].rate_bps_per_hz
         n_frames = int(math.ceil(self.max_sim_time_s / world.frame_period_s)) + 8
         self.robots: Dict[int, _RobotRuntime] = {}
-        self._shadow: Dict[int, np.ndarray] = {}
+        # Each robot's shadowing frames, drawn block by block as far as the
+        # run reads them, up to n_frames.
+        self._shadow: Dict[int, List[float]] = {}
+        self._shadow_blocks: Dict[int, Iterator[List[float]]] = {}
         for r in inputs.robots:
             self.robots[r.id] = _RobotRuntime(
                 state=RobotState(r.id, tuple(r.cell), tuple(r.goal), "moving"),
                 executed=[tuple(r.cell)],
                 last_rate=first_rate,
             )
-            self._shadow[r.id] = ar1_series(
+            self._shadow[r.id] = []
+            self._shadow_blocks[r.id] = ar1_blocks(
                 np.random.default_rng([seed, r.id, 7]), n_frames,
                 gain_map.shadowing_rho, gain_map.shadowing_sigma_db,
             )
@@ -605,6 +618,16 @@ class WarehouseSimulation:
 
     def _frame(self, t: float) -> int:
         return int(t / self.world.frame_period_s + 1e-9)
+
+    def _shadow_at(self, rid: int, frame: int) -> float:
+        """Robot ``rid``'s shadowing in ``frame``; IndexError past n_frames."""
+        series = self._shadow[rid]
+        while len(series) <= frame:
+            block = next(self._shadow_blocks[rid], None)
+            if block is None:
+                break
+            series += block
+        return series[frame]
 
     def _push(self, t: float, rid: int, kind: str, target: Optional[Cell] = None) -> None:
         self._event_seq += 1
@@ -636,7 +659,6 @@ class WarehouseSimulation:
         rt = self.robots[rid]
         ra = self.cfg.ra
         cell_gain = self.gain_map.gain_at(at_cell)
-        shadow = self._shadow[rid]
         # No robot lands while the loop runs, so the uplink shares the
         # bandwidth with the same robots, under the same weights, throughout.
         active = self._active_ids()
@@ -652,7 +674,7 @@ class WarehouseSimulation:
                 gain_ref = cell_gain
             power, _ = required_power(gain_ref, ra.target_snr_db, ra.noise_dbm, ra.max_power_dbm)
             est_snr = power + gain_ref - ra.noise_dbm
-            true_gain = cell_gain + float(shadow[self._frame(t)])
+            true_gain = cell_gain + self._shadow_at(rid, self._frame(t))
             true_snr = power + true_gain - ra.noise_dbm
             entry = self.table.entries[select_mcs(self.table, est_snr).index]
             rt.last_rate = entry.rate_bps_per_hz

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ DEFAULT_SLOT_S = 1e-3
 
 _WEIGHT_SUM_TOL = 1e-6
 
-# Shadowing samples turned into Python floats at a time.
+# Shadowing samples drawn and turned into Python floats at a time.
 _AR1_BLOCK = 1024
 
 
@@ -270,6 +270,34 @@ def allocate(unit_rates: Sequence[float], cfg: RadioConfig) -> List[float]:
     return [v / total for v in inv]
 
 
+def ar1_blocks(rng: np.random.Generator, n: int, rho: float, sigma: float) -> Iterator[List[float]]:
+    """``ar1_series(rng, n, rho, sigma)`` as consecutive lists of at most
+    ``_AR1_BLOCK`` values, each drawn from ``rng`` only when it is asked
+    for, so that a caller pays for the steps it reads. ``standard_normal``
+    drawn block by block gives the same values as one draw of all ``n``.
+    Blocks of zeros, drawing nothing, when ``sigma <= 0``.
+    """
+    if sigma <= 0:
+        for lo in range(0, n, _AR1_BLOCK):
+            yield [0.0] * min(_AR1_BLOCK, n - lo)
+        return
+    # Each innovation is what a scalar rng.normal(0, s) call gives: 0 + s * z.
+    # The recursion runs on Python floats.
+    scale = sigma * math.sqrt(1.0 - rho * rho)
+    prev = 0.0
+    for lo in range(0, n, _AR1_BLOCK):
+        draws = rng.standard_normal(min(_AR1_BLOCK, n - lo))
+        first = sigma * draws[0]
+        draws *= scale
+        if lo == 0:
+            draws[0] = first
+        block = draws.tolist()
+        for j, step in enumerate(block):
+            prev = rho * prev + step
+            block[j] = prev
+        yield block
+
+
 def ar1_series(rng: np.random.Generator, n: int, rho: float, sigma: float) -> np.ndarray:
     """``n`` steps of stationary AR(1) shadowing in dB (Gudmundson 1991).
 
@@ -278,22 +306,9 @@ def ar1_series(rng: np.random.Generator, n: int, rho: float, sigma: float) -> np
     ``sigma`` at every step. Returns zeros, drawing nothing from ``rng``,
     when ``sigma <= 0`` or ``n == 0``.
     """
-    if sigma <= 0 or n == 0:
-        return np.zeros(n)
-    # One draw for all innovations gives the same values, in the same
-    # order, as n scalar rng.normal(0, s) calls, each of which is 0 + s * z.
-    # The recursion runs on Python floats, one block at a time.
-    out = rng.standard_normal(n)
-    first = sigma * out[0]
-    out *= sigma * math.sqrt(1.0 - rho * rho)
-    out[0] = first
-    prev = 0.0
-    for lo in range(0, n, _AR1_BLOCK):
-        block = out[lo:lo + _AR1_BLOCK].tolist()
-        for j, step in enumerate(block):
-            prev = rho * prev + step
-            block[j] = prev
-        out[lo:lo + _AR1_BLOCK] = block
+    out = np.zeros(n)
+    for lo, block in zip(range(0, n, _AR1_BLOCK), ar1_blocks(rng, n, rho, sigma)):
+        out[lo:lo + len(block)] = block
     return out
 
 

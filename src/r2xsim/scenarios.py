@@ -61,12 +61,16 @@ FOLLOWME_METHODS = (*_FOLLOWME_MODE_CONFIGS, "orchestrated")
 # at most _MAX_ID_DIGITS digits so that int() never meets its digit limit.
 _MCS_METHOD_RE = re.compile(rf"oracle|ideal|(delayed|predictive)_(\d{{1,{_MAX_ID_DIGITS}}})")
 
-# A run builds every per-step series before it starts: the warehouse
-# shadowing frames (max_sim_time_s / frame_period_s per robot), the mcs
-# corridor's steps and cells and the followme frames. Each is at most this
-# long, and a warehouse world has at most this many cells; the bundled files
-# need at most a few thousand.
+# Every per-step series is at most this long: the warehouse shadowing
+# frames (max_sim_time_s / frame_period_s per robot, drawn as a run reads
+# them), the mcs corridor's steps and cells and the followme frames (built
+# before the first run of a seed). A warehouse world has at most this many
+# cells; the bundled files need at most a few thousand.
 _MAX_STEPS = 10**6
+
+# At most this many retransmissions of one step (radio.max_retx) or attempts
+# at one frame (followme.max_attempts); each attempt is one draw.
+_MAX_RETRIES = 64
 
 SCHEMA_VERSION = 1
 
@@ -94,9 +98,10 @@ class Scenario:
     # changed, by every run of this scenario and of its with_overrides copies.
     inputs: Union[WarehouseInputs, McsInputs, FollowmeInputs] = field(repr=False, compare=False)
     path: Optional[Path] = None
-    # (seed, LinkTable) of the last mcs seed run; a copy made by
-    # with_overrides starts empty.
-    _mcs_link: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (seed, table) of the last seed run, the table being what the kind's
+    # ``prepare`` function made of that seed; a copy made by with_overrides
+    # starts empty.
+    _seed_table: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def with_overrides(
         self,
@@ -127,22 +132,35 @@ def validate_scenario_dict(data) -> List[str]:
 
 
 class _Kind(NamedTuple):
-    """How one scenario kind is checked and built, and run.
+    """How one scenario kind is checked and built, prepared for a seed, and
+    run.
 
-    ``build`` and ``run`` name functions of this module and are looked up
-    when called, so a wrapper set on the module attribute sees every call.
+    ``build``, ``prepare`` and ``run`` name functions of this module and are
+    looked up when called, so a wrapper set on the module attribute sees
+    every call. ``prepare(inputs, seed)`` computes what the seed alone
+    determines, once for every method of that seed (see ``_seed_table``).
     """
 
     methods: Optional[Tuple[str, ...]]  # None: mcs names, matched by _MCS_METHOD_RE
     build: str
+    prepare: Optional[str]  # None: every run draws its own
     run: str
 
 
 _KINDS = {
-    "warehouse": _Kind(WAREHOUSE_METHODS, "build_warehouse", "run_warehouse"),
-    "mcs": _Kind(None, "build_mcs_corridor", "run_mcs"),
-    "followme": _Kind(FOLLOWME_METHODS, "build_followme", "run_followme"),
+    "warehouse": _Kind(WAREHOUSE_METHODS, "build_warehouse", None, "run_warehouse"),
+    "mcs": _Kind(None, "build_mcs_corridor", "prepare_mcs", "run_mcs"),
+    "followme": _Kind(FOLLOWME_METHODS, "build_followme", "prepare_followme", "run_followme"),
 }
+
+
+def _seed_table(scn: Scenario, seed: int):
+    """What ``seed`` alone determines for every method of ``scn``: built by
+    the kind's ``prepare`` on the first run of that seed, inside that run,
+    and kept on ``scn`` until a run asks for another seed."""
+    if scn._seed_table is None or scn._seed_table[0] != seed:
+        scn._seed_table = (seed, globals()[_KINDS[scn.kind].prepare](scn.inputs, seed))
+    return scn._seed_table[1]
 
 
 def parse_scenario(data, path: Optional[Path] = None) -> Scenario:
@@ -238,7 +256,7 @@ def _radio(ck: _Checker, sec: dict, path: str) -> Tuple[dict, McsTable]:
     given = {} if robj is None else {
         "target_snr_db": ck.num(robj, path, "target_snr_db"),
         "max_power_dbm": ck.num(robj, path, "max_power_dbm"),
-        "max_retx": ck.integer(robj, path, "max_retx", lo=0),
+        "max_retx": ck.integer(robj, path, "max_retx", lo=0, hi=_MAX_RETRIES),
         "noise_dbm": ck.num(robj, path, "noise_dbm"),
         "bandwidth_hz": ck.num(robj, path, "bandwidth_hz", lo=1.0),
         "slot_s": ck.num(robj, path, "slot_s", gt=0.0),
@@ -507,17 +525,13 @@ def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
     )
 
 
-def _mcs_link(scn: Scenario, seed: int) -> LinkTable:
-    """The seed's link table, built on the first call for that seed and kept
-    on ``scn`` until another seed is asked for."""
-    if scn._mcs_link is None or scn._mcs_link[0] != seed:
-        c = scn.inputs
-        scn._mcs_link = (seed, LinkTable.sample(c.gain_map, c.cells, c.cfg, c.table, seed, c.bler_target))
-    return scn._mcs_link[1]
+def prepare_mcs(c: McsInputs, seed: int) -> LinkTable:
+    """The seed's link table, read by every policy."""
+    return LinkTable.sample(c.gain_map, c.cells, c.cfg, c.table, seed, c.bler_target)
 
 
 def run_mcs(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
-    link = _mcs_link(scn, seed)
+    link = _seed_table(scn, seed)
     series = run_policy(
         link,
         mcs_policy_from_method(method),
@@ -621,7 +635,7 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
                     ck.fail(f"{p}.perception.{key}.{mode}", f"{_echo(v)} must be in [0, 1]")
     cta_useful_s = ck.num(sec, p, "cta_useful_s", lo=0.0)
     loss_threshold_steps = ck.integer(sec, p, "loss_threshold_steps", lo=0)
-    max_attempts = ck.integer(sec, p, "max_attempts", lo=1, default=4)
+    max_attempts = ck.integer(sec, p, "max_attempts", lo=1, hi=_MAX_RETRIES, default=4)
     slot_s = ck.num(sec, p, "slot_s", lo=0.0, default=0.001)
     if ck.errors:
         return None
@@ -638,6 +652,32 @@ def _mode_name(cfg: SenseConfig) -> str:
     return f"vq_{cfg.vit_grid[0]}x{cfg.vit_grid[1]}"
 
 
+class FollowmeFrames(NamedTuple):
+    """Per-frame values of one followme seed, the same for every method:
+    the user distance, the RSSI (curve plus AR(1) noise), and the link
+    throughput and per-bit error probability at that RSSI."""
+
+    distance: List[float]
+    rssi: List[float]
+    throughput: List[float]
+    bit_error: List[float]
+
+
+def prepare_followme(fm: FollowmeInputs, seed: int) -> FollowmeFrames:
+    """The seed's frames. The curves are read with array ``np.interp``,
+    which equals one scalar call per frame; ``10.0 ** x`` is taken on Python
+    floats, because numpy's power may differ in the last bit."""
+    noise = ar1_series(np.random.default_rng([seed, 21]), fm.total_steps, *fm.noise)
+    distance = np.interp(np.arange(fm.total_steps), *fm.distance)
+    rssi = np.interp(distance, *fm.rssi) + noise
+    return FollowmeFrames(
+        distance.tolist(),
+        rssi.tolist(),
+        [10.0 ** x for x in np.interp(rssi, *fm.log_throughput).tolist()],
+        [10.0 ** x for x in np.interp(rssi, *fm.log_bit_error).tolist()],
+    )
+
+
 def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     """Replay the corridor trace under one sensing policy.
 
@@ -649,8 +689,8 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     lock on it.
     """
     fm = scn.inputs
+    frames = _seed_table(scn, seed)
     total = fm.total_steps
-    noise = ar1_series(np.random.default_rng([seed, 21]), total, *fm.noise)
     rng_loss = np.random.default_rng([seed, 22])
     rng_perc = np.random.default_rng([seed, 23])
 
@@ -660,14 +700,10 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     arrivals: List[int] = []
     cta_samples: List[float] = []
     delivered_count = 0
-    for t in range(total):
-        distance = float(np.interp(t, *fm.distance))
-        rssi = float(np.interp(distance, *fm.rssi)) + noise[t]
+    for t, (distance, rssi, throughput, p_bit) in enumerate(zip(*frames)):
         cfg = fixed_cfg if fixed_cfg is not None else select_sense_mode(rssi)
         mode = _mode_name(cfg)
         bits = fm.payload_bytes[mode] * 8
-        throughput = 10.0 ** float(np.interp(rssi, *fm.log_throughput))
-        p_bit = 10.0 ** float(np.interp(rssi, *fm.log_bit_error))
         p_loss = -math.expm1(bits * math.log1p(-p_bit))
         attempts_allowed = fm.max_attempts if cfg.qos == "reliable" else 1
         attempts = 0

@@ -19,14 +19,25 @@ plan and no error.
 before solo routes were shared across orderings: every ordering searches
 every robot's solo route again, and one robot is planned by a single
 search. It is kept to check that sharing changes no plan and no error.
+
+``MapAwarePredictor`` and ``reference_predict`` are the map-aware SNR
+predictor as it was before its residual statistics were shared across
+delays: each delay replays every residual through its own predictor.
+``reference_run_followme`` is the followme runner as it was before the
+per-frame values were computed once per seed: every method recomputes each
+frame's distance, RSSI, throughput and bit error with scalar ``np.interp``.
 """
 
 import itertools
+import math
 from collections import deque
+from typing import Dict, List
 
 import numpy as np
 
-from r2xsim.linkadapt import MapAwarePredictor, PolicyTimeSeries
+from r2xsim.linkadapt import _MAP_AWARE_MIN_SAMPLES, PolicyTimeSeries
+from r2xsim.metrics import tail_stats, utfr
+from r2xsim.orchestrator import select_sense_mode
 from r2xsim.planner import (
     _MAX_RESOLUTION_ROUNDS,
     PlanningError,
@@ -40,7 +51,8 @@ from r2xsim.planner import (
     low_level_search,
     makespan,
 )
-from r2xsim.radio import bler, select_mcs, simulate_transmission
+from r2xsim.radio import ar1_series, bler, select_mcs, simulate_transmission
+from r2xsim.scenarios import _FOLLOWME_MODE_CONFIGS, _mode_name
 
 
 def bfs_dist_field(world, goal, banned):
@@ -174,6 +186,116 @@ def random_planner_instance(rng, width=5, height=5, max_humans=2):
     goals = [chosen[2], chosen[3]]
     humans = chosen[4:]
     return starts, goals, humans
+
+
+class MapAwarePredictor:
+    """Predicts SNR as map gain at the target cell plus a decayed shadowing
+    residual, backed off by the residual's conditional spread.
+
+    The residual process statistics (lag-1 correlation and spread) are
+    estimated online from the residuals observed so far, so the predictor
+    only ever uses information available at feedback time.
+    """
+
+    def __init__(self):
+        self._n = 0
+        self._s1 = 0.0
+        self._s2 = 0.0
+        self._sx = 0.0
+        self._last = 0.0
+
+    def observe(self, residual: float) -> None:
+        if self._n >= 1:
+            self._sx += residual * self._last
+        self._n += 1
+        self._s1 += residual
+        self._s2 += residual * residual
+        self._last = residual
+
+    def predict(self, map_snr_target: float, delay: int) -> float:
+        if self._n == 0:
+            return map_snr_target
+        if self._n < _MAP_AWARE_MIN_SAMPLES:
+            return map_snr_target + self._last
+        rho = min(max(self._sx / self._s2, 0.0), 0.9999) if self._s2 > 0 else 0.0
+        var = self._s2 / self._n - (self._s1 / self._n) ** 2
+        sigma = math.sqrt(max(var, 0.0))
+        decay = rho**delay
+        spread = sigma * math.sqrt(max(1.0 - decay * decay, 0.0))
+        return map_snr_target + decay * self._last - spread
+
+
+def reference_predict(link, delay):
+    """``LinkTable.predict`` as one ``MapAwarePredictor`` per delay: step
+    ``t`` has observed the residuals up to ``t - delay``."""
+    model = MapAwarePredictor()
+    estimates = link.map_snr[:delay]
+    for t in range(delay, len(link)):
+        model.observe(link.true_snr[t - delay] - link.map_snr[t - delay])
+        estimates.append(model.predict(link.map_snr[t], delay))
+    return estimates
+
+
+def reference_run_followme(scn, method: str, seed: int) -> Dict[str, float]:
+    """``scenarios.run_followme`` with every frame's values computed in the
+    run, from scalar ``np.interp`` calls."""
+    fm = scn.inputs
+    total = fm.total_steps
+    noise = ar1_series(np.random.default_rng([seed, 21]), total, *fm.noise)
+    rng_loss = np.random.default_rng([seed, 22])
+    rng_perc = np.random.default_rng([seed, 23])
+
+    perc = fm.perception
+    fixed_cfg = _FOLLOWME_MODE_CONFIGS.get(method)
+    locked = True
+    arrivals: List[int] = []
+    cta_samples: List[float] = []
+    delivered_count = 0
+    for t in range(total):
+        distance = float(np.interp(t, *fm.distance))
+        rssi = float(np.interp(distance, *fm.rssi)) + noise[t]
+        cfg = fixed_cfg if fixed_cfg is not None else select_sense_mode(rssi)
+        mode = _mode_name(cfg)
+        bits = fm.payload_bytes[mode] * 8
+        throughput = 10.0 ** float(np.interp(rssi, *fm.log_throughput))
+        p_bit = 10.0 ** float(np.interp(rssi, *fm.log_bit_error))
+        p_loss = -math.expm1(bits * math.log1p(-p_bit))
+        attempts_allowed = fm.max_attempts if cfg.qos == "reliable" else 1
+        attempts = 0
+        delivered = False
+        for _ in range(attempts_allowed):
+            attempts += 1
+            if rng_loss.random() >= p_loss:
+                delivered = True
+                break
+        useful = False
+        if delivered:
+            delivered_count += 1
+            enc, dec = fm.codec_s[cfg.mode]
+            cta = enc + attempts * (bits / throughput + fm.slot_s) + dec
+            cta_samples.append(cta)
+            useful = cta <= fm.cta_useful_s
+        if locked:
+            far = distance > perc["far_distance_m"][mode]
+            lose_p = perc["far_lose_prob"][mode] if far else perc["lose_prob"][mode]
+            if rng_perc.random() < lose_p:
+                locked = False
+        elif delivered and useful:
+            if rng_perc.random() < perc["reacquire_prob"][mode]:
+                locked = True
+        if delivered and useful and locked:
+            arrivals.append(t)
+
+    metrics: Dict[str, float] = {
+        "utfr_pct": utfr(arrivals, total, fm.loss_threshold_steps),
+        "delivered_frames": float(delivered_count),
+        "arrival_frames": float(len(arrivals)),
+    }
+    if cta_samples:
+        mean, _, p95 = tail_stats(cta_samples)
+        metrics["cta_mean_s"] = mean
+        metrics["cta_p95_s"] = p95
+    return metrics
 
 
 def reference_run_policy(

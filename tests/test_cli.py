@@ -250,11 +250,19 @@ class TestSeedBySeed:
         assert main(["run", str(mcs_file), "--out", str(tmp_path / "o"), "--methods", "ideal,oracle"]) == 0
         assert calls == [(m, s) for s in (3, 0, 1) for m in ("ideal", "oracle")]
 
-    def test_parallel_matches_serial(self, mcs_file, tmp_path):
+    @pytest.mark.parametrize(
+        "make,methods",
+        [(tiny_mcs, "predictive_2,oracle,ideal,delayed_2"), (tiny_followme, "orchestrated,vq_1x1,jpeg_q80")],
+        ids=["mcs", "followme"],
+    )
+    def test_parallel_matches_serial(self, make, methods, tmp_path):
+        doc = make()
+        doc["seeds"] = [3, 0, 1]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", str(mcs_file), "--out", str(a)]) == 0
-        assert main(["run", str(mcs_file), "--out", str(b), "--parallel", "2",
-                     "--methods", "predictive_2,oracle,ideal,delayed_2"]) == 0
+        assert main(["run", str(path), "--out", str(a)]) == 0
+        assert main(["run", str(path), "--out", str(b), "--parallel", "2", "--methods", methods]) == 0
         for name in ("results.jsonl", "summary.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reference_run_policy
+from oracles import MapAwarePredictor, reference_predict, reference_run_policy
 from r2xsim.linkadapt import (
     LinkTable,
-    MapAwarePredictor,
     PolicySpec,
     PolicyTimeSeries,
     gains,
@@ -323,6 +322,60 @@ class TestKernelMatchesReference:
         link = LinkTable.sample(gain_map, cells, cfg, table, 4)
         for spec in SPECS:
             assert_matches_reference(link, trace, spec, table, 1500, 0.1, 4, cells, gain_map, 0)
+
+
+class TestPredictMatchesReference:
+    """``LinkTable.predict``, which computes the residual statistics once for
+    every delay, gives the per-delay predictor's estimates bit for bit."""
+
+    @staticmethod
+    def assert_same(link, delays):
+        for delay in delays:
+            got = link.predict(delay)
+            want = reference_predict(link, delay)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), delay
+
+    @staticmethod
+    def residual_link(residuals):
+        """A table whose step ``t`` has the map SNR ``t`` and the residual
+        ``residuals[t]``."""
+        map_snr = [float(t) for t in range(len(residuals))]
+        return LinkTable([m + r for m, r in zip(map_snr, residuals)], default_mcs_table(), 0.1, map_snr)
+
+    @staticmethod
+    def last_rho(residuals):
+        model = MapAwarePredictor()
+        for r in residuals:
+            model.observe(r)
+        return min(max(model._sx / model._s2, 0.0), 0.9999)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bundled_corridor(self, bundled_corridor, seed):
+        link = LinkTable.sample(*bundled_corridor.inputs[:4], seed, bundled_corridor.inputs.bler_target)
+        self.assert_same(link, (0, 1, 7, 8, 9, 30, len(link) - 1))
+
+    def test_shorter_than_the_sample_minimum(self):
+        link = self.residual_link([0.5, -1.25, 2.0, 0.75, -0.5])
+        self.assert_same(link, range(5))
+
+    @pytest.mark.parametrize("value", [0.0, 1.5])
+    def test_zero_variance(self, value):
+        self.assert_same(self.residual_link([value] * 40), (0, 1, 7, 8, 9, 39))
+
+    def test_rho_clipped_at_zero(self):
+        residuals = [(-1.0) ** t * (1.0 + 0.01 * t) for t in range(40)]
+        assert self.last_rho(residuals) == 0.0
+        self.assert_same(self.residual_link(residuals), (0, 1, 7, 8, 9, 39))
+
+    def test_rho_clipped_below_one(self):
+        # The lag-1 ratio of a near-constant series is about (k - 1) / k.
+        residuals = [1.0 + 1e-6 * t for t in range(12000)]
+        assert self.last_rho(residuals) == 0.9999
+        self.assert_same(self.residual_link(residuals), (0, 1, 7, 8, 9, 30, 11999))
+
+    def test_needs_the_map_snr(self):
+        with pytest.raises(ValueError, match="map SNR"):
+            LinkTable([0.0] * 10, default_mcs_table()).predict(1)
 
 
 class TestGains:

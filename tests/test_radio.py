@@ -14,6 +14,7 @@ from r2xsim.radio import (
     PathGainMap,
     RadioConfig,
     allocate,
+    ar1_blocks,
     ar1_series,
     bler,
     default_mcs_table,
@@ -310,6 +311,24 @@ class TestAr1Series:
         ref = self.scalar_reference(np.random.default_rng([seed, 1, 7]), n, rho, sigma)
         assert series.shape == (n,)
         assert np.array_equal(series, ref)
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2580])
+    @pytest.mark.parametrize("sigma", [4.0, 0.0])
+    def test_blocks_equal_the_series(self, n, sigma):
+        blocks = list(ar1_blocks(np.random.default_rng([n, 1, 7]), n, 0.9, sigma))
+        assert [len(b) for b in blocks] == [min(1024, n - lo) for lo in range(0, n, 1024)]
+        series = ar1_series(np.random.default_rng([n, 1, 7]), n, 0.9, sigma)
+        assert np.array([x for b in blocks for x in b]).tobytes() == series.tobytes()
+        if sigma:
+            ref = self.scalar_reference(np.random.default_rng([n, 1, 7]), n, 0.9, sigma)
+            assert np.array_equal(series, ref)
+
+    def test_blocks_draw_when_asked_for(self):
+        rng = np.random.default_rng(5)
+        next(ar1_blocks(rng, 5000, 0.9, 4.0))
+        fresh = np.random.default_rng(5)
+        fresh.standard_normal(1024)
+        assert rng.random() == fresh.random()  # one block drawn
 
     def test_zero_sigma_is_zeros_and_draws_nothing(self):
         rng = np.random.default_rng(3)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_run_followme
 from r2xsim import scenarios
 from r2xsim.cli import main
 from r2xsim.planner import PlanConfig
@@ -515,6 +516,51 @@ class TestValidation:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "make,edit,field",
+        [
+            (
+                tiny_followme,
+                lambda d: d["followme"].update(
+                    bit_error_curve=[[-60.0, 0.5], [-30.0, 0.5]], max_attempts=10**12,
+                ),
+                "scenario.followme.max_attempts",
+            ),
+            (
+                tiny_mcs,
+                lambda d: (d["mcs"]["gain_profile"].update(base_db=-400.0), d["mcs"].update(radio={"max_retx": 10**12})),
+                "scenario.mcs.radio.max_retx",
+            ),
+            (
+                tiny_warehouse,
+                lambda d: (d["warehouse"]["gain"].update(base_gain_db=-400.0),
+                           d["warehouse"].update(radio={"max_retx": 10**12}, max_sim_time_s=5.0)),
+                "scenario.warehouse.radio.max_retx",
+            ),
+        ],
+        ids=["followme", "mcs", "warehouse"],
+    )
+    def test_retries_are_bounded(self, make, edit, field, tmp_path, capsys):
+        """A retry bound past 64 is a field error; at 64 a run on a link that
+        always fails ends (exit 0, or 2 for a warehouse run that cannot
+        finish)."""
+        doc = make()
+        edit(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.strip().endswith(f"{field}: 1000000000000 must be <= 64")
+        section = doc[doc["kind"]]
+        if "max_attempts" in section:
+            section["max_attempts"] = 64
+        else:
+            section["radio"]["max_retx"] = 64
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        t0 = time.process_time()
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) in (0, 2)
+        assert time.process_time() - t0 < 10.0
+
     def test_errors_accumulate(self):
         doc = tiny_warehouse()
         doc["seeds"] = []
@@ -804,20 +850,26 @@ class TestRunOne:
         stale = run_one(scn, "delayed_2", 0)["metrics"]["throughput_mean_bps"]
         assert oracle >= stale
 
-    def test_mcs_link_table_kept_for_one_seed(self):
-        scn = parse_scenario(tiny_mcs())
-        fresh = {
-            (m, s): run_one(parse_scenario(tiny_mcs()), m, s) for m in scn.methods for s in scn.seeds
-        }
+    @pytest.mark.parametrize("make,prepare", [(tiny_mcs, "prepare_mcs"), (tiny_followme, "prepare_followme")])
+    def test_seed_table_built_once_per_seed(self, make, prepare, monkeypatch):
+        doc = make()
+        doc["seeds"] = [0, 1]
+        fresh = {(m, s): run_one(parse_scenario(doc), m, s) for m in doc["methods"] for s in (0, 1)}
+        built = []
+        real = getattr(scenarios, prepare)
+        monkeypatch.setattr(scenarios, prepare, lambda inputs, seed: built.append(seed) or real(inputs, seed))
+        scn = parse_scenario(doc)
         # Any order of calls on one Scenario gives the records of fresh ones.
-        for m, s in [("ideal", 0), ("predictive_2", 0), ("oracle", 1), ("ideal", 0), ("delayed_2", 1)]:
+        m0, m1 = scn.methods[:2]
+        for m, s in [(m0, 0), (m1, 0), (m0, 1), (m0, 0), (m1, 1)]:
             assert run_one(scn, m, s) == fresh[m, s]
-        first = scn._mcs_link[1]
-        run_one(scn, "oracle", 1)
-        assert scn._mcs_link[1] is first  # same seed: reused
-        run_one(scn, "oracle", 0)
-        assert scn._mcs_link[0] == 0 and scn._mcs_link[1] is not first
-        assert scn.with_overrides(seeds=[0])._mcs_link is None
+        assert built == [0, 1, 0, 1]  # built again only when the seed changes
+        first = scn._seed_table[1]
+        run_one(scn, m0, 1)
+        assert scn._seed_table == (1, first) and built == [0, 1, 0, 1]
+        run_one(scn, m0, 0)
+        assert scn._seed_table[0] == 0 and scn._seed_table[1] is not first
+        assert scn.with_overrides(seeds=[0])._seed_table is None
 
     @pytest.mark.parametrize("method", ["jpeg_q80", "vq_1x1", "orchestrated"])
     def test_followme_record(self, method):
@@ -829,6 +881,14 @@ class TestRunOne:
         assert m["arrival_frames"] <= m["delivered_frames"]
         if m["delivered_frames"]:
             assert m["cta_mean_s"] > 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_followme_matches_reference(self, seed):
+        """The runner, reading the seed's frames, gives the records of the
+        per-frame scalar loop for every method."""
+        scn = load_scenario(bundled_scenario_path("followme-corridor"))
+        for method in scn.methods:
+            assert run_one(scn, method, seed)["metrics"] == reference_run_followme(scn, method, seed), method
 
     def test_followme_deterministic_per_seed(self):
         scn = parse_scenario(tiny_followme())
