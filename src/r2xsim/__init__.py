@@ -19,7 +19,6 @@ from .orchestrator import (
 )
 from .planner import PlanConfig, PlanningInfeasible, SpaceTimePath, plan
 from .radio import (
-    LinkState,
     McsTable,
     PathGainMap,
     RadioConfig,
@@ -40,7 +39,6 @@ __all__ = [
     "GridWorld",
     "HumanTrack",
     "KpiRecord",
-    "LinkState",
     "LinkTable",
     "LoopBudget",
     "McsTable",

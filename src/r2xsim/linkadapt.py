@@ -9,25 +9,18 @@ much an estimate's staleness costs.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .radio import McsEntry, McsTable, PathGainMap, RadioConfig, bler, sample_trace, serialization_time_s
+from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, bler, sample_trace, serialization_time_s
 from .world import Cell
 
 POLICY_KINDS = ("oracle", "ideal", "delayed", "predictive")
 
 _MAP_AWARE_MIN_SAMPLES = 8
-
-# HARQ draws turned into Python floats at a time.
-_DRAW_BLOCK = 4096
-
-_SIGN_BIT = 1 << 63
-_MAGNITUDE_BITS = _SIGN_BIT - 1
 
 
 @dataclass(frozen=True)
@@ -87,10 +80,9 @@ class LinkTable:
 
     - ``bler[t, e]``: ``radio.bler`` of entry ``e`` at ``true_snr[t]``, each
       value from the scalar ``math`` formula;
-    - ``best[t]``: what ``select_mcs`` picks at ``true_snr[t]``;
-    - ``cutoff[e]``: the least float ``x`` with ``bler(e, x) <= bler_target``
-      (NaN when no float qualifies). ``bler`` is nonincreasing in the SNR,
-      so ``bler(e, x) <= bler_target`` exactly when ``x >= cutoff[e]``.
+    - ``cutoff[e]``: ``table.cutoffs(bler_target)``, the SNR cut-offs
+      ``select_mcs`` reads;
+    - ``best[t]``: what ``select_mcs`` picks at ``true_snr[t]``.
     """
 
     def __init__(
@@ -100,8 +92,7 @@ class LinkTable:
         bler_target: float = 0.1,
         map_snr: Optional[Sequence[float]] = None,
     ):
-        if not 0.0 < bler_target < 1.0:
-            raise ValueError("bler_target must be in (0, 1)")
+        self.cutoff = np.array(table.cutoffs(bler_target))
         self.true_snr = [float(x) for x in true_snr]
         n = len(self.true_snr)
         if n == 0:
@@ -120,8 +111,7 @@ class LinkTable:
         self.bler = np.empty((n, len(table.entries)))
         for entry in table.entries:
             self.bler[:, entry.index] = [bler(entry, x) for x in self.true_snr]
-        self.best = _highest_true(self.bler <= bler_target)
-        self.cutoff = np.array([_cutoff(entry, bler_target) for entry in table.entries])
+        self.best = self.select(self.true_snr)
 
     @classmethod
     def sample(
@@ -134,21 +124,17 @@ class LinkTable:
         bler_target: float = 0.1,
     ) -> "LinkTable":
         """The table of ``sample_trace(gain_map, cells, cfg, seed)``."""
-        trace = sample_trace(gain_map, cells, cfg, seed)
-        gain = {cell: gain_map.gain_at(cell) for cell in set(cells)}
-        return cls(
-            [ls.snr_db for ls in trace],
-            table,
-            bler_target,
-            [ls.tx_power_dbm + gain[cell] - ls.noise_dbm for ls, cell in zip(trace, cells)],
-        )
+        true_snr, map_snr = sample_trace(gain_map, cells, cfg, seed)
+        return cls(true_snr, table, bler_target, map_snr)
 
     def __len__(self) -> int:
         return len(self.true_snr)
 
     def select(self, estimates: Sequence[float]) -> np.ndarray:
-        """``select_mcs`` index for each SNR estimate, by the cut-offs."""
-        return _highest_true(np.asarray(estimates, dtype=float)[:, np.newaxis] >= self.cutoff)
+        """``select_mcs`` index for each SNR estimate, by the cut-offs: the
+        highest entry whose cut-off the estimate meets, or 0 if none."""
+        ok = np.asarray(estimates, dtype=float)[:, np.newaxis] >= self.cutoff
+        return np.where(ok.any(axis=1), ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1), 0)
 
     @cached_property
     def _residual_stats(self) -> Tuple[List[float], List[float], List[float]]:
@@ -195,41 +181,6 @@ class LinkTable:
         return estimates
 
 
-def _highest_true(ok: np.ndarray) -> np.ndarray:
-    """Per row, the highest column index that is True, or 0 if none is."""
-    last = ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)
-    return np.where(ok.any(axis=1), last, 0)
-
-
-def _float_key(x: float) -> int:
-    """An integer that orders like ``x`` among non-NaN floats: consecutive
-    floats get consecutive integers, and both zeros get 0."""
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else -(bits & _MAGNITUDE_BITS)
-
-
-def _key_float(key: int) -> float:
-    bits = key if key >= 0 else -key | _SIGN_BIT
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
-def _cutoff(entry: McsEntry, target: float) -> float:
-    """Bisection over every float for the least ``x`` with
-    ``bler(entry, x) <= target``; NaN when there is none."""
-    if bler(entry, -math.inf) <= target:
-        return -math.inf
-    if not bler(entry, math.inf) <= target:
-        return math.nan
-    lo, hi = _float_key(-math.inf), _float_key(math.inf)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bler(entry, _key_float(mid)) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return _key_float(hi)
-
-
 def run_policy(
     link: LinkTable,
     spec: PolicySpec,
@@ -242,8 +193,8 @@ def run_policy(
     true SNR regardless of what the policy believed.
 
     Per step this equals ``select_mcs`` on the policy's estimate followed by
-    ``simulate_transmission`` at the true SNR, with every HARQ attempt
-    drawing, in step order, from one ``default_rng(seed)``: the same
+    ``simulate_transmission`` at the true SNR. Every HARQ attempt draws, in
+    step order, from one ``HarqStream`` over ``default_rng(seed)``: the same
     ``seed`` across policies gives each the same stream of draws.
     """
     n = len(link)
@@ -258,39 +209,17 @@ def run_policy(
     else:
         mcs = link.select(link.predict(spec.delay))
     blr = link.bler[np.arange(n), mcs]
-    attempts, succ = _harq(np.random.default_rng(seed), blr.tolist(), max_retx)
+    attempts, success = HarqStream(np.random.default_rng(seed)).run(blr.tolist(), max_retx)
     table = link.table
     per_attempt = np.array(
-        [serialization_time_s(payload_bytes_per_step, e, table) + table.slot_s for e in table.entries]
+        [serialization_time_s(payload_bytes_per_step, e, table.bandwidth_hz) + table.slot_s
+         for e in table.entries]
     )
-    lat = attempts * per_attempt[mcs]
+    lat = np.array(attempts) * per_attempt[mcs]
+    succ = np.array(success, dtype=bool)
     tput = np.zeros(n)
     np.divide(payload_bytes_per_step * 8.0, lat, out=tput, where=succ & (lat > 0))
     return PolicyTimeSeries(spec, mcs.astype(int), tput, lat, blr, succ)
-
-
-def _harq(rng: np.random.Generator, p_fail: List[float], max_retx: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Attempts and success per step: attempt ``i`` of step ``t`` fails when
-    its draw is below ``p_fail[t]``, and a step stops at its first success or
-    after ``max_retx + 1`` attempts. Draws are taken in blocks; they equal
-    the scalar ``rng.random()`` draws of ``simulate_transmission``."""
-    attempts = [0] * len(p_fail)
-    success = [False] * len(p_fail)
-    draws: List[float] = []
-    pos = 0
-    for t, p in enumerate(p_fail):
-        a = 0
-        while a <= max_retx:
-            if pos == len(draws):
-                draws = rng.random(_DRAW_BLOCK).tolist()
-                pos = 0
-            a += 1
-            pos += 1
-            if draws[pos - 1] >= p:
-                success[t] = True
-                break
-        attempts[t] = a
-    return np.array(attempts), np.array(success, dtype=bool)
 
 
 def gains(proposed: PolicyTimeSeries, baseline: PolicyTimeSeries) -> Tuple[float, float]:

@@ -26,6 +26,7 @@ from .planner import OBJECTIVES, PlanConfig, PlanningError, SpaceTimePath, low_l
 from .radio import (
     _WEIGHT_SUM_TOL,
     FAIRNESS_MODES,
+    HarqStream,
     McsTable,
     PathGainMap,
     RadioConfig,
@@ -590,10 +591,13 @@ class WarehouseSimulation:
 
         # Every robot's first rate is the entry chosen at the target SNR.
         first_rate = self.table.entries[select_mcs(self.table, cfg.ra.target_snr_db).index].rate_bps_per_hz
-        n_frames = int(math.ceil(self.max_sim_time_s / world.frame_period_s)) + 8
+        # A loop starts at or before max_sim_time_s and tries the uplink in at
+        # most _loop_frames frames. Each robot's shadowing frames are drawn
+        # block by block as far as the run reads them, up to n_frames: past
+        # the last frame a loop can read, with 8 to spare for index rounding.
+        self._loop_frames = int(self.max_sim_time_s / world.frame_period_s)
+        n_frames = int(math.ceil(self.max_sim_time_s / world.frame_period_s)) + self._loop_frames + 8
         self.robots: Dict[int, _RobotRuntime] = {}
-        # Each robot's shadowing frames, drawn block by block as far as the
-        # run reads them, up to n_frames.
         self._shadow: Dict[int, List[float]] = {}
         self._shadow_blocks: Dict[int, Iterator[List[float]]] = {}
         for r in inputs.robots:
@@ -607,7 +611,7 @@ class WarehouseSimulation:
                 np.random.default_rng([seed, r.id, 7]), n_frames,
                 gain_map.shadowing_rho, gain_map.shadowing_sigma_db,
             )
-        self._tx_rng = {rid: np.random.default_rng([seed, rid, 101]) for rid in self.robots}
+        self._harq = {rid: HarqStream(np.random.default_rng([seed, rid, 101])) for rid in self.robots}
         self.rtt_samples: List[float] = []
         self._events: List[Tuple[float, int, int, str, Optional[Cell]]] = []
         self._event_seq = 0
@@ -663,11 +667,10 @@ class WarehouseSimulation:
         # bandwidth with the same robots, under the same weights, throughout.
         active = self._active_ids()
         index = active.index(rid)
-        weights = [self._weight_of[i] for i in active]
-        total = sum(weights)
-        share_cfg = dataclasses.replace(ra, priority_weights=tuple(w / total for w in weights))
+        total = sum(self._weight_of[i] for i in active)
+        weights = [self._weight_of[i] / total for i in active]
         t = start_t
-        for _ in range(int(self.max_sim_time_s / self.world.frame_period_s)):
+        for _ in range(self._loop_frames):
             if self.method == "lorc_sc" and rt.last_measured_gain_db is not None:
                 gain_ref = rt.last_measured_gain_db
             else:
@@ -678,10 +681,10 @@ class WarehouseSimulation:
             true_snr = power + true_gain - ra.noise_dbm
             entry = self.table.entries[select_mcs(self.table, est_snr).index]
             rt.last_rate = entry.rate_bps_per_hz
-            share = allocate([self.robots[i].last_rate for i in active], share_cfg)[index]
-            eff_table = dataclasses.replace(self.table, bandwidth_hz=self.table.bandwidth_hz * share)
+            share = allocate([self.robots[i].last_rate for i in active], weights, ra.fairness)[index]
             result = simulate_transmission(
-                self._payload_bytes, entry, [true_snr], eff_table, self._tx_rng[rid], ra.max_retx,
+                self._payload_bytes, entry, true_snr, self.table.bandwidth_hz * share, self.table.slot_s,
+                self._harq[rid], ra.max_retx,
             )
             rt.last_measured_gain_db = true_gain
             if result.success:

@@ -9,8 +9,10 @@ logistic waterfall per modulation-and-coding scheme (MCS); a slope of
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +28,14 @@ _WEIGHT_SUM_TOL = 1e-6
 
 # Shadowing samples drawn and turned into Python floats at a time.
 _AR1_BLOCK = 1024
+
+# HARQ draws turned into Python floats at a time: the first block, doubled
+# on each refill up to the largest.
+_FIRST_DRAW_BLOCK = 64
+_DRAW_BLOCK = 4096
+
+_SIGN_BIT = 1 << 63
+_MAGNITUDE_BITS = _SIGN_BIT - 1
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,9 @@ class McsEntry:
 
 @dataclass(frozen=True)
 class McsTable:
+    """Entries in index order. Each BLER target's SNR cut-offs are computed on
+    first use and kept on the instance, outside equality and hashing."""
+
     entries: Tuple[McsEntry, ...]
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ
     slot_s: float = DEFAULT_SLOT_S
@@ -64,6 +77,22 @@ class McsTable:
         if any(b < a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("SNR thresholds must be nondecreasing with index")
 
+    @cached_property
+    def _cutoffs(self) -> Dict[float, Tuple[float, ...]]:
+        return {}
+
+    def cutoffs(self, bler_target: float) -> Tuple[float, ...]:
+        """Per entry ``e``, the least float ``x`` with ``bler(e, x) <=
+        bler_target`` (NaN when no float qualifies), computed once per
+        target. ``bler`` is nonincreasing in the SNR, so ``bler(e, x) <=
+        bler_target`` exactly when ``x >= cutoffs[e]``."""
+        if not 0.0 < bler_target < 1.0:
+            raise ValueError("bler_target must be in (0, 1)")
+        cut = self._cutoffs.get(bler_target)
+        if cut is None:
+            cut = self._cutoffs[bler_target] = tuple(_cutoff(e, bler_target) for e in self.entries)
+        return cut
+
 
 def default_mcs_table(bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ, slot_s: float = DEFAULT_SLOT_S) -> McsTable:
     """Eight-entry table spanning 0.5 to 6.0 bps/Hz with activation
@@ -74,33 +103,6 @@ def default_mcs_table(bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ, slot_s: float 
         McsEntry(i, r, t, 1.5) for i, (r, t) in enumerate(zip(rates, thresholds))
     )
     return McsTable(entries, bandwidth_hz, slot_s)
-
-
-@dataclass(frozen=True)
-class LinkState:
-    """Snapshot of one link; the derived fields must satisfy the dB identities."""
-
-    gain_db: float
-    tx_power_dbm: float
-    noise_dbm: float
-    snr_db: float
-    rssi_dbm: float
-
-    def __post_init__(self):
-        if abs(self.snr_db - (self.tx_power_dbm + self.gain_db - self.noise_dbm)) > 1e-9:
-            raise ValueError("snr_db must equal tx_power_dbm + gain_db - noise_dbm")
-        if abs(self.rssi_dbm - (self.tx_power_dbm + self.gain_db)) > 1e-9:
-            raise ValueError("rssi_dbm must equal tx_power_dbm + gain_db")
-
-    @staticmethod
-    def from_gain(gain_db: float, tx_power_dbm: float, noise_dbm: float = DEFAULT_NOISE_DBM) -> "LinkState":
-        return LinkState(
-            gain_db=gain_db,
-            tx_power_dbm=tx_power_dbm,
-            noise_dbm=noise_dbm,
-            snr_db=tx_power_dbm + gain_db - noise_dbm,
-            rssi_dbm=tx_power_dbm + gain_db,
-        )
 
 
 @dataclass(frozen=True)
@@ -194,27 +196,93 @@ def bler(entry: McsEntry, snr_db: float) -> float:
     return 1.0 / (1.0 + math.exp(x))
 
 
+def _float_key(x: float) -> int:
+    """An integer that orders like ``x`` among non-NaN floats: consecutive
+    floats get consecutive integers, and both zeros get 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & _MAGNITUDE_BITS)
+
+
+def _key_float(key: int) -> float:
+    bits = key if key >= 0 else -key | _SIGN_BIT
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _cutoff(entry: McsEntry, target: float) -> float:
+    """Bisection over every float for the least ``x`` with
+    ``bler(entry, x) <= target``; NaN when there is none."""
+    if bler(entry, -math.inf) <= target:
+        return -math.inf
+    if not bler(entry, math.inf) <= target:
+        return math.nan
+    lo, hi = _float_key(-math.inf), _float_key(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bler(entry, _key_float(mid)) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return _key_float(hi)
+
+
 class McsSelection(NamedTuple):
     index: int
     feasible: bool
 
 
 def select_mcs(table: McsTable, snr_db: float, bler_target: float = 0.1) -> McsSelection:
-    """Highest-rate entry whose BLER at ``snr_db`` meets the target.
+    """Highest-rate entry whose BLER at ``snr_db`` meets the target: the
+    highest entry with ``snr_db >= table.cutoffs(bler_target)[e]``.
 
     If no entry qualifies the most robust (lowest-index) entry is returned
-    with ``feasible=False``.
+    with ``feasible=False``. A NaN SNR is refused.
     """
-    if not 0.0 < bler_target < 1.0:
-        raise ValueError("bler_target must be in (0, 1)")
-    for entry in reversed(table.entries):
-        if bler(entry, snr_db) <= bler_target:
-            return McsSelection(entry.index, True)
+    if math.isnan(snr_db):
+        raise ValueError("snr_db must not be NaN")
+    cutoffs = table.cutoffs(bler_target)
+    for index in range(len(cutoffs) - 1, -1, -1):
+        if snr_db >= cutoffs[index]:
+            return McsSelection(index, True)
     return McsSelection(0, False)
 
 
-def serialization_time_s(payload_bytes: int, entry: McsEntry, table: McsTable) -> float:
-    return payload_bytes * 8.0 / (entry.rate_bps_per_hz * table.bandwidth_hz)
+def serialization_time_s(payload_bytes: int, entry: McsEntry, bandwidth_hz: float) -> float:
+    return payload_bytes * 8.0 / (entry.rate_bps_per_hz * bandwidth_hz)
+
+
+class HarqStream:
+    """HARQ attempts drawn from one generator. Its ``random`` draws are taken
+    in blocks, which equal the scalar ``rng.random()`` draws in order; the
+    stream must be the generator's only reader."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._draws: List[float] = []
+        self._pos = 0
+        self._block = _FIRST_DRAW_BLOCK
+
+    def run(self, p_fail: Sequence[float], max_retx: int) -> Tuple[List[int], List[bool]]:
+        """Attempts and success per step: attempt ``i`` of step ``t`` fails
+        when its draw is below ``p_fail[t]``, and a step stops at its first
+        success or after ``max_retx + 1`` attempts."""
+        attempts = [0] * len(p_fail)
+        success = [False] * len(p_fail)
+        draws, pos = self._draws, self._pos
+        for t, p in enumerate(p_fail):
+            a = 0
+            while a <= max_retx:
+                if pos == len(draws):
+                    draws = self._rng.random(self._block).tolist()
+                    self._block = min(2 * self._block, _DRAW_BLOCK)
+                    pos = 0
+                a += 1
+                pos += 1
+                if draws[pos - 1] >= p:
+                    success[t] = True
+                    break
+            attempts[t] = a
+        self._draws, self._pos = draws, pos
+        return attempts, success
 
 
 class TransmissionResult(NamedTuple):
@@ -224,46 +292,35 @@ class TransmissionResult(NamedTuple):
 
 
 def simulate_transmission(
-    payload_bytes: int,
-    entry: McsEntry,
-    snr_db_at_attempts: Sequence[float],
-    table: McsTable,
-    rng: np.random.Generator,
-    max_retx: int = 4,
+    payload_bytes: int, entry: McsEntry, snr_db: float, bandwidth_hz: float, slot_s: float,
+    harq: HarqStream, max_retx: int = 4,
 ) -> TransmissionResult:
-    """HARQ transmission as independent Bernoulli attempts.
-
-    Attempt ``i`` fails with probability ``bler(entry, snr[i])``; the SNR
-    sequence is extended by repeating its last element. At most ``max_retx``
-    retransmissions follow the first attempt. Latency counts every attempt:
-    ``attempts * (serialization + slot)``.
+    """One HARQ transmission at ``snr_db`` over ``bandwidth_hz``: every
+    attempt fails with probability ``bler(entry, snr_db)``, and at most
+    ``max_retx`` retransmissions follow the first attempt. Latency counts
+    every attempt: ``attempts * (serialization + slot_s)``.
     """
-    if not snr_db_at_attempts:
-        raise ValueError("need at least one SNR sample")
     if payload_bytes < 0 or max_retx < 0:
         raise ValueError("payload_bytes and max_retx must be nonnegative")
-    per_attempt = serialization_time_s(payload_bytes, entry, table) + table.slot_s
-    last = len(snr_db_at_attempts) - 1
-    for attempts in range(1, max_retx + 2):
-        if rng.random() >= bler(entry, snr_db_at_attempts[min(attempts - 1, last)]):
-            return TransmissionResult(attempts * per_attempt, True, attempts)
-    return TransmissionResult(attempts * per_attempt, False, attempts)
+    (attempts,), (success,) = harq.run((bler(entry, snr_db),), max_retx)
+    per_attempt = serialization_time_s(payload_bytes, entry, bandwidth_hz) + slot_s
+    return TransmissionResult(attempts * per_attempt, success, attempts)
 
 
-def allocate(unit_rates: Sequence[float], cfg: RadioConfig) -> List[float]:
-    """Bandwidth fractions for robots with per-Hz rates ``unit_rates``.
+def allocate(unit_rates: Sequence[float], weights: Sequence[float], fairness: str) -> List[float]:
+    """Bandwidth fractions for robots with per-Hz rates ``unit_rates`` and
+    priority ``weights`` that sum to 1.
 
-    ``proportional`` returns the priority weights unchanged; ``max_min``
-    equalizes weight-scaled rates, giving each robot a share proportional to
+    ``proportional`` returns the weights unchanged; ``max_min`` equalizes
+    weight-scaled rates, giving each robot a share proportional to
     ``weight / rate``. Fractions sum to 1.
     """
     rates = [float(r) for r in unit_rates]
-    weights = cfg.priority_weights
     if len(rates) != len(weights):
         raise ValueError(f"{len(rates)} rates vs {len(weights)} priority weights")
     if any(r <= 0 for r in rates):
         raise ValueError("unit rates must be positive for allocation")
-    if cfg.fairness == "proportional":
+    if fairness == "proportional":
         return list(weights)
     inv = [w / r for w, r in zip(weights, rates)]
     total = sum(inv)
@@ -317,16 +374,18 @@ def sample_trace(
     cells: Sequence[Cell],
     cfg: RadioConfig,
     seed: int,
-) -> List[LinkState]:
-    """Link states along a cell route: map gain plus ``ar1_series`` shadowing.
+) -> Tuple[List[float], List[float]]:
+    """The true SNR and the map SNR of each step along a cell route, as
+    floats: ``p + (g + s) - noise`` and ``p + g - noise`` for the cell's map
+    gain ``g`` and the step's ``ar1_series`` shadowing ``s``.
 
-    Transmit power is fixed at the power budget; power control is a
+    Transmit power ``p`` is fixed at the power budget; power control is a
     per-step decision of the callers that need it.
     """
     shadow = ar1_series(
         np.random.default_rng(seed), len(cells), gain_map.shadowing_rho, gain_map.shadowing_sigma_db
     ).tolist()
-    return [
-        LinkState.from_gain(gain_map.gain_at(cell) + s, cfg.max_power_dbm, cfg.noise_dbm)
-        for cell, s in zip(cells, shadow)
-    ]
+    gain = {cell: gain_map.gain_at(cell) for cell in dict.fromkeys(cells)}
+    p, noise = cfg.max_power_dbm, cfg.noise_dbm
+    true_snr = [p + (gain[cell] + s) - noise for cell, s in zip(cells, shadow)]
+    return true_snr, [p + gain[cell] - noise for cell in cells]

@@ -33,6 +33,11 @@ from .linkadapt import LinkTable, PolicySpec, run_policy
 from .metrics import tail_stats, utfr
 from .orchestrator import (
     _MAX_ID_DIGITS,
+    _SENSE_JPEG_Q60,
+    _SENSE_JPEG_Q80,
+    _SENSE_VQ_1X1,
+    _SENSE_VQ_1X2,
+    _SENSE_VQ_1X3,
     WAREHOUSE_METHODS,
     LoopBudget,
     RuleIntentEngine,
@@ -48,29 +53,36 @@ from .radio import McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_t
 from .sensing import SenseConfig
 from .world import GridWorld, HumanTrack, RobotState
 
+# The fixed followme modes: the RSSI ladder's five rungs and one JPEG rung
+# above them.
 _FOLLOWME_MODE_CONFIGS = {
     "jpeg_q95": SenseConfig(mode="jpeg", jpeg_quality=95, qos="reliable"),
-    "jpeg_q80": SenseConfig(mode="jpeg", jpeg_quality=80, qos="reliable"),
-    "jpeg_q60": SenseConfig(mode="jpeg", jpeg_quality=60, qos="reliable"),
-    "vq_1x1": SenseConfig(mode="vq", vit_grid=(1, 1), qos="best_effort"),
-    "vq_1x2": SenseConfig(mode="vq", vit_grid=(1, 2), qos="best_effort"),
-    "vq_1x3": SenseConfig(mode="vq", vit_grid=(1, 3), qos="best_effort"),
+    "jpeg_q80": _SENSE_JPEG_Q80,
+    "jpeg_q60": _SENSE_JPEG_Q60,
+    "vq_1x1": _SENSE_VQ_1X1,
+    "vq_1x2": _SENSE_VQ_1X2,
+    "vq_1x3": _SENSE_VQ_1X3,
 }
+_FOLLOWME_MODE_NAMES = {cfg: name for name, cfg in _FOLLOWME_MODE_CONFIGS.items()}
 FOLLOWME_METHODS = (*_FOLLOWME_MODE_CONFIGS, "orchestrated")
 # Matched whole (fullmatch); groups: policy kind and delay of a delayed method,
 # at most _MAX_ID_DIGITS digits so that int() never meets its digit limit.
 _MCS_METHOD_RE = re.compile(rf"oracle|ideal|(delayed|predictive)_(\d{{1,{_MAX_ID_DIGITS}}})")
 
-# Every per-step series is at most this long: the warehouse shadowing
-# frames (max_sim_time_s / frame_period_s per robot, drawn as a run reads
-# them), the mcs corridor's steps and cells and the followme frames (built
-# before the first run of a seed). A warehouse world has at most this many
-# cells; the bundled files need at most a few thousand.
+# Every per-step series is at most this long: a warehouse run's frames
+# (a robot's shadowing, drawn as a run reads it, at most twice that plus 8),
+# the mcs corridor's steps and cells and the followme frames (built before
+# the first run of a seed). A warehouse world has at most this many cells;
+# the bundled files need at most a few thousand.
 _MAX_STEPS = 10**6
 
 # At most this many retransmissions of one step (radio.max_retx) or attempts
 # at one frame (followme.max_attempts); each attempt is one draw.
 _MAX_RETRIES = 64
+
+# At most this many frames of a human's forecast (humans[].horizon_frames);
+# every replan reserves each of them. The bundled files use 8 and 16.
+_MAX_HORIZON_FRAMES = 1024
 
 SCHEMA_VERSION = 1
 
@@ -361,7 +373,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
         hobj = ck.obj(raw, hp, ("waypoints", "horizon_frames"), ("waypoints",))
         if hobj is None:
             continue
-        horizon = ck.integer(hobj, hp, "horizon_frames", lo=1, default=3)
+        horizon = ck.integer(hobj, hp, "horizon_frames", lo=1, hi=_MAX_HORIZON_FRAMES, default=3)
         wps = hobj.get("waypoints")
         if not isinstance(wps, list) or not wps:
             ck.fail(f"{hp}.waypoints", "must be a nonempty list of cells")
@@ -646,12 +658,6 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
     )
 
 
-def _mode_name(cfg: SenseConfig) -> str:
-    if cfg.mode == "jpeg":
-        return f"jpeg_q{cfg.jpeg_quality}"
-    return f"vq_{cfg.vit_grid[0]}x{cfg.vit_grid[1]}"
-
-
 class FollowmeFrames(NamedTuple):
     """Per-frame values of one followme seed, the same for every method:
     the user distance, the RSSI (curve plus AR(1) noise), and the link
@@ -695,14 +701,17 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     rng_perc = np.random.default_rng([seed, 23])
 
     perc = fm.perception
-    fixed_cfg = _FOLLOWME_MODE_CONFIGS.get(method)
+    # A fixed mode is its method's name; the orchestrated one is looked up.
+    cfg, mode = _FOLLOWME_MODE_CONFIGS.get(method), method
+    orchestrated = cfg is None
     locked = True
     arrivals: List[int] = []
     cta_samples: List[float] = []
     delivered_count = 0
     for t, (distance, rssi, throughput, p_bit) in enumerate(zip(*frames)):
-        cfg = fixed_cfg if fixed_cfg is not None else select_sense_mode(rssi)
-        mode = _mode_name(cfg)
+        if orchestrated:
+            cfg = select_sense_mode(rssi)
+            mode = _FOLLOWME_MODE_NAMES[cfg]
         bits = fm.payload_bytes[mode] * 8
         p_loss = -math.expm1(bits * math.log1p(-p_bit))
         attempts_allowed = fm.max_attempts if cfg.qos == "reliable" else 1

@@ -26,6 +26,13 @@ delays: each delay replays every residual through its own predictor.
 ``reference_run_followme`` is the followme runner as it was before the
 per-frame values were computed once per seed: every method recomputes each
 frame's distance, RSSI, throughput and bit error with scalar ``np.interp``.
+
+The link layer's references are its scalar forms before the warehouse and
+the corridor shared one model: ``reference_select_mcs`` scans the entries'
+BLERs from the top, ``reference_harq`` and ``reference_transmission`` draw
+one scalar ``rng.random()`` per HARQ attempt, ``reference_sample_trace`` walks the
+route one link snapshot at a time, and ``reference_run_policy`` is the
+per-step policy loop over them.
 """
 
 import itertools
@@ -51,8 +58,8 @@ from r2xsim.planner import (
     low_level_search,
     makespan,
 )
-from r2xsim.radio import ar1_series, bler, select_mcs, simulate_transmission
-from r2xsim.scenarios import _FOLLOWME_MODE_CONFIGS, _mode_name
+from r2xsim.radio import McsSelection, TransmissionResult, ar1_series, bler, serialization_time_s
+from r2xsim.scenarios import _FOLLOWME_MODE_CONFIGS
 
 
 def bfs_dist_field(world, goal, banned):
@@ -236,6 +243,12 @@ def reference_predict(link, delay):
     return estimates
 
 
+def _mode_name(cfg) -> str:
+    if cfg.mode == "jpeg":
+        return f"jpeg_q{cfg.jpeg_quality}"
+    return f"vq_{cfg.vit_grid[0]}x{cfg.vit_grid[1]}"
+
+
 def reference_run_followme(scn, method: str, seed: int) -> Dict[str, float]:
     """``scenarios.run_followme`` with every frame's values computed in the
     run, from scalar ``np.interp`` calls."""
@@ -298,22 +311,66 @@ def reference_run_followme(scn, method: str, seed: int) -> Dict[str, float]:
     return metrics
 
 
+def reference_select_mcs(table, snr_db, bler_target=0.1):
+    """Highest-rate entry whose BLER at ``snr_db`` meets the target, by
+    scanning every entry's BLER from the top; ``(0, False)`` when none
+    does."""
+    if not 0.0 < bler_target < 1.0:
+        raise ValueError("bler_target must be in (0, 1)")
+    for entry in reversed(table.entries):
+        if bler(entry, snr_db) <= bler_target:
+            return McsSelection(entry.index, True)
+    return McsSelection(0, False)
+
+
+def reference_harq(rng, p_fail, max_retx):
+    """Attempts and success per step, one scalar ``rng.random()`` per
+    attempt: an attempt fails when its draw is below the step's ``p_fail``,
+    and a step stops at its first success or after ``max_retx + 1``
+    attempts."""
+    attempts, success = [], []
+    for p in p_fail:
+        a, ok = 0, False
+        while a <= max_retx and not ok:
+            a += 1
+            ok = rng.random() >= p
+        attempts.append(a)
+        success.append(ok)
+    return attempts, success
+
+
+def reference_transmission(payload_bytes, entry, snr_db, bandwidth_hz, slot_s, rng, max_retx=4):
+    """One HARQ transmission at ``snr_db`` by ``reference_harq``."""
+    (attempts,), (success,) = reference_harq(rng, [bler(entry, snr_db)], max_retx)
+    per_attempt = serialization_time_s(payload_bytes, entry, bandwidth_hz) + slot_s
+    return TransmissionResult(attempts * per_attempt, success, attempts)
+
+
+def reference_sample_trace(gain_map, cells, cfg, seed):
+    """``radio.sample_trace`` as a walk over link snapshots: per step, the
+    cell's gain plus shadowing, then the SNR of that gain at full power, and
+    the map SNR from the cell's gain looked up again."""
+    shadow = ar1_series(
+        np.random.default_rng(seed), len(cells), gain_map.shadowing_rho, gain_map.shadowing_sigma_db
+    ).tolist()
+    true_snr, map_snr = [], []
+    for cell, s in zip(cells, shadow):
+        gain_db = gain_map.gain_at(cell) + s
+        true_snr.append(cfg.max_power_dbm + gain_db - cfg.noise_dbm)
+        map_snr.append(cfg.max_power_dbm + gain_map.gain_at(cell) - cfg.noise_dbm)
+    return true_snr, map_snr
+
+
 def reference_run_policy(
-    trace, spec, table, payload_bytes_per_step, bler_target=0.1, *,
-    seed=0, cells=None, gain_map=None, max_retx=4,
+    true_snr, spec, table, payload_bytes_per_step, bler_target=0.1, *,
+    seed=0, map_snr=None, max_retx=4,
 ):
-    """Walk a ``LinkState`` trace one step at a time: ``select_mcs`` on the
-    policy's estimate, then ``simulate_transmission`` at the true SNR, all
-    attempts drawing scalars from one ``default_rng(seed)``. This is the
+    """Walk the per-step SNRs one step at a time: ``reference_select_mcs`` on
+    the policy's estimate, then ``reference_transmission`` at the true SNR,
+    all attempts drawing scalars from one ``default_rng(seed)``. This is the
     per-step loop ``linkadapt.run_policy`` replaced with per-seed tables."""
-    n = len(trace)
-    true_snr = np.array([ls.snr_db for ls in trace], dtype=float)
+    n = len(true_snr)
     if spec.kind == "predictive":
-        map_snr = np.array(
-            [trace[t].tx_power_dbm + gain_map.gain_at(cells[t]) - trace[t].noise_dbm for t in range(n)],
-            dtype=float,
-        )
-        residuals = true_snr - map_snr
         model = MapAwarePredictor()
         observed_up_to = -1
 
@@ -333,18 +390,18 @@ def reference_run_policy(
             feedback_at = t - spec.delay
             while observed_up_to < feedback_at:
                 observed_up_to += 1
-                model.observe(float(residuals[observed_up_to]))
-            estimate = model.predict(float(map_snr[t]), spec.delay)
+                model.observe(true_snr[observed_up_to] - map_snr[observed_up_to])
+            estimate = model.predict(map_snr[t], spec.delay)
 
-        sel = select_mcs(table, float(estimate), bler_target)
+        sel = reference_select_mcs(table, estimate, bler_target)
         entry = table.entries[sel.index]
-        result = simulate_transmission(
-            payload_bytes_per_step, entry, [float(true_snr[t])], table, rng, max_retx
+        result = reference_transmission(
+            payload_bytes_per_step, entry, true_snr[t], table.bandwidth_hz, table.slot_s, rng, max_retx
         )
         mcs[t] = entry.index
         lat[t] = result.latency_s
         succ[t] = result.success
-        blr[t] = bler(entry, float(true_snr[t]))
+        blr[t] = bler(entry, true_snr[t])
         if result.success and result.latency_s > 0:
             tput[t] = payload_bytes_per_step * 8.0 / result.latency_s
     return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ)

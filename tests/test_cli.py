@@ -39,6 +39,18 @@ def slow_tiny_warehouse():
     return doc
 
 
+def dead_zone_goal():
+    """A goal in a 1000 dB dead zone: every uplink to it fails, and a loop
+    starts late enough to retry past the last frame of the time limit."""
+    doc = tiny_warehouse()
+    doc["methods"] = ["lorc_sc_p"]
+    doc["warehouse"]["world"]["width"] = 8
+    doc["warehouse"]["robots"] = [{"id": 1, "start": [0, 0], "goal": [7, 0]}]
+    doc["warehouse"]["gain"]["dead_zones"] = [{"rect": [7, 0, 7, 0], "extra_loss_db": 1000.0}]
+    doc["warehouse"]["max_sim_time_s"] = 10.0
+    return doc
+
+
 def edited_s1(edit):
     doc = json.loads(bundled_scenario_path("warehouse-s1").read_text())
     edit(doc["warehouse"])
@@ -210,12 +222,20 @@ class TestRun:
                 "(an event fell due at 3.4 s)",
                 id="s1-max-time-2",
             ),
+            pytest.param(
+                dead_zone_goal,
+                "lorc_sc_p",
+                "scenario.warehouse.max_sim_time_s: method lorc_sc_p seed 0 did not finish within 10.0 s "
+                "(robot 1: uplink never succeeded after 8.5 s)",
+                id="dead-zone-goal",
+            ),
         ],
     )
     def test_run_that_cannot_finish_exits_two(self, tmp_path, capsys, make, method, line, parallel):
         """Documents that validate but cannot finish a run: a route too long
-        for the time limit, no uplink that can close, a first step that
-        lands past the limit. The first failing seed is named."""
+        for the time limit, no uplink that can close (from the start, or from
+        a loop that retries past the time limit), a first step that lands
+        past the limit. The first failing seed is named."""
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(make()))
         assert main(["validate", str(path)]) == 0

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import MapAwarePredictor, reference_predict, reference_run_policy
+from oracles import (
+    MapAwarePredictor,
+    reference_predict,
+    reference_run_policy,
+    reference_sample_trace,
+    reference_select_mcs,
+)
 from r2xsim.linkadapt import (
     LinkTable,
     PolicySpec,
@@ -21,7 +27,6 @@ from r2xsim.radio import (
     bler,
     default_mcs_table,
     sample_trace,
-    select_mcs,
 )
 from r2xsim.scenarios import (
     bundled_scenario_path,
@@ -185,19 +190,22 @@ class TestLinkTable:
         snrs = list(np.random.default_rng(4).uniform(-10, 30, size=200)) + [-2.0, 22.0]
         link = LinkTable(snrs, table, 0.1)
         for t, x in enumerate(snrs):
-            assert link.best[t] == select_mcs(table, x, 0.1).index
+            assert link.best[t] == reference_select_mcs(table, x, 0.1).index
             for e in table.entries:
                 assert link.bler[t, e.index] == bler(e, x)
 
     def test_sample_reads_one_trace(self):
         scn = load_scenario(bundled_scenario_path("mcs-ar1"))
         gain_map, cells, cfg, table, *_ = scn.inputs
-        trace = sample_trace(gain_map, cells, cfg, 7)
         link = LinkTable.sample(gain_map, cells, cfg, table, 7)
-        assert link.true_snr == [ls.snr_db for ls in trace]
-        assert link.map_snr == [
-            ls.tx_power_dbm + gain_map.gain_at(c) - ls.noise_dbm for ls, c in zip(trace, cells)
-        ]
+        assert (link.true_snr, link.map_snr) == sample_trace(gain_map, cells, cfg, 7)
+        assert (link.true_snr, link.map_snr) == reference_sample_trace(gain_map, cells, cfg, 7)
+
+    def test_cutoffs_are_the_tables(self):
+        table = default_mcs_table()
+        link = LinkTable([0.0], table, 0.3)
+        assert link.cutoff.tolist() == list(table.cutoffs(0.3))
+        assert LinkTable([1.0], table, 0.3).cutoff.tobytes() == link.cutoff.tobytes()
 
     @pytest.mark.parametrize("target", [0.0, 1.0, -0.1, math.nan])
     def test_bler_target_range(self, target):
@@ -257,7 +265,7 @@ class TestCutoff:
         table = default_mcs_table()
         link = LinkTable([0.0], table, 0.1)
         xs = list(np.random.default_rng(5).uniform(-20, 40, size=2000))
-        assert list(link.select(xs)) == [select_mcs(table, x, 0.1).index for x in xs]
+        assert list(link.select(xs)) == [reference_select_mcs(table, x, 0.1).index for x in xs]
 
 
 SPECS = [
@@ -277,11 +285,12 @@ def bundled_corridor():
     return load_scenario(bundled_scenario_path("mcs-ar1"))
 
 
-def assert_matches_reference(link, trace, spec, table, payload, target, seed, cells, gain_map, max_retx):
+def assert_matches_reference(link, trace, spec, table, payload, target, seed, max_retx):
+    """``trace`` is the ``(true_snr, map_snr)`` pair of ``reference_sample_trace``."""
     got = run_policy(link, spec, payload, seed=seed, max_retx=max_retx)
+    true_snr, map_snr = trace
     want = reference_run_policy(
-        trace, spec, table, payload, target,
-        seed=seed, cells=cells, gain_map=gain_map, max_retx=max_retx,
+        true_snr, spec, table, payload, target, seed=seed, map_snr=map_snr, max_retx=max_retx,
     )
     for name in ("mcs_index", "throughput_bps", "latency_s", "bler_realized", "success"):
         assert bitwise_equal(getattr(got, name), getattr(want, name)), f"{spec} {name}"
@@ -294,12 +303,11 @@ class TestKernelMatchesReference:
     def test_every_bundled_method(self, bundled_corridor, seed):
         scn = bundled_corridor
         gain_map, cells, cfg, table, target, payload = scn.inputs
-        trace = sample_trace(gain_map, cells, cfg, seed)
+        trace = reference_sample_trace(gain_map, cells, cfg, seed)
         link = LinkTable.sample(gain_map, cells, cfg, table, seed, target)
         for method in scn.methods:
             assert_matches_reference(
-                link, trace, mcs_policy_from_method(method), table, payload,
-                target, seed, cells, gain_map, cfg.max_retx,
+                link, trace, mcs_policy_from_method(method), table, payload, target, seed, cfg.max_retx,
             )
 
     @pytest.mark.parametrize("target", [0.1, 0.5])
@@ -310,18 +318,18 @@ class TestKernelMatchesReference:
         gm = PathGainMap(np.array([[-123.0, -119.0, -115.0, -119.0]]), 0.9, sigma)
         cells = [(x % 4, 0) for x in range(300)]
         cfg = RadioConfig()
-        trace = sample_trace(gm, cells, cfg, 3)
+        trace = reference_sample_trace(gm, cells, cfg, 3)
         link = LinkTable.sample(gm, cells, cfg, STEP_TABLE, 3, target)
         for spec in SPECS:
-            assert_matches_reference(link, trace, spec, STEP_TABLE, 700, target, 3, cells, gm, 4)
+            assert_matches_reference(link, trace, spec, STEP_TABLE, 700, target, 3, 4)
 
     def test_max_retx_zero(self, bundled_corridor):
         gain_map, cells, cfg, table, *_ = bundled_corridor.inputs
         cells = cells[:600]
-        trace = sample_trace(gain_map, cells, cfg, 4)
+        trace = reference_sample_trace(gain_map, cells, cfg, 4)
         link = LinkTable.sample(gain_map, cells, cfg, table, 4)
         for spec in SPECS:
-            assert_matches_reference(link, trace, spec, table, 1500, 0.1, 4, cells, gain_map, 0)
+            assert_matches_reference(link, trace, spec, table, 1500, 0.1, 4, 0)
 
 
 class TestPredictMatchesReference:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_harq, reference_sample_trace, reference_select_mcs, reference_transmission
 from r2xsim.radio import (
-    LinkState,
+    HarqStream,
     McsEntry,
     McsTable,
     PathGainMap,
@@ -55,19 +56,6 @@ class TestMcsTable:
             McsTable((e0, McsEntry(1, 2.0, -1.0)))  # threshold decreasing
         with pytest.raises(ValueError):
             McsTable((e0,), bandwidth_hz=0.0)
-
-
-class TestLinkState:
-    def test_from_gain_identities(self):
-        ls = LinkState.from_gain(-80.0, 20.0, noise_dbm=-100.0)
-        assert ls.snr_db == 40.0
-        assert ls.rssi_dbm == -60.0
-
-    def test_inconsistent_snapshot_rejected(self):
-        with pytest.raises(ValueError):
-            LinkState(gain_db=-80.0, tx_power_dbm=20.0, noise_dbm=-100.0, snr_db=10.0, rssi_dbm=-60.0)
-        with pytest.raises(ValueError):
-            LinkState(gain_db=-80.0, tx_power_dbm=20.0, noise_dbm=-100.0, snr_db=40.0, rssi_dbm=0.0)
 
 
 class TestRadioConfig:
@@ -184,67 +172,112 @@ class TestSelectMcs:
         with pytest.raises(ValueError):
             select_mcs(TABLE, 10.0, 1.0)
 
+    def test_nan_snr_refused(self):
+        # The scan would return (0, False): no BLER compares <= target.
+        assert reference_select_mcs(TABLE, math.nan) == (0, False)
+        with pytest.raises(ValueError, match="NaN"):
+            select_mcs(TABLE, math.nan)
+
+    def test_cutoffs_computed_once_per_target(self):
+        table = default_mcs_table()
+        first = table.cutoffs(0.1)
+        assert table.cutoffs(0.1) is first
+        assert table.cutoffs(0.5) != first
+        assert table == default_mcs_table() and hash(table) == hash(default_mcs_table())
+
+
+# Tables and targets the cut-off rule is checked on: the default waterfall, a
+# step curve, a rung that always decodes, and slopes shallow and steep enough
+# that the exp clamp shows.
+SELECT_TABLES = [
+    default_mcs_table(),
+    McsTable((McsEntry(0, 1.0, -100.0, math.inf), McsEntry(1, 2.0, 4.0, math.inf), McsEntry(2, 3.0, 4.0, 1.5))),
+    McsTable((McsEntry(0, 1.0, -3.7, 0.013), McsEntry(1, 2.0, 5.1, 250.0), McsEntry(2, 4.0, 9.0, math.inf))),
+]
+
+
+class TestSelectMatchesScan:
+    """``select_mcs`` by cut-offs picks what the scan of every entry's BLER
+    picks, at any float SNR."""
+
+    @staticmethod
+    def probes(table, target):
+        xs = np.random.default_rng(17).uniform(-60.0, 60.0, size=3000).tolist()
+        xs += [-math.inf, math.inf, 0.0, -0.0, 1e300, -1e300]
+        for e in table.entries:
+            xs.append(e.snr_threshold_db)
+            for cut in (table.cutoffs(target)[e.index], e.snr_threshold_db):
+                if math.isfinite(cut):
+                    below = above = cut
+                    for _ in range(3):
+                        below = math.nextafter(below, -math.inf)
+                        above = math.nextafter(above, math.inf)
+                        xs += [below, cut, above]
+        return xs
+
+    @pytest.mark.parametrize("target", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("table", SELECT_TABLES, ids=["default", "steps", "slopes"])
+    def test_matches_reference_scan(self, table, target):
+        for x in self.probes(table, target):
+            assert select_mcs(table, x, target) == reference_select_mcs(table, x, target), x
+
 
 class TestSerialization:
     def test_exact_value(self):
         entry = TABLE.entries[4]  # 3.0 bps/Hz
-        assert serialization_time_s(1500, entry, TABLE) == 1500 * 8 / (3.0 * 10e6)
+        assert serialization_time_s(1500, entry, TABLE.bandwidth_hz) == 1500 * 8 / (3.0 * 10e6)
+
+
+def transmit(payload, entry, snr, table, rng, max_retx=4):
+    return simulate_transmission(payload, entry, snr, table.bandwidth_hz, table.slot_s, HarqStream(rng), max_retx)
 
 
 class TestSimulateTransmission:
     def test_clean_link_single_attempt(self):
         rng = np.random.default_rng(0)
-        res = simulate_transmission(1500, TABLE.entries[4], [100.0], TABLE, rng)
-        per = serialization_time_s(1500, TABLE.entries[4], TABLE) + TABLE.slot_s
+        res = transmit(1500, TABLE.entries[4], 100.0, TABLE, rng)
+        per = serialization_time_s(1500, TABLE.entries[4], TABLE.bandwidth_hz) + TABLE.slot_s
         assert res == (pytest.approx(per), True, 1)
 
     def test_dead_link_exhausts_budget(self):
         e = McsEntry(0, 1.0, 4.0, math.inf)
         t = McsTable((e,))
         rng = np.random.default_rng(0)
-        res = simulate_transmission(100, e, [-10.0], t, rng, max_retx=2)
+        res = transmit(100, e, -10.0, t, rng, max_retx=2)
         assert not res.success and res.attempts == 3
-        per = serialization_time_s(100, e, t) + t.slot_s
+        per = serialization_time_s(100, e, t.bandwidth_hz) + t.slot_s
         assert res.latency_s == pytest.approx(3 * per)
 
     def test_max_retx_zero_means_one_attempt(self):
         e = McsEntry(0, 1.0, 4.0, math.inf)
         t = McsTable((e,))
         rng = np.random.default_rng(0)
-        res = simulate_transmission(100, e, [-10.0], t, rng, max_retx=0)
+        res = transmit(100, e, -10.0, t, rng, max_retx=0)
         assert res.attempts == 1 and not res.success
 
-    def test_snr_sequence_extends_last_sample(self):
-        e = McsEntry(0, 1.0, 4.0, math.inf)
-        t = McsTable((e,))
-        rng = np.random.default_rng(0)
-        # first attempt at -10 dB always fails, second at +10 always succeeds
-        res = simulate_transmission(100, e, [-10.0, 10.0], t, rng, max_retx=4)
-        assert res.success and res.attempts == 2
-        # a single low sample is repeated for every retry
-        res = simulate_transmission(100, e, [-10.0], t, rng, max_retx=3)
-        assert not res.success and res.attempts == 4
+    def test_bandwidth_share_scales_serialization(self):
+        e = TABLE.entries[4]
+        res = simulate_transmission(1500, e, 100.0, 2.5e6, 1e-3, HarqStream(np.random.default_rng(0)))
+        assert res.latency_s == 1500 * 8.0 / (3.0 * 2.5e6) + 1e-3
 
     def test_input_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            simulate_transmission(100, TABLE.entries[0], [], TABLE, rng)
+            transmit(-1, TABLE.entries[0], 0.0, TABLE, rng)
         with pytest.raises(ValueError):
-            simulate_transmission(-1, TABLE.entries[0], [0.0], TABLE, rng)
-        with pytest.raises(ValueError):
-            simulate_transmission(100, TABLE.entries[0], [0.0], TABLE, rng, max_retx=-1)
+            transmit(100, TABLE.entries[0], 0.0, TABLE, rng, max_retx=-1)
 
     def test_attempt_statistics_at_half_bler(self):
         # SNR pinned at the threshold: every attempt fails with p = 1/2
         entry = TABLE.entries[2]
-        snr = [entry.snr_threshold_db]
-        rng = np.random.default_rng(42)
+        snr = entry.snr_threshold_db
+        harq = HarqStream(np.random.default_rng(42))
         n = 4000
         results = [
-            simulate_transmission(1200, entry, snr, TABLE, rng, max_retx=2)
+            simulate_transmission(1200, entry, snr, TABLE.bandwidth_hz, TABLE.slot_s, harq, max_retx=2)
             for _ in range(n)
         ]
-        per = serialization_time_s(1200, entry, TABLE) + TABLE.slot_s
+        per = serialization_time_s(1200, entry, TABLE.bandwidth_hz) + TABLE.slot_s
         for r in results:
             assert r.latency_s == pytest.approx(r.attempts * per)
         success_rate = np.mean([r.success for r in results])
@@ -253,30 +286,68 @@ class TestSimulateTransmission:
         assert abs(success_rate - 0.875) < 0.021
         assert abs(mean_attempts - 1.75) < 0.053
 
+    @pytest.mark.parametrize("max_retx", [0, 2, 64])
+    def test_matches_scalar_draws(self, max_retx):
+        """One robot's transmissions, one stream across calls, give the
+        scalar loop's results bit for bit."""
+        snrs = np.random.default_rng(9).uniform(-5.0, 25.0, size=3000).tolist()
+        harq, rng = HarqStream(np.random.default_rng([3, 1, 101])), np.random.default_rng([3, 1, 101])
+        for i, snr in enumerate(snrs):
+            entry = TABLE.entries[i % 8]
+            bw = TABLE.bandwidth_hz * (0.25 + (i % 3) * 0.25)
+            got = simulate_transmission(1500, entry, snr, bw, TABLE.slot_s, harq, max_retx)
+            assert got == reference_transmission(1500, entry, snr, bw, TABLE.slot_s, rng, max_retx)
+
+
+class TestHarqStream:
+    # Blocks of 64, 128, ..., 4096 draws, then 4096 each: the first edge, the
+    # edge before the first full block, the 4,096th draw and the edge after
+    # the first full block.
+    @pytest.mark.parametrize("draws", [d + k for d in (64, 4032, 4096, 8128) for k in (-1, 0, 1)])
+    @pytest.mark.parametrize("max_retx", [0, 64])
+    def test_matches_scalar_loop_across_block_edges(self, draws, max_retx):
+        """The head takes exactly ``draws`` draws (``p = 2`` fails every
+        attempt, ``p = 0`` succeeds at the first), ending just before, on
+        and just after a block edge; random steps follow, in a second call."""
+        full, rest = divmod(draws, max_retx + 1)
+        head = [2.0] * full + [0.0] * rest
+        tail = np.random.default_rng(draws).uniform(0.0, 1.0, size=500).tolist()
+        harq = HarqStream(np.random.default_rng([draws, 7]))
+        got_head, got_tail = harq.run(head, max_retx), harq.run(tail, max_retx)
+        assert got_head == ([max_retx + 1] * full + [1] * rest, [False] * full + [True] * rest)
+        want = reference_harq(np.random.default_rng([draws, 7]), head + tail, max_retx)
+        assert got_head[0] + got_tail[0] == want[0]
+        assert got_head[1] + got_tail[1] == want[1]
+
+    def test_empty_run_draws_nothing(self):
+        harq = HarqStream(np.random.default_rng(1))
+        assert harq.run([], 4) == ([], [])
+        assert harq.run([0.5] * 50, 4) == reference_harq(np.random.default_rng(1), [0.5] * 50, 4)
+
 
 class TestAllocate:
     def test_proportional_returns_weights(self):
         cfg = RadioConfig(fairness="proportional", priority_weights=(0.3, 0.7))
-        assert allocate([2.0, 1.0], cfg) == [0.3, 0.7]
+        assert allocate([2.0, 1.0], cfg.priority_weights, cfg.fairness) == [0.3, 0.7]
 
     def test_max_min_equalizes_weighted_rates(self):
         cfg = RadioConfig(fairness="max_min", priority_weights=(0.3, 0.7))
-        shares = allocate([2.0, 1.0], cfg)
+        shares = allocate([2.0, 1.0], cfg.priority_weights, cfg.fairness)
         assert sum(shares) == pytest.approx(1.0)
         scaled = [r * s / w for r, s, w in zip([2.0, 1.0], shares, (0.3, 0.7))]
         assert scaled[0] == pytest.approx(scaled[1])
 
     def test_max_min_equal_weights_favors_slow_link(self):
         cfg = RadioConfig(fairness="max_min", priority_weights=(0.5, 0.5))
-        shares = allocate([1.0, 3.0], cfg)
+        shares = allocate([1.0, 3.0], cfg.priority_weights, cfg.fairness)
         assert shares == [pytest.approx(0.75), pytest.approx(0.25)]
 
     def test_errors(self):
         cfg = RadioConfig()
         with pytest.raises(ValueError):
-            allocate([1.0], cfg)  # length mismatch
+            allocate([1.0], cfg.priority_weights, cfg.fairness)  # length mismatch
         with pytest.raises(ValueError):
-            allocate([1.0, 0.0], cfg)
+            allocate([1.0, 0.0], cfg.priority_weights, cfg.fairness)
 
     @given(
         rates=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
@@ -285,7 +356,7 @@ class TestAllocate:
     @settings(max_examples=50, deadline=None)
     def test_max_min_share_invariants(self, rates, w0):
         cfg = RadioConfig(fairness="max_min", priority_weights=(w0, 1.0 - w0))
-        shares = allocate(rates, cfg)
+        shares = allocate(rates, cfg.priority_weights, cfg.fairness)
         assert sum(shares) == pytest.approx(1.0)
         assert all(s > 0 for s in shares)
 
@@ -344,10 +415,9 @@ class TestSampleTrace:
     def test_no_shadowing_is_deterministic_map_gain(self):
         cfg = RadioConfig()
         cells = [(x, 0) for x in range(12)]
-        trace = sample_trace(self.flat_map(), cells, cfg, seed=5)
-        assert all(ls.gain_db == -60.0 for ls in trace)
-        assert all(ls.tx_power_dbm == cfg.max_power_dbm for ls in trace)
-        assert trace[0].snr_db == 23.0 - 60.0 + 100.0
+        true_snr, map_snr = sample_trace(self.flat_map(), cells, cfg, seed=5)
+        assert true_snr == map_snr == [cfg.max_power_dbm - 60.0 - cfg.noise_dbm] * 12
+        assert true_snr[0] == 23.0 - 60.0 + 100.0
 
     def test_seed_determinism(self):
         m = self.flat_map(rho=0.9, sigma=4.0)
@@ -356,8 +426,8 @@ class TestSampleTrace:
         a = sample_trace(m, cells, cfg, seed=3)
         b = sample_trace(m, cells, cfg, seed=3)
         c = sample_trace(m, cells, cfg, seed=4)
-        assert [ls.gain_db for ls in a] == [ls.gain_db for ls in b]
-        assert [ls.gain_db for ls in a] != [ls.gain_db for ls in c]
+        assert a == b
+        assert a[0] != c[0] and a[1] == c[1]
 
     def test_marginal_std_and_autocorrelation(self):
         rho, sigma = 0.8, 3.0
@@ -366,11 +436,28 @@ class TestSampleTrace:
         cells = [(x, 0) for x in range(12)]
         s10, s11 = [], []
         for seed in range(1500):
-            tr = sample_trace(m, cells, cfg, seed=seed)
-            s10.append(tr[10].gain_db + 60.0)
-            s11.append(tr[11].gain_db + 60.0)
+            true_snr, map_snr = sample_trace(m, cells, cfg, seed=seed)
+            s10.append(true_snr[10] - map_snr[10])
+            s11.append(true_snr[11] - map_snr[11])
         s10, s11 = np.array(s10), np.array(s11)
         assert abs(s10.std(ddof=1) - sigma) < 0.25
         assert abs(s11.std(ddof=1) - sigma) < 0.25
         corr = np.corrcoef(s10, s11)[0, 1]
         assert abs(corr - rho) < 0.05
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_snapshot_walk(self, seed):
+        """The per-step SNRs equal the old walk over link snapshots bit for
+        bit, on a route that revisits cells, with and without shadowing."""
+        gains = np.random.default_rng(seed).uniform(-120.0, -60.0, size=(3, 7))
+        cells = [(x % 7, (x // 7) % 3) for x in range(0, 300, 2)] * 3
+        for cfg in (RadioConfig(), RadioConfig(max_power_dbm=17.25, noise_dbm=-93.7)):
+            for rho, sigma in ((0.0, 0.0), (0.9, 4.0)):
+                gm = PathGainMap(gains, rho, sigma)
+                got = sample_trace(gm, cells, cfg, seed)
+                assert np.array(got).tobytes() == np.array(reference_sample_trace(gm, cells, cfg, seed)).tobytes()
+
+    def test_uncovered_cell_named_in_route_order(self):
+        gm = PathGainMap(np.array([[-60.0, np.nan, np.nan]]))
+        with pytest.raises(ValueError, match=r"cell \(2, 0\)"):
+            sample_trace(gm, [(0, 0), (2, 0), (1, 0)], RadioConfig(), 0)

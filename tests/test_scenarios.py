@@ -561,6 +561,26 @@ class TestValidation:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) in (0, 2)
         assert time.process_time() - t0 < 10.0
 
+    def test_human_horizon_is_bounded(self, tmp_path, capsys):
+        """A forecast horizon past 1,024 frames is a field error; at 1,024 a
+        run finishes."""
+        doc = tiny_warehouse()
+        doc["warehouse"]["world"]["height"] = 2
+        doc["warehouse"]["humans"] = [{"waypoints": [[1, 1]], "horizon_frames": 10**7}]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.strip().endswith(
+            "scenario.warehouse.humans[0].horizon_frames: 10000000 must be <= 1024"
+        )
+        doc["warehouse"]["humans"][0]["horizon_frames"] = 1024
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        t0 = time.process_time()
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert time.process_time() - t0 < 10.0
+        assert len((tmp_path / "out" / "results.jsonl").read_text().splitlines()) == 2
+
     def test_errors_accumulate(self):
         doc = tiny_warehouse()
         doc["seeds"] = []
