@@ -140,6 +140,12 @@ def _is_int_list(value, n: int) -> bool:
     )
 
 
+# Every dB field that enters an SNR sum (a shadowing sigma, a gain profile,
+# a power, a noise floor or an SNR target) is at most this large in magnitude,
+# so that every sum of them stays finite.
+_MAX_DB = 10**4
+
+
 class _Checker:
     """Collects every error of a strict JSON document, each as
     ``"<field path>: <message>"``; used for configuration messages and
@@ -172,7 +178,8 @@ class _Checker:
         return None
 
     def num(
-        self, d: dict, path: str, key: str, lo: Optional[float] = None, gt: Optional[float] = None, default=None
+        self, d: dict, path: str, key: str, lo: Optional[float] = None, gt: Optional[float] = None,
+        hi: Optional[float] = None, default=None,
     ):
         if key not in d:
             return default
@@ -185,6 +192,9 @@ class _Checker:
             return default
         if gt is not None and v <= gt:
             self.fail(f"{path}.{key}", f"{_echo(v)} must be > {gt}")
+            return default
+        if hi is not None and v > hi:
+            self.fail(f"{path}.{key}", f"{_echo(v)} must be <= {hi}")
             return default
         return float(v)
 
@@ -226,11 +236,11 @@ class _Checker:
         return v
 
     def ar1(self, d: dict, path: str, rho_key: str, sigma_key: str) -> Tuple[Optional[float], Optional[float]]:
-        """An AR(1) shadowing pair: ``rho`` in [0, 1) and ``sigma >= 0``."""
+        """An AR(1) shadowing pair: ``rho`` in [0, 1) and ``sigma`` in [0, _MAX_DB]."""
         rho = self.num(d, path, rho_key)
         if rho is not None and not 0.0 <= rho < 1.0:
             self.fail(f"{path}.{rho_key}", f"{_echo(rho)} must be in [0, 1)")
-        return rho, self.num(d, path, sigma_key, lo=0.0)
+        return rho, self.num(d, path, sigma_key, lo=0.0, hi=_MAX_DB)
 
     def curve(self, d: dict, path: str, key: str, min_points: int = 2) -> Optional[List[Tuple[float, float]]]:
         raw = d.get(key)

@@ -32,6 +32,7 @@ import numpy as np
 from .linkadapt import LinkTable, PolicySpec, run_policy
 from .metrics import tail_stats, utfr
 from .orchestrator import (
+    _MAX_DB,
     _MAX_ID_DIGITS,
     _SENSE_JPEG_Q60,
     _SENSE_JPEG_Q80,
@@ -49,7 +50,7 @@ from .orchestrator import (
     correct_loop,
     select_sense_mode,
 )
-from .radio import McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table
+from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table
 from .sensing import SenseConfig
 from .world import GridWorld, HumanTrack, RobotState
 
@@ -79,6 +80,11 @@ _MAX_STEPS = 10**6
 # At most this many retransmissions of one step (radio.max_retx) or attempts
 # at one frame (followme.max_attempts); each attempt is one draw.
 _MAX_RETRIES = 64
+
+# Every payload (warehouse payloads, mcs payload_bytes, followme
+# payload_bytes) is at most this many bytes, so that its bit count converts to
+# a float; the bundled raw frame is 6,220,800 bytes.
+_MAX_PAYLOAD_BYTES = 10**12
 
 # At most this many frames of a human's forecast (humans[].horizon_frames);
 # every replan reserves each of them. The bundled files use 8 and 16.
@@ -266,10 +272,10 @@ def _radio(ck: _Checker, sec: dict, path: str) -> Tuple[dict, McsTable]:
             (),
         )
     given = {} if robj is None else {
-        "target_snr_db": ck.num(robj, path, "target_snr_db"),
-        "max_power_dbm": ck.num(robj, path, "max_power_dbm"),
+        "target_snr_db": ck.num(robj, path, "target_snr_db", lo=-_MAX_DB, hi=_MAX_DB),
+        "max_power_dbm": ck.num(robj, path, "max_power_dbm", lo=-_MAX_DB, hi=_MAX_DB),
         "max_retx": ck.integer(robj, path, "max_retx", lo=0, hi=_MAX_RETRIES),
-        "noise_dbm": ck.num(robj, path, "noise_dbm"),
+        "noise_dbm": ck.num(robj, path, "noise_dbm", lo=-_MAX_DB, hi=_MAX_DB),
         "bandwidth_hz": ck.num(robj, path, "bandwidth_hz", lo=1.0),
         "slot_s": ck.num(robj, path, "slot_s", gt=0.0),
     }
@@ -400,10 +406,12 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     )
     zones = []
     if gain is not None:
-        base_gain = ck.num(gain, f"{p}.gain", "base_gain_db")
-        slope = ck.num(gain, f"{p}.gain", "slope_db_per_cell", lo=0.0)
+        base_gain = ck.num(gain, f"{p}.gain", "base_gain_db", lo=-_MAX_DB, hi=_MAX_DB)
+        slope = ck.num(gain, f"{p}.gain", "slope_db_per_cell", lo=0.0, hi=_MAX_DB)
         rho, sigma = ck.ar1(gain, f"{p}.gain", "shadowing_rho", "shadowing_sigma_db")
         ap = ck.cell(gain.get("ap"), f"{p}.gain.ap")
+        if ap and sized and not in_world(ap):
+            ck.fail(f"{p}.gain.ap", f"cell {_echo(ap)} outside {_echo(width)}x{_echo(height)} world")
         for i, raw in enumerate(ck.items(gain, f"{p}.gain", "dead_zones")):
             zp = f"{p}.gain.dead_zones[{i}]"
             zobj = ck.obj(raw, zp, ("rect", "extra_loss_db"), ("rect", "extra_loss_db"))
@@ -412,7 +420,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
             rect = ck.rect(zobj.get("rect"), f"{zp}.rect")
             if rect and sized and not in_world(rect):
                 ck.fail(f"{zp}.rect", f"{_echo(zobj['rect'])} outside {_echo(width)}x{_echo(height)} world")
-            zones.append((rect, ck.num(zobj, zp, "extra_loss_db", lo=0.0)))
+            zones.append((rect, ck.num(zobj, zp, "extra_loss_db", lo=0.0, hi=_MAX_DB)))
 
     radio, table = _radio(ck, sec, p)
 
@@ -429,7 +437,10 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
 
     payloads = ck.obj(sec.get("payloads"), f"{p}.payloads", ("raw", "semantic_feature"),
                       ("raw", "semantic_feature")) or {}
-    payloads = {key: ck.integer(payloads, f"{p}.payloads", key, lo=1) for key in ("raw", "semantic_feature")}
+    payloads = {
+        key: ck.integer(payloads, f"{p}.payloads", key, lo=1, hi=_MAX_PAYLOAD_BYTES)
+        for key in ("raw", "semantic_feature")
+    }
 
     if not isinstance(sec.get("intent_text"), str):
         ck.fail(f"{p}.intent_text", "must be a string")
@@ -513,11 +524,11 @@ def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
         ("base_db", "amplitude_db", "period_cells"),
         ("base_db", "amplitude_db", "period_cells"),
     ) or {}
-    base = ck.num(prof, f"{p}.gain_profile", "base_db")
-    amplitude = ck.num(prof, f"{p}.gain_profile", "amplitude_db", lo=0.0)
+    base = ck.num(prof, f"{p}.gain_profile", "base_db", lo=-_MAX_DB, hi=_MAX_DB)
+    amplitude = ck.num(prof, f"{p}.gain_profile", "amplitude_db", lo=0.0, hi=_MAX_DB)
     period = ck.num(prof, f"{p}.gain_profile", "period_cells", lo=1.0)
     rho, sigma = ck.ar1(sec, p, "shadowing_rho", "shadowing_sigma_db")
-    payload_bytes = ck.integer(sec, p, "payload_bytes", lo=1)
+    payload_bytes = ck.integer(sec, p, "payload_bytes", lo=1, hi=_MAX_PAYLOAD_BYTES)
     target = ck.num(sec, p, "bler_target", default=0.1)
     if target is not None and not (0.0 < target < 1.0):
         ck.fail(f"{p}.bler_target", f"{_echo(target)} must be in (0, 1)")
@@ -625,7 +636,7 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
                 ck.fail(f"{p}.codec_s.{key}", f"{_echo(pair)} must be [encode_s, decode_s]")
     modes = _FOLLOWME_MODE_CONFIGS
     payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes, modes) or {}
-    payloads = {key: ck.integer(payloads, f"{p}.payload_bytes", key, lo=1) for key in modes}
+    payloads = {key: ck.integer(payloads, f"{p}.payload_bytes", key, lo=1, hi=_MAX_PAYLOAD_BYTES) for key in modes}
     perc = ck.obj(
         sec.get("perception"), f"{p}.perception",
         ("lose_prob", "far_lose_prob", "far_distance_m", "reacquire_prob"),
@@ -688,8 +699,9 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     """Replay the corridor trace under one sensing policy.
 
     Per frame: the user distance sets the mean RSSI (plus AR(1) noise), the
-    RSSI sets link throughput and per-bit loss. Reliable modes retransmit up
-    to ``max_attempts``; best-effort modes get one shot. A frame counts as a
+    RSSI sets link throughput and per-bit loss. Every attempt draws from the
+    run's one ``HarqStream``: reliable modes make up to ``max_attempts``
+    attempts at a frame, best-effort modes one. A frame counts as a
     tracking arrival when it was delivered, its command-to-action latency is
     within ``cta_useful_s``, and the perception tracker holds (or regains)
     lock on it.
@@ -697,7 +709,7 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     fm = scn.inputs
     frames = _seed_table(scn, seed)
     total = fm.total_steps
-    rng_loss = np.random.default_rng([seed, 22])
+    harq = HarqStream(np.random.default_rng([seed, 22]))
     rng_perc = np.random.default_rng([seed, 23])
 
     perc = fm.perception
@@ -707,24 +719,15 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     locked = True
     arrivals: List[int] = []
     cta_samples: List[float] = []
-    delivered_count = 0
     for t, (distance, rssi, throughput, p_bit) in enumerate(zip(*frames)):
         if orchestrated:
             cfg = select_sense_mode(rssi)
             mode = _FOLLOWME_MODE_NAMES[cfg]
         bits = fm.payload_bytes[mode] * 8
         p_loss = -math.expm1(bits * math.log1p(-p_bit))
-        attempts_allowed = fm.max_attempts if cfg.qos == "reliable" else 1
-        attempts = 0
-        delivered = False
-        for _ in range(attempts_allowed):
-            attempts += 1
-            if rng_loss.random() >= p_loss:
-                delivered = True
-                break
+        (attempts,), (delivered,) = harq.run((p_loss,), fm.max_attempts - 1 if cfg.qos == "reliable" else 0)
         useful = False
         if delivered:
-            delivered_count += 1
             enc, dec = fm.codec_s[cfg.mode]
             cta = enc + attempts * (bits / throughput + fm.slot_s) + dec
             cta_samples.append(cta)
@@ -742,7 +745,7 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
 
     metrics: Dict[str, float] = {
         "utfr_pct": utfr(arrivals, total, fm.loss_threshold_steps),
-        "delivered_frames": float(delivered_count),
+        "delivered_frames": float(len(cta_samples)),
         "arrival_frames": float(len(arrivals)),
     }
     if cta_samples:

@@ -137,8 +137,9 @@ def leaf_paths(node, path=()):
 
 
 LEAVES = [(make, path) for make in (tiny_warehouse, tiny_mcs, tiny_followme) for path in leaf_paths(make())]
-# No large integers: a huge steps or width would allocate before it ran.
-LEAF_VALUES = (0, 1, -1, 2.5, 1e15, math.nan, math.inf, "x", None, [], {}, True)
+# Huge integers and floats are refused by the size, payload and dB bounds
+# before anything of their size is allocated or summed.
+LEAF_VALUES = (0, 1, -1, 2.5, 1e15, 10**400, 1e308, -1e308, math.nan, math.inf, "x", None, [], {}, True)
 DELETE = object()
 
 
@@ -272,6 +273,15 @@ class TestValidation:
                 "outside the world",
             ),
             (lambda s: s["gain"].pop("ap"), "scenario.warehouse.gain.ap"),
+            (lambda s: s["gain"].update(ap=[10**400, 0]), "scenario.warehouse.gain.ap: cell (1000"),
+            (lambda s: s["gain"].update(ap=[4, 0]), "scenario.warehouse.gain.ap: cell (4, 0) outside 4x1 world"),
+            (lambda s: s["gain"].update(base_gain_db=-1e308), "scenario.warehouse.gain.base_gain_db: -1e+308 must be >= -10000"),
+            (lambda s: s["gain"].update(slope_db_per_cell=1e308), "scenario.warehouse.gain.slope_db_per_cell: 1e+308 must be <= 10000"),
+            (
+                lambda s: s["gain"].update(dead_zones=[{"rect": [0, 0, 1, 0], "extra_loss_db": 10001}]),
+                "scenario.warehouse.gain.dead_zones[0].extra_loss_db: 10001 must be <= 10000",
+            ),
+            (lambda s: s.update(radio={"target_snr_db": 1e308}), "scenario.warehouse.radio.target_snr_db: 1e+308 must be <= 10000"),
             (lambda s: s["gain"].update(shadowing_rho=1.0), "must be in [0, 1)"),
             (lambda s: s["budget"].pop("encode_s"), "scenario.warehouse.budget.encode_s"),
             (lambda s: s["budget"].update(detection_s=-0.1), "must be >= 0"),
@@ -369,6 +379,10 @@ class TestValidation:
                 "scenario.mcs.shadowing_sigma_db: nan must be a finite number",
             ),
             (lambda s: s.update(radio={"slot_s": -1}), "scenario.mcs.radio.slot_s: -1 must be > 0.0"),
+            (lambda s: s.update(shadowing_sigma_db=10001), "scenario.mcs.shadowing_sigma_db: 10001 must be <= 10000"),
+            (lambda s: s["gain_profile"].update(base_db=-10001), "scenario.mcs.gain_profile.base_db: -10001 must be >= -10000"),
+            (lambda s: s["gain_profile"].update(amplitude_db=1e308), "scenario.mcs.gain_profile.amplitude_db: 1e+308 must be <= 10000"),
+            (lambda s: s.update(radio={"noise_dbm": -1e308}), "scenario.mcs.radio.noise_dbm: -1e+308 must be >= -10000"),
         ],
     )
     def test_mcs_section(self, mutate, needle):
@@ -390,6 +404,7 @@ class TestValidation:
             (lambda s: s["perception"]["lose_prob"].update(jpeg_q95=1.5), "must be in [0, 1]"),
             (lambda s: s["perception"].pop("reacquire_prob"), "perception.reacquire_prob"),
             (lambda s: s["noise"].update(rho=1.0), "must be in [0, 1)"),
+            (lambda s: s["noise"].update(sigma_db=1e308), "scenario.followme.noise.sigma_db: 1e+308 must be <= 10000"),
             (
                 lambda s: s["noise"].update(sigma_db=math.nan),
                 "scenario.followme.noise.sigma_db: nan must be a finite number",
@@ -580,6 +595,76 @@ class TestValidation:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert time.process_time() - t0 < 10.0
         assert len((tmp_path / "out" / "results.jsonl").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "make,section,field",
+        [
+            (tiny_followme, ("followme", "payload_bytes"), "vq_1x1"),
+            (tiny_mcs, ("mcs",), "payload_bytes"),
+            (tiny_warehouse, ("warehouse", "payloads"), "semantic_feature"),
+        ],
+        ids=["followme", "mcs", "warehouse"],
+    )
+    def test_payloads_are_bounded(self, make, section, field, tmp_path, capsys):
+        """A payload past 10**12 bytes is a field error; at 10**12 a run
+        ends (exit 0, or 2 with a field line for a warehouse run that cannot
+        finish)."""
+        doc = make()
+        obj = doc
+        for key in section:
+            obj = obj[key]
+        obj[field] = 10**12 + 1
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.strip().endswith(
+            f"scenario.{'.'.join(section)}.{field}: 1000000000001 must be <= 1000000000000"
+        )
+        obj[field] = 10**12
+        if doc["kind"] == "warehouse":
+            doc["warehouse"]["max_sim_time_s"] = 5.0
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        if doc["kind"] == "warehouse" and code == 2:
+            assert err and all(line.startswith("scenario.warehouse.") for line in err), err
+        else:
+            assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "name,edit,field",
+        [
+            ("followme-corridor", lambda s: s["payload_bytes"].update(vq_1x1=10**400),
+             "scenario.followme.payload_bytes.vq_1x1"),
+            ("followme-corridor", lambda s: s["payload_bytes"].update(vq_1x1=10**310),
+             "scenario.followme.payload_bytes.vq_1x1"),
+            ("mcs-ar1", lambda s: s.update(payload_bytes=10**400), "scenario.mcs.payload_bytes"),
+            ("warehouse-s1", lambda s: s["payloads"].update(semantic_feature=10**400),
+             "scenario.warehouse.payloads.semantic_feature"),
+            ("mcs-ar1", lambda s: s.update(shadowing_sigma_db=1e308), "scenario.mcs.shadowing_sigma_db"),
+            ("mcs-ar1", lambda s: s["gain_profile"].update(base_db=1e308, amplitude_db=1e308),
+             "scenario.mcs.gain_profile.base_db"),
+            ("mcs-ar1", lambda s: s.update(radio={"max_power_dbm": 1e308, "noise_dbm": -1e308}),
+             "scenario.mcs.radio.max_power_dbm"),
+            ("warehouse-s1", lambda s: s["gain"].update(shadowing_sigma_db=1e308),
+             "scenario.warehouse.gain.shadowing_sigma_db"),
+        ],
+    )
+    def test_overflowing_fields_are_refused_at_load(self, name, edit, field, bundled_dir, tmp_path, capsys):
+        """A bundled file with one payload or dB field past its bound is a
+        field error for ``validate`` and ``run`` (exit 2), never a run that
+        fails on overflowed arithmetic."""
+        doc = json.loads((bundled_dir / f"{name}.json").read_text())
+        edit(doc[doc["kind"]])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith(f"{path}: scenario.{doc['kind']}.") for line in err), err
+        assert any(line.startswith(f"{path}: {field}: ") for line in err), err
+        assert main(["run", str(path), "--seeds", "3", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == err
 
     def test_errors_accumulate(self):
         doc = tiny_warehouse()
@@ -909,6 +994,24 @@ class TestRunOne:
         scn = load_scenario(bundled_scenario_path("followme-corridor"))
         for method in scn.methods:
             assert run_one(scn, method, seed)["metrics"] == reference_run_followme(scn, method, seed), method
+
+    @pytest.mark.parametrize(
+        "max_attempts,bit_error_curve",
+        [(64, [[-60.0, 1.0e-4], [-30.0, 1.0e-5]]), (1, [[-60.0, 1.0e-4], [-30.0, 1.0e-7]])],
+        ids=["64-attempts-lossy", "1-attempt"],
+    )
+    def test_followme_stress_matches_reference(self, max_attempts, bit_error_curve):
+        """On a link where reliable frames retry up to 64 times, a run's
+        HARQ draws cross the first block and several refills; with one
+        attempt, no frame retries. Either way every method gives the
+        records of the per-frame scalar loop."""
+        doc = tiny_followme()
+        doc["methods"] = list(FOLLOWME_METHODS)
+        doc["followme"].update(max_attempts=max_attempts, bit_error_curve=bit_error_curve)
+        scn = parse_scenario(doc)
+        for seed in range(5):
+            for method in scn.methods:
+                assert run_one(scn, method, seed)["metrics"] == reference_run_followme(scn, method, seed), (method, seed)
 
     def test_followme_deterministic_per_seed(self):
         scn = parse_scenario(tiny_followme())
