@@ -17,12 +17,20 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .metrics import KpiRecord, completion_time
-from .planner import OBJECTIVES, PlanConfig, PlanningError, SpaceTimePath, low_level_search, plan
+from .planner import (
+    OBJECTIVES,
+    PlanConfig,
+    PlanningError,
+    SpaceTimePath,
+    _human_reservations,
+    low_level_search,
+    plan,
+)
 from .radio import (
     _WEIGHT_SUM_TOL,
     FAIRNESS_MODES,
@@ -509,8 +517,71 @@ def correct_loop(
 # warehouse closed-loop engine
 
 
+# A HumanReservations memo holds at most this many tables and this many
+# parked worlds; when either is full it starts again empty. The four methods
+# of one seed of a bundled warehouse file need 33 to 77 tables and 2 worlds
+# (none parked, and one robot parked).
+_MAX_HUMAN_TABLES = 4096
+_MAX_PARKED_WORLDS = 16
+
+
+class HumanReservations:
+    """What the humans block at each replan of one loaded warehouse
+    scenario, shared by all its runs.
+
+    A replan at ``frame``, with the goal cells of the arrived robots
+    ``parked``, plans on the world with those cells blocked and reads the
+    humans' forecasts as the table ``_human_reservations`` makes of them on
+    that world. Both depend only on the world, the tracks, the objective,
+    ``parked`` and ``frame``, not on the seed or the method, so each is
+    built on first use and kept: a parked world once per ``parked``, a
+    table once per ``(parked, frame)``. The tables are never changed:
+    their step sets are frozen, and the planner writes only into copies.
+    """
+
+    __slots__ = ("world", "tracks", "objective", "_worlds", "_tables")
+
+    def __init__(self, world: GridWorld, tracks: Sequence[HumanTrack], objective: str):
+        self.world = world
+        self.tracks = tuple(tracks)
+        self.objective = objective
+        self._worlds: Dict[frozenset, GridWorld] = {}
+        self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, Dict[Cell, FrozenSet[int]]]] = {}
+
+    def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, Dict[Cell, FrozenSet[int]]]:
+        """The world with ``parked`` blocked and the humans' reservation
+        table on it for a replan at ``frame``."""
+        key = (parked, frame)
+        found = self._tables.get(key)
+        if found is not None:
+            return found
+        world = self._worlds.get(parked)
+        if world is None:
+            if len(self._worlds) >= _MAX_PARKED_WORLDS:
+                self._worlds.clear()
+                self._tables.clear()  # its tables hold the worlds
+            world = self.world
+            if parked:
+                world = dataclasses.replace(world, blocked=world.blocked | parked)
+            self._worlds[parked] = world
+        if len(self._tables) >= _MAX_HUMAN_TABLES:
+            self._tables.clear()
+        # A forecast frame ahead of ``frame`` becomes the first planner step
+        # at or after it, and at least step 1.
+        ratio = world.frame_period_s / world.cell_traverse_s
+        pairs = [
+            (cell, max(1, math.ceil((abs_frame - frame) * ratio)))
+            for track in self.tracks
+            for cell, abs_frame in human_forecast(track, frame)
+        ]
+        found = self._tables[key] = (world, _human_reservations(world, pairs, self.objective))
+        return found
+
+
 class WarehouseInputs(NamedTuple):
-    """What every run of a warehouse scenario starts from."""
+    """What every run of a warehouse scenario starts from. ``human`` is the
+    scenario's :class:`HumanReservations` memo, made for ``world``,
+    ``tracks`` and ``cfg.pp.objective``."""
 
     world: GridWorld
     robots: List[RobotState]
@@ -521,6 +592,7 @@ class WarehouseInputs(NamedTuple):
     budget: LoopBudget
     payloads: Dict[str, int]
     max_sim_time_s: float
+    human: HumanReservations
 
 
 class UnfinishedRun(RuntimeError):
@@ -587,6 +659,9 @@ class WarehouseSimulation:
         ids = sorted(r.id for r in inputs.robots)
         if len(cfg.ra.priority_weights) != len(ids):
             raise ValueError("priority weights must match the robot count")
+        human = inputs.human
+        if human.world is not world or human.tracks != tuple(inputs.tracks) or human.objective != cfg.pp.objective:
+            raise ValueError("the human reservation memo was made for another world, tracks or objective")
         self.world = world
         self.tracks = inputs.tracks
         self.gain_map = gain_map
@@ -626,7 +701,7 @@ class WarehouseSimulation:
         self._events: List[Tuple[float, int, int, str, Optional[Cell]]] = []
         self._event_seq = 0
         self._solo_paths: Dict[int, SpaceTimePath] = {}
-        self._parked_worlds: Dict[frozenset, GridWorld] = {}
+        self._human = human
 
     # -- helpers ----------------------------------------------------------
 
@@ -707,17 +782,7 @@ class WarehouseSimulation:
     def _plan_next(self, rid: int, plan_time: float) -> Optional[Cell]:
         """Central replan at ``plan_time``; returns robot ``rid``'s next cell
         or None when planning is infeasible right now."""
-        frame = self._frame(plan_time)
         active = self._active_ids()
-        parked = frozenset(tuple(rt.state.goal) for rt in self.robots.values() if rt.state.status == "arrived")
-        world = self.world
-        if parked:
-            # one world per set of parked cells, so its tables are built once
-            world = self._parked_worlds.get(parked)
-            if world is None:
-                world = self._parked_worlds[parked] = dataclasses.replace(
-                    self.world, blocked=self.world.blocked | parked
-                )
         states = []
         for i in active:
             rt = self.robots[i]
@@ -725,18 +790,13 @@ class WarehouseSimulation:
             states.append(RobotState(i, cell, rt.state.goal, "moving"))
         if len({tuple(s.cell) for s in states}) != len(states):
             return None
-        pairs = []
-        ratio = world.frame_period_s / world.cell_traverse_s
-        for track in self.tracks:
-            for cell, abs_frame in human_forecast(track, frame):
-                rel = abs_frame - frame
-                step = max(1, math.ceil(rel * ratio))
-                pairs.append((cell, step))
+        parked = frozenset(tuple(rt.state.goal) for rt in self.robots.values() if rt.state.status == "arrived")
+        world, human = self._human.at(parked, self._frame(plan_time))
         pp = self.cfg.pp
         if pp.priority_robot is not None and pp.priority_robot not in active:
             pp = dataclasses.replace(pp, priority_robot=None)
         try:
-            paths = plan(world, states, pairs, pp)
+            paths = plan(world, states, human, pp)
         except PlanningError:
             return None
         for p in paths:

@@ -13,9 +13,26 @@ computed once and what changes is kept in a reservation table:
   distance field that serves as the A* heuristic, once, on first use;
 - each robot has one :class:`ReservationTable`, the planner's only form of
   constraint, as a per-agent constraint set in Sharon et al. 2015 (CBS).
-  ``plan`` turns the human forecasts into one cell -> blocked-steps table
-  per call; each robot searches under a copy of it, into which its conflict
-  windows and blocked moves are written as they arrive.
+  ``plan`` reads the human forecasts as one cell -> blocked-steps table,
+  built per call or handed in ready-made (the warehouse engine keeps one per
+  frame and set of parked robots); each robot searches under a copy of it,
+  into which its conflict windows and blocked moves are written as they
+  arrive.
+
+``low_level_search`` breaks ties on f toward the deeper node (Asai and
+Fukunaga 2016, "Tiebreaking Strategies for A* Search"). With an exact
+heuristic, as on an open grid, every node on a shortest route has the same
+f, and first-in-first-out among them expands them all, breadth-first. The
+rule returns the route and the error of the first-in-first-out search:
+
+- a node is ``(cell, step)``; its parent is whichever of its predecessors is
+  expanded first, and every predecessor has step ``step - 1``;
+- nodes with the same step compare by ``(f, push order)`` under both rules,
+  so, by induction on the step, they are pushed in the same relative order
+  and get the same parents;
+- a goal node has f equal to its step, so the first valid goal node popped
+  is the same under both rules;
+- an infeasible search exhausts the same set of nodes.
 
 For two robots under the makespan objective with a zero gap, ``plan``
 searches the joint state space of each ordering exactly, breadth-first, and
@@ -38,7 +55,7 @@ import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .world import Cell, GridWorld, RobotState
 
@@ -163,8 +180,10 @@ def low_level_search(
 
     Cost is the arrival step; the robot is considered parked at its goal
     afterwards, so the arrival step must clear every block on the goal
-    cell. Expansion order (N, E, S, W, wait; FIFO among equal f-values) makes
-    the result deterministic.
+    cell. Expansion order makes the result deterministic: lowest f first,
+    ties toward the deeper node, then first pushed first; a node's moves in
+    N, E, S, W, wait order. The tie-break toward depth changes no result
+    (see the module docstring).
 
     ``table`` is the robot's own :class:`ReservationTable`; without one the
     route is unconstrained. The search reads the world's neighbour table and
@@ -190,14 +209,15 @@ def low_level_search(
 
     # A node's f-value (step + distance to goal) is fixed, so its first push
     # is also the first of its copies to pop: a node is pushed only once,
-    # and being in ``parent`` marks it as reached.
+    # and being in ``parent`` marks it as reached. The key is
+    # (f, -step, push order, step, cell).
     moves = world.neighbor_table
     push, pop = heapq.heappush, heapq.heappop
     counter = itertools.count()
-    heap = [(hfield[start], next(counter), 0, start)]
+    heap = [(hfield[start], 0, next(counter), 0, start)]
     parent: Dict[Tuple[Cell, int], Tuple[Cell, int]] = {}
     while heap:
-        _, _, step, cell = pop(heap)
+        _, _, _, step, cell = pop(heap)
         node = (cell, step)
         if cell == goal and step > goal_latest:
             cells = [cell]
@@ -223,7 +243,7 @@ def low_level_search(
             if h is None or nstep + h > horizon:
                 continue
             parent[child] = node
-            push(heap, (nstep + h, next(counter), nstep, nxt))
+            push(heap, (nstep + h, -nstep, next(counter), nstep, nxt))
     raise PlanningInfeasible(robot.id, horizon)
 
 
@@ -262,9 +282,10 @@ def makespan(paths: Iterable[SpaceTimePath]) -> int:
 
 def _human_reservations(
     world: GridWorld, pairs: Sequence[Tuple[Cell, int]], objective: str
-) -> Dict[Cell, AbstractSet[int]]:
+) -> Dict[Cell, FrozenSet[int]]:
     """The cells and steps the human forecasts block for every robot, as one
-    cell -> steps table.
+    cell -> steps table. Its step sets are frozen, so that the table can be
+    shared by every search that reads it.
 
     A forecast ``(cell, step)`` blocks its cell at its step. Under
     ``safety_first`` it blocks the cell over steps ``step - 1 .. step + 1``
@@ -288,7 +309,7 @@ def _human_reservations(
             ring = moves[:-1]
         for nxt in ring:
             blocks[nxt].add(step)
-    return dict(blocks)
+    return {cell: frozenset(steps) for cell, steps in blocks.items()}
 
 
 def _widen_conflict(conflict: Conflict, table: ReservationTable, gap: int) -> bool:
@@ -485,11 +506,15 @@ def _joint_best_response(
 def plan(
     world: GridWorld,
     robots: Sequence[RobotState],
-    human_forecasts: Iterable[Tuple[Cell, int]],
+    human_forecasts: Union[Iterable[Tuple[Cell, int]], Dict[Cell, FrozenSet[int]]],
     cfg: PlanConfig,
     horizon: Optional[int] = None,
 ) -> List[SpaceTimePath]:
     """Conflict-free paths for all robots.
+
+    ``human_forecasts`` is the humans' ``(cell, step)`` forecasts, or, as a
+    dict, the table ``_human_reservations`` made of them on ``world`` under
+    ``cfg.objective``; such a table is read as it is and never changed.
 
     Priority order is ``cfg.priority_robot`` first, then ascending id; the
     lower-priority robot of each conflict is constrained and replans. Under
@@ -511,8 +536,11 @@ def plan(
     if len(set(starts)) != len(starts) or len(set(goals)) != len(goals):
         raise PlanningError("robot starts and goals must be pairwise distinct")
 
-    pairs = [(tuple(c), int(s)) for c, s in human_forecasts]
-    human = _human_reservations(world, pairs, cfg.objective)
+    if isinstance(human_forecasts, dict):
+        human = human_forecasts
+    else:
+        human = _human_reservations(world, [(tuple(c), int(s)) for c, s in human_forecasts], cfg.objective)
+    # Every base table shares ``human``; searches write only into copies.
     base = {rid: ReservationTable(rid, human) for rid in ids}
     gap = cfg.min_time_gap_at_conflict
 

@@ -40,6 +40,7 @@ from .orchestrator import (
     _SENSE_VQ_1X2,
     _SENSE_VQ_1X3,
     WAREHOUSE_METHODS,
+    HumanReservations,
     LoopBudget,
     RuleIntentEngine,
     WarehouseInputs,
@@ -86,6 +87,13 @@ _MAX_RETRIES = 64
 # a float; the bundled raw frame is 6,220,800 bytes.
 _MAX_PAYLOAD_BYTES = 10**12
 
+# Each followme codec time (codec_s entries) and slot_s is at most this many
+# seconds, and each throughput_curve point at least _MIN_THROUGHPUT_BPS, so
+# that a frame's CTA, enc + attempts * (bits / throughput + slot_s) + dec, is
+# below 6 * 10^14 s and the squares tail_stats sums over its frames stay finite.
+_MAX_FOLLOWME_S = 10**6
+_MIN_THROUGHPUT_BPS = 1.0
+
 # At most this many frames of a human's forecast (humans[].horizon_frames);
 # every replan reserves each of them. The bundled files use 8 and 16.
 _MAX_HORIZON_FRAMES = 1024
@@ -118,7 +126,7 @@ class Scenario:
     path: Optional[Path] = None
     # (seed, table) of the last seed run, the table being what the kind's
     # ``prepare`` function made of that seed; a copy made by with_overrides
-    # starts empty.
+    # starts empty, as does a warehouse copy's HumanReservations memo.
     _seed_table: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def with_overrides(
@@ -127,6 +135,9 @@ class Scenario:
         methods: Optional[Sequence[str]] = None,
     ) -> "Scenario":
         out = dataclasses.replace(self)
+        if isinstance(self.inputs, WarehouseInputs):
+            human = self.inputs.human
+            out.inputs = self.inputs._replace(human=HumanReservations(human.world, human.tracks, human.objective))
         if seeds is not None:
             out = dataclasses.replace(out, seeds=tuple(seeds))
         if methods is not None:
@@ -458,16 +469,19 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     for (x0, y0, x1, y1), loss in zones:
         gains[y0 : y1 + 1, x0 : x1 + 1] -= loss
     cfg = correct_loop(RuleIntentEngine(), sec["intent_text"], {"robot_ids": sorted(ids)}).config
+    grid = GridWorld(width, height, cell_size_m, frozenset(blocked), frame_period_s, cell_traverse_s)
+    humans = [HumanTrack(*track) for track in tracks]
     return WarehouseInputs(
-        world=GridWorld(width, height, cell_size_m, frozenset(blocked), frame_period_s, cell_traverse_s),
+        world=grid,
         robots=[RobotState(*robot) for robot in zip(ids, starts, goals)],
-        tracks=[HumanTrack(*track) for track in tracks],
+        tracks=humans,
         gain_map=PathGainMap(gains, rho or 0.0, sigma or 0.0),  # no shadowing unless given
         table=table,
         cfg=dataclasses.replace(cfg, ra=dataclasses.replace(cfg.ra, **radio)),
         budget=LoopBudget(**times),
         payloads=payloads,
         max_sim_time_s=max_sim_time_s,
+        human=HumanReservations(grid, humans, cfg.pp.objective),
     )
 
 
@@ -619,8 +633,9 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
     noise = ck.obj(sec.get("noise"), f"{p}.noise", ("rho", "sigma_db"), ("rho", "sigma_db")) or {}
     noise = ck.ar1(noise, f"{p}.noise", "rho", "sigma_db")
     thr = ck.curve(sec, p, "throughput_curve")
-    if thr is not None and any(y <= 0 for _, y in thr):
-        ck.fail(f"{p}.throughput_curve", "throughputs must be positive")
+    for i, (_, y) in enumerate(thr or ()):
+        if y < _MIN_THROUGHPUT_BPS:
+            ck.fail(f"{p}.throughput_curve[{i}]", f"throughput {_echo(y)} must be >= {_MIN_THROUGHPUT_BPS} b/s")
     ber = ck.curve(sec, p, "bit_error_curve")
     if ber is not None and any(not (0.0 < y < 1.0) for _, y in ber):
         ck.fail(f"{p}.bit_error_curve", "bit error probabilities must be in (0, 1)")
@@ -631,9 +646,10 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
             if not (
                 isinstance(pair, (list, tuple))
                 and len(pair) == 2
-                and all(_is_number(c) and c >= 0 for c in pair)
+                and all(_is_number(c) and 0 <= c <= _MAX_FOLLOWME_S for c in pair)
             ):
-                ck.fail(f"{p}.codec_s.{key}", f"{_echo(pair)} must be [encode_s, decode_s]")
+                ck.fail(f"{p}.codec_s.{key}",
+                        f"{_echo(pair)} must be [encode_s, decode_s], each in [0, {_MAX_FOLLOWME_S}]")
     modes = _FOLLOWME_MODE_CONFIGS
     payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes, modes) or {}
     payloads = {key: ck.integer(payloads, f"{p}.payload_bytes", key, lo=1, hi=_MAX_PAYLOAD_BYTES) for key in modes}
@@ -659,7 +675,7 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
     cta_useful_s = ck.num(sec, p, "cta_useful_s", lo=0.0)
     loss_threshold_steps = ck.integer(sec, p, "loss_threshold_steps", lo=0)
     max_attempts = ck.integer(sec, p, "max_attempts", lo=1, hi=_MAX_RETRIES, default=4)
-    slot_s = ck.num(sec, p, "slot_s", lo=0.0, default=0.001)
+    slot_s = ck.num(sec, p, "slot_s", lo=0.0, hi=_MAX_FOLLOWME_S, default=0.001)
     if ck.errors:
         return None
     return FollowmeInputs(

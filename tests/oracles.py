@@ -15,6 +15,10 @@ before its joint search was bounded: ``reference_joint_best_response`` is
 the unpruned breadth-first search, kept to check that the bound changes no
 plan and no error.
 
+``reference_low_level_search`` is the space-time A* as it was before ties
+on f went to the deeper node: first in, first out among equal f-values. It
+is kept to check that the tie-break changes no route and no error.
+
 ``reference_prioritized_plan`` is ``plan``'s prioritized loop as it was
 before solo routes were shared across orderings: every ordering searches
 every robot's solo route again, and one robot is planned by a single
@@ -35,6 +39,7 @@ route one link snapshot at a time, and ``reference_run_policy`` is the
 per-step policy loop over them.
 """
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -54,6 +59,7 @@ from r2xsim.planner import (
     _human_reservations,
     _time_expanded_layers,
     _widen_conflict,
+    default_horizon,
     detect_first_conflict,
     low_level_search,
     makespan,
@@ -563,3 +569,57 @@ def reference_prioritized_plan(world, robots, forecasts, cfg, horizon):
     if best_paths is None:
         raise failure
     return [best_paths[r.id] for r in robots]
+
+
+def reference_low_level_search(world, robot, table=None, horizon=None):
+    """``low_level_search`` with first-in-first-out order among equal
+    f-values: the heap key is ``(f, push order, step, cell)``."""
+    if horizon is None:
+        horizon = default_horizon(world)
+    start, goal = tuple(robot.cell), tuple(robot.goal)
+    if not world.passable(start) or not world.passable(goal):
+        raise PlanningError(f"robot {robot.id}: start {start} or goal {goal} not passable")
+    if table is None:
+        table = ReservationTable(robot.id, {})
+    elif table.robot_id != robot.id:
+        raise ValueError(f"reservation table of robot {table.robot_id} given for robot {robot.id}")
+    cell_blocks, edge_blocks = table.cells, table.edges
+    goal_latest = max(cell_blocks.get(goal, ()), default=-1)
+    if 0 in cell_blocks.get(start, ()):
+        raise PlanningInfeasible(robot.id, horizon)
+    hfield = world.goal_distances(goal)
+    if start not in hfield:
+        raise PlanningInfeasible(robot.id, horizon)
+    moves = world.neighbor_table
+    counter = itertools.count()
+    heap = [(hfield[start], next(counter), 0, start)]
+    parent = {}
+    while heap:
+        _, _, step, cell = heapq.heappop(heap)
+        node = (cell, step)
+        if cell == goal and step > goal_latest:
+            cells = [cell]
+            key = node
+            while key in parent:
+                key = parent[key]
+                cells.append(key[0])
+            cells.reverse()
+            return SpaceTimePath(robot.id, tuple(cells))
+        nstep = step + 1
+        if nstep > horizon:
+            continue
+        for nxt in moves[cell]:
+            child = (nxt, nstep)
+            if child in parent:
+                continue
+            blocked = cell_blocks.get(nxt)
+            if blocked is not None and nstep in blocked:
+                continue
+            if edge_blocks and (cell, nxt, step) in edge_blocks:
+                continue
+            h = hfield.get(nxt)
+            if h is None or nstep + h > horizon:
+                continue
+            parent[child] = node
+            heapq.heappush(heap, (nstep + h, next(counter), nstep, nxt))
+    raise PlanningInfeasible(robot.id, horizon)

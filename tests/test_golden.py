@@ -8,7 +8,10 @@ refactor kept old outputs; comparing with these pins can. The check is
 runs on the first three.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,21 @@ def test_records_match_pinned_digests(name, makespan, pinned, tmp_path):
     for seed in SEEDS:
         lines, problems = check_digests.check_seed(sid, seed, pinned[sid], tmp_path)
         assert lines and not problems, problems
+
+
+@pytest.mark.parametrize("sid", ["warehouse-s3", "warehouse-s3-makespan"])
+def test_parallel_run_matches_pinned_digests(sid, pinned, tmp_path):
+    """Each of two worker processes runs its seeds on a pickled copy of the
+    loaded file, human reservation memo included, and every record line
+    still matches its pin."""
+    from r2xsim.cli import main
+
+    path = check_digests.scenario_file(sid, tmp_path)
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--seeds", "0,1,2", "--parallel", "2", "--out", str(out)]) == 0
+    lines = (out / "results.jsonl").read_bytes().splitlines()
+    assert len(lines) == 4 * len(SEEDS)
+    for line in lines:
+        rec = json.loads(line)
+        assert check_digests.sha256(line) == pinned[sid]["records"][f"{rec['method']}/{rec['seed']}"], rec

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from r2xsim import orchestrator
 from r2xsim.orchestrator import (
+    HumanReservations,
     LoopBudget,
     OrchestratorConfig,
     RuleIntentEngine,
@@ -497,14 +498,16 @@ class TestCorrectLoop:
         assert res.fallback and res.attempts == 2
 
 
-def make_sim(
-    method,
+def make_sim(method, seed=0, **kwargs):
+    return WarehouseSimulation(make_inputs(**kwargs), method, seed)
+
+
+def make_inputs(
     gains=None,
     budget=None,
     robots=None,
     tracks=(),
     world=None,
-    seed=0,
     max_sim_time_s=3600.0,
     weights=None,
 ):
@@ -523,7 +526,7 @@ def make_sim(
         ),
         sense=SenseConfig(),
     )
-    inputs = WarehouseInputs(
+    return WarehouseInputs(
         world=world,
         robots=robots,
         tracks=list(tracks),
@@ -533,8 +536,8 @@ def make_sim(
         budget=budget or LoopBudget(0.1, 0.01, 0.05, 0.1),
         payloads={"raw": 6220800, "semantic_feature": 5160},
         max_sim_time_s=max_sim_time_s,
+        human=HumanReservations(world, tracks, cfg.pp.objective),
     )
-    return WarehouseSimulation(inputs, method, seed)
 
 
 class TestWarehouseSimulation:
@@ -545,6 +548,15 @@ class TestWarehouseSimulation:
             make_sim("lorc_sc_p", gains=np.full((2, 3), -60.0))
         with pytest.raises(ValueError, match="weights"):
             make_sim("lorc_sc_p", weights=(0.5, 0.5))
+        inputs = make_inputs()
+        track = HumanTrack(((2, 0),))
+        for other in (
+            HumanReservations(GridWorld(6, 1, cell_size_m=2.0), inputs.tracks, "makespan"),
+            HumanReservations(inputs.world, [track], "makespan"),
+            HumanReservations(inputs.world, inputs.tracks, "safety_first"),
+        ):
+            with pytest.raises(ValueError, match="memo was made for another"):
+                WarehouseSimulation(inputs._replace(human=other), "lorc_sc_p", 0)
 
     def test_fast_loop_never_stalls(self):
         """5160 B at 3 bps/Hz on 10 MHz: the loop closes in 0.262376 s,

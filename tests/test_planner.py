@@ -1,5 +1,6 @@
 """Prioritized planner: search determinism, reservation tables, conflict handling."""
 
+import heapq
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     forecast_reservations,
     joint_makespan_oracle,
     random_planner_instance,
+    reference_low_level_search,
     reference_makespan_plan,
     reference_prioritized_plan,
 )
@@ -125,6 +127,78 @@ class TestLowLevelSearch:
     def test_default_horizon(self):
         assert default_horizon(world_of(5, 5)) == 40
         assert default_horizon(world_of(12, 9)) == 84
+
+
+def random_search_instance(rng):
+    """One robot on a grid of at most 14x14 with random blocked cells, a
+    reservation table of random cell windows and blocked moves (or none),
+    and a horizon that is often too short; a start or goal is now and then
+    blocked, or the two coincide."""
+    width, height = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    order = rng.permutation(len(cells))
+    n_blocked = int(rng.integers(0, len(cells) // 3 + 1))
+    world = world_of(width, height, [cells[i] for i in order[:n_blocked]])
+    free = [cells[i] for i in order[n_blocked:]]
+    start, goal = (free[int(rng.integers(len(free)))] for _ in range(2))
+    if n_blocked and rng.random() < 0.03:
+        start = cells[order[0]]
+    rid = int(rng.integers(0, 5))
+    robot = RobotState(rid, start, goal)
+    span = width + height
+    if rng.random() < 0.1:
+        return world, robot, None, None
+    table = ReservationTable(rid, {})
+    for _ in range(int(rng.integers(0, 16))):
+        lo = int(rng.integers(0, span))
+        table.block_cell(free[int(rng.integers(len(free)))], lo, lo + int(rng.integers(0, 4)))
+    for _ in range(int(rng.integers(0, 16))):
+        cell = free[int(rng.integers(len(free)))]
+        moves = world.neighbor_table[cell]
+        table.block_move(cell, moves[int(rng.integers(len(moves)))], int(rng.integers(0, span)))
+    horizon = int(rng.integers(0, default_horizon(world) + 1)) if rng.random() < 0.8 else None
+    return world, robot, table, horizon
+
+
+def search_outcome(search):
+    """The searched cells, or the error's type and message."""
+    try:
+        return "ok", search().cells
+    except PlanningError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestDeeperFirstTieBreak:
+    def test_search_matches_first_in_first_out_search(self):
+        """Breaking f-ties toward the deeper node gives the route, or the
+        error, of the first-in-first-out search on every instance."""
+        rng = np.random.default_rng(15)
+        kinds = Counter()
+        for _ in range(3000):
+            world, robot, table, horizon = random_search_instance(rng)
+            got = search_outcome(lambda: low_level_search(world, robot, table, horizon))
+            want = search_outcome(lambda: reference_low_level_search(world, robot, table, horizon))
+            assert got == want, (world, robot, table and (table.cells, table.edges), horizon)
+            kinds[got[0]] += 1
+        assert kinds["ok"] >= 1500 and kinds["PlanningInfeasible"] >= 300 and kinds["PlanningError"] >= 10, kinds
+
+    def test_open_grid_search_pushes_a_few_nodes_per_step(self, monkeypatch):
+        """Corner to corner on an open 100x100 grid every node of the
+        rectangle has the same f; first in, first out pushes nearly all of
+        them, the deeper-first search at most five per step of the route."""
+        pushes = Counter()
+        real = heapq.heappush
+
+        def counted(heap, item):
+            pushes[len(item)] += 1  # 5 fields: low_level_search, 4: the reference
+            real(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", counted)
+        world, robot = world_of(100, 100), RobotState(1, (0, 0), (99, 99))
+        path = low_level_search(world, robot)
+        assert path.arrival_step == 198 and pushes[5] <= 5 * path.arrival_step, pushes
+        assert reference_low_level_search(world, robot) == path
+        assert pushes[4] > 100 * path.arrival_step, pushes
 
 
 class TestReservationTable:

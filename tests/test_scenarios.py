@@ -2,12 +2,15 @@
 
 import contextlib
 import copy
+import dataclasses
 import importlib.util
 import io
 import json
 import math
+import pickle
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import WAREHOUSE_IDS
 from oracles import reference_run_followme
-from r2xsim import scenarios
+from r2xsim import orchestrator, scenarios
 from r2xsim.cli import main
-from r2xsim.planner import PlanConfig
+from r2xsim.orchestrator import HumanReservations
+from r2xsim.planner import PlanConfig, _human_reservations
 from r2xsim.scenarios import (
     FOLLOWME_METHODS,
     Scenario,
@@ -397,7 +402,19 @@ class TestValidation:
             (lambda s: s.update(distance_profile=[[0, 1]]), "at least 2"),
             (lambda s: s.update(total_steps=10**6 + 1), "scenario.followme.total_steps: 1000001 must be <= 1000000"),
             (lambda s: s.update(rssi_curve=[[5.0, -30.0], [2.0, -40.0]]), "strictly increasing"),
-            (lambda s: s.update(throughput_curve=[[-60.0, 0.0], [-30.0, 1e6]]), "throughputs must be positive"),
+            (
+                lambda s: s.update(throughput_curve=[[-60.0, 0.0], [-30.0, 1e6]]),
+                "scenario.followme.throughput_curve[0]: throughput 0.0 must be >= 1.0 b/s",
+            ),
+            (
+                lambda s: s.update(throughput_curve=[[-60.0, 1e6], [-30.0, 0.999]]),
+                "scenario.followme.throughput_curve[1]: throughput 0.999 must be >= 1.0 b/s",
+            ),
+            (lambda s: s.update(slot_s=10**6 + 1), "scenario.followme.slot_s: 1000001 must be <= 1000000"),
+            (
+                lambda s: s["codec_s"].update(jpeg=[0.01, 1e6 + 1]),
+                "scenario.followme.codec_s.jpeg: [0.01, 1000001.0] must be [encode_s, decode_s], each in [0, 1000000]",
+            ),
             (lambda s: s.update(bit_error_curve=[[-60.0, 1.5], [-30.0, 1e-7]]), "must be in (0, 1)"),
             (lambda s: s["codec_s"].update(jpeg=[0.02]), "must be [encode_s, decode_s]"),
             (lambda s: s["payload_bytes"].pop("vq_1x2"), "payload_bytes.vq_1x2: required field missing"),
@@ -632,6 +649,30 @@ class TestValidation:
         else:
             assert code == 0, err
 
+    def test_followme_at_its_bounds_gives_finite_metrics(self):
+        """Every CTA term at its bound (10**12-byte payloads, 64 attempts,
+        10**6 s codec and slot times, a 1 b/s throughput): every frame is
+        delivered, and the CTA metrics are finite, with no numpy warning."""
+        doc = tiny_followme()
+        fm = doc["followme"]
+        fm.update(
+            payload_bytes={mode: 10**12 for mode in FM_MODES},
+            max_attempts=64,
+            codec_s={"jpeg": [1e6, 1e6], "vq": [1e6, 1e6]},
+            slot_s=1e6,
+            throughput_curve=[[-60.0, 1.0], [-30.0, 1.0]],
+            bit_error_curve=[[-60.0, 1e-300], [-30.0, 1e-300]],
+        )
+        assert validate_scenario_dict(doc) == []
+        scn = parse_scenario(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for method in scn.methods:
+                m = run_one(scn, method, 0)["metrics"]
+                assert m["delivered_frames"] == fm["total_steps"]
+                assert all(math.isfinite(v) for v in m.values()), m
+                assert m["cta_p95_s"] >= 8e12
+
     @pytest.mark.parametrize(
         "name,edit,field",
         [
@@ -649,6 +690,11 @@ class TestValidation:
              "scenario.mcs.radio.max_power_dbm"),
             ("warehouse-s1", lambda s: s["gain"].update(shadowing_sigma_db=1e308),
              "scenario.warehouse.gain.shadowing_sigma_db"),
+            ("followme-corridor", lambda s: s["codec_s"].update(jpeg=[1e308, 0.01]),
+             "scenario.followme.codec_s.jpeg"),
+            ("followme-corridor", lambda s: s["throughput_curve"].__setitem__(0, [-58, 1e-300]),
+             "scenario.followme.throughput_curve[0]"),
+            ("followme-corridor", lambda s: s.update(slot_s=1e308), "scenario.followme.slot_s"),
         ],
     )
     def test_overflowing_fields_are_refused_at_load(self, name, edit, field, bundled_dir, tmp_path, capsys):
@@ -916,6 +962,86 @@ class TestSharedInputs:
         scn = parse_scenario(make())
         for method in scn.methods:
             assert run_one(scn, method, 1) == run_one(scn, method, 1) == run_one(parse_scenario(make()), method, 1)
+
+
+def fresh_human_table(inputs, parked, frame):
+    """The world and human reservation table of a replan at ``frame`` with
+    ``parked`` blocked, built afresh."""
+    world = dataclasses.replace(inputs.world, blocked=inputs.world.blocked | parked)
+    ratio = world.frame_period_s / world.cell_traverse_s
+    pairs = [
+        (cell, max(1, math.ceil((abs_frame - frame) * ratio)))
+        for track in inputs.tracks
+        for cell, abs_frame in orchestrator.human_forecast(track, frame)
+    ]
+    return world, _human_reservations(world, pairs, inputs.cfg.pp.objective)
+
+
+def all_records(scn, seeds=(0, 1)):
+    return [run_one(scn, method, seed) for seed in seeds for method in sorted(scn.methods)]
+
+
+class TestHumanReservationMemo:
+    """Every run of a loaded warehouse file reads the humans' reservation
+    tables from one memo on its inputs."""
+
+    @pytest.mark.parametrize("name", WAREHOUSE_IDS)
+    def test_one_load_gives_the_records_of_fresh_loads(self, name, bundled_dir):
+        path = bundled_dir / f"{name}.json"
+        scn = load_scenario(path)
+        for seed in (0, 1):
+            for method in sorted(scn.methods):
+                assert run_one(scn, method, seed) == run_one(load_scenario(path), method, seed)
+        memo = scn.inputs.human
+        assert 0 < len(memo._tables) <= orchestrator._MAX_HUMAN_TABLES
+        # The plans read the shared tables; none of them was changed.
+        for (parked, frame), (world, table) in memo._tables.items():
+            assert (world, table) == fresh_human_table(scn.inputs, parked, frame)
+            assert all(type(steps) is frozenset for steps in table.values())
+
+    def test_each_table_is_built_once(self, bundled_dir, monkeypatch):
+        built = []
+        real = orchestrator._human_reservations
+        monkeypatch.setattr(orchestrator, "_human_reservations", lambda *args: built.append(1) or real(*args))
+        scn = load_scenario(bundled_dir / "warehouse-s3.json")
+        all_records(scn)
+        assert len(built) == len(scn.inputs.human._tables) > 0
+        all_records(scn)
+        assert len(built) == len(scn.inputs.human._tables)
+
+    def test_bounded_memo_gives_the_same_records(self, bundled_dir, monkeypatch):
+        path = bundled_dir / "warehouse-s3.json"
+        want = all_records(load_scenario(path))
+        monkeypatch.setattr(orchestrator, "_MAX_HUMAN_TABLES", 5)
+        monkeypatch.setattr(orchestrator, "_MAX_PARKED_WORLDS", 1)
+        sizes = []
+        real = HumanReservations.at
+
+        def at(memo, parked, frame):
+            found = real(memo, parked, frame)
+            sizes.append((len(memo._tables), len(memo._worlds)))
+            return found
+
+        monkeypatch.setattr(HumanReservations, "at", at)
+        assert all_records(load_scenario(path)) == want
+        assert max(sizes) == (5, 1) and len(sizes) > 100
+
+    def test_memo_survives_pickling(self, bundled_dir):
+        scn = load_scenario(bundled_dir / "warehouse-s1.json")
+        want = all_records(scn)
+        copied = pickle.loads(pickle.dumps(scn))
+        assert len(copied.inputs.human._tables) == len(scn.inputs.human._tables) > 0
+        assert copied.inputs.human.world is copied.inputs.world
+        assert all_records(copied) == want
+
+    def test_with_overrides_copy_starts_empty(self, bundled_dir):
+        scn = load_scenario(bundled_dir / "warehouse-s1.json")
+        all_records(scn, seeds=(0,))
+        filled = len(scn.inputs.human._tables)
+        out = scn.with_overrides(seeds=[0])
+        assert not out.inputs.human._tables and len(scn.inputs.human._tables) == filled > 0
+        assert out.inputs.human.world is out.inputs.world is scn.inputs.world
+        assert all_records(out, seeds=(0,)) == all_records(scn, seeds=(0,))
 
 
 class TestRunOne:
