@@ -28,22 +28,24 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .metrics import run_summary
-from .orchestrator import UnfinishedRun, _echo, _is_number
+from .orchestrator import UnfinishedRun
 from .scenarios import Scenario, ScenarioError, load_scenario, run_one
+from .schema import _MAX_PARALLEL, _Checker, _echo, _is_number
 
 RESULTS_NAME = "results.jsonl"
 SUMMARY_NAME = "summary.csv"
 
 
 def _parse_seed_list(text: str, source: str) -> List[int]:
+    """The seeds of ``--seeds`` or ``R2X_SEED``, under the scenario files' rule."""
     try:
         seeds = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ScenarioError([f"{source}: {_echo(text)} is not a comma-separated integer list"])
-    if not seeds:
-        raise ScenarioError([f"{source}: no seeds given"])
-    if any(s < 0 for s in seeds):
-        raise ScenarioError([f"{source}: seeds must be nonnegative"])
+    ck = _Checker()
+    ck.seeds(seeds, source)
+    if ck.errors:
+        raise ScenarioError(ck.errors)
     return seeds
 
 
@@ -55,8 +57,9 @@ def _run_seed(scn: Scenario, seed: int) -> List[dict]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = load_scenario(args.scenario)
-    if args.parallel < 1:
-        raise ScenarioError([f"--parallel: {args.parallel} must be at least 1"])
+    if not 1 <= args.parallel <= _MAX_PARALLEL:
+        limit = "at least 1" if args.parallel < 1 else f"<= {_MAX_PARALLEL}"
+        raise ScenarioError([f"--parallel: {args.parallel} must be {limit}"])
     seeds: Optional[Sequence[int]] = None
     if args.seeds is not None:
         seeds = _parse_seed_list(args.seeds, "--seeds")
@@ -67,7 +70,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         if args.parallel > 1:
-            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+            # The pool starts all its workers at once: no more than the seeds.
+            with ProcessPoolExecutor(max_workers=min(args.parallel, len(scn.seeds))) as pool:
                 batches = list(pool.map(functools.partial(_run_seed, scn), scn.seeds, chunksize=1))
         else:
             batches = [_run_seed(scn, seed) for seed in scn.seeds]
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seeds", help="comma-separated seed override")
     p_run.add_argument("--methods", help="comma-separated method subset")
-    p_run.add_argument("--parallel", type=int, default=1, help="worker processes (at least 1)")
+    p_run.add_argument("--parallel", type=int, default=1, help=f"worker processes (1 to {_MAX_PARALLEL})")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="rank methods by a metric median")

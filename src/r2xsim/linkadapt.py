@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, bler, sample_trace, serialization_time_s
+from .schema import bounded, check_bounds
 from .world import Cell
 
 POLICY_KINDS = ("oracle", "ideal", "delayed", "predictive")
@@ -35,13 +36,12 @@ class PolicySpec:
     """
 
     kind: str
-    delay: int = 0
+    delay: int = bounded(0, lo=0, integer=True)
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"kind {self.kind!r} not in {POLICY_KINDS}")
-        if self.delay < 0:
-            raise ValueError("delay must be nonnegative")
+        check_bounds(self)
 
 
 @dataclass

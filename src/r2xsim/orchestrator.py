@@ -14,8 +14,6 @@ import dataclasses
 import heapq
 import math
 import re
-import reprlib
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
@@ -44,6 +42,7 @@ from .radio import (
     select_mcs,
     simulate_transmission,
 )
+from .schema import _MAX_ID_DIGITS, _Checker, _echo, _is_number, bounded, check_bounds
 from .sensing import (
     FEATURE_BITS,
     JPEG_QUALITIES,
@@ -70,11 +69,13 @@ class OrchestratorConfig:
 class LoopBudget:
     """Fixed per-loop latency components, in seconds."""
 
-    detection_s: float
-    encode_s: float
-    link_context_s: float
-    orchestration_s: float
-    deadline_s: float = 1.4
+    detection_s: float = bounded(lo=0.0)
+    encode_s: float = bounded(lo=0.0)
+    link_context_s: float = bounded(lo=0.0)
+    orchestration_s: float = bounded(lo=0.0)
+    deadline_s: float = bounded(1.4, lo=0.0)
+
+    __post_init__ = check_bounds
 
     @property
     def total_s(self) -> float:
@@ -118,156 +119,6 @@ def select_sense_mode(rssi_dbm: float) -> SenseConfig:
 # configuration message schema
 
 
-def _is_number(v) -> bool:
-    """A JSON number, not a bool, that converts to a finite float.
-
-    ``json.loads`` accepts ``NaN`` and ``Infinity`` and turns ``1e400`` into
-    ``inf``; the magnitude bound rejects those and integers too large for a float.
-    """
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-# Error lines echo values through _echo, and correct_loop sends them back to the
-# engine as its next prompt; reprlib elides long values without a full repr.
-_ECHO = reprlib.Repr()
-_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
-_ECHO_CHARS = 60
-
-
-def _echo(value) -> str:
-    """``repr(value)``, shortened to at most ``_ECHO_CHARS`` characters."""
-    text = _ECHO.repr(value)
-    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
-
-
-def _is_int_list(value, n: int) -> bool:
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == n
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in value)
-    )
-
-
-# Every dB field that enters an SNR sum (a shadowing sigma, a gain profile,
-# a power, a noise floor or an SNR target) is at most this large in magnitude,
-# so that every sum of them stays finite.
-_MAX_DB = 10**4
-
-
-class _Checker:
-    """Collects every error of a strict JSON document, each as
-    ``"<field path>: <message>"``; used for configuration messages and
-    scenario files."""
-
-    def __init__(self) -> None:
-        self.errors: List[str] = []
-
-    def fail(self, path: str, msg: str) -> None:
-        self.errors.append(f"{path}: {msg}")
-
-    def obj(self, value, path: str, allowed: Sequence[str], required: Sequence[str]) -> Optional[dict]:
-        if not isinstance(value, dict):
-            self.fail(path, "must be an object")
-            return None
-        for key in value:
-            if key not in allowed:
-                self.fail(f"{path}.{str(key)[:_ECHO_CHARS]}", "unknown field")
-        for key in required:
-            if key not in value:
-                self.fail(f"{path}.{key}", "required field missing")
-        return value
-
-    def one_of(self, value, path: str, choices: Sequence):
-        """``value`` when it is one of ``choices``, else None; the error lists
-        the choices in their own order."""
-        if value in choices:
-            return value
-        self.fail(path, f"{_echo(value)} is not one of {tuple(choices)}")
-        return None
-
-    def num(
-        self, d: dict, path: str, key: str, lo: Optional[float] = None, gt: Optional[float] = None,
-        hi: Optional[float] = None, default=None,
-    ):
-        if key not in d:
-            return default
-        v = d[key]
-        if not _is_number(v):
-            self.fail(f"{path}.{key}", f"{_echo(v)} must be a finite number")
-            return default
-        if lo is not None and v < lo:
-            self.fail(f"{path}.{key}", f"{_echo(v)} must be >= {lo}")
-            return default
-        if gt is not None and v <= gt:
-            self.fail(f"{path}.{key}", f"{_echo(v)} must be > {gt}")
-            return default
-        if hi is not None and v > hi:
-            self.fail(f"{path}.{key}", f"{_echo(v)} must be <= {hi}")
-            return default
-        return float(v)
-
-    def integer(
-        self, d: dict, path: str, key: str, lo: Optional[int] = None, hi: Optional[int] = None, default=None
-    ):
-        if key not in d:
-            return default
-        v = d[key]
-        if not isinstance(v, int) or isinstance(v, bool):
-            self.fail(f"{path}.{key}", f"{_echo(v)} must be an integer")
-            return default
-        if lo is not None and v < lo:
-            self.fail(f"{path}.{key}", f"{_echo(v)} must be >= {lo}")
-            return default
-        if hi is not None and v > hi:
-            self.fail(f"{path}.{key}", f"{_echo(v)} must be <= {hi}")
-            return default
-        return v
-
-    def cell(self, value, path: str) -> Optional[Tuple[int, int]]:
-        if _is_int_list(value, 2):
-            return (value[0], value[1])
-        self.fail(path, f"{_echo(value)} must be an [x, y] integer pair")
-        return None
-
-    def rect(self, value, path: str) -> Optional[Tuple[int, int, int, int]]:
-        if _is_int_list(value, 4) and value[0] <= value[2] and value[1] <= value[3]:
-            return (value[0], value[1], value[2], value[3])
-        self.fail(path, f"{_echo(value)} must be [x0, y0, x1, y1] integers with x0 <= x1 and y0 <= y1")
-        return None
-
-    def items(self, d: dict, path: str, key: str) -> list:
-        """The optional list ``d[key]``; empty when it is absent or not a list."""
-        v = d.get(key, [])
-        if not isinstance(v, list):
-            self.fail(f"{path}.{key}", "must be a list")
-            return []
-        return v
-
-    def ar1(self, d: dict, path: str, rho_key: str, sigma_key: str) -> Tuple[Optional[float], Optional[float]]:
-        """An AR(1) shadowing pair: ``rho`` in [0, 1) and ``sigma`` in [0, _MAX_DB]."""
-        rho = self.num(d, path, rho_key)
-        if rho is not None and not 0.0 <= rho < 1.0:
-            self.fail(f"{path}.{rho_key}", f"{_echo(rho)} must be in [0, 1)")
-        return rho, self.num(d, path, sigma_key, lo=0.0, hi=_MAX_DB)
-
-    def curve(self, d: dict, path: str, key: str, min_points: int = 2) -> Optional[List[Tuple[float, float]]]:
-        raw = d.get(key)
-        if not isinstance(raw, list) or len(raw) < min_points:
-            self.fail(f"{path}.{key}", f"must be a list of at least {min_points} [x, y] pairs")
-            return None
-        pts = []
-        for i, p in enumerate(raw):
-            if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(_is_number(c) for c in p):
-                self.fail(f"{path}.{key}[{i}]", f"{_echo(p)} must be an [x, y] finite number pair")
-                return None
-            pts.append((float(p[0]), float(p[1])))
-        xs = [p[0] for p in pts]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            self.fail(f"{path}.{key}", "x values must be strictly increasing")
-            return None
-        return pts
-
-
 def fallback_message(robot_ids: Sequence[int]) -> dict:
     """Conservative configuration used when intent resolution fails."""
     n = max(1, len(robot_ids))
@@ -282,9 +133,6 @@ def fallback_message(robot_ids: Sequence[int]) -> dict:
     }
 
 
-# A robot id has at most this many digits, and no longer digit run is read as
-# a number (here or in intent text), so int() never meets its digit limit.
-_MAX_ID_DIGITS = 18
 _PRIORITY_ROBOT_RE = re.compile(rf"robot_(\d{{1,{_MAX_ID_DIGITS}}})")
 _ROBOT_MENTION_RE = re.compile(rf"robot[\s_]*(\d{{1,{_MAX_ID_DIGITS}}})(?!\d)")
 _GAP_RE = re.compile(rf"gap\s+(\d{{1,{_MAX_ID_DIGITS}}})(?!\d)")
@@ -301,14 +149,10 @@ def validate(
     the conservative single-tile token payload.
     """
     ck = _Checker()
-    if ck.obj(message, "message", ("pp_config", "ra_config", "sense_config"), ()) is None:
+    if ck.obj(message, "message", (), ("pp_config", "ra_config", "sense_config")) is None:
         return None, ck.errors
 
-    pp = ck.obj(
-        message.get("pp_config"), "pp_config",
-        ("objective", "priority_robot", "min_time_gap_at_conflict"),
-        ("priority_robot", "min_time_gap_at_conflict"),
-    )
+    pp = ck.obj(message.get("pp_config"), "pp_config", ("priority_robot", "min_time_gap_at_conflict"), ("objective",))
     if pp is not None:
         objective = ck.one_of(pp.get("objective"), "pp_config.objective", OBJECTIVES)
         raw = pp.get("priority_robot", "none")
@@ -321,9 +165,9 @@ def validate(
             )
         elif m and robot_ids is not None and priority not in robot_ids:
             ck.fail("pp_config.priority_robot", f"robot_{priority} not among robots {sorted(robot_ids)}")
-        gap = ck.integer(pp, "pp_config", "min_time_gap_at_conflict", lo=0)
+        gap = ck.declared(pp, "pp_config", PlanConfig, "min_time_gap_at_conflict")
 
-    ra = ck.obj(message.get("ra_config"), "ra_config", ("fairness", "priority_weights"), ())
+    ra = ck.obj(message.get("ra_config"), "ra_config", (), ("fairness", "priority_weights"))
     if ra is not None:
         fairness = ck.one_of(ra.get("fairness"), "ra_config.fairness", FAIRNESS_MODES)
         weights = ra.get("priority_weights")
@@ -344,8 +188,8 @@ def validate(
         semantic = isinstance(sense_raw, dict) and sense_raw.get("mode") == "semantic_feature"
         s = ck.obj(
             sense_raw, "sense_config",
-            ("mode", "jpeg_quality", "vit_grid", "feature_dim", "feature_bits", "qos"),
             ("feature_dim",) if semantic else (),
+            ("mode", "jpeg_quality", "vit_grid", "feature_dim", "feature_bits", "qos"),
         )
         if s is not None:
             mode = ck.one_of(s.get("mode"), "sense_config.mode", SENSE_MODES)
@@ -362,7 +206,7 @@ def validate(
                     pass  # reported unparsed by one_of
                 kwargs["vit_grid"] = ck.one_of(grid, "sense_config.vit_grid", VIT_GRIDS)
             if mode == "semantic_feature":
-                kwargs["feature_dim"] = ck.integer(s, "sense_config", "feature_dim", lo=1)
+                kwargs["feature_dim"] = ck.num(s, "sense_config", "feature_dim", lo=1, integer=True)
                 bits = s.get("feature_bits")
                 kwargs["feature_bits"] = ck.one_of(bits, "sense_config.feature_bits", FEATURE_BITS)
             if not ck.errors:
@@ -673,6 +517,8 @@ class WarehouseSimulation:
         self.max_sim_time_s = inputs.max_sim_time_s
         self._payload_bytes = int(inputs.payloads["raw" if method == "lorc_p" else "semantic_feature"])
         self._weight_of = dict(zip(ids, cfg.ra.priority_weights))
+        # The plan configuration once the priority robot has arrived.
+        self._pp_without_priority = dataclasses.replace(cfg.pp, priority_robot=None)
 
         # Every robot's first rate is the entry chosen at the target SNR.
         first_rate = self.table.entries[select_mcs(self.table, cfg.ra.target_snr_db).index].rate_bps_per_hz
@@ -792,9 +638,7 @@ class WarehouseSimulation:
             return None
         parked = frozenset(tuple(rt.state.goal) for rt in self.robots.values() if rt.state.status == "arrived")
         world, human = self._human.at(parked, self._frame(plan_time))
-        pp = self.cfg.pp
-        if pp.priority_robot is not None and pp.priority_robot not in active:
-            pp = dataclasses.replace(pp, priority_robot=None)
+        pp = self.cfg.pp if self.cfg.pp.priority_robot in active else self._pp_without_priority
         try:
             paths = plan(world, states, human, pp)
         except PlanningError:

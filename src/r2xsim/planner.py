@@ -57,6 +57,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
+from .schema import bounded, check_bounds
 from .world import Cell, GridWorld, RobotState
 
 OBJECTIVES = ("makespan", "safety_first")
@@ -126,13 +127,12 @@ class Conflict:
 class PlanConfig:
     objective: str = "makespan"
     priority_robot: Optional[int] = None
-    min_time_gap_at_conflict: int = 0
+    min_time_gap_at_conflict: int = bounded(0, lo=0, integer=True)
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} not in {OBJECTIVES}")
-        if int(self.min_time_gap_at_conflict) != self.min_time_gap_at_conflict or self.min_time_gap_at_conflict < 0:
-            raise ValueError("min_time_gap_at_conflict must be a nonnegative integer")
+        check_bounds(self)
 
 
 def default_horizon(world: GridWorld) -> int:

@@ -16,6 +16,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .schema import _MAX_DB, _MAX_RETRIES, bounded, check_bounds
 from .world import Cell
 
 FAIRNESS_MODES = ("max_min", "proportional")
@@ -41,15 +42,11 @@ _MAGNITUDE_BITS = _SIGN_BIT - 1
 @dataclass(frozen=True)
 class McsEntry:
     index: int
-    rate_bps_per_hz: float
+    rate_bps_per_hz: float = bounded(gt=0.0)
     snr_threshold_db: float
-    slope_per_db: float = 1.5
+    slope_per_db: float = bounded(1.5, gt=0.0)  # math.inf for a step curve
 
-    def __post_init__(self):
-        if self.rate_bps_per_hz <= 0:
-            raise ValueError("rate must be positive")
-        if self.slope_per_db <= 0:
-            raise ValueError("slope must be positive (use math.inf for a step curve)")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -58,15 +55,14 @@ class McsTable:
     first use and kept on the instance, outside equality and hashing."""
 
     entries: Tuple[McsEntry, ...]
-    bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ
-    slot_s: float = DEFAULT_SLOT_S
+    bandwidth_hz: float = bounded(DEFAULT_BANDWIDTH_HZ, lo=1.0)
+    slot_s: float = bounded(DEFAULT_SLOT_S, gt=0.0)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError("MCS table needs at least one entry")
-        if self.bandwidth_hz <= 0 or self.slot_s <= 0:
-            raise ValueError("bandwidth_hz and slot_s must be positive")
+        check_bounds(self)
         for i, e in enumerate(self.entries):
             if e.index != i:
                 raise ValueError("entry indices must be 0..n-1 in order")
@@ -109,10 +105,10 @@ def default_mcs_table(bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ, slot_s: float 
 class RadioConfig:
     fairness: str = "max_min"
     priority_weights: Tuple[float, ...] = (0.5, 0.5)
-    target_snr_db: float = 15.0
-    max_power_dbm: float = 23.0
-    max_retx: int = 4
-    noise_dbm: float = DEFAULT_NOISE_DBM
+    target_snr_db: float = bounded(15.0, lo=-_MAX_DB, hi=_MAX_DB)
+    max_power_dbm: float = bounded(23.0, lo=-_MAX_DB, hi=_MAX_DB)
+    max_retx: int = bounded(4, lo=0, hi=_MAX_RETRIES, integer=True)
+    noise_dbm: float = bounded(DEFAULT_NOISE_DBM, lo=-_MAX_DB, hi=_MAX_DB)
 
     def __post_init__(self):
         if self.fairness not in FAIRNESS_MODES:
@@ -123,8 +119,7 @@ class RadioConfig:
             raise ValueError("priority weights must be finite and positive")
         if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"priority weights sum {sum(weights)} != 1 (tolerance {_WEIGHT_SUM_TOL})")
-        if self.max_retx < 0:
-            raise ValueError("max_retx must be nonnegative")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -135,18 +130,15 @@ class PathGainMap:
     """
 
     gains: np.ndarray
-    shadowing_rho: float = 0.0
-    shadowing_sigma_db: float = 0.0
+    shadowing_rho: float = bounded(0.0, lo=0, lt=1)
+    shadowing_sigma_db: float = bounded(0.0, lo=0.0, hi=_MAX_DB)
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=float)
         if g.ndim != 2:
             raise ValueError("gains must be a 2D array")
         object.__setattr__(self, "gains", g)
-        if not 0.0 <= self.shadowing_rho < 1.0:
-            raise ValueError("shadowing_rho must be in [0, 1)")
-        if not self.shadowing_sigma_db >= 0:
-            raise ValueError("shadowing_sigma_db must be nonnegative")
+        check_bounds(self)
 
     @property
     def height(self) -> int:

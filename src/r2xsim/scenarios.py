@@ -32,8 +32,6 @@ import numpy as np
 from .linkadapt import LinkTable, PolicySpec, run_policy
 from .metrics import tail_stats, utfr
 from .orchestrator import (
-    _MAX_DB,
-    _MAX_ID_DIGITS,
     _SENSE_JPEG_Q60,
     _SENSE_JPEG_Q80,
     _SENSE_VQ_1X1,
@@ -45,13 +43,22 @@ from .orchestrator import (
     RuleIntentEngine,
     WarehouseInputs,
     WarehouseSimulation,
-    _Checker,
-    _echo,
-    _is_number,
     correct_loop,
     select_sense_mode,
 )
 from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table
+from .schema import (
+    _MAX_DB,
+    _MAX_FOLLOWME_S,
+    _MAX_ID_DIGITS,
+    _MAX_RETRIES,
+    _MAX_STEPS,
+    _MIN_THROUGHPUT_BPS,
+    _PAYLOAD_BYTES,
+    _Checker,
+    _echo,
+    _is_number,
+)
 from .sensing import SenseConfig
 from .world import GridWorld, HumanTrack, RobotState
 
@@ -70,33 +77,6 @@ FOLLOWME_METHODS = (*_FOLLOWME_MODE_CONFIGS, "orchestrated")
 # Matched whole (fullmatch); groups: policy kind and delay of a delayed method,
 # at most _MAX_ID_DIGITS digits so that int() never meets its digit limit.
 _MCS_METHOD_RE = re.compile(rf"oracle|ideal|(delayed|predictive)_(\d{{1,{_MAX_ID_DIGITS}}})")
-
-# Every per-step series is at most this long: a warehouse run's frames
-# (a robot's shadowing, drawn as a run reads it, at most twice that plus 8),
-# the mcs corridor's steps and cells and the followme frames (built before
-# the first run of a seed). A warehouse world has at most this many cells;
-# the bundled files need at most a few thousand.
-_MAX_STEPS = 10**6
-
-# At most this many retransmissions of one step (radio.max_retx) or attempts
-# at one frame (followme.max_attempts); each attempt is one draw.
-_MAX_RETRIES = 64
-
-# Every payload (warehouse payloads, mcs payload_bytes, followme
-# payload_bytes) is at most this many bytes, so that its bit count converts to
-# a float; the bundled raw frame is 6,220,800 bytes.
-_MAX_PAYLOAD_BYTES = 10**12
-
-# Each followme codec time (codec_s entries) and slot_s is at most this many
-# seconds, and each throughput_curve point at least _MIN_THROUGHPUT_BPS, so
-# that a frame's CTA, enc + attempts * (bits / throughput + slot_s) + dec, is
-# below 6 * 10^14 s and the squares tail_stats sums over its frames stay finite.
-_MAX_FOLLOWME_S = 10**6
-_MIN_THROUGHPUT_BPS = 1.0
-
-# At most this many frames of a human's forecast (humans[].horizon_frames);
-# every replan reserves each of them. The bundled files use 8 and 16.
-_MAX_HORIZON_FRAMES = 1024
 
 SCHEMA_VERSION = 1
 
@@ -141,12 +121,14 @@ class Scenario:
         if seeds is not None:
             out = dataclasses.replace(out, seeds=tuple(seeds))
         if methods is not None:
-            unknown = [m for m in methods if m not in self.methods]
-            if unknown:
-                raise ScenarioError(
-                    [f"methods: {_echo(m)} not offered by scenario {_echo(self.id)} "
-                     f"(available: {list(self.methods)})" for m in unknown]
-                )
+            ck = _Checker()
+            for m in methods:
+                if m not in self.methods:
+                    ck.fail("methods", f"{_echo(m)} not offered by scenario {_echo(self.id)} "
+                            f"(available: {list(self.methods)})")
+            ck.distinct(methods, "methods", "methods")
+            if ck.errors:
+                raise ScenarioError(ck.errors)
             out = dataclasses.replace(out, methods=tuple(methods))
         return out
 
@@ -196,12 +178,7 @@ def parse_scenario(data, path: Optional[Path] = None) -> Scenario:
     """Check a parsed scenario document and build its section's run inputs,
     once; raises ScenarioError with every violation."""
     ck = _Checker()
-    top = ck.obj(
-        data,
-        "scenario",
-        ("schema_version", "id", "kind", "description", "seeds", "methods", *_KINDS),
-        ("schema_version", "id", "kind", "seeds", "methods"),
-    )
+    top = ck.obj(data, "scenario", ("schema_version", "id", "kind", "seeds", "methods"), ("description", *_KINDS))
     if top is None:
         raise ScenarioError(ck.errors)
     version = data.get("schema_version")
@@ -215,14 +192,7 @@ def parse_scenario(data, path: Optional[Path] = None) -> Scenario:
         raise ScenarioError(ck.errors)
     spec = _KINDS[kind]
     seeds = data.get("seeds")
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)
-    ):
-        ck.fail("scenario.seeds", "must be a nonempty list of nonnegative integers")
-    elif len(set(seeds)) != len(seeds):
-        ck.fail("scenario.seeds", "seeds must be distinct")
+    ck.seeds(seeds, "scenario.seeds")
     methods = data.get("methods")
     if not isinstance(methods, list) or not methods or not all(isinstance(m, str) for m in methods):
         ck.fail("scenario.methods", "must be a nonempty list of method names")
@@ -235,6 +205,7 @@ def parse_scenario(data, path: Optional[Path] = None) -> Scenario:
                     "scenario.methods",
                     f"{_echo(m)} must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'",
                 )
+        ck.distinct(methods, "scenario.methods", "methods")
     for other in _KINDS:
         if other != kind and other in data:
             ck.fail(f"scenario.{other}", f"section not allowed for kind {_echo(kind)}")
@@ -245,8 +216,9 @@ def parse_scenario(data, path: Optional[Path] = None) -> Scenario:
     try:
         inputs = globals()[spec.build](ck, section, methods)
     except ValueError as exc:
-        # The model constructors hold the true bounds; a document the
-        # checker accepts must also build.
+        # A safety net: the checker reads the bounds the model constructors
+        # hold, so a document it accepts builds, and if one ever does not,
+        # the error is still reported against the section.
         ck.fail(f"scenario.{kind}", str(exc))
     if ck.errors:
         raise ScenarioError(ck.errors)
@@ -272,27 +244,15 @@ def load_scenario(path) -> Scenario:
 
 
 def _radio(ck: _Checker, sec: dict, path: str) -> Tuple[dict, McsTable]:
-    """A section's optional ``radio`` object: the ``RadioConfig`` fields it
-    sets, and the default MCS table with its bandwidth and slot."""
+    """A section's optional ``radio`` object: its ``RadioConfig`` fields, and
+    the default MCS table with its bandwidth and slot; an absent field takes
+    its declared default."""
     path = f"{path}.radio"
-    robj = None
-    if "radio" in sec:
-        robj = ck.obj(
-            sec["radio"], path,
-            ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm", "bandwidth_hz", "slot_s"),
-            (),
-        )
-    given = {} if robj is None else {
-        "target_snr_db": ck.num(robj, path, "target_snr_db", lo=-_MAX_DB, hi=_MAX_DB),
-        "max_power_dbm": ck.num(robj, path, "max_power_dbm", lo=-_MAX_DB, hi=_MAX_DB),
-        "max_retx": ck.integer(robj, path, "max_retx", lo=0, hi=_MAX_RETRIES),
-        "noise_dbm": ck.num(robj, path, "noise_dbm", lo=-_MAX_DB, hi=_MAX_DB),
-        "bandwidth_hz": ck.num(robj, path, "bandwidth_hz", lo=1.0),
-        "slot_s": ck.num(robj, path, "slot_s", gt=0.0),
-    }
-    given = {key: v for key, v in given.items() if v is not None}
-    table = default_mcs_table(**{key: given.pop(key) for key in ("bandwidth_hz", "slot_s") if key in given})
-    return given, table
+    keys = ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm")
+    robj = ck.obj(sec["radio"], path, (), (*keys, "bandwidth_hz", "slot_s")) if "radio" in sec else {}
+    robj = robj or {}  # not an object: already an error, and read as empty
+    radio = {key: ck.declared(robj, path, RadioConfig, key) for key in keys}
+    return radio, default_mcs_table(*(ck.declared(robj, path, McsTable, key) for key in ("bandwidth_hz", "slot_s")))
 
 
 # --------------------------------------------------------------------------
@@ -304,21 +264,16 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     robots, tracks, gain map, MCS table, resolved configuration and budget."""
     p = "scenario.warehouse"
     sec = ck.obj(
-        sec, p,
-        ("world", "robots", "humans", "gain", "radio", "budget", "payloads",
-         "intent_text", "max_sim_time_s"),
-        ("world", "robots", "gain", "budget", "payloads", "intent_text"),
+        sec, p, ("world", "robots", "gain", "budget", "payloads", "intent_text"), ("humans", "radio", "max_sim_time_s")
     )
     if sec is None:
         return None
     world = ck.obj(
         sec.get("world"), f"{p}.world",
-        ("width", "height", "cell_size_m", "frame_period_s", "cell_traverse_s",
-         "blocked", "blocked_rects"),
-        ("width", "height"),
+        ("width", "height"), ("cell_size_m", "frame_period_s", "cell_traverse_s", "blocked", "blocked_rects"),
     ) or {}  # not an object: already an error, and read as empty
-    width = ck.integer(world, f"{p}.world", "width", lo=1)
-    height = ck.integer(world, f"{p}.world", "height", lo=1)
+    width = ck.declared(world, f"{p}.world", GridWorld, "width")
+    height = ck.declared(world, f"{p}.world", GridWorld, "height")
     # Checked before anything of world size is allocated.
     if width is not None and height is not None and width * height > _MAX_STEPS:
         ck.fail(f"{p}.world", f"{_echo(width)}x{_echo(height)} is more than {_MAX_STEPS} cells")
@@ -331,9 +286,9 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
         """A cell, or both corners of a rect, in a world of known size."""
         return sized and all(0 <= x < width and 0 <= y < height for x, y in (found[:2], found[-2:]))
 
-    cell_size_m = ck.num(world, f"{p}.world", "cell_size_m", gt=0.0, default=2.0)
-    frame_period_s = ck.num(world, f"{p}.world", "frame_period_s", gt=0.0, default=0.5)
-    cell_traverse_s = ck.num(world, f"{p}.world", "cell_traverse_s", gt=0.0, default=1.4)
+    cell_size_m = ck.declared(world, f"{p}.world", GridWorld, "cell_size_m")
+    frame_period_s = ck.declared(world, f"{p}.world", GridWorld, "frame_period_s")
+    cell_traverse_s = ck.declared(world, f"{p}.world", GridWorld, "cell_traverse_s")
     # found[:2] and found[-2:] are a cell itself or a rect's two corners.
     # Both must lie in a world of known size, so that a huge rect is
     # refused before it is expanded into cells.
@@ -361,10 +316,10 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     else:
         for i, raw in enumerate(robots):
             rp = f"{p}.robots[{i}]"
-            robj = ck.obj(raw, rp, ("id", "start", "goal"), ("id", "start", "goal"))
+            robj = ck.obj(raw, rp, ("id", "start", "goal"))
             if robj is None:
                 continue
-            rid = ck.integer(robj, rp, "id", lo=0)
+            rid = ck.num(robj, rp, "id", lo=0, integer=True)
             if rid is not None and rid >= 10**_MAX_ID_DIGITS:
                 ck.fail(f"{rp}.id", f"{_echo(rid)} must have at most {_MAX_ID_DIGITS} digits")
             if rid in seen_ids:
@@ -379,18 +334,16 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
                         ck.fail(f"{rp}.{key}", f"cell {_echo(cell)} is blocked")
                     if sized and not in_world(cell):
                         ck.fail(f"{rp}.{key}", f"cell {_echo(cell)} outside {_echo(width)}x{_echo(height)} world")
-        if len(set(starts)) != len(starts):
-            ck.fail(f"{p}.robots", "robot starts must be distinct")
-        if len(set(goals)) != len(goals):
-            ck.fail(f"{p}.robots", "robot goals must be distinct")
+        ck.distinct(starts, f"{p}.robots", "robot starts")
+        ck.distinct(goals, f"{p}.robots", "robot goals")
 
     tracks = []
     for i, raw in enumerate(ck.items(sec, p, "humans")):
         hp = f"{p}.humans[{i}]"
-        hobj = ck.obj(raw, hp, ("waypoints", "horizon_frames"), ("waypoints",))
+        hobj = ck.obj(raw, hp, ("waypoints",), ("horizon_frames",))
         if hobj is None:
             continue
-        horizon = ck.integer(hobj, hp, "horizon_frames", lo=1, hi=_MAX_HORIZON_FRAMES, default=3)
+        horizon = ck.declared(hobj, hp, HumanTrack, "horizon_frames")
         wps = hobj.get("waypoints")
         if not isinstance(wps, list) or not wps:
             ck.fail(f"{hp}.waypoints", "must be a nonempty list of cells")
@@ -411,21 +364,20 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
 
     gain = ck.obj(
         sec.get("gain"), f"{p}.gain",
-        ("base_gain_db", "ap", "slope_db_per_cell", "dead_zones",
-         "shadowing_rho", "shadowing_sigma_db"),
-        ("base_gain_db", "ap", "slope_db_per_cell"),
+        ("base_gain_db", "ap", "slope_db_per_cell"), ("dead_zones", "shadowing_rho", "shadowing_sigma_db"),
     )
     zones = []
     if gain is not None:
         base_gain = ck.num(gain, f"{p}.gain", "base_gain_db", lo=-_MAX_DB, hi=_MAX_DB)
         slope = ck.num(gain, f"{p}.gain", "slope_db_per_cell", lo=0.0, hi=_MAX_DB)
-        rho, sigma = ck.ar1(gain, f"{p}.gain", "shadowing_rho", "shadowing_sigma_db")
+        rho = ck.declared(gain, f"{p}.gain", PathGainMap, "shadowing_rho")
+        sigma = ck.declared(gain, f"{p}.gain", PathGainMap, "shadowing_sigma_db")
         ap = ck.cell(gain.get("ap"), f"{p}.gain.ap")
         if ap and sized and not in_world(ap):
             ck.fail(f"{p}.gain.ap", f"cell {_echo(ap)} outside {_echo(width)}x{_echo(height)} world")
         for i, raw in enumerate(ck.items(gain, f"{p}.gain", "dead_zones")):
             zp = f"{p}.gain.dead_zones[{i}]"
-            zobj = ck.obj(raw, zp, ("rect", "extra_loss_db"), ("rect", "extra_loss_db"))
+            zobj = ck.obj(raw, zp, ("rect", "extra_loss_db"))
             if zobj is None:
                 continue
             rect = ck.rect(zobj.get("rect"), f"{zp}.rect")
@@ -437,25 +389,18 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
 
     budget = ck.obj(
         sec.get("budget"), f"{p}.budget",
-        ("detection_s", "encode_s", "link_context_s", "orchestration_s", "deadline_s"),
-        ("detection_s", "encode_s", "link_context_s", "orchestration_s"),
+        ("detection_s", "encode_s", "link_context_s", "orchestration_s"), ("deadline_s",),
     ) or {}
-    times = {
-        key: ck.num(budget, f"{p}.budget", key, lo=0.0)
-        for key in ("detection_s", "encode_s", "link_context_s", "orchestration_s")
-    }
-    times["deadline_s"] = ck.num(budget, f"{p}.budget", "deadline_s", lo=0.0, default=cell_traverse_s)
+    times = {key: ck.declared(budget, f"{p}.budget", LoopBudget, key) for key in LoopBudget.__dataclass_fields__}
+    if "deadline_s" not in budget:  # the loop must close within one cell transition
+        times["deadline_s"] = cell_traverse_s
 
-    payloads = ck.obj(sec.get("payloads"), f"{p}.payloads", ("raw", "semantic_feature"),
-                      ("raw", "semantic_feature")) or {}
-    payloads = {
-        key: ck.integer(payloads, f"{p}.payloads", key, lo=1, hi=_MAX_PAYLOAD_BYTES)
-        for key in ("raw", "semantic_feature")
-    }
+    payloads = ck.obj(sec.get("payloads"), f"{p}.payloads", ("raw", "semantic_feature")) or {}
+    payloads = {key: ck.num(payloads, f"{p}.payloads", key, **_PAYLOAD_BYTES) for key in ("raw", "semantic_feature")}
 
     if not isinstance(sec.get("intent_text"), str):
         ck.fail(f"{p}.intent_text", "must be a string")
-    max_sim_time_s = ck.num(sec, p, "max_sim_time_s", lo=1.0, default=3600.0)
+    max_sim_time_s = ck.num(sec, p, "max_sim_time_s", 3600.0, lo=1.0)
     if ck.errors:
         return None
     frames = max_sim_time_s / frame_period_s
@@ -475,7 +420,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
         world=grid,
         robots=[RobotState(*robot) for robot in zip(ids, starts, goals)],
         tracks=humans,
-        gain_map=PathGainMap(gains, rho or 0.0, sigma or 0.0),  # no shadowing unless given
+        gain_map=PathGainMap(gains, rho, sigma),
         table=table,
         cfg=dataclasses.replace(cfg, ra=dataclasses.replace(cfg.ra, **radio)),
         budget=LoopBudget(**times),
@@ -519,33 +464,26 @@ def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
     p = "scenario.mcs"
     sec = ck.obj(
         sec, p,
-        ("steps", "corridor_cells", "gain_profile", "shadowing_rho", "shadowing_sigma_db",
-         "payload_bytes", "bler_target", "radio"),
-        ("steps", "corridor_cells", "gain_profile", "shadowing_rho", "shadowing_sigma_db",
-         "payload_bytes"),
+        ("steps", "corridor_cells", "gain_profile", "shadowing_rho", "shadowing_sigma_db", "payload_bytes"),
+        ("bler_target", "radio"),
     )
     if sec is None:
         return None
-    steps = ck.integer(sec, p, "steps", lo=1, hi=_MAX_STEPS)
+    steps = ck.num(sec, p, "steps", lo=1, hi=_MAX_STEPS, integer=True)
     if steps is not None and isinstance(methods, list):
         for m in methods:
             match = isinstance(m, str) and _MCS_METHOD_RE.fullmatch(m)
             if match and match.group(2) and int(match.group(2)) >= steps:
                 ck.fail(f"{p}.steps", f"{_echo(steps)} must exceed the delay of method {_echo(m)}")
-    n = ck.integer(sec, p, "corridor_cells", lo=2, hi=_MAX_STEPS)
-    prof = ck.obj(
-        sec.get("gain_profile"), f"{p}.gain_profile",
-        ("base_db", "amplitude_db", "period_cells"),
-        ("base_db", "amplitude_db", "period_cells"),
-    ) or {}
+    n = ck.num(sec, p, "corridor_cells", lo=2, hi=_MAX_STEPS, integer=True)
+    prof = ck.obj(sec.get("gain_profile"), f"{p}.gain_profile", ("base_db", "amplitude_db", "period_cells")) or {}
     base = ck.num(prof, f"{p}.gain_profile", "base_db", lo=-_MAX_DB, hi=_MAX_DB)
     amplitude = ck.num(prof, f"{p}.gain_profile", "amplitude_db", lo=0.0, hi=_MAX_DB)
     period = ck.num(prof, f"{p}.gain_profile", "period_cells", lo=1.0)
-    rho, sigma = ck.ar1(sec, p, "shadowing_rho", "shadowing_sigma_db")
-    payload_bytes = ck.integer(sec, p, "payload_bytes", lo=1, hi=_MAX_PAYLOAD_BYTES)
-    target = ck.num(sec, p, "bler_target", default=0.1)
-    if target is not None and not (0.0 < target < 1.0):
-        ck.fail(f"{p}.bler_target", f"{_echo(target)} must be in (0, 1)")
+    rho = ck.declared(sec, p, PathGainMap, "shadowing_rho")
+    sigma = ck.declared(sec, p, PathGainMap, "shadowing_sigma_db")
+    payload_bytes = ck.num(sec, p, "payload_bytes", **_PAYLOAD_BYTES)
+    target = ck.num(sec, p, "bler_target", 0.1, gt=0, lt=1)
     radio, table = _radio(ck, sec, p)
     if ck.errors:
         return None
@@ -619,19 +557,20 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
         sec, p,
         ("total_steps", "frame_period_s", "distance_profile", "rssi_curve", "noise",
          "throughput_curve", "bit_error_curve", "codec_s", "payload_bytes", "perception",
-         "cta_useful_s", "loss_threshold_steps", "max_attempts", "slot_s"),
-        ("total_steps", "frame_period_s", "distance_profile", "rssi_curve", "noise",
-         "throughput_curve", "bit_error_curve", "codec_s", "payload_bytes", "perception",
          "cta_useful_s", "loss_threshold_steps"),
+        ("max_attempts", "slot_s"),
     )
     if sec is None:
         return None
-    total = ck.integer(sec, p, "total_steps", lo=1, hi=_MAX_STEPS)
+    total = ck.num(sec, p, "total_steps", lo=1, hi=_MAX_STEPS, integer=True)
     ck.num(sec, p, "frame_period_s", lo=0.0)
     distance = ck.curve(sec, p, "distance_profile")
     rssi = ck.curve(sec, p, "rssi_curve")
-    noise = ck.obj(sec.get("noise"), f"{p}.noise", ("rho", "sigma_db"), ("rho", "sigma_db")) or {}
-    noise = ck.ar1(noise, f"{p}.noise", "rho", "sigma_db")
+    noise = ck.obj(sec.get("noise"), f"{p}.noise", ("rho", "sigma_db")) or {}
+    noise = (
+        ck.declared(noise, f"{p}.noise", PathGainMap, "shadowing_rho", "rho"),
+        ck.declared(noise, f"{p}.noise", PathGainMap, "shadowing_sigma_db", "sigma_db"),
+    )
     thr = ck.curve(sec, p, "throughput_curve")
     for i, (_, y) in enumerate(thr or ()):
         if y < _MIN_THROUGHPUT_BPS:
@@ -639,7 +578,7 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
     ber = ck.curve(sec, p, "bit_error_curve")
     if ber is not None and any(not (0.0 < y < 1.0) for _, y in ber):
         ck.fail(f"{p}.bit_error_curve", "bit error probabilities must be in (0, 1)")
-    codec = ck.obj(sec.get("codec_s"), f"{p}.codec_s", ("jpeg", "vq"), ("jpeg", "vq"))
+    codec = ck.obj(sec.get("codec_s"), f"{p}.codec_s", ("jpeg", "vq"))
     if codec is not None:
         for key in ("jpeg", "vq"):
             pair = codec.get(key)
@@ -651,12 +590,10 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
                 ck.fail(f"{p}.codec_s.{key}",
                         f"{_echo(pair)} must be [encode_s, decode_s], each in [0, {_MAX_FOLLOWME_S}]")
     modes = _FOLLOWME_MODE_CONFIGS
-    payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes, modes) or {}
-    payloads = {key: ck.integer(payloads, f"{p}.payload_bytes", key, lo=1, hi=_MAX_PAYLOAD_BYTES) for key in modes}
+    payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes) or {}
+    payloads = {key: ck.num(payloads, f"{p}.payload_bytes", key, **_PAYLOAD_BYTES) for key in modes}
     perc = ck.obj(
-        sec.get("perception"), f"{p}.perception",
-        ("lose_prob", "far_lose_prob", "far_distance_m", "reacquire_prob"),
-        ("lose_prob", "far_lose_prob", "far_distance_m", "reacquire_prob"),
+        sec.get("perception"), f"{p}.perception", ("lose_prob", "far_lose_prob", "far_distance_m", "reacquire_prob")
     )
     perception = {}
     if perc is not None:
@@ -664,7 +601,7 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
             ("lose_prob", True), ("far_lose_prob", True),
             ("far_distance_m", False), ("reacquire_prob", True),
         ):
-            table = ck.obj(perc.get(key), f"{p}.perception.{key}", modes, modes)
+            table = ck.obj(perc.get(key), f"{p}.perception.{key}", modes)
             if table is None:
                 continue
             perception[key] = {}
@@ -673,9 +610,9 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
                 if must_prob and v is not None and v > 1.0:
                     ck.fail(f"{p}.perception.{key}.{mode}", f"{_echo(v)} must be in [0, 1]")
     cta_useful_s = ck.num(sec, p, "cta_useful_s", lo=0.0)
-    loss_threshold_steps = ck.integer(sec, p, "loss_threshold_steps", lo=0)
-    max_attempts = ck.integer(sec, p, "max_attempts", lo=1, hi=_MAX_RETRIES, default=4)
-    slot_s = ck.num(sec, p, "slot_s", lo=0.0, hi=_MAX_FOLLOWME_S, default=0.001)
+    loss_threshold_steps = ck.num(sec, p, "loss_threshold_steps", lo=0, integer=True)
+    max_attempts = ck.num(sec, p, "max_attempts", 4, lo=1, hi=_MAX_RETRIES, integer=True)
+    slot_s = ck.num(sec, p, "slot_s", 0.001, lo=0.0, hi=_MAX_FOLLOWME_S)
     if ck.errors:
         return None
     return FollowmeInputs(

@@ -10,6 +10,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .schema import bounded, check_bounds
+
 SENSE_MODES = ("raw", "jpeg", "semantic_feature", "vq")
 JPEG_QUALITIES = (95, 80, 60)
 VIT_GRIDS = ((1, 1), (1, 2), (1, 3))
@@ -69,20 +71,14 @@ class SenseConfig:
 class PayloadParams:
     """Frame geometry and per-mode accounting constants."""
 
-    frame_width: int = 1920
-    frame_height: int = 1080
+    frame_width: int = bounded(1920, lo=1, integer=True)
+    frame_height: int = bounded(1080, lo=1, integer=True)
     jpeg_bytes: Dict[int, int] = field(default_factory=lambda: dict(DEFAULT_JPEG_BYTES))
-    tokens_per_tile: int = 1024
-    codebook_size: int = 8192
-    tile_overhead_bytes: int = 56
+    tokens_per_tile: int = bounded(1024, lo=1, integer=True)
+    codebook_size: int = bounded(8192, lo=1, integer=True)
+    tile_overhead_bytes: int = bounded(56, lo=0, integer=True)
 
-    def __post_init__(self):
-        if self.frame_width < 1 or self.frame_height < 1:
-            raise ValueError("frame dimensions must be positive")
-        if self.tokens_per_tile < 1 or self.codebook_size < 1:
-            raise ValueError("tokens_per_tile and codebook_size must be positive")
-        if self.tile_overhead_bytes < 0:
-            raise ValueError("tile_overhead_bytes must be nonnegative")
+    __post_init__ = check_bounds
 
 
 def index_bits(codebook_size: int) -> int:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Tuple
 
+from .schema import _MAX_HORIZON_FRAMES, bounded, check_bounds
+
 Cell = Tuple[int, int]
 
 ROBOT_STATUSES = ("moving", "arrived")
@@ -31,20 +33,15 @@ class GridWorld:
     part in equality or hashing.
     """
 
-    width: int
-    height: int
-    cell_size_m: float = 2.0
+    width: int = bounded(lo=1, integer=True)
+    height: int = bounded(lo=1, integer=True)
+    cell_size_m: float = bounded(2.0, gt=0.0)
     blocked: frozenset = field(default_factory=frozenset)
-    frame_period_s: float = 0.5
-    cell_traverse_s: float = 1.4
+    frame_period_s: float = bounded(0.5, gt=0.0)
+    cell_traverse_s: float = bounded(1.4, gt=0.0)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid dimensions must be at least 1x1")
-        if self.cell_size_m <= 0:
-            raise ValueError("cell_size_m must be positive")
-        if self.frame_period_s <= 0 or self.cell_traverse_s <= 0:
-            raise ValueError("frame_period_s and cell_traverse_s must be positive")
+        check_bounds(self)
         object.__setattr__(self, "blocked", frozenset(tuple(c) for c in self.blocked))
         for c in self.blocked:
             if not self.in_bounds(c):
@@ -124,15 +121,14 @@ class HumanTrack:
     """
 
     waypoints: Tuple[Cell, ...]
-    horizon_frames: int = 3
+    horizon_frames: int = bounded(3, lo=1, hi=_MAX_HORIZON_FRAMES, integer=True)
 
     def __post_init__(self):
         wps = tuple(tuple(w) for w in self.waypoints)
         object.__setattr__(self, "waypoints", wps)
         if not wps:
             raise ValueError("track needs at least one waypoint")
-        if self.horizon_frames < 1:
-            raise ValueError("horizon_frames must be >= 1")
+        check_bounds(self)
         for a, b in zip(wps, wps[1:]):
             if abs(a[0] - b[0]) + abs(a[1] - b[1]) > 1:
                 raise ValueError(f"waypoints {a} -> {b} are not adjacent or identical")

@@ -159,7 +159,7 @@ class TestRun:
         main(["run", str(followme_file), "--out", str(out)])
         assert [r["seed"] for r in read_results(out)] == [0, 1, 0, 1, 0, 1]
 
-    @pytest.mark.parametrize("flag", ["x,y", "-1", ","])
+    @pytest.mark.parametrize("flag", ["x,y", "-1", ",", "3,3"])
     def test_bad_seed_flag(self, followme_file, tmp_path, capsys, flag):
         code = main(["run", str(followme_file), "--out", str(tmp_path / "o"), "--seeds", flag])
         assert code == 2
@@ -177,10 +177,58 @@ class TestRun:
         assert f"--parallel: {workers} must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_env_seed(self, followme_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("R2X_SEED", "nope")
+    @pytest.mark.parametrize("value", ["nope", "3,3"])
+    def test_bad_env_seed(self, followme_file, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("R2X_SEED", value)
         assert main(["run", str(followme_file), "--out", str(tmp_path / "o")]) == 2
         assert "R2X_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,env,line",
+        [
+            (["--seeds", "3,3"], None, "--seeds: seeds must be distinct"),
+            ([], "3,3", "R2X_SEED: seeds must be distinct"),
+            (["--methods", "vq_1x1,vq_1x1"], None, "methods: methods must be distinct"),
+            (["--parallel", "65"], None, "--parallel: 65 must be <= 64"),
+        ],
+        ids=["seeds-flag", "seeds-env", "methods", "parallel"],
+    )
+    def test_refused_with_one_line_and_no_output(self, followme_file, tmp_path, capsys, monkeypatch, args, env, line):
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        if env is not None:
+            monkeypatch.setenv("R2X_SEED", env)
+        assert main(["run", str(followme_file), "--out", str(tmp_path / "o"), *args]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("parallel,workers", [("2", 2), ("64", 2)])
+    def test_pool_has_at_most_one_worker_per_seed(self, followme_file, tmp_path, monkeypatch, parallel, workers):
+        """The pool starts all its workers at once, so it is sized to the
+        seeds; a fake pool records its size and runs the seeds in process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        serial, pooled = tmp_path / "s", tmp_path / "p"
+        assert main(["run", str(followme_file), "--out", str(serial)]) == 0
+        assert main(["run", str(followme_file), "--out", str(pooled), "--parallel", parallel]) == 0
+        assert sizes == [workers]
+        assert (serial / "results.jsonl").read_bytes() == (pooled / "results.jsonl").read_bytes()
 
     def test_methods_subset(self, followme_file, tmp_path):
         out = tmp_path / "out"

@@ -205,6 +205,7 @@ class TestValidation:
             (lambda d: d.update(seeds=[0, True]), "nonnegative"),
             (lambda d: d.update(methods=[]), "scenario.methods"),
             (lambda d: d.update(methods=["warp"]), "'warp' is not one of"),
+            (lambda d: d.update(methods=["lorc_sc_p", "lorc_sc_p"]), "scenario.methods: methods must be distinct"),
             (lambda d: d.pop("warehouse"), "scenario.warehouse: required section missing"),
             (lambda d: d.update(mcs={}), "section not allowed for kind 'warehouse'"),
         ],

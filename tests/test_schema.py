@@ -1,0 +1,169 @@
+"""Each numeric field bound is declared once, on its model type, and the
+constructor and the document checker read that one declaration."""
+
+import dataclasses
+import importlib
+import math
+import pkgutil
+
+import pytest
+
+import r2xsim
+from r2xsim.linkadapt import PolicySpec
+from r2xsim.orchestrator import LoopBudget, fallback_message, validate
+from r2xsim.planner import PlanConfig
+from r2xsim.radio import McsEntry, McsTable, PathGainMap, RadioConfig
+from r2xsim.scenarios import validate_scenario_dict
+from r2xsim.sensing import PayloadParams
+from r2xsim.world import GridWorld, HumanTrack
+from test_scenarios import tiny_followme, tiny_mcs, tiny_warehouse
+
+
+def declared_bounds():
+    """``(model, field)`` for every field of a package dataclass that
+    declares a bound, read from the declarations themselves."""
+    found = {}
+    for info in pkgutil.iter_modules(r2xsim.__path__):
+        module = importlib.import_module(f"r2xsim.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
+                for f in dataclasses.fields(obj):
+                    if f.metadata:
+                        found[f"{obj.__name__}.{f.name}"] = (obj, f)
+    return [found[key] for key in sorted(found)]
+
+
+BOUNDS = declared_bounds()
+
+# A valid instance of each model with a declared bound, with ``kw`` set.
+VALID = {
+    GridWorld: lambda **kw: GridWorld(**{"width": 4, "height": 1, **kw}),
+    HumanTrack: lambda **kw: HumanTrack([(0, 0)], **kw),
+    McsEntry: lambda **kw: McsEntry(**{"index": 0, "rate_bps_per_hz": 1.0, "snr_threshold_db": 0.0, **kw}),
+    McsTable: lambda **kw: McsTable((McsEntry(0, 1.0, 0.0),), **kw),
+    RadioConfig: RadioConfig,
+    PathGainMap: lambda **kw: PathGainMap([[0.0]], **kw),
+    PolicySpec: lambda **kw: PolicySpec("delayed", **kw),
+    PayloadParams: PayloadParams,
+    PlanConfig: PlanConfig,
+    LoopBudget: lambda **kw: LoopBudget(
+        **{"detection_s": 0.1, "encode_s": 0.1, "link_context_s": 0.1, "orchestration_s": 0.1, **kw}
+    ),
+}
+
+# Models no document sets.
+NO_DOCUMENT = (McsEntry, PolicySpec, PayloadParams)
+
+
+def warehouse_with_human():
+    doc = tiny_warehouse()
+    doc["warehouse"]["humans"] = [{"waypoints": [[1, 0]]}]
+    return doc
+
+
+RADIO = [(tiny_warehouse, ("warehouse", "radio")), (tiny_mcs, ("mcs", "radio"))]
+
+# Where a document sets each field: the document and the path of the object
+# holding it, and the key when it differs from the field name.
+DOCUMENT = {
+    **{(GridWorld, key): [(tiny_warehouse, ("warehouse", "world"))]
+       for key in ("width", "height", "cell_size_m", "frame_period_s", "cell_traverse_s")},
+    (HumanTrack, "horizon_frames"): [(warehouse_with_human, ("warehouse", "humans", 0))],
+    **{(McsTable, key): RADIO for key in ("bandwidth_hz", "slot_s")},
+    **{(RadioConfig, key): RADIO for key in ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm")},
+    (PathGainMap, "shadowing_rho"): [
+        (tiny_warehouse, ("warehouse", "gain")), (tiny_mcs, ("mcs",)), (tiny_followme, ("followme", "noise"), "rho"),
+    ],
+    (PathGainMap, "shadowing_sigma_db"): [
+        (tiny_warehouse, ("warehouse", "gain")), (tiny_mcs, ("mcs",)),
+        (tiny_followme, ("followme", "noise"), "sigma_db"),
+    ],
+    (PlanConfig, "min_time_gap_at_conflict"): [(lambda: fallback_message([1]), ("pp_config",))],
+    **{(LoopBudget, key): [(tiny_warehouse, ("warehouse", "budget"))] for key in LoopBudget.__dataclass_fields__},
+}
+
+
+def limit_points(limits):
+    """``(value, inside)`` on each side of each limit, and NaN."""
+    integer = limits.get("integer", False)
+
+    def step(x, direction):
+        return x + direction if integer else math.nextafter(x, direction * math.inf)
+
+    if "lo" in limits:
+        yield limits["lo"], True
+        yield step(limits["lo"], -1), False
+    if "gt" in limits:
+        yield limits["gt"], False
+        yield step(limits["gt"], 1), True
+    if "hi" in limits:
+        yield limits["hi"], True
+        yield step(limits["hi"], 1), False
+    if "lt" in limits:
+        yield limits["lt"], False
+        yield step(limits["lt"], -1), True
+    yield math.nan, False
+
+
+def constructor_refuses(model, name, value) -> bool:
+    try:
+        VALID[model](**{name: value})
+    except ValueError as exc:
+        assert str(exc).startswith(f"{name} ") and " must be " in str(exc), exc
+        return True
+    return False
+
+
+def document_refuses(make, holder, key, value) -> bool:
+    """Whether the document refuses ``value`` at ``holder.key``; a refusal
+    is a line at that field path."""
+    doc = make()
+    obj = doc
+    for part in holder:
+        obj = obj.setdefault(part, {}) if isinstance(part, str) else obj[part]
+    obj[key] = value
+    path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in (*holder, key))[1:]
+    if "schema_version" in doc:
+        errors, path = validate_scenario_dict(doc), f"scenario.{path}"
+    else:
+        errors = validate(doc)[1]
+    return any(e.startswith(f"{path}: ") for e in errors)
+
+
+def test_every_bounded_model_is_covered():
+    models = {model for model, _ in BOUNDS}
+    assert models == set(VALID)
+    documented = {(model, f.name) for model, f in BOUNDS if model not in NO_DOCUMENT}
+    assert documented == set(DOCUMENT)
+
+
+@pytest.mark.parametrize("model,field", BOUNDS, ids=[f"{m.__name__}.{f.name}" for m, f in BOUNDS])
+def test_constructor_and_document_agree_at_each_limit(model, field):
+    """On each side of each declared limit, and at NaN, the constructor and
+    every document field that sets it both accept or both refuse."""
+    for value, inside in limit_points(field.metadata):
+        refused = constructor_refuses(model, field.name, value)
+        assert refused is not inside, (field.name, value)
+        for make, holder, *key in DOCUMENT.get((model, field.name), ()):
+            key = key[0] if key else field.name
+            assert document_refuses(make, holder, key, value) is refused, (make.__name__, holder, key, value)
+
+
+def test_bound_messages():
+    """The declared bound is named in the document's words, with the
+    declared limit as written."""
+    doc = tiny_mcs()
+    doc["mcs"].update(shadowing_rho=1.0, bler_target=1.5, radio={"slot_s": 0, "bandwidth_hz": 0.5, "max_retx": 65})
+    assert validate_scenario_dict(doc) == [
+        "scenario.mcs.shadowing_rho: 1.0 must be in [0, 1)",
+        "scenario.mcs.bler_target: 1.5 must be in (0, 1)",
+        "scenario.mcs.radio.max_retx: 65 must be <= 64",
+        "scenario.mcs.radio.bandwidth_hz: 0.5 must be >= 1.0",
+        "scenario.mcs.radio.slot_s: 0 must be > 0.0",
+    ]
+    with pytest.raises(ValueError, match=r"^max_retx 100 must be <= 64$"):
+        RadioConfig(max_retx=100)
+    with pytest.raises(ValueError, match=r"^min_time_gap_at_conflict 1\.5 must be an integer$"):
+        PlanConfig(min_time_gap_at_conflict=1.5)
+    with pytest.raises(ValueError, match=r"^shadowing_rho 1\.0 must be in \[0, 1\)$"):
+        PathGainMap([[0.0]], shadowing_rho=1.0)
