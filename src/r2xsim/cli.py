@@ -10,8 +10,10 @@ Subcommands:
 Seed precedence for ``run``: ``--seeds`` beats the ``R2X_SEED`` environment
 variable, which beats the seeds listed in the scenario file.
 
-Exit codes: 0 success, 1 runtime failure, 2 validation failure or a
-warehouse run that did not finish within its ``max_sim_time_s``, named as
+Exit codes: 0 success, 1 runtime failure, 2 validation failure, an
+``--out`` directory that cannot be made or written (``--out: <path>:
+<reason>``, checked before the first run) or a warehouse run that did not
+finish within its ``max_sim_time_s``, named as
 ``scenario.warehouse.max_sim_time_s: method M seed S did not finish ...``.
 """
 
@@ -49,6 +51,12 @@ def _parse_seed_list(text: str, source: str) -> List[int]:
     return seeds
 
 
+def _out_error(path: str, exc: OSError) -> ScenarioError:
+    """``--out: <path>: <reason>`` for an output directory, or a file in it,
+    that cannot be made or written."""
+    return ScenarioError([f"--out: {exc.filename or path}: {exc.strerror or exc}"])
+
+
 def _run_seed(scn: Scenario, seed: int) -> List[dict]:
     """Every method of ``scn`` on one seed, so that the methods share what
     the seed alone determines."""
@@ -67,6 +75,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seeds = _parse_seed_list(os.environ["R2X_SEED"], "R2X_SEED")
     methods = args.methods.split(",") if args.methods is not None else None
     scn = scn.with_overrides(seeds=seeds, methods=methods)
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _out_error(args.out, exc)
 
     try:
         if args.parallel > 1:
@@ -86,22 +99,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         (rec for batch in batches for rec in batch), key=lambda rec: (rec["method"], rec["seed"])
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / RESULTS_NAME
-    with results_path.open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
     summary_path = out_dir / SUMMARY_NAME
     rows = run_summary(records)
-    with summary_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario_id", "method", "metric", "median", "iqr", "n"])
-        for row in rows:
-            writer.writerow(
-                [row["scenario_id"], row["method"], row["metric"],
-                 repr(row["median"]), repr(row["iqr"]), row["n"]]
-            )
+    try:
+        with results_path.open("w") as fh:
+            for record in records:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with summary_path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["scenario_id", "method", "metric", "median", "iqr", "n"])
+            for row in rows:
+                writer.writerow(
+                    [row["scenario_id"], row["method"], row["metric"],
+                     repr(row["median"]), repr(row["iqr"]), row["n"]]
+                )
+    except OSError as exc:
+        raise _out_error(args.out, exc)
     print(f"wrote {len(records)} runs to {results_path} and {summary_path}")
     return 0
 

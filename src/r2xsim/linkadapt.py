@@ -19,8 +19,6 @@ from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, bler, sample_
 from .schema import bounded, check_bounds
 from .world import Cell
 
-POLICY_KINDS = ("oracle", "ideal", "delayed", "predictive")
-
 _MAP_AWARE_MIN_SAMPLES = 8
 
 
@@ -35,13 +33,10 @@ class PolicySpec:
                    is ``delay`` steps old
     """
 
-    kind: str
+    kind: str = bounded(choices=("oracle", "ideal", "delayed", "predictive"))
     delay: int = bounded(0, lo=0, integer=True)
 
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"kind {self.kind!r} not in {POLICY_KINDS}")
-        check_bounds(self)
+    __post_init__ = check_bounds
 
 
 @dataclass

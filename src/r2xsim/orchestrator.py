@@ -21,7 +21,6 @@ import numpy as np
 
 from .metrics import KpiRecord, completion_time
 from .planner import (
-    OBJECTIVES,
     PlanConfig,
     PlanningError,
     SpaceTimePath,
@@ -30,8 +29,6 @@ from .planner import (
     plan,
 )
 from .radio import (
-    _WEIGHT_SUM_TOL,
-    FAIRNESS_MODES,
     HarqStream,
     McsTable,
     PathGainMap,
@@ -41,17 +38,10 @@ from .radio import (
     required_power,
     select_mcs,
     simulate_transmission,
+    weight_errors,
 )
-from .schema import _MAX_ID_DIGITS, _Checker, _echo, _is_number, bounded, check_bounds
-from .sensing import (
-    FEATURE_BITS,
-    JPEG_QUALITIES,
-    QOS_CLASSES,
-    SENSE_MODES,
-    VIT_GRIDS,
-    SenseConfig,
-    parse_vit_grid,
-)
+from .schema import _MAX_ID_DIGITS, _Checker, _echo, bounded, check_bounds
+from .sensing import MODE_FIELDS, SenseConfig, parse_vit_grid
 from .world import Cell, GridWorld, HumanTrack, RobotState, human_forecast
 
 WAREHOUSE_METHODS = ("stop_and_go", "lorc_p", "lorc_sc", "lorc_sc_p")
@@ -146,15 +136,16 @@ def validate(
     Returns ``(config, [])`` on success or ``(None, errors)`` where every
     error names the offending field and the allowed domain. Unknown fields
     are errors at every level. ``sense_config`` is optional and defaults to
-    the conservative single-tile token payload.
+    the conservative single-tile token payload; it sets only the fields its
+    mode reads (``sensing.MODE_FIELDS``).
     """
     ck = _Checker()
     if ck.obj(message, "message", (), ("pp_config", "ra_config", "sense_config")) is None:
         return None, ck.errors
 
-    pp = ck.obj(message.get("pp_config"), "pp_config", ("priority_robot", "min_time_gap_at_conflict"), ("objective",))
+    pp = ck.obj(message.get("pp_config"), "pp_config", ("objective", "priority_robot", "min_time_gap_at_conflict"))
     if pp is not None:
-        objective = ck.one_of(pp.get("objective"), "pp_config.objective", OBJECTIVES)
+        objective = ck.declared(pp, "pp_config", PlanConfig, "objective")
         raw = pp.get("priority_robot", "none")
         m = _PRIORITY_ROBOT_RE.fullmatch(raw) if isinstance(raw, str) else None
         priority = int(m.group(1)) if m else None
@@ -167,50 +158,30 @@ def validate(
             ck.fail("pp_config.priority_robot", f"robot_{priority} not among robots {sorted(robot_ids)}")
         gap = ck.declared(pp, "pp_config", PlanConfig, "min_time_gap_at_conflict")
 
-    ra = ck.obj(message.get("ra_config"), "ra_config", (), ("fairness", "priority_weights"))
+    ra = ck.obj(message.get("ra_config"), "ra_config", ("fairness", "priority_weights"))
     if ra is not None:
-        fairness = ck.one_of(ra.get("fairness"), "ra_config.fairness", FAIRNESS_MODES)
+        fairness = ck.declared(ra, "ra_config", RadioConfig, "fairness")
         weights = ra.get("priority_weights")
-        if not isinstance(weights, (list, tuple)) or not weights or not all(_is_number(w) for w in weights):
-            ck.fail("ra_config.priority_weights", "must be a nonempty list of finite numbers")
-        else:
-            if any(w <= 0 for w in weights):  # a zero-weight robot could never uplink
-                ck.fail("ra_config.priority_weights", "weights must be positive")
-            total = sum(float(w) for w in weights)  # inf, not OverflowError, past the float range
-            if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-                ck.fail("ra_config.priority_weights", f"sum {total:g} != 1 (tolerance {_WEIGHT_SUM_TOL})")
-            if robot_ids is not None and len(weights) != len(robot_ids):
-                ck.fail("ra_config.priority_weights", f"{len(weights)} weights for {len(robot_ids)} robots")
+        if "priority_weights" in ra:
+            for why in weight_errors(weights, None if robot_ids is None else len(robot_ids)):
+                ck.fail("ra_config.priority_weights", why)
 
-    sense_raw = message.get("sense_config")
-    sense = SenseConfig(mode="vq", vit_grid=(1, 1), qos="best_effort")
-    if sense_raw is not None:
-        semantic = isinstance(sense_raw, dict) and sense_raw.get("mode") == "semantic_feature"
-        s = ck.obj(
-            sense_raw, "sense_config",
-            ("feature_dim",) if semantic else (),
-            ("mode", "jpeg_quality", "vit_grid", "feature_dim", "feature_bits", "qos"),
-        )
+    sense = _SENSE_VQ_1X1
+    if "sense_config" in message:
+        s = message["sense_config"]
+        mode = s.get("mode") if isinstance(s, dict) else None
+        own = MODE_FIELDS.get(mode, ()) if isinstance(mode, str) else ()
+        required = [name for name in own if SenseConfig.__dataclass_fields__[name].default is None]
+        s = ck.obj(s, "sense_config", ("mode", *required), ("qos", *own))
         if s is not None:
-            mode = ck.one_of(s.get("mode"), "sense_config.mode", SENSE_MODES)
-            qos = ck.one_of(s.get("qos", "best_effort"), "sense_config.qos", QOS_CLASSES)
-            kwargs = {}
-            if mode == "jpeg":
-                quality = s.get("jpeg_quality")
-                kwargs["jpeg_quality"] = ck.one_of(quality, "sense_config.jpeg_quality", JPEG_QUALITIES)
-            if mode == "vq":
-                grid = s.get("vit_grid", "1x1")
+            if "vit_grid" in s:
                 try:
-                    grid = parse_vit_grid(grid)
+                    s = {**s, "vit_grid": parse_vit_grid(s["vit_grid"])}
                 except (ValueError, TypeError, LookupError, OverflowError):
-                    pass  # reported unparsed by one_of
-                kwargs["vit_grid"] = ck.one_of(grid, "sense_config.vit_grid", VIT_GRIDS)
-            if mode == "semantic_feature":
-                kwargs["feature_dim"] = ck.num(s, "sense_config", "feature_dim", lo=1, integer=True)
-                bits = s.get("feature_bits")
-                kwargs["feature_bits"] = ck.one_of(bits, "sense_config.feature_bits", FEATURE_BITS)
+                    pass  # reported unparsed
+            fields = {name: ck.declared(s, "sense_config", SenseConfig, name) for name in ("mode", "qos", *own)}
             if not ck.errors:
-                sense = SenseConfig(mode=mode, qos=qos, **kwargs)
+                sense = SenseConfig(**fields)
 
     if ck.errors:
         return None, ck.errors

@@ -57,10 +57,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .schema import bounded, check_bounds
+from .schema import _MAX_ID_DIGITS, bounded, check_bounds
 from .world import Cell, GridWorld, RobotState
-
-OBJECTIVES = ("makespan", "safety_first")
 
 # The exact-makespan joint refinement for two robots is only attempted on
 # grids up to this many cells; above it the prioritized loop alone is used.
@@ -125,14 +123,11 @@ class Conflict:
 
 @dataclass(frozen=True)
 class PlanConfig:
-    objective: str = "makespan"
-    priority_robot: Optional[int] = None
+    objective: str = bounded("makespan", choices=("makespan", "safety_first"))
+    priority_robot: Optional[int] = bounded(None, lo=0, hi=10**_MAX_ID_DIGITS - 1, integer=True)
     min_time_gap_at_conflict: int = bounded(0, lo=0, integer=True)
 
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective {self.objective!r} not in {OBJECTIVES}")
-        check_bounds(self)
+    __post_init__ = check_bounds
 
 
 def default_horizon(world: GridWorld) -> int:

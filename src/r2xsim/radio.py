@@ -12,14 +12,12 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schema import _MAX_DB, _MAX_RETRIES, bounded, check_bounds
+from .schema import _BLER_TARGET, _MAX_DB, _MAX_RETRIES, _echo, _is_number, bounded, check_bounds, check_value
 from .world import Cell
-
-FAIRNESS_MODES = ("max_min", "proportional")
 
 DEFAULT_NOISE_DBM = -100.0
 DEFAULT_BANDWIDTH_HZ = 10e6
@@ -82,10 +80,9 @@ class McsTable:
         bler_target`` (NaN when no float qualifies), computed once per
         target. ``bler`` is nonincreasing in the SNR, so ``bler(e, x) <=
         bler_target`` exactly when ``x >= cutoffs[e]``."""
-        if not 0.0 < bler_target < 1.0:
-            raise ValueError("bler_target must be in (0, 1)")
         cut = self._cutoffs.get(bler_target)
         if cut is None:
+            check_value("bler_target", bler_target, _BLER_TARGET)
             cut = self._cutoffs[bler_target] = tuple(_cutoff(e, bler_target) for e in self.entries)
         return cut
 
@@ -101,9 +98,26 @@ def default_mcs_table(bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ, slot_s: float 
     return McsTable(entries, bandwidth_hz, slot_s)
 
 
+def weight_errors(weights, robots: Optional[int] = None) -> List[str]:
+    """How ``weights`` break the priority-weight rule: a nonempty list of
+    finite positive numbers summing to 1 within ``_WEIGHT_SUM_TOL``, one per
+    robot when ``robots`` is given. Empty when they keep it."""
+    if not isinstance(weights, (list, tuple)) or not weights or not all(_is_number(w) for w in weights):
+        return ["must be a nonempty list of finite numbers"]
+    errors = []
+    if any(w <= 0 for w in weights):  # a zero-weight robot could never uplink
+        errors.append("weights must be positive")
+    total = sum(float(w) for w in weights)  # inf, not OverflowError, past the float range
+    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        errors.append(f"sum {total:g} != 1 (tolerance {_WEIGHT_SUM_TOL})")
+    if robots is not None and len(weights) != robots:
+        errors.append(f"{len(weights)} weights for {robots} robots")
+    return errors
+
+
 @dataclass(frozen=True)
 class RadioConfig:
-    fairness: str = "max_min"
+    fairness: str = bounded("max_min", choices=("max_min", "proportional"))
     priority_weights: Tuple[float, ...] = (0.5, 0.5)
     target_snr_db: float = bounded(15.0, lo=-_MAX_DB, hi=_MAX_DB)
     max_power_dbm: float = bounded(23.0, lo=-_MAX_DB, hi=_MAX_DB)
@@ -111,15 +125,11 @@ class RadioConfig:
     noise_dbm: float = bounded(DEFAULT_NOISE_DBM, lo=-_MAX_DB, hi=_MAX_DB)
 
     def __post_init__(self):
-        if self.fairness not in FAIRNESS_MODES:
-            raise ValueError(f"fairness {self.fairness!r} not in {FAIRNESS_MODES}")
-        weights = tuple(float(w) for w in self.priority_weights)
-        object.__setattr__(self, "priority_weights", weights)
-        if not all(math.isfinite(w) and w > 0 for w in weights):
-            raise ValueError("priority weights must be finite and positive")
-        if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"priority weights sum {sum(weights)} != 1 (tolerance {_WEIGHT_SUM_TOL})")
         check_bounds(self)
+        errors = weight_errors(self.priority_weights)
+        if errors:
+            raise ValueError(f"priority_weights {_echo(self.priority_weights)}: {errors[0]}")
+        object.__setattr__(self, "priority_weights", tuple(float(w) for w in self.priority_weights))
 
 
 @dataclass(frozen=True)

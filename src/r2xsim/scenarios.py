@@ -48,6 +48,7 @@ from .orchestrator import (
 )
 from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table
 from .schema import (
+    _BLER_TARGET,
     _MAX_DB,
     _MAX_FOLLOWME_S,
     _MAX_ID_DIGITS,
@@ -483,7 +484,7 @@ def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
     rho = ck.declared(sec, p, PathGainMap, "shadowing_rho")
     sigma = ck.declared(sec, p, PathGainMap, "shadowing_sigma_db")
     payload_bytes = ck.num(sec, p, "payload_bytes", **_PAYLOAD_BYTES)
-    target = ck.num(sec, p, "bler_target", 0.1, gt=0, lt=1)
+    target = ck.num(sec, p, "bler_target", 0.1, **_BLER_TARGET)
     radio, table = _radio(ck, sec, p)
     if ck.errors:
         return None

@@ -1,9 +1,9 @@
 """Field bounds, document limits and the strict-document checker.
 
-Each numeric bound is declared once, with ``bounded``, on the model field it
-bounds, with the default a document may omit. ``check_bounds`` holds it in
-the constructor and ``_Checker.declared`` at a document's field path, in the
-same words.
+Each bound or set of choices is declared once, with ``bounded``, on the model
+field it limits, with the default a document may omit. ``check_bounds`` holds
+it in the constructor and ``_Checker.declared`` at a document's field path, in
+the same words.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ _MAX_RETRIES = 64
 _MAX_PAYLOAD_BYTES = 10**12
 _PAYLOAD_BYTES = dict(lo=1, hi=_MAX_PAYLOAD_BYTES, integer=True)
 
+# A BLER target (mcs bler_target, McsTable.cutoffs) is a probability strictly
+# between 0 and 1.
+_BLER_TARGET = dict(gt=0, lt=1)
+
 # Each followme codec time (codec_s entries) and slot_s is at most this many
 # seconds, and each throughput_curve point at least _MIN_THROUGHPUT_BPS, so
 # that a frame's CTA, enc + attempts * (bits / throughput + slot_s) + dec, is
@@ -58,7 +62,8 @@ _MAX_PARALLEL = 64
 
 def bounded(default=MISSING, **limits):
     """A dataclass field, with ``default``, whose value keeps ``limits``:
-    ``lo`` (>=), ``gt`` (>), ``hi`` (<=), ``lt`` (<) and ``integer``."""
+    ``lo`` (>=), ``gt`` (>), ``hi`` (<=), ``lt`` (<), ``integer`` or
+    ``choices``. A field whose default is None may also be None."""
     return field(default=default, metadata=limits)
 
 
@@ -67,32 +72,41 @@ def _is_integer(v) -> bool:
     return type(v) is int or isinstance(v, Integral) and not isinstance(v, bool)
 
 
-def _broken(v, lo=None, gt=None, hi=None, lt=None, integer=False) -> Optional[str]:
-    """How ``v`` breaks the limits, as the end of "<value> must be ..."; None
-    when it keeps them. NaN breaks every limit. A bound with ``lt`` is named
-    whole, as an interval."""
+def _broken(v, lo=None, gt=None, hi=None, lt=None, integer=False, choices=None) -> Optional[str]:
+    """How ``v`` breaks the limits, as the end of "<value> ..."; None when it
+    keeps them. NaN breaks every limit. A bound with ``lt`` is named whole,
+    as an interval."""
+    if choices is not None:
+        return None if v in choices else f"is not one of {tuple(choices)}"
     if integer and not _is_integer(v):
-        return "an integer"
+        return "must be an integer"
     if lt is not None and not (v < lt and (lo is None or v >= lo) and (gt is None or v > gt)):
-        return f"in [{lo}, {lt})" if gt is None else f"in ({gt}, {lt})"
+        return f"must be in [{lo}, {lt})" if gt is None else f"must be in ({gt}, {lt})"
     if lo is not None and not v >= lo:
-        return f">= {lo}"
+        return f"must be >= {lo}"
     if gt is not None and not v > gt:
-        return f"> {gt}"
+        return f"must be > {gt}"
     if hi is not None and not v <= hi:
-        return f"<= {hi}"
+        return f"must be <= {hi}"
     return None
 
 
+def check_value(name: str, v, limits: dict) -> None:
+    """Raise ValueError, as ``<name> <value> must be ...``, when ``v`` breaks
+    ``limits``."""
+    why = _broken(v, **limits)
+    if why is not None:
+        raise ValueError(f"{name} {_echo(v)} {why}")
+
+
 def check_bounds(obj) -> None:
-    """Raise ValueError, as ``<field> <value> must be ...``, for the first
-    field of the dataclass ``obj`` outside its declared bound."""
+    """``check_value`` on each field of the dataclass ``obj`` that declares
+    limits, in order; None passes where the declared default is None."""
     for f in type(obj).__dataclass_fields__.values():
         if f.metadata:
             v = getattr(obj, f.name)
-            why = _broken(v, **f.metadata)
-            if why is not None:
-                raise ValueError(f"{f.name} {_echo(v)} must be {why}")
+            if v is not None or f.default is not None:
+                check_value(f.name, v, f.metadata)
 
 
 def _is_number(v) -> bool:
@@ -149,9 +163,10 @@ class _Checker:
     def one_of(self, value, path: str, choices: Sequence):
         """``value`` when it is one of ``choices``, else None; the error lists
         the choices in their own order."""
-        if value in choices:
+        why = _broken(value, choices=choices)
+        if why is None:
             return value
-        self.fail(path, f"{_echo(value)} is not one of {tuple(choices)}")
+        self.fail(path, f"{_echo(value)} {why}")
         return None
 
     def distinct(self, values: list, path: str, what: str) -> None:
@@ -166,21 +181,22 @@ class _Checker:
             self.distinct(value, path, "seeds")
 
     def num(self, d: dict, path: str, key: str, default=None, **limits):
-        """``d[key]`` when it is a finite number (an integer, with ``integer``)
-        that keeps ``limits``; ``default`` when it is absent or fails."""
+        """``d[key]`` when it keeps ``limits``, and is a finite number unless
+        they are ``integer`` or ``choices``; ``default`` when it is absent or
+        fails."""
         if key not in d:
             return default
         v = d[key]
-        integer = limits.get("integer", False)
-        why = _broken(v, **limits) if integer or _is_number(v) else "a finite number"
+        exact = limits.get("integer", False) or "choices" in limits
+        why = _broken(v, **limits) if exact or _is_number(v) else "must be a finite number"
         if why is not None:
-            self.fail(f"{path}.{key}", f"{_echo(v)} must be {why}")
+            self.fail(f"{path}.{key}", f"{_echo(v)} {why}")
             return default
-        return v if integer else float(v)
+        return v if exact else float(v)
 
     def declared(self, d: dict, path: str, model, name: str, key: Optional[str] = None):
-        """``d[key]`` (``key`` defaults to ``name``) under the bound declared on
-        the dataclass field ``model.name``; absent, the field's default."""
+        """``d[key]`` (``key`` defaults to ``name``) under the limits declared
+        on the dataclass field ``model.name``; absent, the field's default."""
         f = model.__dataclass_fields__[name]
         return self.num(d, path, key or name, None if f.default is MISSING else f.default, **f.metadata)
 

@@ -10,20 +10,24 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schema import bounded, check_bounds
+from .schema import bounded, check_bounds, check_value
 
-SENSE_MODES = ("raw", "jpeg", "semantic_feature", "vq")
-JPEG_QUALITIES = (95, 80, 60)
-VIT_GRIDS = ((1, 1), (1, 2), (1, 3))
-FEATURE_BITS = (4, 8, 16, 32)
-QOS_CLASSES = ("reliable", "best_effort")
+# The fields each sensing mode reads besides mode and qos. A configuration
+# message sets only these, and must set each whose default is None.
+MODE_FIELDS = {
+    "raw": (),
+    "jpeg": ("jpeg_quality",),
+    "semantic_feature": ("feature_dim", "feature_bits"),
+    "vq": ("vit_grid",),
+}
 
 # Measured single-frame JPEG sizes for a 256x256 preview stream, in bytes.
 DEFAULT_JPEG_BYTES: Dict[int, int] = {95: 80000, 80: 33380, 60: 22280}
 
 
 def parse_vit_grid(value) -> Tuple[int, int]:
-    """Accept ``(a, b)`` pairs or ``"axb"`` strings like ``"1x3"``."""
+    """A message's ``vit_grid``: an ``(a, b)`` pair or an ``"axb"`` string
+    like ``"1x3"``."""
     if isinstance(value, str):
         parts = value.lower().split("x")
         if len(parts) != 2:
@@ -40,31 +44,18 @@ def parse_vit_grid(value) -> Tuple[int, int]:
 class SenseConfig:
     """What the robot uplinks per frame and with which delivery class."""
 
-    mode: str = "vq"
-    jpeg_quality: Optional[int] = None
-    vit_grid: Optional[Tuple[int, int]] = (1, 1)
-    feature_dim: Optional[int] = None
-    feature_bits: Optional[int] = None
-    qos: str = "best_effort"
+    mode: str = bounded("vq", choices=tuple(MODE_FIELDS))
+    jpeg_quality: Optional[int] = bounded(None, choices=(95, 80, 60))
+    vit_grid: Tuple[int, int] = bounded((1, 1), choices=((1, 1), (1, 2), (1, 3)))
+    feature_dim: Optional[int] = bounded(None, lo=1, integer=True)
+    feature_bits: Optional[int] = bounded(None, choices=(4, 8, 16, 32))
+    qos: str = bounded("best_effort", choices=("reliable", "best_effort"))
 
     def __post_init__(self):
-        if self.mode not in SENSE_MODES:
-            raise ValueError(f"mode {self.mode!r} not in {SENSE_MODES}")
-        if self.qos not in QOS_CLASSES:
-            raise ValueError(f"qos {self.qos!r} not in {QOS_CLASSES}")
-        if self.mode == "jpeg":
-            if self.jpeg_quality not in JPEG_QUALITIES:
-                raise ValueError(f"jpeg_quality {self.jpeg_quality!r} not in {JPEG_QUALITIES}")
-        if self.mode == "vq":
-            grid = parse_vit_grid(self.vit_grid)
-            object.__setattr__(self, "vit_grid", grid)
-            if grid not in VIT_GRIDS:
-                raise ValueError(f"vit_grid {grid} not in {VIT_GRIDS}")
-        if self.mode == "semantic_feature":
-            if self.feature_dim is None or self.feature_dim < 1:
-                raise ValueError("semantic_feature mode needs feature_dim >= 1")
-            if self.feature_bits not in FEATURE_BITS:
-                raise ValueError(f"feature_bits {self.feature_bits!r} not in {FEATURE_BITS}")
+        check_bounds(self)
+        for name in MODE_FIELDS[self.mode]:  # the mode reads them: None fails
+            if getattr(self, name) is None:
+                check_value(name, None, self.__dataclass_fields__[name].metadata)
 
 
 @dataclass(frozen=True)

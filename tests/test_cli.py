@@ -1,7 +1,9 @@
 """The run / compare / validate command line, exercised in process."""
 
 import csv
+import errno
 import json
+import os
 
 import pytest
 
@@ -203,6 +205,27 @@ class TestRun:
         assert main(["run", str(followme_file), "--out", str(tmp_path / "o"), *args]) == 2
         assert capsys.readouterr().err.splitlines() == [line]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "out,errno_", [("file", errno.EEXIST), ("file/sub", errno.ENOTDIR)], ids=["is-a-file", "under-a-file"]
+    )
+    def test_out_that_cannot_be_a_directory_is_refused_before_any_run(
+        self, followme_file, tmp_path, capsys, monkeypatch, out, errno_
+    ):
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_one", no_run)
+        (tmp_path / "file").write_text("")
+        path = tmp_path / out
+        assert main(["run", str(followme_file), "--out", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"--out: {path}: {os.strerror(errno_)}"]
+
+    def test_out_file_that_cannot_be_written(self, followme_file, tmp_path, capsys):
+        (tmp_path / "o" / "results.jsonl").mkdir(parents=True)
+        assert main(["run", str(followme_file), "--out", str(tmp_path / "o")]) == 2
+        line = f"--out: {tmp_path / 'o' / 'results.jsonl'}: {os.strerror(errno.EISDIR)}"
+        assert capsys.readouterr().err.splitlines() == [line]
 
     @pytest.mark.parametrize("parallel,workers", [("2", 2), ("64", 2)])
     def test_pool_has_at_most_one_worker_per_seed(self, followme_file, tmp_path, monkeypatch, parallel, workers):

@@ -174,6 +174,10 @@ class TestValidate:
                 "at most 18 digits",
             ),
             (lambda m: m["ra_config"].update(priority_weights=[1 << 1023] * 3), "sum inf != 1"),
+            (lambda m: m["pp_config"].pop("objective"), "pp_config.objective: required field missing"),
+            (lambda m: m["ra_config"].pop("fairness"), "ra_config.fairness: required field missing"),
+            (lambda m: m["ra_config"].pop("priority_weights"), "ra_config.priority_weights: required field missing"),
+            (lambda m: m.update(sense_config=None), "sense_config: must be an object"),
         ],
     )
     def test_error_catalogue(self, mutate, needle):
@@ -200,6 +204,13 @@ class TestValidate:
             ),
             ({"mode": "vq", "vit_grid": [1.0]}, "sense_config.vit_grid: [1.0] is not one of"),
             ({"mode": "vq", "vit_grid": [math.inf, 1]}, "sense_config.vit_grid: [inf, 1] is not one of"),
+            ({"mode": "raw", "vit_grid": "9x9", "feature_bits": 3}, "sense_config.vit_grid: unknown field"),
+            ({"mode": "raw", "vit_grid": "9x9", "feature_bits": 3}, "sense_config.feature_bits: unknown field"),
+            ({"mode": "jpeg", "jpeg_quality": 80, "feature_dim": -5}, "sense_config.feature_dim: unknown field"),
+            ({"qos": "reliable"}, "sense_config.mode: required field missing"),
+            ({"mode": "jpeg"}, "sense_config.jpeg_quality: required field missing"),
+            ({"mode": "semantic_feature", "feature_dim": 64}, "sense_config.feature_bits: required field missing"),
+            ({"mode": []}, "sense_config.mode: [] is not one of"),
         ],
     )
     def test_sense_errors(self, sense, needle):
@@ -220,6 +231,15 @@ class TestValidate:
         msg["sense_config"] = {"mode": "vq", "vit_grid": "1x3"}
         cfg, errors = validate(msg, (1, 2))
         assert errors == [] and cfg.sense.vit_grid == (1, 3)
+        msg["sense_config"] = {"mode": "vq", "vit_grid": [1, 2]}
+        cfg, errors = validate(msg, (1, 2))
+        assert errors == [] and cfg.sense.vit_grid == (1, 2)
+        msg["sense_config"] = {"mode": "vq"}
+        cfg, errors = validate(msg, (1, 2))
+        assert errors == [] and cfg.sense.vit_grid == (1, 1)
+        msg["sense_config"] = {"mode": "raw", "qos": "reliable"}
+        cfg, errors = validate(msg, (1, 2))
+        assert errors == [] and cfg.sense == SenseConfig(mode="raw", qos="reliable")
 
     @pytest.mark.parametrize(
         "mutate",
@@ -258,6 +278,7 @@ class TestValidate:
     @settings(max_examples=250, deadline=None)
     @example(message={"pp_config": {"priority_robot": "robot_" + "7" * 5000}})
     @example(message={"ra_config": {"priority_weights": [1 << 1023, 1 << 1023]}})
+    @example(message={"sense_config": {"mode": []}})
     def test_any_json_value_gives_errors_or_config(self, message):
         for robot_ids in ((1, 2), None):
             cfg, errors = validate(message, robot_ids)

@@ -1,10 +1,11 @@
-"""Each numeric field bound is declared once, on its model type, and the
-constructor and the document checker read that one declaration."""
+"""Each field bound and set of choices is declared once, on its model type,
+and the constructor and the document checker read that one declaration."""
 
 import dataclasses
 import importlib
 import math
 import pkgutil
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 
@@ -14,14 +15,14 @@ from r2xsim.orchestrator import LoopBudget, fallback_message, validate
 from r2xsim.planner import PlanConfig
 from r2xsim.radio import McsEntry, McsTable, PathGainMap, RadioConfig
 from r2xsim.scenarios import validate_scenario_dict
-from r2xsim.sensing import PayloadParams
+from r2xsim.sensing import MODE_FIELDS, PayloadParams, SenseConfig
 from r2xsim.world import GridWorld, HumanTrack
 from test_scenarios import tiny_followme, tiny_mcs, tiny_warehouse
 
 
 def declared_bounds():
     """``(model, field)`` for every field of a package dataclass that
-    declares a bound, read from the declarations themselves."""
+    declares a bound or choices, read from the declarations themselves."""
     found = {}
     for info in pkgutil.iter_modules(r2xsim.__path__):
         module = importlib.import_module(f"r2xsim.{info.name}")
@@ -43,12 +44,14 @@ VALID = {
     McsTable: lambda **kw: McsTable((McsEntry(0, 1.0, 0.0),), **kw),
     RadioConfig: RadioConfig,
     PathGainMap: lambda **kw: PathGainMap([[0.0]], **kw),
-    PolicySpec: lambda **kw: PolicySpec("delayed", **kw),
+    PolicySpec: lambda **kw: PolicySpec(**{"kind": "delayed", **kw}),
     PayloadParams: PayloadParams,
     PlanConfig: PlanConfig,
     LoopBudget: lambda **kw: LoopBudget(
         **{"detection_s": 0.1, "encode_s": 0.1, "link_context_s": 0.1, "orchestration_s": 0.1, **kw}
     ),
+    # Every mode's own fields set, so that each mode constructs.
+    SenseConfig: lambda **kw: SenseConfig(**{"jpeg_quality": 80, "feature_dim": 64, "feature_bits": 8, **kw}),
 }
 
 # Models no document sets.
@@ -63,8 +66,35 @@ def warehouse_with_human():
 
 RADIO = [(tiny_warehouse, ("warehouse", "radio")), (tiny_mcs, ("mcs", "radio"))]
 
-# Where a document sets each field: the document and the path of the object
-# holding it, and the key when it differs from the field name.
+# A valid sense_config of each mode, with each field the mode reads.
+SENSE_EXAMPLE = {
+    "raw": {},
+    "jpeg": {"jpeg_quality": 80},
+    "semantic_feature": {"feature_dim": 64, "feature_bits": 8},
+    "vq": {"vit_grid": "1x2"},
+}
+
+
+def message(mode="vq"):
+    msg = fallback_message([1])
+    msg["sense_config"] = {"mode": mode, **SENSE_EXAMPLE[mode]}
+    return msg
+
+
+def sense_of(mode):
+    return [(lambda: message(mode), ("sense_config",))]
+
+
+class At(NamedTuple):
+    """Where a document sets a field."""
+
+    make: Callable  # a valid document
+    holder: tuple  # the path of the object holding the field
+    key: Optional[str] = None  # the document's key, when it is not the field name
+    form: Optional[Callable] = None  # the holder's keys for a value, when not {key: value}
+
+
+# Where a document sets each field, as the arguments of At.
 DOCUMENT = {
     **{(GridWorld, key): [(tiny_warehouse, ("warehouse", "world"))]
        for key in ("width", "height", "cell_size_m", "frame_period_s", "cell_traverse_s")},
@@ -78,13 +108,25 @@ DOCUMENT = {
         (tiny_warehouse, ("warehouse", "gain")), (tiny_mcs, ("mcs",)),
         (tiny_followme, ("followme", "noise"), "sigma_db"),
     ],
-    (PlanConfig, "min_time_gap_at_conflict"): [(lambda: fallback_message([1]), ("pp_config",))],
+    (PlanConfig, "min_time_gap_at_conflict"): [(message, ("pp_config",))],
+    (PlanConfig, "objective"): [(message, ("pp_config",))],
+    (PlanConfig, "priority_robot"): [
+        (message, ("pp_config",), None, lambda v: {"priority_robot": f"robot_{v}"}),
+    ],
+    (RadioConfig, "fairness"): [(message, ("ra_config",))],
     **{(LoopBudget, key): [(tiny_warehouse, ("warehouse", "budget"))] for key in LoopBudget.__dataclass_fields__},
+    # A mode value comes with that mode's own fields, in place of raw's none.
+    (SenseConfig, "mode"): [
+        (lambda: message("raw"), ("sense_config",), None, lambda v: {"mode": v, **SENSE_EXAMPLE.get(v, {})}),
+    ],
+    (SenseConfig, "qos"): [where for mode in MODE_FIELDS for where in sense_of(mode)],
+    **{(SenseConfig, name): sense_of(mode) for mode, names in MODE_FIELDS.items() for name in names},
 }
 
 
 def limit_points(limits):
-    """``(value, inside)`` on each side of each limit, and NaN."""
+    """``(value, inside)`` on each side of each limit, each choice and a value
+    outside them, and NaN."""
     integer = limits.get("integer", False)
 
     def step(x, direction):
@@ -102,6 +144,12 @@ def limit_points(limits):
     if "lt" in limits:
         yield limits["lt"], False
         yield step(limits["lt"], -1), True
+    if "choices" in limits:
+        choices = limits["choices"]
+        yield from ((choice, True) for choice in choices)
+        yield "other", False
+        if all(type(choice) is int for choice in choices):
+            yield max(choices) + 1, False
     yield math.nan, False
 
 
@@ -109,25 +157,34 @@ def constructor_refuses(model, name, value) -> bool:
     try:
         VALID[model](**{name: value})
     except ValueError as exc:
-        assert str(exc).startswith(f"{name} ") and " must be " in str(exc), exc
+        assert str(exc).startswith(f"{name} "), exc
+        assert " must be " in str(exc) or " is not one of " in str(exc), exc
         return True
     return False
 
 
-def document_refuses(make, holder, key, value) -> bool:
+def document_refuses(where: At, key, value) -> bool:
     """Whether the document refuses ``value`` at ``holder.key``; a refusal
     is a line at that field path."""
-    doc = make()
+    doc = where.make()
     obj = doc
-    for part in holder:
+    for part in where.holder:
         obj = obj.setdefault(part, {}) if isinstance(part, str) else obj[part]
-    obj[key] = value
+    obj.update(where.form(value) if where.form else {key: value})
+    holder = where.holder
     path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in (*holder, key))[1:]
     if "schema_version" in doc:
         errors, path = validate_scenario_dict(doc), f"scenario.{path}"
     else:
         errors = validate(doc)[1]
     return any(e.startswith(f"{path}: ") for e in errors)
+
+
+def documents(model, field):
+    """``(At, key)`` for each document place that sets ``model.field``."""
+    for entry in DOCUMENT.get((model, field.name), ()):
+        where = At(*entry)
+        yield where, where.key or field.name
 
 
 def test_every_bounded_model_is_covered():
@@ -139,14 +196,32 @@ def test_every_bounded_model_is_covered():
 
 @pytest.mark.parametrize("model,field", BOUNDS, ids=[f"{m.__name__}.{f.name}" for m, f in BOUNDS])
 def test_constructor_and_document_agree_at_each_limit(model, field):
-    """On each side of each declared limit, and at NaN, the constructor and
-    every document field that sets it both accept or both refuse."""
+    """On each side of each declared limit, at each choice and outside them,
+    and at NaN, the constructor and every document field that sets it both
+    accept or both refuse."""
     for value, inside in limit_points(field.metadata):
         refused = constructor_refuses(model, field.name, value)
         assert refused is not inside, (field.name, value)
-        for make, holder, *key in DOCUMENT.get((model, field.name), ()):
-            key = key[0] if key else field.name
-            assert document_refuses(make, holder, key, value) is refused, (make.__name__, holder, key, value)
+        for where, key in documents(model, field):
+            assert document_refuses(where, key, value) is refused, (where, key, value)
+
+
+@pytest.mark.parametrize("model,field", BOUNDS, ids=[f"{m.__name__}.{f.name}" for m, f in BOUNDS])
+def test_none_only_where_the_default_is_none(model, field):
+    """A constructor takes None exactly for a field whose default is None; a
+    document never takes null, as null is not absence."""
+    if field.default is None:
+        assert not constructor_refuses(model, field.name, None)
+    else:
+        with pytest.raises((ValueError, TypeError)):
+            VALID[model](**{field.name: None})
+    for where, key in documents(model, field):
+        assert document_refuses(where, key, None), (where, key)
+
+
+@pytest.mark.parametrize("value", [-1, "x", 2.5, 10**18])
+def test_priority_robot_bound(value):
+    assert constructor_refuses(PlanConfig, "priority_robot", value)
 
 
 def test_bound_messages():
@@ -167,3 +242,32 @@ def test_bound_messages():
         PlanConfig(min_time_gap_at_conflict=1.5)
     with pytest.raises(ValueError, match=r"^shadowing_rho 1\.0 must be in \[0, 1\)$"):
         PathGainMap([[0.0]], shadowing_rho=1.0)
+    with pytest.raises(ValueError, match=r"^bler_target 1\.5 must be in \(0, 1\)$"):
+        McsTable((McsEntry(0, 1.0, 0.0),)).cutoffs(1.5)
+
+
+def test_choice_messages():
+    """A choice field names its choices in their declared order, in the
+    constructor and at the document path."""
+    with pytest.raises(ValueError, match=r"^mode 'video' is not one of \('raw', 'jpeg', 'semantic_feature', 'vq'\)$"):
+        SenseConfig(mode="video")
+    with pytest.raises(ValueError, match=r"^jpeg_quality None is not one of \(95, 80, 60\)$"):
+        SenseConfig(mode="jpeg")
+    msg = message("jpeg")
+    msg["sense_config"]["jpeg_quality"] = 75
+    msg["ra_config"]["fairness"] = "equal"
+    assert validate(msg)[1] == [
+        "ra_config.fairness: 'equal' is not one of ('max_min', 'proportional')",
+        "sense_config.jpeg_quality: 75 is not one of (95, 80, 60)",
+    ]
+
+
+def test_priority_weight_messages():
+    """The priority-weight rule is one rule: the constructor names the first
+    of the document's reasons."""
+    with pytest.raises(ValueError, match=r"^priority_weights \(\): must be a nonempty list of finite numbers$"):
+        RadioConfig(priority_weights=())
+    with pytest.raises(ValueError, match=r"^priority_weights \(0\.5, True\): must be a nonempty list"):
+        RadioConfig(priority_weights=(0.5, True))
+    with pytest.raises(ValueError, match=r"^priority_weights \(0\.6, 0\.6\): sum 1\.2 != 1 \(tolerance 1e-06\)$"):
+        RadioConfig(priority_weights=(0.6, 0.6))

@@ -35,10 +35,6 @@ class TestSenseConfig:
         cfg = SenseConfig()
         assert cfg.mode == "vq" and cfg.vit_grid == (1, 1) and cfg.qos == "best_effort"
 
-    def test_string_grid_coerced(self):
-        cfg = SenseConfig(mode="vq", vit_grid="1x3")
-        assert cfg.vit_grid == (1, 3)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -50,6 +46,12 @@ class TestSenseConfig:
             dict(mode="semantic_feature"),
             dict(mode="semantic_feature", feature_dim=0, feature_bits=8),
             dict(mode="semantic_feature", feature_dim=64, feature_bits=12),
+            dict(mode="vq", vit_grid="1x3"),  # only messages write a grid as "AxB"
+            dict(mode="vq", vit_grid=None),
+            dict(mode="semantic_feature", feature_dim=2.5, feature_bits=8),
+            dict(mode="semantic_feature", feature_dim=True, feature_bits=8),
+            dict(mode="semantic_feature", feature_dim=64),
+            dict(mode=[]),
         ],
     )
     def test_rejects(self, kwargs):
@@ -98,17 +100,19 @@ class TestPayloadBytes:
         cfg = SenseConfig(mode="semantic_feature", feature_dim=129, feature_bits=4)
         assert payload_bytes(cfg, PayloadParams()) == 65  # 516 bits
 
-    @pytest.mark.parametrize("grid,size", [("1x1", 1720), ("1x2", 3440), ("1x3", 5160)])
+    @pytest.mark.parametrize(
+        "grid,size", [((1, 1), 1720), ((1, 2), 3440), ((1, 3), 5160)], ids=["1x1-1720", "1x2-3440", "1x3-5160"]
+    )
     def test_vq_with_overhead(self, grid, size):
         cfg = SenseConfig(mode="vq", vit_grid=grid)
         assert payload_bytes(cfg, PayloadParams()) == size
 
     def test_vq_pure_token_bits(self):
-        cfg = SenseConfig(mode="vq", vit_grid="1x1")
+        cfg = SenseConfig(mode="vq", vit_grid=(1, 1))
         assert payload_bytes(cfg, PayloadParams(), include_overhead=False) == 1664
 
     def test_vq_smaller_codebook(self):
-        cfg = SenseConfig(mode="vq", vit_grid="1x1")
+        cfg = SenseConfig(mode="vq", vit_grid=(1, 1))
         params = PayloadParams(codebook_size=4096)
         assert payload_bytes(cfg, params) == 1024 * 12 // 8 + 56
 
