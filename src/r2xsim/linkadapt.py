@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, bler, sample_trace, serialization_time_s
+from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, bler_curve, sample_trace, serialization_time_s
 from .schema import bounded, check_bounds
 from .world import Cell
 
@@ -73,8 +73,9 @@ class LinkTable:
     predictive policies only) is what the average-gain map predicts for
     that step. Built here, once:
 
-    - ``bler[t, e]``: ``radio.bler`` of entry ``e`` at ``true_snr[t]``, each
-      value from the scalar ``math`` formula;
+    - ``bler[t, e]``: ``radio.bler`` of entry ``e`` at ``true_snr[t]``; each
+      entry's column is one ``radio.bler_curve`` call, the scalar ``math``
+      formula looped over the trace, whose clamp keeps a NaN SNR at 1.0;
     - ``cutoff[e]``: ``table.cutoffs(bler_target)``, the SNR cut-offs
       ``select_mcs`` reads;
     - ``best[t]``: what ``select_mcs`` picks at ``true_snr[t]``.
@@ -105,7 +106,7 @@ class LinkTable:
         self.bler_target = bler_target
         self.bler = np.empty((n, len(table.entries)))
         for entry in table.entries:
-            self.bler[:, entry.index] = [bler(entry, x) for x in self.true_snr]
+            self.bler[:, entry.index] = bler_curve(entry, self.true_snr)
         self.best = self.select(self.true_snr)
 
     @classmethod

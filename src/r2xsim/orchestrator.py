@@ -177,7 +177,7 @@ def validate(
             if "vit_grid" in s:
                 try:
                     s = {**s, "vit_grid": parse_vit_grid(s["vit_grid"])}
-                except (ValueError, TypeError, LookupError, OverflowError):
+                except ValueError:
                     pass  # reported unparsed
             fields = {name: ck.declared(s, "sense_config", SenseConfig, name) for name in ("mode", "qos", *own)}
             if not ck.errors:

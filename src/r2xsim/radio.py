@@ -185,17 +185,28 @@ def required_power(
     return ideal, True
 
 
+def bler_curve(entry: McsEntry, snrs_db: Sequence[float]) -> List[float]:
+    """Logistic block-error probability at each SNR, 0.5 exactly at the
+    threshold: ``1 / (1 + exp(x))`` for ``x = slope * (snr - threshold)``
+    clamped to [-700, 700], so that ``exp`` never overflows. A NaN ``x``
+    clamps to -700, so a NaN SNR has BLER 1. A step curve (slope ``inf``)
+    is 0 above the threshold, 1 below it and 0.5 at it and at NaN."""
+    thr, slope = entry.snr_threshold_db, entry.slope_per_db
+    if math.isinf(slope):
+        return [0.0 if s > thr else 1.0 if s < thr else 0.5 for s in snrs_db]
+    exp = math.exp
+    out = []
+    for s in snrs_db:
+        x = slope * (s - thr)
+        if not -700.0 < x < 700.0:
+            x = 700.0 if x >= 700.0 else -700.0  # NaN fails both tests
+        out.append(1.0 / (1.0 + exp(x)))
+    return out
+
+
 def bler(entry: McsEntry, snr_db: float) -> float:
-    """Logistic block-error probability, 0.5 exactly at the threshold."""
-    if math.isinf(entry.slope_per_db):
-        if snr_db > entry.snr_threshold_db:
-            return 0.0
-        if snr_db < entry.snr_threshold_db:
-            return 1.0
-        return 0.5
-    x = entry.slope_per_db * (snr_db - entry.snr_threshold_db)
-    x = min(700.0, max(-700.0, x))
-    return 1.0 / (1.0 + math.exp(x))
+    """``bler_curve`` at one SNR."""
+    return bler_curve(entry, (snr_db,))[0]
 
 
 def _float_key(x: float) -> int:
@@ -270,13 +281,14 @@ class HarqStream:
         attempts = [0] * len(p_fail)
         success = [False] * len(p_fail)
         draws, pos = self._draws, self._pos
+        end, limit = len(draws), max_retx + 1
         for t, p in enumerate(p_fail):
             a = 0
-            while a <= max_retx:
-                if pos == len(draws):
+            while a < limit:
+                if pos == end:
                     draws = self._rng.random(self._block).tolist()
                     self._block = min(2 * self._block, _DRAW_BLOCK)
-                    pos = 0
+                    pos, end = 0, len(draws)
                 a += 1
                 pos += 1
                 if draws[pos - 1] >= p:

@@ -72,12 +72,22 @@ def _is_integer(v) -> bool:
     return type(v) is int or isinstance(v, Integral) and not isinstance(v, bool)
 
 
+def _is_choice(v, choice) -> bool:
+    """``v == choice`` with equal types, element by element for a tuple, so
+    that neither ``80.0`` nor ``True`` is taken for an integer choice."""
+    if type(v) is not type(choice):
+        return False
+    if type(choice) is tuple:
+        return len(v) == len(choice) and all(_is_choice(a, b) for a, b in zip(v, choice))
+    return v == choice
+
+
 def _broken(v, lo=None, gt=None, hi=None, lt=None, integer=False, choices=None) -> Optional[str]:
     """How ``v`` breaks the limits, as the end of "<value> ..."; None when it
     keeps them. NaN breaks every limit. A bound with ``lt`` is named whole,
     as an interval."""
     if choices is not None:
-        return None if v in choices else f"is not one of {tuple(choices)}"
+        return None if any(_is_choice(v, c) for c in choices) else f"is not one of {tuple(choices)}"
     if integer and not _is_integer(v):
         return "must be an integer"
     if lt is not None and not (v < lt and (lo is None or v >= lo) and (gt is None or v > gt)):

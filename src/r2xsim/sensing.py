@@ -10,7 +10,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schema import bounded, check_bounds, check_value
+from .schema import _echo, _is_int_list, bounded, check_bounds, check_value
 
 # The fields each sensing mode reads besides mode and qos. A configuration
 # message sets only these, and must set each whose default is None.
@@ -26,15 +26,18 @@ DEFAULT_JPEG_BYTES: Dict[int, int] = {95: 80000, 80: 33380, 60: 22280}
 
 
 def parse_vit_grid(value) -> Tuple[int, int]:
-    """A message's ``vit_grid``: an ``(a, b)`` pair or an ``"axb"`` string
-    like ``"1x3"``."""
+    """A message's ``vit_grid``: a pair of integers or an ``"axb"`` string
+    like ``"1x3"``. Any other value, a pair with a float or bool element
+    included, is refused, never truncated."""
     if isinstance(value, str):
         parts = value.lower().split("x")
         if len(parts) != 2:
             raise ValueError(f"vit_grid {value!r} is not of the form 'AxB'")
         grid = (int(parts[0]), int(parts[1]))
-    else:
+    elif _is_int_list(value, 2):
         grid = (int(value[0]), int(value[1]))
+    else:
+        raise ValueError(f"vit_grid {_echo(value)} must be a pair of integers or 'AxB'")
     if grid[0] < 1 or grid[1] < 1:
         raise ValueError("vit_grid factors must be >= 1")
     return grid

@@ -32,7 +32,9 @@ per-frame values were computed once per seed: every method recomputes each
 frame's distance, RSSI, throughput and bit error with scalar ``np.interp``.
 
 The link layer's references are its scalar forms before the warehouse and
-the corridor shared one model: ``reference_select_mcs`` scans the entries'
+the corridor shared one model: ``reference_bler`` is the one-SNR BLER
+formula as it was before ``radio.bler_curve`` filled a whole column, with
+its ``min``/``max`` clamp; ``reference_select_mcs`` scans the entries'
 BLERs from the top, ``reference_harq`` and ``reference_transmission`` draw
 one scalar ``rng.random()`` per HARQ attempt, ``reference_sample_trace`` walks the
 route one link snapshot at a time, and ``reference_run_policy`` is the
@@ -64,7 +66,7 @@ from r2xsim.planner import (
     low_level_search,
     makespan,
 )
-from r2xsim.radio import McsSelection, TransmissionResult, ar1_series, bler, serialization_time_s
+from r2xsim.radio import McsSelection, TransmissionResult, ar1_series, serialization_time_s
 from r2xsim.scenarios import _FOLLOWME_MODE_CONFIGS
 
 
@@ -317,6 +319,20 @@ def reference_run_followme(scn, method: str, seed: int) -> Dict[str, float]:
     return metrics
 
 
+def reference_bler(entry, snr_db):
+    """Logistic block-error probability, 0.5 exactly at the threshold, one
+    SNR at a time."""
+    if math.isinf(entry.slope_per_db):
+        if snr_db > entry.snr_threshold_db:
+            return 0.0
+        if snr_db < entry.snr_threshold_db:
+            return 1.0
+        return 0.5
+    x = entry.slope_per_db * (snr_db - entry.snr_threshold_db)
+    x = min(700.0, max(-700.0, x))
+    return 1.0 / (1.0 + math.exp(x))
+
+
 def reference_select_mcs(table, snr_db, bler_target=0.1):
     """Highest-rate entry whose BLER at ``snr_db`` meets the target, by
     scanning every entry's BLER from the top; ``(0, False)`` when none
@@ -324,7 +340,7 @@ def reference_select_mcs(table, snr_db, bler_target=0.1):
     if not 0.0 < bler_target < 1.0:
         raise ValueError("bler_target must be in (0, 1)")
     for entry in reversed(table.entries):
-        if bler(entry, snr_db) <= bler_target:
+        if reference_bler(entry, snr_db) <= bler_target:
             return McsSelection(entry.index, True)
     return McsSelection(0, False)
 
@@ -347,7 +363,7 @@ def reference_harq(rng, p_fail, max_retx):
 
 def reference_transmission(payload_bytes, entry, snr_db, bandwidth_hz, slot_s, rng, max_retx=4):
     """One HARQ transmission at ``snr_db`` by ``reference_harq``."""
-    (attempts,), (success,) = reference_harq(rng, [bler(entry, snr_db)], max_retx)
+    (attempts,), (success,) = reference_harq(rng, [reference_bler(entry, snr_db)], max_retx)
     per_attempt = serialization_time_s(payload_bytes, entry, bandwidth_hz) + slot_s
     return TransmissionResult(attempts * per_attempt, success, attempts)
 
@@ -407,7 +423,7 @@ def reference_run_policy(
         mcs[t] = entry.index
         lat[t] = result.latency_s
         succ[t] = result.success
-        blr[t] = bler(entry, true_snr[t])
+        blr[t] = reference_bler(entry, true_snr[t])
         if result.success and result.latency_s > 0:
             tput[t] = payload_bytes_per_step * 8.0 / result.latency_s
     return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ)

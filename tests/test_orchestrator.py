@@ -211,6 +211,17 @@ class TestValidate:
             ({"mode": "jpeg"}, "sense_config.jpeg_quality: required field missing"),
             ({"mode": "semantic_feature", "feature_dim": 64}, "sense_config.feature_bits: required field missing"),
             ({"mode": []}, "sense_config.mode: [] is not one of"),
+            # a non-integer grid element is refused, not truncated
+            ({"mode": "vq", "vit_grid": [1.5, 2.9]}, "sense_config.vit_grid: [1.5, 2.9] is not one of"),
+            ({"mode": "vq", "vit_grid": [1.0, 2.0]}, "sense_config.vit_grid: [1.0, 2.0] is not one of"),
+            ({"mode": "vq", "vit_grid": [True, 2]}, "sense_config.vit_grid: [True, 2] is not one of"),
+            ({"mode": "vq", "vit_grid": [1, 2, 3]}, "sense_config.vit_grid: [1, 2, 3] is not one of"),
+            # an equal float is not an integer choice
+            ({"mode": "jpeg", "jpeg_quality": 80.0}, "sense_config.jpeg_quality: 80.0 is not one of (95, 80, 60)"),
+            (
+                {"mode": "semantic_feature", "feature_dim": 64, "feature_bits": 8.0},
+                "sense_config.feature_bits: 8.0 is not one of (4, 8, 16, 32)",
+            ),
         ],
     )
     def test_sense_errors(self, sense, needle):

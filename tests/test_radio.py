@@ -1,14 +1,22 @@
 """Link algebra, MCS curves, HARQ statistics, allocation, AR(1) shadowing, traces."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_harq, reference_sample_trace, reference_select_mcs, reference_transmission
+from oracles import (
+    reference_bler,
+    reference_harq,
+    reference_sample_trace,
+    reference_select_mcs,
+    reference_transmission,
+)
 from r2xsim.radio import (
+    _DRAW_BLOCK,
     HarqStream,
     McsEntry,
     McsTable,
@@ -18,6 +26,7 @@ from r2xsim.radio import (
     ar1_blocks,
     ar1_series,
     bler,
+    bler_curve,
     default_mcs_table,
     required_power,
     sample_trace,
@@ -148,6 +157,70 @@ class TestBler:
         e = McsEntry(0, 1.0, 4.0, 1.5)
         assert bler(e, 1e6) < 1e-300
         assert bler(e, -1e6) == pytest.approx(1.0, abs=1e-300)
+
+
+# Entries with the waterfall slope of the bundled tables, a step curve, a
+# slope whose products overflow and the least positive slope, each at the
+# thresholds of the default table, both zeros and the ends of the float range.
+CURVE_ENTRIES = [
+    McsEntry(0, 1.0, threshold, slope)
+    for slope in (1.5, math.inf, 1e300, 5e-324)
+    for threshold in (*(e.snr_threshold_db for e in TABLE.entries), 0.0, -0.0, 1e308, -1e308)
+]
+SPECIAL_SNRS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324]
+
+
+def bits(values):
+    """Each float's IEEE bits, so that -0.0 differs from 0.0 and NaN equals NaN."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def clamp_edges(entry):
+    """The threshold and, on each side, the SNRs near where the logistic's
+    argument ``slope * (snr - threshold)`` reaches +-700, three floats apart
+    each way."""
+    t, s = entry.snr_threshold_db, entry.slope_per_db
+    points = [t]
+    for edge in (t + 700.0 / s, t - 700.0 / s):
+        x = edge
+        for _ in range(3):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(7):
+            points.append(x)
+            x = math.nextafter(x, math.inf)
+    return points
+
+
+def seeded_snrs(n=20_000):
+    """Half uniform over the dB range a trace reads, half arbitrary bit
+    patterns: every magnitude, subnormals, infinities and NaNs."""
+    rng = np.random.default_rng(2026)
+    wide = rng.integers(0, 2**64, size=n // 2, dtype=np.uint64).view(np.float64)
+    return rng.uniform(-60.0, 80.0, n - n // 2).tolist() + wide.tolist()
+
+
+class TestBlerCurve:
+    """``bler_curve`` and ``bler`` equal the scalar ``min``/``max`` formula bit
+    for bit."""
+
+    @pytest.mark.parametrize("entry", CURVE_ENTRIES, ids=lambda e: f"{e.slope_per_db:g}@{e.snr_threshold_db:g}")
+    def test_matches_reference_at_edges(self, entry):
+        snrs = SPECIAL_SNRS + [e.snr_threshold_db for e in CURVE_ENTRIES] + clamp_edges(entry)
+        want = bits(reference_bler(entry, x) for x in snrs)
+        assert bits(bler_curve(entry, snrs)) == want
+        assert bits(bler(entry, x) for x in snrs) == want
+
+    @pytest.mark.parametrize("slope", [1.5, math.inf, 1e300, 5e-324])
+    def test_matches_reference_on_seeded_snrs(self, slope):
+        snrs = seeded_snrs()
+        for threshold in (-2.0, 22.0):
+            entry = McsEntry(0, 1.0, threshold, slope)
+            want = bits(reference_bler(entry, x) for x in snrs)
+            assert bits(bler_curve(entry, snrs)) == want
+            assert bits(bler(entry, x) for x in snrs[::50]) == want[::50]
+
+    def test_empty(self):
+        assert bler_curve(TABLE.entries[0], []) == []
 
 
 class TestSelectMcs:
@@ -318,6 +391,27 @@ class TestHarqStream:
         want = reference_harq(np.random.default_rng([draws, 7]), head + tail, max_retx)
         assert got_head[0] + got_tail[0] == want[0]
         assert got_head[1] + got_tail[1] == want[1]
+
+    @pytest.mark.parametrize("max_retx", [0, 1, 2, 3, 4])
+    def test_matches_scalar_loop_across_refills(self, max_retx):
+        """Failure probabilities near 1 take more than 4,096 draws, so the
+        stream refills several times, at full block size too."""
+        rng = np.random.default_rng([max_retx, 5])
+        p_fail = (1.0 - 0.02 * rng.random(5000)).tolist()
+        got = HarqStream(np.random.default_rng([max_retx, 9])).run(p_fail, max_retx)
+        assert sum(got[0]) > _DRAW_BLOCK
+        assert got == reference_harq(np.random.default_rng([max_retx, 9]), p_fail, max_retx)
+
+    @pytest.mark.parametrize("max_retx", [0, 1, 2, 3, 4])
+    def test_split_calls_equal_one_call(self, max_retx):
+        """Two calls give what one call gives on the joined input, wherever
+        the input is split."""
+        p_fail = np.random.default_rng(max_retx).uniform(0.3, 1.0, 1500).tolist()
+        whole = HarqStream(np.random.default_rng(11)).run(p_fail, max_retx)
+        for cut in (0, 1, 17, 700, 1499, 1500):
+            harq = HarqStream(np.random.default_rng(11))
+            head, tail = harq.run(p_fail[:cut], max_retx), harq.run(p_fail[cut:], max_retx)
+            assert (head[0] + tail[0], head[1] + tail[1]) == whole
 
     def test_empty_run_draws_nothing(self):
         harq = HarqStream(np.random.default_rng(1))

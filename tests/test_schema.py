@@ -150,6 +150,13 @@ def limit_points(limits):
         yield "other", False
         if all(type(choice) is int for choice in choices):
             yield max(choices) + 1, False
+        # An equal value of another type is not the choice: 80.0 is not 80,
+        # nor (1.0, 2.0) the pair (1, 2).
+        for choice in choices:
+            if type(choice) is int:
+                yield float(choice), False
+            elif type(choice) is tuple:
+                yield tuple(float(c) for c in choice), False
     yield math.nan, False
 
 

@@ -29,6 +29,13 @@ class TestVitGrid:
         with pytest.raises(ValueError):
             parse_vit_grid(bad)
 
+    @pytest.mark.parametrize("bad", [[1.5, 2.9], [1.0, 2.0], [True, 2], (1, False), [1, 2, 3], [1], {}, None, 12])
+    def test_refuses_non_integer_pairs(self, bad):
+        """A float or bool element, or a pair of the wrong length, is refused
+        rather than truncated to an integer pair."""
+        with pytest.raises(ValueError, match=r"^vit_grid .* must be a pair of integers or 'AxB'$"):
+            parse_vit_grid(bad)
+
 
 class TestSenseConfig:
     def test_defaults(self):
@@ -52,6 +59,11 @@ class TestSenseConfig:
             dict(mode="semantic_feature", feature_dim=True, feature_bits=8),
             dict(mode="semantic_feature", feature_dim=64),
             dict(mode=[]),
+            # an equal value of another type is not the choice
+            dict(mode="jpeg", jpeg_quality=80.0),
+            dict(mode="semantic_feature", feature_dim=64, feature_bits=8.0),
+            dict(mode="vq", vit_grid=(1.0, 2.0)),
+            dict(mode="vq", vit_grid=(True, 1)),
         ],
     )
     def test_rejects(self, kwargs):
