@@ -332,17 +332,21 @@ def correct_loop(
 # warehouse closed-loop engine
 
 
-# A HumanReservations memo holds at most this many tables and this many
-# parked worlds; when either is full it starts again empty. The four methods
-# of one seed of a bundled warehouse file need 33 to 77 tables and 2 worlds
-# (none parked, and one robot parked).
+# A HumanReservations memo holds at most _MAX_HUMAN_TABLES tables,
+# _MAX_PARKED_WORLDS parked worlds and _MAX_PLANS plans, and each table at
+# most _MAX_SOLO_ROUTES solo routes; when one is full it starts again empty.
+# The 20 seeds of a pinned warehouse file (a bundled file or its makespan
+# copy) need 33 to 84 tables, 2 or 3 worlds (none parked, one robot parked),
+# 62 to 141 plans and at most 7 routes on one table.
 _MAX_HUMAN_TABLES = 4096
 _MAX_PARKED_WORLDS = 16
+_MAX_PLANS = 4096
+_MAX_SOLO_ROUTES = 64
 
 
 class HumanReservations:
     """What the humans block at each replan of one loaded warehouse
-    scenario, shared by all its runs.
+    scenario, and the replans made under it, shared by all its runs.
 
     A replan at ``frame``, with the goal cells of the arrived robots
     ``parked``, plans on the world with those cells blocked and reads the
@@ -352,20 +356,29 @@ class HumanReservations:
     built on first use and kept: a parked world once per ``parked``, a
     table once per ``(parked, frame)``. The tables are never changed:
     their step sets are frozen, and the planner writes only into copies.
+
+    Each table carries the solo routes ``plan`` has searched under it, and
+    ``next_cells`` keeps the outcome of each replan, keyed by its content:
+    ``parked``, ``frame``, every active robot's ``(id, cell, goal)`` and the
+    plan configuration, which are all that ``plan`` reads (Silver 2005:
+    what stays fixed is computed once). A replan whose key was seen before
+    builds no table and calls no planner.
     """
 
-    __slots__ = ("world", "tracks", "objective", "_worlds", "_tables")
+    __slots__ = ("world", "tracks", "objective", "_worlds", "_tables", "_plans")
 
     def __init__(self, world: GridWorld, tracks: Sequence[HumanTrack], objective: str):
         self.world = world
         self.tracks = tuple(tracks)
         self.objective = objective
         self._worlds: Dict[frozenset, GridWorld] = {}
-        self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, Dict[Cell, FrozenSet[int]]]] = {}
+        self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, Dict[Cell, FrozenSet[int]], dict]] = {}
+        self._plans: Dict[tuple, Dict[int, Cell]] = {}
 
-    def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, Dict[Cell, FrozenSet[int]]]:
-        """The world with ``parked`` blocked and the humans' reservation
-        table on it for a replan at ``frame``."""
+    def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, Dict[Cell, FrozenSet[int]], dict]:
+        """The world with ``parked`` blocked, the humans' reservation table
+        on it for a replan at ``frame``, and the solo routes searched under
+        that table, keyed as ``plan``'s ``routes``."""
         key = (parked, frame)
         found = self._tables.get(key)
         if found is not None:
@@ -389,7 +402,31 @@ class HumanReservations:
             for track in self.tracks
             for cell, abs_frame in human_forecast(track, frame)
         ]
-        found = self._tables[key] = (world, _human_reservations(world, pairs, self.objective))
+        found = self._tables[key] = (world, _human_reservations(world, pairs, self.objective), {})
+        return found
+
+    def next_cells(
+        self, parked: frozenset, frame: int, robots: Tuple[Tuple[int, Cell, Cell], ...], pp: PlanConfig
+    ) -> Dict[int, Cell]:
+        """Each robot's cell at step 1 of the plan for ``robots``, given as
+        ``(id, cell, goal)``, at a replan at ``frame`` with ``parked``
+        blocked; empty when planning fails. The dict is shared by every
+        replan with the same key and must not be changed."""
+        key = (parked, frame, robots, pp)
+        found = self._plans.get(key)
+        if found is not None:
+            return found
+        world, human, routes = self.at(parked, frame)
+        if len(routes) >= _MAX_SOLO_ROUTES:
+            routes.clear()
+        states = [RobotState(rid, cell, goal) for rid, cell, goal in robots]
+        try:
+            found = {p.robot_id: p.at(1) for p in plan(world, states, human, pp, routes=routes)}
+        except PlanningError:
+            found = {}
+        if len(self._plans) >= _MAX_PLANS:
+            self._plans.clear()
+        self._plans[key] = found
         return found
 
 
@@ -600,24 +637,16 @@ class WarehouseSimulation:
         """Central replan at ``plan_time``; returns robot ``rid``'s next cell
         or None when planning is infeasible right now."""
         active = self._active_ids()
-        states = []
+        robots = []
         for i in active:
             rt = self.robots[i]
             cell = rt.pending_target if rt.pending_target is not None else rt.state.cell
-            states.append(RobotState(i, cell, rt.state.goal, "moving"))
-        if len({tuple(s.cell) for s in states}) != len(states):
+            robots.append((i, cell, rt.state.goal))
+        if len({cell for _, cell, _ in robots}) != len(robots):
             return None
         parked = frozenset(tuple(rt.state.goal) for rt in self.robots.values() if rt.state.status == "arrived")
-        world, human = self._human.at(parked, self._frame(plan_time))
         pp = self.cfg.pp if self.cfg.pp.priority_robot in active else self._pp_without_priority
-        try:
-            paths = plan(world, states, human, pp)
-        except PlanningError:
-            return None
-        for p in paths:
-            if p.robot_id == rid:
-                return p.at(1)
-        return None
+        return self._human.next_cells(parked, self._frame(plan_time), tuple(robots), pp).get(rid)
 
     # -- event handlers: one per kind, each called as (t, rid, target) ----
 

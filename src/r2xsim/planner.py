@@ -15,9 +15,9 @@ computed once and what changes is kept in a reservation table:
   constraint, as a per-agent constraint set in Sharon et al. 2015 (CBS).
   ``plan`` reads the human forecasts as one cell -> blocked-steps table,
   built per call or handed in ready-made (the warehouse engine keeps one per
-  frame and set of parked robots); each robot searches under a copy of it,
-  into which its conflict windows and blocked moves are written as they
-  arrive.
+  frame and set of parked robots, with the solo routes searched under it);
+  each robot searches under a copy of it, into which its conflict windows
+  and blocked moves are written as they arrive.
 
 ``low_level_search`` breaks ties on f toward the deeper node (Asai and
 Fukunaga 2016, "Tiebreaking Strategies for A* Search"). With an exact
@@ -46,7 +46,10 @@ and the first goal state and every parent choice are those of the unbounded
 search. The first ordering's limit is the makespan of its prioritized plan,
 which lies in the joint search space; the second ordering's is one step
 less than the first ordering's result, since it is kept only when strictly
-better.
+better. An ordering whose limit is below either robot's solo arrival step
+is not searched: the lead keeps to its optimal solo routes, and the
+follower's part of a joint plan, cut at its last arrival at its goal, is a
+route under its own table, so no joint plan finishes sooner.
 """
 
 from __future__ import annotations
@@ -504,12 +507,18 @@ def plan(
     human_forecasts: Union[Iterable[Tuple[Cell, int]], Dict[Cell, FrozenSet[int]]],
     cfg: PlanConfig,
     horizon: Optional[int] = None,
+    routes: Optional[Dict[Tuple[int, Cell, Cell, int], SpaceTimePath]] = None,
 ) -> List[SpaceTimePath]:
     """Conflict-free paths for all robots.
 
     ``human_forecasts`` is the humans' ``(cell, step)`` forecasts, or, as a
     dict, the table ``_human_reservations`` made of them on ``world`` under
     ``cfg.objective``; such a table is read as it is and never changed.
+
+    ``routes`` holds solo routes already searched on ``world`` under that
+    same table, keyed by ``(robot id, start, goal, horizon)``: a robot's
+    route found there is not searched again, and every solo route this call
+    searches is added to it, also when the call raises.
 
     Priority order is ``cfg.priority_robot`` first, then ascending id; the
     lower-priority robot of each conflict is constrained and replans. Under
@@ -537,13 +546,38 @@ def plan(
         human = _human_reservations(world, [(tuple(c), int(s)) for c, s in human_forecasts], cfg.objective)
     # Every base table shares ``human``; searches write only into copies.
     base = {rid: ReservationTable(rid, human) for rid in ids}
-    gap = cfg.min_time_gap_at_conflict
 
     if cfg.priority_robot is not None:
         order = [cfg.priority_robot] + sorted(i for i in ids if i != cfg.priority_robot)
     else:
         order = sorted(ids)
 
+    # Each robot's route under its base table, searched on first need and
+    # shared by every ordering of this call.
+    keys = {rid: (rid, start, goal, horizon) for rid, start, goal in zip(ids, starts, goals)}
+    solo: Dict[int, SpaceTimePath] = {}
+    if routes is not None:
+        solo = {rid: routes[key] for rid, key in keys.items() if key in routes}
+    try:
+        return _plan_orderings(world, robots, by_id, order, base, cfg, horizon, solo)
+    finally:
+        if routes is not None:
+            routes.update((keys[rid], path) for rid, path in solo.items())
+
+
+def _plan_orderings(
+    world: GridWorld,
+    robots: Sequence[RobotState],
+    by_id: Dict[int, RobotState],
+    order: List[int],
+    base: Dict[int, ReservationTable],
+    cfg: PlanConfig,
+    horizon: int,
+    solo: Dict[int, SpaceTimePath],
+) -> List[SpaceTimePath]:
+    """``plan``'s search once its input is checked: the joint refinement or
+    the prioritized loop, reading and filling the ``solo`` route cache."""
+    gap = cfg.min_time_gap_at_conflict
     use_refinement = (
         cfg.objective == "makespan"
         and len(robots) == 2
@@ -552,26 +586,29 @@ def plan(
         and world.width * world.height <= _REFINE_CELL_CAP
     )
     if use_refinement:
-        # Each robot's solo route is searched once. The prioritized plan of
-        # the first ordering lies in that ordering's joint search space, so
-        # its makespan bounds the search, which then always finds a plan;
-        # without a prioritized plan the bound is the horizon. The second
-        # ordering is kept only when strictly better than the first.
-        solo: Dict[int, SpaceTimePath] = {}
+        # The prioritized plan of the first ordering lies in that ordering's
+        # joint search space, so its makespan bounds the search, which then
+        # always finds a plan; without a prioritized plan the bound is the
+        # horizon. The second ordering is kept only when strictly better than
+        # the first. A joint plan's makespan is at least either robot's solo
+        # arrival step, so an ordering whose bound is below the larger one
+        # cannot find a plan and is not searched.
         for rid in order:
-            try:
-                solo[rid] = low_level_search(world, by_id[rid], base[rid], horizon)
-            except PlanningInfeasible:
-                pass
+            if rid not in solo:
+                try:
+                    solo[rid] = low_level_search(world, by_id[rid], base[rid], horizon)
+                except PlanningInfeasible:
+                    pass
         limit = horizon
         if len(solo) == 2:
             try:
                 limit = makespan(_solve_ordering(world, by_id, order, base, 0, horizon, solo).values())
             except PlanningError:
                 pass
+        floor = max((p.arrival_step for p in solo.values()), default=0)
         best = None
         for lead_id, follow_id in (order, order[::-1]):
-            if lead_id in solo:
+            if lead_id in solo and limit >= floor:
                 res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], base, solo[lead_id], limit)
                 if res is not None:
                     best, limit = res, res[0] - 1
@@ -592,7 +629,6 @@ def plan(
     best_paths = None
     best_span = None
     failure: Optional[PlanningInfeasible] = None
-    solo = {}
     for cand in orderings:
         try:
             paths = _solve_ordering(world, by_id, cand, base, gap, horizon, solo)

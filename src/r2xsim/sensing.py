@@ -5,6 +5,7 @@ token-based vector quantization.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -25,15 +26,20 @@ MODE_FIELDS = {
 DEFAULT_JPEG_BYTES: Dict[int, int] = {95: 80000, 80: 33380, 60: 22280}
 
 
+# "AxB" with ASCII digits only: int() alone would also take whitespace, a
+# sign, underscores and non-ASCII digits.
+_VIT_GRID_RE = re.compile(r"([0-9]+)[xX]([0-9]+)")
+
+
 def parse_vit_grid(value) -> Tuple[int, int]:
     """A message's ``vit_grid``: a pair of integers or an ``"axb"`` string
-    like ``"1x3"``. Any other value, a pair with a float or bool element
-    included, is refused, never truncated."""
+    of ASCII digits like ``"1x3"``. Any other value, a pair with a float or
+    bool element included, is refused, never truncated."""
     if isinstance(value, str):
-        parts = value.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError(f"vit_grid {value!r} is not of the form 'AxB'")
-        grid = (int(parts[0]), int(parts[1]))
+        m = _VIT_GRID_RE.fullmatch(value)
+        if m is None:
+            raise ValueError(f"vit_grid {_echo(value)} is not of the form 'AxB'")
+        grid = (int(m.group(1)), int(m.group(2)))
     elif _is_int_list(value, 2):
         grid = (int(value[0]), int(value[1]))
     else:

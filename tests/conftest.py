@@ -5,6 +5,7 @@ trace) are session fixtures so the acceptance checks that share them run
 the underlying simulations exactly once.
 """
 
+import importlib.util
 import time
 from pathlib import Path
 
@@ -14,6 +15,14 @@ import pytest
 from r2xsim.scenarios import load_scenario, run_one
 
 BUNDLED_DIR = Path(__file__).resolve().parents[1] / "src" / "r2xsim" / "scenarios"
+
+# tools/check_digests.py, whose pins and makespan copies the golden and memo
+# tests share.
+_spec = importlib.util.spec_from_file_location(
+    "check_digests", Path(__file__).resolve().parents[1] / "tools" / "check_digests.py"
+)
+check_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_digests)
 WAREHOUSE_IDS = ("warehouse-s1", "warehouse-s2", "warehouse-s3", "warehouse-s4")
 
 # One line per acceptance check, echoed after the run summary so the

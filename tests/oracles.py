@@ -15,6 +15,14 @@ before its joint search was bounded: ``reference_joint_best_response`` is
 the unpruned breadth-first search, kept to check that the bound changes no
 plan and no error.
 
+``reference_refinement_plan`` is the bounded two-robot refinement as it
+was before an ordering whose bound lies below the larger solo arrival step
+was skipped: every ordering whose lead has a solo route is searched.
+
+``reference_plan_next`` is the warehouse replan as it was before the plan
+and route memos: every replan builds its world and human table afresh
+(``reference_human_table``) and calls ``plan``.
+
 ``reference_low_level_search`` is the space-time A* as it was before ties
 on f went to the deeper node: first in, first out among equal f-values. It
 is kept to check that the tie-break changes no route and no error.
@@ -41,6 +49,7 @@ route one link snapshot at a time, and ``reference_run_policy`` is the
 per-step policy loop over them.
 """
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -59,15 +68,19 @@ from r2xsim.planner import (
     ReservationTable,
     SpaceTimePath,
     _human_reservations,
+    _joint_best_response,
+    _solve_ordering,
     _time_expanded_layers,
     _widen_conflict,
     default_horizon,
     detect_first_conflict,
     low_level_search,
     makespan,
+    plan,
 )
 from r2xsim.radio import McsSelection, TransmissionResult, ar1_series, serialization_time_s
 from r2xsim.scenarios import _FOLLOWME_MODE_CONFIGS
+from r2xsim.world import RobotState, human_forecast
 
 
 def bfs_dist_field(world, goal, banned):
@@ -520,6 +533,81 @@ def reference_makespan_plan(world, robots, forecasts, horizon):
         raise PlanningInfeasible(order[-1], horizon)
     solved = {best[1].robot_id: best[1], best[2].robot_id: best[2]}
     return [solved[r.id] for r in robots]
+
+
+def reference_refinement_plan(world, robots, forecasts, horizon):
+    """``plan(world, robots, forecasts, PlanConfig("makespan", None, 0),
+    horizon)`` for two robots on a grid of at most 200 cells: the bounded
+    joint search of each ordering whose lead has a solo route, the second
+    kept only when strictly better, with no ordering skipped."""
+    pairs = [(tuple(c), int(s)) for c, s in forecasts]
+    human = _human_reservations(world, pairs, "makespan")
+    by_id = {r.id: r for r in robots}
+    base = {rid: ReservationTable(rid, human) for rid in by_id}
+    order = sorted(by_id)
+    solo = {}
+    for rid in order:
+        try:
+            solo[rid] = low_level_search(world, by_id[rid], base[rid], horizon)
+        except PlanningInfeasible:
+            pass
+    limit = horizon
+    if len(solo) == 2:
+        try:
+            limit = makespan(_solve_ordering(world, by_id, order, base, 0, horizon, solo).values())
+        except PlanningError:
+            pass
+    best = None
+    for lead_id, follow_id in (order, order[::-1]):
+        if lead_id in solo:
+            res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], base, solo[lead_id], limit)
+            if res is not None:
+                best, limit = res, res[0] - 1
+    if best is None:
+        raise PlanningInfeasible(order[-1], horizon)
+    solved = {best[1].robot_id: best[1], best[2].robot_id: best[2]}
+    return [solved[r.id] for r in robots]
+
+
+def reference_human_table(inputs, parked, frame):
+    """The world and human reservation table of a warehouse replan at
+    ``frame`` with ``parked`` blocked, built afresh from ``inputs``: a
+    ``WarehouseInputs`` or a ``WarehouseSimulation``, whose ``world``,
+    ``tracks`` and ``cfg`` it reads."""
+    world = inputs.world
+    if parked:
+        world = dataclasses.replace(world, blocked=world.blocked | parked)
+    ratio = world.frame_period_s / world.cell_traverse_s
+    pairs = [
+        (cell, max(1, math.ceil((abs_frame - frame) * ratio)))
+        for track in inputs.tracks
+        for cell, abs_frame in human_forecast(track, frame)
+    ]
+    return world, _human_reservations(world, pairs, inputs.cfg.pp.objective)
+
+
+def reference_plan_next(sim, rid, plan_time):
+    """``WarehouseSimulation._plan_next`` with no memo: robot ``rid``'s next
+    cell from a fresh ``plan``, or None."""
+    active = sim._active_ids()
+    states = []
+    for i in active:
+        rt = sim.robots[i]
+        cell = rt.pending_target if rt.pending_target is not None else rt.state.cell
+        states.append(RobotState(i, cell, rt.state.goal, "moving"))
+    if len({tuple(s.cell) for s in states}) != len(states):
+        return None
+    parked = frozenset(tuple(rt.state.goal) for rt in sim.robots.values() if rt.state.status == "arrived")
+    world, human = reference_human_table(sim, parked, sim._frame(plan_time))
+    pp = sim.cfg.pp if sim.cfg.pp.priority_robot in active else sim._pp_without_priority
+    try:
+        paths = plan(world, states, human, pp)
+    except PlanningError:
+        return None
+    for p in paths:
+        if p.robot_id == rid:
+            return p.at(1)
+    return None
 
 
 def reference_solve_ordering(world, robots, order, base, gap, horizon):

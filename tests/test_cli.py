@@ -343,8 +343,14 @@ class TestSeedBySeed:
 
     @pytest.mark.parametrize(
         "make,methods",
-        [(tiny_mcs, "predictive_2,oracle,ideal,delayed_2"), (tiny_followme, "orchestrated,vq_1x1,jpeg_q80")],
-        ids=["mcs", "followme"],
+        [
+            (tiny_mcs, "predictive_2,oracle,ideal,delayed_2"),
+            (tiny_followme, "orchestrated,vq_1x1,jpeg_q80"),
+            # each worker plans on its own copy of the loaded file's memos
+            (lambda: json.loads(bundled_scenario_path("warehouse-s1").read_text()),
+             "lorc_sc_p,stop_and_go,lorc_sc,lorc_p"),
+        ],
+        ids=["mcs", "followme", "warehouse"],
     )
     def test_parallel_matches_serial(self, make, methods, tmp_path):
         doc = make()

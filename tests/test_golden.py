@@ -3,26 +3,18 @@
 ``perfbench/digests.json`` pins the sha256 of every ``results.jsonl`` record
 line the benchmark's workloads produce, and of the ``summary.csv`` of each
 one-seed run. Rerunning the same code twice (C12) cannot show that a
-refactor kept old outputs; comparing with these pins can. The check is
-``tools/check_digests.py``'s, which also covers all 20 pinned seeds; here it
-runs on the first three.
+refactor kept old outputs; comparing with these pins can. The checks are
+``tools/check_digests.py``'s, one seed per run and all seeds in one run,
+which also cover all 20 pinned seeds; here they run on the first three.
 """
 
 import contextlib
-import importlib.util
 import io
 import json
-from pathlib import Path
 
 import pytest
 
-from conftest import WAREHOUSE_IDS
-
-_spec = importlib.util.spec_from_file_location(
-    "check_digests", Path(__file__).resolve().parents[1] / "tools" / "check_digests.py"
-)
-check_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_digests)
+from conftest import WAREHOUSE_IDS, check_digests
 
 SEEDS = (0, 1, 2)
 
@@ -46,6 +38,9 @@ def test_records_match_pinned_digests(name, makespan, pinned, tmp_path):
     for seed in SEEDS:
         lines, problems = check_digests.check_seed(sid, seed, pinned[sid], tmp_path)
         assert lines and not problems, problems
+    # All seeds in one call, whose runs share the loaded file and its memos.
+    lines, problems, _ = check_digests.check_records(sid, list(SEEDS), pinned[sid], tmp_path)
+    assert lines and not problems, problems
 
 
 @pytest.mark.parametrize("sid", ["warehouse-s3", "warehouse-s3-makespan"])

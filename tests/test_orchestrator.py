@@ -216,6 +216,11 @@ class TestValidate:
             ({"mode": "vq", "vit_grid": [1.0, 2.0]}, "sense_config.vit_grid: [1.0, 2.0] is not one of"),
             ({"mode": "vq", "vit_grid": [True, 2]}, "sense_config.vit_grid: [True, 2] is not one of"),
             ({"mode": "vq", "vit_grid": [1, 2, 3]}, "sense_config.vit_grid: [1, 2, 3] is not one of"),
+            # an "AxB" string of anything but ASCII digits is refused, not read by int()
+            ({"mode": "vq", "vit_grid": "1x0_2"}, "sense_config.vit_grid: '1x0_2' is not one of"),
+            ({"mode": "vq", "vit_grid": " 1 x 2 "}, "sense_config.vit_grid: ' 1 x 2 ' is not one of"),
+            ({"mode": "vq", "vit_grid": "+1x2"}, "sense_config.vit_grid: '+1x2' is not one of"),
+            ({"mode": "vq", "vit_grid": "\u0661x\u0662"}, "sense_config.vit_grid: '\u0661x\u0662' is not one of"),
             # an equal float is not an integer choice
             ({"mode": "jpeg", "jpeg_quality": 80.0}, "sense_config.jpeg_quality: 80.0 is not one of (95, 80, 60)"),
             (

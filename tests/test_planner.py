@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     forecast_reservations,
     joint_makespan_oracle,
@@ -15,6 +16,7 @@ from oracles import (
     reference_low_level_search,
     reference_makespan_plan,
     reference_prioritized_plan,
+    reference_refinement_plan,
 )
 from r2xsim import planner
 from r2xsim.planner import (
@@ -557,6 +559,28 @@ class TestBoundedJointSearch:
             kinds[got[0]] += 1
         assert kinds["ok"] >= 100 and kinds["PlanningInfeasible"] >= 30, kinds
 
+    def test_plan_matches_unskipped_refinement(self, monkeypatch):
+        """Skipping an ordering whose bound lies below the larger solo
+        arrival step gives the paths, or the error, of searching every
+        ordering; the skip is taken on some instances."""
+        calls = Counter()
+
+        def counted(key, real):
+            return lambda *args: calls.update([key]) or real(*args)
+
+        monkeypatch.setattr(planner, "_joint_best_response", counted("plan", planner._joint_best_response))
+        monkeypatch.setattr(oracles, "_joint_best_response", counted("reference", oracles._joint_best_response))
+        rng = np.random.default_rng(12)
+        kinds = Counter()
+        for _ in range(400):
+            world, robots, forecasts, horizon = random_makespan_instance(rng)
+            got = plan_outcome(lambda: plan(world, robots, forecasts, PlanConfig("makespan", None, 0), horizon))
+            want = plan_outcome(lambda: reference_refinement_plan(world, robots, forecasts, horizon))
+            assert got == want, (world, robots, forecasts, horizon)
+            kinds[got[0]] += 1
+        assert kinds["ok"] >= 200 and kinds["PlanningInfeasible"] >= 50, kinds
+        assert 0 < calls["plan"] < calls["reference"] - 50, calls
+
     def test_impassable_start_of_either_robot_is_a_planning_error(self):
         w = world_of(4, 4, blocked={(3, 3)})
         for starts in (((3, 3), (0, 0)), ((0, 0), (3, 3))):
@@ -611,6 +635,50 @@ class TestSharedSoloRoutes:
         paths = plan(world, robots, [], PlanConfig("makespan"))
         assert sum(calls.values()) == 66
         assert paths == reference_prioritized_plan(world, robots, [], PlanConfig("makespan"), default_horizon(world))
+
+    def test_kept_routes_are_not_searched_again(self, monkeypatch):
+        """With ``routes`` filled by a first call, a second call with the
+        same table searches none of the four solo routes."""
+        calls = Counter()
+        real = planner.low_level_search
+        monkeypatch.setattr(planner, "low_level_search", lambda world, robot, *args: calls.update([robot.id])
+                            or real(world, robot, *args))
+        corners = [((0, 0), (9, 9)), ((9, 9), (0, 0)), ((0, 9), (9, 0)), ((9, 0), (0, 9))]
+        robots = [RobotState(i + 1, start, goal) for i, (start, goal) in enumerate(corners)]
+        world = world_of(10, 10)
+        horizon = default_horizon(world)
+        routes = {}
+        first = plan(world, robots, {}, PlanConfig("makespan"), routes=routes)
+        assert sum(calls.values()) == 66
+        assert routes == {(r.id, r.cell, r.goal, horizon): low_level_search(world, r) for r in robots}
+        assert plan(world, robots, {}, PlanConfig("makespan"), routes=routes) == first
+        assert sum(calls.values()) == 66 + 62
+
+    @pytest.mark.parametrize("kind", ["prioritized", "makespan"])
+    def test_routes_change_no_plan(self, kind):
+        """A plan given the routes of earlier plans under the same table
+        gives the paths, or the error, of a plan without them; each route it
+        keeps is the route searched afresh, also after a failed plan."""
+        rng = np.random.default_rng(13)
+        routes_seen = 0
+        for _ in range(150):
+            if kind == "prioritized":
+                world, robots, forecasts, cfg, horizon = random_prioritized_instance(rng)
+            else:
+                world, robots, forecasts, horizon = random_makespan_instance(rng)
+                cfg = PlanConfig("makespan", None, 0)
+            human = _human_reservations(world, forecasts, cfg.objective)
+            routes = {}
+            # The same robots, then each alone and the pair reversed, share the table.
+            for group in (robots, robots[:1], robots[::-1], robots):
+                if cfg.priority_robot is not None and cfg.priority_robot not in {r.id for r in group}:
+                    continue
+                want = plan_outcome(lambda: plan(world, group, human, cfg, horizon))
+                assert plan_outcome(lambda: plan(world, group, human, cfg, horizon, routes=routes)) == want
+            for (rid, start, goal, h), path in routes.items():
+                assert path == low_level_search(world, RobotState(rid, start, goal), ReservationTable(rid, human), h)
+            routes_seen += len(routes)
+        assert routes_seen >= 150
 
     def test_plan_matches_per_ordering_search(self):
         """Sharing solo routes across orderings gives the per-ordering loop's

@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import importlib.util
 import io
 import json
@@ -18,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WAREHOUSE_IDS
-from oracles import reference_run_followme
+from conftest import WAREHOUSE_IDS, check_digests
+from oracles import reference_human_table, reference_plan_next, reference_run_followme
 from r2xsim import orchestrator, scenarios
 from r2xsim.cli import main
 from r2xsim.orchestrator import HumanReservations
-from r2xsim.planner import PlanConfig, _human_reservations
+from r2xsim.planner import PlanConfig, PlanningError, ReservationTable, low_level_search, plan
+from r2xsim.world import RobotState
 from r2xsim.scenarios import (
     FOLLOWME_METHODS,
     Scenario,
@@ -965,26 +965,23 @@ class TestSharedInputs:
             assert run_one(scn, method, 1) == run_one(scn, method, 1) == run_one(parse_scenario(make()), method, 1)
 
 
-def fresh_human_table(inputs, parked, frame):
-    """The world and human reservation table of a replan at ``frame`` with
-    ``parked`` blocked, built afresh."""
-    world = dataclasses.replace(inputs.world, blocked=inputs.world.blocked | parked)
-    ratio = world.frame_period_s / world.cell_traverse_s
-    pairs = [
-        (cell, max(1, math.ceil((abs_frame - frame) * ratio)))
-        for track in inputs.tracks
-        for cell, abs_frame in orchestrator.human_forecast(track, frame)
-    ]
-    return world, _human_reservations(world, pairs, inputs.cfg.pp.objective)
-
-
 def all_records(scn, seeds=(0, 1)):
     return [run_one(scn, method, seed) for seed in seeds for method in sorted(scn.methods)]
 
 
+def pinned_warehouse_scenario(sid, work_dir):
+    """The pinned warehouse file ``sid`` (a bundled file or its makespan
+    copy), loaded."""
+    return load_scenario(check_digests.scenario_file(sid, work_dir))
+
+
+PINNED_WAREHOUSE = [f"{name}{suffix}" for name in WAREHOUSE_IDS for suffix in ("", "-makespan")]
+
+
 class TestHumanReservationMemo:
     """Every run of a loaded warehouse file reads the humans' reservation
-    tables from one memo on its inputs."""
+    tables, the solo routes under them and the replans' outcomes from one
+    memo on its inputs."""
 
     @pytest.mark.parametrize("name", WAREHOUSE_IDS)
     def test_one_load_gives_the_records_of_fresh_loads(self, name, bundled_dir):
@@ -995,10 +992,33 @@ class TestHumanReservationMemo:
                 assert run_one(scn, method, seed) == run_one(load_scenario(path), method, seed)
         memo = scn.inputs.human
         assert 0 < len(memo._tables) <= orchestrator._MAX_HUMAN_TABLES
-        # The plans read the shared tables; none of them was changed.
-        for (parked, frame), (world, table) in memo._tables.items():
-            assert (world, table) == fresh_human_table(scn.inputs, parked, frame)
+        # The plans read the shared tables; none of them was changed, and
+        # each kept route is the route searched afresh under its table.
+        for (parked, frame), (world, table, routes) in memo._tables.items():
+            assert (world, table) == reference_human_table(scn.inputs, parked, frame)
             assert all(type(steps) is frozenset for steps in table.values())
+            assert 0 < len(routes) <= orchestrator._MAX_SOLO_ROUTES
+            for (rid, start, goal, horizon), path in routes.items():
+                fresh = low_level_search(world, RobotState(rid, start, goal), ReservationTable(rid, table), horizon)
+                assert path == fresh
+        # Each kept replan is the replan made afresh.
+        assert 0 < len(memo._plans) <= orchestrator._MAX_PLANS
+        for (parked, frame, robots, pp), nxt in memo._plans.items():
+            world, table = reference_human_table(scn.inputs, parked, frame)
+            states = [RobotState(rid, cell, goal) for rid, cell, goal in robots]
+            try:
+                want = {p.robot_id: p.at(1) for p in plan(world, states, table, pp)}
+            except PlanningError:
+                want = {}
+            assert nxt == want
+
+    @pytest.mark.parametrize("sid", PINNED_WAREHOUSE)
+    def test_memo_on_and_off_give_the_same_records(self, sid, tmp_path, monkeypatch):
+        """One load running four seeds, every replan memoised, gives the
+        records of replans that each build their table and plan afresh."""
+        want = all_records(pinned_warehouse_scenario(sid, tmp_path), seeds=range(4))
+        monkeypatch.setattr(orchestrator.WarehouseSimulation, "_plan_next", reference_plan_next)
+        assert all_records(pinned_warehouse_scenario(sid, tmp_path), seeds=range(4)) == want
 
     def test_each_table_is_built_once(self, bundled_dir, monkeypatch):
         built = []
@@ -1010,37 +1030,62 @@ class TestHumanReservationMemo:
         all_records(scn)
         assert len(built) == len(scn.inputs.human._tables)
 
+    @pytest.mark.parametrize("sid", ["warehouse-s3", "warehouse-s3-makespan"])
+    def test_plan_is_called_once_per_key(self, sid, tmp_path, monkeypatch):
+        """A replan whose key was seen before neither builds a table nor
+        calls the planner; every other replan plans once."""
+        plans, tables = [], []
+        real_plan, real_at = orchestrator.plan, HumanReservations.at
+        monkeypatch.setattr(orchestrator, "plan", lambda *a, **k: plans.append(1) or real_plan(*a, **k))
+        monkeypatch.setattr(HumanReservations, "at", lambda memo, *a: tables.append(1) or real_at(memo, *a))
+        replans = []
+        real_next = orchestrator.WarehouseSimulation._plan_next
+        monkeypatch.setattr(
+            orchestrator.WarehouseSimulation, "_plan_next", lambda sim, *a: replans.append(1) or real_next(sim, *a)
+        )
+        scn = pinned_warehouse_scenario(sid, tmp_path)
+        all_records(scn, seeds=range(4))
+        assert len(plans) == len(tables) == len(scn.inputs.human._plans) > 0
+        assert len(replans) > 2 * len(plans)
+        all_records(scn, seeds=range(4))
+        assert len(plans) == len(tables) == len(scn.inputs.human._plans)
+
     def test_bounded_memo_gives_the_same_records(self, bundled_dir, monkeypatch):
         path = bundled_dir / "warehouse-s3.json"
         want = all_records(load_scenario(path))
-        monkeypatch.setattr(orchestrator, "_MAX_HUMAN_TABLES", 5)
-        monkeypatch.setattr(orchestrator, "_MAX_PARKED_WORLDS", 1)
+        for name in ("_MAX_HUMAN_TABLES", "_MAX_PARKED_WORLDS", "_MAX_PLANS", "_MAX_SOLO_ROUTES"):
+            monkeypatch.setattr(orchestrator, name, 1)
         sizes = []
         real = HumanReservations.at
 
         def at(memo, parked, frame):
             found = real(memo, parked, frame)
-            sizes.append((len(memo._tables), len(memo._worlds)))
+            sizes.append((len(memo._tables), len(memo._worlds), len(memo._plans), len(found[2])))
             return found
 
         monkeypatch.setattr(HumanReservations, "at", at)
         assert all_records(load_scenario(path)) == want
-        assert max(sizes) == (5, 1) and len(sizes) > 100
+        # A table takes at most the two robots' routes of one replan.
+        assert max(sizes) == (1, 1, 1, 2) and len(sizes) > 100
 
     def test_memo_survives_pickling(self, bundled_dir):
         scn = load_scenario(bundled_dir / "warehouse-s1.json")
         want = all_records(scn)
         copied = pickle.loads(pickle.dumps(scn))
-        assert len(copied.inputs.human._tables) == len(scn.inputs.human._tables) > 0
-        assert copied.inputs.human.world is copied.inputs.world
+        memo, kept = scn.inputs.human, copied.inputs.human
+        assert len(kept._tables) == len(memo._tables) > 0 and len(kept._plans) == len(memo._plans) > 0
+        assert kept._plans == memo._plans
+        assert [routes for _, _, routes in kept._tables.values()] == [routes for _, _, routes in memo._tables.values()]
+        assert kept.world is copied.inputs.world
         assert all_records(copied) == want
 
     def test_with_overrides_copy_starts_empty(self, bundled_dir):
         scn = load_scenario(bundled_dir / "warehouse-s1.json")
         all_records(scn, seeds=(0,))
-        filled = len(scn.inputs.human._tables)
+        filled = len(scn.inputs.human._tables), len(scn.inputs.human._plans)
         out = scn.with_overrides(seeds=[0])
-        assert not out.inputs.human._tables and len(scn.inputs.human._tables) == filled > 0
+        assert not out.inputs.human._tables and not out.inputs.human._plans
+        assert (len(scn.inputs.human._tables), len(scn.inputs.human._plans)) == filled and min(filled) > 0
         assert out.inputs.human.world is out.inputs.world is scn.inputs.world
         assert all_records(out, seeds=(0,)) == all_records(scn, seeds=(0,))
 

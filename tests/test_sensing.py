@@ -29,6 +29,15 @@ class TestVitGrid:
         with pytest.raises(ValueError):
             parse_vit_grid(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["1x0_2", " 1 x 2 ", "1x2 ", "1x2\n", "+1x2", "1x-2", "\u0661x\u0662", "1\uff58 2", "1x\u00b2", "x"]
+    )
+    def test_refuses_all_but_ascii_digits(self, bad):
+        """Whitespace, a sign, an underscore or a non-ASCII digit is refused,
+        though int() would read each."""
+        with pytest.raises(ValueError, match=r"^vit_grid .* is not of the form 'AxB'$"):
+            parse_vit_grid(bad)
+
     @pytest.mark.parametrize("bad", [[1.5, 2.9], [1.0, 2.0], [True, 2], (1, False), [1, 2, 3], [1], {}, None, 12])
     def test_refuses_non_integer_pairs(self, bad):
         """A float or bool element, or a pair of the wrong length, is refused

@@ -6,11 +6,18 @@
 ``perfbench/digests.json`` pins, for the six bundled files and the makespan
 copies of the four warehouse files, the sha256 of every ``results.jsonl``
 record line of seeds 0-19 and of each one-seed ``summary.csv``. This script
-runs every pinned file one seed at a time, as ``r2xsim run`` does, and
-compares each record line and summary with its pin. A makespan copy is
-written the way ``perfbench/run.py`` writes its ``warehouse-makespan``
-inputs. It prints one line per mismatch and a count, and exits 1 on any
-mismatch. ``tests/test_golden.py`` runs the same check on seeds 0-2.
+makes two passes over the pinned files:
+
+- one seed per ``r2xsim run`` call, as ``perfbench/run.py`` runs them,
+  comparing each record line and summary with its pin;
+- all 20 seeds in one ``r2xsim run`` call, as ``r2xsim run`` runs a file by
+  default, comparing each record line with its pin. Its runs share one
+  loaded file, and with it the warehouse memos of tables, routes and plans.
+
+A makespan copy is written the way ``perfbench/run.py`` writes its
+``warehouse-makespan`` inputs. It prints one line per mismatch and a count,
+and exits 1 on any mismatch. ``tests/test_golden.py`` runs the same checks
+on seeds 0-2.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "perfbench" / "digests.json"
@@ -56,18 +63,21 @@ def scenario_file(sid: str, work_dir: Path) -> Path:
     return path
 
 
-def check_seed(sid: str, seed: int, expected: dict, work_dir: Path) -> Tuple[int, List[str]]:
-    """Run the file pinned as ``sid`` on one seed and compare its outputs
-    with ``expected``, its entry in the digests. Returns the number of
-    record lines compared and one line per mismatch."""
+def check_records(sid: str, seeds: Sequence[int], expected: dict, work_dir: Path
+                  ) -> Tuple[int, List[str], Optional[Path]]:
+    """Run the file pinned as ``sid`` on ``seeds`` in one ``r2xsim run``
+    call and compare every record line with ``expected``, its entry in the
+    digests. Returns the number of record lines compared, one line per
+    mismatch, and the output directory (None when the run failed)."""
     from r2xsim.cli import main
 
     path = scenario_file(sid, work_dir)
-    out = work_dir / f"out-{sid}-{seed}"
+    label = f"seed {seeds[0]}" if len(seeds) == 1 else f"seeds {seeds[0]}-{seeds[-1]}"
+    out = work_dir / f"out-{sid}-{'-'.join(map(str, seeds))}"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", str(path), "--seeds", str(seed), "--parallel", "1", "--out", str(out)])
+        code = main(["run", str(path), "--seeds", ",".join(map(str, seeds)), "--parallel", "1", "--out", str(out)])
     if code != 0:
-        return 0, [f"{sid} seed {seed}: r2xsim run exited {code}"]
+        return 0, [f"{sid} {label}: r2xsim run exited {code}"], None
     problems = []
     lines = (out / "results.jsonl").read_bytes().splitlines()
     seen = set()
@@ -78,19 +88,28 @@ def check_seed(sid: str, seed: int, expected: dict, work_dir: Path) -> Tuple[int
         if rec["scenario_id"] != sid:
             problems.append(f"{sid} {key}: scenario_id {rec['scenario_id']!r}")
         elif sha256(line) != expected["records"].get(key):
-            problems.append(f"{sid} {key} differs from {DIGESTS.name}")
-    want = {key for key in expected["records"] if key.endswith(f"/{seed}")}
+            problems.append(f"{sid} {key} differs from {DIGESTS.name} ({label} in one run)")
+    want = {key for key in expected["records"] if int(key.rsplit("/", 1)[1]) in seeds}
     if seen != want:
-        problems.append(f"{sid} seed {seed}: records {sorted(seen)}, pinned {sorted(want)}")
-    if sha256((out / "summary.csv").read_bytes()) != expected["summaries"][str(seed)]:
+        problems.append(f"{sid} {label}: records {sorted(seen)}, pinned {sorted(want)}")
+    return len(lines), problems, out
+
+
+def check_seed(sid: str, seed: int, expected: dict, work_dir: Path) -> Tuple[int, List[str]]:
+    """Run the file pinned as ``sid`` on one seed and compare its record
+    lines and summary with ``expected``, its entry in the digests. Returns
+    the number of record lines compared and one line per mismatch."""
+    lines, problems, out = check_records(sid, [seed], expected, work_dir)
+    if out is not None and sha256((out / "summary.csv").read_bytes()) != expected["summaries"][str(seed)]:
         problems.append(f"{sid} seed {seed} summary.csv differs from {DIGESTS.name}")
-    return len(lines), problems
+    return lines, problems
 
 
 def main() -> int:
     pins = pinned()
     lines = summaries = 0
     problems: List[str] = []
+    one_load = 0
     with tempfile.TemporaryDirectory() as tmp:
         for sid in sorted(pins):
             for seed in SEEDS:
@@ -98,9 +117,14 @@ def main() -> int:
                 lines += n
                 summaries += 1
                 problems += found
+        for sid in sorted(pins):
+            n, found, _ = check_records(sid, list(SEEDS), pins[sid], Path(tmp))
+            one_load += n
+            problems += found
     for line in problems:
         print(line)
-    print(f"{lines} record lines and {summaries} summary.csv files of {len(pins)} files "
+    print(f"{lines} record lines and {summaries} summary.csv files of {len(pins)} files run one seed "
+          f"at a time, and {one_load} record lines of the same files run {len(SEEDS)} seeds at a time, "
           f"checked against {DIGESTS.name}: {len(problems)} mismatches")
     return 1 if problems else 0
 
