@@ -57,10 +57,10 @@ def _out_error(path: str, exc: OSError) -> ScenarioError:
     return ScenarioError([f"--out: {exc.filename or path}: {exc.strerror or exc}"])
 
 
-def _run_seed(scn: Scenario, seed: int) -> List[dict]:
-    """Every method of ``scn`` on one seed, so that the methods share what
-    the seed alone determines."""
-    return [run_one(scn, method, seed) for method in sorted(scn.methods)]
+def _run_seeds(scn: Scenario, seeds: Sequence[int]) -> List[dict]:
+    """Every method of ``scn`` on each of ``seeds`` in turn, all on one copy
+    of the loaded file, so that the runs share its memos."""
+    return [run_one(scn, method, seed) for seed in seeds for method in sorted(scn.methods)]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -81,13 +81,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _out_error(args.out, exc)
 
+    # One strided chunk of seeds per worker, which unpickles the loaded file
+    # once; no more workers than seeds, as a pool starts them all at once.
+    workers = min(args.parallel, len(scn.seeds))
+    chunks = [scn.seeds[i::workers] for i in range(workers)]
+    run_chunk = functools.partial(_run_seeds, scn)
     try:
-        if args.parallel > 1:
-            # The pool starts all its workers at once: no more than the seeds.
-            with ProcessPoolExecutor(max_workers=min(args.parallel, len(scn.seeds))) as pool:
-                batches = list(pool.map(functools.partial(_run_seed, scn), scn.seeds, chunksize=1))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                batches = list(pool.map(run_chunk, chunks))
         else:
-            batches = [_run_seed(scn, seed) for seed in scn.seeds]
+            batches = list(map(run_chunk, chunks))
     except ScenarioError:
         raise
     except UnfinishedRun as exc:

@@ -173,7 +173,7 @@ class LinkTable:
         estimates += [m + r for m, r in zip(ahead[:head], last)]
         for m, r, rho, sigma in zip(ahead[head:], last[head:], rhos[head:], sigmas[head:]):
             decay = rho**delay
-            estimates.append(m + decay * r - sigma * math.sqrt(max(1.0 - decay * decay, 0.0)))
+            estimates.append(m + decay * r - sigma * math.sqrt(1.0 - decay * decay))
         return estimates
 
 

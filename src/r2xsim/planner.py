@@ -11,13 +11,16 @@ computed once and what changes is kept in a reservation table:
 
 - each ``GridWorld`` builds its neighbour table and, per goal, the BFS
   distance field that serves as the A* heuristic, once, on first use;
-- each robot has one :class:`ReservationTable`, the planner's only form of
-  constraint, as a per-agent constraint set in Sharon et al. 2015 (CBS).
-  ``plan`` reads the human forecasts as one cell -> blocked-steps table,
-  built per call or handed in ready-made (the warehouse engine keeps one per
-  frame and set of parked robots, with the solo routes searched under it);
-  each robot searches under a copy of it, into which its conflict windows
-  and blocked moves are written as they arrive.
+- ``plan`` reads the human forecasts as one cell -> blocked-steps table,
+  built per call or handed in ready-made with a memo of the solo routes
+  searched under it (the warehouse engine keeps one pair per frame and set
+  of parked robots). Solo routes and the joint refinement read that table
+  itself, and each solo route is searched once per memo;
+- a robot that a conflict constrains searches under its own
+  :class:`ReservationTable`, the planner's only form of constraint, as a
+  per-agent constraint set in Sharon et al. 2015 (CBS): a copy of the human
+  table's dict, into which its conflict windows and blocked moves are
+  written as they arrive.
 
 ``low_level_search`` breaks ties on f toward the deeper node (Asai and
 Fukunaga 2016, "Tiebreaking Strategies for A* Search"). With an exact
@@ -142,9 +145,9 @@ class ReservationTable:
     robot may not occupy it, and the ``(cell, to_cell, step)`` moves it may
     not make.
 
-    ``cells`` may be shared with other tables: :meth:`block_cell` replaces a
-    cell's step set instead of changing it, and :meth:`copy` copies the
-    dict, so a copy can take blocks without touching the table it came from.
+    The step sets in ``cells`` may be shared with other tables:
+    :meth:`block_cell` replaces a cell's step set instead of changing it, so
+    a table over a copy of another's dict takes blocks without touching it.
     """
 
     __slots__ = ("robot_id", "cells", "edges")
@@ -153,11 +156,6 @@ class ReservationTable:
         self.robot_id = robot_id
         self.cells = cells
         self.edges: Set[Tuple[Cell, Cell, int]] = set()
-
-    def copy(self) -> "ReservationTable":
-        out = ReservationTable(self.robot_id, dict(self.cells))
-        out.edges = set(self.edges)
-        return out
 
     def block_cell(self, cell: Cell, step_lo: int, step_hi: int) -> None:
         """Bar ``cell`` at every step in [step_lo, step_hi]."""
@@ -331,28 +329,38 @@ def _widen_conflict(conflict: Conflict, table: ReservationTable, gap: int) -> bo
     return fresh
 
 
+def _solo_route(
+    world: GridWorld, robot: RobotState, human: Dict[Cell, FrozenSet[int]], horizon: int,
+    routes: Dict[Tuple[int, Cell, Cell, int], SpaceTimePath],
+) -> SpaceTimePath:
+    """``robot``'s route under ``human`` alone, searched once per key
+    ``(id, start, goal, horizon)`` of ``routes``; a failed search raises and
+    is not kept, so a later need meets the same error."""
+    key = (robot.id, tuple(robot.cell), tuple(robot.goal), horizon)
+    path = routes.get(key)
+    if path is None:
+        path = routes[key] = low_level_search(world, robot, ReservationTable(robot.id, human), horizon)
+    return path
+
+
 def _solve_ordering(
     world: GridWorld,
     robots: Dict[int, RobotState],
     order: Sequence[int],
-    base: Dict[int, ReservationTable],
+    human: Dict[Cell, FrozenSet[int]],
     gap: int,
     horizon: int,
-    solo: Dict[int, SpaceTimePath],
+    routes: Dict[Tuple[int, Cell, Cell, int], SpaceTimePath],
 ) -> Dict[int, SpaceTimePath]:
-    """Paths for ``order`` by priority. ``solo`` caches each robot's route
-    under its base table across the orderings of one ``plan``: a route is
-    searched, in ``order``, on first need; a failed search raises and is not
-    cached, so a later ordering meets the same error."""
-    for rid in order:
-        if rid not in solo:
-            solo[rid] = low_level_search(world, robots[rid], base[rid], horizon)
+    """Paths for ``order`` by priority, starting from each robot's solo
+    route in ``routes`` (searched, in ``order``, on first need). Each robot
+    takes its conflict windows in a table over its own copy of ``human``."""
+    paths = {rid: _solo_route(world, robots[rid], human, horizon, routes) for rid in order}
     # Exact: a conflict step is at most the horizon and no search reads a step
     # past it; without the clip each window materialises 2 * gap + 1 steps.
     gap = min(gap, horizon)
     rank = {rid: i for i, rid in enumerate(order)}
-    tables = {rid: base[rid].copy() for rid in order}
-    paths = {rid: solo[rid] for rid in order}
+    tables = {rid: ReservationTable(rid, dict(human)) for rid in order}
     for _ in range(_MAX_RESOLUTION_ROUNDS):
         conflict = detect_first_conflict([paths[rid] for rid in order])
         if conflict is None:
@@ -371,8 +379,7 @@ def _time_expanded_layers(
     start: Cell,
     goal: Cell,
     arrival: int,
-    cell_blocks,
-    edge_blocks,
+    human: Dict[Cell, FrozenSet[int]],
 ):
     """Cells the lead robot may occupy at each step on some optimal route.
 
@@ -391,9 +398,7 @@ def _time_expanded_layers(
                 h = hfield.get(nxt)
                 if h is None or h > left:
                     continue
-                if (t + 1) in cell_blocks.get(nxt, ()):
-                    continue
-                if (cell, nxt, t) in edge_blocks:
+                if (t + 1) in human.get(nxt, ()):
                     continue
                 fwd[t + 1].add(nxt)
     bwd = [set() for _ in range(arrival + 1)]
@@ -401,7 +406,7 @@ def _time_expanded_layers(
     for t in range(arrival - 1, -1, -1):
         for cell in fwd[t]:
             for nxt in moves[cell]:
-                if nxt in bwd[t + 1] and (t + 1) not in cell_blocks.get(nxt, ()) and (cell, nxt, t) not in edge_blocks:
+                if nxt in bwd[t + 1] and (t + 1) not in human.get(nxt, ()):
                     bwd[t].add(cell)
                     break
     return [sorted(fwd[t] & bwd[t]) for t in range(arrival + 1)]
@@ -411,12 +416,13 @@ def _joint_best_response(
     world: GridWorld,
     lead: RobotState,
     follow: RobotState,
-    base: Dict[int, ReservationTable],
+    human: Dict[Cell, FrozenSet[int]],
     solo: SpaceTimePath,
     limit: int,
 ) -> Optional[Tuple[int, SpaceTimePath, SpaceTimePath]]:
     """Exact best makespan when ``lead`` plans first and ``follow`` responds,
-    if it is at most ``limit``; ``solo`` is the lead's route under its table.
+    if it is at most ``limit``; ``solo`` is the lead's route under ``human``,
+    the table both robots search under.
 
     The lead may take any of its optimal solo routes; a breadth-first search
     over the joint state space, with the lead restricted to those routes,
@@ -426,15 +432,12 @@ def _joint_best_response(
     ``limit`` even on an empty grid. Only used for the two-robot makespan
     objective with a zero gap window.
     """
-    lead_table, fol_table = base[lead.id], base[follow.id]
-    lead_eb = lead_table.edges
-    fol_cb, fol_eb = fol_table.cells, fol_table.edges
     t1 = solo.arrival_step
     if t1 > limit:
         return None
-    layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, lead_table.cells, lead_eb)
+    layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, human)
     goal1, goal2 = tuple(lead.goal), tuple(follow.goal)
-    fol_goal_latest = max(fol_cb.get(goal2, ()), default=-1)
+    fol_goal_latest = max(human.get(goal2, ()), default=-1)
     moves = world.neighbor_table
     hfield = world.goal_distances(goal2)
     parked = [goal1]
@@ -469,7 +472,7 @@ def _joint_best_response(
             lead_layer = set(layers[nstep])
             for c1, _ in frontier:
                 if c1 not in lead_moves:
-                    lead_moves[c1] = [n for n in moves[c1] if n in lead_layer and (c1, n, t) not in lead_eb]
+                    lead_moves[c1] = [n for n in moves[c1] if n in lead_layer]
         fol_moves: Dict[Cell, List[Cell]] = {}
         nxt_parents: Dict[Tuple[Cell, Cell], Tuple[Cell, Cell]] = {}
         for state in frontier:
@@ -482,9 +485,7 @@ def _joint_best_response(
                     d = hfield.get(n)
                     if d is None or d > slack:
                         continue
-                    if nstep in fol_cb.get(n, ()):
-                        continue
-                    if (c2, n, t) in fol_eb:
+                    if nstep in human.get(n, ()):
                         continue
                     moves2.append(n)
             for n1 in moves1:
@@ -518,7 +519,8 @@ def plan(
     ``routes`` holds solo routes already searched on ``world`` under that
     same table, keyed by ``(robot id, start, goal, horizon)``: a robot's
     route found there is not searched again, and every solo route this call
-    searches is added to it, also when the call raises.
+    searches is added to it as it is found, also when the call raises. The
+    call writes nothing into the human table.
 
     Priority order is ``cfg.priority_robot`` first, then ascending id; the
     lower-priority robot of each conflict is constrained and replans. Under
@@ -544,39 +546,14 @@ def plan(
         human = human_forecasts
     else:
         human = _human_reservations(world, [(tuple(c), int(s)) for c, s in human_forecasts], cfg.objective)
-    # Every base table shares ``human``; searches write only into copies.
-    base = {rid: ReservationTable(rid, human) for rid in ids}
+    if routes is None:
+        routes = {}
 
     if cfg.priority_robot is not None:
         order = [cfg.priority_robot] + sorted(i for i in ids if i != cfg.priority_robot)
     else:
         order = sorted(ids)
 
-    # Each robot's route under its base table, searched on first need and
-    # shared by every ordering of this call.
-    keys = {rid: (rid, start, goal, horizon) for rid, start, goal in zip(ids, starts, goals)}
-    solo: Dict[int, SpaceTimePath] = {}
-    if routes is not None:
-        solo = {rid: routes[key] for rid, key in keys.items() if key in routes}
-    try:
-        return _plan_orderings(world, robots, by_id, order, base, cfg, horizon, solo)
-    finally:
-        if routes is not None:
-            routes.update((keys[rid], path) for rid, path in solo.items())
-
-
-def _plan_orderings(
-    world: GridWorld,
-    robots: Sequence[RobotState],
-    by_id: Dict[int, RobotState],
-    order: List[int],
-    base: Dict[int, ReservationTable],
-    cfg: PlanConfig,
-    horizon: int,
-    solo: Dict[int, SpaceTimePath],
-) -> List[SpaceTimePath]:
-    """``plan``'s search once its input is checked: the joint refinement or
-    the prioritized loop, reading and filling the ``solo`` route cache."""
     gap = cfg.min_time_gap_at_conflict
     use_refinement = (
         cfg.objective == "makespan"
@@ -593,23 +570,23 @@ def _plan_orderings(
         # the first. A joint plan's makespan is at least either robot's solo
         # arrival step, so an ordering whose bound is below the larger one
         # cannot find a plan and is not searched.
+        solo: Dict[int, SpaceTimePath] = {}
         for rid in order:
-            if rid not in solo:
-                try:
-                    solo[rid] = low_level_search(world, by_id[rid], base[rid], horizon)
-                except PlanningInfeasible:
-                    pass
+            try:
+                solo[rid] = _solo_route(world, by_id[rid], human, horizon, routes)
+            except PlanningInfeasible:
+                pass
         limit = horizon
         if len(solo) == 2:
             try:
-                limit = makespan(_solve_ordering(world, by_id, order, base, 0, horizon, solo).values())
+                limit = makespan(_solve_ordering(world, by_id, order, human, 0, horizon, routes).values())
             except PlanningError:
                 pass
         floor = max((p.arrival_step for p in solo.values()), default=0)
         best = None
         for lead_id, follow_id in (order, order[::-1]):
             if lead_id in solo and limit >= floor:
-                res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], base, solo[lead_id], limit)
+                res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], human, solo[lead_id], limit)
                 if res is not None:
                     best, limit = res, res[0] - 1
         if best is None:
@@ -631,7 +608,7 @@ def _plan_orderings(
     failure: Optional[PlanningInfeasible] = None
     for cand in orderings:
         try:
-            paths = _solve_ordering(world, by_id, cand, base, gap, horizon, solo)
+            paths = _solve_ordering(world, by_id, cand, human, gap, horizon, routes)
         except PlanningInfeasible as exc:
             failure = exc
             continue

@@ -456,7 +456,7 @@ def reference_joint_best_response(world, lead, follow, base, horizon):
     except PlanningInfeasible:
         return None
     t1 = solo.arrival_step
-    layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, lead_table.cells, lead_eb)
+    layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, lead_table.cells)
     goal1, goal2 = tuple(lead.goal), tuple(follow.goal)
     fol_goal_latest = max(fol_cb.get(goal2, ()), default=-1)
     moves = world.neighbor_table
@@ -543,24 +543,23 @@ def reference_refinement_plan(world, robots, forecasts, horizon):
     pairs = [(tuple(c), int(s)) for c, s in forecasts]
     human = _human_reservations(world, pairs, "makespan")
     by_id = {r.id: r for r in robots}
-    base = {rid: ReservationTable(rid, human) for rid in by_id}
     order = sorted(by_id)
     solo = {}
     for rid in order:
         try:
-            solo[rid] = low_level_search(world, by_id[rid], base[rid], horizon)
+            solo[rid] = low_level_search(world, by_id[rid], ReservationTable(rid, human), horizon)
         except PlanningInfeasible:
             pass
     limit = horizon
     if len(solo) == 2:
         try:
-            limit = makespan(_solve_ordering(world, by_id, order, base, 0, horizon, solo).values())
+            limit = makespan(_solve_ordering(world, by_id, order, human, 0, horizon, {}).values())
         except PlanningError:
             pass
     best = None
     for lead_id, follow_id in (order, order[::-1]):
         if lead_id in solo:
-            res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], base, solo[lead_id], limit)
+            res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], human, solo[lead_id], limit)
             if res is not None:
                 best, limit = res, res[0] - 1
     if best is None:
@@ -610,11 +609,11 @@ def reference_plan_next(sim, rid, plan_time):
     return None
 
 
-def reference_solve_ordering(world, robots, order, base, gap, horizon):
+def reference_solve_ordering(world, robots, order, human, gap, horizon):
     """Paths for ``order`` by priority, every solo route searched afresh."""
     gap = min(gap, horizon)
     rank = {rid: i for i, rid in enumerate(order)}
-    tables = {rid: base[rid].copy() for rid in order}
+    tables = {rid: ReservationTable(rid, dict(human)) for rid in order}
     paths = {rid: low_level_search(world, robots[rid], tables[rid], horizon) for rid in order}
     for _ in range(_MAX_RESOLUTION_ROUNDS):
         conflict = detect_first_conflict([paths[rid] for rid in order])
@@ -642,13 +641,12 @@ def reference_prioritized_plan(world, robots, forecasts, cfg, horizon):
         raise PlanningError("robot starts and goals must be pairwise distinct")
     pairs = [(tuple(c), int(s)) for c, s in forecasts]
     human = _human_reservations(world, pairs, cfg.objective)
-    base = {rid: ReservationTable(rid, human) for rid in ids}
     if cfg.priority_robot is not None:
         order = [cfg.priority_robot] + sorted(i for i in ids if i != cfg.priority_robot)
     else:
         order = sorted(ids)
     if len(robots) == 1:
-        return [low_level_search(world, robots[0], base[ids[0]], horizon)]
+        return [low_level_search(world, robots[0], ReservationTable(ids[0], human), horizon)]
     if cfg.objective == "makespan" and len(robots) <= 4:
         if cfg.priority_robot is not None:
             rest = [i for i in order if i != cfg.priority_robot]
@@ -662,7 +660,7 @@ def reference_prioritized_plan(world, robots, forecasts, cfg, horizon):
     failure = None
     for cand in orderings:
         try:
-            paths = reference_solve_ordering(world, by_id, cand, base, cfg.min_time_gap_at_conflict, horizon)
+            paths = reference_solve_ordering(world, by_id, cand, human, cfg.min_time_gap_at_conflict, horizon)
         except PlanningInfeasible as exc:
             failure = exc
             continue

@@ -227,15 +227,17 @@ class TestRun:
         line = f"--out: {tmp_path / 'o' / 'results.jsonl'}: {os.strerror(errno.EISDIR)}"
         assert capsys.readouterr().err.splitlines() == [line]
 
-    @pytest.mark.parametrize("parallel,workers", [("2", 2), ("64", 2)])
-    def test_pool_has_at_most_one_worker_per_seed(self, followme_file, tmp_path, monkeypatch, parallel, workers):
+    @pytest.mark.parametrize("parallel,chunks", [("2", [(4, 3, 2), (0, 1)]), ("64", [(4,), (0,), (3,), (1,), (2,)])])
+    def test_pool_has_at_most_one_worker_per_seed(self, followme_file, tmp_path, monkeypatch, parallel, chunks):
         """The pool starts all its workers at once, so it is sized to the
-        seeds; a fake pool records its size and runs the seeds in process."""
-        sizes = []
+        seeds, and maps over one chunk per worker, every ``parallel``-th
+        seed, so that each worker unpickles the loaded file once; a fake
+        pool records its size and chunks and runs them in process."""
+        seen = []
 
         class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                seen.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -244,14 +246,17 @@ class TestRun:
                 return False
 
             def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+                seen.append(list(items))
+                return map(fn, seen[-1])
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         serial, pooled = tmp_path / "s", tmp_path / "p"
-        assert main(["run", str(followme_file), "--out", str(serial)]) == 0
-        assert main(["run", str(followme_file), "--out", str(pooled), "--parallel", parallel]) == 0
-        assert sizes == [workers]
-        assert (serial / "results.jsonl").read_bytes() == (pooled / "results.jsonl").read_bytes()
+        seeds = ["--seeds", "4,0,3,1,2"]
+        assert main(["run", str(followme_file), "--out", str(serial), *seeds]) == 0
+        assert main(["run", str(followme_file), "--out", str(pooled), *seeds, "--parallel", parallel]) == 0
+        assert seen == [len(chunks), chunks]
+        for name in ("results.jsonl", "summary.csv"):
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
     def test_methods_subset(self, followme_file, tmp_path):
         out = tmp_path / "out"

@@ -4,13 +4,10 @@
 line the benchmark's workloads produce, and of the ``summary.csv`` of each
 one-seed run. Rerunning the same code twice (C12) cannot show that a
 refactor kept old outputs; comparing with these pins can. The checks are
-``tools/check_digests.py``'s, one seed per run and all seeds in one run,
-which also cover all 20 pinned seeds; here they run on the first three.
+``tools/check_digests.py``'s, one seed per run, all seeds in one run and
+all seeds on two workers, which also cover all 20 pinned seeds; here they
+run on the first three.
 """
-
-import contextlib
-import io
-import json
 
 import pytest
 
@@ -48,14 +45,5 @@ def test_parallel_run_matches_pinned_digests(sid, pinned, tmp_path):
     """Each of two worker processes runs its seeds on a pickled copy of the
     loaded file, human reservation memo included, and every record line
     still matches its pin."""
-    from r2xsim.cli import main
-
-    path = check_digests.scenario_file(sid, tmp_path)
-    out = tmp_path / "out"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["run", str(path), "--seeds", "0,1,2", "--parallel", "2", "--out", str(out)]) == 0
-    lines = (out / "results.jsonl").read_bytes().splitlines()
-    assert len(lines) == 4 * len(SEEDS)
-    for line in lines:
-        rec = json.loads(line)
-        assert check_digests.sha256(line) == pinned[sid]["records"][f"{rec['method']}/{rec['seed']}"], rec
+    lines, problems, _ = check_digests.check_records(sid, list(SEEDS), pinned[sid], tmp_path, parallel=2)
+    assert lines == 4 * len(SEEDS) and not problems, problems

@@ -205,16 +205,18 @@ class TestDeeperFirstTieBreak:
 
 class TestReservationTable:
     def test_copy_takes_constraints_without_changing_the_original(self):
-        shared = {2}  # forecast step sets are shared by every robot's table
-        base = ReservationTable(1, {(1, 1): shared})
-        copy = base.copy()
-        copy.block_cell((1, 1), 5, 6)
-        copy.block_cell((1, 0), 2, 4)
-        copy.block_cell((1, 0), 6, 6)
-        copy.block_move((0, 0), (0, 1), 0)
-        assert shared == {2} and base.cells == {(1, 1): {2}} and not base.edges
-        assert copy.cells == {(1, 1): {2, 5, 6}, (1, 0): {2, 3, 4, 6}}
-        assert copy.edges == {((0, 0), (0, 1), 0)}
+        """A table over a copy of the shared human table's dict takes blocks
+        without changing that table or its step sets."""
+        steps = frozenset({2})  # forecast step sets are shared by every robot's table
+        shared = {(1, 1): steps}
+        table = ReservationTable(1, dict(shared))
+        table.block_cell((1, 1), 5, 6)
+        table.block_cell((1, 0), 2, 4)
+        table.block_cell((1, 0), 6, 6)
+        table.block_move((0, 0), (0, 1), 0)
+        assert shared == {(1, 1): {2}} and shared[(1, 1)] is steps
+        assert table.cells == {(1, 1): {2, 5, 6}, (1, 0): {2, 3, 4, 6}}
+        assert table.edges == {((0, 0), (0, 1), 0)}
 
     @pytest.mark.parametrize("objective", ["makespan", "safety_first"])
     def test_forecast_table_indexes_the_forecast_constraints(self, objective):
@@ -658,7 +660,8 @@ class TestSharedSoloRoutes:
     def test_routes_change_no_plan(self, kind):
         """A plan given the routes of earlier plans under the same table
         gives the paths, or the error, of a plan without them; each route it
-        keeps is the route searched afresh, also after a failed plan."""
+        keeps is the route searched afresh, also after a failed plan. No plan
+        writes into the human table it is handed."""
         rng = np.random.default_rng(13)
         routes_seen = 0
         for _ in range(150):
@@ -668,6 +671,7 @@ class TestSharedSoloRoutes:
                 world, robots, forecasts, horizon = random_makespan_instance(rng)
                 cfg = PlanConfig("makespan", None, 0)
             human = _human_reservations(world, forecasts, cfg.objective)
+            before = {cell: set(steps) for cell, steps in human.items()}
             routes = {}
             # The same robots, then each alone and the pair reversed, share the table.
             for group in (robots, robots[:1], robots[::-1], robots):
@@ -675,6 +679,7 @@ class TestSharedSoloRoutes:
                     continue
                 want = plan_outcome(lambda: plan(world, group, human, cfg, horizon))
                 assert plan_outcome(lambda: plan(world, group, human, cfg, horizon, routes=routes)) == want
+            assert human == before and all(type(steps) is frozenset for steps in human.values())
             for (rid, start, goal, h), path in routes.items():
                 assert path == low_level_search(world, RobotState(rid, start, goal), ReservationTable(rid, human), h)
             routes_seen += len(routes)

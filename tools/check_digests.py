@@ -6,13 +6,16 @@
 ``perfbench/digests.json`` pins, for the six bundled files and the makespan
 copies of the four warehouse files, the sha256 of every ``results.jsonl``
 record line of seeds 0-19 and of each one-seed ``summary.csv``. This script
-makes two passes over the pinned files:
+makes three passes over the pinned files:
 
 - one seed per ``r2xsim run`` call, as ``perfbench/run.py`` runs them,
   comparing each record line and summary with its pin;
 - all 20 seeds in one ``r2xsim run`` call, as ``r2xsim run`` runs a file by
   default, comparing each record line with its pin. Its runs share one
-  loaded file, and with it the warehouse memos of tables, routes and plans.
+  loaded file, and with it the warehouse memos of tables, routes and plans;
+- all 20 seeds in one ``r2xsim run --parallel 2`` call, comparing each
+  record line with its pin. Each of the two workers runs every other seed
+  on its own copy of the loaded file.
 
 A makespan copy is written the way ``perfbench/run.py`` writes its
 ``warehouse-makespan`` inputs. It prints one line per mismatch and a count,
@@ -63,19 +66,23 @@ def scenario_file(sid: str, work_dir: Path) -> Path:
     return path
 
 
-def check_records(sid: str, seeds: Sequence[int], expected: dict, work_dir: Path
+def check_records(sid: str, seeds: Sequence[int], expected: dict, work_dir: Path, parallel: int = 1
                   ) -> Tuple[int, List[str], Optional[Path]]:
     """Run the file pinned as ``sid`` on ``seeds`` in one ``r2xsim run``
-    call and compare every record line with ``expected``, its entry in the
-    digests. Returns the number of record lines compared, one line per
-    mismatch, and the output directory (None when the run failed)."""
+    call with ``parallel`` workers and compare every record line with
+    ``expected``, its entry in the digests. Returns the number of record
+    lines compared, one line per mismatch, and the output directory (None
+    when the run failed)."""
     from r2xsim.cli import main
 
     path = scenario_file(sid, work_dir)
     label = f"seed {seeds[0]}" if len(seeds) == 1 else f"seeds {seeds[0]}-{seeds[-1]}"
-    out = work_dir / f"out-{sid}-{'-'.join(map(str, seeds))}"
+    if parallel > 1:
+        label += f" on {parallel} workers"
+    out = work_dir / f"out-{sid}-{'-'.join(map(str, seeds))}-p{parallel}"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", str(path), "--seeds", ",".join(map(str, seeds)), "--parallel", "1", "--out", str(out)])
+        code = main(["run", str(path), "--seeds", ",".join(map(str, seeds)), "--parallel", str(parallel),
+                     "--out", str(out)])
     if code != 0:
         return 0, [f"{sid} {label}: r2xsim run exited {code}"], None
     problems = []
@@ -109,7 +116,7 @@ def main() -> int:
     pins = pinned()
     lines = summaries = 0
     problems: List[str] = []
-    one_load = 0
+    one_load = pooled = 0
     with tempfile.TemporaryDirectory() as tmp:
         for sid in sorted(pins):
             for seed in SEEDS:
@@ -121,11 +128,16 @@ def main() -> int:
             n, found, _ = check_records(sid, list(SEEDS), pins[sid], Path(tmp))
             one_load += n
             problems += found
+        for sid in sorted(pins):
+            n, found, _ = check_records(sid, list(SEEDS), pins[sid], Path(tmp), parallel=2)
+            pooled += n
+            problems += found
     for line in problems:
         print(line)
     print(f"{lines} record lines and {summaries} summary.csv files of {len(pins)} files run one seed "
-          f"at a time, and {one_load} record lines of the same files run {len(SEEDS)} seeds at a time, "
-          f"checked against {DIGESTS.name}: {len(problems)} mismatches")
+          f"at a time, {one_load} record lines of the same files run {len(SEEDS)} seeds at a time and "
+          f"{pooled} run {len(SEEDS)} seeds on 2 workers, checked against {DIGESTS.name}: "
+          f"{len(problems)} mismatches")
     return 1 if problems else 0
 
 
