@@ -34,8 +34,7 @@ def main():
 
     scn = load_scenario(bundled_scenario_path("followme-corridor"))
     seeds = scn.seeds[: args.seeds]
-    print(f"{scn.id}: {scn.params['total_steps']} frames at "
-          f"{scn.params['frame_period_s']} s, {len(seeds)} seeds")
+    print(f"{scn.id}: {scn.params['total_steps']} frames, {len(seeds)} seeds")
     print()
     print(f"{'method':<14} {'p95 CTA s':>10} {'UTFR %':>8} {'delivered':>10}")
     for method in scn.methods:

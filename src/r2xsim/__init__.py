@@ -12,7 +12,6 @@ from .orchestrator import (
     WarehouseInputs,
     WarehouseSimulation,
     correct_loop,
-    loop_feasible,
     rule_intent,
     select_sense_mode,
     validate,
@@ -66,7 +65,6 @@ __all__ = [
     "gains",
     "human_forecast",
     "load_scenario",
-    "loop_feasible",
     "payload_bytes",
     "plan",
     "rule_intent",

@@ -57,25 +57,19 @@ class OrchestratorConfig:
 
 @dataclass(frozen=True)
 class LoopBudget:
-    """Fixed per-loop latency components, in seconds."""
+    """Fixed per-loop latency components, in seconds. The loop's deadline is
+    the cell transition, ``GridWorld.cell_traverse_s`` (see ``_decide``)."""
 
     detection_s: float = bounded(lo=0.0)
     encode_s: float = bounded(lo=0.0)
     link_context_s: float = bounded(lo=0.0)
     orchestration_s: float = bounded(lo=0.0)
-    deadline_s: float = bounded(1.4, lo=0.0)
 
     __post_init__ = check_bounds
 
     @property
     def total_s(self) -> float:
         return self.detection_s + self.encode_s + self.link_context_s + self.orchestration_s
-
-
-def loop_feasible(budget: LoopBudget) -> Tuple[float, bool]:
-    """Total loop latency and whether it closes strictly inside the deadline."""
-    total = budget.total_s
-    return total, total < budget.deadline_s
 
 
 # The rungs of the RSSI payload ladder, built once: every call returns one

@@ -19,8 +19,8 @@ computed once and what changes is kept in a reservation table:
 - a robot that a conflict constrains searches under its own
   :class:`ReservationTable`, the planner's only form of constraint, as a
   per-agent constraint set in Sharon et al. 2015 (CBS): a copy of the human
-  table's dict, into which its conflict windows and blocked moves are
-  written as they arrive.
+  table's dict, made on the robot's first conflict, into which its conflict
+  windows and blocked moves are written as they arrive.
 
 ``low_level_search`` breaks ties on f toward the deeper node (Asai and
 Fukunaga 2016, "Tiebreaking Strategies for A* Search"). With an exact
@@ -353,19 +353,21 @@ def _solve_ordering(
     routes: Dict[Tuple[int, Cell, Cell, int], SpaceTimePath],
 ) -> Dict[int, SpaceTimePath]:
     """Paths for ``order`` by priority, starting from each robot's solo
-    route in ``routes`` (searched, in ``order``, on first need). Each robot
-    takes its conflict windows in a table over its own copy of ``human``."""
+    route in ``routes`` (searched, in ``order``, on first need). A robot's
+    first conflict gives it a table over its own copy of ``human``."""
     paths = {rid: _solo_route(world, robots[rid], human, horizon, routes) for rid in order}
     # Exact: a conflict step is at most the horizon and no search reads a step
     # past it; without the clip each window materialises 2 * gap + 1 steps.
     gap = min(gap, horizon)
     rank = {rid: i for i, rid in enumerate(order)}
-    tables = {rid: ReservationTable(rid, dict(human)) for rid in order}
+    tables: Dict[int, ReservationTable] = {}
     for _ in range(_MAX_RESOLUTION_ROUNDS):
         conflict = detect_first_conflict([paths[rid] for rid in order])
         if conflict is None:
             return paths
         lower = conflict.robot_a if rank[conflict.robot_a] > rank[conflict.robot_b] else conflict.robot_b
+        if lower not in tables:
+            tables[lower] = ReservationTable(lower, dict(human))
         # The lower robot's path was searched under its table, so the table
         # cannot bar the conflict itself unless the search is wrong.
         if not _widen_conflict(conflict, tables[lower], gap):

@@ -244,12 +244,11 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError([f"{path}: {e}" for e in exc.errors]) from exc
 
 
-def _radio(ck: _Checker, sec: dict, path: str) -> Tuple[dict, McsTable]:
-    """A section's optional ``radio`` object: its ``RadioConfig`` fields, and
-    the default MCS table with its bandwidth and slot; an absent field takes
-    its declared default."""
+def _radio(ck: _Checker, sec: dict, path: str, keys: Tuple[str, ...]) -> Tuple[dict, McsTable]:
+    """A section's optional ``radio`` object: the ``RadioConfig`` fields
+    ``keys`` its kind reads, and the default MCS table with its bandwidth and
+    slot; an absent field takes its declared default."""
     path = f"{path}.radio"
-    keys = ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm")
     robj = ck.obj(sec["radio"], path, (), (*keys, "bandwidth_hz", "slot_s")) if "radio" in sec else {}
     robj = robj or {}  # not an object: already an error, and read as empty
     radio = {key: ck.declared(robj, path, RadioConfig, key) for key in keys}
@@ -261,8 +260,8 @@ def _radio(ck: _Checker, sec: dict, path: str) -> Tuple[dict, McsTable]:
 
 
 def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
-    """Check a warehouse section field by field, then build its world,
-    robots, tracks, gain map, MCS table, resolved configuration and budget."""
+    """Check a warehouse section field by field, then build its world, robots,
+    tracks, gain map, MCS table, resolved configuration and ``LoopBudget``."""
     p = "scenario.warehouse"
     sec = ck.obj(
         sec, p, ("world", "robots", "gain", "budget", "payloads", "intent_text"), ("humans", "radio", "max_sim_time_s")
@@ -271,7 +270,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
         return None
     world = ck.obj(
         sec.get("world"), f"{p}.world",
-        ("width", "height"), ("cell_size_m", "frame_period_s", "cell_traverse_s", "blocked", "blocked_rects"),
+        ("width", "height"), ("frame_period_s", "cell_traverse_s", "blocked", "blocked_rects"),
     ) or {}  # not an object: already an error, and read as empty
     width = ck.declared(world, f"{p}.world", GridWorld, "width")
     height = ck.declared(world, f"{p}.world", GridWorld, "height")
@@ -287,7 +286,6 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
         """A cell, or both corners of a rect, in a world of known size."""
         return sized and all(0 <= x < width and 0 <= y < height for x, y in (found[:2], found[-2:]))
 
-    cell_size_m = ck.declared(world, f"{p}.world", GridWorld, "cell_size_m")
     frame_period_s = ck.declared(world, f"{p}.world", GridWorld, "frame_period_s")
     cell_traverse_s = ck.declared(world, f"{p}.world", GridWorld, "cell_traverse_s")
     # found[:2] and found[-2:] are a cell itself or a rect's two corners.
@@ -386,15 +384,11 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
                 ck.fail(f"{zp}.rect", f"{_echo(zobj['rect'])} outside {_echo(width)}x{_echo(height)} world")
             zones.append((rect, ck.num(zobj, zp, "extra_loss_db", lo=0.0, hi=_MAX_DB)))
 
-    radio, table = _radio(ck, sec, p)
+    radio, table = _radio(ck, sec, p, ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm"))
 
-    budget = ck.obj(
-        sec.get("budget"), f"{p}.budget",
-        ("detection_s", "encode_s", "link_context_s", "orchestration_s"), ("deadline_s",),
-    ) or {}
-    times = {key: ck.declared(budget, f"{p}.budget", LoopBudget, key) for key in LoopBudget.__dataclass_fields__}
-    if "deadline_s" not in budget:  # the loop must close within one cell transition
-        times["deadline_s"] = cell_traverse_s
+    keys = tuple(LoopBudget.__dataclass_fields__)
+    budget = ck.obj(sec.get("budget"), f"{p}.budget", keys) or {}
+    times = {key: ck.declared(budget, f"{p}.budget", LoopBudget, key) for key in keys}
 
     payloads = ck.obj(sec.get("payloads"), f"{p}.payloads", ("raw", "semantic_feature")) or {}
     payloads = {key: ck.num(payloads, f"{p}.payloads", key, **_PAYLOAD_BYTES) for key in ("raw", "semantic_feature")}
@@ -415,7 +409,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     for (x0, y0, x1, y1), loss in zones:
         gains[y0 : y1 + 1, x0 : x1 + 1] -= loss
     cfg = correct_loop(RuleIntentEngine(), sec["intent_text"], {"robot_ids": sorted(ids)}).config
-    grid = GridWorld(width, height, cell_size_m, frozenset(blocked), frame_period_s, cell_traverse_s)
+    grid = GridWorld(width, height, frozenset(blocked), frame_period_s, cell_traverse_s)
     humans = [HumanTrack(*track) for track in tracks]
     return WarehouseInputs(
         world=grid,
@@ -485,7 +479,7 @@ def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
     sigma = ck.declared(sec, p, PathGainMap, "shadowing_sigma_db")
     payload_bytes = ck.num(sec, p, "payload_bytes", **_PAYLOAD_BYTES)
     target = ck.num(sec, p, "bler_target", 0.1, **_BLER_TARGET)
-    radio, table = _radio(ck, sec, p)
+    radio, table = _radio(ck, sec, p, ("max_power_dbm", "max_retx", "noise_dbm"))
     if ck.errors:
         return None
 
@@ -556,7 +550,7 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
     p = "scenario.followme"
     sec = ck.obj(
         sec, p,
-        ("total_steps", "frame_period_s", "distance_profile", "rssi_curve", "noise",
+        ("total_steps", "distance_profile", "rssi_curve", "noise",
          "throughput_curve", "bit_error_curve", "codec_s", "payload_bytes", "perception",
          "cta_useful_s", "loss_threshold_steps"),
         ("max_attempts", "slot_s"),
@@ -564,7 +558,6 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
     if sec is None:
         return None
     total = ck.num(sec, p, "total_steps", lo=1, hi=_MAX_STEPS, integer=True)
-    ck.num(sec, p, "frame_period_s", lo=0.0)
     distance = ck.curve(sec, p, "distance_profile")
     rssi = ck.curve(sec, p, "rssi_curve")
     noise = ck.obj(sec.get("noise"), f"{p}.noise", ("rho", "sigma_db")) or {}

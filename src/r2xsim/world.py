@@ -35,7 +35,6 @@ class GridWorld:
 
     width: int = bounded(lo=1, integer=True)
     height: int = bounded(lo=1, integer=True)
-    cell_size_m: float = bounded(2.0, gt=0.0)
     blocked: frozenset = field(default_factory=frozenset)
     frame_period_s: float = bounded(0.5, gt=0.0)
     cell_traverse_s: float = bounded(1.4, gt=0.0)

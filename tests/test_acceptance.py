@@ -14,13 +14,7 @@ import numpy as np
 from oracles import joint_makespan_oracle, random_planner_instance
 from r2xsim.cli import main as cli_main
 from r2xsim.linkadapt import PolicySpec, PolicyTimeSeries, gains
-from r2xsim.orchestrator import (
-    LoopBudget,
-    correct_loop,
-    loop_feasible,
-    rule_intent,
-    select_sense_mode,
-)
+from r2xsim.orchestrator import correct_loop, rule_intent, select_sense_mode
 from r2xsim.planner import (
     PlanConfig,
     PlanningInfeasible,
@@ -41,16 +35,17 @@ def record(log, tag, ok, detail):
     assert ok, line
 
 
-def test_c01_control_loop_budget(acceptance_log):
-    """The measured pipeline components close the loop inside one frame."""
+def test_c01_control_loop_budget(acceptance_log, bundled_dir):
+    """The measured pipeline components of warehouse-s1 close the loop
+    inside one cell transition."""
     start = time.monotonic()
-    budget = LoopBudget(0.09617, 0.00123, 0.04691, 0.884, deadline_s=1.4)
-    total, feasible = loop_feasible(budget)
+    inputs = load_scenario(bundled_dir / "warehouse-s1.json").inputs
+    total, transition = inputs.budget.total_s, inputs.world.cell_traverse_s
     elapsed = time.monotonic() - start
-    ok = abs(total - 1.02831) <= 1e-5 and feasible and elapsed < 1.0
+    ok = abs(total - 1.02831) <= 1e-5 and total < transition and transition == 1.4 and elapsed < 1.0
     record(
         acceptance_log, "C01", ok,
-        f"loop closes in {total * 1000:.2f} ms, under the 1400 ms transition ({elapsed:.2f} s)",
+        f"loop closes in {total * 1000:.2f} ms, under the {transition * 1000:.0f} ms transition ({elapsed:.2f} s)",
     )
 
 

@@ -20,7 +20,6 @@ from r2xsim.orchestrator import (
     WarehouseSimulation,
     correct_loop,
     fallback_message,
-    loop_feasible,
     rule_intent,
     select_sense_mode,
     validate,
@@ -32,21 +31,8 @@ from r2xsim.world import GridWorld, HumanTrack, RobotState
 
 
 class TestLoopBudget:
-    def test_total_and_feasible(self):
-        b = LoopBudget(0.09617, 0.00123, 0.04691, 0.884)
-        total, ok = loop_feasible(b)
-        assert total == pytest.approx(1.02831, abs=1e-12)
-        assert ok
-
-    def test_infeasible(self):
-        b = LoopBudget(0.5, 0.4, 0.3, 0.3)
-        total, ok = loop_feasible(b)
-        assert total == pytest.approx(1.5) and not ok
-
-    def test_deadline_is_strict(self):
-        b = LoopBudget(0.7, 0.3, 0.2, 0.2, deadline_s=1.4)
-        total, ok = loop_feasible(b)
-        assert total == pytest.approx(1.4) and not ok
+    def test_total_s(self):
+        assert LoopBudget(0.09617, 0.00123, 0.04691, 0.884).total_s == pytest.approx(1.02831, abs=1e-12)
 
 
 class TestSelectSenseMode:
@@ -548,7 +534,7 @@ def make_inputs(
     max_sim_time_s=3600.0,
     weights=None,
 ):
-    world = world or GridWorld(6, 1, cell_size_m=2.0)
+    world = world or GridWorld(6, 1)
     robots = robots or [RobotState(1, (0, 0), (5, 0))]
     if isinstance(gains, PathGainMap):
         gain_map = gains
@@ -588,7 +574,7 @@ class TestWarehouseSimulation:
         inputs = make_inputs()
         track = HumanTrack(((2, 0),))
         for other in (
-            HumanReservations(GridWorld(6, 1, cell_size_m=2.0), inputs.tracks, "makespan"),
+            HumanReservations(GridWorld(6, 1), inputs.tracks, "makespan"),
             HumanReservations(inputs.world, [track], "makespan"),
             HumanReservations(inputs.world, inputs.tracks, "safety_first"),
         ):
@@ -647,7 +633,7 @@ class TestWarehouseSimulation:
     def test_stop_and_go_waits_out_a_human(self):
         """Human stands on (3,0) for ten frames then steps aside; the robot
         is blocked on tries at 2.8 s and 4.2 s and passes on the third try."""
-        world = GridWorld(6, 2, cell_size_m=2.0)
+        world = GridWorld(6, 2)
         track = HumanTrack([(3, 0)] * 10 + [(3, 1)])
         rec = make_sim("stop_and_go", world=world, tracks=[track]).run()
         assert rec.completion_time_s == pytest.approx(9.8, abs=1e-9)
@@ -656,7 +642,7 @@ class TestWarehouseSimulation:
         assert rec.per_robot_arrival_steps == {1: 5}
 
     def test_stop_and_go_yields_to_other_robot(self):
-        world = GridWorld(3, 2, cell_size_m=2.0)
+        world = GridWorld(3, 2)
         robots = [RobotState(1, (0, 0), (2, 0)), RobotState(2, (1, 0), (1, 1))]
         rec = make_sim("stop_and_go", world=world, robots=robots).run()
         assert rec.completion_time_s == pytest.approx(5.6, abs=1e-9)
@@ -664,7 +650,7 @@ class TestWarehouseSimulation:
         assert rec.per_robot_arrival_steps == {1: 2, 2: 1}
 
     def test_occupied_next_interlock(self):
-        world = GridWorld(4, 1, cell_size_m=2.0)
+        world = GridWorld(4, 1)
         robots = [RobotState(1, (0, 0), (3, 0)), RobotState(2, (2, 0), (2, 0))]
         sim = make_sim("lorc_sc_p", world=world, robots=robots)
         sim.robots[2].pending_target = (1, 0)
@@ -684,7 +670,7 @@ class TestWarehouseSimulation:
         assert a.stop_events == b.stop_events
 
     def test_max_sim_time_guard(self):
-        world = GridWorld(8, 1, cell_size_m=2.0)
+        world = GridWorld(8, 1)
         robots = [RobotState(1, (0, 0), (7, 0))]
         sim = make_sim("stop_and_go", world=world, robots=robots, max_sim_time_s=5.0, seed=3)
         with pytest.raises(UnfinishedRun) as info:

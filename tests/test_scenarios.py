@@ -101,7 +101,6 @@ def tiny_followme():
         "methods": ["jpeg_q80", "vq_1x1", "orchestrated"],
         "followme": {
             "total_steps": 60,
-            "frame_period_s": 0.25,
             "distance_profile": [[0.0, 4.0], [59.0, 13.0]],
             "rssi_curve": [[0.0, -28.0], [16.0, -58.0]],
             "noise": {"rho": 0.8, "sigma_db": 1.0},
@@ -146,6 +145,27 @@ LEAVES = [(make, path) for make in (tiny_warehouse, tiny_mcs, tiny_followme) for
 # before anything of their size is allocated or summed.
 LEAF_VALUES = (0, 1, -1, 2.5, 1e15, 10**400, 1e308, -1e308, math.nan, math.inf, "x", None, [], {}, True)
 DELETE = object()
+
+# Numeric leaves of the bundled files that a move may leave out of the run
+# inputs, as "<file>: <path>": <reason>. None today.
+UNREAD_LEAVES = {}
+
+
+def leaf_moves(value):
+    """The two moves of a numeric leaf: +1 and -1 for an int, x1.25 and x0.8
+    for a float, 0.1 and 1.0 for a float zero."""
+    if isinstance(value, int):
+        return value + 1, value - 1
+    return (value * 1.25, value * 0.8) if value else (0.1, 1.0)
+
+
+def inputs_bytes(doc) -> bytes:
+    """The pickled run inputs ``doc`` builds, without the warehouse's
+    per-file memo of human tables."""
+    inputs = parse_scenario(doc).inputs
+    if isinstance(inputs, orchestrator.WarehouseInputs):
+        inputs = inputs._replace(human=None)
+    return pickle.dumps(inputs)
 
 
 class TestBundledCorpus:
@@ -306,7 +326,8 @@ class TestValidation:
                 lambda s: s["world"].update(cell_traverse_s=0),
                 "scenario.warehouse.world.cell_traverse_s: 0 must be > 0.0",
             ),
-            (lambda s: s["world"].update(cell_size_m=0), "scenario.warehouse.world.cell_size_m: 0 must be > 0.0"),
+            (lambda s: s["world"].update(cell_size_m=2.0), "scenario.warehouse.world.cell_size_m: unknown field"),
+            (lambda s: s["budget"].update(deadline_s=1.4), "scenario.warehouse.budget.deadline_s: unknown field"),
             (lambda s: s.update(radio={"slot_s": 0}), "scenario.warehouse.radio.slot_s: 0 must be > 0.0"),
             (
                 lambda s: s["gain"].update(dead_zones=[{"rect": [50, 50, 60, 60], "extra_loss_db": 5.0}]),
@@ -389,6 +410,7 @@ class TestValidation:
             (lambda s: s["gain_profile"].update(base_db=-10001), "scenario.mcs.gain_profile.base_db: -10001 must be >= -10000"),
             (lambda s: s["gain_profile"].update(amplitude_db=1e308), "scenario.mcs.gain_profile.amplitude_db: 1e+308 must be <= 10000"),
             (lambda s: s.update(radio={"noise_dbm": -1e308}), "scenario.mcs.radio.noise_dbm: -1e+308 must be >= -10000"),
+            (lambda s: s.update(radio={"target_snr_db": 15.0}), "scenario.mcs.radio.target_snr_db: unknown field"),
         ],
     )
     def test_mcs_section(self, mutate, needle):
@@ -435,6 +457,7 @@ class TestValidation:
                 lambda s: s["codec_s"].update(vq=[0.01, math.inf]),
                 "scenario.followme.codec_s.vq: [0.01, inf] must be [encode_s, decode_s]",
             ),
+            (lambda s: s.update(frame_period_s=0.25), "scenario.followme.frame_period_s: unknown field"),
         ],
     )
     def test_followme_section(self, mutate, needle):
@@ -473,6 +496,36 @@ class TestValidation:
         if code == 2:
             lines = stderr.getvalue().splitlines()
             assert lines and all(line.startswith("scenario.") for line in lines), lines
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_every_moved_leaf_is_named_or_reaches_the_inputs(self, name, bundled_dir):
+        """Each numeric leaf of a bundled file, but ``seeds`` and
+        ``schema_version``, moved either way, is either refused at field
+        paths or changes the run inputs the file builds, unless it is listed
+        in UNREAD_LEAVES with its reason.
+
+        It does not catch a value that is stored on the inputs and read by
+        no run, as the warehouse ``budget.deadline_s`` was."""
+        doc = json.loads((bundled_dir / f"{name}.json").read_text())
+        base = inputs_bytes(doc)
+        assert inputs_bytes(doc) == base  # the comparison is deterministic
+        unread = set()
+        for path in leaf_paths(doc):
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            value = parent[path[-1]]
+            if path[0] in ("seeds", "schema_version") or type(value) not in (int, float):
+                continue
+            for moved in leaf_moves(value):
+                parent[path[-1]] = moved
+                try:
+                    if inputs_bytes(doc) == base:
+                        unread.add(f"{name}: " + ".".join(map(str, path)))
+                except ScenarioError as exc:
+                    assert all(e.startswith("scenario.") for e in exc.errors), exc.errors
+            parent[path[-1]] = value
+        assert unread == {leaf for leaf in UNREAD_LEAVES if leaf.startswith(f"{name}: ")}
 
     def test_mcs_delay_has_at_most_18_digits(self):
         doc = tiny_mcs()
@@ -853,7 +906,6 @@ class TestBuildWarehouse:
         assert cfg.ra.fairness == "max_min"
         assert cfg.ra.priority_weights == pytest.approx((0.3, 0.7))
         assert not cfg.fallback
-        assert budget.deadline_s == 1.4
         assert budget.total_s == pytest.approx(1.02831)
         assert table.bandwidth_hz == 10e6
 
@@ -899,14 +951,14 @@ class TestBuildMcsCorridor:
         assert [c[0] for c in cells] == [0, 1, 2, 3, 2, 1, 0, 1, 2]
         assert all(c[1] == 0 for c in cells)
         assert gain_map.shadowing_rho == 0.9
-        assert cfg.target_snr_db == 15.0  # defaults when no radio section
+        assert cfg.max_power_dbm == 23.0  # defaults when no radio section
         assert table.slot_s == 0.001
 
     def test_radio_overrides(self):
         doc = tiny_mcs()
-        doc["mcs"]["radio"] = {"target_snr_db": 10.0, "bandwidth_hz": 20e6}
+        doc["mcs"]["radio"] = {"noise_dbm": -95.0, "bandwidth_hz": 20e6}
         _, _, cfg, table, *_ = parse_scenario(doc).inputs
-        assert cfg.target_snr_db == 10.0
+        assert cfg.noise_dbm == -95.0
         assert table.bandwidth_hz == 20e6
 
 

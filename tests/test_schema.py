@@ -97,10 +97,12 @@ class At(NamedTuple):
 # Where a document sets each field, as the arguments of At.
 DOCUMENT = {
     **{(GridWorld, key): [(tiny_warehouse, ("warehouse", "world"))]
-       for key in ("width", "height", "cell_size_m", "frame_period_s", "cell_traverse_s")},
+       for key in ("width", "height", "frame_period_s", "cell_traverse_s")},
     (HumanTrack, "horizon_frames"): [(warehouse_with_human, ("warehouse", "humans", 0))],
     **{(McsTable, key): RADIO for key in ("bandwidth_hz", "slot_s")},
-    **{(RadioConfig, key): RADIO for key in ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm")},
+    # The mcs radio has no target_snr_db: its traces transmit at max_power_dbm.
+    (RadioConfig, "target_snr_db"): RADIO[:1],
+    **{(RadioConfig, key): RADIO for key in ("max_power_dbm", "max_retx", "noise_dbm")},
     (PathGainMap, "shadowing_rho"): [
         (tiny_warehouse, ("warehouse", "gain")), (tiny_mcs, ("mcs",)), (tiny_followme, ("followme", "noise"), "rho"),
     ],

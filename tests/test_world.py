@@ -30,7 +30,7 @@ class TestGridWorld:
         [
             dict(width=0, height=3),
             dict(width=3, height=0),
-            dict(width=2, height=2, cell_size_m=0.0),
+            dict(width=2, height=2, cell_traverse_s=0.0),
             dict(width=2, height=2, frame_period_s=0.0),
             dict(width=2, height=2, cell_traverse_s=-1.0),
             dict(width=2, height=2, blocked=frozenset({(2, 0)})),
@@ -77,7 +77,7 @@ class TestNeighborTable:
         world, robots, *_ = load_scenario(BUNDLED_DIR / f"{sid}.json").inputs
         if park_goal:
             world = GridWorld(
-                world.width, world.height, world.cell_size_m, world.blocked | {robots[0].goal},
+                world.width, world.height, world.blocked | {robots[0].goal},
                 world.frame_period_s, world.cell_traverse_s,
             )
         free = [

@@ -28,7 +28,6 @@ BUDGET = {
     "encode_s": 0.00123,
     "link_context_s": 0.04691,
     "orchestration_s": 0.884,
-    "deadline_s": 1.4,
 }
 
 PAYLOADS = {"raw": 6220800, "semantic_feature": 5160}
@@ -231,8 +230,8 @@ def mcs_ar1():
             "shadowing_sigma_db": 6.0,
             "payload_bytes": 1500,
             "bler_target": 0.1,
-            "radio": {"target_snr_db": 15.0, "max_power_dbm": 23.0, "max_retx": 4,
-                      "noise_dbm": -100.0, "bandwidth_hz": 10e6, "slot_s": 0.001},
+            "radio": {"max_power_dbm": 23.0, "max_retx": 4, "noise_dbm": -100.0,
+                      "bandwidth_hz": 10e6, "slot_s": 0.001},
         },
     }
 
@@ -249,7 +248,6 @@ def followme_corridor():
         ),
         "followme": {
             "total_steps": 900,
-            "frame_period_s": 0.25,
             "distance_profile": [
                 [0, 2.0], [80, 2.5], [140, 3.5], [200, 8.5], [300, 8.5],
                 [340, 10.0], [360, 10.0], [410, 14.6], [670, 14.6],
