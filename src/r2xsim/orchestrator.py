@@ -454,16 +454,27 @@ class UnfinishedRun(RuntimeError):
                 f"{self.max_sim_time_s} s ({self.reason})")
 
 
-@dataclass
+@dataclass(eq=False)
 class _RobotRuntime:
-    state: RobotState
+    """One robot of a warehouse run, with its own shadowing and HARQ streams
+    and, under stop-and-go, its solo route; compared by identity."""
+
+    id: int
+    cell: Cell
+    goal: Cell
+    weight: float
+    shadow_blocks: Iterator[List[float]]
+    harq: HarqStream
     executed: List[Cell]
     last_rate: float
+    shadow: List[float] = field(default_factory=list)
+    arrived: bool = False
     halt_s: float = 0.0
     stop_events: int = 0
     last_measured_gain_db: Optional[float] = None
     land_time_s: float = 0.0
     pending_target: Optional[Cell] = None
+    solo_path: Optional[SpaceTimePath] = None
 
 
 class WarehouseSimulation:
@@ -479,8 +490,9 @@ class WarehouseSimulation:
       lorc_sc_p   -- compact semantic uplink, map-predictive power, central
                      replan
 
-    The run is event-scheduled: one routine per event kind, events ordered
-    by ``(time, robot, push order)``.
+    Each robot is one record in ``robots``, by id in file order. The run is
+    event-scheduled: one routine per event kind, called with the robot's
+    record; events are ordered by ``(time, robot id, push order)``.
 
       decide -- a replanning robot's first command and every retry: plan,
                 then start the step and the loop for the next command, or
@@ -518,7 +530,7 @@ class WarehouseSimulation:
         self.seed = seed
         self.max_sim_time_s = inputs.max_sim_time_s
         self._payload_bytes = int(inputs.payloads["raw" if method == "lorc_p" else "semantic_feature"])
-        self._weight_of = dict(zip(ids, cfg.ra.priority_weights))
+        weight_of = dict(zip(ids, cfg.ra.priority_weights))
         # The plan configuration once the priority robot has arrived.
         self._pp_without_priority = dataclasses.replace(cfg.pp, priority_robot=None)
 
@@ -530,25 +542,19 @@ class WarehouseSimulation:
         # the last frame a loop can read, with 8 to spare for index rounding.
         self._loop_frames = int(self.max_sim_time_s / world.frame_period_s)
         n_frames = int(math.ceil(self.max_sim_time_s / world.frame_period_s)) + self._loop_frames + 8
-        self.robots: Dict[int, _RobotRuntime] = {}
-        self._shadow: Dict[int, List[float]] = {}
-        self._shadow_blocks: Dict[int, Iterator[List[float]]] = {}
-        for r in inputs.robots:
-            self.robots[r.id] = _RobotRuntime(
-                state=RobotState(r.id, tuple(r.cell), tuple(r.goal), "moving"),
-                executed=[tuple(r.cell)],
-                last_rate=first_rate,
+        # One record per robot, in file order, its streams seeded by its id.
+        rho, sigma = gain_map.shadowing_rho, gain_map.shadowing_sigma_db
+        self.robots: Dict[int, _RobotRuntime] = {
+            r.id: _RobotRuntime(
+                r.id, r.cell, r.goal, weight_of[r.id],
+                ar1_blocks(np.random.default_rng([seed, r.id, 7]), n_frames, rho, sigma),
+                HarqStream(np.random.default_rng([seed, r.id, 101])), [r.cell], first_rate,
             )
-            self._shadow[r.id] = []
-            self._shadow_blocks[r.id] = ar1_blocks(
-                np.random.default_rng([seed, r.id, 7]), n_frames,
-                gain_map.shadowing_rho, gain_map.shadowing_sigma_db,
-            )
-        self._harq = {rid: HarqStream(np.random.default_rng([seed, rid, 101])) for rid in self.robots}
+            for r in inputs.robots
+        }
         self.rtt_samples: List[float] = []
         self._events: List[Tuple[float, int, int, str, Optional[Cell]]] = []
         self._event_seq = 0
-        self._solo_paths: Dict[int, SpaceTimePath] = {}
         self._human = human
 
     # -- helpers ----------------------------------------------------------
@@ -556,52 +562,47 @@ class WarehouseSimulation:
     def _frame(self, t: float) -> int:
         return int(t / self.world.frame_period_s + 1e-9)
 
-    def _shadow_at(self, rid: int, frame: int) -> float:
-        """Robot ``rid``'s shadowing in ``frame``; IndexError past n_frames."""
-        series = self._shadow[rid]
-        while len(series) <= frame:
-            block = next(self._shadow_blocks[rid], None)
-            if block is None:
-                break
-            series += block
-        return series[frame]
+    def _shadow_at(self, rt: _RobotRuntime, frame: int) -> float:
+        """The robot's shadowing in ``frame``; IndexError past n_frames."""
+        while len(rt.shadow) <= frame and (block := next(rt.shadow_blocks, None)) is not None:
+            rt.shadow += block
+        return rt.shadow[frame]
 
     def _push(self, t: float, rid: int, kind: str, target: Optional[Cell] = None) -> None:
         self._event_seq += 1
         heapq.heappush(self._events, (t, rid, self._event_seq, kind, target))
 
-    def _active_ids(self) -> List[int]:
-        return sorted(rid for rid, rt in self.robots.items() if rt.state.status != "arrived")
+    def _active(self) -> List[_RobotRuntime]:  # by ascending id
+        return [rt for _, rt in sorted(self.robots.items()) if not rt.arrived]
 
     def _unfinished(self, reason: str) -> UnfinishedRun:
         return UnfinishedRun(self.method, self.seed, self.max_sim_time_s, reason)
 
-    def _occupied_next(self, rid: int, target: Cell) -> bool:
+    def _occupied_next(self, rt: _RobotRuntime, target: Cell) -> bool:
         """True when ``target`` is the cell another active robot holds or is
         currently flying into.  Plans are recomputed per robot, so a stalled
         neighbour can invalidate the departure this robot's plan assumed;
         this interlock keeps two robots from ever sharing a cell."""
         return any(
-            tuple(other.pending_target or other.state.cell) == target
-            for other_id, other in self.robots.items()
-            if other_id != rid and other.state.status != "arrived"
+            (other.pending_target or other.cell) == target
+            for other in self.robots.values()
+            if other is not rt and not other.arrived
         )
 
     # -- the control loop -------------------------------------------------
 
-    def _run_loop(self, rid: int, start_t: float, at_cell: Cell) -> float:
+    def _run_loop(self, rt: _RobotRuntime, start_t: float, at_cell: Cell) -> float:
         """Simulate one sensing-uplink-orchestration loop started at
         ``start_t`` while the robot heads for ``at_cell``; returns the time
         the next command is ready."""
-        rt = self.robots[rid]
         ra = self.cfg.ra
         cell_gain = self.gain_map.gain_at(at_cell)
         # No robot lands while the loop runs, so the uplink shares the
         # bandwidth with the same robots, under the same weights, throughout.
-        active = self._active_ids()
-        index = active.index(rid)
-        total = sum(self._weight_of[i] for i in active)
-        weights = [self._weight_of[i] / total for i in active]
+        active = self._active()
+        index = active.index(rt)
+        total = sum(other.weight for other in active)
+        weights = [other.weight / total for other in active]
         t = start_t
         for _ in range(self._loop_frames):
             if self.method == "lorc_sc" and rt.last_measured_gain_db is not None:
@@ -610,14 +611,14 @@ class WarehouseSimulation:
                 gain_ref = cell_gain
             power, _ = required_power(gain_ref, ra.target_snr_db, ra.noise_dbm, ra.max_power_dbm)
             est_snr = power + gain_ref - ra.noise_dbm
-            true_gain = cell_gain + self._shadow_at(rid, self._frame(t))
+            true_gain = cell_gain + self._shadow_at(rt, self._frame(t))
             true_snr = power + true_gain - ra.noise_dbm
             entry = self.table.entries[select_mcs(self.table, est_snr).index]
             rt.last_rate = entry.rate_bps_per_hz
-            share = allocate([self.robots[i].last_rate for i in active], weights, ra.fairness)[index]
+            share = allocate([other.last_rate for other in active], weights, ra.fairness)[index]
             result = simulate_transmission(
                 self._payload_bytes, entry, true_snr, self.table.bandwidth_hz * share, self.table.slot_s,
-                self._harq[rid], ra.max_retx,
+                rt.harq, ra.max_retx,
             )
             rt.last_measured_gain_db = true_gain
             if result.success:
@@ -625,69 +626,59 @@ class WarehouseSimulation:
                 self.rtt_samples.append(ready - start_t)
                 return ready
             t += self.world.frame_period_s
-        raise self._unfinished(f"robot {rid}: uplink never succeeded after {start_t:.1f} s")
+        raise self._unfinished(f"robot {rt.id}: uplink never succeeded after {start_t:.1f} s")
 
-    def _plan_next(self, rid: int, plan_time: float) -> Optional[Cell]:
-        """Central replan at ``plan_time``; returns robot ``rid``'s next cell
-        or None when planning is infeasible right now."""
-        active = self._active_ids()
-        robots = []
-        for i in active:
-            rt = self.robots[i]
-            cell = rt.pending_target if rt.pending_target is not None else rt.state.cell
-            robots.append((i, cell, rt.state.goal))
-        if len({cell for _, cell, _ in robots}) != len(robots):
-            return None
-        parked = frozenset(tuple(rt.state.goal) for rt in self.robots.values() if rt.state.status == "arrived")
-        pp = self.cfg.pp if self.cfg.pp.priority_robot in active else self._pp_without_priority
-        return self._human.next_cells(parked, self._frame(plan_time), tuple(robots), pp).get(rid)
+    def _plan_next(self, rt: _RobotRuntime, plan_time: float) -> Optional[Cell]:
+        """Central replan at ``plan_time``: the robot's next cell, or None when
+        planning is infeasible right now (as when two robots share a start)."""
+        active = self._active()
+        robots = tuple((other.id, other.pending_target or other.cell, other.goal) for other in active)
+        parked = frozenset(other.goal for other in self.robots.values() if other.arrived)
+        pp = self.cfg.pp if any(o.id == self.cfg.pp.priority_robot for o in active) else self._pp_without_priority
+        return self._human.next_cells(parked, self._frame(plan_time), robots, pp).get(rt.id)
 
-    # -- event handlers: one per kind, each called as (t, rid, target) ----
+    # -- event handlers: one per kind, each called as (t, robot, target) --
 
-    def _decide(self, t: float, rid: int, target: Optional[Cell]) -> None:
-        rt = self.robots[rid]
-        nxt = self._plan_next(rid, t)
-        if nxt is not None and nxt != tuple(rt.state.cell) and self._occupied_next(rid, nxt):
+    def _decide(self, t: float, rt: _RobotRuntime, target: Optional[Cell]) -> None:
+        nxt = self._plan_next(rt, t)
+        if nxt is not None and nxt != rt.cell and self._occupied_next(rt, nxt):
             nxt = None
         if nxt is None:
             rt.halt_s += self.world.frame_period_s
             rt.stop_events += 1
-            self._push(t + self.world.frame_period_s, rid, "decide")
+            self._push(t + self.world.frame_period_s, rt.id, "decide")
             return
         land_t = t + self.world.cell_traverse_s
         rt.pending_target = nxt
-        self._push(land_t, rid, "land", nxt)
-        ready = self._run_loop(rid, t, nxt)
-        self._push(max(ready, land_t), rid, "next")
+        self._push(land_t, rt.id, "land", nxt)
+        ready = self._run_loop(rt, t, nxt)
+        self._push(max(ready, land_t), rt.id, "next")
 
-    def _next(self, t: float, rid: int, target: Optional[Cell]) -> None:
-        rt = self.robots[rid]
-        if rt.state.status == "arrived":
+    def _next(self, t: float, rt: _RobotRuntime, target: Optional[Cell]) -> None:
+        if rt.arrived:
             return
         # t is when both the transition has finished and the command arrived
         stall = t - rt.land_time_s
         if stall > 1e-9:
             rt.halt_s += stall
             rt.stop_events += 1
-        self._decide(t, rid, None)
+        self._decide(t, rt, None)
 
-    def _land(self, t: float, rid: int, target: Cell) -> None:
-        rt = self.robots[rid]
-        rt.state.cell = target
+    def _land(self, t: float, rt: _RobotRuntime, target: Cell) -> None:
+        rt.cell = target
         rt.pending_target = None
         rt.executed.append(target)
         rt.land_time_s = t
-        if target == tuple(rt.state.goal):
-            rt.state.status = "arrived"
+        if target == rt.goal:
+            rt.arrived = True
         elif self.method == "stop_and_go":
-            self._push(t, rid, "try")
+            self._push(t, rt.id, "try")
 
-    def _try(self, t: float, rid: int, target: Optional[Cell]) -> None:
-        rt = self.robots[rid]
-        nxt = self._solo_paths[rid].at(len(rt.executed))
+    def _try(self, t: float, rt: _RobotRuntime, target: Optional[Cell]) -> None:
+        nxt = rt.solo_path.at(len(rt.executed))
         frame = self._frame(t)
-        blocked = nxt != tuple(rt.state.cell) and (
-            self._occupied_next(rid, nxt)
+        blocked = nxt != rt.cell and (
+            self._occupied_next(rt, nxt)
             or any(
                 track.position_at(frame) == nxt or any(cell == nxt for cell, _ in human_forecast(track, frame))
                 for track in self.tracks
@@ -696,9 +687,9 @@ class WarehouseSimulation:
         if blocked:
             rt.halt_s += self.world.cell_traverse_s
             rt.stop_events += 1
-            self._push(t + self.world.cell_traverse_s, rid, "try")
+            self._push(t + self.world.cell_traverse_s, rt.id, "try")
             return
-        self._push(t + self.world.cell_traverse_s, rid, "land", nxt)
+        self._push(t + self.world.cell_traverse_s, rt.id, "land", nxt)
 
     # On the class: bound methods kept on the instance would form a reference
     # cycle, and every finished run would stay in memory until a collection.
@@ -714,30 +705,29 @@ class WarehouseSimulation:
         t, rid, _, kind, target = heapq.heappop(self._events)
         if t > self.max_sim_time_s:
             raise self._unfinished(f"an event fell due at {t:.1f} s")
-        self._HANDLERS[kind](self, t, rid, target)
+        self._HANDLERS[kind](self, t, self.robots[rid], target)
         return t, rid, kind
 
     def run(self) -> KpiRecord:
         if self.method == "stop_and_go":
-            for rid, rt in self.robots.items():
-                self._solo_paths[rid] = low_level_search(self.world, rt.state)
-                self._push(0.0, rid, "try")
+            for rt in self.robots.values():
+                rt.solo_path = low_level_search(self.world, RobotState(rt.id, rt.cell, rt.goal))
+                self._push(0.0, rt.id, "try")
         else:
-            for rid in sorted(self.robots):
+            for _, rt in sorted(self.robots.items()):
                 # initial synchronization: first command fetched before moving
-                ready = self._run_loop(rid, 0.0, tuple(self.robots[rid].state.cell))
-                self._push(ready, rid, "decide")
+                ready = self._run_loop(rt, 0.0, rt.cell)
+                self._push(ready, rt.id, "decide")
         while self.decision_step() is not None:
-            if all(rt.state.status == "arrived" for rt in self.robots.values()):
+            if all(rt.arrived for rt in self.robots.values()):
                 break
-        unfinished = [rid for rid, rt in self.robots.items() if rt.state.status != "arrived"]
+        unfinished = [rid for rid, rt in self.robots.items() if not rt.arrived]
         if unfinished:
             raise self._unfinished(f"robots {unfinished} never arrived")
         paths = [SpaceTimePath(rid, tuple(rt.executed)) for rid, rt in self.robots.items()]
         stop_log = {rid: rt.halt_s for rid, rt in self.robots.items()}
-        total = completion_time(paths, stop_log, self.world.cell_traverse_s)
         return KpiRecord(
-            completion_time_s=total,
+            completion_time_s=completion_time(paths, stop_log, self.world.cell_traverse_s),
             stop_events=sum(rt.stop_events for rt in self.robots.values()),
             halt_s=sum(rt.halt_s for rt in self.robots.values()),
             rtt_samples_s=list(self.rtt_samples),

@@ -188,7 +188,7 @@ def low_level_search(
     """
     if horizon is None:
         horizon = default_horizon(world)
-    start, goal = tuple(robot.cell), tuple(robot.goal)
+    start, goal = robot.cell, robot.goal
     if not world.passable(start) or not world.passable(goal):
         raise PlanningError(f"robot {robot.id}: start {start} or goal {goal} not passable")
     if table is None:
@@ -336,7 +336,7 @@ def _solo_route(
     """``robot``'s route under ``human`` alone, searched once per key
     ``(id, start, goal, horizon)`` of ``routes``; a failed search raises and
     is not kept, so a later need meets the same error."""
-    key = (robot.id, tuple(robot.cell), tuple(robot.goal), horizon)
+    key = (robot.id, robot.cell, robot.goal, horizon)
     path = routes.get(key)
     if path is None:
         path = routes[key] = low_level_search(world, robot, ReservationTable(robot.id, human), horizon)
@@ -437,14 +437,14 @@ def _joint_best_response(
     t1 = solo.arrival_step
     if t1 > limit:
         return None
-    layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, human)
-    goal1, goal2 = tuple(lead.goal), tuple(follow.goal)
+    layers = _time_expanded_layers(world, lead.cell, lead.goal, t1, human)
+    goal1, goal2 = lead.goal, follow.goal
     fol_goal_latest = max(human.get(goal2, ()), default=-1)
     moves = world.neighbor_table
     hfield = world.goal_distances(goal2)
     parked = [goal1]
 
-    start_state = (tuple(lead.cell), tuple(follow.cell))
+    start_state = (lead.cell, follow.cell)
     goal_state = (goal1, goal2)
     frontier = [start_state]
     parents: List[Dict[Tuple[Cell, Cell], Tuple[Cell, Cell]]] = [{start_state: None}]
@@ -539,8 +539,8 @@ def plan(
     by_id = {r.id: r for r in robots}
     if cfg.priority_robot is not None and cfg.priority_robot not in by_id:
         raise PlanningError(f"priority robot {cfg.priority_robot} not present")
-    starts = [tuple(r.cell) for r in robots]
-    goals = [tuple(r.goal) for r in robots]
+    starts = [r.cell for r in robots]
+    goals = [r.goal for r in robots]
     if len(set(starts)) != len(starts) or len(set(goals)) != len(goals):
         raise PlanningError("robot starts and goals must be pairwise distinct")
 

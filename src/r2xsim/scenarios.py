@@ -46,6 +46,7 @@ from .orchestrator import (
     correct_loop,
     select_sense_mode,
 )
+from .planner import default_horizon
 from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table
 from .schema import (
     _BLER_TARGET,
@@ -261,7 +262,8 @@ def _radio(ck: _Checker, sec: dict, path: str, keys: Tuple[str, ...]) -> Tuple[d
 
 def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     """Check a warehouse section field by field, then build its world, robots,
-    tracks, gain map, MCS table, resolved configuration and ``LoopBudget``."""
+    tracks, gain map, MCS table, resolved configuration and ``LoopBudget``;
+    refuse a goal out of reach within ``default_horizon`` of its start."""
     p = "scenario.warehouse"
     sec = ck.obj(
         sec, p, ("world", "robots", "gain", "budget", "payloads", "intent_text"), ("humans", "radio", "max_sim_time_s")
@@ -403,13 +405,23 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
         ck.fail(p, f"max_sim_time_s / world.frame_period_s is {frames:g} frames, more than {_MAX_STEPS}")
         return None
 
+    grid = GridWorld(width, height, frozenset(blocked), frame_period_s, cell_traverse_s)
+    # Exactly the robots stop-and-go's unconstrained search can route, and
+    # no constrained replan does better; the distance fields stay cached.
+    horizon = default_horizon(grid)
+    for i, (start, goal) in enumerate(zip(starts, goals)):
+        if grid.goal_distances(goal).get(start, horizon + 1) > horizon:
+            why = f"cell {_echo(goal)} cannot be reached from start {_echo(start)} within {horizon} steps"
+            ck.fail(f"{p}.robots[{i}].goal", why)
+    if ck.errors:
+        return None
+
     # Distance falloff from the access point, less each dead zone's loss.
     ys, xs = np.mgrid[0:height, 0:width]
     gains = base_gain - slope * np.hypot(xs - ap[0], ys - ap[1])
     for (x0, y0, x1, y1), loss in zones:
         gains[y0 : y1 + 1, x0 : x1 + 1] -= loss
     cfg = correct_loop(RuleIntentEngine(), sec["intent_text"], {"robot_ids": sorted(ids)}).config
-    grid = GridWorld(width, height, frozenset(blocked), frame_period_s, cell_traverse_s)
     humans = [HumanTrack(*track) for track in tracks]
     return WarehouseInputs(
         world=grid,

@@ -16,8 +16,6 @@ from .schema import _MAX_HORIZON_FRAMES, bounded, check_bounds
 
 Cell = Tuple[int, int]
 
-ROBOT_STATUSES = ("moving", "arrived")
-
 # Neighbor offsets in deterministic order: north, east, south, west.
 _NESW = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
@@ -97,18 +95,17 @@ class GridWorld:
         return dist
 
 
-@dataclass
+@dataclass(frozen=True)
 class RobotState:
+    """A robot to route: its id, start cell and goal, both made tuples."""
+
     id: int
     cell: Cell
     goal: Cell
-    status: str = "moving"
 
     def __post_init__(self):
-        self.cell = tuple(self.cell)
-        self.goal = tuple(self.goal)
-        if self.status not in ROBOT_STATUSES:
-            raise ValueError(f"status {self.status!r} not in {ROBOT_STATUSES}")
+        object.__setattr__(self, "cell", tuple(self.cell))
+        object.__setattr__(self, "goal", tuple(self.goal))
 
 
 @dataclass(frozen=True)

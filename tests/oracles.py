@@ -585,26 +585,23 @@ def reference_human_table(inputs, parked, frame):
     return world, _human_reservations(world, pairs, inputs.cfg.pp.objective)
 
 
-def reference_plan_next(sim, rid, plan_time):
-    """``WarehouseSimulation._plan_next`` with no memo: robot ``rid``'s next
-    cell from a fresh ``plan``, or None."""
-    active = sim._active_ids()
-    states = []
-    for i in active:
-        rt = sim.robots[i]
-        cell = rt.pending_target if rt.pending_target is not None else rt.state.cell
-        states.append(RobotState(i, cell, rt.state.goal, "moving"))
-    if len({tuple(s.cell) for s in states}) != len(states):
+def reference_plan_next(sim, rt, plan_time):
+    """``WarehouseSimulation._plan_next`` with no memo: the next cell of the
+    robot whose record is ``rt`` from a fresh ``plan``, or None. Two active
+    robots planning from one cell give None before any planning."""
+    active = [other for _, other in sorted(sim.robots.items()) if not other.arrived]
+    states = [RobotState(other.id, other.pending_target or other.cell, other.goal) for other in active]
+    if len({s.cell for s in states}) != len(states):
         return None
-    parked = frozenset(tuple(rt.state.goal) for rt in sim.robots.values() if rt.state.status == "arrived")
+    parked = frozenset(other.goal for other in sim.robots.values() if other.arrived)
     world, human = reference_human_table(sim, parked, sim._frame(plan_time))
-    pp = sim.cfg.pp if sim.cfg.pp.priority_robot in active else sim._pp_without_priority
+    pp = sim.cfg.pp if sim.cfg.pp.priority_robot in [s.id for s in states] else sim._pp_without_priority
     try:
         paths = plan(world, states, human, pp)
     except PlanningError:
         return None
     for p in paths:
-        if p.robot_id == rid:
+        if p.robot_id == rt.id:
             return p.at(1)
     return None
 

@@ -9,6 +9,7 @@ import pytest
 
 from r2xsim import cli
 from r2xsim.cli import main
+from r2xsim.orchestrator import WAREHOUSE_METHODS
 from r2xsim.scenarios import bundled_scenario_path, parse_scenario, run_one
 from test_scenarios import tiny_followme, tiny_mcs, tiny_warehouse
 
@@ -57,6 +58,23 @@ def edited_s1(edit):
     doc = json.loads(bundled_scenario_path("warehouse-s1").read_text())
     edit(doc["warehouse"])
     return doc
+
+
+def s1_goal_walled_in(w):
+    """warehouse-s1 with robot 1's goal (9, 4) walled in, and no humans."""
+    w["world"]["blocked"] = [[8, 4], [9, 3], [9, 5]]
+    del w["humans"]
+
+
+def s1_serpentine(w):
+    """warehouse-s1 on a 17x17 world whose odd rows are walls, each with one
+    gap, alternately at the east and west end: robot 1's route from (0, 0)
+    to (0, 16) is 144 steps, against a horizon of 136. No humans."""
+    w["world"].update(
+        width=17, height=17, blocked_rects=[[k % 2, 2 * k + 1, 15 + k % 2, 2 * k + 1] for k in range(8)]
+    )
+    w["robots"][0].update(start=[0, 0], goal=[0, 16])
+    del w["humans"]
 
 
 class TestValidate:
@@ -320,6 +338,35 @@ class TestRun:
                      "--methods", method, "--parallel", parallel])
         assert code == 2
         assert capsys.readouterr().err == line + "\n"
+
+
+class TestUnreachableGoal:
+    @pytest.mark.parametrize(
+        "edit,line",
+        [
+            pytest.param(
+                s1_goal_walled_in,
+                "scenario.warehouse.robots[0].goal: cell (9, 4) cannot be reached from start (0, 4) within 80 steps",
+                id="walled-in",
+            ),
+            pytest.param(
+                s1_serpentine,
+                "scenario.warehouse.robots[0].goal: cell (0, 16) cannot be reached from start (0, 0) within 136 steps",
+                id="serpentine",
+            ),
+        ],
+    )
+    def test_refused_at_load_by_every_command(self, tmp_path, capsys, edit, line):
+        """A goal its start cannot reach within the planner's horizon is a
+        named-field error under ``validate`` and under ``run`` of every
+        method, before any run."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(edited_s1(edit)))
+        runs = [["run", str(path), "--out", str(tmp_path / "o"), "--methods", m] for m in WAREHOUSE_METHODS]
+        for argv in (["validate", str(path)], *runs):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [f"{path}: {line}"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestSeedBySeed:

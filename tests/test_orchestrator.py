@@ -653,13 +653,26 @@ class TestWarehouseSimulation:
         world = GridWorld(4, 1)
         robots = [RobotState(1, (0, 0), (3, 0)), RobotState(2, (2, 0), (2, 0))]
         sim = make_sim("lorc_sc_p", world=world, robots=robots)
-        sim.robots[2].pending_target = (1, 0)
-        assert sim._occupied_next(1, (1, 0))
-        sim.robots[2].pending_target = None
-        assert sim._occupied_next(1, (2, 0))  # current cell counts
-        assert not sim._occupied_next(1, (1, 0))
-        sim.robots[2].state.status = "arrived"
-        assert not sim._occupied_next(1, (2, 0))
+        rt, other = sim.robots[1], sim.robots[2]
+        other.pending_target = (1, 0)
+        assert sim._occupied_next(rt, (1, 0))
+        other.pending_target = None
+        assert sim._occupied_next(rt, (2, 0))  # current cell counts
+        assert not sim._occupied_next(rt, (1, 0))
+        other.arrived = True
+        assert not sim._occupied_next(rt, (2, 0))
+
+    def test_two_robots_planning_from_one_cell_get_no_plan(self):
+        """A robot flying into another's cell leaves the replan two robots
+        starting there: the planner refuses it, and no robot gets a cell."""
+        world = GridWorld(4, 2)
+        robots = [RobotState(1, (0, 0), (3, 0)), RobotState(2, (1, 0), (3, 1))]
+        sim = make_sim("lorc_sc_p", world=world, robots=robots)
+        sim.robots[2].pending_target = (0, 0)
+        assert sim._plan_next(sim.robots[1], 0.0) is None
+        assert sim._plan_next(sim.robots[2], 0.0) is None
+        sim.robots[2].pending_target = (1, 1)
+        assert sim._plan_next(sim.robots[1], 0.0) == (1, 0)
 
     def test_same_seed_reproduces_run(self):
         gm = PathGainMap(np.full((1, 6), -95.0), shadowing_rho=0.9, shadowing_sigma_db=6.0)

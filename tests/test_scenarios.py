@@ -935,6 +935,33 @@ class TestBuildWarehouse:
         world = parse_scenario(doc).inputs.world
         assert world.blocked == frozenset({(1, 2), (2, 1), (3, 1)})
 
+    def test_goal_out_of_reach_within_the_horizon_is_refused(self):
+        """``default_horizon`` is 136 steps on a 17x17 world whose odd rows
+        are walls, each with one gap, alternately at the east and west end:
+        from (0, 0), (x, 14) is 142 - x steps away. A goal at the horizon
+        is accepted and reached; one a step further, or walled in, is not."""
+
+        def serpentine(goal):
+            doc = tiny_warehouse()
+            doc["warehouse"]["world"] = {
+                "width": 17,
+                "height": 17,
+                "blocked_rects": [[k % 2, 2 * k + 1, 15 + k % 2, 2 * k + 1] for k in range(8)],
+            }
+            doc["warehouse"]["robots"] = [{"id": 1, "start": [0, 0], "goal": goal}]
+            return doc
+
+        scn = parse_scenario(serpentine([6, 14]))
+        assert orchestrator.WarehouseSimulation(scn.inputs, "stop_and_go", 0).run().per_robot_arrival_steps == {1: 136}
+        assert validate_scenario_dict(serpentine([5, 14])) == [
+            "scenario.warehouse.robots[0].goal: cell (5, 14) cannot be reached from start (0, 0) within 136 steps"
+        ]
+        walled = tiny_warehouse()
+        walled["warehouse"]["world"]["blocked"] = [[2, 0]]
+        assert validate_scenario_dict(walled) == [
+            "scenario.warehouse.robots[0].goal: cell (3, 0) cannot be reached from start (0, 0) within 20 steps"
+        ]
+
 
 class TestBuildMcsCorridor:
     def test_profile_and_sweep(self):

@@ -1,5 +1,7 @@
 """Grid, robot-state and human-track behavior."""
 
+import dataclasses
+
 import pytest
 
 from conftest import BUNDLED_DIR, WAREHOUSE_IDS
@@ -115,11 +117,10 @@ class TestRobotState:
     def test_coercion(self):
         r = RobotState(1, [0, 0], [2, 2])
         assert r.cell == (0, 0) and r.goal == (2, 2)
-        assert r.status == "moving"
-
-    def test_bad_status(self):
-        with pytest.raises(ValueError):
-            RobotState(1, (0, 0), (1, 1), status="parked")
+        assert r == RobotState(1, (0, 0), (2, 2)) and {r: "r"}[RobotState(1, (0, 0), (2, 2))] == "r"
+        for name, value in (("cell", (1, 1)), ("goal", (1, 1)), ("status", "arrived")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, value)
 
 
 class TestHumanTrack:
