@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,13 +95,14 @@ class LinkTable:
             raise ValueError("empty trace")
         if not all(math.isfinite(x) for x in self.true_snr):
             raise ValueError("true SNRs must be finite")
-        self.map_snr = None
+        self.map_snr = self._map = None
         if map_snr is not None:
             self.map_snr = [float(x) for x in map_snr]
             if len(self.map_snr) != n:
                 raise ValueError(f"{len(self.map_snr)} map SNRs for a {n}-step trace")
             if not all(math.isfinite(x) for x in self.map_snr):
                 raise ValueError("map SNRs must be finite")
+            self._map = np.array(self.map_snr)
         self.table = table
         self.bler_target = bler_target
         self.bler = np.empty((n, len(table.entries)))
@@ -133,47 +134,54 @@ class LinkTable:
         return np.where(ok.any(axis=1), ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1), 0)
 
     @cached_property
-    def _residual_stats(self) -> Tuple[List[float], List[float], List[float]]:
+    def _residual_stats(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The map-aware predictor's state after each number of observed
         residuals ``true_snr - map_snr``, the same for every delay: index
         ``k - 1`` holds, after ``k`` residuals, the last residual, the
         lag-1 correlation ``rho`` clipped to [0, 0.9999] and the spread
-        ``sigma``, each from running sums in observation order."""
+        ``sigma``, each from running sums in observation order.
+
+        The running sums are ``np.cumsum``, which adds in order, so every
+        value has the scalar loop's bits. The clamps are ``np.where`` on
+        ``<``/``>``, which keep ``-0.0`` as Python's ``max``/``min`` do
+        (numpy's elementwise max of ``-0.0`` and ``0.0`` is ``0.0``), and
+        ``(s1 / n) ** 2`` is Python's ``**``, which ``np.power`` and
+        ``y * y`` do not match."""
         if self.map_snr is None:
             raise ValueError("predictive policy needs the map SNR of every step")
-        last: List[float] = []
-        rhos: List[float] = []
-        sigmas: List[float] = []
-        n = 0
-        s1 = s2 = sx = prev = 0.0
-        for true, mapped in zip(self.true_snr, self.map_snr):
-            r = true - mapped
-            if n >= 1:
-                sx += r * prev
-            n += 1
-            s1 += r
-            s2 += r * r
-            prev = r
-            last.append(r)
-            rhos.append(min(max(sx / s2, 0.0), 0.9999) if s2 > 0 else 0.0)
-            sigmas.append(math.sqrt(max(s2 / n - (s1 / n) ** 2, 0.0)))
-        return last, rhos, sigmas
+        r = np.array(self.true_snr) - self._map
+        n = np.arange(1.0, len(r) + 1.0)
+        s1 = np.cumsum(r)
+        s2 = np.cumsum(r * r)
+        sx = np.cumsum(np.concatenate(([0.0], r[1:] * r[:-1])))
+        rho = np.divide(sx, s2, out=np.zeros(len(r)), where=s2 > 0)
+        rho = np.where(rho < 0.0, 0.0, rho)
+        rho = np.where(rho > 0.9999, 0.9999, rho)
+        var = s2 / n - np.array([m**2 for m in (s1 / n).tolist()])
+        sigma = np.sqrt(np.where(var < 0.0, 0.0, var))
+        return r, rho, sigma
 
-    def predict(self, delay: int) -> List[float]:
+    def predict(self, delay: int) -> np.ndarray:
         """Map-aware estimates for every step from feedback ``delay`` steps
         old: step ``t`` has seen the residuals up to ``t - delay``. The
-        estimate is the map SNR plus the last residual while fewer than
-        ``_MAP_AWARE_MIN_SAMPLES`` residuals are seen, and afterwards the map
-        SNR plus the residual decayed by ``rho ** delay``, backed off by the
+        estimate is the map SNR for the first ``delay`` steps, the map SNR
+        plus the last residual while fewer than ``_MAP_AWARE_MIN_SAMPLES``
+        residuals are seen, and afterwards the map SNR plus the residual
+        decayed by ``rho ** delay`` (Python's ``**``), backed off by the
         residual's conditional spread."""
+        if delay < 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
         last, rhos, sigmas = self._residual_stats
-        ahead = self.map_snr[delay:]
-        head = _MAP_AWARE_MIN_SAMPLES - 1
-        estimates = self.map_snr[:delay]
-        estimates += [m + r for m, r in zip(ahead[:head], last)]
-        for m, r, rho, sigma in zip(ahead[head:], last[head:], rhos[head:], sigmas[head:]):
-            decay = rho**delay
-            estimates.append(m + decay * r - sigma * math.sqrt(1.0 - decay * decay))
+        seen = max(len(self) - delay, 0)
+        head = min(_MAP_AWARE_MIN_SAMPLES - 1, seen)
+        start = delay + head
+        estimates = self._map.copy()
+        estimates[delay:start] += last[:head]
+        decay = np.array([rho**delay for rho in rhos[head:seen].tolist()])
+        spread = sigmas[head:seen] * np.sqrt(1.0 - decay * decay)
+        # (m + decay * r) - spread, in the scalar formula's order: an in-place
+        # += of (decay * r - spread) rounds differently.
+        estimates[start:] = self._map[start:] + decay * last[head:seen] - spread
         return estimates
 
 
@@ -201,7 +209,7 @@ def run_policy(
     if spec.kind in ("oracle", "ideal"):
         mcs = link.best
     elif spec.kind == "delayed":
-        mcs = link.best[np.maximum(np.arange(n) - spec.delay, 0)]
+        mcs = link.best[(np.arange(n) - spec.delay).clip(0)]
     else:
         mcs = link.select(link.predict(spec.delay))
     blr = link.bler[np.arange(n), mcs]

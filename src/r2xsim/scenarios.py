@@ -77,8 +77,9 @@ _FOLLOWME_MODE_CONFIGS = {
 _FOLLOWME_MODE_NAMES = {cfg: name for name, cfg in _FOLLOWME_MODE_CONFIGS.items()}
 FOLLOWME_METHODS = (*_FOLLOWME_MODE_CONFIGS, "orchestrated")
 # Matched whole (fullmatch); groups: policy kind and delay of a delayed method,
-# at most _MAX_ID_DIGITS digits so that int() never meets its digit limit.
-_MCS_METHOD_RE = re.compile(rf"oracle|ideal|(delayed|predictive)_(\d{{1,{_MAX_ID_DIGITS}}})")
+# at most _MAX_ID_DIGITS digits so that int() never meets its digit limit, and
+# no leading zero, so that one policy has one name.
+_MCS_METHOD_RE = re.compile(rf"oracle|ideal|(delayed|predictive)_(0|[1-9]\d{{0,{_MAX_ID_DIGITS - 1}}})")
 
 SCHEMA_VERSION = 1
 
@@ -205,7 +206,7 @@ def parse_scenario(data, path: Optional[Path] = None) -> Scenario:
             elif not _MCS_METHOD_RE.fullmatch(m):
                 ck.fail(
                     "scenario.methods",
-                    f"{_echo(m)} must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'",
+                    f"{_echo(m)} must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>' (<d> without leading zeros)",
                 )
         ck.distinct(methods, "scenario.methods", "methods")
     for other in _KINDS:

@@ -35,6 +35,8 @@ search. It is kept to check that sharing changes no plan and no error.
 ``MapAwarePredictor`` and ``reference_predict`` are the map-aware SNR
 predictor as it was before its residual statistics were shared across
 delays: each delay replays every residual through its own predictor.
+``reference_residual_stats`` is the shared statistics as the scalar
+running-sum loop they were before they became array code.
 ``reference_run_followme`` is the followme runner as it was before the
 per-frame values were computed once per seed: every method recomputes each
 frame's distance, RSSI, throughput and bit error with scalar ``np.interp``.
@@ -251,6 +253,27 @@ class MapAwarePredictor:
         decay = rho**delay
         spread = sigma * math.sqrt(max(1.0 - decay * decay, 0.0))
         return map_snr_target + decay * self._last - spread
+
+
+def reference_residual_stats(link):
+    """``LinkTable._residual_stats`` as the scalar running-sum loop it was
+    before it became array code: the last residual, ``rho`` and ``sigma``
+    after each number of observed residuals, as three lists."""
+    last, rhos, sigmas = [], [], []
+    n = 0
+    s1 = s2 = sx = prev = 0.0
+    for true, mapped in zip(link.true_snr, link.map_snr):
+        r = true - mapped
+        if n >= 1:
+            sx += r * prev
+        n += 1
+        s1 += r
+        s2 += r * r
+        prev = r
+        last.append(r)
+        rhos.append(min(max(sx / s2, 0.0), 0.9999) if s2 > 0 else 0.0)
+        sigmas.append(math.sqrt(max(s2 / n - (s1 / n) ** 2, 0.0)))
+    return last, rhos, sigmas
 
 
 def reference_predict(link, delay):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     MapAwarePredictor,
     reference_predict,
+    reference_residual_stats,
     reference_run_policy,
     reference_sample_trace,
     reference_select_mcs,
@@ -332,9 +335,20 @@ class TestKernelMatchesReference:
             assert_matches_reference(link, trace, spec, table, 1500, 0.1, 4, 0)
 
 
+# SNRs from zero through subnormal to 1e150: the residual of two of them
+# ranges over +-0.0, subnormal and huge values whose squares still have room
+# to be summed 60 times without overflow.
+SNRS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e150, -1e150]),
+    st.floats(-50.0, 50.0),
+    st.floats(-1e150, 1e150),
+)
+
+
 class TestPredictMatchesReference:
-    """``LinkTable.predict``, which computes the residual statistics once for
-    every delay, gives the per-delay predictor's estimates bit for bit."""
+    """``LinkTable.predict`` and its residual statistics, computed once per
+    table as array code, give the per-delay predictor's estimates and the
+    scalar running-sum loop's statistics bit for bit."""
 
     @staticmethod
     def assert_same(link, delays):
@@ -342,6 +356,14 @@ class TestPredictMatchesReference:
             got = link.predict(delay)
             want = reference_predict(link, delay)
             assert np.array(got).tobytes() == np.array(want).tobytes(), delay
+
+    @staticmethod
+    def assert_same_stats(link):
+        got = link._residual_stats
+        want = reference_residual_stats(link)
+        assert len(got) == len(want) == 3
+        for name, g, w in zip(("last", "rho", "sigma"), got, want):
+            assert g.tobytes() == np.array(w).tobytes(), name
 
     @staticmethod
     def residual_link(residuals):
@@ -362,28 +384,63 @@ class TestPredictMatchesReference:
         link = LinkTable.sample(*bundled_corridor.inputs[:4], seed, bundled_corridor.inputs.bler_target)
         self.assert_same(link, (0, 1, 7, 8, 9, 30, len(link) - 1))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bundled_corridor_stats(self, bundled_corridor, seed):
+        self.assert_same_stats(LinkTable.sample(*bundled_corridor.inputs[:4], seed, bundled_corridor.inputs.bler_target))
+
     def test_shorter_than_the_sample_minimum(self):
         link = self.residual_link([0.5, -1.25, 2.0, 0.75, -0.5])
         self.assert_same(link, range(5))
+        self.assert_same_stats(link)
 
     @pytest.mark.parametrize("value", [0.0, 1.5])
     def test_zero_variance(self, value):
-        self.assert_same(self.residual_link([value] * 40), (0, 1, 7, 8, 9, 39))
+        link = self.residual_link([value] * 40)
+        self.assert_same(link, (0, 1, 7, 8, 9, 39))
+        self.assert_same_stats(link)
 
     def test_rho_clipped_at_zero(self):
         residuals = [(-1.0) ** t * (1.0 + 0.01 * t) for t in range(40)]
         assert self.last_rho(residuals) == 0.0
-        self.assert_same(self.residual_link(residuals), (0, 1, 7, 8, 9, 39))
+        link = self.residual_link(residuals)
+        self.assert_same(link, (0, 1, 7, 8, 9, 39))
+        self.assert_same_stats(link)
 
     def test_rho_clipped_below_one(self):
         # The lag-1 ratio of a near-constant series is about (k - 1) / k.
         residuals = [1.0 + 1e-6 * t for t in range(12000)]
         assert self.last_rho(residuals) == 0.9999
-        self.assert_same(self.residual_link(residuals), (0, 1, 7, 8, 9, 30, 11999))
+        link = self.residual_link(residuals)
+        self.assert_same(link, (0, 1, 7, 8, 9, 30, 11999))
+        self.assert_same_stats(link)
+
+    def test_rho_keeps_negative_zero(self):
+        # sx / s2 = -1e-310 / 1e20 underflows to -0.0, which Python's
+        # max(-0.0, 0.0) keeps and np.maximum would turn into 0.0.
+        residuals = [1e10, -1e-320] + [0.0] * 10
+        link = LinkTable(residuals, default_mcs_table(), 0.1, [0.0] * len(residuals))
+        rhos = reference_residual_stats(link)[1]
+        assert [math.copysign(1.0, rho) for rho in rhos] == [1.0] + [-1.0] * 11
+        self.assert_same_stats(link)
+        self.assert_same(link, (0, 1, 4, 11, 12))
+
+    @given(steps=st.lists(st.tuples(SNRS, SNRS), min_size=1, max_size=60), delay=st.integers(0, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_random_series(self, steps, delay):
+        link = LinkTable([t for t, _ in steps], default_mcs_table(), 0.1, [m for _, m in steps])
+        n = len(link)
+        # A delay of n or more has seen no residual: every estimate is the map SNR.
+        self.assert_same(link, (delay, n - 1, n, n + 3))
+        self.assert_same_stats(link)
 
     def test_needs_the_map_snr(self):
         with pytest.raises(ValueError, match="map SNR"):
             LinkTable([0.0] * 10, default_mcs_table()).predict(1)
+
+    def test_negative_delay_refused(self):
+        link = LinkTable([0.0] * 20, default_mcs_table(), 0.1, [0.0] * 20)
+        with pytest.raises(ValueError, match=r"^delay must be >= 0, got -1$"):
+            link.predict(-1)
 
 
 class TestGains:

@@ -252,6 +252,7 @@ class TestValidation:
         doc["methods"] = ["oracle\n"]
         assert validate_scenario_dict(doc) == [
             "scenario.methods: 'oracle\\n' must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'"
+            " (<d> without leading zeros)"
         ]
 
     @pytest.mark.parametrize(
@@ -532,6 +533,21 @@ class TestValidation:
         doc["methods"] = ["delayed_" + "1" * 5000, "predictive_" + "1" * 19]
         errors = validate_scenario_dict(doc)
         assert len(errors) == 2 and all("must be 'oracle', 'ideal'" in e for e in errors), errors
+
+    def test_mcs_delay_has_no_leading_zero(self):
+        # delayed_1 and delayed_01 would run one policy under two names.
+        doc = tiny_mcs()
+        doc["methods"] = ["delayed_1", "delayed_01", "predictive_001", "delayed_0"]
+        assert validate_scenario_dict(doc) == [
+            f"scenario.methods: {m!r} must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'"
+            " (<d> without leading zeros)"
+            for m in ("delayed_01", "predictive_001")
+        ]
+        doc["methods"] = ["delayed_0", "predictive_0", "delayed_10"]
+        assert validate_scenario_dict(doc) == []
+        assert mcs_policy_from_method("delayed_0").delay == 0
+        with pytest.raises(ValueError, match="unknown mcs method"):
+            mcs_policy_from_method("delayed_01")
 
     @pytest.mark.parametrize(
         "make,mutate",
