@@ -8,7 +8,6 @@ much an estimate's staleness costs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -20,6 +19,9 @@ from .schema import bounded, check_bounds
 from .world import Cell
 
 _MAP_AWARE_MIN_SAMPLES = 8
+
+# LinkTable's SNR magnitude cap: squared residuals then sum finitely over 4e7 steps.
+_MAX_SNR = 1e150
 
 
 @dataclass(frozen=True)
@@ -93,15 +95,15 @@ class LinkTable:
         n = len(self.true_snr)
         if n == 0:
             raise ValueError("empty trace")
-        if not all(math.isfinite(x) for x in self.true_snr):
-            raise ValueError("true SNRs must be finite")
+        if not all(abs(x) <= _MAX_SNR for x in self.true_snr):
+            raise ValueError(f"true SNRs must be at most {_MAX_SNR:g} in magnitude")
         self.map_snr = self._map = None
         if map_snr is not None:
             self.map_snr = [float(x) for x in map_snr]
             if len(self.map_snr) != n:
                 raise ValueError(f"{len(self.map_snr)} map SNRs for a {n}-step trace")
-            if not all(math.isfinite(x) for x in self.map_snr):
-                raise ValueError("map SNRs must be finite")
+            if not all(abs(x) <= _MAX_SNR for x in self.map_snr):
+                raise ValueError(f"map SNRs must be at most {_MAX_SNR:g} in magnitude")
             self._map = np.array(self.map_snr)
         self.table = table
         self.bler_target = bler_target

@@ -524,12 +524,15 @@ def plan(
     searches is added to it as it is found, also when the call raises. The
     call writes nothing into the human table.
 
-    Priority order is ``cfg.priority_robot`` first, then ascending id; the
-    lower-priority robot of each conflict is constrained and replans. Under
-    the makespan objective the priority orderings are permuted (for up to 4
-    robots, keeping a configured priority robot pinned first) and the
-    ordering with the smallest makespan wins; for exactly two robots with a
-    zero gap the exact joint refinement is used instead.
+    One list of priority orderings serves both objectives: a configured
+    ``cfg.priority_robot`` first, then the other ids in every order for up
+    to 4 robots, else ascending; the first ordering has them ascending.
+    Within an ordering the lower-priority robot of each conflict is
+    constrained and replans. Safety-first keeps the first ordering that
+    plans, makespan the one with the smallest makespan (the earlier on a
+    tie); when none plans, the last one's ``PlanningInfeasible`` is raised.
+    For two robots under makespan with a zero gap and no priority robot, the
+    exact joint refinement searches the same orderings instead.
     """
     if horizon is None:
         horizon = default_horizon(world)
@@ -551,10 +554,10 @@ def plan(
     if routes is None:
         routes = {}
 
-    if cfg.priority_robot is not None:
-        order = [cfg.priority_robot] + sorted(i for i in ids if i != cfg.priority_robot)
-    else:
-        order = sorted(ids)
+    head = [] if cfg.priority_robot is None else [cfg.priority_robot]
+    rest = sorted(i for i in ids if i != cfg.priority_robot)
+    tails = itertools.permutations(rest) if len(robots) <= 4 else [rest]
+    orderings = [head + list(tail) for tail in tails]
 
     gap = cfg.min_time_gap_at_conflict
     use_refinement = (
@@ -573,7 +576,7 @@ def plan(
         # arrival step, so an ordering whose bound is below the larger one
         # cannot find a plan and is not searched.
         solo: Dict[int, SpaceTimePath] = {}
-        for rid in order:
+        for rid in orderings[0]:
             try:
                 solo[rid] = _solo_route(world, by_id[rid], human, horizon, routes)
             except PlanningInfeasible:
@@ -581,43 +584,33 @@ def plan(
         limit = horizon
         if len(solo) == 2:
             try:
-                limit = makespan(_solve_ordering(world, by_id, order, human, 0, horizon, routes).values())
+                limit = makespan(_solve_ordering(world, by_id, orderings[0], human, 0, horizon, routes).values())
             except PlanningError:
                 pass
         floor = max((p.arrival_step for p in solo.values()), default=0)
         best = None
-        for lead_id, follow_id in (order, order[::-1]):
+        for lead_id, follow_id in orderings:
             if lead_id in solo and limit >= floor:
                 res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], human, solo[lead_id], limit)
                 if res is not None:
                     best, limit = res, res[0] - 1
         if best is None:
-            raise PlanningInfeasible(order[-1], horizon)
+            raise PlanningInfeasible(orderings[0][-1], horizon)
         solved = {best[1].robot_id: best[1], best[2].robot_id: best[2]}
         return [solved[r.id] for r in robots]
 
-    if cfg.objective == "makespan" and len(robots) <= 4:
-        if cfg.priority_robot is not None:
-            rest = [i for i in order if i != cfg.priority_robot]
-            orderings = [[cfg.priority_robot] + list(p) for p in itertools.permutations(rest)]
-        else:
-            orderings = [list(p) for p in itertools.permutations(order)]
-    else:
-        orderings = [order]
-
-    best_paths = None
-    best_span = None
-    failure: Optional[PlanningInfeasible] = None
+    best_paths = best_span = failure = None
     for cand in orderings:
         try:
             paths = _solve_ordering(world, by_id, cand, human, gap, horizon, routes)
         except PlanningInfeasible as exc:
             failure = exc
             continue
+        if cfg.objective == "safety_first":
+            return [paths[r.id] for r in robots]
         span = makespan(paths.values())
         if best_span is None or span < best_span:
-            best_span = span
-            best_paths = paths
+            best_paths, best_span = paths, span
     if best_paths is None:
         assert failure is not None
         raise failure

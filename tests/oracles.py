@@ -30,7 +30,9 @@ is kept to check that the tie-break changes no route and no error.
 ``reference_prioritized_plan`` is ``plan``'s prioritized loop as it was
 before solo routes were shared across orderings: every ordering searches
 every robot's solo route again, and one robot is planned by a single
-search. It is kept to check that sharing changes no plan and no error.
+search. It is kept to check that sharing changes no plan and no error. It
+takes ``plan``'s one ordering rule: up to 4 robots are permuted under both
+objectives, and safety-first keeps the first ordering that plans.
 
 ``MapAwarePredictor`` and ``reference_predict`` are the map-aware SNR
 predictor as it was before its residual statistics were shared across
@@ -667,7 +669,7 @@ def reference_prioritized_plan(world, robots, forecasts, cfg, horizon):
         order = sorted(ids)
     if len(robots) == 1:
         return [low_level_search(world, robots[0], ReservationTable(ids[0], human), horizon)]
-    if cfg.objective == "makespan" and len(robots) <= 4:
+    if len(robots) <= 4:
         if cfg.priority_robot is not None:
             rest = [i for i in order if i != cfg.priority_robot]
             orderings = [[cfg.priority_robot] + list(p) for p in itertools.permutations(rest)]
@@ -684,6 +686,8 @@ def reference_prioritized_plan(world, robots, forecasts, cfg, horizon):
         except PlanningInfeasible as exc:
             failure = exc
             continue
+        if cfg.objective == "safety_first":
+            return [paths[r.id] for r in robots]
         span = makespan(paths.values())
         if best_span is None or span < best_span:
             best_span = span

@@ -4,7 +4,9 @@ import csv
 import errno
 import json
 import os
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from r2xsim import cli
@@ -338,6 +340,92 @@ class TestRun:
                      "--methods", method, "--parallel", parallel])
         assert code == 2
         assert capsys.readouterr().err == line + "\n"
+
+
+def safety_first_chokepoint():
+    """A 5x2 world whose one way between the halves, (2, 0), is robot 1's
+    goal: robot 2 must cross it before robot 1 parks there, so safety-first
+    plans the ordering [2, 1]."""
+    doc = tiny_warehouse()
+    doc["methods"] = list(WAREHOUSE_METHODS)
+    w = doc["warehouse"]
+    w["world"].update(width=5, height=2, blocked=[[2, 1]])
+    w["robots"] = [{"id": 1, "start": [0, 1], "goal": [2, 0]}, {"id": 2, "start": [4, 1], "goal": [0, 0]}]
+    w["intent_text"] = "Move safely."
+    w["max_sim_time_s"] = 120.0
+    return doc
+
+
+SMALL_WAREHOUSE_INTENTS = (
+    "go fast",
+    "Move safely.",
+    "Move very safely.",
+    "Robot {lead} is much more important. Move safely.",
+    "Robot {lead} is urgent, go fast.",
+    "Guarantee the minimum quality for each robot, safe, gap 2.",
+)
+
+
+def random_small_warehouse(rng, max_sim_time_s):
+    """A warehouse document of at most 7x6 cells with 1-4 robots, 0-2 humans
+    walking stand-or-step waypoints and one of six intents. Its goals may be
+    unreachable and its robots may not finish in time."""
+    width, height = int(rng.integers(2, 8)), int(rng.integers(1, 7))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    n_robots = int(rng.integers(1, min(4, len(cells) // 2) + 1))
+    order = rng.permutation(len(cells))
+    n_blocked = int(rng.integers(0, (len(cells) - 2 * n_robots) // 3 + 1))
+    free = [cells[i] for i in order[n_blocked:]]
+    ids = sorted(int(i) for i in rng.choice(9, size=n_robots, replace=False) + 1)
+    humans = []
+    for _ in range(int(rng.integers(0, 3))):
+        walk = [free[int(rng.integers(len(free)))]]
+        for _ in range(int(rng.integers(3, 16))):
+            x, y = walk[-1]
+            steps = [c for c in ((x, y), (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if c in free]
+            walk.append(steps[int(rng.integers(len(steps)))])
+        humans.append({"waypoints": [list(c) for c in walk], "horizon_frames": int(rng.integers(1, 9))})
+    doc = tiny_warehouse()
+    doc["methods"] = list(WAREHOUSE_METHODS)
+    w = doc["warehouse"]
+    w["world"].update(width=width, height=height, blocked=[list(cells[i]) for i in order[:n_blocked]])
+    w["robots"] = [
+        {"id": rid, "start": list(free[2 * k]), "goal": list(free[2 * k + 1])} for k, rid in enumerate(ids)
+    ]
+    if humans:
+        w["humans"] = humans
+    intent = SMALL_WAREHOUSE_INTENTS[int(rng.integers(len(SMALL_WAREHOUSE_INTENTS)))]
+    w["intent_text"] = intent.format(lead=ids[int(rng.integers(n_robots))])
+    w["max_sim_time_s"] = max_sim_time_s
+    return doc
+
+
+class TestSafetyFirstOrderings:
+    def test_chokepoint_runs_every_method(self, tmp_path, capsys):
+        """The first ordering [1, 2] cannot plan; every replanning method
+        still finishes, on the ordering [2, 1]."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(safety_first_chokepoint()))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        records = {rec["method"]: rec for rec in read_results(tmp_path / "o")}
+        assert sorted(records) == sorted(WAREHOUSE_METHODS)
+        assert records["stop_and_go"]["metrics"]["completion_time_s"] == 7.0
+
+    def test_small_documents_finish_or_name_a_field(self, tmp_path, capsys):
+        """Random small warehouse documents, one seed each: every run of
+        every method exits 0, or 2 with a named-field error, never 1."""
+        rng = np.random.default_rng(24)
+        codes = Counter()
+        for k in range(100):
+            path = tmp_path / f"doc{k}.json"
+            path.write_text(json.dumps(random_small_warehouse(rng, 20.0)))
+            code = main(["run", str(path), "--out", str(tmp_path / f"o{k}")])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (path.read_text(), err)
+            assert code == 0 or err.removeprefix(f"{path}: ").startswith("scenario."), err
+            codes[code] += 1
+        assert codes[0] >= 25 and codes[2] >= 25, codes
 
 
 class TestUnreachableGoal:

@@ -215,7 +215,7 @@ class TestLinkTable:
         with pytest.raises(ValueError):
             LinkTable([1.0], STEP_TABLE, target)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.3e154, -1e200])
     def test_snrs_must_be_finite(self, bad):
         with pytest.raises(ValueError):
             LinkTable([1.0, bad], STEP_TABLE)

@@ -426,6 +426,37 @@ class TestPlan:
         assert by_id[2].arrival_step == 3
         assert_valid_plan(w, paths, robots)
 
+    def chokepoint(self):
+        # (2, 0) is the one way between the halves and robot 1's goal, so
+        # robot 2 must cross it before robot 1 parks there.
+        w = world_of(5, 2, blocked={(2, 1)})
+        return w, [RobotState(1, (0, 1), (2, 0)), RobotState(2, (4, 1), (0, 0))]
+
+    @pytest.mark.parametrize("gap", [0, 3])
+    def test_safety_first_plans_the_first_ordering_that_plans(self, gap):
+        w, robots = self.chokepoint()
+        by_id = {r.id: r for r in robots}
+        human, horizon = _human_reservations(w, [], "safety_first"), default_horizon(w)
+        with pytest.raises(PlanningInfeasible):
+            oracles.reference_solve_ordering(w, by_id, [1, 2], human, gap, horizon)
+        want = oracles.reference_solve_ordering(w, by_id, [2, 1], human, gap, horizon)
+        paths = plan(w, robots, [], PlanConfig("safety_first", None, gap))
+        assert paths == [want[1], want[2]]
+        assert_valid_plan(w, paths, robots)
+
+    def test_safety_first_keeps_the_priority_robot_first(self):
+        w, robots = self.chokepoint()
+        with pytest.raises(PlanningInfeasible):
+            plan(w, robots, [], PlanConfig("safety_first", priority_robot=1))
+        assert plan(w, robots, [], PlanConfig("safety_first", priority_robot=2)) == plan(
+            w, robots, [], PlanConfig("safety_first"))
+
+    def test_makespan_on_the_chokepoint_is_the_joint_plan(self):
+        w, robots = self.chokepoint()
+        paths = plan(w, robots, [], PlanConfig("makespan"))
+        assert paths == reference_makespan_plan(w, robots, [], default_horizon(w))
+        assert makespan(paths) == 6
+
     def test_three_robot_makespan(self):
         w = world_of(4, 4)
         robots = [
