@@ -63,6 +63,17 @@ def _run_seeds(scn: Scenario, seeds: Sequence[int]) -> List[dict]:
     return [run_one(scn, method, seed) for seed in seeds for method in sorted(scn.methods)]
 
 
+def write_summary(path: Path, rows: Sequence[dict]) -> None:
+    """Write ``metrics.run_summary`` rows as CSV, floats as their ``repr``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scenario_id", "method", "metric", "median", "iqr", "n"])
+        for row in rows:
+            writer.writerow(
+                [row["scenario_id"], row["method"], row["metric"], repr(row["median"]), repr(row["iqr"]), row["n"]]
+            )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = load_scenario(args.scenario)
     if not 1 <= args.parallel <= _MAX_PARALLEL:
@@ -110,14 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with results_path.open("w") as fh:
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-        with summary_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scenario_id", "method", "metric", "median", "iqr", "n"])
-            for row in rows:
-                writer.writerow(
-                    [row["scenario_id"], row["method"], row["metric"],
-                     repr(row["median"]), repr(row["iqr"]), row["n"]]
-                )
+        write_summary(summary_path, rows)
     except OSError as exc:
         raise _out_error(args.out, exc)
     print(f"wrote {len(records)} runs to {results_path} and {summary_path}")

@@ -108,7 +108,10 @@ def run_summary(records: Iterable[Mapping]) -> List[Dict]:
     """Median and interquartile range per (scenario, method, metric).
 
     ``records`` are run dicts with ``scenario_id``, ``method``, ``seed`` and
-    a ``metrics`` mapping. Rows come back sorted for stable output.
+    a ``metrics`` mapping. Rows come back sorted for stable output. The rows
+    with the same number of values are summarized together, by one
+    ``np.percentile`` and one ``np.median`` call along the rows of their
+    matrix; each row's results equal those of the calls on that row alone.
     """
     grouped: Dict[tuple, Dict[str, List[float]]] = {}
     for rec in records:
@@ -117,19 +120,25 @@ def run_summary(records: Iterable[Mapping]) -> List[Dict]:
         for name, value in rec["metrics"].items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 bucket.setdefault(name, []).append(float(value))
-    rows = []
+    keys, series = [], []
     for (scenario_id, method) in sorted(grouped):
-        for metric in sorted(grouped[(scenario_id, method)]):
-            vals = np.asarray(grouped[(scenario_id, method)][metric], dtype=float)
-            q25, q75 = np.percentile(vals, [25, 75])
-            rows.append(
-                {
-                    "scenario_id": scenario_id,
-                    "method": method,
-                    "metric": metric,
-                    "median": float(np.median(vals)),
-                    "iqr": float(q75 - q25),
-                    "n": int(vals.size),
-                }
-            )
-    return rows
+        bucket = grouped[(scenario_id, method)]
+        for metric in sorted(bucket):
+            keys.append((scenario_id, method, metric))
+            series.append(bucket[metric])
+    by_count: Dict[int, List[int]] = {}  # value count -> indices of its series
+    for i, vals in enumerate(series):
+        by_count.setdefault(len(vals), []).append(i)
+    medians = [0.0] * len(series)
+    iqrs = [0.0] * len(series)
+    for indices in by_count.values():
+        vals = np.array([series[i] for i in indices], dtype=float)
+        q25, q75 = np.percentile(vals, [25, 75], axis=1)
+        for i, median, iqr in zip(indices, np.median(vals, axis=1).tolist(), (q75 - q25).tolist()):
+            medians[i] = median
+            iqrs[i] = iqr
+    return [
+        {"scenario_id": scenario_id, "method": method, "metric": metric,
+         "median": medians[i], "iqr": iqrs[i], "n": len(series[i])}
+        for i, (scenario_id, method, metric) in enumerate(keys)
+    ]

@@ -20,6 +20,7 @@ Three kinds are supported:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -631,19 +632,40 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
 
 class FollowmeFrames(NamedTuple):
     """Per-frame values of one followme seed, the same for every method:
-    the user distance, the RSSI (curve plus AR(1) noise), and the link
-    throughput and per-bit error probability at that RSSI."""
+    the user distance, the RSSI (curve plus AR(1) noise), the link
+    throughput and per-bit error probability at that RSSI, and the
+    perception tracker's draws. ``plans`` maps a method to its
+    ``FollowmePlan``, built by that method's first run of the seed."""
 
     distance: List[float]
     rssi: List[float]
     throughput: List[float]
     bit_error: List[float]
+    # The random() draws of the generator seeded [seed, 23], one per frame:
+    # a run consumes at most one per frame, in order.
+    perception_draws: List[float]
+    plans: Dict[str, FollowmePlan]
+
+
+class FollowmePlan(NamedTuple):
+    """What every run of one method on one seed reads, frame by frame."""
+
+    # (start, stop, max_retx) of each maximal stretch of frames that share
+    # an attempt limit, in frame order.
+    stretches: Tuple[Tuple[int, int, int], ...]
+    loss: List[float]  # probability that one attempt loses the frame
+    air_s: List[float]  # air time of one attempt: bits / throughput + slot_s
+    encode_s: List[float]
+    decode_s: List[float]
+    lose: List[float]  # probability that a locked tracker loses the user
+    reacquire: List[float]  # probability that a delivered useful frame regains lock
 
 
 def prepare_followme(fm: FollowmeInputs, seed: int) -> FollowmeFrames:
     """The seed's frames. The curves are read with array ``np.interp``,
     which equals one scalar call per frame; ``10.0 ** x`` is taken on Python
-    floats, because numpy's power may differ in the last bit."""
+    floats, because numpy's power may differ in the last bit. The method
+    plans are left to the runs that need them."""
     noise = ar1_series(np.random.default_rng([seed, 21]), fm.total_steps, *fm.noise)
     distance = np.interp(np.arange(fm.total_steps), *fm.distance)
     rssi = np.interp(distance, *fm.rssi) + noise
@@ -652,7 +674,65 @@ def prepare_followme(fm: FollowmeInputs, seed: int) -> FollowmeFrames:
         rssi.tolist(),
         [10.0 ** x for x in np.interp(rssi, *fm.log_throughput).tolist()],
         [10.0 ** x for x in np.interp(rssi, *fm.log_bit_error).tolist()],
+        np.random.default_rng([seed, 23]).random(fm.total_steps).tolist(),
+        {},
     )
+
+
+def _followme_plan(fm: FollowmeInputs, frames: FollowmeFrames, method: str) -> FollowmePlan:
+    """``method``'s plan on the seed of ``frames``, built on first use."""
+    plan = frames.plans.get(method)
+    if plan is None:
+        if method in _FOLLOWME_MODE_CONFIGS:
+            plan = _followme_mode_plan(fm, frames, method)
+        else:
+            plan = _followme_ladder_plan(fm, frames)
+        frames.plans[method] = plan
+    return plan
+
+
+def _followme_mode_plan(fm: FollowmeInputs, frames: FollowmeFrames, mode: str) -> FollowmePlan:
+    """One fixed mode on every frame: the frame loss ``1 - (1 - p_bit) **
+    bits`` and the air time per attempt, as the per-frame scalar
+    expressions, so that ``enc + attempts * air + dec`` keeps its bits."""
+    cfg = _FOLLOWME_MODE_CONFIGS[mode]
+    n, slot_s = fm.total_steps, fm.slot_s
+    bits = fm.payload_bytes[mode] * 8
+    enc, dec = fm.codec_s[cfg.mode]
+    perc = fm.perception
+    far_m, far_p, near_p = (perc[key][mode] for key in ("far_distance_m", "far_lose_prob", "lose_prob"))
+    return FollowmePlan(
+        ((0, n, fm.max_attempts - 1 if cfg.qos == "reliable" else 0),),
+        [-math.expm1(bits * math.log1p(-p_bit)) for p_bit in frames.bit_error],
+        [bits / throughput + slot_s for throughput in frames.throughput],
+        [enc] * n,
+        [dec] * n,
+        [far_p if distance > far_m else near_p for distance in frames.distance],
+        [perc["reacquire_prob"][mode]] * n,
+    )
+
+
+def _followme_ladder_plan(fm: FollowmeInputs, frames: FollowmeFrames) -> FollowmePlan:
+    """The RSSI ladder: each frame takes its values from the plan of the
+    mode ``select_sense_mode`` picks at its RSSI."""
+    picks = [select_sense_mode(rssi) for rssi in frames.rssi]
+    # (start, stop, plan) of each maximal stretch of frames in one mode. The
+    # rungs are grouped by identity, as each is one frozen object: hashing
+    # one per frame would cost more than the ladder itself.
+    runs: List[Tuple[int, int, FollowmePlan]] = []
+    for _, group in itertools.groupby(picks, key=id):
+        group = list(group)
+        start = runs[-1][1] if runs else 0
+        runs.append((start, start + len(group), _followme_plan(fm, frames, _FOLLOWME_MODE_NAMES[group[0]])))
+    stretches = []
+    for max_retx, group in itertools.groupby(runs, key=lambda run: run[2].stretches[0][2]):
+        start = stretches[-1][1] if stretches else 0
+        stretches.append((start, list(group)[-1][1], max_retx))
+    columns: List[list] = [[] for _ in FollowmePlan._fields[1:]]
+    for start, stop, plan in runs:
+        for column, values in zip(columns, plan[1:]):
+            column += values[start:stop]
+    return FollowmePlan(tuple(stretches), *columns)
 
 
 def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
@@ -665,46 +745,47 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     tracking arrival when it was delivered, its command-to-action latency is
     within ``cta_useful_s``, and the perception tracker holds (or regains)
     lock on it.
+
+    Everything but the HARQ outcome and the lock comes from the seed's
+    frames and the method's plan. The HARQ stream is run once per stretch
+    of frames that share an attempt limit; it keeps its draw position
+    between calls, so the draws are those of one call per frame.
     """
     fm = scn.inputs
     frames = _seed_table(scn, seed)
-    total = fm.total_steps
+    plan = _followme_plan(fm, frames, method)
     harq = HarqStream(np.random.default_rng([seed, 22]))
-    rng_perc = np.random.default_rng([seed, 23])
+    attempts: List[int] = []
+    delivered: List[bool] = []
+    for start, stop, max_retx in plan.stretches:
+        a, d = harq.run(plan.loss[start:stop], max_retx)
+        attempts += a
+        delivered += d
 
-    perc = fm.perception
-    # A fixed mode is its method's name; the orchestrated one is looked up.
-    cfg, mode = _FOLLOWME_MODE_CONFIGS.get(method), method
-    orchestrated = cfg is None
+    draws = iter(frames.perception_draws)
+    useful_s = fm.cta_useful_s
     locked = True
     arrivals: List[int] = []
     cta_samples: List[float] = []
-    for t, (distance, rssi, throughput, p_bit) in enumerate(zip(*frames)):
-        if orchestrated:
-            cfg = select_sense_mode(rssi)
-            mode = _FOLLOWME_MODE_NAMES[cfg]
-        bits = fm.payload_bytes[mode] * 8
-        p_loss = -math.expm1(bits * math.log1p(-p_bit))
-        (attempts,), (delivered,) = harq.run((p_loss,), fm.max_attempts - 1 if cfg.qos == "reliable" else 0)
+    for t, (ok, a, air, enc, dec, lose, reacquire) in enumerate(
+        zip(delivered, attempts, plan.air_s, plan.encode_s, plan.decode_s, plan.lose, plan.reacquire)
+    ):
         useful = False
-        if delivered:
-            enc, dec = fm.codec_s[cfg.mode]
-            cta = enc + attempts * (bits / throughput + fm.slot_s) + dec
+        if ok:
+            cta = enc + a * air + dec
             cta_samples.append(cta)
-            useful = cta <= fm.cta_useful_s
+            useful = cta <= useful_s
         if locked:
-            far = distance > perc["far_distance_m"][mode]
-            lose_p = perc["far_lose_prob"][mode] if far else perc["lose_prob"][mode]
-            if rng_perc.random() < lose_p:
+            if next(draws) < lose:
                 locked = False
-        elif delivered and useful:
-            if rng_perc.random() < perc["reacquire_prob"][mode]:
+        elif useful:
+            if next(draws) < reacquire:
                 locked = True
-        if delivered and useful and locked:
+        if useful and locked:
             arrivals.append(t)
 
     metrics: Dict[str, float] = {
-        "utfr_pct": utfr(arrivals, total, fm.loss_threshold_steps),
+        "utfr_pct": utfr(arrivals, fm.total_steps, fm.loss_threshold_steps),
         "delivered_frames": float(len(cta_samples)),
         "arrival_frames": float(len(arrivals)),
     }

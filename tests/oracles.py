@@ -41,7 +41,13 @@ delays: each delay replays every residual through its own predictor.
 running-sum loop they were before they became array code.
 ``reference_run_followme`` is the followme runner as it was before the
 per-frame values were computed once per seed: every method recomputes each
-frame's distance, RSSI, throughput and bit error with scalar ``np.interp``.
+frame's distance, RSSI, throughput and bit error with scalar ``np.interp``,
+and takes each HARQ attempt's and perception event's draw with its own
+scalar ``rng.random()`` call.
+
+``reference_run_summary`` is ``metrics.run_summary`` as it was before rows
+with the same number of values were summarized together: one
+``np.percentile`` and one ``np.median`` call per (method, metric).
 
 The link layer's references are its scalar forms before the warehouse and
 the corridor shared one model: ``reference_bler`` is the one-SNR BLER
@@ -355,6 +361,34 @@ def reference_run_followme(scn, method: str, seed: int) -> Dict[str, float]:
         metrics["cta_mean_s"] = mean
         metrics["cta_p95_s"] = p95
     return metrics
+
+
+def reference_run_summary(records) -> List[Dict]:
+    """Median and interquartile range per (scenario, method, metric), one
+    row at a time."""
+    grouped: Dict[tuple, Dict[str, List[float]]] = {}
+    for rec in records:
+        key = (rec["scenario_id"], rec["method"])
+        bucket = grouped.setdefault(key, {})
+        for name, value in rec["metrics"].items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                bucket.setdefault(name, []).append(float(value))
+    rows = []
+    for (scenario_id, method) in sorted(grouped):
+        for metric in sorted(grouped[(scenario_id, method)]):
+            vals = np.asarray(grouped[(scenario_id, method)][metric], dtype=float)
+            q25, q75 = np.percentile(vals, [25, 75])
+            rows.append(
+                {
+                    "scenario_id": scenario_id,
+                    "method": method,
+                    "metric": metric,
+                    "median": float(np.median(vals)),
+                    "iqr": float(q75 - q25),
+                    "n": int(vals.size),
+                }
+            )
+    return rows
 
 
 def reference_bler(entry, snr_db):

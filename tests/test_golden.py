@@ -6,12 +6,19 @@ one-seed run. Rerunning the same code twice (C12) cannot show that a
 refactor kept old outputs; comparing with these pins can. The checks are
 ``tools/check_digests.py``'s, one seed per run, all seeds in one run and
 all seeds on two workers, which also cover all 20 pinned seeds; here they
-run on the first three.
+run on the first three. The pins cover one-seed summaries only, whose
+medians are the values themselves; the all-seeds run's ``summary.csv`` is
+checked against one written from ``reference_run_summary`` of its pinned
+records.
 """
+
+import json
 
 import pytest
 
 from conftest import WAREHOUSE_IDS, check_digests
+from oracles import reference_run_summary
+from r2xsim.cli import write_summary
 
 SEEDS = (0, 1, 2)
 
@@ -36,8 +43,11 @@ def test_records_match_pinned_digests(name, makespan, pinned, tmp_path):
         lines, problems = check_digests.check_seed(sid, seed, pinned[sid], tmp_path)
         assert lines and not problems, problems
     # All seeds in one call, whose runs share the loaded file and its memos.
-    lines, problems, _ = check_digests.check_records(sid, list(SEEDS), pinned[sid], tmp_path)
+    lines, problems, out = check_digests.check_records(sid, list(SEEDS), pinned[sid], tmp_path)
     assert lines and not problems, problems
+    records = [json.loads(line) for line in (out / "results.jsonl").read_bytes().splitlines()]
+    write_summary(tmp_path / "reference.csv", reference_run_summary(records))
+    assert (out / "summary.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("sid", ["warehouse-s3", "warehouse-s3-makespan"])

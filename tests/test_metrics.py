@@ -1,9 +1,13 @@
 """KPI arithmetic: completion time, tail statistics, tracking failure rate."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_run_summary
 
 from r2xsim.metrics import (
     KpiRecord,
@@ -137,3 +141,55 @@ class TestRunSummary:
         rows = run_summary(recs)
         keys = [(r["scenario_id"], r["method"], r["metric"]) for r in rows]
         assert keys == sorted(keys)
+
+
+# Finite values the summary must carry bit for bit: signed zeros,
+# subnormals, ordinary magnitudes and magnitudes near 1e300, whose
+# interpolation and differences stay finite.
+SUMMARY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-10**6, max_value=10**6),
+)
+
+
+@st.composite
+def summary_records(draw):
+    """Records of a few (scenario, method) pairs over 1-25 seeds; a metric
+    is missing from the records where its drawn value is None."""
+    out = []
+    for scenario_id in draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=2, unique=True)):
+        for method in draw(st.lists(st.sampled_from(["m1", "m2", "m3"]), min_size=1, max_size=3, unique=True)):
+            n = draw(st.integers(1, 25))
+            columns = {
+                name: draw(st.lists(st.none() | SUMMARY_VALUES, min_size=n, max_size=n))
+                for name in draw(st.lists(st.sampled_from(["x", "y", "z"]), max_size=3, unique=True))
+            }
+            for seed in range(n):
+                metrics = {name: col[seed] for name, col in columns.items() if col[seed] is not None}
+                out.append({"scenario_id": scenario_id, "method": method, "seed": seed, "metrics": metrics})
+    return out
+
+
+def ieee(row):
+    return {**row, "median": struct.pack("<d", row["median"]), "iqr": struct.pack("<d", row["iqr"])}
+
+
+class TestRunSummaryBatched:
+    @settings(max_examples=200, deadline=None)
+    @given(summary_records())
+    def test_matches_per_row_calls_bit_for_bit(self, records):
+        """Summarizing the rows of one value count together gives each
+        row's median and IQR of the per-row calls, as IEEE bytes, and the
+        rows in the same order."""
+        assert list(map(ieee, run_summary(records))) == list(map(ieee, reference_run_summary(records)))
+
+    def test_groups_of_different_sizes_keep_their_order(self):
+        recs = [
+            {"scenario_id": "s", "method": "a", "seed": s, "metrics": {"x": float(s), **({"y": -0.0} if s else {})}}
+            for s in range(3)
+        ]
+        rows = run_summary(recs)
+        assert [(r["metric"], r["n"]) for r in rows] == [("x", 3), ("y", 2)]
+        assert list(map(ieee, rows)) == list(map(ieee, reference_run_summary(recs)))

@@ -1280,6 +1280,83 @@ class TestRunOne:
             for method in scn.methods:
                 assert run_one(scn, method, seed)["metrics"] == reference_run_followme(scn, method, seed), (method, seed)
 
+    @staticmethod
+    def assert_followme_matches_reference(doc, seeds=range(3)):
+        scn = parse_scenario(doc)
+        for seed in seeds:
+            for method in scn.methods:
+                got = run_one(scn, method, seed)["metrics"]
+                assert got == reference_run_followme(scn, method, seed), (method, seed)
+        return scn
+
+    @pytest.mark.parametrize(
+        "lose,reacquire", [(1.0, 0.0), (1.0, 1.0), (0.0, 0.0)],
+        ids=["lost-never-regained", "lost-always-regained", "never-lost"],
+    )
+    def test_followme_perception_extremes_match_reference(self, lose, reacquire):
+        """A lose probability of 1 loses lock at frame 0. A reacquire
+        probability of 0 then never regains it, so no frame arrives; one
+        of 1 regains it on every useful frame after a lost one."""
+        doc = tiny_followme()
+        doc["methods"] = list(FOLLOWME_METHODS)
+        for key, p in (("lose_prob", lose), ("far_lose_prob", lose), ("reacquire_prob", reacquire)):
+            doc["followme"]["perception"][key] = {m: p for m in FM_MODES}
+        scn = self.assert_followme_matches_reference(doc)
+        arrivals = {m: run_one(scn, m, 0)["metrics"]["arrival_frames"] for m in scn.methods}
+        if reacquire == 0.0 and lose == 1.0:
+            assert set(arrivals.values()) == {0.0}
+        else:
+            assert max(arrivals.values()) > 0.0
+
+    def test_followme_one_frame_matches_reference(self):
+        doc = tiny_followme()
+        doc["methods"] = list(FOLLOWME_METHODS)
+        doc["followme"]["total_steps"] = 1
+        self.assert_followme_matches_reference(doc, seeds=range(5))
+
+    @staticmethod
+    def ladder_doc(max_attempts):
+        """A walk out to 13 m and back, whose RSSI crosses every rung of
+        the sensing ladder on the way out and on the way back."""
+        doc = tiny_followme()
+        doc["methods"] = list(FOLLOWME_METHODS)
+        doc["followme"].update(distance_profile=[[0.0, 2.0], [30.0, 13.0], [59.0, 2.0]], max_attempts=max_attempts)
+        return doc
+
+    @pytest.mark.parametrize("max_attempts", [1, 64])
+    def test_followme_ladder_crossing_every_rung_matches_reference(self, max_attempts):
+        scn = self.assert_followme_matches_reference(self.ladder_doc(max_attempts))
+        for seed in range(3):
+            run_one(scn, "orchestrated", seed)
+            frames = scn._seed_table[1]
+            rungs = {orchestrator.select_sense_mode(rssi) for rssi in frames.rssi}
+            assert rungs == {scenarios._FOLLOWME_MODE_CONFIGS[m] for m in FM_MODES if m != "jpeg_q95"}
+            # Reliable JPEG near, best-effort tokens far, reliable JPEG again;
+            # with one attempt allowed, every frame shares one limit.
+            stretches = frames.plans["orchestrated"].stretches
+            if max_attempts == 1:
+                assert stretches == ((0, 60, 0),)
+            else:
+                assert len(stretches) >= 3 and stretches[0][2] == stretches[-1][2] == max_attempts - 1
+
+    @pytest.mark.parametrize("first", ["orchestrated", "jpeg_q60"], ids=["ladder-first", "sorted"])
+    def test_followme_builds_each_mode_plan_once_per_seed(self, first, monkeypatch):
+        """The ladder reads the fixed modes' plans, so that across all
+        seven methods of a seed, in either order, each mode's plan is built
+        once."""
+        built = []
+        real = scenarios._followme_mode_plan
+        monkeypatch.setattr(
+            scenarios, "_followme_mode_plan", lambda fm, frames, mode: built.append(mode) or real(fm, frames, mode)
+        )
+        scn = parse_scenario(self.ladder_doc(4))
+        methods = sorted(scn.methods, key=lambda m: (m != first, m))
+        for seed in (0, 1, 0):
+            for method in methods:
+                run_one(scn, method, seed)
+            assert sorted(built) == sorted(FM_MODES)
+            built.clear()
+
     def test_followme_deterministic_per_seed(self):
         scn = parse_scenario(tiny_followme())
         a = run_one(scn, "vq_1x1", 3)

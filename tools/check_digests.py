@@ -14,8 +14,9 @@ makes three passes over the pinned files:
   default, comparing each record line with its pin. Its runs share one
   loaded file, and with it the warehouse memos of tables, routes and plans;
 - all 20 seeds in one ``r2xsim run --parallel 2`` call, comparing each
-  record line with its pin. Each of the two workers runs every other seed
-  on its own copy of the loaded file.
+  record line with its pin and its ``summary.csv`` byte for byte with the
+  second pass's. Each of the two workers runs every other seed on its own
+  copy of the loaded file.
 
 A makespan copy is written the way ``perfbench/run.py`` writes its
 ``warehouse-makespan`` inputs. It prints one line per mismatch and a count,
@@ -32,7 +33,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "perfbench" / "digests.json"
@@ -116,7 +117,8 @@ def main() -> int:
     pins = pinned()
     lines = summaries = 0
     problems: List[str] = []
-    one_load = pooled = 0
+    one_load = pooled = compared = 0
+    serial: Dict[str, Optional[Path]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for sid in sorted(pins):
             for seed in SEEDS:
@@ -125,18 +127,24 @@ def main() -> int:
                 summaries += 1
                 problems += found
         for sid in sorted(pins):
-            n, found, _ = check_records(sid, list(SEEDS), pins[sid], Path(tmp))
+            n, found, serial[sid] = check_records(sid, list(SEEDS), pins[sid], Path(tmp))
             one_load += n
             problems += found
         for sid in sorted(pins):
-            n, found, _ = check_records(sid, list(SEEDS), pins[sid], Path(tmp), parallel=2)
+            n, found, out = check_records(sid, list(SEEDS), pins[sid], Path(tmp), parallel=2)
             pooled += n
             problems += found
+            if out is not None and serial[sid] is not None:
+                compared += 1
+                if (out / "summary.csv").read_bytes() != (serial[sid] / "summary.csv").read_bytes():
+                    problems.append(f"{sid} seeds {SEEDS[0]}-{SEEDS[-1]} on 2 workers: summary.csv differs "
+                                    f"from the one-worker run's")
     for line in problems:
         print(line)
     print(f"{lines} record lines and {summaries} summary.csv files of {len(pins)} files run one seed "
           f"at a time, {one_load} record lines of the same files run {len(SEEDS)} seeds at a time and "
-          f"{pooled} run {len(SEEDS)} seeds on 2 workers, checked against {DIGESTS.name}: "
+          f"{pooled} run {len(SEEDS)} seeds on 2 workers, checked against {DIGESTS.name}, and "
+          f"{compared} {len(SEEDS)}-seed summary.csv files compared between 1 and 2 workers: "
           f"{len(problems)} mismatches")
     return 1 if problems else 0
 
