@@ -11,11 +11,7 @@ import sys
 import numpy as np
 
 from r2xsim.linkadapt import LinkTable, gains, run_policy
-from r2xsim.scenarios import (
-    bundled_scenario_path,
-    load_scenario,
-    mcs_policy_from_method,
-)
+from r2xsim.scenarios import bundled_scenario_path, load_scenario
 
 DELAYS = (3, 10, 30)
 N_SEEDS = 5
@@ -24,7 +20,7 @@ N_SEEDS = 5
 def run(scn, method, seed, link):
     return run_policy(
         link,
-        mcs_policy_from_method(method),
+        scn.inputs.policies[method],
         scn.inputs.payload_bytes,
         seed=seed,
         max_retx=scn.inputs.cfg.max_retx,
@@ -34,13 +30,16 @@ def run(scn, method, seed, link):
 def main():
     n_seeds = int(sys.argv[1]) if len(sys.argv) > 1 else N_SEEDS
     scn = load_scenario(bundled_scenario_path("mcs-ar1"))
-    gain_map, cells, cfg, table, target, _ = scn.inputs
+    inputs = scn.inputs
     seeds = scn.seeds[:n_seeds]
-    print(f"{scn.id}: {len(cells)} steps, rho={gain_map.shadowing_rho}, "
-          f"sigma={gain_map.shadowing_sigma_db} dB, {len(seeds)} seeds")
+    print(f"{scn.id}: {len(inputs.cells)} steps, rho={inputs.gain_map.shadowing_rho}, "
+          f"sigma={inputs.gain_map.shadowing_sigma_db} dB, {len(seeds)} seeds")
     print()
     # One link table per seed, shared by every policy replayed on it.
-    links = {seed: LinkTable.sample(gain_map, cells, cfg, table, seed, target) for seed in seeds}
+    links = {
+        seed: LinkTable.sample(inputs.gain_map, inputs.cells, inputs.cfg, inputs.table, seed, inputs.bler_target)
+        for seed in seeds
+    }
 
     oracle_tp = np.mean(
         [run(scn, "oracle", s, links[s]).mean_throughput_bps for s in seeds]

@@ -3,7 +3,7 @@ prioritized grid planning, link adaptation under delayed feedback, semantic
 sensing payloads, and intent-driven configuration."""
 
 from .linkadapt import LinkTable, PolicySpec, gains, run_policy
-from .metrics import KpiRecord, completion_time, run_summary, tail_stats, utfr
+from .metrics import KpiRecord, run_summary, tail_stats, utfr
 from .orchestrator import (
     LoopBudget,
     OrchestratorConfig,
@@ -59,7 +59,6 @@ __all__ = [
     "WarehouseSimulation",
     "allocate",
     "bler",
-    "completion_time",
     "correct_loop",
     "default_mcs_table",
     "gains",

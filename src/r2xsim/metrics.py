@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-from .planner import SpaceTimePath
 
 DEFAULT_LOSS_THRESHOLD_STEPS = 3
 
@@ -30,49 +29,27 @@ class KpiRecord:
             "halt_s": float(self.halt_s),
         }
         if self.rtt_samples_s:
-            mean, _, p95 = tail_stats(self.rtt_samples_s)
+            mean, p95 = tail_stats(self.rtt_samples_s)
             out["rtt_mean_s"] = mean
             out["rtt_p95_s"] = p95
         return out
 
 
-def completion_time(
-    paths: Sequence[SpaceTimePath],
-    stop_log: Mapping[int, float],
-    step_duration_s: float,
-) -> float:
-    """Seconds until the last robot is done.
-
-    Each robot contributes ``arrival_step * step_duration_s`` (every planned
-    step, moves and commanded waits alike, takes one cell-traverse interval)
-    plus its accumulated halt seconds from ``stop_log``.
-    """
-    if not paths:
-        raise ValueError("no paths")
-    if step_duration_s <= 0:
-        raise ValueError("step_duration_s must be positive")
-    return max(
-        p.arrival_step * step_duration_s + float(stop_log.get(p.robot_id, 0.0)) for p in paths
-    )
-
-
 class TailStats(NamedTuple):
     mean: float
-    std: float
     p95: float
 
 
 def tail_stats(samples: Sequence[float]) -> TailStats:
-    """Mean, sample standard deviation (n-1; zero for a single sample), and
-    the nearest-rank 95th percentile (the ceil(0.95 n)-th order statistic)."""
+    """Mean and the nearest-rank 95th percentile (the ceil(0.95 n)-th order
+    statistic)."""
     vals = np.asarray(list(samples), dtype=float)
     if vals.size == 0:
         raise ValueError("no samples")
     mean = float(np.mean(vals))
-    std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
     rank = max(0, math.ceil(0.95 * vals.size) - 1)
     p95 = float(np.sort(vals)[rank])
-    return TailStats(mean, std, p95)
+    return TailStats(mean, p95)
 
 
 def utfr(
@@ -84,23 +61,24 @@ def utfr(
 
     Tracking survives arrival gaps up to ``loss_threshold_steps``; each
     longer gap loses ``gap - threshold`` steps. Gaps include the stretch
-    before the first arrival and after the last one.
+    before the first arrival and after the last one. The arrivals are
+    sorted once and their gaps summed in one pass, in integers.
     """
     if total_steps <= 0:
         raise ValueError("total_steps must be positive")
     if loss_threshold_steps < 0:
         raise ValueError("loss_threshold_steps must be nonnegative")
-    arrivals = sorted(int(s) for s in frame_arrival_steps)
+    arrivals = sorted(map(int, frame_arrival_steps))
+    if arrivals and (arrivals[0] < 0 or arrivals[-1] > total_steps):
+        # the smallest step outside the range
+        bad = arrivals[0] if arrivals[0] < 0 else arrivals[bisect.bisect_right(arrivals, total_steps)]
+        raise ValueError(f"arrival step {bad} outside [0, {total_steps}]")
+    arrivals.append(total_steps)
+    lost = prev = 0
     for s in arrivals:
-        if s < 0 or s > total_steps:
-            raise ValueError(f"arrival step {s} outside [0, {total_steps}]")
-    if not arrivals:
-        gaps = [total_steps]
-    else:
-        gaps = [arrivals[0]]
-        gaps.extend(b - a for a, b in zip(arrivals, arrivals[1:]))
-        gaps.append(total_steps - arrivals[-1])
-    lost = sum(max(0, g - loss_threshold_steps) for g in gaps)
+        if s - prev > loss_threshold_steps:
+            lost += s - prev - loss_threshold_steps
+        prev = s
     return 100.0 * lost / total_steps
 
 

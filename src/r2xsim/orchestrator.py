@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Protoc
 
 import numpy as np
 
-from .metrics import KpiRecord, completion_time
+from .metrics import KpiRecord
 from .planner import (
     PlanConfig,
     PlanningError,
@@ -609,7 +609,7 @@ class WarehouseSimulation:
                 gain_ref = rt.last_measured_gain_db
             else:
                 gain_ref = cell_gain
-            power, _ = required_power(gain_ref, ra.target_snr_db, ra.noise_dbm, ra.max_power_dbm)
+            power = required_power(gain_ref, ra.target_snr_db, ra.noise_dbm, ra.max_power_dbm)
             est_snr = power + gain_ref - ra.noise_dbm
             true_gain = cell_gain + self._shadow_at(rt, self._frame(t))
             true_snr = power + true_gain - ra.noise_dbm
@@ -724,10 +724,12 @@ class WarehouseSimulation:
         unfinished = [rid for rid, rt in self.robots.items() if not rt.arrived]
         if unfinished:
             raise self._unfinished(f"robots {unfinished} never arrived")
-        paths = [SpaceTimePath(rid, tuple(rt.executed)) for rid, rt in self.robots.items()]
-        stop_log = {rid: rt.halt_s for rid, rt in self.robots.items()}
+        # Every executed step, moves and commanded waits alike, takes one
+        # cell-traverse interval; the last robot done sets the time.
         return KpiRecord(
-            completion_time_s=completion_time(paths, stop_log, self.world.cell_traverse_s),
+            completion_time_s=max(
+                (len(rt.executed) - 1) * self.world.cell_traverse_s + rt.halt_s for rt in self.robots.values()
+            ),
             stop_events=sum(rt.stop_events for rt in self.robots.values()),
             halt_s=sum(rt.halt_s for rt in self.robots.values()),
             rtt_samples_s=list(self.rtt_samples),

@@ -108,14 +108,6 @@ class SpaceTimePath:
         """Position at ``step``, parked at the final cell afterwards."""
         return self.cells[min(step, len(self.cells) - 1)]
 
-    def validate(self, world: GridWorld) -> None:
-        for c in self.cells:
-            if not world.passable(c):
-                raise ValueError(f"path of robot {self.robot_id} uses blocked cell {c}")
-        for a, b in zip(self.cells, self.cells[1:]):
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) > 1:
-                raise ValueError(f"path of robot {self.robot_id} jumps {a} -> {b}")
-
 
 @dataclass(frozen=True)
 class Conflict:

@@ -173,16 +173,13 @@ def required_power(
     target_snr_db: float,
     noise_dbm: float = DEFAULT_NOISE_DBM,
     max_power_dbm: float = 23.0,
-) -> Tuple[float, bool]:
-    """Transmit power that hits the target SNR, clamped to the power budget.
-
-    Returns ``(power_dbm, achievable)``; when clamped the target is not
-    achievable and the realized SNR falls short by the clamp amount.
-    """
+) -> float:
+    """Transmit power that hits the target SNR, clamped to the power budget;
+    when clamped, the realized SNR falls short by the clamp amount."""
     ideal = target_snr_db + noise_dbm - gain_db
     if ideal > max_power_dbm:
-        return max_power_dbm, False
-    return ideal, True
+        return max_power_dbm
+    return ideal
 
 
 def bler_curve(entry: McsEntry, snrs_db: Sequence[float]) -> List[float]:

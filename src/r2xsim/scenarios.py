@@ -137,15 +137,6 @@ class Scenario:
         return out
 
 
-def validate_scenario_dict(data) -> List[str]:
-    """All schema violations in a parsed scenario document."""
-    try:
-        parse_scenario(data)
-    except ScenarioError as exc:
-        return exc.errors
-    return []
-
-
 class _Kind(NamedTuple):
     """How one scenario kind is checked and built, prepared for a seed, and
     run.
@@ -449,7 +440,7 @@ def run_warehouse(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
 
 class McsInputs(NamedTuple):
     """What every run of an mcs scenario starts from: the corridor, its
-    per-step cells and the radio."""
+    per-step cells, the radio and each method's policy."""
 
     gain_map: PathGainMap
     cells: List[Tuple[int, int]]
@@ -457,15 +448,7 @@ class McsInputs(NamedTuple):
     table: McsTable
     bler_target: float
     payload_bytes: int
-
-
-def mcs_policy_from_method(method: str) -> PolicySpec:
-    match = _MCS_METHOD_RE.fullmatch(method)
-    if match is None:
-        raise ValueError(f"unknown mcs method {method!r}")
-    if match.group(1) is None:
-        return PolicySpec(kind=method)
-    return PolicySpec(kind=match.group(1), delay=int(match.group(2)))
+    policies: Dict[str, PolicySpec]
 
 
 def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
@@ -479,11 +462,14 @@ def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
     if sec is None:
         return None
     steps = ck.num(sec, p, "steps", lo=1, hi=_MAX_STEPS, integer=True)
-    if steps is not None and isinstance(methods, list):
-        for m in methods:
-            match = isinstance(m, str) and _MCS_METHOD_RE.fullmatch(m)
-            if match and match.group(2) and int(match.group(2)) >= steps:
-                ck.fail(f"{p}.steps", f"{_echo(steps)} must exceed the delay of method {_echo(m)}")
+    policies = {}
+    for m in methods if isinstance(methods, list) else ():
+        match = isinstance(m, str) and _MCS_METHOD_RE.fullmatch(m)
+        if not match:  # already a scenario.methods error
+            continue
+        policies[m] = PolicySpec(kind=match.group(1) or m, delay=int(match.group(2) or 0))
+        if steps is not None and policies[m].delay >= steps:
+            ck.fail(f"{p}.steps", f"{_echo(steps)} must exceed the delay of method {_echo(m)}")
     n = ck.num(sec, p, "corridor_cells", lo=2, hi=_MAX_STEPS, integer=True)
     prof = ck.obj(sec.get("gain_profile"), f"{p}.gain_profile", ("base_db", "amplitude_db", "period_cells")) or {}
     base = ck.num(prof, f"{p}.gain_profile", "base_db", lo=-_MAX_DB, hi=_MAX_DB)
@@ -506,6 +492,7 @@ def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
         table=table,
         bler_target=target,
         payload_bytes=payload_bytes,
+        policies=policies,
     )
 
 
@@ -518,7 +505,7 @@ def run_mcs(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     link = _seed_table(scn, seed)
     series = run_policy(
         link,
-        mcs_policy_from_method(method),
+        scn.inputs.policies[method],
         scn.inputs.payload_bytes,
         seed=seed,
         max_retx=scn.inputs.cfg.max_retx,
@@ -790,7 +777,7 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
         "arrival_frames": float(len(arrivals)),
     }
     if cta_samples:
-        mean, _, p95 = tail_stats(cta_samples)
+        mean, p95 = tail_stats(cta_samples)
         metrics["cta_mean_s"] = mean
         metrics["cta_p95_s"] = p95
     return metrics

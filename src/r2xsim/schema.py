@@ -48,7 +48,7 @@ _BLER_TARGET = dict(gt=0, lt=1)
 # Each followme codec time (codec_s entries) and slot_s is at most this many
 # seconds, and each throughput_curve point at least _MIN_THROUGHPUT_BPS, so
 # that a frame's CTA, enc + attempts * (bits / throughput + slot_s) + dec, is
-# below 6 * 10^14 s and the squares tail_stats sums over its frames stay finite.
+# below 6 * 10^14 s and the sum tail_stats takes over its frames stays finite.
 _MAX_FOLLOWME_S = 10**6
 _MIN_THROUGHPUT_BPS = 1.0
 

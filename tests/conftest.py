@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from r2xsim.scenarios import load_scenario, run_one
+from r2xsim.scenarios import ScenarioError, load_scenario, parse_scenario, run_one
 
 BUNDLED_DIR = Path(__file__).resolve().parents[1] / "src" / "r2xsim" / "scenarios"
 
@@ -24,6 +24,16 @@ _spec = importlib.util.spec_from_file_location(
 check_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_digests)
 WAREHOUSE_IDS = ("warehouse-s1", "warehouse-s2", "warehouse-s3", "warehouse-s4")
+
+
+def scenario_errors(doc) -> list:
+    """Every error ``parse_scenario`` reports for ``doc``; empty if it loads."""
+    try:
+        parse_scenario(doc)
+    except ScenarioError as exc:
+        return exc.errors
+    return []
+
 
 # One line per acceptance check, echoed after the run summary so the
 # verdicts are visible without -s.

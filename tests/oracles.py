@@ -48,6 +48,12 @@ scalar ``rng.random()`` call.
 ``reference_run_summary`` is ``metrics.run_summary`` as it was before rows
 with the same number of values were summarized together: one
 ``np.percentile`` and one ``np.median`` call per (method, metric).
+``reference_utfr`` is ``metrics.utfr`` as it was before its gaps were
+summed in one pass: the arrivals are walked once to range-check them, once
+to list the gaps and once to sum what each gap loses.
+
+``validate_path`` is the check a planned path must pass: every cell
+passable and every step a move to a neighbouring cell or a wait.
 
 The link layer's references are its scalar forms before the warehouse and
 the corridor shared one model: ``reference_bler`` is the one-SNR BLER
@@ -69,7 +75,7 @@ from typing import Dict, List
 import numpy as np
 
 from r2xsim.linkadapt import _MAP_AWARE_MIN_SAMPLES, PolicyTimeSeries
-from r2xsim.metrics import tail_stats, utfr
+from r2xsim.metrics import tail_stats
 from r2xsim.orchestrator import select_sense_mode
 from r2xsim.planner import (
     _MAX_RESOLUTION_ROUNDS,
@@ -352,12 +358,12 @@ def reference_run_followme(scn, method: str, seed: int) -> Dict[str, float]:
             arrivals.append(t)
 
     metrics: Dict[str, float] = {
-        "utfr_pct": utfr(arrivals, total, fm.loss_threshold_steps),
+        "utfr_pct": reference_utfr(arrivals, total, fm.loss_threshold_steps),
         "delivered_frames": float(delivered_count),
         "arrival_frames": float(len(arrivals)),
     }
     if cta_samples:
-        mean, _, p95 = tail_stats(cta_samples)
+        mean, p95 = tail_stats(cta_samples)
         metrics["cta_mean_s"] = mean
         metrics["cta_p95_s"] = p95
     return metrics
@@ -389,6 +395,37 @@ def reference_run_summary(records) -> List[Dict]:
                 }
             )
     return rows
+
+
+def reference_utfr(frame_arrival_steps, total_steps, loss_threshold_steps) -> float:
+    """User-tracking failure rate in percent, from the list of every gap."""
+    if total_steps <= 0:
+        raise ValueError("total_steps must be positive")
+    if loss_threshold_steps < 0:
+        raise ValueError("loss_threshold_steps must be nonnegative")
+    arrivals = sorted(int(s) for s in frame_arrival_steps)
+    for s in arrivals:
+        if s < 0 or s > total_steps:
+            raise ValueError(f"arrival step {s} outside [0, {total_steps}]")
+    if not arrivals:
+        gaps = [total_steps]
+    else:
+        gaps = [arrivals[0]]
+        gaps.extend(b - a for a, b in zip(arrivals, arrivals[1:]))
+        gaps.append(total_steps - arrivals[-1])
+    lost = sum(max(0, g - loss_threshold_steps) for g in gaps)
+    return 100.0 * lost / total_steps
+
+
+def validate_path(path, world) -> None:
+    """Raise ValueError unless every cell of ``path`` is passable in
+    ``world`` and each step moves at most one cell."""
+    for c in path.cells:
+        if not world.passable(c):
+            raise ValueError(f"path of robot {path.robot_id} uses blocked cell {c}")
+    for a, b in zip(path.cells, path.cells[1:]):
+        if abs(a[0] - b[0]) + abs(a[1] - b[1]) > 1:
+            raise ValueError(f"path of robot {path.robot_id} jumps {a} -> {b}")
 
 
 def reference_bler(entry, snr_db):

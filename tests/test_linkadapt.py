@@ -31,11 +31,7 @@ from r2xsim.radio import (
     default_mcs_table,
     sample_trace,
 )
-from r2xsim.scenarios import (
-    bundled_scenario_path,
-    load_scenario,
-    mcs_policy_from_method,
-)
+from r2xsim.scenarios import bundled_scenario_path, load_scenario
 
 # Two-rung step table: rung 0 always decodes, rung 1 needs snr > 4 dB.
 STEP_TABLE = McsTable(
@@ -305,13 +301,14 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_bundled_method(self, bundled_corridor, seed):
         scn = bundled_corridor
-        gain_map, cells, cfg, table, target, payload = scn.inputs
-        trace = reference_sample_trace(gain_map, cells, cfg, seed)
-        link = LinkTable.sample(gain_map, cells, cfg, table, seed, target)
+        c = scn.inputs
+        trace = reference_sample_trace(c.gain_map, c.cells, c.cfg, seed)
+        link = LinkTable.sample(c.gain_map, c.cells, c.cfg, c.table, seed, c.bler_target)
         for method in scn.methods:
-            assert_matches_reference(
-                link, trace, mcs_policy_from_method(method), table, payload, target, seed, cfg.max_retx,
-            )
+            kind, _, delay = method.partition("_")
+            spec = PolicySpec(kind, int(delay or 0))
+            assert c.policies[method] == spec
+            assert_matches_reference(link, trace, spec, c.table, c.payload_bytes, c.bler_target, seed, c.cfg.max_retx)
 
     @pytest.mark.parametrize("target", [0.1, 0.5])
     @pytest.mark.parametrize("sigma", [0.0, 4.0])

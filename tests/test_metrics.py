@@ -1,54 +1,23 @@
-"""KPI arithmetic: completion time, tail statistics, tracking failure rate."""
+"""KPI arithmetic: tail statistics, tracking failure rate, run summaries."""
 
-import math
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_run_summary
+from oracles import reference_run_summary, reference_utfr
 
-from r2xsim.metrics import (
-    KpiRecord,
-    completion_time,
-    run_summary,
-    tail_stats,
-    utfr,
-)
-from r2xsim.planner import SpaceTimePath
-
-
-def path(rid, n_steps):
-    cells = tuple((x, 0) for x in range(n_steps + 1))
-    return SpaceTimePath(rid, cells)
-
-
-class TestCompletionTime:
-    def test_single_robot(self):
-        assert completion_time([path(1, 5)], {}, 1.4) == pytest.approx(7.0)
-
-    def test_halt_seconds_added_per_robot(self):
-        paths = [path(1, 5), path(2, 3)]
-        out = completion_time(paths, {2: 4.0}, 1.4)
-        assert out == pytest.approx(8.2)  # 3*1.4 + 4.0 beats 5*1.4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            completion_time([], {}, 1.0)
-        with pytest.raises(ValueError):
-            completion_time([path(1, 1)], {}, 0.0)
+from r2xsim.metrics import KpiRecord, run_summary, tail_stats, utfr
 
 
 class TestTailStats:
     def test_single_sample(self):
-        assert tail_stats([4.2]) == (4.2, 0.0, 4.2)
+        assert tail_stats([4.2]) == (4.2, 4.2)
 
     def test_known_values(self):
-        vals = list(range(1, 21))
-        mean, std, p95 = tail_stats(vals)
+        mean, p95 = tail_stats(list(range(1, 21)))
         assert mean == pytest.approx(10.5)
-        assert std == pytest.approx(np.std(vals, ddof=1))
         assert p95 == 19  # ceil(0.95 * 20) = 19th order statistic
 
     def test_nearest_rank_small_n(self):
@@ -91,6 +60,57 @@ class TestUtfr:
             utfr([-1], 10, 3)
         with pytest.raises(ValueError):
             utfr([11], 10, 3)
+
+
+def utfr_outcome(fn, arrivals, total_steps, threshold):
+    """``fn``'s value, or the message of the ValueError it raises."""
+    try:
+        return fn(arrivals, total_steps, threshold)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestUtfrMatchesReference:
+    """The one-pass ``utfr`` gives the three-pass reference's value, or its
+    error message, on the same input."""
+
+    @pytest.mark.parametrize(
+        "arrivals,total_steps,threshold",
+        [
+            ([], 1, 0),
+            ([], 50, 3),
+            ([0], 1, 0),
+            ([1], 1, 0),
+            ([0, 0, 50, 50], 50, 3),
+            ([7, 2, 2, 9, 0], 10, 0),
+            ([3, -1, -4, 12, 11], 10, 3),
+            ([3, 12, 11, 10], 10, 3),
+            ([1], 0, 3),
+            ([1], 10, -1),
+        ],
+    )
+    def test_edge_cases(self, arrivals, total_steps, threshold):
+        want = utfr_outcome(reference_utfr, arrivals, total_steps, threshold)
+        assert utfr_outcome(utfr, arrivals, total_steps, threshold) == want
+
+    def test_seeded_inputs(self):
+        """Unsorted arrivals with duplicates, the ends 0 and ``total_steps``
+        and, in one input in four, steps outside the range."""
+        rng = np.random.default_rng(26)
+        errors = 0
+        for _ in range(3000):
+            total = int(rng.integers(1, 80))
+            arrivals = rng.integers(0, total + 1, int(rng.integers(0, 2 * total))).tolist()
+            arrivals += rng.choice([0, total], int(rng.integers(0, 3))).tolist()
+            if rng.random() < 0.25:
+                arrivals += rng.integers(-3, total + 4, 2).tolist()
+            rng.shuffle(arrivals)
+            threshold = int(rng.integers(0, 6))
+            want = utfr_outcome(reference_utfr, arrivals, total, threshold)
+            assert utfr_outcome(utfr, arrivals, total, threshold) == want
+            assert utfr_outcome(utfr, np.array(arrivals, dtype=np.int64), total, threshold) == want
+            errors += isinstance(want, str)
+        assert 100 < errors < 1000
 
 
 class TestKpiRecord:

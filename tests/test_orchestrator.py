@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BUNDLED_DIR, WAREHOUSE_IDS
 from r2xsim import orchestrator
 from r2xsim.orchestrator import (
+    WAREHOUSE_METHODS,
     HumanReservations,
     LoopBudget,
     OrchestratorConfig,
@@ -26,6 +28,7 @@ from r2xsim.orchestrator import (
 )
 from r2xsim.planner import PlanConfig
 from r2xsim.radio import PathGainMap, RadioConfig, default_mcs_table
+from r2xsim.scenarios import load_scenario
 from r2xsim.sensing import SenseConfig
 from r2xsim.world import GridWorld, HumanTrack, RobotState
 
@@ -623,6 +626,25 @@ class TestWarehouseSimulation:
         assert reactive.completion_time_s == pytest.approx(7.0)
         assert max(predictive.rtt_samples_s) == pytest.approx(0.262376, abs=1e-9)
         assert max(reactive.rtt_samples_s) == pytest.approx(0.762376, abs=1e-9)
+
+    def test_completion_time_is_the_last_robot_done(self):
+        """Every executed step, moves and waits alike, takes one cell-traverse
+        interval; a robot is done after its steps and its halt seconds, and
+        the run's completion time is the latest robot's, on every bundled
+        warehouse file."""
+        halted = 0
+        for sid in WAREHOUSE_IDS:
+            inputs = load_scenario(BUNDLED_DIR / f"{sid}.json").inputs
+            for method in WAREHOUSE_METHODS:
+                for seed in range(3):
+                    sim = WarehouseSimulation(inputs, method, seed)
+                    rec = sim.run()
+                    robots = sim.robots.values()
+                    assert rec.completion_time_s == max(
+                        (len(rt.executed) - 1) * inputs.world.cell_traverse_s + rt.halt_s for rt in robots
+                    )
+                    halted += any(rt.halt_s > 0 for rt in robots)
+        assert halted  # the halt seconds are exercised
 
     def test_stop_and_go_clear_corridor(self):
         rec = make_sim("stop_and_go").run()

@@ -17,6 +17,7 @@ from oracles import (
     reference_makespan_plan,
     reference_prioritized_plan,
     reference_refinement_plan,
+    validate_path,
 )
 from r2xsim import planner
 from r2xsim.planner import (
@@ -63,13 +64,13 @@ class TestSpaceTimePath:
             assert converted.cells == cells
             assert converted == kept and hash(converted) == hash(kept)
 
-    def test_validate_rejects_jump_and_blocked(self):
+    def test_validate_path_rejects_jump_and_blocked(self):
         w = world_of(3, 3, blocked={(1, 0)})
-        SpaceTimePath(1, ((0, 0), (0, 1))).validate(w)
-        with pytest.raises(ValueError):
-            SpaceTimePath(1, ((0, 0), (1, 1))).validate(w)
-        with pytest.raises(ValueError):
-            SpaceTimePath(1, ((0, 0), (1, 0))).validate(w)
+        validate_path(SpaceTimePath(1, ((0, 0), (0, 1))), w)
+        with pytest.raises(ValueError, match="jumps"):
+            validate_path(SpaceTimePath(1, ((0, 0), (1, 1))), w)
+        with pytest.raises(ValueError, match="blocked cell"):
+            validate_path(SpaceTimePath(1, ((0, 0), (1, 0))), w)
 
 
 class TestLowLevelSearch:
@@ -335,7 +336,7 @@ def assert_valid_plan(world, paths, robots, humans=()):
     assert detect_first_conflict(paths) is None
     by_id = {r.id: r for r in robots}
     for p in paths:
-        p.validate(world)
+        validate_path(p, world)
         assert p.cells[0] == tuple(by_id[p.robot_id].cell)
         assert p.cells[-1] == tuple(by_id[p.robot_id].goal)
         for cell, step in humans:
@@ -537,7 +538,7 @@ class TestPlan:
         assert detect_first_conflict(paths) is None
         human_cells = {tuple(h) for h in humans}
         for p in paths:
-            p.validate(w)
+            validate_path(p, w)
             for s in range(1, makespan(paths) + 1):
                 assert p.at(s) not in human_cells
 

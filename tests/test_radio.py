@@ -118,16 +118,13 @@ class TestPathGainMap:
 
 class TestRequiredPower:
     def test_exact_when_achievable(self):
-        power, ok = required_power(-60.0, 15.0, noise_dbm=-100.0, max_power_dbm=23.0)
-        assert ok and power == -25.0
+        assert required_power(-60.0, 15.0, noise_dbm=-100.0, max_power_dbm=23.0) == -25.0
 
     def test_clamped_when_budget_exceeded(self):
-        power, ok = required_power(-130.0, 15.0, noise_dbm=-100.0, max_power_dbm=23.0)
-        assert not ok and power == 23.0
+        assert required_power(-130.0, 15.0, noise_dbm=-100.0, max_power_dbm=23.0) == 23.0
 
     def test_boundary_is_achievable(self):
-        power, ok = required_power(-108.0, 15.0, noise_dbm=-100.0, max_power_dbm=23.0)
-        assert ok and power == 23.0
+        assert required_power(-108.0, 15.0, noise_dbm=-100.0, max_power_dbm=23.0) == 23.0
 
 
 class TestBler:

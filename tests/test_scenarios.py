@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WAREHOUSE_IDS, check_digests
+from conftest import WAREHOUSE_IDS, check_digests, scenario_errors
 from oracles import reference_human_table, reference_plan_next, reference_run_followme
 from r2xsim import orchestrator, scenarios
 from r2xsim.cli import main
+from r2xsim.linkadapt import PolicySpec
 from r2xsim.orchestrator import HumanReservations
 from r2xsim.planner import PlanConfig, PlanningError, ReservationTable, low_level_search, plan
 from r2xsim.world import RobotState
@@ -30,10 +31,8 @@ from r2xsim.scenarios import (
     ScenarioError,
     bundled_scenario_path,
     load_scenario,
-    mcs_policy_from_method,
     parse_scenario,
     run_one,
-    validate_scenario_dict,
 )
 
 BUNDLED = (
@@ -207,10 +206,10 @@ class TestBundledCorpus:
 class TestValidation:
     def test_valid_documents_have_no_errors(self):
         for doc in (tiny_warehouse(), tiny_mcs(), tiny_followme()):
-            assert validate_scenario_dict(doc) == []
+            assert scenario_errors(doc) == []
 
     def test_non_object(self):
-        assert validate_scenario_dict([1, 2]) == ["scenario: must be an object"]
+        assert scenario_errors([1, 2]) == ["scenario: must be an object"]
 
     @pytest.mark.parametrize(
         "mutate,needle",
@@ -233,24 +232,24 @@ class TestValidation:
     def test_top_level(self, mutate, needle):
         doc = tiny_warehouse()
         mutate(doc)
-        errors = validate_scenario_dict(doc)
+        errors = scenario_errors(doc)
         assert any(needle in e for e in errors), errors
 
     def test_bad_kind_short_circuits(self):
         doc = tiny_warehouse()
         doc["kind"] = "circus"
-        errors = validate_scenario_dict(doc)
+        errors = scenario_errors(doc)
         assert errors == ["scenario.kind: 'circus' is not one of ('warehouse', 'mcs', 'followme')"]
 
     def test_allowed_methods_listed_in_order(self):
         doc = tiny_warehouse()
         doc["methods"] = ["warp"]
-        assert validate_scenario_dict(doc) == [
+        assert scenario_errors(doc) == [
             "scenario.methods: 'warp' is not one of ('stop_and_go', 'lorc_p', 'lorc_sc', 'lorc_sc_p')"
         ]
         doc = tiny_mcs()
         doc["methods"] = ["oracle\n"]
-        assert validate_scenario_dict(doc) == [
+        assert scenario_errors(doc) == [
             "scenario.methods: 'oracle\\n' must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'"
             " (<d> without leading zeros)"
         ]
@@ -386,7 +385,7 @@ class TestValidation:
     def test_warehouse_section(self, mutate, needle):
         doc = tiny_warehouse()
         mutate(doc["warehouse"])
-        errors = validate_scenario_dict(doc)
+        errors = scenario_errors(doc)
         assert any(needle in e for e in errors), errors
 
     @pytest.mark.parametrize(
@@ -417,7 +416,7 @@ class TestValidation:
     def test_mcs_section(self, mutate, needle):
         doc = tiny_mcs()
         mutate(doc["mcs"])
-        errors = validate_scenario_dict(doc)
+        errors = scenario_errors(doc)
         assert any(needle in e for e in errors), errors
 
     @pytest.mark.parametrize(
@@ -464,7 +463,7 @@ class TestValidation:
     def test_followme_section(self, mutate, needle):
         doc = tiny_followme()
         mutate(doc["followme"])
-        errors = validate_scenario_dict(doc)
+        errors = scenario_errors(doc)
         assert any(needle in e for e in errors), errors
 
     @settings(max_examples=2000, derandomize=True, database=None, deadline=None)
@@ -482,7 +481,7 @@ class TestValidation:
             del parent[path[-1]]
         else:
             parent[path[-1]] = copy.deepcopy(value)
-        errors = validate_scenario_dict(doc)
+        errors = scenario_errors(doc)
         if errors:
             assert all(e.startswith("scenario.") for e in errors), errors
             return
@@ -531,23 +530,24 @@ class TestValidation:
     def test_mcs_delay_has_at_most_18_digits(self):
         doc = tiny_mcs()
         doc["methods"] = ["delayed_" + "1" * 5000, "predictive_" + "1" * 19]
-        errors = validate_scenario_dict(doc)
+        errors = scenario_errors(doc)
         assert len(errors) == 2 and all("must be 'oracle', 'ideal'" in e for e in errors), errors
 
     def test_mcs_delay_has_no_leading_zero(self):
         # delayed_1 and delayed_01 would run one policy under two names.
         doc = tiny_mcs()
         doc["methods"] = ["delayed_1", "delayed_01", "predictive_001", "delayed_0"]
-        assert validate_scenario_dict(doc) == [
+        assert scenario_errors(doc) == [
             f"scenario.methods: {m!r} must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'"
             " (<d> without leading zeros)"
             for m in ("delayed_01", "predictive_001")
         ]
         doc["methods"] = ["delayed_0", "predictive_0", "delayed_10"]
-        assert validate_scenario_dict(doc) == []
-        assert mcs_policy_from_method("delayed_0").delay == 0
-        with pytest.raises(ValueError, match="unknown mcs method"):
-            mcs_policy_from_method("delayed_01")
+        assert parse_scenario(doc).inputs.policies == {
+            "delayed_0": PolicySpec("delayed", 0),
+            "predictive_0": PolicySpec("predictive", 0),
+            "delayed_10": PolicySpec("delayed", 10),
+        }
 
     @pytest.mark.parametrize(
         "make,mutate",
@@ -572,7 +572,7 @@ class TestValidation:
     def test_long_values_give_short_error_lines(self, make, mutate):
         doc = make()
         mutate(doc)
-        errors = validate_scenario_dict(doc)
+        errors = scenario_errors(doc)
         assert errors
         assert max(len(e) for e in errors) <= 200, [e[:300] for e in errors]
 
@@ -588,7 +588,7 @@ class TestValidation:
         doc = tiny_warehouse()
         doc["warehouse"]["world"][key] = value
         t0 = time.process_time()
-        errors = validate_scenario_dict(doc)
+        errors = scenario_errors(doc)
         assert time.process_time() - t0 < 1.0
         assert len(errors) == 1, [e[:300] for e in errors]
         assert errors[0].startswith(f"scenario.warehouse.world.{key}[0]: ") and len(errors[0]) <= 200, errors
@@ -607,13 +607,13 @@ class TestValidation:
         doc = tiny_warehouse()
         doc["warehouse"]["world"][key] = value
         doc["warehouse"]["humans"] = [{"waypoints": [[1, 0], [2, 0]]}]
-        assert validate_scenario_dict(doc) == [error]
+        assert scenario_errors(doc) == [error]
 
     @pytest.mark.parametrize("make,kind", [(tiny_warehouse, "warehouse"), (tiny_mcs, "mcs")])
     def test_null_radio_is_an_error(self, make, kind, tmp_path):
         doc = make()
         doc[kind]["radio"] = None
-        assert validate_scenario_dict(doc) == [f"scenario.{kind}.radio: must be an object"]
+        assert scenario_errors(doc) == [f"scenario.{kind}.radio: must be an object"]
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
@@ -733,7 +733,7 @@ class TestValidation:
             throughput_curve=[[-60.0, 1.0], [-30.0, 1.0]],
             bit_error_curve=[[-60.0, 1e-300], [-30.0, 1e-300]],
         )
-        assert validate_scenario_dict(doc) == []
+        assert scenario_errors(doc) == []
         scn = parse_scenario(doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -787,7 +787,7 @@ class TestValidation:
         doc["seeds"] = []
         doc["warehouse"]["world"].pop("width")
         doc["warehouse"]["payloads"].pop("raw")
-        assert len(validate_scenario_dict(doc)) >= 3
+        assert len(scenario_errors(doc)) >= 3
 
 
 class TestScenarioObject:
@@ -969,12 +969,12 @@ class TestBuildWarehouse:
 
         scn = parse_scenario(serpentine([6, 14]))
         assert orchestrator.WarehouseSimulation(scn.inputs, "stop_and_go", 0).run().per_robot_arrival_steps == {1: 136}
-        assert validate_scenario_dict(serpentine([5, 14])) == [
+        assert scenario_errors(serpentine([5, 14])) == [
             "scenario.warehouse.robots[0].goal: cell (5, 14) cannot be reached from start (0, 0) within 136 steps"
         ]
         walled = tiny_warehouse()
         walled["warehouse"]["world"]["blocked"] = [[2, 0]]
-        assert validate_scenario_dict(walled) == [
+        assert scenario_errors(walled) == [
             "scenario.warehouse.robots[0].goal: cell (3, 0) cannot be reached from start (0, 0) within 20 steps"
         ]
 
@@ -1005,18 +1005,24 @@ class TestBuildMcsCorridor:
         assert table.bandwidth_hz == 20e6
 
 
-class TestMcsPolicyFromMethod:
-    def test_mapping(self):
-        assert mcs_policy_from_method("oracle").kind == "oracle"
-        assert mcs_policy_from_method("ideal").kind == "ideal"
-        spec = mcs_policy_from_method("delayed_3")
-        assert (spec.kind, spec.delay) == ("delayed", 3)
-        spec = mcs_policy_from_method("predictive_7")
-        assert (spec.kind, spec.delay) == ("predictive", 7)
+class TestMcsPolicies:
+    def test_each_method_has_its_policy(self):
+        doc = tiny_mcs()
+        doc["methods"] = ["oracle", "ideal", "delayed_3", "predictive_7"]
+        assert parse_scenario(doc).inputs.policies == {
+            "oracle": PolicySpec("oracle"),
+            "ideal": PolicySpec("ideal"),
+            "delayed_3": PolicySpec("delayed", 3),
+            "predictive_7": PolicySpec("predictive", 7),
+        }
 
-    def test_unknown(self):
-        with pytest.raises(ValueError, match="unknown mcs method"):
-            mcs_policy_from_method("psychic_3")
+    def test_unknown_kind_is_a_field_error(self):
+        doc = tiny_mcs()
+        doc["methods"] = ["oracle", "psychic_3"]
+        assert scenario_errors(doc) == [
+            "scenario.methods: 'psychic_3' must be 'oracle', 'ideal', 'delayed_<d>' or 'predictive_<d>'"
+            " (<d> without leading zeros)"
+        ]
 
 
 class TestConflictGap:

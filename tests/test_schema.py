@@ -9,12 +9,12 @@ from typing import Callable, NamedTuple, Optional
 
 import pytest
 
+from conftest import scenario_errors
 import r2xsim
 from r2xsim.linkadapt import PolicySpec
 from r2xsim.orchestrator import LoopBudget, fallback_message, validate
 from r2xsim.planner import PlanConfig
 from r2xsim.radio import McsEntry, McsTable, PathGainMap, RadioConfig
-from r2xsim.scenarios import validate_scenario_dict
 from r2xsim.sensing import MODE_FIELDS, PayloadParams, SenseConfig
 from r2xsim.world import GridWorld, HumanTrack
 from test_scenarios import tiny_followme, tiny_mcs, tiny_warehouse
@@ -183,7 +183,7 @@ def document_refuses(where: At, key, value) -> bool:
     holder = where.holder
     path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in (*holder, key))[1:]
     if "schema_version" in doc:
-        errors, path = validate_scenario_dict(doc), f"scenario.{path}"
+        errors, path = scenario_errors(doc), f"scenario.{path}"
     else:
         errors = validate(doc)[1]
     return any(e.startswith(f"{path}: ") for e in errors)
@@ -238,7 +238,7 @@ def test_bound_messages():
     declared limit as written."""
     doc = tiny_mcs()
     doc["mcs"].update(shadowing_rho=1.0, bler_target=1.5, radio={"slot_s": 0, "bandwidth_hz": 0.5, "max_retx": 65})
-    assert validate_scenario_dict(doc) == [
+    assert scenario_errors(doc) == [
         "scenario.mcs.shadowing_rho: 1.0 must be in [0, 1)",
         "scenario.mcs.bler_target: 1.5 must be in (0, 1)",
         "scenario.mcs.radio.max_retx: 65 must be <= 64",
