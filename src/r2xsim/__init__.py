@@ -3,7 +3,7 @@ prioritized grid planning, link adaptation under delayed feedback, semantic
 sensing payloads, and intent-driven configuration."""
 
 from .linkadapt import LinkTable, PolicySpec, gains, run_policy
-from .metrics import KpiRecord, run_summary, tail_stats, utfr
+from .metrics import run_summary, tail_stats, utfr
 from .orchestrator import (
     LoopBudget,
     OrchestratorConfig,
@@ -37,7 +37,6 @@ __all__ = [
     "Codebook",
     "GridWorld",
     "HumanTrack",
-    "KpiRecord",
     "LinkTable",
     "LoopBudget",
     "McsTable",

@@ -7,8 +7,7 @@ Subcommands:
   compare   rank methods by the median of a metric across result directories
   validate  check a scenario file against the schema and build it
 
-Seed precedence for ``run``: ``--seeds`` beats the ``R2X_SEED`` environment
-variable, which beats the seeds listed in the scenario file.
+``run`` takes the seeds of ``--seeds``, else those listed in the scenario file.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation failure, an
 ``--out`` directory that cannot be made or written (``--out: <path>:
@@ -23,7 +22,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -38,14 +36,14 @@ RESULTS_NAME = "results.jsonl"
 SUMMARY_NAME = "summary.csv"
 
 
-def _parse_seed_list(text: str, source: str) -> List[int]:
-    """The seeds of ``--seeds`` or ``R2X_SEED``, under the scenario files' rule."""
+def _parse_seed_list(text: str) -> List[int]:
+    """The seeds of ``--seeds``, under the scenario files' rule."""
     try:
         seeds = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ScenarioError([f"{source}: {_echo(text)} is not a comma-separated integer list"])
+        raise ScenarioError([f"--seeds: {_echo(text)} is not a comma-separated integer list"])
     ck = _Checker()
-    ck.seeds(seeds, source)
+    ck.seeds(seeds, "--seeds")
     if ck.errors:
         raise ScenarioError(ck.errors)
     return seeds
@@ -79,11 +77,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not 1 <= args.parallel <= _MAX_PARALLEL:
         limit = "at least 1" if args.parallel < 1 else f"<= {_MAX_PARALLEL}"
         raise ScenarioError([f"--parallel: {args.parallel} must be {limit}"])
-    seeds: Optional[Sequence[int]] = None
-    if args.seeds is not None:
-        seeds = _parse_seed_list(args.seeds, "--seeds")
-    elif os.environ.get("R2X_SEED"):
-        seeds = _parse_seed_list(os.environ["R2X_SEED"], "R2X_SEED")
+    seeds = _parse_seed_list(args.seeds) if args.seeds is not None else None
     methods = args.methods.split(",") if args.methods is not None else None
     scn = scn.with_overrides(seeds=seeds, methods=methods)
     out_dir = Path(args.out)

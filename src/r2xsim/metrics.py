@@ -4,35 +4,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 DEFAULT_LOSS_THRESHOLD_STEPS = 3
-
-
-@dataclass
-class KpiRecord:
-    """KPIs of one simulated run."""
-
-    completion_time_s: float
-    stop_events: int
-    halt_s: float
-    rtt_samples_s: List[float] = field(default_factory=list)
-    per_robot_arrival_steps: Dict[int, int] = field(default_factory=dict)
-
-    def as_metrics(self) -> Dict[str, float]:
-        out = {
-            "completion_time_s": float(self.completion_time_s),
-            "stop_events": float(self.stop_events),
-            "halt_s": float(self.halt_s),
-        }
-        if self.rtt_samples_s:
-            mean, p95 = tail_stats(self.rtt_samples_s)
-            out["rtt_mean_s"] = mean
-            out["rtt_p95_s"] = p95
-        return out
 
 
 class TailStats(NamedTuple):

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Protoc
 
 import numpy as np
 
-from .metrics import KpiRecord
+from .metrics import tail_stats
 from .planner import (
     PlanConfig,
     PlanningError,
@@ -535,7 +535,7 @@ class WarehouseSimulation:
         self._pp_without_priority = dataclasses.replace(cfg.pp, priority_robot=None)
 
         # Every robot's first rate is the entry chosen at the target SNR.
-        first_rate = self.table.entries[select_mcs(self.table, cfg.ra.target_snr_db).index].rate_bps_per_hz
+        first_rate = self.table.entries[select_mcs(self.table, cfg.ra.target_snr_db)].rate_bps_per_hz
         # A loop starts at or before max_sim_time_s and tries the uplink in at
         # most _loop_frames frames. Each robot's shadowing frames are drawn
         # block by block as far as the run reads them, up to n_frames: past
@@ -613,7 +613,7 @@ class WarehouseSimulation:
             est_snr = power + gain_ref - ra.noise_dbm
             true_gain = cell_gain + self._shadow_at(rt, self._frame(t))
             true_snr = power + true_gain - ra.noise_dbm
-            entry = self.table.entries[select_mcs(self.table, est_snr).index]
+            entry = self.table.entries[select_mcs(self.table, est_snr)]
             rt.last_rate = entry.rate_bps_per_hz
             share = allocate([other.last_rate for other in active], weights, ra.fairness)[index]
             result = simulate_transmission(
@@ -708,7 +708,9 @@ class WarehouseSimulation:
         self._HANDLERS[kind](self, t, self.robots[rid], target)
         return t, rid, kind
 
-    def run(self) -> KpiRecord:
+    def run(self) -> Dict[str, float]:
+        """Run to the end; returns the record's metrics, with the RTT mean and
+        95th percentile only when a loop ran (``stop_and_go`` runs none)."""
         if self.method == "stop_and_go":
             for rt in self.robots.values():
                 rt.solo_path = low_level_search(self.world, RobotState(rt.id, rt.cell, rt.goal))
@@ -726,12 +728,13 @@ class WarehouseSimulation:
             raise self._unfinished(f"robots {unfinished} never arrived")
         # Every executed step, moves and commanded waits alike, takes one
         # cell-traverse interval; the last robot done sets the time.
-        return KpiRecord(
-            completion_time_s=max(
-                (len(rt.executed) - 1) * self.world.cell_traverse_s + rt.halt_s for rt in self.robots.values()
+        out = {
+            "completion_time_s": float(
+                max((len(rt.executed) - 1) * self.world.cell_traverse_s + rt.halt_s for rt in self.robots.values())
             ),
-            stop_events=sum(rt.stop_events for rt in self.robots.values()),
-            halt_s=sum(rt.halt_s for rt in self.robots.values()),
-            rtt_samples_s=list(self.rtt_samples),
-            per_robot_arrival_steps={rid: len(rt.executed) - 1 for rid, rt in self.robots.items()},
-        )
+            "stop_events": float(sum(rt.stop_events for rt in self.robots.values())),
+            "halt_s": float(sum(rt.halt_s for rt in self.robots.values())),
+        }
+        if self.rtt_samples:
+            out["rtt_mean_s"], out["rtt_p95_s"] = tail_stats(self.rtt_samples)
+        return out

@@ -235,25 +235,20 @@ def _cutoff(entry: McsEntry, target: float) -> float:
     return _key_float(hi)
 
 
-class McsSelection(NamedTuple):
-    index: int
-    feasible: bool
+def select_mcs(table: McsTable, snr_db: float, bler_target: float = 0.1) -> int:
+    """Index of the highest-rate entry whose BLER at ``snr_db`` meets the
+    target: the highest entry with ``snr_db >= table.cutoffs(bler_target)[e]``.
 
-
-def select_mcs(table: McsTable, snr_db: float, bler_target: float = 0.1) -> McsSelection:
-    """Highest-rate entry whose BLER at ``snr_db`` meets the target: the
-    highest entry with ``snr_db >= table.cutoffs(bler_target)[e]``.
-
-    If no entry qualifies the most robust (lowest-index) entry is returned
-    with ``feasible=False``. A NaN SNR is refused.
+    If no entry qualifies (``snr_db < table.cutoffs(bler_target)[0]``) the
+    most robust entry, index 0, is returned. A NaN SNR is refused.
     """
     if math.isnan(snr_db):
         raise ValueError("snr_db must not be NaN")
     cutoffs = table.cutoffs(bler_target)
     for index in range(len(cutoffs) - 1, -1, -1):
         if snr_db >= cutoffs[index]:
-            return McsSelection(index, True)
-    return McsSelection(0, False)
+            return index
+    return 0
 
 
 def serialization_time_s(payload_bytes: int, entry: McsEntry, bandwidth_hz: float) -> float:

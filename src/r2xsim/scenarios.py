@@ -277,24 +277,32 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     sized = width is not None and height is not None
     blocked: set = set()
 
-    def in_world(found) -> bool:
-        """A cell, or both corners of a rect, in a world of known size."""
-        return sized and all(0 <= x < width and 0 <= y < height for x, y in (found[:2], found[-2:]))
+    def placed(path: str, found, blockable: bool = False) -> bool:
+        """Whether ``found``, a cell or a rect by its two corners, lies in a world
+        of known size and, if ``blockable``, on no blocked cell; else one error
+        at ``path``, but none for an unknown size or a None (refused) ``found``."""
+        if found is None or not sized:
+            return False
+        if not all(0 <= x < width and 0 <= y < height for x, y in (found[:2], found[-2:])):
+            shown = f"cell {_echo(found)}" if len(found) == 2 else _echo(list(found))
+            ck.fail(path, f"{shown} outside {_echo(width)}x{_echo(height)} world")
+            return False
+        if blockable and found in blocked:
+            ck.fail(path, f"cell {_echo(found)} is blocked")
+            return False
+        return True
 
     frame_period_s = ck.declared(world, f"{p}.world", GridWorld, "frame_period_s")
     cell_traverse_s = ck.declared(world, f"{p}.world", GridWorld, "cell_traverse_s")
-    # found[:2] and found[-2:] are a cell itself or a rect's two corners.
-    # Both must lie in a world of known size, so that a huge rect is
-    # refused before it is expanded into cells.
+    # A rect is placed before it is expanded into cells, so that a huge one
+    # is refused first.
     for key, parse in (("blocked", ck.cell), ("blocked_rects", ck.rect)):
         for i, raw in enumerate(ck.items(world, f"{p}.world", key)):
             bp = f"{p}.world.{key}[{i}]"
             found = parse(raw, bp)
-            if found is None or not sized:
+            if not placed(bp, found):
                 continue
-            if not in_world(found):
-                ck.fail(bp, f"{_echo(raw)} outside {_echo(width)}x{_echo(height)} world")
-            elif key == "blocked":
+            if key == "blocked":
                 blocked.add(found)
             else:
                 x0, y0, x1, y1 = found
@@ -324,10 +332,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
                 cell = ck.cell(robj.get(key), f"{rp}.{key}")
                 if cell is not None:
                     bucket.append(cell)
-                    if in_world(cell) and cell in blocked:
-                        ck.fail(f"{rp}.{key}", f"cell {_echo(cell)} is blocked")
-                    if sized and not in_world(cell):
-                        ck.fail(f"{rp}.{key}", f"cell {_echo(cell)} outside {_echo(width)}x{_echo(height)} world")
+                    placed(f"{rp}.{key}", cell, blockable=True)
         ck.distinct(starts, f"{p}.robots", "robot starts")
         ck.distinct(goals, f"{p}.robots", "robot goals")
 
@@ -347,10 +352,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
             cell = ck.cell(wraw, f"{hp}.waypoints[{j}]")
             if cell is None:
                 break
-            if sized and not in_world(cell):
-                ck.fail(f"{hp}.waypoints[{j}]", f"cell {_echo(cell)} outside the world")
-            elif cell in blocked:
-                ck.fail(f"{hp}.waypoints[{j}]", f"cell {_echo(cell)} is blocked")
+            placed(f"{hp}.waypoints[{j}]", cell, blockable=True)
             if cells and abs(cell[0] - cells[-1][0]) + abs(cell[1] - cells[-1][1]) > 1:
                 ck.fail(f"{hp}.waypoints[{j}]", f"{_echo(cells[-1])} -> {_echo(cell)} is not a stand or 4-neighbor move")
             cells.append(cell)
@@ -367,16 +369,14 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
         rho = ck.declared(gain, f"{p}.gain", PathGainMap, "shadowing_rho")
         sigma = ck.declared(gain, f"{p}.gain", PathGainMap, "shadowing_sigma_db")
         ap = ck.cell(gain.get("ap"), f"{p}.gain.ap")
-        if ap and sized and not in_world(ap):
-            ck.fail(f"{p}.gain.ap", f"cell {_echo(ap)} outside {_echo(width)}x{_echo(height)} world")
+        placed(f"{p}.gain.ap", ap)
         for i, raw in enumerate(ck.items(gain, f"{p}.gain", "dead_zones")):
             zp = f"{p}.gain.dead_zones[{i}]"
             zobj = ck.obj(raw, zp, ("rect", "extra_loss_db"))
             if zobj is None:
                 continue
             rect = ck.rect(zobj.get("rect"), f"{zp}.rect")
-            if rect and sized and not in_world(rect):
-                ck.fail(f"{zp}.rect", f"{_echo(zobj['rect'])} outside {_echo(width)}x{_echo(height)} world")
+            placed(f"{zp}.rect", rect)
             zones.append((rect, ck.num(zobj, zp, "extra_loss_db", lo=0.0, hi=_MAX_DB)))
 
     radio, table = _radio(ck, sec, p, ("target_snr_db", "max_power_dbm", "max_retx", "noise_dbm"))
@@ -431,7 +431,7 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
 
 
 def run_warehouse(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
-    return WarehouseSimulation(scn.inputs, method, seed).run().as_metrics()
+    return WarehouseSimulation(scn.inputs, method, seed).run()
 
 
 # --------------------------------------------------------------------------

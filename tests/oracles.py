@@ -45,6 +45,10 @@ frame's distance, RSSI, throughput and bit error with scalar ``np.interp``,
 and takes each HARQ attempt's and perception event's draw with its own
 scalar ``rng.random()`` call.
 
+``reference_warehouse_metrics`` is a warehouse run's metrics as the record
+type ``WarehouseSimulation.run`` returned before it returned the metrics
+dict built them.
+
 ``reference_run_summary`` is ``metrics.run_summary`` as it was before rows
 with the same number of values were summarized together: one
 ``np.percentile`` and one ``np.median`` call per (method, metric).
@@ -94,7 +98,7 @@ from r2xsim.planner import (
     makespan,
     plan,
 )
-from r2xsim.radio import McsSelection, TransmissionResult, ar1_series, serialization_time_s
+from r2xsim.radio import TransmissionResult, ar1_series, serialization_time_s
 from r2xsim.scenarios import _FOLLOWME_MODE_CONFIGS
 from r2xsim.world import RobotState, human_forecast
 
@@ -369,6 +373,25 @@ def reference_run_followme(scn, method: str, seed: int) -> Dict[str, float]:
     return metrics
 
 
+def reference_warehouse_metrics(sim) -> Dict[str, float]:
+    """The metrics of a finished ``WarehouseSimulation`` as the record type
+    that ``run`` used to return built them: completion time, stop events,
+    halt seconds and a copy of the RTT samples, read off ``sim.robots`` and
+    ``sim.rtt_samples``, each then converted with ``float()``, and the RTT
+    mean and 95th percentile only when there are samples."""
+    robots = sim.robots.values()
+    completion_time_s = max((len(rt.executed) - 1) * sim.world.cell_traverse_s + rt.halt_s for rt in robots)
+    stop_events = sum(rt.stop_events for rt in robots)
+    halt_s = sum(rt.halt_s for rt in robots)
+    rtt_samples_s = list(sim.rtt_samples)
+    out = {"completion_time_s": float(completion_time_s), "stop_events": float(stop_events), "halt_s": float(halt_s)}
+    if rtt_samples_s:
+        mean, p95 = tail_stats(rtt_samples_s)
+        out["rtt_mean_s"] = mean
+        out["rtt_p95_s"] = p95
+    return out
+
+
 def reference_run_summary(records) -> List[Dict]:
     """Median and interquartile range per (scenario, method, metric), one
     row at a time."""
@@ -443,15 +466,14 @@ def reference_bler(entry, snr_db):
 
 
 def reference_select_mcs(table, snr_db, bler_target=0.1):
-    """Highest-rate entry whose BLER at ``snr_db`` meets the target, by
-    scanning every entry's BLER from the top; ``(0, False)`` when none
-    does."""
+    """Index of the highest-rate entry whose BLER at ``snr_db`` meets the
+    target, by scanning every entry's BLER from the top; 0 when none does."""
     if not 0.0 < bler_target < 1.0:
         raise ValueError("bler_target must be in (0, 1)")
     for entry in reversed(table.entries):
         if reference_bler(entry, snr_db) <= bler_target:
-            return McsSelection(entry.index, True)
-    return McsSelection(0, False)
+            return entry.index
+    return 0
 
 
 def reference_harq(rng, p_fail, max_retx):
@@ -524,8 +546,7 @@ def reference_run_policy(
                 model.observe(true_snr[observed_up_to] - map_snr[observed_up_to])
             estimate = model.predict(map_snr[t], spec.delay)
 
-        sel = reference_select_mcs(table, estimate, bler_target)
-        entry = table.entries[sel.index]
+        entry = table.entries[reference_select_mcs(table, estimate, bler_target)]
         result = reference_transmission(
             payload_bytes_per_step, entry, true_snr[t], table.bandwidth_hz, table.slot_s, rng, max_retx
         )

@@ -16,11 +16,6 @@ from r2xsim.scenarios import bundled_scenario_path, parse_scenario, run_one
 from test_scenarios import tiny_followme, tiny_mcs, tiny_warehouse
 
 
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv("R2X_SEED", raising=False)
-
-
 @pytest.fixture
 def followme_file(tmp_path):
     doc = tiny_followme()
@@ -160,25 +155,23 @@ class TestRun:
         for name in ("results.jsonl", "summary.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
-    def test_seed_flag_beats_env_beats_file(self, followme_file, tmp_path, monkeypatch):
+    def test_seed_flag_beats_file(self, followme_file, tmp_path):
         out = tmp_path / "flag"
-        monkeypatch.setenv("R2X_SEED", "5")
         main(["run", str(followme_file), "--out", str(out), "--seeds", "7,3"])
         assert [r["seed"] for r in read_results(out)] == [3, 7, 3, 7, 3, 7]
 
-        out = tmp_path / "env"
-        main(["run", str(followme_file), "--out", str(out)])
-        assert [r["seed"] for r in read_results(out)] == [5, 5, 5]
-
-        monkeypatch.delenv("R2X_SEED")
         out = tmp_path / "file"
         main(["run", str(followme_file), "--out", str(out)])
         assert [r["seed"] for r in read_results(out)] == [0, 1, 0, 1, 0, 1]
 
-    def test_empty_env_seed_ignored(self, followme_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("R2X_SEED", "")
+    @pytest.mark.parametrize("value", ["", "5", "nope", "3,3"])
+    def test_env_seed_ignored(self, followme_file, tmp_path, monkeypatch, value):
+        """Only ``--seeds`` overrides the file's seeds: an ambient
+        ``R2X_SEED``, empty, valid, malformed or repeating a seed, changes
+        nothing."""
+        monkeypatch.setenv("R2X_SEED", value)
         out = tmp_path / "out"
-        main(["run", str(followme_file), "--out", str(out)])
+        assert main(["run", str(followme_file), "--out", str(out)]) == 0
         assert [r["seed"] for r in read_results(out)] == [0, 1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("flag", ["x,y", "-1", ",", "3,3"])
@@ -199,29 +192,20 @@ class TestRun:
         assert f"--parallel: {workers} must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("value", ["nope", "3,3"])
-    def test_bad_env_seed(self, followme_file, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("R2X_SEED", value)
-        assert main(["run", str(followme_file), "--out", str(tmp_path / "o")]) == 2
-        assert "R2X_SEED" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "args,env,line",
+        "args,line",
         [
-            (["--seeds", "3,3"], None, "--seeds: seeds must be distinct"),
-            ([], "3,3", "R2X_SEED: seeds must be distinct"),
-            (["--methods", "vq_1x1,vq_1x1"], None, "methods: methods must be distinct"),
-            (["--parallel", "65"], None, "--parallel: 65 must be <= 64"),
+            (["--seeds", "3,3"], "--seeds: seeds must be distinct"),
+            (["--methods", "vq_1x1,vq_1x1"], "methods: methods must be distinct"),
+            (["--parallel", "65"], "--parallel: 65 must be <= 64"),
         ],
-        ids=["seeds-flag", "seeds-env", "methods", "parallel"],
+        ids=["seeds-flag", "methods", "parallel"],
     )
-    def test_refused_with_one_line_and_no_output(self, followme_file, tmp_path, capsys, monkeypatch, args, env, line):
+    def test_refused_with_one_line_and_no_output(self, followme_file, tmp_path, capsys, monkeypatch, args, line):
         def no_pool(max_workers):
             raise AssertionError(f"a pool of {max_workers} workers was started")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        if env is not None:
-            monkeypatch.setenv("R2X_SEED", env)
         assert main(["run", str(followme_file), "--out", str(tmp_path / "o"), *args]) == 2
         assert capsys.readouterr().err.splitlines() == [line]
         assert not (tmp_path / "o").exists()

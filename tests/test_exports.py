@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import r2xsim
@@ -30,3 +31,27 @@ def test_traced_functions_resolve():
             assert hasattr(owner, part), f"{name}: {module}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"{name}: {module}.{attr}"
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    """Each public name is read by the package, a demo, a tool or the
+    benchmark, not only by tests: it appears as a word in one of their
+    Python files, where the package's ``__init__.py`` and the name's own
+    ``def`` or ``class`` line do not count."""
+    root = Path(__file__).resolve().parents[1]
+    texts = []
+    for folder in ("src/r2xsim", "demos", "tools", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            if path != root / "src/r2xsim/__init__.py":
+                texts.append((folder == "src/r2xsim", path.read_text()))
+    unread = []
+    for name in r2xsim.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(?:def|class)\s+{re.escape(name)}\b")
+        if not any(
+            word.search(line) and not (in_src and own.match(line))
+            for in_src, text in texts
+            for line in text.splitlines()
+        ):
+            unread.append(name)
+    assert unread == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_run_summary, reference_utfr
 
-from r2xsim.metrics import KpiRecord, run_summary, tail_stats, utfr
+from r2xsim.metrics import run_summary, tail_stats, utfr
 
 
 class TestTailStats:
@@ -111,19 +111,6 @@ class TestUtfrMatchesReference:
             assert utfr_outcome(utfr, np.array(arrivals, dtype=np.int64), total, threshold) == want
             errors += isinstance(want, str)
         assert 100 < errors < 1000
-
-
-class TestKpiRecord:
-    def test_metrics_without_rtt(self):
-        rec = KpiRecord(completion_time_s=9.8, stop_events=2, halt_s=2.8)
-        out = rec.as_metrics()
-        assert out == {"completion_time_s": 9.8, "stop_events": 2.0, "halt_s": 2.8}
-
-    def test_metrics_with_rtt(self):
-        rec = KpiRecord(1.0, 0, 0.0, rtt_samples_s=[0.2, 0.4, 0.3])
-        out = rec.as_metrics()
-        assert out["rtt_mean_s"] == pytest.approx(0.3)
-        assert out["rtt_p95_s"] == 0.4
 
 
 class TestRunSummary:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BUNDLED_DIR, WAREHOUSE_IDS
+from oracles import reference_warehouse_metrics
 from r2xsim import orchestrator
 from r2xsim.orchestrator import (
     WAREHOUSE_METHODS,
@@ -528,6 +529,11 @@ def make_sim(method, seed=0, **kwargs):
     return WarehouseSimulation(make_inputs(**kwargs), method, seed)
 
 
+def arrival_steps(sim):
+    """Each robot's executed steps, moves and commanded waits alike."""
+    return {rid: len(rt.executed) - 1 for rid, rt in sim.robots.items()}
+
+
 def make_inputs(
     gains=None,
     budget=None,
@@ -587,32 +593,35 @@ class TestWarehouseSimulation:
     def test_fast_loop_never_stalls(self):
         """5160 B at 3 bps/Hz on 10 MHz: the loop closes in 0.262376 s,
         far inside the 1.4 s transition, so the robot never waits."""
-        rec = make_sim("lorc_sc_p").run()
-        assert rec.completion_time_s == pytest.approx(7.0, abs=1e-9)
-        assert rec.stop_events == 0 and rec.halt_s == 0.0
-        assert rec.per_robot_arrival_steps == {1: 5}
-        assert len(rec.rtt_samples_s) == 6  # initial sync + 5 transitions
-        for rtt in rec.rtt_samples_s:
+        sim = make_sim("lorc_sc_p")
+        out = sim.run()
+        assert out["completion_time_s"] == pytest.approx(7.0, abs=1e-9)
+        assert out["stop_events"] == 0 and out["halt_s"] == 0.0
+        assert arrival_steps(sim) == {1: 5}
+        assert len(sim.rtt_samples) == 6  # initial sync + 5 transitions
+        for rtt in sim.rtt_samples:
             assert rtt == pytest.approx(0.262376, abs=1e-9)
 
     def test_slow_budget_stalls_every_transition(self):
         """A 2.0 s fixed budget overshoots the 1.4 s transition by 0.602376 s;
         the overshoot is paid after each transition except the final one."""
         budget = LoopBudget(0.1, 0.01, 0.05, 1.84)
-        rec = make_sim("lorc_sc_p", budget=budget).run()
-        assert rec.completion_time_s == pytest.approx(5 * 1.4 + 4 * 0.602376, abs=1e-9)
-        assert rec.stop_events == 4
-        assert rec.halt_s == pytest.approx(4 * 0.602376, abs=1e-9)
-        for rtt in rec.rtt_samples_s:
+        sim = make_sim("lorc_sc_p", budget=budget)
+        out = sim.run()
+        assert out["completion_time_s"] == pytest.approx(5 * 1.4 + 4 * 0.602376, abs=1e-9)
+        assert out["stop_events"] == 4
+        assert out["halt_s"] == pytest.approx(4 * 0.602376, abs=1e-9)
+        for rtt in sim.rtt_samples:
             assert rtt == pytest.approx(2.002376, abs=1e-9)
 
     def test_raw_payload_serialization_dominates(self):
         """6220800 B at 3 bps/Hz serializes in 1.65888 s; with slot and budget
         the loop takes 1.91988 s and every mid-route transition stalls."""
-        rec = make_sim("lorc_p").run()
-        assert rec.completion_time_s == pytest.approx(5 * 1.4 + 4 * 0.51988, abs=1e-9)
-        assert rec.stop_events == 4
-        for rtt in rec.rtt_samples_s:
+        sim = make_sim("lorc_p")
+        out = sim.run()
+        assert out["completion_time_s"] == pytest.approx(5 * 1.4 + 4 * 0.51988, abs=1e-9)
+        assert out["stop_events"] == 4
+        for rtt in sim.rtt_samples:
             assert rtt == pytest.approx(1.91988, abs=1e-9)
 
     def test_reactive_power_pays_on_gain_drops(self):
@@ -620,56 +629,88 @@ class TestWarehouseSimulation:
         the previous cell's measured gain, loses the first uplink, and retries
         one frame later; the map-predictive method never misses."""
         dead = [[-60.0, -60.0, -85.0, -60.0, -60.0, -60.0]]
-        reactive = make_sim("lorc_sc", gains=dead).run()
-        predictive = make_sim("lorc_sc_p", gains=dead).run()
-        assert predictive.completion_time_s == pytest.approx(7.0)
-        assert reactive.completion_time_s == pytest.approx(7.0)
-        assert max(predictive.rtt_samples_s) == pytest.approx(0.262376, abs=1e-9)
-        assert max(reactive.rtt_samples_s) == pytest.approx(0.762376, abs=1e-9)
+        reactive = make_sim("lorc_sc", gains=dead)
+        predictive = make_sim("lorc_sc_p", gains=dead)
+        assert predictive.run()["completion_time_s"] == pytest.approx(7.0)
+        assert reactive.run()["completion_time_s"] == pytest.approx(7.0)
+        assert max(predictive.rtt_samples) == pytest.approx(0.262376, abs=1e-9)
+        assert max(reactive.rtt_samples) == pytest.approx(0.762376, abs=1e-9)
 
     def test_completion_time_is_the_last_robot_done(self):
         """Every executed step, moves and waits alike, takes one cell-traverse
         interval; a robot is done after its steps and its halt seconds, and
         the run's completion time is the latest robot's, on every bundled
-        warehouse file."""
+        warehouse file. ``run`` returns exactly the metrics the record type
+        it replaced built (``reference_warehouse_metrics``), with RTT tails
+        exactly when a loop ran, so never under ``stop_and_go``."""
         halted = 0
         for sid in WAREHOUSE_IDS:
             inputs = load_scenario(BUNDLED_DIR / f"{sid}.json").inputs
             for method in WAREHOUSE_METHODS:
                 for seed in range(3):
                     sim = WarehouseSimulation(inputs, method, seed)
-                    rec = sim.run()
+                    out = sim.run()
                     robots = sim.robots.values()
-                    assert rec.completion_time_s == max(
+                    assert out["completion_time_s"] == max(
                         (len(rt.executed) - 1) * inputs.world.cell_traverse_s + rt.halt_s for rt in robots
                     )
+                    ref = reference_warehouse_metrics(sim)
+                    assert out == ref and list(out) == list(ref)
+                    assert all(type(v) is float for v in out.values())
+                    rtt_keys = {"rtt_mean_s", "rtt_p95_s"} & set(out)
+                    assert rtt_keys == (set() if method == "stop_and_go" else {"rtt_mean_s", "rtt_p95_s"})
                     halted += any(rt.halt_s > 0 for rt in robots)
         assert halted  # the halt seconds are exercised
 
+    def test_metrics_without_rtt(self):
+        """A ``stop_and_go`` run closes no loop: its metrics are the three
+        run totals, as floats, and no RTT tail."""
+        world = GridWorld(6, 2)
+        track = HumanTrack([(3, 0)] * 10 + [(3, 1)])
+        out = make_sim("stop_and_go", world=world, tracks=[track]).run()
+        assert list(out) == ["completion_time_s", "stop_events", "halt_s"]
+        assert out["completion_time_s"] == pytest.approx(9.8, abs=1e-9)
+        assert out["stop_events"] == 2.0 and type(out["stop_events"]) is float
+        assert out["halt_s"] == pytest.approx(2.8, abs=1e-9)
+
+    def test_metrics_with_rtt(self):
+        """The reactive run in the dead zone has five 0.262376 s loops and
+        one 0.762376 s loop with its retry: the mean weighs all six, and the
+        nearest-rank 95th percentile is the sixth order statistic."""
+        dead = [[-60.0, -60.0, -85.0, -60.0, -60.0, -60.0]]
+        sim = make_sim("lorc_sc", gains=dead)
+        out = sim.run()
+        assert len(sim.rtt_samples) == 6
+        assert out["rtt_mean_s"] == pytest.approx((5 * 0.262376 + 0.762376) / 6, abs=1e-9)
+        assert out["rtt_p95_s"] == pytest.approx(0.762376, abs=1e-9)
+
     def test_stop_and_go_clear_corridor(self):
-        rec = make_sim("stop_and_go").run()
-        assert rec.completion_time_s == pytest.approx(7.0)
-        assert rec.stop_events == 0
-        assert rec.rtt_samples_s == []
+        sim = make_sim("stop_and_go")
+        out = sim.run()
+        assert out["completion_time_s"] == pytest.approx(7.0)
+        assert out["stop_events"] == 0
+        assert sim.rtt_samples == []
 
     def test_stop_and_go_waits_out_a_human(self):
         """Human stands on (3,0) for ten frames then steps aside; the robot
         is blocked on tries at 2.8 s and 4.2 s and passes on the third try."""
         world = GridWorld(6, 2)
         track = HumanTrack([(3, 0)] * 10 + [(3, 1)])
-        rec = make_sim("stop_and_go", world=world, tracks=[track]).run()
-        assert rec.completion_time_s == pytest.approx(9.8, abs=1e-9)
-        assert rec.stop_events == 2
-        assert rec.halt_s == pytest.approx(2.8, abs=1e-9)
-        assert rec.per_robot_arrival_steps == {1: 5}
+        sim = make_sim("stop_and_go", world=world, tracks=[track])
+        out = sim.run()
+        assert out["completion_time_s"] == pytest.approx(9.8, abs=1e-9)
+        assert out["stop_events"] == 2
+        assert out["halt_s"] == pytest.approx(2.8, abs=1e-9)
+        assert arrival_steps(sim) == {1: 5}
 
     def test_stop_and_go_yields_to_other_robot(self):
         world = GridWorld(3, 2)
         robots = [RobotState(1, (0, 0), (2, 0)), RobotState(2, (1, 0), (1, 1))]
-        rec = make_sim("stop_and_go", world=world, robots=robots).run()
-        assert rec.completion_time_s == pytest.approx(5.6, abs=1e-9)
-        assert rec.stop_events == 2
-        assert rec.per_robot_arrival_steps == {1: 2, 2: 1}
+        sim = make_sim("stop_and_go", world=world, robots=robots)
+        out = sim.run()
+        assert out["completion_time_s"] == pytest.approx(5.6, abs=1e-9)
+        assert out["stop_events"] == 2
+        assert arrival_steps(sim) == {1: 2, 2: 1}
 
     def test_occupied_next_interlock(self):
         world = GridWorld(4, 1)
@@ -698,11 +739,10 @@ class TestWarehouseSimulation:
 
     def test_same_seed_reproduces_run(self):
         gm = PathGainMap(np.full((1, 6), -95.0), shadowing_rho=0.9, shadowing_sigma_db=6.0)
-        a = make_sim("lorc_sc", gains=gm).run()
-        b = make_sim("lorc_sc", gains=gm).run()
-        assert a.completion_time_s == b.completion_time_s
-        assert a.rtt_samples_s == b.rtt_samples_s
-        assert a.stop_events == b.stop_events
+        a = make_sim("lorc_sc", gains=gm)
+        b = make_sim("lorc_sc", gains=gm)
+        assert a.run() == b.run()
+        assert a.rtt_samples == b.rtt_samples
 
     def test_max_sim_time_guard(self):
         world = GridWorld(8, 1)

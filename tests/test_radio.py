@@ -222,19 +222,21 @@ class TestBlerCurve:
 
 class TestSelectMcs:
     def test_typical_selection(self):
-        assert select_mcs(TABLE, 15.0, 0.1) == (4, True)
-        assert select_mcs(TABLE, 40.0, 0.1) == (7, True)
+        assert select_mcs(TABLE, 15.0, 0.1) == 4
+        assert select_mcs(TABLE, 40.0, 0.1) == 7
+        assert type(select_mcs(TABLE, 15.0, 0.1)) is int
 
     def test_infeasible_falls_back_to_most_robust(self):
-        sel = select_mcs(TABLE, -10.0, 0.1)
-        assert sel.index == 0 and not sel.feasible
+        # No entry meets the target: the SNR lies below the lowest cut-off.
+        assert -10.0 < TABLE.cutoffs(0.1)[0]
+        assert select_mcs(TABLE, -10.0, 0.1) == 0
 
     def test_threshold_is_not_enough_for_low_targets(self):
         # at the threshold the BLER is exactly 0.5
         e = McsEntry(0, 1.0, 4.0, math.inf)
         t = McsTable((e,))
-        assert select_mcs(t, 4.0, 0.1) == (0, False)
-        assert select_mcs(t, 4.0, 0.5) == (0, True)
+        assert select_mcs(t, 4.0, 0.1) == 0 and 4.0 < t.cutoffs(0.1)[0]
+        assert select_mcs(t, 4.0, 0.5) == 0 and 4.0 >= t.cutoffs(0.5)[0]
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
@@ -243,8 +245,8 @@ class TestSelectMcs:
             select_mcs(TABLE, 10.0, 1.0)
 
     def test_nan_snr_refused(self):
-        # The scan would return (0, False): no BLER compares <= target.
-        assert reference_select_mcs(TABLE, math.nan) == (0, False)
+        # The scan would fall back to entry 0: no BLER compares <= target.
+        assert reference_select_mcs(TABLE, math.nan) == 0
         with pytest.raises(ValueError, match="NaN"):
             select_mcs(TABLE, math.nan)
 

@@ -285,7 +285,7 @@ class TestValidation:
                 lambda s: (s["world"].update(blocked=[[3, 0]]),),
                 "cell (3, 0) is blocked",
             ),
-            (lambda s: s["world"].update(blocked=[[9, 0]]), "scenario.warehouse.world.blocked[0]: [9, 0] outside 4x1 world"),
+            (lambda s: s["world"].update(blocked=[[9, 0]]), "scenario.warehouse.world.blocked[0]: cell (9, 0) outside 4x1 world"),
             (
                 lambda s: s["world"].update(blocked_rects=[[-1, 0, 0, 0]]),
                 "scenario.warehouse.world.blocked_rects[0]: [-1, 0, 0, 0] outside 4x1 world",
@@ -296,7 +296,7 @@ class TestValidation:
             ),
             (
                 lambda s: s.update(humans=[{"waypoints": [[9, 9]]}]),
-                "outside the world",
+                "scenario.warehouse.humans[0].waypoints[0]: cell (9, 9) outside 4x1 world",
             ),
             (lambda s: s["gain"].pop("ap"), "scenario.warehouse.gain.ap"),
             (lambda s: s["gain"].update(ap=[10**400, 0]), "scenario.warehouse.gain.ap: cell (1000"),
@@ -967,8 +967,9 @@ class TestBuildWarehouse:
             doc["warehouse"]["robots"] = [{"id": 1, "start": [0, 0], "goal": goal}]
             return doc
 
-        scn = parse_scenario(serpentine([6, 14]))
-        assert orchestrator.WarehouseSimulation(scn.inputs, "stop_and_go", 0).run().per_robot_arrival_steps == {1: 136}
+        sim = orchestrator.WarehouseSimulation(parse_scenario(serpentine([6, 14])).inputs, "stop_and_go", 0)
+        sim.run()
+        assert len(sim.robots[1].executed) - 1 == 136
         assert scenario_errors(serpentine([5, 14])) == [
             "scenario.warehouse.robots[0].goal: cell (5, 14) cannot be reached from start (0, 0) within 136 steps"
         ]
