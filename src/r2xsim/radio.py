@@ -16,7 +16,9 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schema import _BLER_TARGET, _MAX_DB, _MAX_RETRIES, _echo, _is_number, bounded, check_bounds, check_value
+from .schema import (
+    _BLER_TARGET, _MAX_DB, _MAX_DELAY_S, _MAX_RETRIES, _echo, _is_number, bounded, check_bounds, check_value,
+)
 from .world import Cell
 
 DEFAULT_NOISE_DBM = -100.0
@@ -54,7 +56,7 @@ class McsTable:
 
     entries: Tuple[McsEntry, ...]
     bandwidth_hz: float = bounded(DEFAULT_BANDWIDTH_HZ, lo=1.0)
-    slot_s: float = bounded(DEFAULT_SLOT_S, gt=0.0)
+    slot_s: float = bounded(DEFAULT_SLOT_S, gt=0.0, hi=_MAX_DELAY_S)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))

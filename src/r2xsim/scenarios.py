@@ -52,7 +52,7 @@ from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, ar1_series, d
 from .schema import (
     _BLER_TARGET,
     _MAX_DB,
-    _MAX_FOLLOWME_S,
+    _MAX_DELAY_S,
     _MAX_ID_DIGITS,
     _MAX_RETRIES,
     _MAX_STEPS,
@@ -393,9 +393,12 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     max_sim_time_s = ck.num(sec, p, "max_sim_time_s", 3600.0, lo=1.0)
     if ck.errors:
         return None
-    frames = max_sim_time_s / frame_period_s
+    frames, moves = max_sim_time_s / frame_period_s, frame_period_s / cell_traverse_s
     if frames > _MAX_STEPS:
         ck.fail(p, f"max_sim_time_s / world.frame_period_s is {frames:g} frames, more than {_MAX_STEPS}")
+    if moves > _MAX_STEPS:
+        ck.fail(f"{p}.world", f"frame_period_s / cell_traverse_s is {moves:g} cell moves, more than {_MAX_STEPS}")
+    if ck.errors:
         return None
 
     grid = GridWorld(width, height, frozenset(blocked), frame_period_s, cell_traverse_s)
@@ -580,10 +583,10 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
             if not (
                 isinstance(pair, (list, tuple))
                 and len(pair) == 2
-                and all(_is_number(c) and 0 <= c <= _MAX_FOLLOWME_S for c in pair)
+                and all(_is_number(c) and 0 <= c <= _MAX_DELAY_S for c in pair)
             ):
                 ck.fail(f"{p}.codec_s.{key}",
-                        f"{_echo(pair)} must be [encode_s, decode_s], each in [0, {_MAX_FOLLOWME_S}]")
+                        f"{_echo(pair)} must be [encode_s, decode_s], each in [0, {_MAX_DELAY_S}]")
     modes = _FOLLOWME_MODE_CONFIGS
     payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes) or {}
     payloads = {key: ck.num(payloads, f"{p}.payload_bytes", key, **_PAYLOAD_BYTES) for key in modes}
@@ -607,7 +610,7 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
     cta_useful_s = ck.num(sec, p, "cta_useful_s", lo=0.0)
     loss_threshold_steps = ck.num(sec, p, "loss_threshold_steps", lo=0, integer=True)
     max_attempts = ck.num(sec, p, "max_attempts", 4, lo=1, hi=_MAX_RETRIES, integer=True)
-    slot_s = ck.num(sec, p, "slot_s", 0.001, lo=0.0, hi=_MAX_FOLLOWME_S)
+    slot_s = ck.num(sec, p, "slot_s", 0.001, lo=0.0, hi=_MAX_DELAY_S)
     if ck.errors:
         return None
     return FollowmeInputs(
@@ -619,10 +622,8 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
 
 class FollowmeFrames(NamedTuple):
     """Per-frame values of one followme seed, the same for every method:
-    the user distance, the RSSI (curve plus AR(1) noise), the link
-    throughput and per-bit error probability at that RSSI, and the
-    perception tracker's draws. ``plans`` maps a method to its
-    ``FollowmePlan``, built by that method's first run of the seed."""
+    the user distance, the RSSI (curve plus AR(1) noise), and the link
+    throughput and per-bit error probability at that RSSI."""
 
     distance: List[float]
     rssi: List[float]
@@ -631,28 +632,12 @@ class FollowmeFrames(NamedTuple):
     # The random() draws of the generator seeded [seed, 23], one per frame:
     # a run consumes at most one per frame, in order.
     perception_draws: List[float]
-    plans: Dict[str, FollowmePlan]
-
-
-class FollowmePlan(NamedTuple):
-    """What every run of one method on one seed reads, frame by frame."""
-
-    # (start, stop, max_retx) of each maximal stretch of frames that share
-    # an attempt limit, in frame order.
-    stretches: Tuple[Tuple[int, int, int], ...]
-    loss: List[float]  # probability that one attempt loses the frame
-    air_s: List[float]  # air time of one attempt: bits / throughput + slot_s
-    encode_s: List[float]
-    decode_s: List[float]
-    lose: List[float]  # probability that a locked tracker loses the user
-    reacquire: List[float]  # probability that a delivered useful frame regains lock
 
 
 def prepare_followme(fm: FollowmeInputs, seed: int) -> FollowmeFrames:
     """The seed's frames. The curves are read with array ``np.interp``,
     which equals one scalar call per frame; ``10.0 ** x`` is taken on Python
-    floats, because numpy's power may differ in the last bit. The method
-    plans are left to the runs that need them."""
+    floats, because numpy's power may differ in the last bit."""
     noise = ar1_series(np.random.default_rng([seed, 21]), fm.total_steps, *fm.noise)
     distance = np.interp(np.arange(fm.total_steps), *fm.distance)
     rssi = np.interp(distance, *fm.rssi) + noise
@@ -662,114 +647,71 @@ def prepare_followme(fm: FollowmeInputs, seed: int) -> FollowmeFrames:
         [10.0 ** x for x in np.interp(rssi, *fm.log_throughput).tolist()],
         [10.0 ** x for x in np.interp(rssi, *fm.log_bit_error).tolist()],
         np.random.default_rng([seed, 23]).random(fm.total_steps).tolist(),
-        {},
     )
-
-
-def _followme_plan(fm: FollowmeInputs, frames: FollowmeFrames, method: str) -> FollowmePlan:
-    """``method``'s plan on the seed of ``frames``, built on first use."""
-    plan = frames.plans.get(method)
-    if plan is None:
-        if method in _FOLLOWME_MODE_CONFIGS:
-            plan = _followme_mode_plan(fm, frames, method)
-        else:
-            plan = _followme_ladder_plan(fm, frames)
-        frames.plans[method] = plan
-    return plan
-
-
-def _followme_mode_plan(fm: FollowmeInputs, frames: FollowmeFrames, mode: str) -> FollowmePlan:
-    """One fixed mode on every frame: the frame loss ``1 - (1 - p_bit) **
-    bits`` and the air time per attempt, as the per-frame scalar
-    expressions, so that ``enc + attempts * air + dec`` keeps its bits."""
-    cfg = _FOLLOWME_MODE_CONFIGS[mode]
-    n, slot_s = fm.total_steps, fm.slot_s
-    bits = fm.payload_bytes[mode] * 8
-    enc, dec = fm.codec_s[cfg.mode]
-    perc = fm.perception
-    far_m, far_p, near_p = (perc[key][mode] for key in ("far_distance_m", "far_lose_prob", "lose_prob"))
-    return FollowmePlan(
-        ((0, n, fm.max_attempts - 1 if cfg.qos == "reliable" else 0),),
-        [-math.expm1(bits * math.log1p(-p_bit)) for p_bit in frames.bit_error],
-        [bits / throughput + slot_s for throughput in frames.throughput],
-        [enc] * n,
-        [dec] * n,
-        [far_p if distance > far_m else near_p for distance in frames.distance],
-        [perc["reacquire_prob"][mode]] * n,
-    )
-
-
-def _followme_ladder_plan(fm: FollowmeInputs, frames: FollowmeFrames) -> FollowmePlan:
-    """The RSSI ladder: each frame takes its values from the plan of the
-    mode ``select_sense_mode`` picks at its RSSI."""
-    picks = [select_sense_mode(rssi) for rssi in frames.rssi]
-    # (start, stop, plan) of each maximal stretch of frames in one mode. The
-    # rungs are grouped by identity, as each is one frozen object: hashing
-    # one per frame would cost more than the ladder itself.
-    runs: List[Tuple[int, int, FollowmePlan]] = []
-    for _, group in itertools.groupby(picks, key=id):
-        group = list(group)
-        start = runs[-1][1] if runs else 0
-        runs.append((start, start + len(group), _followme_plan(fm, frames, _FOLLOWME_MODE_NAMES[group[0]])))
-    stretches = []
-    for max_retx, group in itertools.groupby(runs, key=lambda run: run[2].stretches[0][2]):
-        start = stretches[-1][1] if stretches else 0
-        stretches.append((start, list(group)[-1][1], max_retx))
-    columns: List[list] = [[] for _ in FollowmePlan._fields[1:]]
-    for start, stop, plan in runs:
-        for column, values in zip(columns, plan[1:]):
-            column += values[start:stop]
-    return FollowmePlan(tuple(stretches), *columns)
 
 
 def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     """Replay the corridor trace under one sensing policy.
 
     Per frame: the user distance sets the mean RSSI (plus AR(1) noise), the
-    RSSI sets link throughput and per-bit loss. Every attempt draws from the
-    run's one ``HarqStream``: reliable modes make up to ``max_attempts``
+    RSSI sets link throughput and per-bit loss, and the method picks the
+    sensing mode: a fixed mode every frame, ``orchestrated`` the rung
+    ``select_sense_mode`` gives at the frame's RSSI. Every attempt draws from
+    the run's one ``HarqStream``: reliable modes make up to ``max_attempts``
     attempts at a frame, best-effort modes one. A frame counts as a
     tracking arrival when it was delivered, its command-to-action latency is
     within ``cta_useful_s``, and the perception tracker holds (or regains)
     lock on it.
 
-    Everything but the HARQ outcome and the lock comes from the seed's
-    frames and the method's plan. The HARQ stream is run once per stretch
-    of frames that share an attempt limit; it keeps its draw position
-    between calls, so the draws are those of one call per frame.
+    The frames are replayed in maximal stretches of one mode, each reading
+    its mode's constants once and running the HARQ stream once. The
+    stream's draw position, the lock and the perception draws carry across
+    stretches, so the records are those of one pass per frame.
     """
     fm = scn.inputs
     frames = _seed_table(scn, seed)
-    plan = _followme_plan(fm, frames, method)
+    fixed = _FOLLOWME_MODE_CONFIGS.get(method)
+    picks = [fixed] * fm.total_steps if fixed is not None else [select_sense_mode(rssi) for rssi in frames.rssi]
     harq = HarqStream(np.random.default_rng([seed, 22]))
-    attempts: List[int] = []
-    delivered: List[bool] = []
-    for start, stop, max_retx in plan.stretches:
-        a, d = harq.run(plan.loss[start:stop], max_retx)
-        attempts += a
-        delivered += d
-
     draws = iter(frames.perception_draws)
-    useful_s = fm.cta_useful_s
+    perc = fm.perception
+    useful_s, slot_s = fm.cta_useful_s, fm.slot_s
     locked = True
     arrivals: List[int] = []
     cta_samples: List[float] = []
-    for t, (ok, a, air, enc, dec, lose, reacquire) in enumerate(
-        zip(delivered, attempts, plan.air_s, plan.encode_s, plan.decode_s, plan.lose, plan.reacquire)
-    ):
-        useful = False
-        if ok:
-            cta = enc + a * air + dec
-            cta_samples.append(cta)
-            useful = cta <= useful_s
-        if locked:
-            if next(draws) < lose:
-                locked = False
-        elif useful:
-            if next(draws) < reacquire:
-                locked = True
-        if useful and locked:
-            arrivals.append(t)
+    start = 0
+    # The rungs are grouped by identity, as each is one frozen object:
+    # hashing one per frame would cost more than the ladder itself.
+    for _, group in itertools.groupby(picks, key=id):
+        group = list(group)
+        cfg, stop = group[0], start + len(group)
+        mode = _FOLLOWME_MODE_NAMES[cfg]
+        bits = fm.payload_bytes[mode] * 8
+        enc, dec = fm.codec_s[cfg.mode]
+        far_m, far_p, near_p, reacquire = (
+            perc[key][mode] for key in ("far_distance_m", "far_lose_prob", "lose_prob", "reacquire_prob")
+        )
+        attempts, delivered = harq.run(
+            [-math.expm1(bits * math.log1p(-p_bit)) for p_bit in frames.bit_error[start:stop]],
+            fm.max_attempts - 1 if cfg.qos == "reliable" else 0,
+        )
+        for t, ok, a, throughput, distance in zip(
+            range(start, stop), delivered, attempts, frames.throughput[start:stop], frames.distance[start:stop]
+        ):
+            useful = False
+            if ok:
+                cta = enc + a * (bits / throughput + slot_s) + dec
+                cta_samples.append(cta)
+                useful = cta <= useful_s
+            if locked:
+                if next(draws) < (far_p if distance > far_m else near_p):
+                    locked = False
+            elif useful:
+                if next(draws) < reacquire:
+                    locked = True
+            if useful and locked:
+                arrivals.append(t)
+        start = stop
 
     metrics: Dict[str, float] = {
         "utfr_pct": utfr(arrivals, fm.total_steps, fm.loss_threshold_steps),

@@ -27,8 +27,10 @@ _MAX_ID_DIGITS = 18
 # Every per-step series is at most this long: a warehouse run's frames
 # (a robot's shadowing, drawn as a run reads it, at most twice that plus 8),
 # the mcs corridor's steps and cells and the followme frames (built before
-# the first run of a seed). A warehouse world has at most this many cells;
-# the bundled files need at most a few thousand.
+# the first run of a seed). A warehouse world has at most this many cells,
+# and a frame at most this many cell moves (frame_period_s / cell_traverse_s),
+# so that a forecast frame's planner step stays a small integer and a move
+# advances the clock; the bundled files need at most a few thousand cells.
 _MAX_STEPS = 10**6
 
 # At most this many retransmissions of one step (radio.max_retx) or attempts
@@ -49,7 +51,9 @@ _BLER_TARGET = dict(gt=0, lt=1)
 # seconds, and each throughput_curve point at least _MIN_THROUGHPUT_BPS, so
 # that a frame's CTA, enc + attempts * (bits / throughput + slot_s) + dec, is
 # below 6 * 10^14 s and the sum tail_stats takes over its frames stays finite.
-_MAX_FOLLOWME_S = 10**6
+# The same bound holds McsTable.slot_s (a section's radio.slot_s), so that an
+# mcs trace's or a warehouse run's latency sum stays finite too.
+_MAX_DELAY_S = 10**6
 _MIN_THROUGHPUT_BPS = 1.0
 
 # At most this many frames of a human's forecast (humans[].horizon_frames);

@@ -441,6 +441,72 @@ class TestUnreachableGoal:
         assert not (tmp_path / "o").exists()
 
 
+def mcs_ar1_slot(slot_s):
+    doc = json.loads(bundled_scenario_path("mcs-ar1").read_text())
+    doc["mcs"]["radio"] = {"slot_s": slot_s}
+    return doc
+
+
+def tiny_mcs_slot(slot_s):
+    doc = tiny_mcs()
+    doc["mcs"]["radio"] = {"slot_s": slot_s}
+    return doc
+
+
+def s1_overflowing_frame(w):
+    """warehouse-s1 with a frame of 10^310 cell moves: each forecast step
+    overflows, and each move's clock advance is lost in rounding."""
+    w["world"].update(frame_period_s=1e300, cell_traverse_s=1e-10)
+    w["max_sim_time_s"] = 1e302
+
+
+class TestOverflowRefusedAtLoad:
+    @pytest.mark.parametrize(
+        "doc,line",
+        [
+            pytest.param(mcs_ar1_slot(1e307), "scenario.mcs.radio.slot_s: 1e+307 must be <= 1000000", id="mcs-slot"),
+            pytest.param(tiny_mcs_slot(1e308), "scenario.mcs.radio.slot_s: 1e+308 must be <= 1000000", id="tiny-slot"),
+            pytest.param(
+                edited_s1(lambda w: w.update(radio={"slot_s": 1e307})),
+                "scenario.warehouse.radio.slot_s: 1e+307 must be <= 1000000",
+                id="warehouse-s1-slot",
+            ),
+            pytest.param(
+                edited_s1(s1_overflowing_frame),
+                "scenario.warehouse.world: frame_period_s / cell_traverse_s is inf cell moves, more than 1000000",
+                id="warehouse-s1-frame",
+            ),
+        ],
+    )
+    def test_named_by_validate_and_run(self, tmp_path, capsys, doc, line):
+        """A radio slot that would make a latency sum infinite, and a frame
+        of more cell moves than a run has steps, are named-field errors
+        under ``validate`` and ``run``, before any run."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o"), "--seeds", "0"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [f"{path}: {line}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param(mcs_ar1_slot(1e6), id="mcs-ar1-slot"),
+            pytest.param(edited_s1(lambda w: w["world"].update(cell_traverse_s=0.7e-6)), id="warehouse-s1-frame"),
+        ],
+    )
+    def test_at_the_bound_runs_with_finite_records(self, tmp_path, doc):
+        """At its bound each field runs; stop-and-go is left out of the
+        warehouse run, because a halted robot retries once per cell move."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        method = doc["methods"][-1]
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), "--seeds", "0", "--methods", method]) == 0
+        for line in (tmp_path / "o" / "results.jsonl").read_text().splitlines():
+            json.loads(line, parse_constant=lambda name: pytest.fail(f"{name} in {line}"))
+
+
 class TestSeedBySeed:
     @pytest.fixture
     def mcs_file(self, tmp_path):

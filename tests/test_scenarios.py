@@ -4,9 +4,11 @@ import contextlib
 import copy
 import importlib.util
 import io
+import itertools
 import json
 import math
 import pickle
+import random
 import tempfile
 import time
 import warnings
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import WAREHOUSE_IDS, check_digests, scenario_errors
 from oracles import reference_human_table, reference_plan_next, reference_run_followme
-from r2xsim import orchestrator, scenarios
+from r2xsim import orchestrator, radio, scenarios
 from r2xsim.cli import main
 from r2xsim.linkadapt import PolicySpec
 from r2xsim.orchestrator import HumanReservations
@@ -470,8 +472,9 @@ class TestValidation:
     @given(st.sampled_from(LEAVES), st.sampled_from(LEAF_VALUES + (DELETE,)))
     def test_mutated_leaf_is_named_or_runs(self, leaf, value):
         """A document with one leaf replaced or deleted is either rejected
-        with field paths, or ``r2xsim run`` on it exits 0, or exits 2 with
-        field-path lines (a run that did not finish in time)."""
+        with field paths, or ``r2xsim run`` on it exits 0 with finite
+        records, or exits 2 with field-path lines (a run that did not finish
+        in time)."""
         make, path = leaf
         doc = make()
         parent = doc
@@ -492,6 +495,9 @@ class TestValidation:
             path = Path(tmp) / "doc.json"
             path.write_text(json.dumps(doc))
             code = main(["run", str(path), "--seeds", "0", "--methods", method, "--out", str(Path(tmp) / "out")])
+            if code == 0:
+                for line in (Path(tmp) / "out" / "results.jsonl").read_text().splitlines():
+                    json.loads(line, parse_constant=lambda name: pytest.fail(f"{name} in {line}"))
         assert code in (0, 2), stderr.getvalue()
         if code == 2:
             lines = stderr.getvalue().splitlines()
@@ -1330,39 +1336,78 @@ class TestRunOne:
         doc["followme"].update(distance_profile=[[0.0, 2.0], [30.0, 13.0], [59.0, 2.0]], max_attempts=max_attempts)
         return doc
 
+    @pytest.fixture
+    def harq_calls(self, monkeypatch):
+        """(frames, max_retx) of each ``HarqStream.run`` call, in order."""
+        calls = []
+        real = radio.HarqStream.run
+        monkeypatch.setattr(
+            radio.HarqStream, "run", lambda harq, p_fail, max_retx: calls.append((len(p_fail), max_retx))
+            or real(harq, p_fail, max_retx),
+        )
+        return calls
+
     @pytest.mark.parametrize("max_attempts", [1, 64])
-    def test_followme_ladder_crossing_every_rung_matches_reference(self, max_attempts):
+    def test_followme_ladder_crossing_every_rung_matches_reference(self, max_attempts, harq_calls):
         scn = self.assert_followme_matches_reference(self.ladder_doc(max_attempts))
         for seed in range(3):
+            harq_calls.clear()
             run_one(scn, "orchestrated", seed)
-            frames = scn._seed_table[1]
-            rungs = {orchestrator.select_sense_mode(rssi) for rssi in frames.rssi}
-            assert rungs == {scenarios._FOLLOWME_MODE_CONFIGS[m] for m in FM_MODES if m != "jpeg_q95"}
-            # Reliable JPEG near, best-effort tokens far, reliable JPEG again;
-            # with one attempt allowed, every frame shares one limit.
-            stretches = frames.plans["orchestrated"].stretches
-            if max_attempts == 1:
-                assert stretches == ((0, 60, 0),)
-            else:
-                assert len(stretches) >= 3 and stretches[0][2] == stretches[-1][2] == max_attempts - 1
+            picks = [orchestrator.select_sense_mode(rssi) for rssi in scn._seed_table[1].rssi]
+            assert set(picks) == {scenarios._FOLLOWME_MODE_CONFIGS[m] for m in FM_MODES if m != "jpeg_q95"}
+            # One HARQ call per maximal run of frames in one rung, with that
+            # rung's attempt limit.
+            runs = [(cfg, len(list(group))) for cfg, group in itertools.groupby(picks)]
+            assert harq_calls == [(n, max_attempts - 1 if cfg.qos == "reliable" else 0) for cfg, n in runs]
+            assert len(harq_calls) >= 9  # out through every rung and back
 
-    @pytest.mark.parametrize("first", ["orchestrated", "jpeg_q60"], ids=["ladder-first", "sorted"])
-    def test_followme_builds_each_mode_plan_once_per_seed(self, first, monkeypatch):
-        """The ladder reads the fixed modes' plans, so that across all
-        seven methods of a seed, in either order, each mode's plan is built
-        once."""
-        built = []
-        real = scenarios._followme_mode_plan
-        monkeypatch.setattr(
-            scenarios, "_followme_mode_plan", lambda fm, frames, mode: built.append(mode) or real(fm, frames, mode)
-        )
-        scn = parse_scenario(self.ladder_doc(4))
-        methods = sorted(scn.methods, key=lambda m: (m != first, m))
-        for seed in (0, 1, 0):
-            for method in methods:
-                run_one(scn, method, seed)
-            assert sorted(built) == sorted(FM_MODES)
-            built.clear()
+    def test_followme_bundled_ladder_makes_one_harq_call_per_rung_run(self, harq_calls):
+        scn = load_scenario(bundled_scenario_path("followme-corridor"))
+        counts = []
+        for seed in scn.seeds:
+            harq_calls.clear()
+            run_one(scn, "orchestrated", seed)
+            picks = [orchestrator.select_sense_mode(rssi) for rssi in scn._seed_table[1].rssi]
+            assert len(harq_calls) == sum(1 for _ in itertools.groupby(picks))
+            counts.append(len(harq_calls))
+        assert 9 <= min(counts) and max(counts) <= 25, counts
+
+    def test_followme_records_do_not_depend_on_method_order(self):
+        """A seed's seven methods give the same records whether the ladder
+        runs first or the methods run sorted, seed after seed on one
+        loaded file."""
+        records = []
+        for first in ("orchestrated", "jpeg_q60"):
+            scn = parse_scenario(self.ladder_doc(4))
+            methods = sorted(scn.methods, key=lambda m: (m != first, m))
+            records.append([{m: run_one(scn, m, seed) for m in methods} for seed in (0, 1, 0)])
+        assert records[0] == records[1]
+        assert records[0][0] == records[0][2]
+
+    def test_followme_random_documents_match_reference(self):
+        """Fifty seeded random documents: distance walks that cross the
+        ladder's rungs, 1 to 64 attempts, 1 to 200 frames, and lose and
+        reacquire probabilities of 0, 1 or a random value. Every method on
+        two seeds gives the records of the per-frame scalar loop."""
+        rng = random.Random(28)
+        rungs = set()
+        for _ in range(50):
+            doc = tiny_followme()
+            doc["methods"] = list(FOLLOWME_METHODS)
+            fm = doc["followme"]
+            knots = sorted(rng.sample(range(1, 200), rng.randint(1, 6)))
+            fm.update(
+                total_steps=rng.randint(1, 200),
+                max_attempts=rng.randint(1, 64),
+                distance_profile=[[float(x), rng.uniform(2.0, 14.0)] for x in [0, *knots]],
+            )
+            fm["noise"]["sigma_db"] = rng.uniform(0.0, 3.0)
+            for key in ("lose_prob", "far_lose_prob", "reacquire_prob"):
+                fm["perception"][key] = {m: rng.choice((0.0, 1.0, rng.random())) for m in FM_MODES}
+            fm["perception"]["far_distance_m"] = {m: rng.uniform(2.0, 14.0) for m in FM_MODES}
+            scn = self.assert_followme_matches_reference(doc, seeds=range(2))
+            rungs.update(map(orchestrator.select_sense_mode, scn._seed_table[1].rssi))
+        assert rungs == {scenarios._FOLLOWME_MODE_CONFIGS[m] for m in FM_MODES if m != "jpeg_q95"}
 
     def test_followme_deterministic_per_seed(self):
         scn = parse_scenario(tiny_followme())
