@@ -56,7 +56,6 @@ def main():
     print(f"  planning  objective={cfg.pp.objective} priority={cfg.pp.priority_robot} "
           f"gap={cfg.pp.min_time_gap_at_conflict}")
     print(f"  radio     fairness={cfg.ra.fairness} weights={cfg.ra.priority_weights}")
-    print(f"  sensing   mode={cfg.sense.mode} qos={cfg.sense.qos}")
 
 
 if __name__ == "__main__":

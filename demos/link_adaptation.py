@@ -10,8 +10,8 @@ import sys
 
 import numpy as np
 
-from r2xsim.linkadapt import LinkTable, gains, run_policy
-from r2xsim.scenarios import bundled_scenario_path, load_scenario
+from r2xsim.linkadapt import gains, run_policy
+from r2xsim.scenarios import bundled_scenario_path, load_scenario, prepare_mcs
 
 DELAYS = (3, 10, 30)
 N_SEEDS = 5
@@ -36,10 +36,7 @@ def main():
           f"sigma={inputs.gain_map.shadowing_sigma_db} dB, {len(seeds)} seeds")
     print()
     # One link table per seed, shared by every policy replayed on it.
-    links = {
-        seed: LinkTable.sample(inputs.gain_map, inputs.cells, inputs.cfg, inputs.table, seed, inputs.bler_target)
-        for seed in seeds
-    }
+    links = {seed: prepare_mcs(inputs, seed) for seed in seeds}
 
     oracle_tp = np.mean(
         [run(scn, "oracle", s, links[s]).mean_throughput_bps for s in seeds]

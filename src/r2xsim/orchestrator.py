@@ -1,11 +1,11 @@
 """Intent-to-configuration orchestration and the closed-loop warehouse engine.
 
 An operator intent (free text) is turned into a strict configuration message
-(planning objective, radio fairness, sensing mode), validated, and corrected
-or replaced by a conservative fallback. The warehouse engine executes the
-resulting configuration: robots uplink sensing payloads, a central planner
-replans every cell transition, and robots wait whenever the control loop has
-not closed in time.
+(planning objective, radio fairness), validated, and corrected or replaced by
+a conservative fallback. The warehouse engine executes the resulting
+configuration: robots uplink sensing payloads, a central planner replans
+every cell transition, and robots wait whenever the control loop has not
+closed in time.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .radio import (
     weight_errors,
 )
 from .schema import _MAX_ID_DIGITS, _Checker, _echo, bounded, check_bounds
-from .sensing import MODE_FIELDS, SenseConfig, parse_vit_grid
+from .sensing import SenseConfig
 from .world import Cell, GridWorld, HumanTrack, RobotState, human_forecast
 
 WAREHOUSE_METHODS = ("stop_and_go", "lorc_p", "lorc_sc", "lorc_sc_p")
@@ -51,7 +51,6 @@ WAREHOUSE_METHODS = ("stop_and_go", "lorc_p", "lorc_sc", "lorc_sc_p")
 class OrchestratorConfig:
     pp: PlanConfig
     ra: RadioConfig
-    sense: SenseConfig
     fallback: bool = False
 
 
@@ -113,7 +112,6 @@ def fallback_message(robot_ids: Sequence[int]) -> dict:
             "min_time_gap_at_conflict": 1,
         },
         "ra_config": {"fairness": "max_min", "priority_weights": [1.0 / n] * n},
-        "sense_config": {"mode": "vq", "vit_grid": "1x1", "qos": "best_effort"},
     }
 
 
@@ -128,13 +126,12 @@ def validate(
     """Check a raw configuration message against the exact schema.
 
     Returns ``(config, [])`` on success or ``(None, errors)`` where every
-    error names the offending field and the allowed domain. Unknown fields
-    are errors at every level. ``sense_config`` is optional and defaults to
-    the conservative single-tile token payload; it sets only the fields its
-    mode reads (``sensing.MODE_FIELDS``).
+    error names the offending field and the allowed domain. The message has
+    exactly the two sections a run reads, ``pp_config`` and ``ra_config``;
+    unknown fields are errors at every level.
     """
     ck = _Checker()
-    if ck.obj(message, "message", (), ("pp_config", "ra_config", "sense_config")) is None:
+    if ck.obj(message, "message", (), ("pp_config", "ra_config")) is None:
         return None, ck.errors
 
     pp = ck.obj(message.get("pp_config"), "pp_config", ("objective", "priority_robot", "min_time_gap_at_conflict"))
@@ -160,29 +157,11 @@ def validate(
             for why in weight_errors(weights, None if robot_ids is None else len(robot_ids)):
                 ck.fail("ra_config.priority_weights", why)
 
-    sense = _SENSE_VQ_1X1
-    if "sense_config" in message:
-        s = message["sense_config"]
-        mode = s.get("mode") if isinstance(s, dict) else None
-        own = MODE_FIELDS.get(mode, ()) if isinstance(mode, str) else ()
-        required = [name for name in own if SenseConfig.__dataclass_fields__[name].default is None]
-        s = ck.obj(s, "sense_config", ("mode", *required), ("qos", *own))
-        if s is not None:
-            if "vit_grid" in s:
-                try:
-                    s = {**s, "vit_grid": parse_vit_grid(s["vit_grid"])}
-                except ValueError:
-                    pass  # reported unparsed
-            fields = {name: ck.declared(s, "sense_config", SenseConfig, name) for name in ("mode", "qos", *own)}
-            if not ck.errors:
-                sense = SenseConfig(**fields)
-
     if ck.errors:
         return None, ck.errors
     cfg = OrchestratorConfig(
         pp=PlanConfig(objective=objective, priority_robot=priority, min_time_gap_at_conflict=gap),
         ra=RadioConfig(fairness=fairness, priority_weights=weights),
-        sense=sense,
     )
     return cfg, []
 
@@ -441,6 +420,12 @@ class WarehouseInputs(NamedTuple):
     human: HumanReservations
 
 
+def _seconds(t: float) -> str:
+    """An event time for a message: one decimal, or ``:g`` from 10^12 s on,
+    where fixed point would print up to 309 digits."""
+    return f"{t:.1f}" if abs(t) < 1e12 else f"{t:g}"
+
+
 class UnfinishedRun(RuntimeError):
     """A warehouse run did not finish within its ``max_sim_time_s``."""
 
@@ -626,7 +611,7 @@ class WarehouseSimulation:
                 self.rtt_samples.append(ready - start_t)
                 return ready
             t += self.world.frame_period_s
-        raise self._unfinished(f"robot {rt.id}: uplink never succeeded after {start_t:.1f} s")
+        raise self._unfinished(f"robot {rt.id}: uplink never succeeded after {_seconds(start_t)} s")
 
     def _plan_next(self, rt: _RobotRuntime, plan_time: float) -> Optional[Cell]:
         """Central replan at ``plan_time``: the robot's next cell, or None when
@@ -704,7 +689,7 @@ class WarehouseSimulation:
             return None
         t, rid, _, kind, target = heapq.heappop(self._events)
         if t > self.max_sim_time_s:
-            raise self._unfinished(f"an event fell due at {t:.1f} s")
+            raise self._unfinished(f"an event fell due at {_seconds(t)} s")
         self._HANDLERS[kind](self, t, self.robots[rid], target)
         return t, rid, kind
 

@@ -5,16 +5,15 @@ token-based vector quantization.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schema import _echo, _is_int_list, bounded, check_bounds, check_value
+from .schema import bounded, check_bounds, check_value
 
-# The fields each sensing mode reads besides mode and qos. A configuration
-# message sets only these, and must set each whose default is None.
+# The fields each sensing mode reads besides mode and qos. A SenseConfig
+# must set each of its mode's fields whose default is None.
 MODE_FIELDS = {
     "raw": (),
     "jpeg": ("jpeg_quality",),
@@ -24,29 +23,6 @@ MODE_FIELDS = {
 
 # Measured single-frame JPEG sizes for a 256x256 preview stream, in bytes.
 DEFAULT_JPEG_BYTES: Dict[int, int] = {95: 80000, 80: 33380, 60: 22280}
-
-
-# "AxB" with ASCII digits only: int() alone would also take whitespace, a
-# sign, underscores and non-ASCII digits.
-_VIT_GRID_RE = re.compile(r"([0-9]+)[xX]([0-9]+)")
-
-
-def parse_vit_grid(value) -> Tuple[int, int]:
-    """A message's ``vit_grid``: a pair of integers or an ``"axb"`` string
-    of ASCII digits like ``"1x3"``. Any other value, a pair with a float or
-    bool element included, is refused, never truncated."""
-    if isinstance(value, str):
-        m = _VIT_GRID_RE.fullmatch(value)
-        if m is None:
-            raise ValueError(f"vit_grid {_echo(value)} is not of the form 'AxB'")
-        grid = (int(m.group(1)), int(m.group(2)))
-    elif _is_int_list(value, 2):
-        grid = (int(value[0]), int(value[1]))
-    else:
-        raise ValueError(f"vit_grid {_echo(value)} must be a pair of integers or 'AxB'")
-    if grid[0] < 1 or grid[1] < 1:
-        raise ValueError("vit_grid factors must be >= 1")
-    return grid
 
 
 @dataclass(frozen=True)

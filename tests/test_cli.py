@@ -51,6 +51,22 @@ def dead_zone_goal():
     return doc
 
 
+def huge_cell_move():
+    doc = tiny_warehouse()
+    doc["warehouse"]["world"]["cell_traverse_s"] = 1e308
+    return doc
+
+
+def huge_dead_zone_goal():
+    """dead_zone_goal with frames and moves of 1e300 s: the loop that never
+    closes starts at a time of 301 digits."""
+    doc = dead_zone_goal()
+    w = doc["warehouse"]
+    w["world"].update(frame_period_s=1e300, cell_traverse_s=1e300)
+    w["max_sim_time_s"] = 1e301
+    return doc
+
+
 def edited_s1(edit):
     doc = json.loads(bundled_scenario_path("warehouse-s1").read_text())
     edit(doc["warehouse"])
@@ -309,13 +325,29 @@ class TestRun:
                 "(robot 1: uplink never succeeded after 8.5 s)",
                 id="dead-zone-goal",
             ),
+            # A time of 10^12 s or more prints short, not as hundreds of digits.
+            pytest.param(
+                huge_cell_move,
+                "stop_and_go",
+                "scenario.warehouse.max_sim_time_s: method stop_and_go seed 0 did not finish within 3600.0 s "
+                "(an event fell due at 1e+308 s)",
+                id="huge-cell-move",
+            ),
+            pytest.param(
+                huge_dead_zone_goal,
+                "lorc_sc_p",
+                "scenario.warehouse.max_sim_time_s: method lorc_sc_p seed 0 did not finish within 1e+301 s "
+                "(robot 1: uplink never succeeded after 6e+300 s)",
+                id="huge-dead-zone-goal",
+            ),
         ],
     )
     def test_run_that_cannot_finish_exits_two(self, tmp_path, capsys, make, method, line, parallel):
         """Documents that validate but cannot finish a run: a route too long
         for the time limit, no uplink that can close (from the start, or from
         a loop that retries past the time limit), a first step that lands
-        past the limit. The first failing seed is named."""
+        past the limit. The first failing seed is named, in one line of at
+        most 200 characters however large the times."""
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(make()))
         assert main(["validate", str(path)]) == 0
@@ -323,7 +355,9 @@ class TestRun:
         code = main(["run", str(path), "--out", str(tmp_path / "o"), "--seeds", "0,1",
                      "--methods", method, "--parallel", parallel])
         assert code == 2
-        assert capsys.readouterr().err == line + "\n"
+        err = capsys.readouterr().err
+        assert err == line + "\n"
+        assert all(len(text) <= 200 for text in err.splitlines())
 
 
 def safety_first_chokepoint():

@@ -30,7 +30,6 @@ from r2xsim.orchestrator import (
 from r2xsim.planner import PlanConfig
 from r2xsim.radio import PathGainMap, RadioConfig, default_mcs_table
 from r2xsim.scenarios import load_scenario
-from r2xsim.sensing import SenseConfig
 from r2xsim.world import GridWorld, HumanTrack, RobotState
 
 
@@ -69,17 +68,15 @@ def json_messages():
     """Any JSON value, with the schema's own keys and values drawn often
     enough that deep fields are reached."""
     keys = st.sampled_from(
-        ["pp_config", "ra_config", "sense_config", "objective", "priority_robot",
-         "min_time_gap_at_conflict", "fairness", "priority_weights", "mode", "jpeg_quality",
-         "vit_grid", "feature_dim", "feature_bits", "qos"]
+        ["pp_config", "ra_config", "objective", "priority_robot",
+         "min_time_gap_at_conflict", "fairness", "priority_weights"]
     ) | st.text(max_size=4)
     leaves = (
         st.none() | st.booleans() | st.floats()
         | st.integers() | st.sampled_from([10**400, -(10**400), 1 << 1023, 0, 1, 2, 8, 60, 95])
         | st.text(max_size=6)
         | st.sampled_from(["none", "safety_first", "makespan", "max_min", "proportional",
-                           "vq", "jpeg", "raw", "semantic_feature", "1x1", "1x3", "2x", "x",
-                           "reliable", "best_effort", "robot_1", "robot_2", "robot_٣"])
+                           "robot_1", "robot_2", "robot_٣"])
         | st.integers(min_value=0).map(lambda n: f"robot_{n}")
         | st.integers(1, 6000).map(lambda n: "robot_" + "9" * n)
     )
@@ -109,7 +106,6 @@ class TestValidate:
         assert cfg.pp == PlanConfig("safety_first", 2, 3)
         assert cfg.ra.fairness == "max_min"
         assert cfg.ra.priority_weights == (0.3, 0.7)
-        assert cfg.sense == SenseConfig(mode="vq", vit_grid=(1, 1), qos="best_effort")
         assert not cfg.fallback
 
     def test_priority_none(self):
@@ -167,7 +163,6 @@ class TestValidate:
             (lambda m: m["pp_config"].pop("objective"), "pp_config.objective: required field missing"),
             (lambda m: m["ra_config"].pop("fairness"), "ra_config.fairness: required field missing"),
             (lambda m: m["ra_config"].pop("priority_weights"), "ra_config.priority_weights: required field missing"),
-            (lambda m: m.update(sense_config=None), "sense_config: must be an object"),
         ],
     )
     def test_error_catalogue(self, mutate, needle):
@@ -176,76 +171,6 @@ class TestValidate:
         cfg, errors = validate(msg, robot_ids=(1, 2))
         assert cfg is None
         assert any(needle in e for e in errors), errors
-
-    @pytest.mark.parametrize(
-        "sense,needle",
-        [
-            ("raw", "sense_config: must be an object"),
-            ({"mode": "vq", "codec": 1}, "sense_config.codec: unknown field"),
-            ({"mode": "hologram"}, "sense_config.mode"),
-            ({"mode": "vq", "qos": "turbo"}, "sense_config.qos"),
-            ({"mode": "jpeg", "jpeg_quality": 50}, "sense_config.jpeg_quality"),
-            ({"mode": "vq", "vit_grid": "2x2"}, "sense_config.vit_grid"),
-            ({"mode": "semantic_feature", "feature_dim": 0, "feature_bits": 8}, "feature_dim"),
-            ({"mode": "semantic_feature", "feature_dim": 64, "feature_bits": 7}, "feature_bits"),
-            (
-                {"mode": "vq", "vit_grid": {}},
-                "sense_config.vit_grid: {} is not one of ((1, 1), (1, 2), (1, 3))",
-            ),
-            ({"mode": "vq", "vit_grid": [1.0]}, "sense_config.vit_grid: [1.0] is not one of"),
-            ({"mode": "vq", "vit_grid": [math.inf, 1]}, "sense_config.vit_grid: [inf, 1] is not one of"),
-            ({"mode": "raw", "vit_grid": "9x9", "feature_bits": 3}, "sense_config.vit_grid: unknown field"),
-            ({"mode": "raw", "vit_grid": "9x9", "feature_bits": 3}, "sense_config.feature_bits: unknown field"),
-            ({"mode": "jpeg", "jpeg_quality": 80, "feature_dim": -5}, "sense_config.feature_dim: unknown field"),
-            ({"qos": "reliable"}, "sense_config.mode: required field missing"),
-            ({"mode": "jpeg"}, "sense_config.jpeg_quality: required field missing"),
-            ({"mode": "semantic_feature", "feature_dim": 64}, "sense_config.feature_bits: required field missing"),
-            ({"mode": []}, "sense_config.mode: [] is not one of"),
-            # a non-integer grid element is refused, not truncated
-            ({"mode": "vq", "vit_grid": [1.5, 2.9]}, "sense_config.vit_grid: [1.5, 2.9] is not one of"),
-            ({"mode": "vq", "vit_grid": [1.0, 2.0]}, "sense_config.vit_grid: [1.0, 2.0] is not one of"),
-            ({"mode": "vq", "vit_grid": [True, 2]}, "sense_config.vit_grid: [True, 2] is not one of"),
-            ({"mode": "vq", "vit_grid": [1, 2, 3]}, "sense_config.vit_grid: [1, 2, 3] is not one of"),
-            # an "AxB" string of anything but ASCII digits is refused, not read by int()
-            ({"mode": "vq", "vit_grid": "1x0_2"}, "sense_config.vit_grid: '1x0_2' is not one of"),
-            ({"mode": "vq", "vit_grid": " 1 x 2 "}, "sense_config.vit_grid: ' 1 x 2 ' is not one of"),
-            ({"mode": "vq", "vit_grid": "+1x2"}, "sense_config.vit_grid: '+1x2' is not one of"),
-            ({"mode": "vq", "vit_grid": "\u0661x\u0662"}, "sense_config.vit_grid: '\u0661x\u0662' is not one of"),
-            # an equal float is not an integer choice
-            ({"mode": "jpeg", "jpeg_quality": 80.0}, "sense_config.jpeg_quality: 80.0 is not one of (95, 80, 60)"),
-            (
-                {"mode": "semantic_feature", "feature_dim": 64, "feature_bits": 8.0},
-                "sense_config.feature_bits: 8.0 is not one of (4, 8, 16, 32)",
-            ),
-        ],
-    )
-    def test_sense_errors(self, sense, needle):
-        msg = json.loads(json.dumps(VALID_MESSAGE))
-        msg["sense_config"] = sense
-        cfg, errors = validate(msg, (1, 2))
-        assert cfg is None
-        assert any(needle in e for e in errors), errors
-
-    def test_sense_accepted_forms(self):
-        msg = json.loads(json.dumps(VALID_MESSAGE))
-        msg["sense_config"] = {"mode": "jpeg", "jpeg_quality": 60, "qos": "reliable"}
-        cfg, errors = validate(msg, (1, 2))
-        assert errors == [] and cfg.sense.jpeg_quality == 60
-        msg["sense_config"] = {"mode": "semantic_feature", "feature_dim": 512, "feature_bits": 8}
-        cfg, errors = validate(msg, (1, 2))
-        assert errors == [] and cfg.sense.feature_dim == 512
-        msg["sense_config"] = {"mode": "vq", "vit_grid": "1x3"}
-        cfg, errors = validate(msg, (1, 2))
-        assert errors == [] and cfg.sense.vit_grid == (1, 3)
-        msg["sense_config"] = {"mode": "vq", "vit_grid": [1, 2]}
-        cfg, errors = validate(msg, (1, 2))
-        assert errors == [] and cfg.sense.vit_grid == (1, 2)
-        msg["sense_config"] = {"mode": "vq"}
-        cfg, errors = validate(msg, (1, 2))
-        assert errors == [] and cfg.sense.vit_grid == (1, 1)
-        msg["sense_config"] = {"mode": "raw", "qos": "reliable"}
-        cfg, errors = validate(msg, (1, 2))
-        assert errors == [] and cfg.sense == SenseConfig(mode="raw", qos="reliable")
 
     @pytest.mark.parametrize(
         "mutate",
@@ -258,13 +183,6 @@ class TestValidate:
             lambda m: m["pp_config"].update(min_time_gap_at_conflict=-(10**4000)),
             lambda m: m["ra_config"].update(fairness=LONG),
             lambda m: m["ra_config"].update(fairness=[LONG] * 5000),
-            lambda m: m.update(sense_config={"mode": LONG, "qos": LONG}),
-            lambda m: m.update(sense_config={"mode": "vq", "vit_grid": LONG}),
-            lambda m: m.update(sense_config={"mode": "vq", "vit_grid": list(range(5000))}),
-            lambda m: m.update(sense_config={"mode": "jpeg", "jpeg_quality": LONG}),
-            lambda m: m.update(
-                sense_config={"mode": "semantic_feature", "feature_dim": LONG, "feature_bits": {LONG: LONG}}
-            ),
         ],
     )
     def test_long_values_give_short_error_lines(self, mutate):
@@ -284,7 +202,6 @@ class TestValidate:
     @settings(max_examples=250, deadline=None)
     @example(message={"pp_config": {"priority_robot": "robot_" + "7" * 5000}})
     @example(message={"ra_config": {"priority_weights": [1 << 1023, 1 << 1023]}})
-    @example(message={"sense_config": {"mode": []}})
     def test_any_json_value_gives_errors_or_config(self, message):
         for robot_ids in ((1, 2), None):
             cfg, errors = validate(message, robot_ids)
@@ -316,7 +233,7 @@ class TestFallbackMessage:
         }
         assert msg["ra_config"]["fairness"] == "max_min"
         assert msg["ra_config"]["priority_weights"] == pytest.approx([1 / 3] * 3)
-        assert msg["sense_config"] == {"mode": "vq", "vit_grid": "1x1", "qos": "best_effort"}
+        assert set(msg) == {"pp_config", "ra_config"}
 
     def test_fallback_always_validates(self):
         for ids in ((1,), (1, 2), (1, 2, 3, 4)):
@@ -497,7 +414,17 @@ class TestCorrectLoop:
         assert cfg.pp == PlanConfig("safety_first", None, 1)
         assert cfg.ra.fairness == "max_min"
         assert cfg.ra.priority_weights == (0.5, 0.5)
-        assert cfg.sense.vit_grid == (1, 1)
+
+    def test_sense_section_is_refused_and_reprompted(self):
+        """A message that adds a sensing section to a valid planning and
+        radio configuration is refused as an unknown field, and the engine
+        is re-prompted with that line."""
+        sensing = {**VALID_MESSAGE, "sense_config": {"mode": "vq", "vit_grid": "1x1", "qos": "best_effort"}}
+        engine = RecordingEngine([sensing, VALID_MESSAGE])
+        res = correct_loop(engine, "x", {"robot_ids": (1, 2)})
+        assert res.attempts == 2 and not res.fallback
+        assert engine.calls[1] == ["message.sense_config: unknown field"]
+        assert validate(fallback_message((1, 2)), (1, 2))[1] == []
 
     def test_engine_exceptions_are_attempts(self):
         engine = RecordingEngine([RuntimeError("boom"), VALID_MESSAGE])
@@ -556,7 +483,6 @@ def make_inputs(
         ra=RadioConfig(
             fairness="max_min", priority_weights=weights or tuple([1.0 / len(robots)] * len(robots))
         ),
-        sense=SenseConfig(),
     )
     return WarehouseInputs(
         world=world,

@@ -15,7 +15,7 @@ from r2xsim.linkadapt import PolicySpec
 from r2xsim.orchestrator import LoopBudget, fallback_message, validate
 from r2xsim.planner import PlanConfig
 from r2xsim.radio import McsEntry, McsTable, PathGainMap, RadioConfig
-from r2xsim.sensing import MODE_FIELDS, PayloadParams, SenseConfig
+from r2xsim.sensing import PayloadParams, SenseConfig
 from r2xsim.world import GridWorld, HumanTrack
 from test_scenarios import tiny_followme, tiny_mcs, tiny_warehouse
 
@@ -55,7 +55,7 @@ VALID = {
 }
 
 # Models no document sets.
-NO_DOCUMENT = (McsEntry, PolicySpec, PayloadParams)
+NO_DOCUMENT = (McsEntry, PolicySpec, PayloadParams, SenseConfig)
 
 
 def warehouse_with_human():
@@ -66,23 +66,8 @@ def warehouse_with_human():
 
 RADIO = [(tiny_warehouse, ("warehouse", "radio")), (tiny_mcs, ("mcs", "radio"))]
 
-# A valid sense_config of each mode, with each field the mode reads.
-SENSE_EXAMPLE = {
-    "raw": {},
-    "jpeg": {"jpeg_quality": 80},
-    "semantic_feature": {"feature_dim": 64, "feature_bits": 8},
-    "vq": {"vit_grid": "1x2"},
-}
-
-
-def message(mode="vq"):
-    msg = fallback_message([1])
-    msg["sense_config"] = {"mode": mode, **SENSE_EXAMPLE[mode]}
-    return msg
-
-
-def sense_of(mode):
-    return [(lambda: message(mode), ("sense_config",))]
+def message():
+    return fallback_message([1])
 
 
 class At(NamedTuple):
@@ -117,12 +102,6 @@ DOCUMENT = {
     ],
     (RadioConfig, "fairness"): [(message, ("ra_config",))],
     **{(LoopBudget, key): [(tiny_warehouse, ("warehouse", "budget"))] for key in LoopBudget.__dataclass_fields__},
-    # A mode value comes with that mode's own fields, in place of raw's none.
-    (SenseConfig, "mode"): [
-        (lambda: message("raw"), ("sense_config",), None, lambda v: {"mode": v, **SENSE_EXAMPLE.get(v, {})}),
-    ],
-    (SenseConfig, "qos"): [where for mode in MODE_FIELDS for where in sense_of(mode)],
-    **{(SenseConfig, name): sense_of(mode) for mode, names in MODE_FIELDS.items() for name in names},
 }
 
 
@@ -262,13 +241,9 @@ def test_choice_messages():
         SenseConfig(mode="video")
     with pytest.raises(ValueError, match=r"^jpeg_quality None is not one of \(95, 80, 60\)$"):
         SenseConfig(mode="jpeg")
-    msg = message("jpeg")
-    msg["sense_config"]["jpeg_quality"] = 75
+    msg = message()
     msg["ra_config"]["fairness"] = "equal"
-    assert validate(msg)[1] == [
-        "ra_config.fairness: 'equal' is not one of ('max_min', 'proportional')",
-        "sense_config.jpeg_quality: 75 is not one of (95, 80, 60)",
-    ]
+    assert validate(msg)[1] == ["ra_config.fairness: 'equal' is not one of ('max_min', 'proportional')"]
 
 
 def test_priority_weight_messages():

@@ -10,40 +10,10 @@ from r2xsim.sensing import (
     PayloadParams,
     SenseConfig,
     index_bits,
-    parse_vit_grid,
     payload_bytes,
     vq_decode,
     vq_encode,
 )
-
-
-class TestVitGrid:
-    def test_parse_forms(self):
-        assert parse_vit_grid("1x3") == (1, 3)
-        assert parse_vit_grid("1X2") == (1, 2)
-        assert parse_vit_grid((2, 2)) == (2, 2)
-        assert parse_vit_grid([1, 1]) == (1, 1)
-
-    @pytest.mark.parametrize("bad", ["1x", "3", "1x2x3", (0, 1), (1, 0)])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            parse_vit_grid(bad)
-
-    @pytest.mark.parametrize(
-        "bad", ["1x0_2", " 1 x 2 ", "1x2 ", "1x2\n", "+1x2", "1x-2", "\u0661x\u0662", "1\uff58 2", "1x\u00b2", "x"]
-    )
-    def test_refuses_all_but_ascii_digits(self, bad):
-        """Whitespace, a sign, an underscore or a non-ASCII digit is refused,
-        though int() would read each."""
-        with pytest.raises(ValueError, match=r"^vit_grid .* is not of the form 'AxB'$"):
-            parse_vit_grid(bad)
-
-    @pytest.mark.parametrize("bad", [[1.5, 2.9], [1.0, 2.0], [True, 2], (1, False), [1, 2, 3], [1], {}, None, 12])
-    def test_refuses_non_integer_pairs(self, bad):
-        """A float or bool element, or a pair of the wrong length, is refused
-        rather than truncated to an integer pair."""
-        with pytest.raises(ValueError, match=r"^vit_grid .* must be a pair of integers or 'AxB'$"):
-            parse_vit_grid(bad)
 
 
 class TestSenseConfig:
