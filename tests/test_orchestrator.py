@@ -68,7 +68,7 @@ def json_messages():
     """Any JSON value, with the schema's own keys and values drawn often
     enough that deep fields are reached."""
     keys = st.sampled_from(
-        ["pp_config", "ra_config", "objective", "priority_robot",
+        ["pp_config", "ra_config", "sense_config", "objective", "priority_robot",
          "min_time_gap_at_conflict", "fairness", "priority_weights"]
     ) | st.text(max_size=4)
     leaves = (
@@ -163,6 +163,7 @@ class TestValidate:
             (lambda m: m["pp_config"].pop("objective"), "pp_config.objective: required field missing"),
             (lambda m: m["ra_config"].pop("fairness"), "ra_config.fairness: required field missing"),
             (lambda m: m["ra_config"].pop("priority_weights"), "ra_config.priority_weights: required field missing"),
+            (lambda m: m.update(sense_config=None), "message.sense_config: unknown field"),
         ],
     )
     def test_error_catalogue(self, mutate, needle):
@@ -171,6 +172,62 @@ class TestValidate:
         cfg, errors = validate(msg, robot_ids=(1, 2))
         assert cfg is None
         assert any(needle in e for e in errors), errors
+
+    @pytest.mark.parametrize(
+        "sense",
+        [
+            # sections the schema once accepted
+            {"mode": "jpeg", "jpeg_quality": 60, "qos": "reliable"},
+            {"mode": "semantic_feature", "feature_dim": 512, "feature_bits": 8},
+            {"mode": "vq", "vit_grid": "1x3"},
+            {"mode": "vq", "vit_grid": [1, 2]},
+            {"mode": "vq"},
+            {"mode": "raw", "qos": "reliable"},
+            {},
+            # sections it once refused field by field
+            "raw",
+            None,
+            {"mode": "vq", "codec": 1},
+            {"mode": "hologram"},
+            {"mode": "vq", "qos": "turbo"},
+            {"mode": "jpeg", "jpeg_quality": 50},
+            {"mode": "vq", "vit_grid": "2x2"},
+            {"mode": "semantic_feature", "feature_dim": 0, "feature_bits": 8},
+            {"mode": "semantic_feature", "feature_dim": 64, "feature_bits": 7},
+            {"mode": "vq", "vit_grid": {}},
+            {"mode": "vq", "vit_grid": [1.0]},
+            {"mode": "vq", "vit_grid": [math.inf, 1]},
+            {"mode": "raw", "vit_grid": "9x9", "feature_bits": 3},
+            {"mode": "jpeg", "jpeg_quality": 80, "feature_dim": -5},
+            {"qos": "reliable"},
+            {"mode": "jpeg"},
+            {"mode": "semantic_feature", "feature_dim": 64},
+            {"mode": []},
+            {"mode": "vq", "vit_grid": [1.5, 2.9]},
+            {"mode": "vq", "vit_grid": [True, 2]},
+            {"mode": "vq", "vit_grid": [1, 2, 3]},
+            {"mode": "vq", "vit_grid": "1x0_2"},
+            {"mode": "vq", "vit_grid": "\u0661x\u0662"},
+            {"mode": "jpeg", "jpeg_quality": 80.0},
+            {"mode": "semantic_feature", "feature_dim": 64, "feature_bits": 8.0},
+        ],
+    )
+    def test_sense_section_is_an_unknown_field(self, sense):
+        """No run reads a sensing section, so any value of one, well formed
+        or not, is refused with the one unknown-field line and nothing from
+        inside it."""
+        msg = json.loads(json.dumps(VALID_MESSAGE))
+        msg["sense_config"] = sense
+        assert validate(msg, (1, 2)) == (None, ["message.sense_config: unknown field"])
+
+    def test_sense_section_does_not_hide_other_errors(self):
+        msg = json.loads(json.dumps(VALID_MESSAGE))
+        msg["sense_config"] = {"mode": "vq"}
+        msg["ra_config"]["fairness"] = "equal"
+        assert validate(msg, (1, 2))[1] == [
+            "message.sense_config: unknown field",
+            "ra_config.fairness: 'equal' is not one of ('max_min', 'proportional')",
+        ]
 
     @pytest.mark.parametrize(
         "mutate",
@@ -183,6 +240,13 @@ class TestValidate:
             lambda m: m["pp_config"].update(min_time_gap_at_conflict=-(10**4000)),
             lambda m: m["ra_config"].update(fairness=LONG),
             lambda m: m["ra_config"].update(fairness=[LONG] * 5000),
+            lambda m: m.update(sense_config={"mode": LONG, "qos": LONG}),
+            lambda m: m.update(sense_config={"mode": "vq", "vit_grid": LONG}),
+            lambda m: m.update(sense_config={"mode": "vq", "vit_grid": list(range(5000))}),
+            lambda m: m.update(sense_config={"mode": "jpeg", "jpeg_quality": LONG}),
+            lambda m: m.update(
+                sense_config={"mode": "semantic_feature", "feature_dim": LONG, "feature_bits": {LONG: LONG}}
+            ),
         ],
     )
     def test_long_values_give_short_error_lines(self, mutate):
@@ -202,6 +266,7 @@ class TestValidate:
     @settings(max_examples=250, deadline=None)
     @example(message={"pp_config": {"priority_robot": "robot_" + "7" * 5000}})
     @example(message={"ra_config": {"priority_weights": [1 << 1023, 1 << 1023]}})
+    @example(message={"sense_config": {"mode": []}})
     def test_any_json_value_gives_errors_or_config(self, message):
         for robot_ids in ((1, 2), None):
             cfg, errors = validate(message, robot_ids)

@@ -1,5 +1,7 @@
 """Payload accounting and VQ codebooks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ class TestSenseConfig:
             dict(mode="semantic_feature"),
             dict(mode="semantic_feature", feature_dim=0, feature_bits=8),
             dict(mode="semantic_feature", feature_dim=64, feature_bits=12),
-            dict(mode="vq", vit_grid="1x3"),  # only messages write a grid as "AxB"
+            dict(mode="vq", vit_grid="1x3"),  # a grid is a pair, never "AxB"
             dict(mode="vq", vit_grid=None),
             dict(mode="semantic_feature", feature_dim=2.5, feature_bits=8),
             dict(mode="semantic_feature", feature_dim=True, feature_bits=8),
@@ -48,6 +50,44 @@ class TestSenseConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SenseConfig(**kwargs)
+
+
+class TestVitGrid:
+    """A tile grid is one of SenseConfig's integer pairs. The "AxB" strings
+    and lists that configuration messages once carried, and pairs of floats
+    or bools, are refused, never parsed or truncated."""
+
+    GRID_ERROR = r"^vit_grid .* is not one of \(\(1, 1\), \(1, 2\), \(1, 3\)\)$"
+
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 2), (1, 3)])
+    def test_accepted_grids(self, grid):
+        params = PayloadParams()
+        cfg = SenseConfig(mode="vq", vit_grid=grid)
+        assert cfg.vit_grid == grid
+        assert payload_bytes(cfg, params) == grid[1] * payload_bytes(SenseConfig(), params)
+
+    @pytest.mark.parametrize("bad", ["1x3", "1X2", [1, 1], (2, 2), "1x", "3", "1x2x3", (0, 1), (1, 0)])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError, match=self.GRID_ERROR):
+            SenseConfig(mode="vq", vit_grid=bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["1x0_2", " 1 x 2 ", "1x2 ", "1x2\n", "+1x2", "1x-2", "\u0661x\u0662", "1\uff58 2", "1x\u00b2", "x"]
+    )
+    def test_refuses_all_but_ascii_digits(self, bad):
+        """No string is a grid, not even one that int() would read."""
+        with pytest.raises(ValueError, match=self.GRID_ERROR):
+            SenseConfig(mode="vq", vit_grid=bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[1.5, 2.9], [1.0, 2.0], [True, 2], (1, False), (1.0, 2.0), (True, 1), (math.inf, 1), [1, 2, 3], [1], {}, None, 12],
+    )
+    def test_refuses_non_integer_pairs(self, bad):
+        """A float or bool element, or a pair of the wrong length, is refused
+        rather than compared equal to an integer pair."""
+        with pytest.raises(ValueError, match=self.GRID_ERROR):
+            SenseConfig(mode="vq", vit_grid=bad)
 
 
 class TestIndexBits:
