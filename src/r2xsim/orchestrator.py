@@ -309,8 +309,8 @@ def correct_loop(
 # _MAX_PARKED_WORLDS parked worlds and _MAX_PLANS plans, and each table at
 # most _MAX_SOLO_ROUTES solo routes; when one is full it starts again empty.
 # The 20 seeds of a pinned warehouse file (a bundled file or its makespan
-# copy) need 33 to 84 tables, 2 or 3 worlds (none parked, one robot parked),
-# 62 to 141 plans and at most 7 routes on one table.
+# copy) need 26 to 49 tables, 2 or 3 worlds (none parked, one robot parked),
+# 58 to 124 plans and at most 24 routes on one table.
 _MAX_HUMAN_TABLES = 4096
 _MAX_PARKED_WORLDS = 16
 _MAX_PLANS = 4096
@@ -326,32 +326,40 @@ class HumanReservations:
     humans' forecasts as the table ``_human_reservations`` makes of them on
     that world. Both depend only on the world, the tracks, the objective,
     ``parked`` and ``frame``, not on the seed or the method, so each is
-    built on first use and kept: a parked world once per ``parked``, a
-    table once per ``(parked, frame)``. The tables are never changed:
-    their step sets are frozen, and the planner writes only into copies.
+    built on first use and kept: a parked world once per ``parked``, its
+    move table derived from the base world's, and a table once per
+    ``(parked, frame)``. The tables are never changed: their step sets are
+    frozen, and the planner writes only into copies.
+
+    From frame ``F = max(len(waypoints)) - 2`` (at least 0) on, every
+    forecast cell is a track's last waypoint and every forecast step is
+    the same, so a later frame reads the table of frame ``F``: tables and
+    replans are keyed by ``min(frame, F)``.
 
     Each table carries the solo routes ``plan`` has searched under it, and
     ``next_cells`` keeps the outcome of each replan, keyed by its content:
-    ``parked``, ``frame``, every active robot's ``(id, cell, goal)`` and the
+    ``parked``, the keyed frame, every active robot's ``(id, cell, goal)`` and the
     plan configuration, which are all that ``plan`` reads (Silver 2005:
     what stays fixed is computed once). A replan whose key was seen before
     builds no table and calls no planner.
     """
 
-    __slots__ = ("world", "tracks", "objective", "_worlds", "_tables", "_plans")
+    __slots__ = ("world", "tracks", "objective", "_last_frame", "_worlds", "_tables", "_plans")
 
     def __init__(self, world: GridWorld, tracks: Sequence[HumanTrack], objective: str):
         self.world = world
         self.tracks = tuple(tracks)
         self.objective = objective
+        self._last_frame = max(0, max((len(track.waypoints) for track in self.tracks), default=0) - 2)
         self._worlds: Dict[frozenset, GridWorld] = {}
-        self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, Dict[Cell, FrozenSet[int]], dict]] = {}
+        self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, Dict[int, FrozenSet[int]], dict]] = {}
         self._plans: Dict[tuple, Dict[int, Cell]] = {}
 
-    def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, Dict[Cell, FrozenSet[int]], dict]:
+    def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, Dict[int, FrozenSet[int]], dict]:
         """The world with ``parked`` blocked, the humans' reservation table
         on it for a replan at ``frame``, and the solo routes searched under
         that table, keyed as ``plan``'s ``routes``."""
+        frame = min(frame, self._last_frame)
         key = (parked, frame)
         found = self._tables.get(key)
         if found is not None:
@@ -361,9 +369,7 @@ class HumanReservations:
             if len(self._worlds) >= _MAX_PARKED_WORLDS:
                 self._worlds.clear()
                 self._tables.clear()  # its tables hold the worlds
-            world = self.world
-            if parked:
-                world = dataclasses.replace(world, blocked=world.blocked | parked)
+            world = self.world.blocking(parked) if parked else self.world
             self._worlds[parked] = world
         if len(self._tables) >= _MAX_HUMAN_TABLES:
             self._tables.clear()
@@ -385,6 +391,7 @@ class HumanReservations:
         ``(id, cell, goal)``, at a replan at ``frame`` with ``parked``
         blocked; empty when planning fails. The dict is shared by every
         replan with the same key and must not be changed."""
+        frame = min(frame, self._last_frame)
         key = (parked, frame, robots, pp)
         found = self._plans.get(key)
         if found is not None:

@@ -6,11 +6,17 @@ lower-priority robot is barred from the conflict, widened by a configurable
 time-gap window, and replans. Human forecasts block cells at steps for every
 robot.
 
+Inside the planner a cell is its id ``x * height + y`` (``GridWorld.cell_id``):
+the world's tables, the reservation tables and the search nodes are keyed by
+ids, and ids sort as their cells do. Robots, paths and conflicts stay
+``(x, y)`` cells; a path is turned from ids into cells only when it is
+returned, and a conflict's cells into ids only when a table takes it.
+
 As in Silver 2005 ("Cooperative Pathfinding", HCA*), what stays fixed is
 computed once and what changes is kept in a reservation table:
 
-- each ``GridWorld`` builds its neighbour table and, per goal, the BFS
-  distance field that serves as the A* heuristic, once, on first use;
+- each ``GridWorld`` builds its move table and, per goal, the BFS distance
+  field that serves as the A* heuristic, once, on first use;
 - ``plan`` reads the human forecasts as one cell -> blocked-steps table,
   built per call or handed in ready-made with a memo of the solo routes
   searched under it (the warehouse engine keeps one pair per frame and set
@@ -133,9 +139,9 @@ def default_horizon(world: GridWorld) -> int:
 
 
 class ReservationTable:
-    """One robot's reservation table: for each cell the steps at which the
-    robot may not occupy it, and the ``(cell, to_cell, step)`` moves it may
-    not make.
+    """One robot's reservation table: for each cell id the steps at which
+    the robot may not occupy the cell, and the ``(id, to_id, step)`` moves
+    it may not make.
 
     The step sets in ``cells`` may be shared with other tables:
     :meth:`block_cell` replaces a cell's step set instead of changing it, so
@@ -144,17 +150,17 @@ class ReservationTable:
 
     __slots__ = ("robot_id", "cells", "edges")
 
-    def __init__(self, robot_id: int, cells: Dict[Cell, AbstractSet[int]]):
+    def __init__(self, robot_id: int, cells: Dict[int, AbstractSet[int]]):
         self.robot_id = robot_id
         self.cells = cells
-        self.edges: Set[Tuple[Cell, Cell, int]] = set()
+        self.edges: Set[Tuple[int, int, int]] = set()
 
-    def block_cell(self, cell: Cell, step_lo: int, step_hi: int) -> None:
-        """Bar ``cell`` at every step in [step_lo, step_hi]."""
+    def block_cell(self, cell: int, step_lo: int, step_hi: int) -> None:
+        """Bar cell id ``cell`` at every step in [step_lo, step_hi]."""
         self.cells[cell] = self.cells.get(cell, frozenset()).union(range(step_lo, step_hi + 1))
 
-    def block_move(self, cell: Cell, to_cell: Cell, step: int) -> None:
-        """Bar the move ``cell -> to_cell`` from ``step`` to ``step + 1``."""
+    def block_move(self, cell: int, to_cell: int, step: int) -> None:
+        """Bar the move ``cell -> to_cell`` (ids) from ``step`` to ``step + 1``."""
         self.edges.add((cell, to_cell, step))
 
 
@@ -174,52 +180,53 @@ def low_level_search(
     (see the module docstring).
 
     ``table`` is the robot's own :class:`ReservationTable`; without one the
-    route is unconstrained. The search reads the world's neighbour table and
-    its cached BFS distance field to the goal, the admissible heuristic
-    (Silver 2005).
+    route is unconstrained. The search reads the world's move table and its
+    cached BFS distance field to the goal, the admissible heuristic (Silver
+    2005).
     """
     if horizon is None:
         horizon = default_horizon(world)
-    start, goal = robot.cell, robot.goal
-    if not world.passable(start) or not world.passable(goal):
-        raise PlanningError(f"robot {robot.id}: start {start} or goal {goal} not passable")
+    if not world.passable(robot.cell) or not world.passable(robot.goal):
+        raise PlanningError(f"robot {robot.id}: start {robot.cell} or goal {robot.goal} not passable")
     if table is None:
         table = ReservationTable(robot.id, {})
     elif table.robot_id != robot.id:
         raise ValueError(f"reservation table of robot {table.robot_id} given for robot {robot.id}")
+    start, goal = world.cell_id(robot.cell), world.cell_id(robot.goal)
     cell_blocks, edge_blocks = table.cells, table.edges
     goal_latest = max(cell_blocks.get(goal, ()), default=-1)
     if 0 in cell_blocks.get(start, ()):
         raise PlanningInfeasible(robot.id, horizon)
-    hfield = world.goal_distances(goal)
-    if start not in hfield:
+    hfield = world.goal_field(goal)
+    if hfield[start] is None:
         raise PlanningInfeasible(robot.id, horizon)
 
     # A node's f-value (step + distance to goal) is fixed, so its first push
     # is also the first of its copies to pop: a node is pushed only once,
-    # and being in ``parent`` marks it as reached. The key is
-    # (f, -step, push order, step, cell).
-    moves = world.neighbor_table
+    # and being in ``parent`` marks it as reached. A node is the int
+    # ``step * ncell + cell``; the heap key is (f, -step, push order, step,
+    # cell).
+    moves = world.moves
+    ncell = len(moves)
     push, pop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     heap = [(hfield[start], 0, next(counter), 0, start)]
-    parent: Dict[Tuple[Cell, int], Tuple[Cell, int]] = {}
+    parent: Dict[int, int] = {}
     while heap:
         _, _, _, step, cell = pop(heap)
-        node = (cell, step)
+        node = step * ncell + cell
         if cell == goal and step > goal_latest:
             cells = [cell]
-            key = node
-            while key in parent:
-                key = parent[key]
-                cells.append(key[0])
-            cells.reverse()
-            return SpaceTimePath(robot.id, tuple(cells))
+            while node in parent:
+                node = parent[node]
+                cells.append(node % ncell)
+            return SpaceTimePath(robot.id, world.cells_of(reversed(cells)))
         nstep = step + 1
         if nstep > horizon:
             continue
+        base = nstep * ncell
         for nxt in moves[cell]:
-            child = (nxt, nstep)
+            child = base + nxt
             if child in parent:
                 continue
             blocked = cell_blocks.get(nxt)
@@ -227,7 +234,7 @@ def low_level_search(
                 continue
             if edge_blocks and (cell, nxt, step) in edge_blocks:
                 continue
-            h = hfield.get(nxt)
+            h = hfield[nxt]
             if h is None or nstep + h > horizon:
                 continue
             parent[child] = node
@@ -270,51 +277,49 @@ def makespan(paths: Iterable[SpaceTimePath]) -> int:
 
 def _human_reservations(
     world: GridWorld, pairs: Sequence[Tuple[Cell, int]], objective: str
-) -> Dict[Cell, FrozenSet[int]]:
+) -> Dict[int, FrozenSet[int]]:
     """The cells and steps the human forecasts block for every robot, as one
-    cell -> steps table. Its step sets are frozen, so that the table can be
-    shared by every search that reads it.
+    cell id -> steps table. Its step sets are frozen, so that the table can
+    be shared by every search that reads it.
 
     A forecast ``(cell, step)`` blocks its cell at its step. Under
     ``safety_first`` it blocks the cell over steps ``step - 1 .. step + 1``
-    (from 0) and each free 4-neighbour at the step.
+    (from 0) and each free 4-neighbour at the step. A forecast outside the
+    grid blocks no cell of its own.
     """
-    table = world.neighbor_table
+    width, height, moves = world.width, world.height, world.moves
     safety = objective == "safety_first"
-    blocks: Dict[Cell, set] = defaultdict(set)
-    for cell, step in set(pairs):  # forecasts repeat a (cell, step) often
+    blocks: Dict[int, set] = defaultdict(set)
+    for (x, y), step in set(pairs):  # forecasts repeat a (cell, step) often
         if step < 0:
             raise ValueError(f"forecast step {step} is negative")
-        if not safety:
-            blocks[cell].add(step)
-            continue
-        blocks[cell].update((step - 1, step, step + 1) if step else (0, 1))
-        moves = table.get(cell)
-        if moves is None:  # a forecast on a blocked cell still rings its free neighbours
-            x, y = cell
-            ring = [c for c in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)) if c in table]
-        else:
-            ring = moves[:-1]
-        for nxt in ring:
-            blocks[nxt].add(step)
+        if 0 <= x < width and 0 <= y < height:
+            blocks[x * height + y].update(((step - 1, step, step + 1) if step else (0, 1)) if safety else (step,))
+        if safety:  # a forecast on a blocked cell still rings its free neighbours
+            for nx, ny in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+                if 0 <= nx < width and 0 <= ny < height and moves[nx * height + ny] is not None:
+                    blocks[nx * height + ny].add(step)
     return {cell: frozenset(steps) for cell, steps in blocks.items()}
 
 
-def _widen_conflict(conflict: Conflict, table: ReservationTable, gap: int) -> bool:
-    """Bar the table's robot from the conflict over ``gap`` steps either
-    side: the vertex cell over the window, or the robot's own move of an
-    edge conflict at each step of it. False when the table already barred
-    the conflict's own cell-step or move, so that replanning cannot help.
+def _widen_conflict(world: GridWorld, conflict: Conflict, table: ReservationTable, gap: int) -> bool:
+    """Bar the table's robot from the conflict on ``world`` over ``gap``
+    steps either side: the vertex cell over the window, or the robot's own
+    move of an edge conflict at each step of it. False when the table
+    already barred the conflict's own cell-step or move, so that replanning
+    cannot help.
     """
     lo, hi = max(0, conflict.step - gap), conflict.step + gap
     if conflict.kind == "vertex":
-        fresh = conflict.step not in table.cells.get(conflict.cell, ())
-        table.block_cell(conflict.cell, lo, hi)
+        cell = world.cell_id(conflict.cell)
+        fresh = conflict.step not in table.cells.get(cell, ())
+        table.block_cell(cell, lo, hi)
         return fresh
     if table.robot_id == conflict.robot_a:
         frm, to = conflict.cell, conflict.to_cell
     else:
         frm, to = conflict.to_cell, conflict.cell
+    frm, to = world.cell_id(frm), world.cell_id(to)
     fresh = (frm, to, conflict.step) not in table.edges
     for s in range(lo, hi + 1):
         table.block_move(frm, to, s)
@@ -322,7 +327,7 @@ def _widen_conflict(conflict: Conflict, table: ReservationTable, gap: int) -> bo
 
 
 def _solo_route(
-    world: GridWorld, robot: RobotState, human: Dict[Cell, FrozenSet[int]], horizon: int,
+    world: GridWorld, robot: RobotState, human: Dict[int, FrozenSet[int]], horizon: int,
     routes: Dict[Tuple[int, Cell, Cell, int], SpaceTimePath],
 ) -> SpaceTimePath:
     """``robot``'s route under ``human`` alone, searched once per key
@@ -339,7 +344,7 @@ def _solve_ordering(
     world: GridWorld,
     robots: Dict[int, RobotState],
     order: Sequence[int],
-    human: Dict[Cell, FrozenSet[int]],
+    human: Dict[int, FrozenSet[int]],
     gap: int,
     horizon: int,
     routes: Dict[Tuple[int, Cell, Cell, int], SpaceTimePath],
@@ -362,7 +367,7 @@ def _solve_ordering(
             tables[lower] = ReservationTable(lower, dict(human))
         # The lower robot's path was searched under its table, so the table
         # cannot bar the conflict itself unless the search is wrong.
-        if not _widen_conflict(conflict, tables[lower], gap):
+        if not _widen_conflict(world, conflict, tables[lower], gap):
             raise PlanningError(f"conflict {conflict} is already barred for robot {lower}")
         paths[lower] = low_level_search(world, robots[lower], tables[lower], horizon)
     raise PlanningError("conflict resolution did not converge")
@@ -370,26 +375,26 @@ def _solve_ordering(
 
 def _time_expanded_layers(
     world: GridWorld,
-    start: Cell,
-    goal: Cell,
+    start: int,
+    goal: int,
     arrival: int,
-    human: Dict[Cell, FrozenSet[int]],
-):
-    """Cells the lead robot may occupy at each step on some optimal route.
+    human: Dict[int, FrozenSet[int]],
+) -> List[Set[int]]:
+    """Cell ids the lead robot may occupy at each step on some optimal route.
 
     The forward sweep keeps only cells from which the goal is still within
     reach by ``arrival`` (by the static distance field); no cell of a route
     that arrives then is left out.
     """
-    moves = world.neighbor_table
-    hfield = world.goal_distances(goal)
+    moves = world.moves
+    hfield = world.goal_field(goal)
     fwd = [set() for _ in range(arrival + 1)]
     fwd[0].add(start)
     for t in range(arrival):
         left = arrival - t - 1
         for cell in fwd[t]:
             for nxt in moves[cell]:
-                h = hfield.get(nxt)
+                h = hfield[nxt]
                 if h is None or h > left:
                     continue
                 if (t + 1) in human.get(nxt, ()):
@@ -403,14 +408,14 @@ def _time_expanded_layers(
                 if nxt in bwd[t + 1] and (t + 1) not in human.get(nxt, ()):
                     bwd[t].add(cell)
                     break
-    return [sorted(fwd[t] & bwd[t]) for t in range(arrival + 1)]
+    return [fwd[t] & bwd[t] for t in range(arrival + 1)]
 
 
 def _joint_best_response(
     world: GridWorld,
     lead: RobotState,
     follow: RobotState,
-    human: Dict[Cell, FrozenSet[int]],
+    human: Dict[int, FrozenSet[int]],
     solo: SpaceTimePath,
     limit: int,
 ) -> Optional[Tuple[int, SpaceTimePath, SpaceTimePath]]:
@@ -420,34 +425,37 @@ def _joint_best_response(
 
     The lead may take any of its optimal solo routes; a breadth-first search
     over the joint state space, with the lead restricted to those routes,
-    finds the follower response minimizing the makespan. Each layer is
-    expanded in sorted order and a state's parent is the first state to
-    reach it. A follower move is pruned when the goal is out of reach by
-    ``limit`` even on an empty grid. Only used for the two-robot makespan
-    objective with a zero gap window.
+    finds the follower response minimizing the makespan. A joint state is
+    the int ``lead id * ncell + follower id``, which sorts as the pair of
+    cells does. Each layer is expanded in sorted order and a state's parent
+    is the first state to reach it. A follower move is pruned when the goal
+    is out of reach by ``limit`` even on an empty grid. Only used for the
+    two-robot makespan objective with a zero gap window.
     """
     t1 = solo.arrival_step
     if t1 > limit:
         return None
-    layers = _time_expanded_layers(world, lead.cell, lead.goal, t1, human)
-    goal1, goal2 = lead.goal, follow.goal
+    moves = world.moves
+    ncell = len(moves)
+    goal1, goal2 = world.cell_id(lead.goal), world.cell_id(follow.goal)
+    layers = _time_expanded_layers(world, world.cell_id(lead.cell), goal1, t1, human)
     fol_goal_latest = max(human.get(goal2, ()), default=-1)
-    moves = world.neighbor_table
-    hfield = world.goal_distances(goal2)
+    hfield = world.goal_field(goal2)
     parked = [goal1]
 
-    start_state = (lead.cell, follow.cell)
-    goal_state = (goal1, goal2)
+    start_state = world.cell_id(lead.cell) * ncell + world.cell_id(follow.cell)
+    goal_state = goal1 * ncell + goal2
     frontier = [start_state]
-    parents: List[Dict[Tuple[Cell, Cell], Tuple[Cell, Cell]]] = [{start_state: None}]
+    parents: List[Dict[int, Optional[int]]] = [{start_state: None}]
     t = 0
     while True:
         if t >= t1 and t > fol_goal_latest and goal_state in parents[t]:
             cells1, cells2 = [], []
             state, step = goal_state, t
             while state is not None:
-                cells1.append(state[0])
-                cells2.append(state[1])
+                c1, c2 = divmod(state, ncell)
+                cells1.append(c1)
+                cells2.append(c2)
                 state = parents[step][state]
                 step -= 1
             cells1.reverse()
@@ -455,38 +463,40 @@ def _joint_best_response(
             cells1 = cells1[: t1 + 1]
             while len(cells2) >= 2 and cells2[-1] == goal2 and cells2[-2] == goal2:
                 cells2.pop()
-            return t, SpaceTimePath(lead.id, tuple(cells1)), SpaceTimePath(follow.id, tuple(cells2))
+            return t, SpaceTimePath(lead.id, world.cells_of(cells1)), SpaceTimePath(follow.id, world.cells_of(cells2))
         if t == limit:
             return None
         nstep = t + 1
         slack = limit - nstep
         # Each robot's moves depend only on its own cell within a layer.
-        lead_moves: Dict[Cell, List[Cell]] = {}
+        lead_moves: Dict[int, List[int]] = {}
         if nstep <= t1:
-            lead_layer = set(layers[nstep])
-            for c1, _ in frontier:
+            lead_layer = layers[nstep]
+            for state in frontier:
+                c1 = state // ncell
                 if c1 not in lead_moves:
                     lead_moves[c1] = [n for n in moves[c1] if n in lead_layer]
-        fol_moves: Dict[Cell, List[Cell]] = {}
-        nxt_parents: Dict[Tuple[Cell, Cell], Tuple[Cell, Cell]] = {}
+        fol_moves: Dict[int, List[int]] = {}
+        nxt_parents: Dict[int, Optional[int]] = {}
         for state in frontier:
-            c1, c2 = state
+            c1, c2 = divmod(state, ncell)
             moves1 = lead_moves.get(c1, parked)
             moves2 = fol_moves.get(c2)
             if moves2 is None:
                 moves2 = fol_moves[c2] = []
                 for n in moves[c2]:
-                    d = hfield.get(n)
+                    d = hfield[n]
                     if d is None or d > slack:
                         continue
                     if nstep in human.get(n, ()):
                         continue
                     moves2.append(n)
             for n1 in moves1:
+                base = n1 * ncell
                 for n2 in moves2:
                     if n1 == n2 or (n1 == c2 and n2 == c1):
                         continue
-                    child = (n1, n2)
+                    child = base + n2
                     if child not in nxt_parents:
                         nxt_parents[child] = state
         if not nxt_parents:
@@ -499,7 +509,7 @@ def _joint_best_response(
 def plan(
     world: GridWorld,
     robots: Sequence[RobotState],
-    human_forecasts: Union[Iterable[Tuple[Cell, int]], Dict[Cell, FrozenSet[int]]],
+    human_forecasts: Union[Iterable[Tuple[Cell, int]], Dict[int, FrozenSet[int]]],
     cfg: PlanConfig,
     horizon: Optional[int] = None,
     routes: Optional[Dict[Tuple[int, Cell, Cell, int], SpaceTimePath]] = None,
@@ -507,8 +517,9 @@ def plan(
     """Conflict-free paths for all robots.
 
     ``human_forecasts`` is the humans' ``(cell, step)`` forecasts, or, as a
-    dict, the table ``_human_reservations`` made of them on ``world`` under
-    ``cfg.objective``; such a table is read as it is and never changed.
+    dict, the cell id -> steps table ``_human_reservations`` made of them on
+    ``world`` under ``cfg.objective``; such a table is read as it is and
+    never changed.
 
     ``routes`` holds solo routes already searched on ``world`` under that
     same table, keyed by ``(robot id, start, goal, horizon)``: a robot's

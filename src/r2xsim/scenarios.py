@@ -406,7 +406,8 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     # no constrained replan does better; the distance fields stay cached.
     horizon = default_horizon(grid)
     for i, (start, goal) in enumerate(zip(starts, goals)):
-        if grid.goal_distances(goal).get(start, horizon + 1) > horizon:
+        steps = grid.goal_field(grid.cell_id(goal))[grid.cell_id(start)]
+        if steps is None or steps > horizon:
             why = f"cell {_echo(goal)} cannot be reached from start {_echo(start)} within {horizon} steps"
             ck.fail(f"{p}.robots[{i}].goal", why)
     if ck.errors:

@@ -7,17 +7,14 @@ frames; robots traverse one cell per ``cell_traverse_s`` seconds.
 
 from __future__ import annotations
 
-from collections import deque
+import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from .schema import _MAX_HORIZON_FRAMES, bounded, check_bounds
 
 Cell = Tuple[int, int]
-
-# Neighbor offsets in deterministic order: north, east, south, west.
-_NESW = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 
 @dataclass(frozen=True)
@@ -26,9 +23,10 @@ class GridWorld:
 
     ``blocked`` holds cells that can never be entered (racks, walls).
 
-    Tables derived from the grid (the neighbour table and the goal distance
-    fields) are built on first use and kept on the instance; they take no
-    part in equality or hashing.
+    Tables derived from the grid (the move table and the goal distance
+    fields) are flat lists indexed by cell id (:meth:`cell_id`), built on
+    first use and kept on the instance; they take no part in equality or
+    hashing.
     """
 
     width: int = bounded(lo=1, integer=True)
@@ -51,46 +49,100 @@ class GridWorld:
     def passable(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and cell not in self.blocked
 
-    @cached_property
-    def neighbor_table(self) -> Dict[Cell, Tuple[Cell, ...]]:
-        """``{cell: moves}`` for every passable cell: the in-bounds, unblocked
-        moves in N, E, S, W order, then the wait move (the cell itself).
-        Its keys are exactly the passable cells."""
-        width, height, blocked = self.width, self.height, self.blocked
-        table = {}
-        for x in range(width):
-            for y in range(height):
-                cell = (x, y)
-                if cell in blocked:
-                    continue
-                moves = [(x + dx, y + dy) for dx, dy in _NESW]
-                table[cell] = tuple(
-                    c for c in moves if 0 <= c[0] < width and 0 <= c[1] < height and c not in blocked
-                ) + (cell,)
-        return table
+    def cell_id(self, cell: Cell) -> int:
+        """The id ``x * height + y`` of an in-bounds cell. Ids sort as their
+        cells do, and ``divmod(id, height)`` is the cell again."""
+        return cell[0] * self.height + cell[1]
 
     @cached_property
-    def _goal_fields(self) -> Dict[Cell, Dict[Cell, int]]:
+    def moves(self) -> List[Optional[Tuple[int, ...]]]:
+        """The move table, indexed by cell id: for a passable cell the ids of
+        its in-bounds, unblocked moves in N, E, S, W order, then the wait
+        move (the cell itself); None for a blocked cell."""
+        width, height = self.width, self.height
+        ids = list(range(width * height))  # entries share these int objects
+        free = [True] * len(ids)
+        for x, y in self.blocked:
+            free[x * height + y] = False
+        moves: List[Optional[Tuple[int, ...]]] = [None] * len(ids)
+        for c in ids:
+            if not free[c]:
+                continue
+            x, y = divmod(c, height)
+            row = []
+            if y + 1 < height and free[c + 1]:
+                row.append(ids[c + 1])
+            if x + 1 < width and free[c + height]:
+                row.append(ids[c + height])
+            if y and free[c - 1]:
+                row.append(ids[c - 1])
+            if x and free[c - height]:
+                row.append(ids[c - height])
+            row.append(c)
+            moves[c] = tuple(row)
+        return moves
+
+    @cached_property
+    def _cells(self) -> Dict[int, Cell]:
         return {}
 
-    def goal_distances(self, goal: Cell) -> Dict[Cell, int]:
-        """Step distance to ``goal`` from every cell that can reach it (a
-        breadth-first search from a passable ``goal``), computed once per goal.
-        The returned dict is shared between callers and must not be changed."""
+    def cells_of(self, ids: Iterable[int]) -> Tuple[Cell, ...]:
+        """The cells with ``ids``. Each cell is made once, on first need, and
+        shared by every path on this world and on the worlds derived from it."""
+        memo, height = self._cells, self.height
+        out = []
+        for c in ids:
+            cell = memo.get(c)
+            if cell is None:
+                cell = memo[c] = divmod(c, height)
+            out.append(cell)
+        return tuple(out)
+
+    def blocking(self, cells: AbstractSet[Cell]) -> GridWorld:
+        """This world with ``cells`` blocked as well. Its move table is
+        derived from this one's: only the entries of ``cells`` and of their
+        neighbours are rewritten."""
+        world = dataclasses.replace(self, blocked=self.blocked | cells)
+        base = self.moves
+        moves = list(base)
+        gone = {self.cell_id(c) for c in cells}
+        touched = set()
+        for c in gone:
+            if base[c] is not None:
+                touched.update(base[c])
+            moves[c] = None
+        for c in touched - gone:
+            moves[c] = tuple(n for n in base[c] if n not in gone)
+        world.__dict__["moves"] = moves
+        world.__dict__["_cells"] = self._cells
+        return world
+
+    @cached_property
+    def _goal_fields(self) -> Dict[int, List[Optional[int]]]:
+        return {}
+
+    def goal_field(self, goal: int) -> List[Optional[int]]:
+        """Step distance to the cell with id ``goal`` from every cell, by id,
+        None where the goal cannot be reached (a breadth-first search from a
+        passable ``goal``), computed once per goal. The returned list is
+        shared between callers and must not be changed."""
         dist = self._goal_fields.get(goal)
         if dist is None:
-            table = self.neighbor_table
-            if goal not in table:
-                raise ValueError(f"cell {goal} is blocked or out of bounds")
-            dist = {goal: 0}
-            queue = deque([goal])
-            while queue:
-                cur = queue.popleft()
-                d = dist[cur] + 1
-                for nxt in table[cur]:
-                    if nxt not in dist:
-                        dist[nxt] = d
-                        queue.append(nxt)
+            moves = self.moves
+            if moves[goal] is None:
+                raise ValueError(f"cell {divmod(goal, self.height)} is blocked")
+            dist = [None] * len(moves)
+            dist[goal] = 0
+            layer, d = [goal], 0
+            while layer:
+                d += 1
+                nxt = []
+                for cur in layer:
+                    for n in moves[cur]:
+                        if dist[n] is None:
+                            dist[n] = d
+                            nxt.append(n)
+                layer = nxt
             self._goal_fields[goal] = dist
         return dist
 

@@ -10,6 +10,18 @@ space-time, and keeps the minimum.  The overall optimum is the better of
 the two orderings.  This is deliberately brute force and shares no code
 with the production planner.
 
+The planner's references work on ``(x, y)`` cells, as the planner did
+before cells became ids, and share no table or search with it:
+``reference_moves`` and ``reference_goal_distances`` are the world's move
+table and goal distance fields as cell-keyed dicts,
+``reference_human_reservations`` and :class:`ReferenceTable` the human and
+per-robot reservation tables keyed by cells, ``reference_widen_conflict``
+the conflict window, ``reference_layers`` and
+``reference_bounded_joint_search`` the lead's layers and the bounded joint
+search over pairs of cells, and ``reference_plan`` picks the plan reference
+that ``plan``'s rules pick. ``table_ids`` turns a cell-keyed table into the
+id-keyed one the planner reads.
+
 ``reference_makespan_plan`` is the two-robot makespan refinement as it was
 before its joint search was bounded: ``reference_joint_best_response`` is
 the unpruned breadth-first search, kept to check that the bound changes no
@@ -20,8 +32,9 @@ was before an ordering whose bound lies below the larger solo arrival step
 was skipped: every ordering whose lead has a solo route is searched.
 
 ``reference_plan_next`` is the warehouse replan as it was before the plan
-and route memos: every replan builds its world and human table afresh
-(``reference_human_table``) and calls ``plan``.
+and route memos and the clamped frame: every replan builds its world and
+human table afresh at its own frame (``reference_human_table``) and calls
+``plan``.
 
 ``reference_low_level_search`` is the space-time A* as it was before ties
 on f went to the deeper node: first in, first out among equal f-values. It
@@ -70,6 +83,7 @@ per-step policy loop over them.
 """
 
 import dataclasses
+import functools
 import heapq
 import itertools
 import math
@@ -85,16 +99,9 @@ from r2xsim.planner import (
     _MAX_RESOLUTION_ROUNDS,
     PlanningError,
     PlanningInfeasible,
-    ReservationTable,
     SpaceTimePath,
-    _human_reservations,
-    _joint_best_response,
-    _solve_ordering,
-    _time_expanded_layers,
-    _widen_conflict,
     default_horizon,
     detect_first_conflict,
-    low_level_search,
     makespan,
     plan,
 )
@@ -559,6 +566,232 @@ def reference_run_policy(
     return PolicyTimeSeries(spec, mcs, tput, lat, blr, succ)
 
 
+# --------------------------------------------------------------------------
+# The planner on (x, y) cells, as it was before cells became ids
+
+
+@functools.lru_cache(maxsize=64)
+def reference_moves(world):
+    """``{cell: moves}`` for every passable cell: the in-bounds, unblocked
+    moves in N, E, S, W order, then the wait move (the cell itself)."""
+    table = {}
+    for x in range(world.width):
+        for y in range(world.height):
+            cell = (x, y)
+            if cell in world.blocked:
+                continue
+            moves = [(x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)]
+            table[cell] = tuple(c for c in moves if world.passable(c)) + (cell,)
+    return table
+
+
+@functools.lru_cache(maxsize=256)
+def reference_goal_distances(world, goal):
+    """Step distance to ``goal`` from every cell that can reach it."""
+    table = reference_moves(world)
+    if goal not in table:
+        raise ValueError(f"cell {goal} is blocked or out of bounds")
+    dist = {goal: 0}
+    queue = deque([goal])
+    while queue:
+        cur = queue.popleft()
+        for nxt in table[cur]:
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return dist
+
+
+def table_ids(world, table):
+    """A cell -> steps table keyed by cell ids instead, without the cells
+    outside ``world``."""
+    return {world.cell_id(cell): steps for cell, steps in table.items() if world.in_bounds(cell)}
+
+
+class ReferenceTable:
+    """One robot's reservation table on cells: for each cell the steps it is
+    barred at, and the ``(cell, to_cell, step)`` moves it may not make."""
+
+    def __init__(self, robot_id, cells):
+        self.robot_id = robot_id
+        self.cells = cells
+        self.edges = set()
+
+    def block_cell(self, cell, step_lo, step_hi):
+        self.cells[cell] = self.cells.get(cell, frozenset()).union(range(step_lo, step_hi + 1))
+
+    def block_move(self, cell, to_cell, step):
+        self.edges.add((cell, to_cell, step))
+
+
+def reference_human_reservations(world, pairs, objective):
+    """``forecast_reservations`` as the planner's cell-keyed table was: its
+    step sets frozen, and a negative forecast step refused."""
+    for _, step in pairs:
+        if step < 0:
+            raise ValueError(f"forecast step {step} is negative")
+    return {cell: frozenset(steps) for cell, steps in forecast_reservations(world, pairs, objective).items()}
+
+
+def reference_widen_conflict(conflict, table, gap):
+    """Bar ``table``'s robot from ``conflict`` over ``gap`` steps either
+    side; False when the conflict's own cell-step or move was barred."""
+    lo, hi = max(0, conflict.step - gap), conflict.step + gap
+    if conflict.kind == "vertex":
+        fresh = conflict.step not in table.cells.get(conflict.cell, ())
+        table.block_cell(conflict.cell, lo, hi)
+        return fresh
+    if table.robot_id == conflict.robot_a:
+        frm, to = conflict.cell, conflict.to_cell
+    else:
+        frm, to = conflict.to_cell, conflict.cell
+    fresh = (frm, to, conflict.step) not in table.edges
+    for s in range(lo, hi + 1):
+        table.block_move(frm, to, s)
+    return fresh
+
+
+def reference_low_level_search(world, robot, table=None, horizon=None):
+    """``low_level_search`` on cells under a :class:`ReferenceTable`, with
+    first-in-first-out order among equal f-values: the heap key is ``(f,
+    push order, step, cell)``."""
+    if horizon is None:
+        horizon = default_horizon(world)
+    start, goal = tuple(robot.cell), tuple(robot.goal)
+    if not world.passable(start) or not world.passable(goal):
+        raise PlanningError(f"robot {robot.id}: start {start} or goal {goal} not passable")
+    if table is None:
+        table = ReferenceTable(robot.id, {})
+    elif table.robot_id != robot.id:
+        raise ValueError(f"reservation table of robot {table.robot_id} given for robot {robot.id}")
+    cell_blocks, edge_blocks = table.cells, table.edges
+    goal_latest = max(cell_blocks.get(goal, ()), default=-1)
+    if 0 in cell_blocks.get(start, ()):
+        raise PlanningInfeasible(robot.id, horizon)
+    hfield = reference_goal_distances(world, goal)
+    if start not in hfield:
+        raise PlanningInfeasible(robot.id, horizon)
+    moves = reference_moves(world)
+    counter = itertools.count()
+    heap = [(hfield[start], next(counter), 0, start)]
+    parent = {}
+    while heap:
+        _, _, step, cell = heapq.heappop(heap)
+        node = (cell, step)
+        if cell == goal and step > goal_latest:
+            cells = [cell]
+            key = node
+            while key in parent:
+                key = parent[key]
+                cells.append(key[0])
+            cells.reverse()
+            return SpaceTimePath(robot.id, tuple(cells))
+        nstep = step + 1
+        if nstep > horizon:
+            continue
+        for nxt in moves[cell]:
+            child = (nxt, nstep)
+            if child in parent:
+                continue
+            blocked = cell_blocks.get(nxt)
+            if blocked is not None and nstep in blocked:
+                continue
+            if edge_blocks and (cell, nxt, step) in edge_blocks:
+                continue
+            h = hfield.get(nxt)
+            if h is None or nstep + h > horizon:
+                continue
+            parent[child] = node
+            heapq.heappush(heap, (nstep + h, next(counter), nstep, nxt))
+    raise PlanningInfeasible(robot.id, horizon)
+
+
+def reference_layers(world, start, goal, arrival, human):
+    """The cells the lead robot may occupy at each step on some route that
+    reaches ``goal`` at ``arrival`` under the cell -> steps table ``human``,
+    each step's cells sorted."""
+    moves = reference_moves(world)
+    hfield = reference_goal_distances(world, goal)
+    fwd = [set() for _ in range(arrival + 1)]
+    fwd[0].add(start)
+    for t in range(arrival):
+        left = arrival - t - 1
+        for cell in fwd[t]:
+            for nxt in moves[cell]:
+                h = hfield.get(nxt)
+                if h is None or h > left:
+                    continue
+                if (t + 1) in human.get(nxt, ()):
+                    continue
+                fwd[t + 1].add(nxt)
+    bwd = [set() for _ in range(arrival + 1)]
+    bwd[arrival].add(goal)
+    for t in range(arrival - 1, -1, -1):
+        for cell in fwd[t]:
+            for nxt in moves[cell]:
+                if nxt in bwd[t + 1] and (t + 1) not in human.get(nxt, ()):
+                    bwd[t].add(cell)
+                    break
+    return [sorted(fwd[t] & bwd[t]) for t in range(arrival + 1)]
+
+
+def reference_bounded_joint_search(world, lead, follow, human, solo, limit):
+    """``planner._joint_best_response`` on cells: the bounded joint search
+    of one ordering, its states ``(lead cell, follower cell)`` pairs."""
+    t1 = solo.arrival_step
+    if t1 > limit:
+        return None
+    layers = reference_layers(world, lead.cell, lead.goal, t1, human)
+    goal1, goal2 = lead.goal, follow.goal
+    fol_goal_latest = max(human.get(goal2, ()), default=-1)
+    moves = reference_moves(world)
+    hfield = reference_goal_distances(world, goal2)
+    start_state = (lead.cell, follow.cell)
+    goal_state = (goal1, goal2)
+    frontier = [start_state]
+    parents = [{start_state: None}]
+    t = 0
+    while True:
+        if t >= t1 and t > fol_goal_latest and goal_state in parents[t]:
+            cells1, cells2 = [], []
+            state, step = goal_state, t
+            while state is not None:
+                cells1.append(state[0])
+                cells2.append(state[1])
+                state = parents[step][state]
+                step -= 1
+            cells1.reverse()
+            cells2.reverse()
+            cells1 = cells1[: t1 + 1]
+            while len(cells2) >= 2 and cells2[-1] == goal2 and cells2[-2] == goal2:
+                cells2.pop()
+            return t, SpaceTimePath(lead.id, tuple(cells1)), SpaceTimePath(follow.id, tuple(cells2))
+        if t == limit:
+            return None
+        nstep = t + 1
+        slack = limit - nstep
+        lead_layer = set(layers[nstep]) if nstep <= t1 else {goal1}
+        nxt_parents = {}
+        for state in frontier:
+            c1, c2 = state
+            moves1 = [n for n in moves[c1] if n in lead_layer] if nstep <= t1 else [goal1]
+            moves2 = [
+                n for n in moves[c2]
+                if hfield.get(n) is not None and hfield[n] <= slack and nstep not in human.get(n, ())
+            ]
+            for n1 in moves1:
+                for n2 in moves2:
+                    if n1 == n2 or (n1 == c2 and n2 == c1):
+                        continue
+                    if (n1, n2) not in nxt_parents:
+                        nxt_parents[(n1, n2)] = state
+        if not nxt_parents:
+            return None
+        frontier = sorted(nxt_parents)
+        parents.append(nxt_parents)
+        t = nstep
+
+
 def reference_joint_best_response(world, lead, follow, base, horizon):
     """Best makespan when ``lead`` plans first and ``follow`` responds, by a
     breadth-first search over both robots' states with no pruning: the lead
@@ -569,14 +802,14 @@ def reference_joint_best_response(world, lead, follow, base, horizon):
     lead_eb = lead_table.edges
     fol_cb, fol_eb = fol_table.cells, fol_table.edges
     try:
-        solo = low_level_search(world, lead, lead_table, horizon)
+        solo = reference_low_level_search(world, lead, lead_table, horizon)
     except PlanningInfeasible:
         return None
     t1 = solo.arrival_step
-    layers = _time_expanded_layers(world, tuple(lead.cell), tuple(lead.goal), t1, lead_table.cells)
+    layers = reference_layers(world, tuple(lead.cell), tuple(lead.goal), t1, lead_table.cells)
     goal1, goal2 = tuple(lead.goal), tuple(follow.goal)
     fol_goal_latest = max(fol_cb.get(goal2, ()), default=-1)
-    moves = world.neighbor_table
+    moves = reference_moves(world)
 
     start_state = (tuple(lead.cell), tuple(follow.cell))
     frontier = {start_state}
@@ -637,9 +870,9 @@ def reference_makespan_plan(world, robots, forecasts, horizon):
     horizon)`` for two robots on a grid of at most 200 cells: the better of
     the two orderings' unpruned joint searches, the first on a tie."""
     pairs = [(tuple(c), int(s)) for c, s in forecasts]
-    human = _human_reservations(world, pairs, "makespan")
+    human = reference_human_reservations(world, pairs, "makespan")
     by_id = {r.id: r for r in robots}
-    base = {rid: ReservationTable(rid, human) for rid in by_id}
+    base = {rid: ReferenceTable(rid, human) for rid in by_id}
     order = sorted(by_id)
     best = None
     for lead_id, follow_id in (order, order[::-1]):
@@ -658,25 +891,25 @@ def reference_refinement_plan(world, robots, forecasts, horizon):
     joint search of each ordering whose lead has a solo route, the second
     kept only when strictly better, with no ordering skipped."""
     pairs = [(tuple(c), int(s)) for c, s in forecasts]
-    human = _human_reservations(world, pairs, "makespan")
+    human = reference_human_reservations(world, pairs, "makespan")
     by_id = {r.id: r for r in robots}
     order = sorted(by_id)
     solo = {}
     for rid in order:
         try:
-            solo[rid] = low_level_search(world, by_id[rid], ReservationTable(rid, human), horizon)
+            solo[rid] = reference_low_level_search(world, by_id[rid], ReferenceTable(rid, human), horizon)
         except PlanningInfeasible:
             pass
     limit = horizon
     if len(solo) == 2:
         try:
-            limit = makespan(_solve_ordering(world, by_id, order, human, 0, horizon, {}).values())
+            limit = makespan(reference_solve_ordering(world, by_id, order, human, 0, horizon).values())
         except PlanningError:
             pass
     best = None
     for lead_id, follow_id in (order, order[::-1]):
         if lead_id in solo:
-            res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], human, solo[lead_id], limit)
+            res = reference_bounded_joint_search(world, by_id[lead_id], by_id[follow_id], human, solo[lead_id], limit)
             if res is not None:
                 best, limit = res, res[0] - 1
     if best is None:
@@ -685,58 +918,21 @@ def reference_refinement_plan(world, robots, forecasts, horizon):
     return [solved[r.id] for r in robots]
 
 
-def reference_human_table(inputs, parked, frame):
-    """The world and human reservation table of a warehouse replan at
-    ``frame`` with ``parked`` blocked, built afresh from ``inputs``: a
-    ``WarehouseInputs`` or a ``WarehouseSimulation``, whose ``world``,
-    ``tracks`` and ``cfg`` it reads."""
-    world = inputs.world
-    if parked:
-        world = dataclasses.replace(world, blocked=world.blocked | parked)
-    ratio = world.frame_period_s / world.cell_traverse_s
-    pairs = [
-        (cell, max(1, math.ceil((abs_frame - frame) * ratio)))
-        for track in inputs.tracks
-        for cell, abs_frame in human_forecast(track, frame)
-    ]
-    return world, _human_reservations(world, pairs, inputs.cfg.pp.objective)
-
-
-def reference_plan_next(sim, rt, plan_time):
-    """``WarehouseSimulation._plan_next`` with no memo: the next cell of the
-    robot whose record is ``rt`` from a fresh ``plan``, or None. Two active
-    robots planning from one cell give None before any planning."""
-    active = [other for _, other in sorted(sim.robots.items()) if not other.arrived]
-    states = [RobotState(other.id, other.pending_target or other.cell, other.goal) for other in active]
-    if len({s.cell for s in states}) != len(states):
-        return None
-    parked = frozenset(other.goal for other in sim.robots.values() if other.arrived)
-    world, human = reference_human_table(sim, parked, sim._frame(plan_time))
-    pp = sim.cfg.pp if sim.cfg.pp.priority_robot in [s.id for s in states] else sim._pp_without_priority
-    try:
-        paths = plan(world, states, human, pp)
-    except PlanningError:
-        return None
-    for p in paths:
-        if p.robot_id == rt.id:
-            return p.at(1)
-    return None
-
-
 def reference_solve_ordering(world, robots, order, human, gap, horizon):
-    """Paths for ``order`` by priority, every solo route searched afresh."""
+    """Paths for ``order`` by priority under the cell -> steps table
+    ``human``, every solo route searched afresh."""
     gap = min(gap, horizon)
     rank = {rid: i for i, rid in enumerate(order)}
-    tables = {rid: ReservationTable(rid, dict(human)) for rid in order}
-    paths = {rid: low_level_search(world, robots[rid], tables[rid], horizon) for rid in order}
+    tables = {rid: ReferenceTable(rid, dict(human)) for rid in order}
+    paths = {rid: reference_low_level_search(world, robots[rid], tables[rid], horizon) for rid in order}
     for _ in range(_MAX_RESOLUTION_ROUNDS):
         conflict = detect_first_conflict([paths[rid] for rid in order])
         if conflict is None:
             return paths
         lower = conflict.robot_a if rank[conflict.robot_a] > rank[conflict.robot_b] else conflict.robot_b
-        if not _widen_conflict(conflict, tables[lower], gap):
+        if not reference_widen_conflict(conflict, tables[lower], gap):
             raise PlanningError(f"conflict {conflict} is already barred for robot {lower}")
-        paths[lower] = low_level_search(world, robots[lower], tables[lower], horizon)
+        paths[lower] = reference_low_level_search(world, robots[lower], tables[lower], horizon)
     raise PlanningError("conflict resolution did not converge")
 
 
@@ -754,13 +950,13 @@ def reference_prioritized_plan(world, robots, forecasts, cfg, horizon):
     if len(set(starts)) != len(starts) or len(set(goals)) != len(goals):
         raise PlanningError("robot starts and goals must be pairwise distinct")
     pairs = [(tuple(c), int(s)) for c, s in forecasts]
-    human = _human_reservations(world, pairs, cfg.objective)
+    human = reference_human_reservations(world, pairs, cfg.objective)
     if cfg.priority_robot is not None:
         order = [cfg.priority_robot] + sorted(i for i in ids if i != cfg.priority_robot)
     else:
         order = sorted(ids)
     if len(robots) == 1:
-        return [low_level_search(world, robots[0], ReservationTable(ids[0], human), horizon)]
+        return [reference_low_level_search(world, robots[0], ReferenceTable(ids[0], human), horizon)]
     if len(robots) <= 4:
         if cfg.priority_robot is not None:
             rest = [i for i in order if i != cfg.priority_robot]
@@ -789,55 +985,52 @@ def reference_prioritized_plan(world, robots, forecasts, cfg, horizon):
     return [best_paths[r.id] for r in robots]
 
 
-def reference_low_level_search(world, robot, table=None, horizon=None):
-    """``low_level_search`` with first-in-first-out order among equal
-    f-values: the heap key is ``(f, push order, step, cell)``."""
-    if horizon is None:
-        horizon = default_horizon(world)
-    start, goal = tuple(robot.cell), tuple(robot.goal)
-    if not world.passable(start) or not world.passable(goal):
-        raise PlanningError(f"robot {robot.id}: start {start} or goal {goal} not passable")
-    if table is None:
-        table = ReservationTable(robot.id, {})
-    elif table.robot_id != robot.id:
-        raise ValueError(f"reservation table of robot {table.robot_id} given for robot {robot.id}")
-    cell_blocks, edge_blocks = table.cells, table.edges
-    goal_latest = max(cell_blocks.get(goal, ()), default=-1)
-    if 0 in cell_blocks.get(start, ()):
-        raise PlanningInfeasible(robot.id, horizon)
-    hfield = world.goal_distances(goal)
-    if start not in hfield:
-        raise PlanningInfeasible(robot.id, horizon)
-    moves = world.neighbor_table
-    counter = itertools.count()
-    heap = [(hfield[start], next(counter), 0, start)]
-    parent = {}
-    while heap:
-        _, _, step, cell = heapq.heappop(heap)
-        node = (cell, step)
-        if cell == goal and step > goal_latest:
-            cells = [cell]
-            key = node
-            while key in parent:
-                key = parent[key]
-                cells.append(key[0])
-            cells.reverse()
-            return SpaceTimePath(robot.id, tuple(cells))
-        nstep = step + 1
-        if nstep > horizon:
-            continue
-        for nxt in moves[cell]:
-            child = (nxt, nstep)
-            if child in parent:
-                continue
-            blocked = cell_blocks.get(nxt)
-            if blocked is not None and nstep in blocked:
-                continue
-            if edge_blocks and (cell, nxt, step) in edge_blocks:
-                continue
-            h = hfield.get(nxt)
-            if h is None or nstep + h > horizon:
-                continue
-            parent[child] = node
-            heapq.heappush(heap, (nstep + h, next(counter), nstep, nxt))
-    raise PlanningInfeasible(robot.id, horizon)
+def reference_plan(world, robots, forecasts, cfg, horizon):
+    """``plan(world, robots, forecasts, cfg, horizon)`` on cells, for robots
+    with distinct ids, starts and goals: the refinement for two robots under
+    makespan with a zero gap and no priority robot on a grid of at most 200
+    cells, else the prioritized loop."""
+    if (cfg.objective == "makespan" and len(robots) == 2 and cfg.min_time_gap_at_conflict == 0
+            and cfg.priority_robot is None and world.width * world.height <= 200):
+        return reference_refinement_plan(world, robots, forecasts, horizon)
+    return reference_prioritized_plan(world, robots, forecasts, cfg, horizon)
+
+
+def reference_human_table(inputs, parked, frame):
+    """The world and the cell -> steps human reservation table of a
+    warehouse replan at ``frame`` with ``parked`` blocked, built afresh from
+    ``inputs``: a ``WarehouseInputs`` or a ``WarehouseSimulation``, whose
+    ``world``, ``tracks`` and ``cfg`` it reads. The forecasts are taken at
+    ``frame`` itself, however late."""
+    world = inputs.world
+    if parked:
+        world = dataclasses.replace(world, blocked=world.blocked | parked)
+    ratio = world.frame_period_s / world.cell_traverse_s
+    pairs = [
+        (cell, max(1, math.ceil((abs_frame - frame) * ratio)))
+        for track in inputs.tracks
+        for cell, abs_frame in human_forecast(track, frame)
+    ]
+    return world, reference_human_reservations(world, pairs, inputs.cfg.pp.objective)
+
+
+def reference_plan_next(sim, rt, plan_time):
+    """``WarehouseSimulation._plan_next`` with no memo and no clamped frame:
+    the next cell of the robot whose record is ``rt`` from a fresh ``plan``
+    under ``reference_human_table``, or None. Two active robots planning
+    from one cell give None before any planning."""
+    active = [other for _, other in sorted(sim.robots.items()) if not other.arrived]
+    states = [RobotState(other.id, other.pending_target or other.cell, other.goal) for other in active]
+    if len({s.cell for s in states}) != len(states):
+        return None
+    parked = frozenset(other.goal for other in sim.robots.values() if other.arrived)
+    world, human = reference_human_table(sim, parked, sim._frame(plan_time))
+    pp = sim.cfg.pp if sim.cfg.pp.priority_robot in [s.id for s in states] else sim._pp_without_priority
+    try:
+        paths = plan(world, states, table_ids(world, human), pp)
+    except PlanningError:
+        return None
+    for p in paths:
+        if p.robot_id == rt.id:
+            return p.at(1)
+    return None

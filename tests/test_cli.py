@@ -9,10 +9,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import reference_plan_next
 from r2xsim import cli
 from r2xsim.cli import main
-from r2xsim.orchestrator import WAREHOUSE_METHODS
-from r2xsim.scenarios import bundled_scenario_path, parse_scenario, run_one
+from r2xsim.orchestrator import WAREHOUSE_METHODS, HumanReservations, UnfinishedRun, WarehouseSimulation
+from r2xsim.scenarios import ScenarioError, bundled_scenario_path, parse_scenario, run_one
 from test_scenarios import tiny_followme, tiny_mcs, tiny_warehouse
 
 
@@ -444,6 +445,72 @@ class TestSafetyFirstOrderings:
             assert code == 0 or err.removeprefix(f"{path}: ").startswith("scenario."), err
             codes[code] += 1
         assert codes[0] >= 25 and codes[2] >= 25, codes
+
+
+def stuck_behind_human(max_sim_time_s):
+    """A 2x1 world whose one robot, (0, 0) -> (1, 0) under "Move safely.",
+    never arrives: a human walks (0, 0) -> (1, 0) -> (0, 0) and stays, and
+    the safety-first ring around its last waypoint bars the goal for good."""
+    doc = tiny_warehouse()
+    doc["methods"] = list(WAREHOUSE_METHODS)
+    w = doc["warehouse"]
+    w["world"].update(width=2, height=1)
+    w["robots"] = [{"id": 1, "start": [0, 0], "goal": [1, 0]}]
+    w["humans"] = [{"waypoints": [[0, 0], [1, 0], [0, 0]]}]
+    w["intent_text"] = "Move safely."
+    w["max_sim_time_s"] = max_sim_time_s
+    return doc
+
+
+def run_outcome(scn, method, seed):
+    """The record of one run, or the message of its ``UnfinishedRun``."""
+    try:
+        return run_one(scn, method, seed)
+    except UnfinishedRun as exc:
+        return str(exc)
+
+
+class TestClampedFrame:
+    """Replans key their human tables and plans by ``min(frame, F)``, where
+    from frame ``F`` on every forecast is a last waypoint."""
+
+    def test_small_documents_give_the_records_of_unclamped_replans(self, monkeypatch):
+        """Random small warehouse documents, two seeds each: every run gives
+        the record, or the error, of replans that build each table afresh
+        at the unclamped frame; many replans fall past ``F``."""
+        rng = np.random.default_rng(30)
+        docs, past = [], Counter()
+        real_next = HumanReservations.next_cells
+
+        def counted(memo, parked, frame, *args):
+            past[frame > memo._last_frame] += 1
+            return real_next(memo, parked, frame, *args)
+
+        monkeypatch.setattr(HumanReservations, "next_cells", counted)
+        while len(docs) < 20:
+            doc = random_small_warehouse(rng, 20.0)
+            try:
+                parse_scenario(doc)
+            except ScenarioError:
+                continue
+            docs.append(doc)
+        want = [run_outcome(parse_scenario(doc), m, seed) for doc in docs for m in WAREHOUSE_METHODS for seed in (0, 1)]
+        monkeypatch.setattr(WarehouseSimulation, "_plan_next", reference_plan_next)
+        got = [run_outcome(parse_scenario(doc), m, seed) for doc in docs for m in WAREHOUSE_METHODS for seed in (0, 1)]
+        assert got == want
+        assert past[True] >= 1000 and past[False] >= 300, past
+        assert sum(isinstance(o, str) for o in want) >= 20, want
+
+    def test_stuck_run_keys_tables_by_the_last_forecast_frame(self):
+        """The stuck 2x1 document's ``lorc_p`` run to 5,000 s, 10,000 frames,
+        builds one table, that of frame ``F`` = 1, and plans once."""
+        scn = parse_scenario(stuck_behind_human(5000.0))
+        with pytest.raises(UnfinishedRun):
+            run_one(scn, "lorc_p", 0)
+        memo = scn.inputs.human
+        assert memo._last_frame == 1
+        assert [frame for _, frame in memo._tables] == [1]
+        assert [frame for _, frame, *_ in memo._plans] == [1]
 
 
 class TestUnreachableGoal:

@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (
+    ReferenceTable,
     forecast_reservations,
     joint_makespan_oracle,
     random_planner_instance,
+    reference_human_reservations,
     reference_low_level_search,
     reference_makespan_plan,
+    reference_moves,
+    reference_plan,
     reference_prioritized_plan,
     reference_refinement_plan,
+    reference_widen_conflict,
+    table_ids,
     validate_path,
 )
 from r2xsim import planner
@@ -40,6 +46,11 @@ from r2xsim.world import GridWorld, RobotState
 
 def world_of(w, h, blocked=()):
     return GridWorld(w, h, blocked=frozenset(blocked))
+
+
+def edge_ids(world, edges):
+    """``(cell, to_cell, step)`` moves as ``(id, to_id, step)``."""
+    return {(world.cell_id(a), world.cell_id(b), step) for a, b, step in edges}
 
 
 class TestSpaceTimePath:
@@ -81,20 +92,20 @@ class TestLowLevelSearch:
 
     def test_vertex_constraint_forces_wait(self):
         w = world_of(3, 1)
-        path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, {(1, 0): {1}}))
+        path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, {w.cell_id((1, 0)): {1}}))
         assert path.cells == ((0, 0), (0, 0), (1, 0), (2, 0))
 
     def test_edge_constraint_forces_wait(self):
         w = world_of(2, 1)
         table = ReservationTable(1, {})
-        table.block_move((0, 0), (1, 0), 0)
+        table.block_move(w.cell_id((0, 0)), w.cell_id((1, 0)), 0)
         path = low_level_search(w, RobotState(1, (0, 0), (1, 0)), table)
         assert path.cells == ((0, 0), (0, 0), (1, 0))
 
     def test_goal_window_delays_arrival(self):
         w = world_of(3, 1)
         table = ReservationTable(1, {})
-        table.block_cell((2, 0), 0, 4)
+        table.block_cell(w.cell_id((2, 0)), 0, 4)
         path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), table)
         assert path.arrival_step == 5
         assert path.cells[-1] == (2, 0)
@@ -103,7 +114,7 @@ class TestLowLevelSearch:
     def test_blocked_start_step0_infeasible(self):
         w = world_of(3, 1)
         with pytest.raises(PlanningInfeasible):
-            low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, {(0, 0): {0}}))
+            low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, {w.cell_id((0, 0)): {0}}))
 
     def test_unreachable_goal_infeasible(self):
         w = world_of(3, 1, blocked={(1, 0)})
@@ -123,7 +134,7 @@ class TestLowLevelSearch:
     def test_infeasible_carries_context(self):
         w = world_of(3, 1)
         with pytest.raises(PlanningInfeasible) as exc:
-            low_level_search(w, RobotState(7, (0, 0), (2, 0)), ReservationTable(7, {(0, 0): {0}}), horizon=9)
+            low_level_search(w, RobotState(7, (0, 0), (2, 0)), ReservationTable(7, {w.cell_id((0, 0)): {0}}), horizon=9)
         assert exc.value.robot_id == 7
         assert exc.value.horizon == 9
 
@@ -135,7 +146,8 @@ class TestLowLevelSearch:
 def random_search_instance(rng):
     """One robot on a grid of at most 14x14 with random blocked cells, a
     reservation table of random cell windows and blocked moves (or none),
-    and a horizon that is often too short; a start or goal is now and then
+    as a :class:`ReservationTable` on ids and the same table on cells, and
+    a horizon that is often too short; a start or goal is now and then
     blocked, or the two coincide."""
     width, height = int(rng.integers(1, 15)), int(rng.integers(1, 15))
     cells = [(x, y) for x in range(width) for y in range(height)]
@@ -150,17 +162,21 @@ def random_search_instance(rng):
     robot = RobotState(rid, start, goal)
     span = width + height
     if rng.random() < 0.1:
-        return world, robot, None, None
-    table = ReservationTable(rid, {})
+        return world, robot, None, None, None
+    table, ref = ReservationTable(rid, {}), ReferenceTable(rid, {})
     for _ in range(int(rng.integers(0, 16))):
         lo = int(rng.integers(0, span))
-        table.block_cell(free[int(rng.integers(len(free)))], lo, lo + int(rng.integers(0, 4)))
+        cell, hi = free[int(rng.integers(len(free)))], lo + int(rng.integers(0, 4))
+        table.block_cell(world.cell_id(cell), lo, hi)
+        ref.block_cell(cell, lo, hi)
     for _ in range(int(rng.integers(0, 16))):
         cell = free[int(rng.integers(len(free)))]
-        moves = world.neighbor_table[cell]
-        table.block_move(cell, moves[int(rng.integers(len(moves)))], int(rng.integers(0, span)))
+        moves = reference_moves(world)[cell]
+        to, step = moves[int(rng.integers(len(moves)))], int(rng.integers(0, span))
+        table.block_move(world.cell_id(cell), world.cell_id(to), step)
+        ref.block_move(cell, to, step)
     horizon = int(rng.integers(0, default_horizon(world) + 1)) if rng.random() < 0.8 else None
-    return world, robot, table, horizon
+    return world, robot, table, ref, horizon
 
 
 def search_outcome(search):
@@ -178,10 +194,10 @@ class TestDeeperFirstTieBreak:
         rng = np.random.default_rng(15)
         kinds = Counter()
         for _ in range(3000):
-            world, robot, table, horizon = random_search_instance(rng)
+            world, robot, table, ref, horizon = random_search_instance(rng)
             got = search_outcome(lambda: low_level_search(world, robot, table, horizon))
-            want = search_outcome(lambda: reference_low_level_search(world, robot, table, horizon))
-            assert got == want, (world, robot, table and (table.cells, table.edges), horizon)
+            want = search_outcome(lambda: reference_low_level_search(world, robot, ref, horizon))
+            assert got == want, (world, robot, ref and (ref.cells, ref.edges), horizon)
             kinds[got[0]] += 1
         assert kinds["ok"] >= 1500 and kinds["PlanningInfeasible"] >= 300 and kinds["PlanningError"] >= 10, kinds
 
@@ -208,16 +224,17 @@ class TestReservationTable:
     def test_copy_takes_constraints_without_changing_the_original(self):
         """A table over a copy of the shared human table's dict takes blocks
         without changing that table or its step sets."""
+        c = world_of(2, 2).cell_id
         steps = frozenset({2})  # forecast step sets are shared by every robot's table
-        shared = {(1, 1): steps}
+        shared = {c((1, 1)): steps}
         table = ReservationTable(1, dict(shared))
-        table.block_cell((1, 1), 5, 6)
-        table.block_cell((1, 0), 2, 4)
-        table.block_cell((1, 0), 6, 6)
-        table.block_move((0, 0), (0, 1), 0)
-        assert shared == {(1, 1): {2}} and shared[(1, 1)] is steps
-        assert table.cells == {(1, 1): {2, 5, 6}, (1, 0): {2, 3, 4, 6}}
-        assert table.edges == {((0, 0), (0, 1), 0)}
+        table.block_cell(c((1, 1)), 5, 6)
+        table.block_cell(c((1, 0)), 2, 4)
+        table.block_cell(c((1, 0)), 6, 6)
+        table.block_move(c((0, 0)), c((0, 1)), 0)
+        assert shared == {c((1, 1)): {2}} and shared[c((1, 1))] is steps
+        assert table.cells == {c((1, 1)): {2, 5, 6}, c((1, 0)): {2, 3, 4, 6}}
+        assert table.edges == {(c((0, 0)), c((0, 1)), 0)}
 
     @pytest.mark.parametrize("objective", ["makespan", "safety_first"])
     def test_forecast_table_indexes_the_forecast_constraints(self, objective):
@@ -230,7 +247,7 @@ class TestReservationTable:
                 for _ in range(int(rng.integers(1, 8)))
             ]
             pairs += pairs[:2]
-            assert _human_reservations(w, pairs, objective) == forecast_reservations(w, pairs, objective)
+            assert _human_reservations(w, pairs, objective) == table_ids(w, forecast_reservations(w, pairs, objective))
 
     def test_table_of_another_robot_rejected(self):
         with pytest.raises(ValueError):
@@ -282,54 +299,57 @@ class TestDetectFirstConflict:
 class TestHumanConstraints:
     def test_makespan_vertex_only(self):
         w = world_of(3, 3)
-        assert _human_reservations(w, [((1, 1), 2)], "makespan") == {(1, 1): {2}}
+        assert _human_reservations(w, [((1, 1), 2)], "makespan") == table_ids(w, {(1, 1): {2}})
 
     def test_safety_first_widens(self):
         w = world_of(3, 3)
-        assert _human_reservations(w, [((1, 1), 2)], "safety_first") == {
+        assert _human_reservations(w, [((1, 1), 2)], "safety_first") == table_ids(w, {
             (1, 1): {1, 2, 3},
             (1, 2): {2},
             (2, 1): {2},
             (1, 0): {2},
             (0, 1): {2},
-        }
+        })
 
     def test_safety_first_skips_blocked_neighbors_and_clamps(self):
         w = world_of(3, 3, blocked={(1, 2)})
-        assert _human_reservations(w, [((1, 1), 0)], "safety_first") == {
+        assert _human_reservations(w, [((1, 1), 0)], "safety_first") == table_ids(w, {
             (1, 1): {0, 1},
             (2, 1): {0},
             (1, 0): {0},
             (0, 1): {0},
-        }
+        })
 
 
 class TestWidenConflict:
+    world = world_of(4, 4)
+
     def test_vertex_becomes_window(self):
-        table = ReservationTable(2, {})
-        assert _widen_conflict(Conflict("vertex", 5, 1, 2, (3, 3)), table, 2)
-        assert table.cells == {(3, 3): {3, 4, 5, 6, 7}} and not table.edges
+        w, table = self.world, ReservationTable(2, {})
+        assert _widen_conflict(w, Conflict("vertex", 5, 1, 2, (3, 3)), table, 2)
+        assert table.cells == table_ids(w, {(3, 3): {3, 4, 5, 6, 7}}) and not table.edges
 
     def test_vertex_window_clamps_at_zero(self):
-        table = ReservationTable(1, {})
-        assert _widen_conflict(Conflict("vertex", 1, 1, 2, (3, 3)), table, 3)
-        assert table.cells == {(3, 3): {0, 1, 2, 3, 4}}
+        w, table = self.world, ReservationTable(1, {})
+        assert _widen_conflict(w, Conflict("vertex", 1, 1, 2, (3, 3)), table, 3)
+        assert table.cells == table_ids(w, {(3, 3): {0, 1, 2, 3, 4}})
 
     def test_edge_direction_per_robot(self):
-        c = Conflict("edge", 5, 1, 2, (0, 0), (1, 0))
+        w, c = self.world, Conflict("edge", 5, 1, 2, (0, 0), (1, 0))
         for_a = ReservationTable(1, {})
-        assert _widen_conflict(c, for_a, 1)
-        assert for_a.edges == {((0, 0), (1, 0), s) for s in (4, 5, 6)} and not for_a.cells
+        assert _widen_conflict(w, c, for_a, 1)
+        assert for_a.edges == edge_ids(w, {((0, 0), (1, 0), s) for s in (4, 5, 6)}) and not for_a.cells
         for_b = ReservationTable(2, {})
-        assert _widen_conflict(c, for_b, 1)
-        assert for_b.edges == {((1, 0), (0, 0), s) for s in (4, 5, 6)}
+        assert _widen_conflict(w, c, for_b, 1)
+        assert for_b.edges == edge_ids(w, {((1, 0), (0, 0), s) for s in (4, 5, 6)})
 
     def test_conflict_already_barred_is_reported(self):
-        vertex = ReservationTable(2, {(3, 3): {5}})
-        assert not _widen_conflict(Conflict("vertex", 5, 1, 2, (3, 3)), vertex, 0)
+        w = self.world
+        vertex = ReservationTable(2, table_ids(w, {(3, 3): {5}}))
+        assert not _widen_conflict(w, Conflict("vertex", 5, 1, 2, (3, 3)), vertex, 0)
         edge = ReservationTable(2, {})
-        edge.block_move((1, 0), (0, 0), 5)
-        assert not _widen_conflict(Conflict("edge", 5, 1, 2, (0, 0), (1, 0)), edge, 0)
+        edge.block_move(w.cell_id((1, 0)), w.cell_id((0, 0)), 5)
+        assert not _widen_conflict(w, Conflict("edge", 5, 1, 2, (0, 0), (1, 0)), edge, 0)
 
 
 def assert_valid_plan(world, paths, robots, humans=()):
@@ -437,7 +457,7 @@ class TestPlan:
     def test_safety_first_plans_the_first_ordering_that_plans(self, gap):
         w, robots = self.chokepoint()
         by_id = {r.id: r for r in robots}
-        human, horizon = _human_reservations(w, [], "safety_first"), default_horizon(w)
+        human, horizon = reference_human_reservations(w, [], "safety_first"), default_horizon(w)
         with pytest.raises(PlanningInfeasible):
             oracles.reference_solve_ordering(w, by_id, [1, 2], human, gap, horizon)
         want = oracles.reference_solve_ordering(w, by_id, [2, 1], human, gap, horizon)
@@ -603,7 +623,9 @@ class TestBoundedJointSearch:
             return lambda *args: calls.update([key]) or real(*args)
 
         monkeypatch.setattr(planner, "_joint_best_response", counted("plan", planner._joint_best_response))
-        monkeypatch.setattr(oracles, "_joint_best_response", counted("reference", oracles._joint_best_response))
+        monkeypatch.setattr(
+            oracles, "reference_bounded_joint_search", counted("reference", oracles.reference_bounded_joint_search)
+        )
         rng = np.random.default_rng(12)
         kinds = Counter()
         for _ in range(400):
@@ -732,3 +754,66 @@ class TestSharedSoloRoutes:
             assert got == want, (world, robots, forecasts, cfg, horizon)
             kinds[got[0]] += 1
         assert kinds["ok"] >= 100 and kinds["PlanningInfeasible"] >= 50, kinds
+
+
+def random_id_instance(rng):
+    """Two robots of ``random_planner_instance`` on a grid of 2x2 to 7x7,
+    with some of the other cells blocked (a human's cell too, now and then)
+    and forecasts of the human cells at random steps."""
+    width, height = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+    starts, goals, humans = random_planner_instance(rng, width, height, min(3, width * height - 4))
+    spare = [(x, y) for x in range(width) for y in range(height) if (x, y) not in set(starts) | set(goals)]
+    order = rng.permutation(len(spare))
+    world = world_of(width, height, [spare[i] for i in order[: int(rng.integers(0, len(spare) // 3 + 1))]])
+    forecasts = [
+        (tuple(cell), int(step)) for cell in humans
+        for step in rng.integers(0, width + height, size=int(rng.integers(1, 5)))
+    ]
+    robots = [RobotState(1, starts[0], goals[0]), RobotState(2, starts[1], goals[1])]
+    return world, robots, forecasts
+
+
+def random_conflict(rng, world):
+    """A vertex conflict on a free cell, or an edge conflict over one of its
+    moves, at a random step, as either robot's."""
+    moves = reference_moves(world)
+    cells = sorted(moves)
+    cell = cells[int(rng.integers(len(cells)))]
+    step = int(rng.integers(0, world.width + world.height))
+    if len(moves[cell]) == 1 or rng.random() < 0.5:
+        return Conflict("vertex", step, 1, 2, cell)
+    to = moves[cell][int(rng.integers(len(moves[cell]) - 1))]
+    a, b = (1, 2) if rng.random() < 0.5 else (2, 1)
+    return Conflict("edge", step, a, b, cell, to)
+
+
+class TestIdsMatchCells:
+    def test_tables_searches_and_plans_match_the_cell_planner(self):
+        """On random worlds under both objectives, the planner on cell ids
+        gives the human table, the conflict tables, the searches under them
+        and the plans, or the errors, of the planner on (x, y) cells."""
+        rng = np.random.default_rng(30)
+        kinds = Counter()
+        for _ in range(200):
+            world, robots, forecasts = random_id_instance(rng)
+            horizon = default_horizon(world)
+            for objective in ("makespan", "safety_first"):
+                human = _human_reservations(world, forecasts, objective)
+                ref_human = reference_human_reservations(world, forecasts, objective)
+                assert human == table_ids(world, ref_human)
+                for cfg in (PlanConfig(objective), PlanConfig(objective, 2, int(rng.integers(0, 3)))):
+                    got = plan_outcome(lambda: plan(world, robots, forecasts, cfg, horizon))
+                    want = plan_outcome(lambda: reference_plan(world, robots, forecasts, cfg, horizon))
+                    assert got == want, (world, robots, forecasts, cfg)
+                    kinds["plan " + got[0]] += 1
+                table, ref = ReservationTable(1, dict(human)), ReferenceTable(1, dict(ref_human))
+                for _ in range(int(rng.integers(1, 6))):
+                    conflict, gap = random_conflict(rng, world), int(rng.integers(0, 3))
+                    assert _widen_conflict(world, conflict, table, gap) == reference_widen_conflict(conflict, ref, gap)
+                assert table.cells == table_ids(world, ref.cells) and table.edges == edge_ids(world, ref.edges)
+                got = search_outcome(lambda: low_level_search(world, robots[0], table, horizon))
+                want = search_outcome(lambda: reference_low_level_search(world, robots[0], ref, horizon))
+                assert got == want, (world, robots[0], ref.cells, ref.edges)
+                kinds["search " + got[0]] += 1
+        assert kinds["plan ok"] >= 500 and kinds["plan PlanningInfeasible"] >= 80, kinds
+        assert kinds["search ok"] >= 250 and kinds["search PlanningInfeasible"] >= 25, kinds

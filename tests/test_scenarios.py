@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WAREHOUSE_IDS, check_digests, scenario_errors
-from oracles import reference_human_table, reference_plan_next, reference_run_followme
+from oracles import reference_human_table, reference_plan_next, reference_run_followme, table_ids
 from r2xsim import orchestrator, radio, scenarios
 from r2xsim.cli import main
 from r2xsim.linkadapt import PolicySpec
@@ -1101,9 +1101,12 @@ class TestHumanReservationMemo:
         memo = scn.inputs.human
         assert 0 < len(memo._tables) <= orchestrator._MAX_HUMAN_TABLES
         # The plans read the shared tables; none of them was changed, and
-        # each kept route is the route searched afresh under its table.
+        # each kept route is the route searched afresh under its table. A
+        # parked world's derived move table is the one built afresh.
         for (parked, frame), (world, table, routes) in memo._tables.items():
-            assert (world, table) == reference_human_table(scn.inputs, parked, frame)
+            fresh_world, fresh_table = reference_human_table(scn.inputs, parked, frame)
+            assert (world, table) == (fresh_world, table_ids(fresh_world, fresh_table))
+            assert world.moves == fresh_world.moves
             assert all(type(steps) is frozenset for steps in table.values())
             assert 0 < len(routes) <= orchestrator._MAX_SOLO_ROUTES
             for (rid, start, goal, horizon), path in routes.items():
@@ -1115,7 +1118,7 @@ class TestHumanReservationMemo:
             world, table = reference_human_table(scn.inputs, parked, frame)
             states = [RobotState(rid, cell, goal) for rid, cell, goal in robots]
             try:
-                want = {p.robot_id: p.at(1) for p in plan(world, states, table, pp)}
+                want = {p.robot_id: p.at(1) for p in plan(world, states, table_ids(world, table), pp)}
             except PlanningError:
                 want = {}
             assert nxt == want

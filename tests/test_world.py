@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from conftest import BUNDLED_DIR, WAREHOUSE_IDS
@@ -43,33 +44,55 @@ class TestGridWorld:
             GridWorld(**kwargs)
 
 
+def ids(world, cells):
+    """The ids of ``cells``, in order."""
+    return tuple(world.cell_id(c) for c in cells)
+
+
+class TestCellIds:
+    def test_ids_sort_as_cells_and_give_them_back(self):
+        world = GridWorld(4, 3)
+        cells = [(x, y) for x in range(4) for y in range(3)]
+        assert [world.cell_id(c) for c in sorted(cells)] == list(range(12))
+        assert world.cells_of(range(12)) == tuple(cells)
+        assert world.cells_of([5])[0] is world.cells_of([7, 5])[1]
+        assert all(divmod(world.cell_id(c), world.height) == c for c in cells)
+
+
 class TestNeighbors:
     def test_order_is_nesw_then_wait(self):
         world = open_world()
-        assert world.neighbor_table[(1, 1)] == ((1, 2), (2, 1), (1, 0), (0, 1), (1, 1))
+        assert world.moves[world.cell_id((1, 1))] == ids(world, ((1, 2), (2, 1), (1, 0), (0, 1), (1, 1)))
 
     def test_corner(self):
         world = open_world()
-        assert world.neighbor_table[(0, 0)] == ((0, 1), (1, 0), (0, 0))
+        assert world.moves[world.cell_id((0, 0))] == ids(world, ((0, 1), (1, 0), (0, 0)))
 
     def test_blocked_excluded(self):
         world = GridWorld(3, 3, blocked=frozenset({(1, 0)}))
-        assert world.neighbor_table[(0, 0)] == ((0, 1), (0, 0))
+        assert world.moves[world.cell_id((0, 0))] == ids(world, ((0, 1), (0, 0)))
 
     def test_from_blocked_cell_raises(self):
         world = GridWorld(3, 3, blocked=frozenset({(1, 1)}))
-        with pytest.raises(KeyError):
-            world.neighbor_table[(1, 1)]
+        assert world.moves[world.cell_id((1, 1))] is None
+        with pytest.raises(TypeError):
+            world.moves[world.cell_id((1, 1))][0]
 
 
 def scan_neighbors(world, cell):
-    """Reference for ``neighbor_table``: a direct N, E, S, W, wait scan."""
+    """Reference for the move table: a direct N, E, S, W, wait scan."""
     x, y = cell
     out = []
     for nxt in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
         if 0 <= nxt[0] < world.width and 0 <= nxt[1] < world.height and nxt not in world.blocked:
             out.append(nxt)
     return tuple(out) + (cell,)
+
+
+def random_parked(rng, world, k):
+    """``k`` distinct free cells of ``world``, or fewer when it has fewer."""
+    free = sorted({(x, y) for x in range(world.width) for y in range(world.height)} - world.blocked)
+    return frozenset(free[i] for i in rng.permutation(len(free))[:k])
 
 
 class TestNeighborTable:
@@ -87,30 +110,48 @@ class TestNeighborTable:
             if (x, y) not in world.blocked
         ]
         for cell in free:
-            assert world.neighbor_table[cell] == scan_neighbors(world, cell)
-        assert set(world.neighbor_table) == set(free)
+            assert world.moves[world.cell_id(cell)] == ids(world, scan_neighbors(world, cell))
+        assert {c for c, moves in enumerate(world.moves) if moves is not None} == set(ids(world, free))
         if park_goal:
-            assert robots[0].goal not in world.neighbor_table
+            assert world.moves[world.cell_id(robots[0].goal)] is None
 
     def test_goal_distances_are_bfs_and_cached(self):
         world = GridWorld(3, 3, blocked=frozenset({(1, 1), (1, 2)}))
-        dist = world.goal_distances((2, 2))
-        assert dist == {
-            (2, 2): 0, (2, 1): 1, (2, 0): 2, (1, 0): 3, (0, 0): 4, (0, 1): 5, (0, 2): 6,
-        }
-        assert world.goal_distances((2, 2)) is dist
+        dist = world.goal_field(world.cell_id((2, 2)))
+        want = {(2, 2): 0, (2, 1): 1, (2, 0): 2, (1, 0): 3, (0, 0): 4, (0, 1): 5, (0, 2): 6}
+        assert dist == [want.get(cell) for cell in world.cells_of(range(9))]
+        assert world.goal_field(world.cell_id((2, 2))) is dist
         with pytest.raises(ValueError):
-            world.goal_distances((1, 1))
+            world.goal_field(world.cell_id((1, 1)))
 
     def test_caches_leave_equality_and_hash_alone(self):
         a = GridWorld(4, 3, blocked=frozenset({(1, 1)}))
         b = GridWorld(4, 3, blocked=frozenset({(1, 1)}))
-        a.neighbor_table
-        a.goal_distances((3, 2))
+        a.moves
+        a.cells_of([0, 1])
+        a.goal_field(a.cell_id((3, 2)))
         assert a == b and hash(a) == hash(b)
         assert {b: "b"}[a] == "b"
         assert repr(a) == repr(b)
         assert a != GridWorld(4, 3, blocked=frozenset({(1, 2)}))
+
+    def test_parked_world_table_is_the_fresh_table(self):
+        """A world with random free cells blocked, its move table derived
+        from the base world's, has the move table and goal fields of the
+        same world built afresh."""
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            width, height = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            base = GridWorld(width, height, random_parked(rng, GridWorld(width, height), width * height // 4))
+            base.moves
+            parked = random_parked(rng, base, int(rng.integers(0, 5)))
+            derived = base.blocking(parked)
+            fresh = GridWorld(width, height, base.blocked | parked)
+            assert derived == fresh and derived.moves == fresh.moves
+            free = [c for c, moves in enumerate(fresh.moves) if moves is not None]
+            for goal in free[:3]:
+                assert derived.goal_field(goal) == fresh.goal_field(goal)
+            assert base.moves == GridWorld(width, height, base.blocked).moves
 
 
 class TestRobotState:
