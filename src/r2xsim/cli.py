@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from .metrics import run_summary
 from .orchestrator import UnfinishedRun
 from .scenarios import Scenario, ScenarioError, load_scenario, run_one
-from .schema import _MAX_PARALLEL, _Checker, _echo, _is_number
+from .schema import _MAX_PARALLEL, _Checker, _echo, _is_number, _unique_keys
 
 RESULTS_NAME = "results.jsonl"
 SUMMARY_NAME = "summary.csv"
@@ -39,7 +39,7 @@ SUMMARY_NAME = "summary.csv"
 def _parse_seed_list(text: str) -> List[int]:
     """The seeds of ``--seeds``, under the scenario files' rule."""
     try:
-        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
+        seeds = [int(part) for part in text.split(",")]
     except ValueError:
         raise ScenarioError([f"--seeds: {_echo(text)} is not a comma-separated integer list"])
     ck = _Checker()
@@ -139,10 +139,10 @@ def _load_records(dirs: Sequence[str]) -> List[Tuple[str, object]]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ScenarioError([f"{path}:{lineno}: invalid JSON: {exc.msg}"])
-            except ValueError as exc:  # an integer literal too long for int()
+            except ValueError as exc:  # a repeated key, or an integer literal too long for int()
                 raise ScenarioError([f"{path}:{lineno}: invalid JSON: {exc}"])
             records.append((f"{path}:{lineno}", rec))
     if not records:

@@ -14,9 +14,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, bler_curve, sample_trace, serialization_time_s
+from .radio import HarqStream, McsTable, bler_curve, serialization_time_s
 from .schema import bounded, check_bounds
-from .world import Cell
 
 _MAP_AWARE_MIN_SAMPLES = 8
 
@@ -111,20 +110,6 @@ class LinkTable:
         for entry in table.entries:
             self.bler[:, entry.index] = bler_curve(entry, self.true_snr)
         self.best = self.select(self.true_snr)
-
-    @classmethod
-    def sample(
-        cls,
-        gain_map: PathGainMap,
-        cells: Sequence[Cell],
-        cfg: RadioConfig,
-        table: McsTable,
-        seed: int,
-        bler_target: float = 0.1,
-    ) -> "LinkTable":
-        """The table of ``sample_trace(gain_map, cells, cfg, seed)``."""
-        true_snr, map_snr = sample_trace(gain_map, cells, cfg, seed)
-        return cls(true_snr, table, bler_target, map_snr)
 
     def __len__(self) -> int:
         return len(self.true_snr)

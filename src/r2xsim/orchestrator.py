@@ -71,13 +71,12 @@ class LoopBudget:
         return self.detection_s + self.encode_s + self.link_context_s + self.orchestration_s
 
 
-# The rungs of the RSSI payload ladder, built once: every call returns one
-# of these frozen configurations.
-_SENSE_JPEG_Q80 = SenseConfig(mode="jpeg", jpeg_quality=80, qos="reliable")
-_SENSE_JPEG_Q60 = SenseConfig(mode="jpeg", jpeg_quality=60, qos="reliable")
-_SENSE_VQ_1X3 = SenseConfig(mode="vq", vit_grid=(1, 3), qos="best_effort")
-_SENSE_VQ_1X2 = SenseConfig(mode="vq", vit_grid=(1, 2), qos="best_effort")
-_SENSE_VQ_1X1 = SenseConfig(mode="vq", vit_grid=(1, 1), qos="best_effort")
+# The sensing modes by name, each one frozen configuration built once: the
+# RSSI ladder's five rungs and one JPEG rung above them.
+SENSE_MODES = {
+    **{f"jpeg_q{q}": SenseConfig(mode="jpeg", jpeg_quality=q, qos="reliable") for q in (95, 80, 60)},
+    **{f"vq_1x{n}": SenseConfig(mode="vq", vit_grid=(1, n), qos="best_effort") for n in (1, 2, 3)},
+}
 
 
 def select_sense_mode(rssi_dbm: float) -> SenseConfig:
@@ -88,14 +87,14 @@ def select_sense_mode(rssi_dbm: float) -> SenseConfig:
     the single-tile token payload.
     """
     if rssi_dbm >= -39:
-        return _SENSE_JPEG_Q80
+        return SENSE_MODES["jpeg_q80"]
     if rssi_dbm >= -41:
-        return _SENSE_JPEG_Q60
+        return SENSE_MODES["jpeg_q60"]
     if rssi_dbm >= -43:
-        return _SENSE_VQ_1X3
+        return SENSE_MODES["vq_1x3"]
     if rssi_dbm >= -45:
-        return _SENSE_VQ_1X2
-    return _SENSE_VQ_1X1
+        return SENSE_MODES["vq_1x2"]
+    return SENSE_MODES["vq_1x1"]
 
 
 # --------------------------------------------------------------------------
@@ -464,7 +463,6 @@ class _RobotRuntime:
     halt_s: float = 0.0
     stop_events: int = 0
     last_measured_gain_db: Optional[float] = None
-    land_time_s: float = 0.0
     pending_target: Optional[Cell] = None
     solo_path: Optional[SpaceTimePath] = None
 
@@ -486,11 +484,9 @@ class WarehouseSimulation:
     event-scheduled: one routine per event kind, called with the robot's
     record; events are ordered by ``(time, robot id, push order)``.
 
-      decide -- a replanning robot's first command and every retry: plan,
-                then start the step and the loop for the next command, or
-                wait one frame in place
-      next   -- the step has finished and the next command has arrived:
-                charge the stall, then decide
+      decide -- a replanning robot's next command is ready and its last
+                step has finished: plan, then start the step and the loop
+                for the following command, or wait one frame in place
       land   -- a robot reaches its next cell (both modes); a stop-and-go
                 robot then tries its following step
       try    -- one stop-and-go step: go, or halt one transition
@@ -644,23 +640,17 @@ class WarehouseSimulation:
         rt.pending_target = nxt
         self._push(land_t, rt.id, "land", nxt)
         ready = self._run_loop(rt, t, nxt)
-        self._push(max(ready, land_t), rt.id, "next")
-
-    def _next(self, t: float, rt: _RobotRuntime, target: Optional[Cell]) -> None:
-        if rt.arrived:
-            return
-        # t is when both the transition has finished and the command arrived
-        stall = t - rt.land_time_s
-        if stall > 1e-9:
-            rt.halt_s += stall
-            rt.stop_events += 1
-        self._decide(t, rt, None)
+        if nxt != rt.goal:
+            resume = max(ready, land_t)  # the step has landed and the command arrived
+            if resume - land_t > 1e-9:  # the command came late: a stall
+                rt.halt_s += resume - land_t
+                rt.stop_events += 1
+            self._push(resume, rt.id, "decide")
 
     def _land(self, t: float, rt: _RobotRuntime, target: Cell) -> None:
         rt.cell = target
         rt.pending_target = None
         rt.executed.append(target)
-        rt.land_time_s = t
         if target == rt.goal:
             rt.arrived = True
         elif self.method == "stop_and_go":
@@ -685,7 +675,7 @@ class WarehouseSimulation:
 
     # On the class: bound methods kept on the instance would form a reference
     # cycle, and every finished run would stay in memory until a collection.
-    _HANDLERS = {"decide": _decide, "next": _next, "land": _land, "try": _try}
+    _HANDLERS = {"decide": _decide, "land": _land, "try": _try}
 
     # -- public API -------------------------------------------------------
 

@@ -33,11 +33,7 @@ import numpy as np
 from .linkadapt import LinkTable, PolicySpec, run_policy
 from .metrics import tail_stats, utfr
 from .orchestrator import (
-    _SENSE_JPEG_Q60,
-    _SENSE_JPEG_Q80,
-    _SENSE_VQ_1X1,
-    _SENSE_VQ_1X2,
-    _SENSE_VQ_1X3,
+    SENSE_MODES,
     WAREHOUSE_METHODS,
     HumanReservations,
     LoopBudget,
@@ -48,7 +44,7 @@ from .orchestrator import (
     select_sense_mode,
 )
 from .planner import default_horizon
-from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table
+from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table, sample_trace
 from .schema import (
     _BLER_TARGET,
     _MAX_DB,
@@ -61,22 +57,12 @@ from .schema import (
     _Checker,
     _echo,
     _is_number,
+    _unique_keys,
 )
-from .sensing import SenseConfig
 from .world import GridWorld, HumanTrack, RobotState
 
-# The fixed followme modes: the RSSI ladder's five rungs and one JPEG rung
-# above them.
-_FOLLOWME_MODE_CONFIGS = {
-    "jpeg_q95": SenseConfig(mode="jpeg", jpeg_quality=95, qos="reliable"),
-    "jpeg_q80": _SENSE_JPEG_Q80,
-    "jpeg_q60": _SENSE_JPEG_Q60,
-    "vq_1x1": _SENSE_VQ_1X1,
-    "vq_1x2": _SENSE_VQ_1X2,
-    "vq_1x3": _SENSE_VQ_1X3,
-}
-_FOLLOWME_MODE_NAMES = {cfg: name for name, cfg in _FOLLOWME_MODE_CONFIGS.items()}
-FOLLOWME_METHODS = (*_FOLLOWME_MODE_CONFIGS, "orchestrated")
+_FOLLOWME_MODE_NAMES = {cfg: name for name, cfg in SENSE_MODES.items()}
+FOLLOWME_METHODS = (*SENSE_MODES, "orchestrated")
 # Matched whole (fullmatch); groups: policy kind and delay of a delayed method,
 # at most _MAX_ID_DIGITS digits so that int() never meets its digit limit, and
 # no leading zero, so that one policy has one name.
@@ -107,7 +93,6 @@ class Scenario:
     # What the kind's builder made of ``params`` at load: read, never
     # changed, by every run of this scenario and of its with_overrides copies.
     inputs: Union[WarehouseInputs, McsInputs, FollowmeInputs] = field(repr=False, compare=False)
-    path: Optional[Path] = None
     # (seed, table) of the last seed run, the table being what the kind's
     # ``prepare`` function made of that seed; a copy made by with_overrides
     # starts empty, as does a warehouse copy's HumanReservations memo.
@@ -169,7 +154,7 @@ def _seed_table(scn: Scenario, seed: int):
     return scn._seed_table[1]
 
 
-def parse_scenario(data, path: Optional[Path] = None) -> Scenario:
+def parse_scenario(data) -> Scenario:
     """Check a parsed scenario document and build its section's run inputs,
     once; raises ScenarioError with every violation."""
     ck = _Checker()
@@ -217,7 +202,7 @@ def parse_scenario(data, path: Optional[Path] = None) -> Scenario:
         ck.fail(f"scenario.{kind}", str(exc))
     if ck.errors:
         raise ScenarioError(ck.errors)
-    return Scenario(sid, kind, tuple(seeds), tuple(methods), section, inputs, path)
+    return Scenario(sid, kind, tuple(seeds), tuple(methods), section, inputs)
 
 
 def load_scenario(path) -> Scenario:
@@ -227,13 +212,13 @@ def load_scenario(path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([f"{path}: cannot read: {exc}"]) from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}:{exc.lineno}: invalid JSON: {exc.msg}"]) from exc
-    except ValueError as exc:  # an integer literal too long for int()
+    except ValueError as exc:  # a repeated key, or an integer literal too long for int()
         raise ScenarioError([f"{path}: invalid JSON: {exc}"]) from exc
     try:
-        return parse_scenario(data, path)
+        return parse_scenario(data)
     except ScenarioError as exc:
         raise ScenarioError([f"{path}: {e}" for e in exc.errors]) from exc
 
@@ -502,7 +487,8 @@ def build_mcs_corridor(ck: _Checker, sec, methods) -> Optional[McsInputs]:
 
 def prepare_mcs(c: McsInputs, seed: int) -> LinkTable:
     """The seed's link table, read by every policy."""
-    return LinkTable.sample(c.gain_map, c.cells, c.cfg, c.table, seed, c.bler_target)
+    true_snr, map_snr = sample_trace(c.gain_map, c.cells, c.cfg, seed)
+    return LinkTable(true_snr, c.table, c.bler_target, map_snr)
 
 
 def run_mcs(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
@@ -588,7 +574,7 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
             ):
                 ck.fail(f"{p}.codec_s.{key}",
                         f"{_echo(pair)} must be [encode_s, decode_s], each in [0, {_MAX_DELAY_S}]")
-    modes = _FOLLOWME_MODE_CONFIGS
+    modes = SENSE_MODES
     payloads = ck.obj(sec.get("payload_bytes"), f"{p}.payload_bytes", modes) or {}
     payloads = {key: ck.num(payloads, f"{p}.payload_bytes", key, **_PAYLOAD_BYTES) for key in modes}
     perc = ck.obj(
@@ -671,7 +657,7 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     """
     fm = scn.inputs
     frames = _seed_table(scn, seed)
-    fixed = _FOLLOWME_MODE_CONFIGS.get(method)
+    fixed = SENSE_MODES.get(method)
     picks = [fixed] * fm.total_steps if fixed is not None else [select_sense_mode(rssi) for rssi in frames.rssi]
     harq = HarqStream(np.random.default_rng([seed, 22]))
     draws = iter(frames.perception_draws)

@@ -145,6 +145,17 @@ def _echo(value) -> str:
     return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """``json.loads``'s ``object_pairs_hook``: the object as a dict, or a
+    ValueError naming the first key written twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {_echo(key)}")
+        out[key] = value
+    return out
+
+
 def _is_int_list(value, n: int) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == n and all(_is_integer(c) for c in value)
 

@@ -94,7 +94,7 @@ import numpy as np
 
 from r2xsim.linkadapt import _MAP_AWARE_MIN_SAMPLES, PolicyTimeSeries
 from r2xsim.metrics import tail_stats
-from r2xsim.orchestrator import select_sense_mode
+from r2xsim.orchestrator import SENSE_MODES, select_sense_mode
 from r2xsim.planner import (
     _MAX_RESOLUTION_ROUNDS,
     PlanningError,
@@ -106,7 +106,6 @@ from r2xsim.planner import (
     plan,
 )
 from r2xsim.radio import TransmissionResult, ar1_series, serialization_time_s
-from r2xsim.scenarios import _FOLLOWME_MODE_CONFIGS
 from r2xsim.world import RobotState, human_forecast
 
 
@@ -328,7 +327,7 @@ def reference_run_followme(scn, method: str, seed: int) -> Dict[str, float]:
     rng_perc = np.random.default_rng([seed, 23])
 
     perc = fm.perception
-    fixed_cfg = _FOLLOWME_MODE_CONFIGS.get(method)
+    fixed_cfg = SENSE_MODES.get(method)
     locked = True
     arrivals: List[int] = []
     cta_samples: List[float] = []

@@ -111,6 +111,13 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_duplicate_key_is_refused(self, tmp_path, capsys):
+        """A key written twice is an error, not the last of its values."""
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(tiny_followme())[:-1] + ', "seeds": [0, 1]}')
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"{path}: invalid JSON: duplicate key 'seeds'"]
+
 
 class TestRun:
     def test_outputs_and_ordering(self, followme_file, tmp_path, capsys):
@@ -191,7 +198,7 @@ class TestRun:
         assert main(["run", str(followme_file), "--out", str(out)]) == 0
         assert [r["seed"] for r in read_results(out)] == [0, 1, 0, 1, 0, 1]
 
-    @pytest.mark.parametrize("flag", ["x,y", "-1", ",", "3,3"])
+    @pytest.mark.parametrize("flag", ["x,y", "-1", ",", "3,3", "1,,2", "1,"])
     def test_bad_seed_flag(self, followme_file, tmp_path, capsys, flag):
         code = main(["run", str(followme_file), "--out", str(tmp_path / "o"), "--seeds", flag])
         assert code == 2
@@ -213,10 +220,11 @@ class TestRun:
         "args,line",
         [
             (["--seeds", "3,3"], "--seeds: seeds must be distinct"),
+            (["--seeds", "1,,2"], "--seeds: '1,,2' is not a comma-separated integer list"),
             (["--methods", "vq_1x1,vq_1x1"], "methods: methods must be distinct"),
             (["--parallel", "65"], "--parallel: 65 must be <= 64"),
         ],
-        ids=["seeds-flag", "methods", "parallel"],
+        ids=["seeds-flag", "empty-seed", "methods", "parallel"],
     )
     def test_refused_with_one_line_and_no_output(self, followme_file, tmp_path, capsys, monkeypatch, args, line):
         def no_pool(max_workers):
@@ -786,6 +794,14 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith(f"{d / 'results.jsonl'}:2: ") and len(err.splitlines()) == 1, err[:300]
         assert len(err) <= 300, err[:400]
+
+    def test_duplicate_key_names_its_line(self, tmp_path, capsys):
+        d = tmp_path / "d"
+        d.mkdir()
+        line = json.dumps(rec("alpha", 0, 1.0))[:-2] + ', "m": 2.0}}'
+        (d / "results.jsonl").write_text(json.dumps(rec("alpha", 1, 1.0)) + "\n" + line + "\n")
+        assert main(["compare", str(d), "--metric", "m"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"{d / 'results.jsonl'}:2: invalid JSON: duplicate key 'm'"]
 
     def test_undecodable_results_file(self, tmp_path, capsys):
         d = tmp_path / "d"

@@ -1,5 +1,7 @@
-"""The package's public names, and the names the benchmark's tracer patches."""
+"""The package's public names, the names the benchmark's tracer patches,
+and the names each module imports."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -73,4 +75,47 @@ def test_every_export_has_a_reader_outside_the_tests():
             for line in text.splitlines()
         ):
             unread.append(name)
+    assert unread == []
+
+
+def read_names(tree):
+    """The names a module reads: loaded names, the entries of ``__all__``
+    and the names in string annotations."""
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names.update(e.value for e in node.value.elts)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= read_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def test_every_import_is_read():
+    """Each module of the package, the tools and the demos reads every name
+    it imports."""
+    root = Path(__file__).resolve().parents[1]
+    unread = []
+    for folder in ("src/r2xsim", "tools", "demos"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read = read_names(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound = [a.asname or a.name for a in node.names if a.name != "*"]
+                else:
+                    continue
+                unread += [f"{path.relative_to(root)}: {name}" for name in bound if name not in read]
     assert unread == []

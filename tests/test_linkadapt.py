@@ -33,6 +33,13 @@ from r2xsim.radio import (
 )
 from r2xsim.scenarios import bundled_scenario_path, load_scenario
 
+
+def sample_link(gain_map, cells, cfg, table, seed, bler_target=0.1):
+    """The link table of ``sample_trace(gain_map, cells, cfg, seed)``."""
+    true_snr, map_snr = sample_trace(gain_map, cells, cfg, seed)
+    return LinkTable(true_snr, table, bler_target, map_snr)
+
+
 # Two-rung step table: rung 0 always decodes, rung 1 needs snr > 4 dB.
 STEP_TABLE = McsTable(
     (
@@ -168,7 +175,7 @@ class TestRunPolicy:
         # no shadowing: residuals are zero, prediction equals the map SNR
         gm = PathGainMap(np.array([[-113.0, -108.0, -103.0, -113.0, -108.0, -103.0]]))
         cells = [(x, 0) for x in range(6)] * 4
-        link = LinkTable.sample(gm, cells, RadioConfig(), STEP_TABLE, seed=1)
+        link = sample_link(gm, cells, RadioConfig(), STEP_TABLE, seed=1)
         assert link.map_snr == link.true_snr
         pred = run_policy(link, PolicySpec("predictive", delay=3), 800, seed=1)
         ideal = run_policy(link, PolicySpec("ideal"), 800, seed=1)
@@ -196,7 +203,7 @@ class TestLinkTable:
     def test_sample_reads_one_trace(self):
         scn = load_scenario(bundled_scenario_path("mcs-ar1"))
         gain_map, cells, cfg, table, *_ = scn.inputs
-        link = LinkTable.sample(gain_map, cells, cfg, table, 7)
+        link = sample_link(gain_map, cells, cfg, table, 7)
         assert (link.true_snr, link.map_snr) == sample_trace(gain_map, cells, cfg, 7)
         assert (link.true_snr, link.map_snr) == reference_sample_trace(gain_map, cells, cfg, 7)
 
@@ -303,7 +310,7 @@ class TestKernelMatchesReference:
         scn = bundled_corridor
         c = scn.inputs
         trace = reference_sample_trace(c.gain_map, c.cells, c.cfg, seed)
-        link = LinkTable.sample(c.gain_map, c.cells, c.cfg, c.table, seed, c.bler_target)
+        link = sample_link(c.gain_map, c.cells, c.cfg, c.table, seed, c.bler_target)
         for method in scn.methods:
             kind, _, delay = method.partition("_")
             spec = PolicySpec(kind, int(delay or 0))
@@ -319,7 +326,7 @@ class TestKernelMatchesReference:
         cells = [(x % 4, 0) for x in range(300)]
         cfg = RadioConfig()
         trace = reference_sample_trace(gm, cells, cfg, 3)
-        link = LinkTable.sample(gm, cells, cfg, STEP_TABLE, 3, target)
+        link = sample_link(gm, cells, cfg, STEP_TABLE, 3, target)
         for spec in SPECS:
             assert_matches_reference(link, trace, spec, STEP_TABLE, 700, target, 3, 4)
 
@@ -327,7 +334,7 @@ class TestKernelMatchesReference:
         gain_map, cells, cfg, table, *_ = bundled_corridor.inputs
         cells = cells[:600]
         trace = reference_sample_trace(gain_map, cells, cfg, 4)
-        link = LinkTable.sample(gain_map, cells, cfg, table, 4)
+        link = sample_link(gain_map, cells, cfg, table, 4)
         for spec in SPECS:
             assert_matches_reference(link, trace, spec, table, 1500, 0.1, 4, 0)
 
@@ -378,12 +385,12 @@ class TestPredictMatchesReference:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bundled_corridor(self, bundled_corridor, seed):
-        link = LinkTable.sample(*bundled_corridor.inputs[:4], seed, bundled_corridor.inputs.bler_target)
+        link = sample_link(*bundled_corridor.inputs[:4], seed, bundled_corridor.inputs.bler_target)
         self.assert_same(link, (0, 1, 7, 8, 9, 30, len(link) - 1))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bundled_corridor_stats(self, bundled_corridor, seed):
-        self.assert_same_stats(LinkTable.sample(*bundled_corridor.inputs[:4], seed, bundled_corridor.inputs.bler_target))
+        self.assert_same_stats(sample_link(*bundled_corridor.inputs[:4], seed, bundled_corridor.inputs.bler_target))
 
     def test_shorter_than_the_sample_minimum(self):
         link = self.residual_link([0.5, -1.25, 2.0, 0.75, -0.5])

@@ -29,8 +29,9 @@ from r2xsim.orchestrator import (
 )
 from r2xsim.planner import PlanConfig
 from r2xsim.radio import PathGainMap, RadioConfig, default_mcs_table
-from r2xsim.scenarios import load_scenario
+from r2xsim.scenarios import ScenarioError, load_scenario, parse_scenario
 from r2xsim.world import GridWorld, HumanTrack, RobotState
+from test_cli import random_small_warehouse
 
 
 class TestLoopBudget:
@@ -745,3 +746,53 @@ class TestWarehouseSimulation:
         assert (err.method, err.seed, err.max_sim_time_s) == ("stop_and_go", 3, 5.0)
         assert str(err) == "method stop_and_go seed 3 did not finish within 5.0 s (an event fell due at 5.6 s)"
         assert pickle.loads(pickle.dumps(err)).args == err.args
+
+    @pytest.mark.parametrize("method", ["lorc_p", "lorc_sc", "lorc_sc_p"])
+    def test_finished_run_leaves_no_event_queued(self, method):
+        """A robot whose step lands on its goal schedules nothing after it."""
+        sim = WarehouseSimulation(load_scenario(BUNDLED_DIR / "warehouse-s1.json").inputs, method, 0)
+        sim.run()
+        assert sim._events == []
+
+
+class TestRobotContact:
+    @pytest.mark.parametrize(
+        "method",
+        [
+            pytest.param(
+                "stop_and_go",
+                marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: stop-and-go lands on occupied cells"),
+            ),
+            "lorc_p",
+            "lorc_sc",
+            "lorc_sc_p",
+        ],
+    )
+    def test_no_robot_lands_where_another_stands(self, monkeypatch, method):
+        """Every seed of the bundled warehouse files and 100 random small
+        documents at seed 0: no robot lands on a cell another robot, moving
+        or parked, stands on."""
+        contacts = []
+        land = WarehouseSimulation._land
+
+        def spy(sim, t, rt, target):
+            contacts.extend(
+                (sim.seed, t, rt.id, other.id)
+                for other in sim.robots.values()
+                if other is not rt and other.cell == target
+            )
+            land(sim, t, rt, target)
+
+        monkeypatch.setitem(WarehouseSimulation._HANDLERS, "land", spy)
+        for name in WAREHOUSE_IDS:
+            scn = load_scenario(BUNDLED_DIR / f"{name}.json")
+            for seed in scn.seeds:
+                WarehouseSimulation(scn.inputs, method, seed).run()
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            try:
+                scn = parse_scenario(random_small_warehouse(rng, 20.0))
+                WarehouseSimulation(scn.inputs, method, 0).run()
+            except (ScenarioError, UnfinishedRun):
+                pass
+        assert contacts == []

@@ -174,7 +174,6 @@ class TestBundledCorpus:
     def test_loads_clean(self, name, bundled_dir):
         scn = load_scenario(bundled_dir / f"{name}.json")
         assert scn.id == name
-        assert scn.path == bundled_dir / f"{name}.json"
         assert len(scn.seeds) == 20
         assert len(set(scn.seeds)) == 20
 
@@ -804,7 +803,6 @@ class TestScenarioObject:
         assert scn.seeds == (0, 1)
         assert scn.methods == ("oracle", "ideal", "delayed_2", "predictive_2")
         assert scn.params == doc["mcs"]
-        assert scn.path is None
 
     def test_parse_rejects_invalid(self):
         doc = tiny_mcs()
@@ -1357,7 +1355,7 @@ class TestRunOne:
             harq_calls.clear()
             run_one(scn, "orchestrated", seed)
             picks = [orchestrator.select_sense_mode(rssi) for rssi in scn._seed_table[1].rssi]
-            assert set(picks) == {scenarios._FOLLOWME_MODE_CONFIGS[m] for m in FM_MODES if m != "jpeg_q95"}
+            assert set(picks) == {orchestrator.SENSE_MODES[m] for m in FM_MODES if m != "jpeg_q95"}
             # One HARQ call per maximal run of frames in one rung, with that
             # rung's attempt limit.
             runs = [(cfg, len(list(group))) for cfg, group in itertools.groupby(picks)]
@@ -1410,7 +1408,7 @@ class TestRunOne:
             fm["perception"]["far_distance_m"] = {m: rng.uniform(2.0, 14.0) for m in FM_MODES}
             scn = self.assert_followme_matches_reference(doc, seeds=range(2))
             rungs.update(map(orchestrator.select_sense_mode, scn._seed_table[1].rssi))
-        assert rungs == {scenarios._FOLLOWME_MODE_CONFIGS[m] for m in FM_MODES if m != "jpeg_q95"}
+        assert rungs == {orchestrator.SENSE_MODES[m] for m in FM_MODES if m != "jpeg_q95"}
 
     def test_followme_deterministic_per_seed(self):
         scn = parse_scenario(tiny_followme())
