@@ -37,10 +37,13 @@ SUMMARY_NAME = "summary.csv"
 
 
 def _parse_seed_list(text: str) -> List[int]:
-    """The seeds of ``--seeds``, under the scenario files' rule."""
+    """The seeds of ``--seeds``, each as ``str`` writes it, under the scenario files' rule."""
+    parts = text.split(",")
     try:
-        seeds = [int(part) for part in text.split(",")]
+        seeds = [int(part) for part in parts]
     except ValueError:
+        seeds = []
+    if list(map(str, seeds)) != parts:
         raise ScenarioError([f"--seeds: {_echo(text)} is not a comma-separated integer list"])
     ck = _Checker()
     ck.seeds(seeds, "--seeds")

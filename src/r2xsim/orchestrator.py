@@ -481,14 +481,14 @@ class WarehouseSimulation:
                      replan
 
     Each robot is one record in ``robots``, by id in file order. The run is
-    event-scheduled: one routine per event kind, called with the robot's
-    record; events are ordered by ``(time, robot id, push order)``.
+    event-scheduled: one method ``_<kind>`` per event kind, called with the
+    robot's record; events are ordered by ``(time, robot id, push order)``.
 
       decide -- a replanning robot's next command is ready and its last
                 step has finished: plan, then start the step and the loop
                 for the following command, or wait one frame in place
       land   -- a robot reaches its next cell (both modes); a stop-and-go
-                robot then tries its following step
+                robot then tries its following step in the same event
       try    -- one stop-and-go step: go, or halt one transition
 
     Replanning robots never execute a command before it has arrived: when
@@ -654,7 +654,7 @@ class WarehouseSimulation:
         if target == rt.goal:
             rt.arrived = True
         elif self.method == "stop_and_go":
-            self._push(t, rt.id, "try")
+            self._try(t, rt, None)
 
     def _try(self, t: float, rt: _RobotRuntime, target: Optional[Cell]) -> None:
         nxt = rt.solo_path.at(len(rt.executed))
@@ -673,10 +673,6 @@ class WarehouseSimulation:
             return
         self._push(t + self.world.cell_traverse_s, rt.id, "land", nxt)
 
-    # On the class: bound methods kept on the instance would form a reference
-    # cycle, and every finished run would stay in memory until a collection.
-    _HANDLERS = {"decide": _decide, "land": _land, "try": _try}
-
     # -- public API -------------------------------------------------------
 
     def decision_step(self) -> Optional[Tuple[float, int, str]]:
@@ -687,7 +683,7 @@ class WarehouseSimulation:
         t, rid, _, kind, target = heapq.heappop(self._events)
         if t > self.max_sim_time_s:
             raise self._unfinished(f"an event fell due at {_seconds(t)} s")
-        self._HANDLERS[kind](self, t, self.robots[rid], target)
+        getattr(self, "_" + kind)(t, self.robots[rid], target)
         return t, rid, kind
 
     def run(self) -> Dict[str, float]:
@@ -702,9 +698,8 @@ class WarehouseSimulation:
                 # initial synchronization: first command fetched before moving
                 ready = self._run_loop(rt, 0.0, rt.cell)
                 self._push(ready, rt.id, "decide")
-        while self.decision_step() is not None:
-            if all(rt.arrived for rt in self.robots.values()):
-                break
+        while self._events:
+            self.decision_step()
         unfinished = [rid for rid, rt in self.robots.items() if not rt.arrived]
         if unfinished:
             raise self._unfinished(f"robots {unfinished} never arrived")

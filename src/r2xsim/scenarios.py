@@ -56,6 +56,7 @@ from .schema import (
     _PAYLOAD_BYTES,
     _Checker,
     _echo,
+    _is_choice,
     _is_number,
     _unique_keys,
 )
@@ -162,7 +163,7 @@ def parse_scenario(data) -> Scenario:
     if top is None:
         raise ScenarioError(ck.errors)
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_choice(version, SCHEMA_VERSION):
         ck.fail("scenario.schema_version", f"{_echo(version)} is not the supported version {SCHEMA_VERSION}")
     sid = data.get("id")
     if not isinstance(sid, str) or not sid:

@@ -111,10 +111,6 @@ class Codebook:
     def dim(self) -> int:
         return self.codewords.shape[1]
 
-    @property
-    def index_bits(self) -> int:
-        return index_bits(self.size)
-
 
 def vq_encode(x: Sequence[float], codebook: Codebook) -> int:
     """Index of the codeword nearest to ``x`` in squared Euclidean distance;

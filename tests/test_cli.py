@@ -198,11 +198,16 @@ class TestRun:
         assert main(["run", str(followme_file), "--out", str(out)]) == 0
         assert [r["seed"] for r in read_results(out)] == [0, 1, 0, 1, 0, 1]
 
-    @pytest.mark.parametrize("flag", ["x,y", "-1", ",", "3,3", "1,,2", "1,"])
+    @pytest.mark.parametrize("flag", ["x,y", "-1", ",", "3,3", "1,,2", "1,", "1_0", "\u0661", " 3 ", "+4"])
     def test_bad_seed_flag(self, followme_file, tmp_path, capsys, flag):
+        """Each seed is ASCII digits, written as JSON writes a nonnegative
+        integer: no underscore, other script's digit, space or sign."""
         code = main(["run", str(followme_file), "--out", str(tmp_path / "o"), "--seeds", flag])
         assert code == 2
-        assert "--seeds" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("--seeds: ")
+        if flag not in ("3,3", "-1"):
+            assert f"--seeds: {flag!r} is not a comma-separated integer list" in err
 
     def test_long_bad_seed_list_gives_a_short_line(self, followme_file, tmp_path, capsys):
         assert main(["run", str(followme_file), "--out", str(tmp_path / "o"), "--seeds", "x" * 5000]) == 2

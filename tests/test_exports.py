@@ -53,28 +53,51 @@ def public_names():
     return sorted(names)
 
 
+def public_members():
+    """``(class, name)`` for every public method and property that a class
+    body of an ``r2xsim.*`` module defines."""
+    members = []
+    for path in sorted(Path(r2xsim.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (f"{path.stem}.{node.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+                ]
+    return members
+
+
 def test_every_export_has_a_reader_outside_the_tests():
     """Each export and each public module-level function and class is read
     by the package, a demo, a tool or the benchmark, not only by tests: it
     appears as a word in one of their Python files, where the package's
     ``__init__.py`` and the name's own ``def`` or ``class`` line do not
-    count."""
+    count. Each public method and property of a class body appears there
+    as ``.name``."""
     root = Path(__file__).resolve().parents[1]
     texts = []
     for folder in ("src/r2xsim", "demos", "tools", "perfbench"):
         for path in sorted((root / folder).rglob("*.py")):
             if path != root / "src/r2xsim/__init__.py":
                 texts.append((folder == "src/r2xsim", path.read_text()))
-    unread = []
-    for name in public_names():
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        own = re.compile(rf"^\s*(?:def|class)\s+{re.escape(name)}\b")
-        if not any(
+
+    def read(word, own):
+        return any(
             word.search(line) and not (in_src and own.match(line))
             for in_src, text in texts
             for line in text.splitlines()
-        ):
+        )
+
+    unread = []
+    for name in public_names():
+        if not read(re.compile(rf"\b{re.escape(name)}\b"), re.compile(rf"^\s*(?:def|class)\s+{re.escape(name)}\b")):
             unread.append(name)
+    members = public_members()
+    assert len(members) > 40
+    for owner, name in members:
+        if not read(re.compile(rf"\.{re.escape(name)}\b"), re.compile(rf"^\s*def\s+{re.escape(name)}\b")):
+            unread.append(f"{owner}.{name}")
     assert unread == []
 
 

@@ -747,52 +747,116 @@ class TestWarehouseSimulation:
         assert str(err) == "method stop_and_go seed 3 did not finish within 5.0 s (an event fell due at 5.6 s)"
         assert pickle.loads(pickle.dumps(err)).args == err.args
 
-    @pytest.mark.parametrize("method", ["lorc_p", "lorc_sc", "lorc_sc_p"])
-    def test_finished_run_leaves_no_event_queued(self, method):
-        """A robot whose step lands on its goal schedules nothing after it."""
-        sim = WarehouseSimulation(load_scenario(BUNDLED_DIR / "warehouse-s1.json").inputs, method, 0)
-        sim.run()
-        assert sim._events == []
+    @pytest.mark.parametrize("method", WAREHOUSE_METHODS)
+    def test_finished_run_leaves_no_event_queued(self, contact_audit, method):
+        """Every run of the audit below: a robot whose step lands on its goal
+        schedules nothing after it, so the queue drains exactly when the last
+        robot arrives, and a run that returns has no event queued."""
+        audit = contact_audit(method)
+        assert audit.finished > 0
+        assert audit.leftovers == []
+
+
+class ContactAudit:
+    """What a spy set on ``WarehouseSimulation._land`` sees over every
+    pinned seed of the bundled warehouse files and 100 random small
+    documents at seed 0, under one method: robots landing where another
+    robot stands, moving or parked; two robots exchanging cells in moves
+    that overlap in time; robots landing on a cell a human holds at the
+    landing frame. ``leftovers`` lists the runs whose queue did not drain
+    exactly when the last robot arrived."""
+
+    def __init__(self, method, runs):
+        self.landings = self.steps = self.finished = 0
+        self.contacts, self.swaps, self.humans, self.leftovers = [], [], [], []
+        land = WarehouseSimulation._land
+        moves = {}  # (from, to) -> [(landing time, robot id)] of the current run
+
+        def spy(sim, t, rt, target):
+            self.landings += 1
+            here = (sim.seed, t, rt.id)
+            self.contacts += [(*here, o.id) for o in sim.robots.values() if o is not rt and o.cell == target]
+            if target != rt.cell:
+                self.swaps += [
+                    (*here, rid)
+                    for t_o, rid in moves.get((target, rt.cell), ())
+                    if rid != rt.id and t - t_o < sim.world.cell_traverse_s - 1e-9
+                ]
+                moves.setdefault((rt.cell, target), []).append((t, rt.id))
+            frame = sim._frame(t)
+            self.humans += [here for track in sim.tracks if track.position_at(frame) == target]
+            land(sim, t, rt, target)
+            if rt.arrived and sim._events and all(o.arrived for o in sim.robots.values()):
+                self.leftovers.append((*here, "an event is queued after the last robot arrived"))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(WarehouseSimulation, "_land", spy)
+            for scn, seed in runs:
+                moves.clear()
+                sim = WarehouseSimulation(scn.inputs, method, seed)
+                try:
+                    sim.run()
+                except UnfinishedRun as exc:
+                    if "never arrived" in exc.reason:
+                        self.leftovers.append((seed, exc.reason))
+                else:
+                    self.finished += 1
+                    if sim._events or not all(rt.arrived for rt in sim.robots.values()):
+                        self.leftovers.append((seed, "run returned with a robot out or an event queued"))
+                self.steps += sum(len(rt.executed) - 1 for rt in sim.robots.values())
+
+
+@pytest.fixture(scope="module")
+def contact_audit():
+    """``contact_audit(method)``: the method's :class:`ContactAudit`, made
+    once per module."""
+    runs = [
+        (scn, seed)
+        for scn in (load_scenario(BUNDLED_DIR / f"{name}.json") for name in WAREHOUSE_IDS)
+        for seed in scn.seeds
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        try:
+            runs.append((parse_scenario(random_small_warehouse(rng, 20.0)), 0))
+        except ScenarioError:
+            pass
+    audits = {}
+
+    def audit(method):
+        if method not in audits:
+            audits[method] = ContactAudit(method, runs)
+        return audits[method]
+
+    return audit
+
+
+ITEM_1 = "ROADMAP item 1: robots land on cells other robots or humans hold"
 
 
 class TestRobotContact:
+    @pytest.mark.parametrize("method", WAREHOUSE_METHODS)
+    def test_spy_on_the_class_sees_every_landing(self, contact_audit, method):
+        audit = contact_audit(method)
+        assert audit.landings == audit.steps > 0
+
     @pytest.mark.parametrize(
         "method",
         [
-            pytest.param(
-                "stop_and_go",
-                marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: stop-and-go lands on occupied cells"),
-            ),
+            pytest.param("stop_and_go", marks=pytest.mark.xfail(strict=True, reason=ITEM_1)),
             "lorc_p",
             "lorc_sc",
             "lorc_sc_p",
         ],
     )
-    def test_no_robot_lands_where_another_stands(self, monkeypatch, method):
-        """Every seed of the bundled warehouse files and 100 random small
-        documents at seed 0: no robot lands on a cell another robot, moving
-        or parked, stands on."""
-        contacts = []
-        land = WarehouseSimulation._land
+    def test_no_robot_lands_where_another_stands(self, contact_audit, method):
+        assert contact_audit(method).contacts == []
 
-        def spy(sim, t, rt, target):
-            contacts.extend(
-                (sim.seed, t, rt.id, other.id)
-                for other in sim.robots.values()
-                if other is not rt and other.cell == target
-            )
-            land(sim, t, rt, target)
+    @pytest.mark.parametrize("method", WAREHOUSE_METHODS)
+    def test_no_two_robots_swap_cells(self, contact_audit, method):
+        assert contact_audit(method).swaps == []
 
-        monkeypatch.setitem(WarehouseSimulation._HANDLERS, "land", spy)
-        for name in WAREHOUSE_IDS:
-            scn = load_scenario(BUNDLED_DIR / f"{name}.json")
-            for seed in scn.seeds:
-                WarehouseSimulation(scn.inputs, method, seed).run()
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            try:
-                scn = parse_scenario(random_small_warehouse(rng, 20.0))
-                WarehouseSimulation(scn.inputs, method, 0).run()
-            except (ScenarioError, UnfinishedRun):
-                pass
-        assert contacts == []
+    @pytest.mark.xfail(strict=True, reason=ITEM_1)
+    @pytest.mark.parametrize("method", WAREHOUSE_METHODS)
+    def test_no_robot_lands_on_a_human(self, contact_audit, method):
+        assert contact_audit(method).humans == []

@@ -217,6 +217,8 @@ class TestValidation:
         [
             (lambda d: d.pop("schema_version"), "scenario.schema_version: required field missing"),
             (lambda d: d.update(schema_version=2), "not the supported version 1"),
+            (lambda d: d.update(schema_version=True), "scenario.schema_version: True is not the supported version 1"),
+            (lambda d: d.update(schema_version=1.0), "scenario.schema_version: 1.0 is not the supported version 1"),
             (lambda d: d.update(id=""), "scenario.id"),
             (lambda d: d.update(extra=1), "scenario.extra: unknown field"),
             (lambda d: d.update(seeds=[]), "scenario.seeds"),

@@ -162,7 +162,7 @@ class TestCodebook:
 
     def test_shape_properties(self):
         cb = self.small()
-        assert cb.size == 4 and cb.dim == 2 and cb.index_bits == 2
+        assert cb.size == 4 and cb.dim == 2 and index_bits(cb.size) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
