@@ -10,12 +10,14 @@ closed in time.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
 import heapq
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .radio import (
     simulate_transmission,
     weight_errors,
 )
-from .schema import _MAX_ID_DIGITS, _Checker, _echo, bounded, check_bounds
+from .schema import _MAX_DELAY_S, _MAX_ID_DIGITS, _Checker, _echo, bounded, check_bounds
 from .sensing import SenseConfig
 from .world import Cell, GridWorld, HumanTrack, RobotState, human_forecast
 
@@ -59,10 +61,10 @@ class LoopBudget:
     """Fixed per-loop latency components, in seconds. The loop's deadline is
     the cell transition, ``GridWorld.cell_traverse_s`` (see ``_decide``)."""
 
-    detection_s: float = bounded(lo=0.0)
-    encode_s: float = bounded(lo=0.0)
-    link_context_s: float = bounded(lo=0.0)
-    orchestration_s: float = bounded(lo=0.0)
+    detection_s: float = bounded(lo=0.0, hi=_MAX_DELAY_S)
+    encode_s: float = bounded(lo=0.0, hi=_MAX_DELAY_S)
+    link_context_s: float = bounded(lo=0.0, hi=_MAX_DELAY_S)
+    orchestration_s: float = bounded(lo=0.0, hi=_MAX_DELAY_S)
 
     __post_init__ = check_bounds
 
@@ -178,17 +180,19 @@ _IMPORTANCE_WORDS = ("important", "priority", "critical", "urgent")
 
 
 def _favored_robot(text: str, robot_ids: Sequence[int]) -> Optional[int]:
-    """Robot named closest before an importance keyword, by majority vote."""
+    """Robot named closest before an importance keyword, by majority vote;
+    each keyword's last earlier mention is found by bisection."""
     mentions = [(m.start(), int(m.group(1))) for m in _ROBOT_MENTION_RE.finditer(text)]
     mentions = [(pos, rid) for pos, rid in mentions if rid in robot_ids]
     if not mentions:
         return None
+    starts = [pos for pos, _ in mentions]
     votes: Dict[int, int] = {}
     for word in _IMPORTANCE_WORDS:
         for m in re.finditer(word, text):
-            before = [(pos, rid) for pos, rid in mentions if pos < m.start()]
-            if before:
-                votes[before[-1][1]] = votes.get(before[-1][1], 0) + 1
+            i = bisect.bisect_left(starts, m.start())
+            if i:
+                votes[mentions[i - 1][1]] = votes.get(mentions[i - 1][1], 0) + 1
     if not votes:
         return None
     best = max(votes.values())
@@ -304,16 +308,15 @@ def correct_loop(
 # warehouse closed-loop engine
 
 
-# A HumanReservations memo holds at most _MAX_HUMAN_TABLES tables,
-# _MAX_PARKED_WORLDS parked worlds and _MAX_PLANS plans, and each table at
-# most _MAX_SOLO_ROUTES solo routes; when one is full it starts again empty.
+# A HumanReservations memo holds at most _MAX_HUMAN_TABLES entries and
+# _MAX_PARKED_WORLDS parked worlds, and each entry at most _MAX_PER_TABLE solo
+# routes and _MAX_PER_TABLE replans; when one is full it starts again empty.
 # The 20 seeds of a pinned warehouse file (a bundled file or its makespan
-# copy) need 26 to 49 tables, 2 or 3 worlds (none parked, one robot parked),
-# 58 to 124 plans and at most 24 routes on one table.
+# copy) need 26 to 49 entries, 2 or 3 worlds (none parked, one robot parked)
+# and at most 24 routes and 32 replans in one entry.
 _MAX_HUMAN_TABLES = 4096
 _MAX_PARKED_WORLDS = 16
-_MAX_PLANS = 4096
-_MAX_SOLO_ROUTES = 64
+_MAX_PER_TABLE = 64
 
 
 class HumanReservations:
@@ -332,18 +335,18 @@ class HumanReservations:
 
     From frame ``F = max(len(waypoints)) - 2`` (at least 0) on, every
     forecast cell is a track's last waypoint and every forecast step is
-    the same, so a later frame reads the table of frame ``F``: tables and
-    replans are keyed by ``min(frame, F)``.
+    the same, so a later frame reads the table of frame ``F``: entries are
+    keyed by ``(parked, min(frame, F))``.
 
-    Each table carries the solo routes ``plan`` has searched under it, and
-    ``next_cells`` keeps the outcome of each replan, keyed by its content:
-    ``parked``, the keyed frame, every active robot's ``(id, cell, goal)`` and the
-    plan configuration, which are all that ``plan`` reads (Silver 2005:
-    what stays fixed is computed once). A replan whose key was seen before
-    builds no table and calls no planner.
+    Each entry carries the solo routes ``plan`` has searched under its
+    table, and the outcome of each replan made under it, keyed by every
+    active robot's ``(id, cell, goal)`` and the plan configuration: with the
+    entry's key, all that ``plan`` reads (Silver 2005: what stays fixed is
+    computed once). A replan whose key was seen before builds no table and
+    calls no planner.
     """
 
-    __slots__ = ("world", "tracks", "objective", "_last_frame", "_worlds", "_tables", "_plans")
+    __slots__ = ("world", "tracks", "objective", "_last_frame", "_worlds", "_tables")
 
     def __init__(self, world: GridWorld, tracks: Sequence[HumanTrack], objective: str):
         self.world = world
@@ -351,13 +354,12 @@ class HumanReservations:
         self.objective = objective
         self._last_frame = max(0, max((len(track.waypoints) for track in self.tracks), default=0) - 2)
         self._worlds: Dict[frozenset, GridWorld] = {}
-        self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, Dict[int, FrozenSet[int]], dict]] = {}
-        self._plans: Dict[tuple, Dict[int, Cell]] = {}
+        self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, Dict[int, FrozenSet[int]], dict, dict]] = {}
 
-    def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, Dict[int, FrozenSet[int]], dict]:
+    def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, Dict[int, FrozenSet[int]], dict, dict]:
         """The world with ``parked`` blocked, the humans' reservation table
-        on it for a replan at ``frame``, and the solo routes searched under
-        that table, keyed as ``plan``'s ``routes``."""
+        on it for a replan at ``frame``, and the solo routes (as ``plan``'s
+        ``routes``) and replans (as ``next_cells``'s) made under that table."""
         frame = min(frame, self._last_frame)
         key = (parked, frame)
         found = self._tables.get(key)
@@ -367,7 +369,7 @@ class HumanReservations:
         if world is None:
             if len(self._worlds) >= _MAX_PARKED_WORLDS:
                 self._worlds.clear()
-                self._tables.clear()  # its tables hold the worlds
+                self._tables.clear()  # its entries hold the worlds
             world = self.world.blocking(parked) if parked else self.world
             self._worlds[parked] = world
         if len(self._tables) >= _MAX_HUMAN_TABLES:
@@ -380,7 +382,7 @@ class HumanReservations:
             for track in self.tracks
             for cell, abs_frame in human_forecast(track, frame)
         ]
-        found = self._tables[key] = (world, _human_reservations(world, pairs, self.objective), {})
+        found = self._tables[key] = (world, _human_reservations(world, pairs, self.objective), {}, {})
         return found
 
     def next_cells(
@@ -390,29 +392,28 @@ class HumanReservations:
         ``(id, cell, goal)``, at a replan at ``frame`` with ``parked``
         blocked; empty when planning fails. The dict is shared by every
         replan with the same key and must not be changed."""
-        frame = min(frame, self._last_frame)
-        key = (parked, frame, robots, pp)
-        found = self._plans.get(key)
+        world, human, routes, replans = self.at(parked, frame)
+        found = replans.get((robots, pp))
         if found is not None:
             return found
-        world, human, routes = self.at(parked, frame)
-        if len(routes) >= _MAX_SOLO_ROUTES:
+        if len(routes) >= _MAX_PER_TABLE:
             routes.clear()
         states = [RobotState(rid, cell, goal) for rid, cell, goal in robots]
         try:
             found = {p.robot_id: p.at(1) for p in plan(world, states, human, pp, routes=routes)}
         except PlanningError:
             found = {}
-        if len(self._plans) >= _MAX_PLANS:
-            self._plans.clear()
-        self._plans[key] = found
+        if len(replans) >= _MAX_PER_TABLE:
+            replans.clear()
+        replans[robots, pp] = found
         return found
 
 
-class WarehouseInputs(NamedTuple):
-    """What every run of a warehouse scenario starts from. ``human`` is the
-    scenario's :class:`HumanReservations` memo, made for ``world``,
-    ``tracks`` and ``cfg.pp.objective``."""
+@dataclass(frozen=True)
+class WarehouseInputs:
+    """What every run of a warehouse scenario starts from. ``human`` is its
+    :class:`HumanReservations` memo, made on first use for ``world``,
+    ``tracks`` and ``cfg.pp.objective``; ``dataclasses.replace`` starts anew."""
 
     world: GridWorld
     robots: List[RobotState]
@@ -423,7 +424,10 @@ class WarehouseInputs(NamedTuple):
     budget: LoopBudget
     payloads: Dict[str, int]
     max_sim_time_s: float
-    human: HumanReservations
+
+    @functools.cached_property
+    def human(self) -> HumanReservations:
+        return HumanReservations(self.world, self.tracks, self.cfg.pp.objective)
 
 
 def _seconds(t: float) -> str:
@@ -505,9 +509,6 @@ class WarehouseSimulation:
         ids = sorted(r.id for r in inputs.robots)
         if len(cfg.ra.priority_weights) != len(ids):
             raise ValueError("priority weights must match the robot count")
-        human = inputs.human
-        if human.world is not world or human.tracks != tuple(inputs.tracks) or human.objective != cfg.pp.objective:
-            raise ValueError("the human reservation memo was made for another world, tracks or objective")
         self.world = world
         self.tracks = inputs.tracks
         self.gain_map = gain_map
@@ -543,7 +544,7 @@ class WarehouseSimulation:
         self.rtt_samples: List[float] = []
         self._events: List[Tuple[float, int, int, str, Optional[Cell]]] = []
         self._event_seq = 0
-        self._human = human
+        self._human = inputs.human
 
     # -- helpers ----------------------------------------------------------
 

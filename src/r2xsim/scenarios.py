@@ -35,7 +35,6 @@ from .metrics import tail_stats, utfr
 from .orchestrator import (
     SENSE_MODES,
     WAREHOUSE_METHODS,
-    HumanReservations,
     LoopBudget,
     RuleIntentEngine,
     WarehouseInputs,
@@ -96,7 +95,7 @@ class Scenario:
     inputs: Union[WarehouseInputs, McsInputs, FollowmeInputs] = field(repr=False, compare=False)
     # (seed, table) of the last seed run, the table being what the kind's
     # ``prepare`` function made of that seed; a copy made by with_overrides
-    # starts empty, as does a warehouse copy's HumanReservations memo.
+    # starts empty, but shares the warehouse inputs' HumanReservations memo.
     _seed_table: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def with_overrides(
@@ -105,9 +104,6 @@ class Scenario:
         methods: Optional[Sequence[str]] = None,
     ) -> "Scenario":
         out = dataclasses.replace(self)
-        if isinstance(self.inputs, WarehouseInputs):
-            human = self.inputs.human
-            out.inputs = self.inputs._replace(human=HumanReservations(human.world, human.tracks, human.objective))
         if seeds is not None:
             out = dataclasses.replace(out, seeds=tuple(seeds))
         if methods is not None:
@@ -168,6 +164,8 @@ def parse_scenario(data) -> Scenario:
     sid = data.get("id")
     if not isinstance(sid, str) or not sid:
         ck.fail("scenario.id", f"{_echo(sid)} must be a nonempty string")
+    if not isinstance(data.get("description", ""), str):
+        ck.fail("scenario.description", f"{_echo(data['description'])} must be a string")
     kind = ck.one_of(data.get("kind"), "scenario.kind", tuple(_KINDS))
     if kind is None:
         raise ScenarioError(ck.errors)
@@ -405,18 +403,16 @@ def build_warehouse(ck: _Checker, sec, methods) -> Optional[WarehouseInputs]:
     for (x0, y0, x1, y1), loss in zones:
         gains[y0 : y1 + 1, x0 : x1 + 1] -= loss
     cfg = correct_loop(RuleIntentEngine(), sec["intent_text"], {"robot_ids": sorted(ids)}).config
-    humans = [HumanTrack(*track) for track in tracks]
     return WarehouseInputs(
         world=grid,
         robots=[RobotState(*robot) for robot in zip(ids, starts, goals)],
-        tracks=humans,
+        tracks=[HumanTrack(*track) for track in tracks],
         gain_map=PathGainMap(gains, rho, sigma),
         table=table,
         cfg=dataclasses.replace(cfg, ra=dataclasses.replace(cfg.ra, **radio)),
         budget=LoopBudget(**times),
         payloads=payloads,
         max_sim_time_s=max_sim_time_s,
-        human=HumanReservations(grid, humans, cfg.pp.objective),
     )
 
 

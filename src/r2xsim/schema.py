@@ -51,8 +51,9 @@ _BLER_TARGET = dict(gt=0, lt=1)
 # seconds, and each throughput_curve point at least _MIN_THROUGHPUT_BPS, so
 # that a frame's CTA, enc + attempts * (bits / throughput + slot_s) + dec, is
 # below 6 * 10^14 s and the sum tail_stats takes over its frames stays finite.
-# The same bound holds McsTable.slot_s (a section's radio.slot_s), so that an
-# mcs trace's or a warehouse run's latency sum stays finite too.
+# The same bound holds McsTable.slot_s (a section's radio.slot_s) and each
+# LoopBudget time (a warehouse budget.*), so that an mcs trace's or a
+# warehouse run's latency sum and a loop's total_s stay finite too.
 _MAX_DELAY_S = 10**6
 _MIN_THROUGHPUT_BPS = 1.0
 

@@ -69,6 +69,11 @@ with the same number of values were summarized together: one
 summed in one pass: the arrivals are walked once to range-check them, once
 to list the gaps and once to sum what each gap loses.
 
+``reference_favored_robot`` is the intent rule's priority robot as it was
+before the last mention before each keyword was found by bisection: every
+keyword lists all earlier mentions again, so its time is quadratic in the
+text.
+
 ``validate_path`` is the check a planned path must pass: every cell
 passable and every step a move to a neighbouring cell or a wait.
 
@@ -87,6 +92,7 @@ import functools
 import heapq
 import itertools
 import math
+import re
 from collections import deque
 from typing import Dict, List
 
@@ -94,7 +100,7 @@ import numpy as np
 
 from r2xsim.linkadapt import _MAP_AWARE_MIN_SAMPLES, PolicyTimeSeries
 from r2xsim.metrics import tail_stats
-from r2xsim.orchestrator import SENSE_MODES, select_sense_mode
+from r2xsim.orchestrator import _IMPORTANCE_WORDS, _ROBOT_MENTION_RE, SENSE_MODES, select_sense_mode
 from r2xsim.planner import (
     _MAX_RESOLUTION_ROUNDS,
     PlanningError,
@@ -444,6 +450,25 @@ def reference_utfr(frame_arrival_steps, total_steps, loss_threshold_steps) -> fl
         gaps.append(total_steps - arrivals[-1])
     lost = sum(max(0, g - loss_threshold_steps) for g in gaps)
     return 100.0 * lost / total_steps
+
+
+def reference_favored_robot(text, robot_ids):
+    """``orchestrator._favored_robot`` with a scan of all earlier mentions
+    for every importance keyword."""
+    mentions = [(m.start(), int(m.group(1))) for m in _ROBOT_MENTION_RE.finditer(text)]
+    mentions = [(pos, rid) for pos, rid in mentions if rid in robot_ids]
+    if not mentions:
+        return None
+    votes = {}
+    for word in _IMPORTANCE_WORDS:
+        for m in re.finditer(word, text):
+            before = [(pos, rid) for pos, rid in mentions if pos < m.start()]
+            if before:
+                votes[before[-1][1]] = votes.get(before[-1][1], 0) + 1
+    if not votes:
+        return None
+    best = max(votes.values())
+    return min(rid for rid, v in votes.items() if v == best)
 
 
 def validate_path(path, world) -> None:

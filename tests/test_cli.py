@@ -523,7 +523,7 @@ class TestClampedFrame:
         memo = scn.inputs.human
         assert memo._last_frame == 1
         assert [frame for _, frame in memo._tables] == [1]
-        assert [frame for _, frame, *_ in memo._plans] == [1]
+        assert [len(replans) for *_, replans in memo._tables.values()] == [1]
 
 
 class TestUnreachableGoal:

@@ -3,6 +3,8 @@
 import json
 import math
 import pickle
+import random
+import time
 
 import numpy as np
 import pytest
@@ -10,11 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BUNDLED_DIR, WAREHOUSE_IDS
-from oracles import reference_warehouse_metrics
+from oracles import reference_favored_robot, reference_warehouse_metrics
 from r2xsim import orchestrator
 from r2xsim.orchestrator import (
     WAREHOUSE_METHODS,
-    HumanReservations,
     LoopBudget,
     OrchestratorConfig,
     RuleIntentEngine,
@@ -410,6 +411,31 @@ class TestRuleIntent:
         assert msg["pp_config"]["min_time_gap_at_conflict"] == 10**18 - 1
 
 
+class TestFavoredRobot:
+    def test_matches_the_rule_that_scans_every_earlier_mention(self):
+        """Seeded random texts of mentions, keywords and filler, for random
+        fleets, name the robot the quadratic reference names."""
+        rng = random.Random(33)
+        pieces = ["robot 1", "robot_2", "robot3", "robot 9", "robot 12", "robot 123", "important", "priority",
+                  "critical", "urgent", "importan", " is ", ". ", "and ", "x", "1", " "]
+        named = 0
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randrange(40)))
+            ids = sorted(rng.sample([1, 2, 3, 9, 12], rng.randrange(1, 6)))
+            want = reference_favored_robot(text, ids)
+            assert orchestrator._favored_robot(text, ids) == want, (text, ids)
+            named += want is not None
+        assert 1000 < named < 2900
+
+    def test_long_text_resolves_in_well_under_a_second(self):
+        text = "robot 1 is important. " * 8000
+        assert len(text) == 176_000
+        start = time.process_time()
+        res = correct_loop(RuleIntentEngine(), text, {"robot_ids": [1, 2]})
+        assert time.process_time() - start < 1.0
+        assert res.config.pp.priority_robot == 1 and not res.fallback
+
+
 def intent_texts():
     """Any text, and texts built from the words the rules look for."""
     words = st.sampled_from(
@@ -560,7 +586,6 @@ def make_inputs(
         budget=budget or LoopBudget(0.1, 0.01, 0.05, 0.1),
         payloads={"raw": 6220800, "semantic_feature": 5160},
         max_sim_time_s=max_sim_time_s,
-        human=HumanReservations(world, tracks, cfg.pp.objective),
     )
 
 
@@ -572,15 +597,6 @@ class TestWarehouseSimulation:
             make_sim("lorc_sc_p", gains=np.full((2, 3), -60.0))
         with pytest.raises(ValueError, match="weights"):
             make_sim("lorc_sc_p", weights=(0.5, 0.5))
-        inputs = make_inputs()
-        track = HumanTrack(((2, 0),))
-        for other in (
-            HumanReservations(GridWorld(6, 1), inputs.tracks, "makespan"),
-            HumanReservations(inputs.world, [track], "makespan"),
-            HumanReservations(inputs.world, inputs.tracks, "safety_first"),
-        ):
-            with pytest.raises(ValueError, match="memo was made for another"):
-                WarehouseSimulation(inputs._replace(human=other), "lorc_sc_p", 0)
 
     def test_fast_loop_never_stalls(self):
         """5160 B at 3 bps/Hz on 10 MHz: the loop closes in 0.262376 s,

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import importlib.util
 import io
 import itertools
@@ -165,7 +166,7 @@ def inputs_bytes(doc) -> bytes:
     per-file memo of human tables."""
     inputs = parse_scenario(doc).inputs
     if isinstance(inputs, orchestrator.WarehouseInputs):
-        inputs = inputs._replace(human=None)
+        inputs = dataclasses.replace(inputs)
     return pickle.dumps(inputs)
 
 
@@ -209,6 +210,12 @@ class TestValidation:
         for doc in (tiny_warehouse(), tiny_mcs(), tiny_followme()):
             assert scenario_errors(doc) == []
 
+    def test_string_description_and_largest_budget_are_valid(self):
+        doc = tiny_warehouse()
+        doc["description"] = ""
+        doc["warehouse"]["budget"] = dict.fromkeys(doc["warehouse"]["budget"], 10**6)
+        assert scenario_errors(doc) == []
+
     def test_non_object(self):
         assert scenario_errors([1, 2]) == ["scenario: must be an object"]
 
@@ -220,6 +227,10 @@ class TestValidation:
             (lambda d: d.update(schema_version=True), "scenario.schema_version: True is not the supported version 1"),
             (lambda d: d.update(schema_version=1.0), "scenario.schema_version: 1.0 is not the supported version 1"),
             (lambda d: d.update(id=""), "scenario.id"),
+            (lambda d: d.update(description=5), "scenario.description: 5 must be a string"),
+            (lambda d: d.update(description=None), "scenario.description: None must be a string"),
+            (lambda d: d.update(description={"a": [1, 2]}), "scenario.description: {'a': [1, 2]} must be a string"),
+            (lambda d: d.update(description=["list"]), "scenario.description: ['list'] must be a string"),
             (lambda d: d.update(extra=1), "scenario.extra: unknown field"),
             (lambda d: d.update(seeds=[]), "scenario.seeds"),
             (lambda d: d.update(seeds=[0, 0]), "seeds must be distinct"),
@@ -314,6 +325,14 @@ class TestValidation:
             (lambda s: s["gain"].update(shadowing_rho=1.0), "must be in [0, 1)"),
             (lambda s: s["budget"].pop("encode_s"), "scenario.warehouse.budget.encode_s"),
             (lambda s: s["budget"].update(detection_s=-0.1), "must be >= 0"),
+            (
+                lambda s: s["budget"].update(detection_s=1e7),
+                "scenario.warehouse.budget.detection_s: 10000000.0 must be <= 1000000",
+            ),
+            (
+                lambda s: s["budget"].update({key: 1e308 for key in s["budget"]}),
+                "scenario.warehouse.budget.orchestration_s: 1e+308 must be <= 1000000",
+            ),
             (lambda s: s["payloads"].pop("raw"), "scenario.warehouse.payloads.raw"),
             (lambda s: s.update(intent_text=7), "scenario.warehouse.intent_text: must be a string"),
             (lambda s: s.update(max_sim_time_s=0.5), "must be >= 1"),
@@ -916,7 +935,8 @@ class TestSyntheticGainMap:
 class TestBuildWarehouse:
     def test_bundled_s1_configuration(self, bundled_dir):
         scn = load_scenario(bundled_dir / "warehouse-s1.json")
-        world, robots, tracks, gain_map, table, cfg, budget, *_ = scn.inputs
+        fields = dataclasses.fields(scn.inputs)
+        world, robots, tracks, gain_map, table, cfg, budget, *_ = (getattr(scn.inputs, f.name) for f in fields)
         assert (world.width, world.height) == (10, 10)
         assert world.frame_period_s == 0.7
         assert world.cell_traverse_s == 1.4
@@ -1086,6 +1106,11 @@ def pinned_warehouse_scenario(sid, work_dir):
 PINNED_WAREHOUSE = [f"{name}{suffix}" for name in WAREHOUSE_IDS for suffix in ("", "-makespan")]
 
 
+def replan_count(memo):
+    """How many replans ``memo`` keeps, over all its entries."""
+    return sum(len(replans) for *_, replans in memo._tables.values())
+
+
 class TestHumanReservationMemo:
     """Every run of a loaded warehouse file reads the humans' reservation
     tables, the solo routes under them and the replans' outcomes from one
@@ -1103,25 +1128,25 @@ class TestHumanReservationMemo:
         # The plans read the shared tables; none of them was changed, and
         # each kept route is the route searched afresh under its table. A
         # parked world's derived move table is the one built afresh.
-        for (parked, frame), (world, table, routes) in memo._tables.items():
+        for (parked, frame), (world, table, routes, replans) in memo._tables.items():
             fresh_world, fresh_table = reference_human_table(scn.inputs, parked, frame)
             assert (world, table) == (fresh_world, table_ids(fresh_world, fresh_table))
             assert world.moves == fresh_world.moves
             assert all(type(steps) is frozenset for steps in table.values())
-            assert 0 < len(routes) <= orchestrator._MAX_SOLO_ROUTES
+            assert 0 < len(routes) <= orchestrator._MAX_PER_TABLE
             for (rid, start, goal, horizon), path in routes.items():
                 fresh = low_level_search(world, RobotState(rid, start, goal), ReservationTable(rid, table), horizon)
                 assert path == fresh
-        # Each kept replan is the replan made afresh.
-        assert 0 < len(memo._plans) <= orchestrator._MAX_PLANS
-        for (parked, frame, robots, pp), nxt in memo._plans.items():
-            world, table = reference_human_table(scn.inputs, parked, frame)
-            states = [RobotState(rid, cell, goal) for rid, cell, goal in robots]
-            try:
-                want = {p.robot_id: p.at(1) for p in plan(world, states, table_ids(world, table), pp)}
-            except PlanningError:
-                want = {}
-            assert nxt == want
+            # Each kept replan is the replan made afresh.
+            assert 0 < len(replans) <= orchestrator._MAX_PER_TABLE
+            for (robots, pp), nxt in replans.items():
+                states = [RobotState(rid, cell, goal) for rid, cell, goal in robots]
+                try:
+                    paths = plan(fresh_world, states, table_ids(fresh_world, fresh_table), pp)
+                    want = {p.robot_id: p.at(1) for p in paths}
+                except PlanningError:
+                    want = {}
+                assert nxt == want
 
     @pytest.mark.parametrize("sid", PINNED_WAREHOUSE)
     def test_memo_on_and_off_give_the_same_records(self, sid, tmp_path, monkeypatch):
@@ -1144,11 +1169,12 @@ class TestHumanReservationMemo:
     @pytest.mark.parametrize("sid", ["warehouse-s3", "warehouse-s3-makespan"])
     def test_plan_is_called_once_per_key(self, sid, tmp_path, monkeypatch):
         """A replan whose key was seen before neither builds a table nor
-        calls the planner; every other replan plans once."""
+        calls the planner; every other replan plans once, and every table
+        is built once."""
         plans, tables = [], []
-        real_plan, real_at = orchestrator.plan, HumanReservations.at
+        real_plan, real_table = orchestrator.plan, orchestrator._human_reservations
         monkeypatch.setattr(orchestrator, "plan", lambda *a, **k: plans.append(1) or real_plan(*a, **k))
-        monkeypatch.setattr(HumanReservations, "at", lambda memo, *a: tables.append(1) or real_at(memo, *a))
+        monkeypatch.setattr(orchestrator, "_human_reservations", lambda *a: tables.append(1) or real_table(*a))
         replans = []
         real_next = orchestrator.WarehouseSimulation._plan_next
         monkeypatch.setattr(
@@ -1156,49 +1182,60 @@ class TestHumanReservationMemo:
         )
         scn = pinned_warehouse_scenario(sid, tmp_path)
         all_records(scn, seeds=range(4))
-        assert len(plans) == len(tables) == len(scn.inputs.human._plans) > 0
+        memo = scn.inputs.human
+        assert len(plans) == replan_count(memo) > len(tables) == len(memo._tables) > 0
         assert len(replans) > 2 * len(plans)
         all_records(scn, seeds=range(4))
-        assert len(plans) == len(tables) == len(scn.inputs.human._plans)
+        assert len(plans) == replan_count(memo) and len(tables) == len(memo._tables)
 
     def test_bounded_memo_gives_the_same_records(self, bundled_dir, monkeypatch):
         path = bundled_dir / "warehouse-s3.json"
         want = all_records(load_scenario(path))
-        for name in ("_MAX_HUMAN_TABLES", "_MAX_PARKED_WORLDS", "_MAX_PLANS", "_MAX_SOLO_ROUTES"):
+        for name in ("_MAX_HUMAN_TABLES", "_MAX_PARKED_WORLDS", "_MAX_PER_TABLE"):
             monkeypatch.setattr(orchestrator, name, 1)
         sizes = []
         real = HumanReservations.at
 
         def at(memo, parked, frame):
             found = real(memo, parked, frame)
-            sizes.append((len(memo._tables), len(memo._worlds), len(memo._plans), len(found[2])))
+            sizes.append((len(memo._tables), len(memo._worlds), len(found[2]), len(found[3])))
             return found
 
         monkeypatch.setattr(HumanReservations, "at", at)
         assert all_records(load_scenario(path)) == want
-        # A table takes at most the two robots' routes of one replan.
-        assert max(sizes) == (1, 1, 1, 2) and len(sizes) > 100
+        # An entry takes at most the two robots' routes of one replan.
+        assert [max(size) for size in zip(*sizes)] == [1, 1, 2, 1] and len(sizes) > 100
 
     def test_memo_survives_pickling(self, bundled_dir):
         scn = load_scenario(bundled_dir / "warehouse-s1.json")
         want = all_records(scn)
         copied = pickle.loads(pickle.dumps(scn))
         memo, kept = scn.inputs.human, copied.inputs.human
-        assert len(kept._tables) == len(memo._tables) > 0 and len(kept._plans) == len(memo._plans) > 0
-        assert kept._plans == memo._plans
-        assert [routes for _, _, routes in kept._tables.values()] == [routes for _, _, routes in memo._tables.values()]
+        assert len(kept._tables) == len(memo._tables) > 0 and replan_count(kept) == replan_count(memo) > 0
+        assert [entry[2:] for entry in kept._tables.values()] == [entry[2:] for entry in memo._tables.values()]
         assert kept.world is copied.inputs.world
         assert all_records(copied) == want
 
-    def test_with_overrides_copy_starts_empty(self, bundled_dir):
+    def test_with_overrides_copy_shares_the_memo(self, bundled_dir):
         scn = load_scenario(bundled_dir / "warehouse-s1.json")
-        all_records(scn, seeds=(0,))
-        filled = len(scn.inputs.human._tables), len(scn.inputs.human._plans)
+        memo = scn.inputs.human
+        assert memo is scn.inputs.human
+        want = all_records(scn, seeds=(0,))
+        filled = len(memo._tables), replan_count(memo)
         out = scn.with_overrides(seeds=[0])
-        assert not out.inputs.human._tables and not out.inputs.human._plans
-        assert (len(scn.inputs.human._tables), len(scn.inputs.human._plans)) == filled and min(filled) > 0
-        assert out.inputs.human.world is out.inputs.world is scn.inputs.world
-        assert all_records(out, seeds=(0,)) == all_records(scn, seeds=(0,))
+        assert out.inputs.human is memo and min(filled) > 0
+        assert all_records(out, seeds=(0,)) == want
+        assert (len(memo._tables), replan_count(memo)) == filled
+
+    def test_replaced_inputs_start_a_fresh_memo(self, bundled_dir):
+        scn = load_scenario(bundled_dir / "warehouse-s1.json")
+        want = all_records(scn, seeds=(0,))
+        fresh = dataclasses.replace(scn.inputs)
+        assert fresh.human is not scn.inputs.human and not fresh.human._tables
+        assert fresh.human.world is fresh.world is scn.inputs.world
+        assert (fresh.human.tracks, fresh.human.objective) == (tuple(fresh.tracks), fresh.cfg.pp.objective)
+        scn.inputs = fresh
+        assert all_records(scn, seeds=(0,)) == want and fresh.human._tables
 
 
 class TestRunOne:

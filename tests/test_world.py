@@ -99,7 +99,8 @@ class TestNeighborTable:
     @pytest.mark.parametrize("park_goal", [False, True], ids=["open", "parked"])
     @pytest.mark.parametrize("sid", WAREHOUSE_IDS)
     def test_matches_scan_on_bundled_layouts(self, sid, park_goal):
-        world, robots, *_ = load_scenario(BUNDLED_DIR / f"{sid}.json").inputs
+        inputs = load_scenario(BUNDLED_DIR / f"{sid}.json").inputs
+        world, robots = inputs.world, inputs.robots
         if park_goal:
             world = GridWorld(
                 world.width, world.height, world.blocked | {robots[0].goal},
