@@ -344,17 +344,29 @@ class HumanReservations:
     entry's key, all that ``plan`` reads (Silver 2005: what stays fixed is
     computed once). A replan whose key was seen before builds no table and
     calls no planner.
+
+    Each track's forecast steps, which depend only on the frame period and
+    the cell move, are computed once; stop-and-go's per-frame set of human
+    cells (:meth:`human_cells`) is kept here too.
     """
 
-    __slots__ = ("world", "tracks", "objective", "_last_frame", "_worlds", "_tables")
+    __slots__ = ("world", "tracks", "objective", "_last_frame", "_offsets", "_worlds", "_tables", "_cells_at")
 
     def __init__(self, world: GridWorld, tracks: Sequence[HumanTrack], objective: str):
         self.world = world
         self.tracks = tuple(tracks)
         self.objective = objective
-        self._last_frame = max(0, max((len(track.waypoints) for track in self.tracks), default=0) - 2)
+        longest = max((len(track.waypoints) for track in self.tracks), default=0)
+        self._last_frame = max(0, longest - 2)
+        # A forecast ``i`` frames ahead becomes the first planner step at or
+        # after it, and at least step 1: one list of steps per track.
+        ratio = world.frame_period_s / world.cell_traverse_s
+        self._offsets = [
+            [max(1, math.ceil(i * ratio)) for i in range(1, track.horizon_frames + 1)] for track in self.tracks
+        ]
         self._worlds: Dict[frozenset, GridWorld] = {}
         self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, Dict[int, FrozenSet[int]], dict, dict]] = {}
+        self._cells_at: Dict[int, FrozenSet[Cell]] = {}
 
     def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, Dict[int, FrozenSet[int]], dict, dict]:
         """The world with ``parked`` blocked, the humans' reservation table
@@ -374,15 +386,29 @@ class HumanReservations:
             self._worlds[parked] = world
         if len(self._tables) >= _MAX_HUMAN_TABLES:
             self._tables.clear()
-        # A forecast frame ahead of ``frame`` becomes the first planner step
-        # at or after it, and at least step 1.
-        ratio = world.frame_period_s / world.cell_traverse_s
-        pairs = [
-            (cell, max(1, math.ceil((abs_frame - frame) * ratio)))
-            for track in self.tracks
-            for cell, abs_frame in human_forecast(track, frame)
-        ]
+        # The forecast of each track at ``frame``: its waypoints after
+        # ``frame``, then its last waypoint, one per offset.
+        pairs = []
+        for track, offsets in zip(self.tracks, self._offsets):
+            wps = track.waypoints
+            ahead = wps[frame + 1:frame + 1 + len(offsets)]
+            pairs += zip(ahead + (wps[-1],) * (len(offsets) - len(ahead)), offsets)
         found = self._tables[key] = (world, _human_reservations(world, pairs, self.objective), {}, {})
+        return found
+
+    def human_cells(self, frame: int) -> FrozenSet[Cell]:
+        """The cells the humans stand on at ``frame`` or are forecast on
+        after it, as stop-and-go reads them, made once per frame. From frame
+        ``F + 1`` on every human stands on its last waypoint, so a later
+        frame reads the set of frame ``F + 1``."""
+        frame = min(frame, self._last_frame + 1)
+        found = self._cells_at.get(frame)
+        if found is None:
+            found = self._cells_at[frame] = frozenset(
+                cell
+                for track in self.tracks
+                for cell in (track.position_at(frame), *(cell for cell, _ in human_forecast(track, frame)))
+            )
         return found
 
     def next_cells(
@@ -659,13 +685,8 @@ class WarehouseSimulation:
 
     def _try(self, t: float, rt: _RobotRuntime, target: Optional[Cell]) -> None:
         nxt = rt.solo_path.at(len(rt.executed))
-        frame = self._frame(t)
         blocked = nxt != rt.cell and (
-            self._occupied_next(rt, nxt)
-            or any(
-                track.position_at(frame) == nxt or any(cell == nxt for cell, _ in human_forecast(track, frame))
-                for track in self.tracks
-            )
+            self._occupied_next(rt, nxt) or nxt in self._human.human_cells(self._frame(t))
         )
         if blocked:
             rt.halt_s += self.world.cell_traverse_s

@@ -43,6 +43,29 @@ rule returns the route and the error of the first-in-first-out search:
   is the same under both rules;
 - an infeasible search exhausts the same set of nodes.
 
+Under these rules a search whose table blocks nothing on the greedy free
+route returns that route without a heap. With ``d`` the start's distance to
+the goal, the greedy route takes, from each cell, the first move in the move
+table that is one step nearer the goal, and reaches the goal at step ``d``.
+When the goal is free from step ``d`` on, ``d`` is within the horizon, and no
+node ``(cell, step)`` or move of the route is blocked, the search returns it
+node for node:
+
+- the heuristic is the exact static distance, so f never drops along a move,
+  and ``d`` is the least f of any node; every node of the route has f ``d``;
+- ties on f go to the deeper node, then to the earlier push;
+- by induction on the step, the nodes popped so far are the route's first
+  ``k`` nodes, every open node has step at most ``k``, and every open node
+  of step ``k`` was pushed by the route's node ``k - 1`` in move order. The
+  route's node ``k`` is the first of those with f ``d``, since the table
+  does not block it, so it pops next: every other open node has a larger f,
+  a smaller step or a later push;
+- the route's node ``d`` is the goal, free at step ``d``, and no earlier pop
+  is the goal, whose distance is 0.
+
+The shortcut holds for any table: human tables, conflict tables and the
+untabled solo routes of stop-and-go alike.
+
 For two robots under the makespan objective with a zero gap, ``plan``
 searches the joint state space of each ordering exactly, breadth-first, and
 bounds each search by a step limit (Standley 2010: a cheap feasible plan
@@ -176,8 +199,9 @@ def low_level_search(
     afterwards, so the arrival step must clear every block on the goal
     cell. Expansion order makes the result deterministic: lowest f first,
     ties toward the deeper node, then first pushed first; a node's moves in
-    N, E, S, W, wait order. The tie-break toward depth changes no result
-    (see the module docstring).
+    N, E, S, W, wait order. The tie-break toward depth changes no result,
+    and a free greedy route is returned without a heap search (see the
+    module docstring).
 
     ``table`` is the robot's own :class:`ReservationTable`; without one the
     route is unconstrained. The search reads the world's move table and its
@@ -198,19 +222,37 @@ def low_level_search(
     if 0 in cell_blocks.get(start, ()):
         raise PlanningInfeasible(robot.id, horizon)
     hfield = world.goal_field(goal)
-    if hfield[start] is None:
+    dist = hfield[start]
+    if dist is None:
         raise PlanningInfeasible(robot.id, horizon)
+    moves = world.moves
+
+    # The free route: the search's result whenever the table blocks none of
+    # its nodes and moves (see the module docstring).
+    if goal_latest < dist <= horizon:
+        cell, route = start, [start]
+        for step in range(1, dist + 1):
+            h = dist - step
+            for nxt in moves[cell]:  # the first move one step nearer
+                if hfield[nxt] == h:
+                    break
+            blocked = cell_blocks.get(nxt)
+            if (blocked is not None and step in blocked) or (edge_blocks and (cell, nxt, step - 1) in edge_blocks):
+                break
+            route.append(nxt)
+            cell = nxt
+        else:
+            return SpaceTimePath(robot.id, world.cells_of(route))
 
     # A node's f-value (step + distance to goal) is fixed, so its first push
     # is also the first of its copies to pop: a node is pushed only once,
     # and being in ``parent`` marks it as reached. A node is the int
     # ``step * ncell + cell``; the heap key is (f, -step, push order, step,
     # cell).
-    moves = world.moves
     ncell = len(moves)
     push, pop = heapq.heappush, heapq.heappop
     counter = itertools.count()
-    heap = [(hfield[start], 0, next(counter), 0, start)]
+    heap = [(dist, 0, next(counter), 0, start)]
     parent: Dict[int, int] = {}
     while heap:
         _, _, _, step, cell = pop(heap)
@@ -293,9 +335,16 @@ def _human_reservations(
     for (x, y), step in set(pairs):  # forecasts repeat a (cell, step) often
         if step < 0:
             raise ValueError(f"forecast step {step} is negative")
-        if 0 <= x < width and 0 <= y < height:
+        inside = 0 <= x < width and 0 <= y < height
+        if inside:
             blocks[x * height + y].update(((step - 1, step, step + 1) if step else (0, 1)) if safety else (step,))
-        if safety:  # a forecast on a blocked cell still rings its free neighbours
+        if not safety:
+            continue
+        ring = moves[x * height + y] if inside else None
+        if ring is not None:  # a free cell's free 4-neighbours, then the cell
+            for n in ring[:-1]:
+                blocks[n].add(step)
+        else:  # a forecast on a blocked cell still rings its free neighbours
             for nx, ny in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
                 if 0 <= nx < width and 0 <= ny < height and moves[nx * height + ny] is not None:
                     blocks[nx * height + ny].add(step)

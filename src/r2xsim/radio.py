@@ -27,13 +27,12 @@ DEFAULT_SLOT_S = 1e-3
 
 _WEIGHT_SUM_TOL = 1e-6
 
-# Shadowing samples drawn and turned into Python floats at a time.
-_AR1_BLOCK = 1024
-
-# HARQ draws turned into Python floats at a time: the first block, doubled
-# on each refill up to the largest.
+# Random draws turned into Python floats at a time: the first block, doubled
+# on each refill up to the largest, for HARQ and for shadowing. A run reads
+# a few dozen shadowing frames, so the first blocks are small.
 _FIRST_DRAW_BLOCK = 64
-_DRAW_BLOCK = 4096
+_DRAW_BLOCK = 4096  # HARQ
+_AR1_BLOCK = 1024  # shadowing
 
 _SIGN_BIT = 1 << 63
 _MAGNITUDE_BITS = _SIGN_BIT - 1
@@ -221,13 +220,34 @@ def _key_float(key: int) -> float:
 
 
 def _cutoff(entry: McsEntry, target: float) -> float:
-    """Bisection over every float for the least ``x`` with
-    ``bler(entry, x) <= target``; NaN when there is none."""
+    """The least float ``x`` with ``bler(entry, x) <= target``; NaN when
+    there is none.
+
+    A bisection over float keys, inside a bracket that grows by doubling
+    from the float where the logistic curve meets the target (the threshold
+    for a step curve). Since ``bler`` is nonincreasing, every bracket with
+    ``bler(lo) > target >= bler(hi)`` holds the one key where the test
+    turns, so the result is that of a bisection over every float."""
     if bler(entry, -math.inf) <= target:
         return -math.inf
     if not bler(entry, math.inf) <= target:
         return math.nan
     lo, hi = _float_key(-math.inf), _float_key(math.inf)
+    thr, slope = entry.snr_threshold_db, entry.slope_per_db
+    guess = thr if math.isinf(slope) else thr + math.log(1.0 / target - 1.0) / slope
+    mid, step = (0 if math.isnan(guess) else _float_key(guess)), 1
+    if bler(entry, _key_float(mid)) <= target:
+        hi = mid
+        while hi - step > lo and bler(entry, _key_float(hi - step)) <= target:
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    else:
+        lo = mid
+        while lo + step < hi and not bler(entry, _key_float(lo + step)) <= target:
+            lo += step
+            step *= 2
+        hi = min(hi, lo + step)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if bler(entry, _key_float(mid)) <= target:
@@ -335,26 +355,37 @@ def allocate(unit_rates: Sequence[float], weights: Sequence[float], fairness: st
     return [v / total for v in inv]
 
 
+def _ar1_sizes(n: int) -> Iterator[int]:
+    """The sizes of ``ar1_blocks``' blocks of ``n`` steps: the first
+    ``_FIRST_DRAW_BLOCK``, doubled on each block up to ``_AR1_BLOCK``."""
+    size = _FIRST_DRAW_BLOCK
+    while n > 0:
+        yield min(size, n)
+        n -= size
+        size = min(2 * size, _AR1_BLOCK)
+
+
 def ar1_blocks(rng: np.random.Generator, n: int, rho: float, sigma: float) -> Iterator[List[float]]:
-    """``ar1_series(rng, n, rho, sigma)`` as consecutive lists of at most
-    ``_AR1_BLOCK`` values, each drawn from ``rng`` only when it is asked
-    for, so that a caller pays for the steps it reads. ``standard_normal``
+    """``ar1_series(rng, n, rho, sigma)`` as consecutive lists of
+    ``_FIRST_DRAW_BLOCK`` values, doubling on each list up to
+    ``_AR1_BLOCK``, each drawn from ``rng`` only when it is asked for, so
+    that a caller pays for about the steps it reads. ``standard_normal``
     drawn block by block gives the same values as one draw of all ``n``.
     Blocks of zeros, drawing nothing, when ``sigma <= 0``.
     """
     if sigma <= 0:
-        for lo in range(0, n, _AR1_BLOCK):
-            yield [0.0] * min(_AR1_BLOCK, n - lo)
+        for size in _ar1_sizes(n):
+            yield [0.0] * size
         return
     # Each innovation is what a scalar rng.normal(0, s) call gives: 0 + s * z.
     # The recursion runs on Python floats.
     scale = sigma * math.sqrt(1.0 - rho * rho)
     prev = 0.0
-    for lo in range(0, n, _AR1_BLOCK):
-        draws = rng.standard_normal(min(_AR1_BLOCK, n - lo))
+    for index, size in enumerate(_ar1_sizes(n)):
+        draws = rng.standard_normal(size)
         first = sigma * draws[0]
         draws *= scale
-        if lo == 0:
+        if index == 0:
             draws[0] = first
         block = draws.tolist()
         for j, step in enumerate(block):
@@ -372,8 +403,10 @@ def ar1_series(rng: np.random.Generator, n: int, rho: float, sigma: float) -> np
     when ``sigma <= 0`` or ``n == 0``.
     """
     out = np.zeros(n)
-    for lo, block in zip(range(0, n, _AR1_BLOCK), ar1_blocks(rng, n, rho, sigma)):
+    lo = 0
+    for block in ar1_blocks(rng, n, rho, sigma):
         out[lo:lo + len(block)] = block
+        lo += len(block)
     return out
 
 

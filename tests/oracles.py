@@ -84,7 +84,13 @@ its ``min``/``max`` clamp; ``reference_select_mcs`` scans the entries'
 BLERs from the top, ``reference_harq`` and ``reference_transmission`` draw
 one scalar ``rng.random()`` per HARQ attempt, ``reference_sample_trace`` walks the
 route one link snapshot at a time, and ``reference_run_policy`` is the
-per-step policy loop over them.
+per-step policy loop over them. ``reference_cutoff`` is an entry's SNR
+cut-off as it was before its bisection started from a bracket around the
+curve's crossing: a bisection over every float.
+
+``reference_human_cells`` is stop-and-go's human test as it was before the
+human cells were kept once per frame: every try scans each track's
+position and forecast.
 """
 
 import dataclasses
@@ -111,7 +117,7 @@ from r2xsim.planner import (
     makespan,
     plan,
 )
-from r2xsim.radio import TransmissionResult, ar1_series, serialization_time_s
+from r2xsim.radio import TransmissionResult, _float_key, _key_float, ar1_series, bler, serialization_time_s
 from r2xsim.world import RobotState, human_forecast
 
 
@@ -505,6 +511,23 @@ def reference_select_mcs(table, snr_db, bler_target=0.1):
         if reference_bler(entry, snr_db) <= bler_target:
             return entry.index
     return 0
+
+
+def reference_cutoff(entry, target):
+    """Bisection over every float for the least ``x`` with
+    ``bler(entry, x) <= target``; NaN when there is none."""
+    if bler(entry, -math.inf) <= target:
+        return -math.inf
+    if not bler(entry, math.inf) <= target:
+        return math.nan
+    lo, hi = _float_key(-math.inf), _float_key(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bler(entry, _key_float(mid)) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return _key_float(hi)
 
 
 def reference_harq(rng, p_fail, max_retx):
@@ -1036,6 +1059,15 @@ def reference_human_table(inputs, parked, frame):
         for cell, abs_frame in human_forecast(track, frame)
     ]
     return world, reference_human_reservations(world, pairs, inputs.cfg.pp.objective)
+
+
+def reference_human_cells(tracks, frame, cell):
+    """Whether stop-and-go finds a human on ``cell`` at ``frame``: some
+    track stands on it then or is forecast on it after."""
+    return any(
+        track.position_at(frame) == cell or any(c == cell for c, _ in human_forecast(track, frame))
+        for track in tracks
+    )
 
 
 def reference_plan_next(sim, rt, plan_time):

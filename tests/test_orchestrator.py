@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BUNDLED_DIR, WAREHOUSE_IDS
-from oracles import reference_favored_robot, reference_warehouse_metrics
+from oracles import reference_favored_robot, reference_human_cells, reference_warehouse_metrics
 from r2xsim import orchestrator
 from r2xsim.orchestrator import (
     WAREHOUSE_METHODS,
@@ -32,7 +32,7 @@ from r2xsim.planner import PlanConfig
 from r2xsim.radio import PathGainMap, RadioConfig, default_mcs_table
 from r2xsim.scenarios import ScenarioError, load_scenario, parse_scenario
 from r2xsim.world import GridWorld, HumanTrack, RobotState
-from test_cli import random_small_warehouse
+from test_cli import random_small_warehouse, run_outcome
 
 
 class TestLoopBudget:
@@ -876,3 +876,67 @@ class TestRobotContact:
     @pytest.mark.parametrize("method", WAREHOUSE_METHODS)
     def test_no_robot_lands_on_a_human(self, contact_audit, method):
         assert contact_audit(method).humans == []
+
+
+def small_documents(seed, count):
+    """``count`` random small warehouse documents that load, as scenarios."""
+    rng, scenarios = np.random.default_rng(seed), []
+    while len(scenarios) < count:
+        try:
+            scenarios.append(parse_scenario(random_small_warehouse(rng, 20.0)))
+        except ScenarioError:
+            pass
+    return scenarios
+
+
+class ScannedHumanCells:
+    """``HumanReservations.human_cells(frame)`` as the scan of every track
+    on each test."""
+
+    def __init__(self, tracks, frame):
+        self.tracks, self.frame = tracks, frame
+
+    def __contains__(self, cell):
+        return reference_human_cells(self.tracks, self.frame, cell)
+
+
+class TestStopAndGoHumanCells:
+    """Stop-and-go tests a step against one set of human cells per frame,
+    kept on the loaded file's :class:`HumanReservations`; it holds what the
+    scan of every track's position and forecast finds."""
+
+    def test_sets_match_the_scan(self):
+        checked = 0
+        for scn in small_documents(34, 60):
+            memo = scn.inputs.human
+            world = scn.inputs.world
+            longest = max((len(t.waypoints) for t in memo.tracks), default=0)
+            for frame in range(longest + 4):
+                cells = memo.human_cells(frame)
+                for x in range(world.width):
+                    for y in range(world.height):
+                        assert ((x, y) in cells) == reference_human_cells(memo.tracks, frame, (x, y))
+                checked += bool(cells)
+            assert len(memo._cells_at) <= max(longest, 2)
+        assert checked >= 300, checked
+
+    def test_runs_match_the_scan(self, monkeypatch):
+        scenarios = small_documents(35, 40)
+        want = [run_outcome(scn, "stop_and_go", seed) for scn in scenarios for seed in (0, 1)]
+        monkeypatch.setattr(
+            orchestrator.HumanReservations, "human_cells", lambda memo, frame: ScannedHumanCells(memo.tracks, frame)
+        )
+        got = [run_outcome(scn, "stop_and_go", seed) for scn in scenarios for seed in (0, 1)]
+        assert got == want
+        assert sum(isinstance(o, dict) and o["metrics"]["stop_events"] > 0 for o in want) >= 5, want
+
+
+def test_bundled_run_draws_the_shadowing_it_reads():
+    """A ``lorc_sc`` run of warehouse-s1 at seed 0 reads a few dozen frames
+    of each robot's shadowing; it draws them in blocks of 64 doubling, so
+    fewer than 1,024 per robot, of the 5,151 it may read."""
+    scn = load_scenario(BUNDLED_DIR / "warehouse-s1.json")
+    sim = WarehouseSimulation(scn.inputs, "lorc_sc", 0)
+    sim.run()
+    drawn = [len(rt.shadow) for rt in sim.robots.values()]
+    assert all(0 < n < 1024 for n in drawn), drawn

@@ -187,6 +187,20 @@ def search_outcome(search):
         return type(exc).__name__, str(exc)
 
 
+@pytest.fixture
+def heap_pushes(monkeypatch):
+    """The items pushed onto any heap while the test runs, in order."""
+    pushed = []
+    real = heapq.heappush
+
+    def counted(heap, item):
+        pushed.append(item)
+        real(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", counted)
+    return pushed
+
+
 class TestDeeperFirstTieBreak:
     def test_search_matches_first_in_first_out_search(self):
         """Breaking f-ties toward the deeper node gives the route, or the
@@ -201,23 +215,101 @@ class TestDeeperFirstTieBreak:
             kinds[got[0]] += 1
         assert kinds["ok"] >= 1500 and kinds["PlanningInfeasible"] >= 300 and kinds["PlanningError"] >= 10, kinds
 
-    def test_open_grid_search_pushes_a_few_nodes_per_step(self, monkeypatch):
+    def test_open_grid_search_pushes_a_few_nodes_per_step(self, heap_pushes):
         """Corner to corner on an open 100x100 grid every node of the
         rectangle has the same f; first in, first out pushes nearly all of
-        them, the deeper-first search at most five per step of the route."""
-        pushes = Counter()
-        real = heapq.heappush
-
-        def counted(heap, item):
-            pushes[len(item)] += 1  # 5 fields: low_level_search, 4: the reference
-            real(heap, item)
-
-        monkeypatch.setattr(heapq, "heappush", counted)
+        them, the deeper-first search at most five per step of the route.
+        The free route's first node is barred, so that the heap search runs."""
         world, robot = world_of(100, 100), RobotState(1, (0, 0), (99, 99))
-        path = low_level_search(world, robot)
-        assert path.arrival_step == 198 and pushes[5] <= 5 * path.arrival_step, pushes
-        assert reference_low_level_search(world, robot) == path
+        table, ref = ReservationTable(1, {world.cell_id((0, 1)): frozenset({1})}), ReferenceTable(1, {(0, 1): {1}})
+        path = low_level_search(world, robot, table)
+        assert reference_low_level_search(world, robot, ref) == path
+        pushes = Counter(len(item) for item in heap_pushes)  # 5 fields: low_level_search, 4: the reference
+        assert path.arrival_step == 198 and 0 < pushes[5] <= 5 * path.arrival_step, pushes
         assert pushes[4] > 100 * path.arrival_step, pushes
+
+
+class TestFreeRoute:
+    """A search whose table blocks nothing on the greedy free route returns
+    that route without touching the heap; any block on it, a goal barred at
+    or after the arrival step or a short horizon falls back to the heap
+    search. Both give the route or error of the reference search."""
+
+    # On an open 4x4 grid, (0, 0) -> (3, 3) goes north first: the free route
+    # is (0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3), arriving at 6.
+    WORLD = world_of(4, 4)
+    FREE = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3))
+
+    @staticmethod
+    def tables(world, rid, cells=(), edges=()):
+        """The same blocks as a table on ids and one on cells: ``cells`` as
+        ``(cell, lo, hi)`` windows, ``edges`` as ``(cell, to_cell, step)``."""
+        table, ref = ReservationTable(rid, {}), ReferenceTable(rid, {})
+        for cell, lo, hi in cells:
+            table.block_cell(world.cell_id(cell), lo, hi)
+            ref.block_cell(cell, lo, hi)
+        for a, b, step in edges:
+            table.block_move(world.cell_id(a), world.cell_id(b), step)
+            ref.block_move(a, b, step)
+        return table, ref
+
+    @pytest.mark.parametrize(
+        "start,goal,cells,edges,horizon",
+        [
+            ((0, 0), (3, 3), (), (), None),
+            ((0, 0), (3, 3), (((0, 1), 2, 9), ((0, 2), 0, 1), ((3, 3), 0, 5)), (), None),
+            ((0, 0), (3, 3), (), (((0, 1), (0, 2), 0), ((0, 1), (0, 2), 2), ((0, 0), (1, 0), 0)), None),
+            ((0, 0), (3, 3), (), (), 6),
+            ((2, 1), (2, 1), (), (), 0),
+        ],
+        ids=["untabled", "blocks-off-the-route", "edges-off-the-route", "horizon-is-the-distance", "at-goal"],
+    )
+    def test_free_route_pushes_nothing(self, monkeypatch, start, goal, cells, edges, horizon):
+        world, robot = self.WORLD, RobotState(1, start, goal)
+        table, ref = self.tables(world, 1, cells, edges)
+        want = search_outcome(lambda: reference_low_level_search(world, robot, ref, horizon))
+
+        def refuse(heap, item):
+            raise AssertionError("the free route pushed a node")
+
+        monkeypatch.setattr(planner.heapq, "heappush", refuse)
+        got = search_outcome(lambda: low_level_search(world, robot, table, horizon))
+        assert got == want and got[0] == "ok", got
+        assert got[1] == (self.FREE if start != goal else (start,))
+
+    @pytest.mark.parametrize(
+        "start,goal,cells,edges,horizon",
+        [
+            ((0, 0), (3, 3), (((0, 2), 2, 2),), (), None),  # one blocked node on the route
+            ((0, 0), (3, 3), (), (((0, 2), (0, 3), 2),), None),  # one blocked move on it
+            ((0, 0), (3, 3), (((3, 3), 6, 6),), (), None),  # the goal barred at the arrival step
+            ((0, 0), (3, 3), (((3, 3), 9, 9),), (), None),  # the goal barred after it
+            ((0, 0), (3, 3), (((0, 0), 0, 0),), (), None),  # the start barred at step 0
+            ((2, 1), (2, 1), (((2, 1), 1, 2),), (), None),  # start equal to goal, barred later
+            ((0, 0), (3, 3), (), (), 5),  # a horizon below the distance
+        ],
+        ids=["blocked-node", "blocked-edge", "goal-barred-at-arrival", "goal-barred-after", "start-barred",
+             "start-is-goal", "short-horizon"],
+    )
+    def test_fallbacks_match_the_reference(self, heap_pushes, start, goal, cells, edges, horizon):
+        world, robot = self.WORLD, RobotState(1, start, goal)
+        table, ref = self.tables(world, 1, cells, edges)
+        got = search_outcome(lambda: low_level_search(world, robot, table, horizon))
+        assert got[0] != "ok" or heap_pushes, "a route came back without the heap search"
+        assert got == search_outcome(lambda: reference_low_level_search(world, robot, ref, horizon))
+
+    def test_tie_break_instances_often_take_the_shortcut(self, heap_pushes):
+        """More than half of the routes the tie-break test's random
+        instances find push no node, so that test checks the shortcut too."""
+        rng = np.random.default_rng(15)
+        free = found = 0
+        for _ in range(3000):
+            world, robot, table, _, horizon = random_search_instance(rng)
+            heap_pushes.clear()
+            if search_outcome(lambda: low_level_search(world, robot, table, horizon))[0] == "ok":
+                found += 1
+                free += not heap_pushes
+        assert found >= 1500 and free >= found // 2, (free, found)
 
 
 class TestReservationTable:

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 
 from oracles import (
     reference_bler,
+    reference_cutoff,
     reference_harq,
     reference_sample_trace,
     reference_select_mcs,
     reference_transmission,
 )
+from r2xsim import radio
 from r2xsim.radio import (
     _DRAW_BLOCK,
+    _cutoff,
     HarqStream,
     McsEntry,
     McsTable,
@@ -294,6 +298,48 @@ class TestSelectMatchesScan:
             assert select_mcs(table, x, target) == reference_select_mcs(table, x, target), x
 
 
+class TestCutoffMatchesFullBisection:
+    """An entry's cut-off from the bracket around the curve's crossing is
+    the one the bisection over every float finds."""
+
+    @staticmethod
+    def same(a, b):
+        return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+    def test_random_and_extreme_entries(self):
+        rng = np.random.default_rng(34)
+        slopes = [math.inf, 1e-300, 1e300, 5e-324, 1.5, 0.013, 250.0]
+        thresholds = [1e300, -1e300, 0.0, -0.0, 4.0, -2.0, 22.0]
+        targets = [5e-324, 0.5, 1.0 - 2.0 ** -53, 0.1, 0.9, 1e-300, 2.0 ** -1022]
+        kinds = Counter()
+        for k in range(5000):
+            slope = slopes[k % len(slopes)] if k % 3 == 0 else float(10.0 ** rng.uniform(-6.0, 6.0))
+            thr = thresholds[k % len(thresholds)] if k % 5 == 0 else float(rng.uniform(-60.0, 60.0))
+            target = targets[k % len(targets)] if k % 2 == 0 else float(10.0 ** rng.uniform(-320.0, 0.0))
+            target = min(target, 1.0 - 2.0 ** -53)
+            entry = McsEntry(0, 1.0, thr, slope)
+            got, want = _cutoff(entry, target), reference_cutoff(entry, target)
+            assert self.same(got, want), (thr, slope, target, got, want)
+            kinds["nan" if math.isnan(got) else "inf" if math.isinf(got) else "finite"] += 1
+        assert kinds["finite"] >= 2500 and kinds["nan"] >= 100 and kinds["inf"] >= 10, kinds
+
+    @pytest.mark.parametrize("target", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("table", SELECT_TABLES, ids=["default", "steps", "slopes"])
+    def test_tables_cost_a_few_bler_calls_per_entry(self, monkeypatch, table, target):
+        calls = Counter()
+        real = radio.bler
+
+        def counted(entry, snr_db):
+            calls[entry.index] += 1
+            return real(entry, snr_db)
+
+        monkeypatch.setattr(radio, "bler", counted)
+        got = [_cutoff(e, target) for e in table.entries]
+        monkeypatch.undo()
+        assert all(self.same(a, reference_cutoff(e, target)) for a, e in zip(got, table.entries))
+        assert max(calls.values()) <= 16, calls  # the full bisection takes about 66
+
+
 class TestSerialization:
     def test_exact_value(self):
         entry = TABLE.entries[4]  # 3.0 bps/Hz
@@ -476,11 +522,23 @@ class TestAr1Series:
         assert series.shape == (n,)
         assert np.array_equal(series, ref)
 
-    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2580])
+    # Block sizes: 64 values first, doubling on each block up to 1,024.
+    BLOCK_SIZES = {
+        1: [1],
+        64: [64],
+        65: [64, 1],
+        192: [64, 128],
+        1023: [64, 128, 256, 512, 63],
+        1024: [64, 128, 256, 512, 64],
+        1025: [64, 128, 256, 512, 65],
+        2580: [64, 128, 256, 512, 1024, 596],
+    }
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2580, 64, 65, 192])
     @pytest.mark.parametrize("sigma", [4.0, 0.0])
     def test_blocks_equal_the_series(self, n, sigma):
         blocks = list(ar1_blocks(np.random.default_rng([n, 1, 7]), n, 0.9, sigma))
-        assert [len(b) for b in blocks] == [min(1024, n - lo) for lo in range(0, n, 1024)]
+        assert [len(b) for b in blocks] == self.BLOCK_SIZES[n]
         series = ar1_series(np.random.default_rng([n, 1, 7]), n, 0.9, sigma)
         assert np.array([x for b in blocks for x in b]).tobytes() == series.tobytes()
         if sigma:
@@ -489,10 +547,12 @@ class TestAr1Series:
 
     def test_blocks_draw_when_asked_for(self):
         rng = np.random.default_rng(5)
-        next(ar1_blocks(rng, 5000, 0.9, 4.0))
+        blocks = ar1_blocks(rng, 5000, 0.9, 4.0)
         fresh = np.random.default_rng(5)
-        fresh.standard_normal(1024)
-        assert rng.random() == fresh.random()  # one block drawn
+        for size in (64, 128, 256, 512, 1024, 1024):
+            next(blocks)
+            fresh.standard_normal(size)
+            assert rng.bit_generator.state == fresh.bit_generator.state  # one block drawn
 
     def test_zero_sigma_is_zeros_and_draws_nothing(self):
         rng = np.random.default_rng(3)
