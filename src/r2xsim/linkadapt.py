@@ -8,19 +8,28 @@ much an estimate's staleness costs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from itertools import accumulate, takewhile
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .radio import HarqStream, McsTable, bler_curve, serialization_time_s
+from .radio import HarqStream, McsTable, _draw_sizes, bler_curve, draw_blocks, serialization_time_s
 from .schema import bounded, check_bounds
 
 _MAP_AWARE_MIN_SAMPLES = 8
 
 # LinkTable's SNR magnitude cap: squared residuals then sum finitely over 4e7 steps.
 _MAX_SNR = 1e150
+
+# The HARQ draws of one seed that a LinkTable keeps for all its policies:
+# the most whole ``draw_blocks`` blocks within 2^16 draws (21 blocks, 65,472
+# draws, about 2 MiB of floats). A policy of the bundled mcs-ar1 file reads at
+# most 13,353 draws on seeds 0-19.
+_SHARED_DRAWS = 1 << 16
+_SHARED_BLOCKS = sum(1 for _ in takewhile(lambda total: total <= _SHARED_DRAWS, accumulate(_draw_sizes())))
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,9 @@ class LinkTable:
     - ``cutoff[e]``: ``table.cutoffs(bler_target)``, the SNR cut-offs
       ``select_mcs`` reads;
     - ``best[t]``: what ``select_mcs`` picks at ``true_snr[t]``.
+
+    The HARQ draws of a seed are drawn once too, as far as a policy reads
+    them, up to a cap (``harq_blocks``).
     """
 
     def __init__(
@@ -110,6 +122,7 @@ class LinkTable:
         for entry in table.entries:
             self.bler[:, entry.index] = bler_curve(entry, self.true_snr)
         self.best = self.select(self.true_snr)
+        self._harq = None  # (seed, its generator, draw_blocks of that generator, the kept blocks)
 
     def __len__(self) -> int:
         return len(self.true_snr)
@@ -119,6 +132,18 @@ class LinkTable:
         highest entry whose cut-off the estimate meets, or 0 if none."""
         ok = np.asarray(estimates, dtype=float)[:, np.newaxis] >= self.cutoff
         return np.where(ok.any(axis=1), ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1), 0)
+
+    def harq_blocks(self, seed: int) -> Iterator[List[float]]:
+        """``draw_blocks(default_rng(seed))``, each block drawn once for every
+        reader of this table and seed: the first ``_SHARED_BLOCKS`` blocks,
+        at most ``_SHARED_DRAWS`` draws, are kept. A reader that goes past
+        them goes on with ``draw_blocks`` over its own deep copy of the
+        generator, taken where the kept blocks end, which continues the
+        stream exactly. Only the last seed asked for is kept."""
+        if self._harq is None or self._harq[0] != seed:
+            rng = np.random.default_rng(seed)
+            self._harq = (seed, rng, draw_blocks(rng), [])
+        return _shared_blocks(*self._harq[1:])
 
     @cached_property
     def _residual_stats(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,6 +197,21 @@ class LinkTable:
         return estimates
 
 
+def _shared_blocks(
+    rng: np.random.Generator, source: Iterator[List[float]], kept: List[List[float]]
+) -> Iterator[List[float]]:
+    """The first ``_SHARED_BLOCKS`` blocks of ``source``, which is
+    ``draw_blocks(rng)``: those in ``kept``, then the ones this reader is
+    the first to reach, drawn and added to ``kept``. Past them,
+    ``draw_blocks`` over a copy of ``rng``, which ``source`` left where its
+    last kept block ends."""
+    for i in range(_SHARED_BLOCKS):
+        if i == len(kept):
+            kept.append(next(source))
+        yield kept[i]
+    yield from draw_blocks(copy.deepcopy(rng))
+
+
 def run_policy(
     link: LinkTable,
     spec: PolicySpec,
@@ -186,7 +226,8 @@ def run_policy(
     Per step this equals ``select_mcs`` on the policy's estimate followed by
     ``simulate_transmission`` at the true SNR. Every HARQ attempt draws, in
     step order, from one ``HarqStream`` over ``default_rng(seed)``: the same
-    ``seed`` across policies gives each the same stream of draws.
+    ``seed`` across policies gives each the same stream of draws, and
+    ``link.harq_blocks`` draws that stream once for all of them.
     """
     n = len(link)
     if spec.kind in ("delayed", "predictive") and spec.delay >= n:
@@ -200,14 +241,14 @@ def run_policy(
     else:
         mcs = link.select(link.predict(spec.delay))
     blr = link.bler[np.arange(n), mcs]
-    attempts, success = HarqStream(np.random.default_rng(seed)).run(blr.tolist(), max_retx)
+    attempts, success = HarqStream(link.harq_blocks(seed)).run(blr.tolist(), max_retx)
     table = link.table
     per_attempt = np.array(
         [serialization_time_s(payload_bytes_per_step, e, table.bandwidth_hz) + table.slot_s
          for e in table.entries]
     )
-    lat = np.array(attempts) * per_attempt[mcs]
-    succ = np.array(success, dtype=bool)
+    lat = np.fromiter(attempts, float, n) * per_attempt[mcs]
+    succ = np.fromiter(success, bool, n)
     tput = np.zeros(n)
     np.divide(payload_bytes_per_step * 8.0, lat, out=tput, where=succ & (lat > 0))
     return PolicyTimeSeries(spec, mcs.astype(int), tput, lat, blr, succ)

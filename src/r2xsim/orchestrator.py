@@ -37,6 +37,7 @@ from .radio import (
     RadioConfig,
     allocate,
     ar1_blocks,
+    draw_blocks,
     required_power,
     select_mcs,
     simulate_transmission,
@@ -563,7 +564,7 @@ class WarehouseSimulation:
             r.id: _RobotRuntime(
                 r.id, r.cell, r.goal, weight_of[r.id],
                 ar1_blocks(np.random.default_rng([seed, r.id, 7]), n_frames, rho, sigma),
-                HarqStream(np.random.default_rng([seed, r.id, 101])), [r.cell], first_rate,
+                HarqStream(draw_blocks(np.random.default_rng([seed, r.id, 101]))), [r.cell], first_rate,
             )
             for r in inputs.robots
         }

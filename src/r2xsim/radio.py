@@ -12,7 +12,9 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from operator import indexOf, le
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,40 +279,60 @@ def serialization_time_s(payload_bytes: int, entry: McsEntry, bandwidth_hz: floa
     return payload_bytes * 8.0 / (entry.rate_bps_per_hz * bandwidth_hz)
 
 
-class HarqStream:
-    """HARQ attempts drawn from one generator. Its ``random`` draws are taken
-    in blocks, which equal the scalar ``rng.random()`` draws in order; the
-    stream must be the generator's only reader."""
+def _draw_sizes() -> Iterator[int]:
+    """The sizes of ``draw_blocks``' blocks."""
+    size = _FIRST_DRAW_BLOCK
+    while True:
+        yield size
+        size = min(2 * size, _DRAW_BLOCK)
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._draws: List[float] = []
-        self._pos = 0
-        self._block = _FIRST_DRAW_BLOCK
+
+def draw_blocks(rng: np.random.Generator) -> Iterator[List[float]]:
+    """``rng``'s ``random`` draws as lists of ``_FIRST_DRAW_BLOCK`` floats,
+    doubling on each list up to ``_DRAW_BLOCK``, each drawn only when it is
+    asked for. Joined, they equal the scalar ``rng.random()`` draws."""
+    for size in _draw_sizes():
+        yield rng.random(size).tolist()
+
+
+class HarqStream:
+    """HARQ attempts that read one stream of uniform draws, given as an
+    endless iterable of blocks (``draw_blocks`` of a generator, say). A draw
+    is taken only when an attempt needs it, so a block is asked for only
+    when the blocks before it are read to the end."""
+
+    def __init__(self, blocks: Iterable[List[float]]):
+        self._draws = chain.from_iterable(blocks)
 
     def run(self, p_fail: Sequence[float], max_retx: int) -> Tuple[List[int], List[bool]]:
         """Attempts and success per step: attempt ``i`` of step ``t`` fails
         when its draw is below ``p_fail[t]``, and a step stops at its first
-        success or after ``max_retx + 1`` attempts."""
-        attempts = [0] * len(p_fail)
-        success = [False] * len(p_fail)
-        draws, pos = self._draws, self._pos
-        end, limit = len(draws), max_retx + 1
-        for t, p in enumerate(p_fail):
-            a = 0
+        success or after ``max_retx + 1`` attempts.
+
+        The first attempts are compared in C: ``map(le, p_fail, draws)``
+        is ``p <= u`` per step, which is ``u >= p`` (NaN included), and
+        ``indexOf`` finds the next step whose first attempt fails. ``p_fail``
+        comes first, so no draw is taken past its end. Python runs only the
+        retries of those steps, which read the draws that follow the step's
+        first, before the next step's."""
+        n = len(p_fail)
+        attempts, success = [1] * n, [True] * n
+        draws, limit = self._draws, max_retx + 1
+        firsts = map(le, p_fail, draws)
+        t = -1
+        while True:
+            try:
+                t += 1 + indexOf(firsts, False)
+            except ValueError:  # no first attempt fails past t
+                return attempts, success
+            p, a = p_fail[t], 1
             while a < limit:
-                if pos == end:
-                    draws = self._rng.random(self._block).tolist()
-                    self._block = min(2 * self._block, _DRAW_BLOCK)
-                    pos, end = 0, len(draws)
                 a += 1
-                pos += 1
-                if draws[pos - 1] >= p:
-                    success[t] = True
+                if next(draws) >= p:
                     break
+            else:
+                success[t] = False
             attempts[t] = a
-        self._draws, self._pos = draws, pos
-        return attempts, success
 
 
 class TransmissionResult(NamedTuple):

@@ -43,7 +43,9 @@ from .orchestrator import (
     select_sense_mode,
 )
 from .planner import default_horizon
-from .radio import HarqStream, McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table, sample_trace
+from .radio import (
+    HarqStream, McsTable, PathGainMap, RadioConfig, ar1_series, default_mcs_table, draw_blocks, sample_trace,
+)
 from .schema import (
     _BLER_TARGET,
     _MAX_DB,
@@ -606,13 +608,15 @@ def build_followme(ck: _Checker, sec, methods) -> Optional[FollowmeInputs]:
 
 class FollowmeFrames(NamedTuple):
     """Per-frame values of one followme seed, the same for every method:
-    the user distance, the RSSI (curve plus AR(1) noise), and the link
-    throughput and per-bit error probability at that RSSI."""
+    the user distance, the RSSI (curve plus AR(1) noise), the link
+    throughput at that RSSI, and ``log1p(-p_bit)`` of the per-bit error
+    probability ``p_bit`` at that RSSI, the exponent a frame's loss
+    probability is computed from."""
 
     distance: List[float]
     rssi: List[float]
     throughput: List[float]
-    bit_error: List[float]
+    log_bit_ok: List[float]
     # The random() draws of the generator seeded [seed, 23], one per frame:
     # a run consumes at most one per frame, in order.
     perception_draws: List[float]
@@ -629,7 +633,7 @@ def prepare_followme(fm: FollowmeInputs, seed: int) -> FollowmeFrames:
         distance.tolist(),
         rssi.tolist(),
         [10.0 ** x for x in np.interp(rssi, *fm.log_throughput).tolist()],
-        [10.0 ** x for x in np.interp(rssi, *fm.log_bit_error).tolist()],
+        [math.log1p(-(10.0 ** x)) for x in np.interp(rssi, *fm.log_bit_error).tolist()],
         np.random.default_rng([seed, 23]).random(fm.total_steps).tolist(),
     )
 
@@ -656,7 +660,7 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
     frames = _seed_table(scn, seed)
     fixed = SENSE_MODES.get(method)
     picks = [fixed] * fm.total_steps if fixed is not None else [select_sense_mode(rssi) for rssi in frames.rssi]
-    harq = HarqStream(np.random.default_rng([seed, 22]))
+    harq = HarqStream(draw_blocks(np.random.default_rng([seed, 22])))
     draws = iter(frames.perception_draws)
     perc = fm.perception
     useful_s, slot_s = fm.cta_useful_s, fm.slot_s
@@ -676,7 +680,7 @@ def run_followme(scn: Scenario, method: str, seed: int) -> Dict[str, float]:
             perc[key][mode] for key in ("far_distance_m", "far_lose_prob", "lose_prob", "reacquire_prob")
         )
         attempts, delivered = harq.run(
-            [-math.expm1(bits * math.log1p(-p_bit)) for p_bit in frames.bit_error[start:stop]],
+            [-math.expm1(bits * log_ok) for log_ok in frames.log_bit_ok[start:stop]],
             fm.max_attempts - 1 if cfg.qos == "reliable" else 0,
         )
         for t, ok, a, throughput, distance in zip(

@@ -86,7 +86,10 @@ one scalar ``rng.random()`` per HARQ attempt, ``reference_sample_trace`` walks t
 route one link snapshot at a time, and ``reference_run_policy`` is the
 per-step policy loop over them. ``reference_cutoff`` is an entry's SNR
 cut-off as it was before its bisection started from a bracket around the
-curve's crossing: a bisection over every float.
+curve's crossing: a bisection over every float. ``ReferenceHarqStream``
+is ``radio.HarqStream`` as it was before its first attempts were compared
+in C: it owns its generator, keeps one block of draws and a position in
+it, and walks every attempt of every step in Python.
 
 ``reference_human_cells`` is stop-and-go's human test as it was before the
 human cells were kept once per frame: every try scans each track's
@@ -117,7 +120,9 @@ from r2xsim.planner import (
     makespan,
     plan,
 )
-from r2xsim.radio import TransmissionResult, _float_key, _key_float, ar1_series, bler, serialization_time_s
+from r2xsim.radio import (
+    _DRAW_BLOCK, _FIRST_DRAW_BLOCK, TransmissionResult, _float_key, _key_float, ar1_series, bler, serialization_time_s,
+)
 from r2xsim.world import RobotState, human_forecast
 
 
@@ -544,6 +549,39 @@ def reference_harq(rng, p_fail, max_retx):
         attempts.append(a)
         success.append(ok)
     return attempts, success
+
+
+class ReferenceHarqStream:
+    """HARQ attempts drawn from one generator in blocks of
+    ``_FIRST_DRAW_BLOCK`` doubling to ``_DRAW_BLOCK``, a block drawn when the
+    last one is read to the end and an attempt needs a draw."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._draws = []
+        self._pos = 0
+        self._block = _FIRST_DRAW_BLOCK
+
+    def run(self, p_fail, max_retx):
+        attempts = [0] * len(p_fail)
+        success = [False] * len(p_fail)
+        draws, pos = self._draws, self._pos
+        end, limit = len(draws), max_retx + 1
+        for t, p in enumerate(p_fail):
+            a = 0
+            while a < limit:
+                if pos == end:
+                    draws = self._rng.random(self._block).tolist()
+                    self._block = min(2 * self._block, _DRAW_BLOCK)
+                    pos, end = 0, len(draws)
+                a += 1
+                pos += 1
+                if draws[pos - 1] >= p:
+                    success[t] = True
+                    break
+            attempts[t] = a
+        self._draws, self._pos = draws, pos
+        return attempts, success
 
 
 def reference_transmission(payload_bytes, entry, snr_db, bandwidth_hz, slot_s, rng, max_retx=4):

@@ -1,5 +1,6 @@
 """Adaptation policies, predictors, and the stale-feedback machinery."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,10 @@ from oracles import (
     reference_sample_trace,
     reference_select_mcs,
 )
+from r2xsim import linkadapt
 from r2xsim.linkadapt import (
+    _SHARED_BLOCKS,
+    _SHARED_DRAWS,
     LinkTable,
     PolicySpec,
     PolicyTimeSeries,
@@ -29,9 +33,10 @@ from r2xsim.radio import (
     RadioConfig,
     bler,
     default_mcs_table,
+    draw_blocks,
     sample_trace,
 )
-from r2xsim.scenarios import bundled_scenario_path, load_scenario
+from r2xsim.scenarios import bundled_scenario_path, load_scenario, parse_scenario, run_one
 
 
 def sample_link(gain_map, cells, cfg, table, seed, bler_target=0.1):
@@ -337,6 +342,94 @@ class TestKernelMatchesReference:
         link = sample_link(gain_map, cells, cfg, table, 4)
         for spec in SPECS:
             assert_matches_reference(link, trace, spec, table, 1500, 0.1, 4, 0)
+
+
+def long_retry_mcs():
+    """An mcs document whose policies read about 60 HARQ draws a step, past
+    the draws a LinkTable shares: 2,000 steps, ``max_retx`` 64, and a
+    corridor whose SNR reaches rung 0's threshold only at its peaks."""
+    return {
+        "schema_version": 1,
+        "id": "long-retry-mcs",
+        "kind": "mcs",
+        "seeds": [0, 1],
+        "methods": ["oracle", "delayed_3", "predictive_3"],
+        "mcs": {
+            "steps": 2000,
+            "corridor_cells": 40,
+            "gain_profile": {"base_db": -140.0, "amplitude_db": 16.0, "period_cells": 20.0},
+            "shadowing_rho": 0.9,
+            "shadowing_sigma_db": 3.0,
+            "payload_bytes": 1500,
+            "radio": {"max_retx": 64},
+        },
+    }
+
+
+class TestSharedHarqDraws:
+    """Every policy of a seed reads the seed's one HARQ stream, drawn once
+    per link table as far as the kept blocks go."""
+
+    @staticmethod
+    def records(scn, methods, seed):
+        return {m: run_one(scn, m, seed) for m in methods}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_order_and_fresh_loads_give_the_same_records(self, seed):
+        path = bundled_scenario_path("mcs-ar1")
+        scn = load_scenario(path)
+        assert len(scn.methods) == 14
+        in_order = self.records(scn, scn.methods, seed)
+        assert self.records(load_scenario(path), reversed(scn.methods), seed) == in_order
+        for m in scn.methods:
+            assert run_one(load_scenario(path), m, seed) == in_order[m]
+
+    def test_policies_of_a_seed_draw_once(self, monkeypatch):
+        streams = []
+        monkeypatch.setattr(linkadapt, "draw_blocks", lambda rng: streams.append(rng) or draw_blocks(rng))
+        scn = load_scenario(bundled_scenario_path("mcs-ar1"))
+        for m in scn.methods:
+            run_one(scn, m, 0)
+        assert len(streams) == 1
+
+    def test_reading_past_the_kept_blocks_gives_fresh_streams(self, monkeypatch):
+        scn = parse_scenario(long_retry_mcs())
+        shared, kept_draws = {}, []
+        for seed in scn.seeds:
+            for m in scn.methods:
+                shared[m, seed] = run_one(scn, m, seed)
+                kept = scn._seed_table[1]._harq[3]
+                assert len(kept) == _SHARED_BLOCKS
+                kept_draws.append(sum(map(len, kept)))
+        assert max(kept_draws) <= _SHARED_DRAWS
+        assert _SHARED_DRAWS - 4096 < max(kept_draws)
+        # Each policy on its own default_rng(seed), as before the draws were shared.
+        monkeypatch.setattr(LinkTable, "harq_blocks", lambda link, seed: draw_blocks(np.random.default_rng(seed)))
+        fresh = parse_scenario(long_retry_mcs())
+        for (m, seed), record in shared.items():
+            assert run_one(fresh, m, seed) == record
+
+    def test_readers_past_the_kept_blocks_read_the_stream(self):
+        """Readers that interleave, go past the kept blocks on their own
+        copies of the generator, or start after another seed was asked for,
+        each read the seed's stream."""
+        link = LinkTable([0.0], STEP_TABLE)
+        want = np.random.default_rng(9).random(3 * _SHARED_DRAWS).tolist()
+
+        def reader(seed):
+            return itertools.chain.from_iterable(link.harq_blocks(seed))
+
+        def take(draws, n):
+            return list(itertools.islice(draws, n))
+
+        a, b, late = reader(9), reader(9), reader(9)
+        assert take(a, 100) == want[:100]
+        assert take(b, 2 * _SHARED_DRAWS) == want[:2 * _SHARED_DRAWS]
+        assert take(a, 2 * _SHARED_DRAWS) == want[100:100 + 2 * _SHARED_DRAWS]
+        assert sum(map(len, link._harq[3])) <= _SHARED_DRAWS
+        assert take(reader(10), 5000) == np.random.default_rng(10).random(5000).tolist()
+        assert take(late, 3 * _SHARED_DRAWS) == want
+        assert take(reader(9), 3 * _SHARED_DRAWS) == want
 
 
 # SNRs from zero through subnormal to 1e150: the residual of two of them

@@ -1,5 +1,7 @@
 """Link algebra, MCS curves, HARQ statistics, allocation, AR(1) shadowing, traces."""
 
+import copy
+import itertools
 import math
 import struct
 from collections import Counter
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ReferenceHarqStream,
     reference_bler,
     reference_cutoff,
     reference_harq,
@@ -32,6 +35,7 @@ from r2xsim.radio import (
     bler,
     bler_curve,
     default_mcs_table,
+    draw_blocks,
     required_power,
     sample_trace,
     select_mcs,
@@ -347,7 +351,8 @@ class TestSerialization:
 
 
 def transmit(payload, entry, snr, table, rng, max_retx=4):
-    return simulate_transmission(payload, entry, snr, table.bandwidth_hz, table.slot_s, HarqStream(rng), max_retx)
+    harq = HarqStream(draw_blocks(rng))
+    return simulate_transmission(payload, entry, snr, table.bandwidth_hz, table.slot_s, harq, max_retx)
 
 
 class TestSimulateTransmission:
@@ -375,7 +380,7 @@ class TestSimulateTransmission:
 
     def test_bandwidth_share_scales_serialization(self):
         e = TABLE.entries[4]
-        res = simulate_transmission(1500, e, 100.0, 2.5e6, 1e-3, HarqStream(np.random.default_rng(0)))
+        res = simulate_transmission(1500, e, 100.0, 2.5e6, 1e-3, HarqStream(draw_blocks(np.random.default_rng(0))))
         assert res.latency_s == 1500 * 8.0 / (3.0 * 2.5e6) + 1e-3
 
     def test_input_validation(self):
@@ -389,7 +394,7 @@ class TestSimulateTransmission:
         # SNR pinned at the threshold: every attempt fails with p = 1/2
         entry = TABLE.entries[2]
         snr = entry.snr_threshold_db
-        harq = HarqStream(np.random.default_rng(42))
+        harq = HarqStream(draw_blocks(np.random.default_rng(42)))
         n = 4000
         results = [
             simulate_transmission(1200, entry, snr, TABLE.bandwidth_hz, TABLE.slot_s, harq, max_retx=2)
@@ -409,7 +414,7 @@ class TestSimulateTransmission:
         """One robot's transmissions, one stream across calls, give the
         scalar loop's results bit for bit."""
         snrs = np.random.default_rng(9).uniform(-5.0, 25.0, size=3000).tolist()
-        harq, rng = HarqStream(np.random.default_rng([3, 1, 101])), np.random.default_rng([3, 1, 101])
+        harq, rng = HarqStream(draw_blocks(np.random.default_rng([3, 1, 101]))), np.random.default_rng([3, 1, 101])
         for i, snr in enumerate(snrs):
             entry = TABLE.entries[i % 8]
             bw = TABLE.bandwidth_hz * (0.25 + (i % 3) * 0.25)
@@ -430,7 +435,7 @@ class TestHarqStream:
         full, rest = divmod(draws, max_retx + 1)
         head = [2.0] * full + [0.0] * rest
         tail = np.random.default_rng(draws).uniform(0.0, 1.0, size=500).tolist()
-        harq = HarqStream(np.random.default_rng([draws, 7]))
+        harq = HarqStream(draw_blocks(np.random.default_rng([draws, 7])))
         got_head, got_tail = harq.run(head, max_retx), harq.run(tail, max_retx)
         assert got_head == ([max_retx + 1] * full + [1] * rest, [False] * full + [True] * rest)
         want = reference_harq(np.random.default_rng([draws, 7]), head + tail, max_retx)
@@ -443,7 +448,7 @@ class TestHarqStream:
         stream refills several times, at full block size too."""
         rng = np.random.default_rng([max_retx, 5])
         p_fail = (1.0 - 0.02 * rng.random(5000)).tolist()
-        got = HarqStream(np.random.default_rng([max_retx, 9])).run(p_fail, max_retx)
+        got = HarqStream(draw_blocks(np.random.default_rng([max_retx, 9]))).run(p_fail, max_retx)
         assert sum(got[0]) > _DRAW_BLOCK
         assert got == reference_harq(np.random.default_rng([max_retx, 9]), p_fail, max_retx)
 
@@ -452,16 +457,81 @@ class TestHarqStream:
         """Two calls give what one call gives on the joined input, wherever
         the input is split."""
         p_fail = np.random.default_rng(max_retx).uniform(0.3, 1.0, 1500).tolist()
-        whole = HarqStream(np.random.default_rng(11)).run(p_fail, max_retx)
+        whole = HarqStream(draw_blocks(np.random.default_rng(11))).run(p_fail, max_retx)
         for cut in (0, 1, 17, 700, 1499, 1500):
-            harq = HarqStream(np.random.default_rng(11))
+            harq = HarqStream(draw_blocks(np.random.default_rng(11)))
             head, tail = harq.run(p_fail[:cut], max_retx), harq.run(p_fail[cut:], max_retx)
             assert (head[0] + tail[0], head[1] + tail[1]) == whole
 
     def test_empty_run_draws_nothing(self):
-        harq = HarqStream(np.random.default_rng(1))
+        harq = HarqStream(draw_blocks(np.random.default_rng(1)))
         assert harq.run([], 4) == ([], [])
         assert harq.run([0.5] * 50, 4) == reference_harq(np.random.default_rng(1), [0.5] * 50, 4)
+
+    @staticmethod
+    def edge_case_steps(seed, max_retx, n=400):
+        """``n`` failure probabilities mixing 0, 1, 2, NaN, uniform values,
+        values near 1 and values exactly equal to the draw the step's first
+        attempt reads (which succeeds, as ``u >= p``)."""
+        rng = np.random.default_rng([seed, 31])
+        scalar = np.random.default_rng([seed, 37])  # the stream under test, one draw at a time
+        p_fail = []
+        for _ in range(n):
+            kind = rng.integers(7)
+            if kind == 0:
+                p = float(copy.deepcopy(scalar).random())
+            else:
+                p = (0.0, 1.0, 2.0, math.nan, float(rng.random()), 1.0 - 0.05 * float(rng.random()))[kind - 1]
+            reference_harq(scalar, [p], max_retx)
+            p_fail.append(p)
+        return p_fail
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("max_retx", [0, 1, 4, 64])
+    def test_matches_both_oracles_in_split_calls(self, seed, max_retx):
+        """Split at and around every step whose attempts cross a block edge,
+        each call gives the scalar oracle's and the block oracle's results,
+        and after each call the generator is where the block oracle left
+        its own: no draw is taken past the last step."""
+        p_fail = self.edge_case_steps(seed, max_retx)
+        whole = reference_harq(np.random.default_rng([seed, 37]), p_fail, max_retx)
+        if max_retx:
+            assert {True, False} <= set(whole[1])
+        ends = np.cumsum(whole[0]).tolist()
+        edges = np.cumsum([64, 128, 256, 512, 1024, 2048, 4096, 4096])
+        crossing = [int(np.searchsorted(ends, e)) for e in edges if e < ends[-1]]
+        cuts = sorted({0, len(p_fail)} | {c + k for c in crossing for k in (-1, 0, 1) if 0 <= c + k <= len(p_fail)})
+        rng, block_rng, scalar_rng = (np.random.default_rng([seed, 37]) for _ in range(3))
+        harq, block = HarqStream(draw_blocks(rng)), ReferenceHarqStream(block_rng)
+        for lo, hi in zip(cuts, cuts[1:]):
+            got = harq.run(p_fail[lo:hi], max_retx)
+            assert got == block.run(p_fail[lo:hi], max_retx)
+            assert got == reference_harq(scalar_rng, p_fail[lo:hi], max_retx)
+            assert got == (whole[0][lo:hi], whole[1][lo:hi])
+            assert rng.bit_generator.state == block_rng.bit_generator.state
+
+    def test_equal_draw_succeeds_and_nan_fails(self):
+        draws = np.random.default_rng(5).random(3).tolist()
+        harq = HarqStream(draw_blocks(np.random.default_rng(5)))
+        assert harq.run([draws[0], math.nan], 1) == ([1, 2], [True, False])
+
+    def test_reads_blocks_only_when_a_draw_is_needed(self):
+        """A block is asked for only when an attempt needs a draw past the
+        blocks read so far."""
+        asked = []
+
+        def blocks():
+            for i in itertools.count():
+                asked.append(i)
+                yield [0.5] * 3
+
+        harq = HarqStream(blocks())
+        assert harq.run([0.9, 0.9], 0) == ([1, 1], [False, False])
+        assert asked == [0]
+        assert harq.run([0.9, 0.1], 1) == ([2, 1], [False, True])
+        assert asked == [0, 1]
+        assert harq.run([], 64) == ([], [])
+        assert asked == [0, 1]
 
 
 class TestAllocate:

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import gc
 import importlib.util
 import io
 import itertools
@@ -13,6 +14,7 @@ import random
 import tempfile
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1236,6 +1238,49 @@ class TestHumanReservationMemo:
         assert (fresh.human.tracks, fresh.human.objective) == (tuple(fresh.tracks), fresh.cfg.pp.objective)
         scn.inputs = fresh
         assert all_records(scn, seeds=(0,)) == want and fresh.human._tables
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects while the test runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestNoReferenceCycles:
+    """What a run builds is freed by reference counting alone, so a stream
+    or a seed table does not wait for the cyclic collector."""
+
+    @pytest.mark.parametrize("make", [tiny_warehouse, tiny_mcs, tiny_followme])
+    def test_harq_streams_are_freed_by_reference_counting(self, make, monkeypatch, no_cyclic_gc):
+        made = []
+        init = radio.HarqStream.__init__
+
+        def tracked(harq, blocks):
+            init(harq, blocks)
+            made.append(weakref.ref(harq))
+
+        monkeypatch.setattr(radio.HarqStream, "__init__", tracked)
+        scn = parse_scenario(make())
+        for method in scn.methods:
+            run_one(scn, method, 0)
+        assert made and not [ref for ref in made if ref() is not None]
+
+    def test_mcs_seed_table_is_freed_by_reference_counting(self, no_cyclic_gc):
+        scn = parse_scenario(tiny_mcs())
+        for method in scn.methods:
+            run_one(scn, method, 0)
+        table = weakref.ref(scn._seed_table[1])
+        assert table()._harq is not None
+        run_one(scn, "oracle", 1)
+        assert table() is None
+        last = weakref.ref(scn._seed_table[1])
+        del scn
+        assert last() is None
 
 
 class TestRunOne:
