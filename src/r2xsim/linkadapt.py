@@ -106,22 +106,24 @@ class LinkTable:
         n = len(self.true_snr)
         if n == 0:
             raise ValueError("empty trace")
-        if not all(abs(x) <= _MAX_SNR for x in self.true_snr):
+        true = np.array(self.true_snr)
+        # One array comparison per series; a NaN compares false, so it is refused too.
+        if not (np.abs(true) <= _MAX_SNR).all():
             raise ValueError(f"true SNRs must be at most {_MAX_SNR:g} in magnitude")
         self.map_snr = self._map = None
         if map_snr is not None:
             self.map_snr = [float(x) for x in map_snr]
             if len(self.map_snr) != n:
                 raise ValueError(f"{len(self.map_snr)} map SNRs for a {n}-step trace")
-            if not all(abs(x) <= _MAX_SNR for x in self.map_snr):
-                raise ValueError(f"map SNRs must be at most {_MAX_SNR:g} in magnitude")
             self._map = np.array(self.map_snr)
+            if not (np.abs(self._map) <= _MAX_SNR).all():
+                raise ValueError(f"map SNRs must be at most {_MAX_SNR:g} in magnitude")
         self.table = table
         self.bler_target = bler_target
         self.bler = np.empty((n, len(table.entries)))
         for entry in table.entries:
             self.bler[:, entry.index] = bler_curve(entry, self.true_snr)
-        self.best = self.select(self.true_snr)
+        self.best = self.select(true)
         self._harq = None  # (seed, its generator, draw_blocks of that generator, the kept blocks)
 
     def __len__(self) -> int:

@@ -309,14 +309,19 @@ def correct_loop(
 # warehouse closed-loop engine
 
 
-# A HumanReservations memo holds at most _MAX_HUMAN_TABLES entries and
-# _MAX_PARKED_WORLDS parked worlds, and each entry at most _MAX_PER_TABLE solo
-# routes and _MAX_PER_TABLE replans; when one is full it starts again empty.
-# The 20 seeds of a pinned warehouse file (a bundled file or its makespan
-# copy) need 26 to 49 entries, 2 or 3 worlds (none parked, one robot parked)
-# and at most 24 routes and 32 replans in one entry.
+# A HumanReservations memo holds at most _MAX_HUMAN_TABLES entries,
+# _MAX_PARKED_WORLDS parked worlds, _MAX_FRAME_TABLES frame tables and
+# _MAX_FOOTPRINTS footprints (checked before a frame table is built, so one
+# build may pass it by that frame's forecasts), and each entry at most
+# _MAX_PER_TABLE solo routes and _MAX_PER_TABLE replans; when one is full it
+# starts again empty. The 20 seeds of a pinned warehouse file (a bundled
+# file or its makespan copy) need 26 to 49 entries, 2 or 3 worlds (none
+# parked, one robot parked), 26 to 47 frame tables of at most 157 nodes,
+# 88 to 264 footprints, and at most 24 routes and 32 replans in one entry.
 _MAX_HUMAN_TABLES = 4096
 _MAX_PARKED_WORLDS = 16
+_MAX_FRAME_TABLES = 4096
+_MAX_FOOTPRINTS = 16384
 _MAX_PER_TABLE = 64
 
 
@@ -326,18 +331,27 @@ class HumanReservations:
 
     A replan at ``frame``, with the goal cells of the arrived robots
     ``parked``, plans on the world with those cells blocked and reads the
-    humans' forecasts as the table ``_human_reservations`` makes of them on
-    that world. Both depend only on the world, the tracks, the objective,
-    ``parked`` and ``frame``, not on the seed or the method, so each is
-    built on first use and kept: a parked world once per ``parked``, its
-    move table derived from the base world's, and a table once per
-    ``(parked, frame)``. The tables are never changed: their step sets are
-    frozen, and the planner writes only into copies.
+    humans' forecasts as the node table ``_human_reservations`` makes of
+    them on the base world. Both depend only on the world, the tracks, the
+    objective, ``parked`` and ``frame``, not on the seed or the method, so
+    each is built on first use and kept: a parked world once per
+    ``parked``, its move table derived from the base world's, and a table
+    once per frame, shared by every ``parked``. The tables are frozen sets,
+    and the planner writes only into copies.
+
+    Sharing is exact: a table made on the parked world differs from the
+    base world's only at parked cells, and no search reads a parked cell,
+    because starts and goals are checked passable and every move comes
+    from the parked world's move table. A table is the union of its
+    forecasts' footprints (``planner._footprint``), each made once per
+    ``(cell, step)`` and kept for the loaded file. No table blocks a step
+    past the last forecast step plus one, which ``plan`` reads as its
+    ``last_step``.
 
     From frame ``F = max(len(waypoints)) - 2`` (at least 0) on, every
     forecast cell is a track's last waypoint and every forecast step is
-    the same, so a later frame reads the table of frame ``F``: entries are
-    keyed by ``(parked, min(frame, F))``.
+    the same, so a later frame reads the table of frame ``F``: tables are
+    keyed by ``min(frame, F)`` and entries by ``(parked, min(frame, F))``.
 
     Each entry carries the solo routes ``plan`` has searched under its
     table, and the outcome of each replan made under it, keyed by every
@@ -351,7 +365,10 @@ class HumanReservations:
     cells (:meth:`human_cells`) is kept here too.
     """
 
-    __slots__ = ("world", "tracks", "objective", "_last_frame", "_offsets", "_worlds", "_tables", "_cells_at")
+    __slots__ = (
+        "world", "tracks", "objective", "_last_frame", "_offsets", "_last_step", "_worlds", "_frames", "_footprints",
+        "_tables", "_cells_at",
+    )
 
     def __init__(self, world: GridWorld, tracks: Sequence[HumanTrack], objective: str):
         self.world = world
@@ -365,14 +382,18 @@ class HumanReservations:
         self._offsets = [
             [max(1, math.ceil(i * ratio)) for i in range(1, track.horizon_frames + 1)] for track in self.tracks
         ]
+        self._last_step = max((offsets[-1] for offsets in self._offsets), default=0) + 1
         self._worlds: Dict[frozenset, GridWorld] = {}
-        self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, Dict[int, FrozenSet[int]], dict, dict]] = {}
+        self._frames: Dict[int, FrozenSet[int]] = {}
+        self._footprints: Dict[Tuple[Cell, int], FrozenSet[int]] = {}
+        self._tables: Dict[Tuple[frozenset, int], Tuple[GridWorld, FrozenSet[int], dict, dict]] = {}
         self._cells_at: Dict[int, FrozenSet[Cell]] = {}
 
-    def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, Dict[int, FrozenSet[int]], dict, dict]:
+    def at(self, parked: frozenset, frame: int) -> Tuple[GridWorld, FrozenSet[int], dict, dict]:
         """The world with ``parked`` blocked, the humans' reservation table
-        on it for a replan at ``frame``, and the solo routes (as ``plan``'s
-        ``routes``) and replans (as ``next_cells``'s) made under that table."""
+        for a replan at ``frame``, and the solo routes (as ``plan``'s
+        ``routes``) and replans (as ``next_cells``'s) made on that world
+        under that table."""
         frame = min(frame, self._last_frame)
         key = (parked, frame)
         found = self._tables.get(key)
@@ -387,14 +408,21 @@ class HumanReservations:
             self._worlds[parked] = world
         if len(self._tables) >= _MAX_HUMAN_TABLES:
             self._tables.clear()
-        # The forecast of each track at ``frame``: its waypoints after
-        # ``frame``, then its last waypoint, one per offset.
-        pairs = []
-        for track, offsets in zip(self.tracks, self._offsets):
-            wps = track.waypoints
-            ahead = wps[frame + 1:frame + 1 + len(offsets)]
-            pairs += zip(ahead + (wps[-1],) * (len(offsets) - len(ahead)), offsets)
-        found = self._tables[key] = (world, _human_reservations(world, pairs, self.objective), {}, {})
+        table = self._frames.get(frame)
+        if table is None:
+            if len(self._frames) >= _MAX_FRAME_TABLES:
+                self._frames.clear()
+            if len(self._footprints) >= _MAX_FOOTPRINTS:
+                self._footprints.clear()
+            # The forecast of each track at ``frame``: its waypoints after
+            # ``frame``, then its last waypoint, one per offset.
+            pairs = []
+            for track, offsets in zip(self.tracks, self._offsets):
+                wps = track.waypoints
+                ahead = wps[frame + 1:frame + 1 + len(offsets)]
+                pairs += zip(ahead + (wps[-1],) * (len(offsets) - len(ahead)), offsets)
+            table = self._frames[frame] = _human_reservations(self.world, pairs, self.objective, self._footprints)
+        found = self._tables[key] = (world, table, {}, {})
         return found
 
     def human_cells(self, frame: int) -> FrozenSet[Cell]:
@@ -427,7 +455,8 @@ class HumanReservations:
             routes.clear()
         states = [RobotState(rid, cell, goal) for rid, cell, goal in robots]
         try:
-            found = {p.robot_id: p.at(1) for p in plan(world, states, human, pp, routes=routes)}
+            paths = plan(world, states, human, pp, routes=routes, last_step=self._last_step)
+            found = {p.robot_id: p.at(1) for p in paths}
         except PlanningError:
             found = {}
         if len(replans) >= _MAX_PER_TABLE:

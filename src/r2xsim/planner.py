@@ -7,9 +7,11 @@ time-gap window, and replans. Human forecasts block cells at steps for every
 robot.
 
 Inside the planner a cell is its id ``x * height + y`` (``GridWorld.cell_id``):
-the world's tables, the reservation tables and the search nodes are keyed by
-ids, and ids sort as their cells do. Robots, paths and conflicts stay
-``(x, y)`` cells; a path is turned from ids into cells only when it is
+the world's tables are keyed by ids, and ids sort as their cells do. A
+space-time node, the cell id ``cell`` at step ``step``, is the int
+``step * ncell + cell``, with ``ncell = width * height``: the search nodes
+and the reservation tables are sets of them. Robots, paths and conflicts
+stay ``(x, y)`` cells; a path is turned from ids into cells only when it is
 returned, and a conflict's cells into ids only when a table takes it.
 
 As in Silver 2005 ("Cooperative Pathfinding", HCA*), what stays fixed is
@@ -17,16 +19,17 @@ computed once and what changes is kept in a reservation table:
 
 - each ``GridWorld`` builds its move table and, per goal, the BFS distance
   field that serves as the A* heuristic, once, on first use;
-- ``plan`` reads the human forecasts as one cell -> blocked-steps table,
-  built per call or handed in ready-made with a memo of the solo routes
-  searched under it (the warehouse engine keeps one pair per frame and set
-  of parked robots). Solo routes and the joint refinement read that table
-  itself, and each solo route is searched once per memo;
+- ``plan`` reads the human forecasts as one frozen set of the nodes they
+  block, the union of each forecast's footprint, built per call or handed
+  in ready-made with a memo of the solo routes searched under it (the
+  warehouse engine keeps one table per frame, and the routes per frame and
+  set of parked robots). Solo routes and the joint refinement read that
+  table itself, and each solo route is searched once per memo;
 - a robot that a conflict constrains searches under its own
   :class:`ReservationTable`, the planner's only form of constraint, as a
-  per-agent constraint set in Sharon et al. 2015 (CBS): a copy of the human
-  table's dict, made on the robot's first conflict, into which its conflict
-  windows and blocked moves are written as they arrive.
+  per-agent constraint set in Sharon et al. 2015 (CBS): a ``set`` copy of
+  the human table's nodes, made on the robot's first conflict, into which
+  its conflict windows and blocked moves are written as they arrive.
 
 ``low_level_search`` breaks ties on f toward the deeper node (Asai and
 Fukunaga 2016, "Tiebreaking Strategies for A* Search"). With an exact
@@ -88,7 +91,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -138,6 +140,16 @@ class SpaceTimePath:
         return self.cells[min(step, len(self.cells) - 1)]
 
 
+def _path(robot_id: int, cells: Tuple[Cell, ...]) -> SpaceTimePath:
+    """The planner's own path over a non-empty tuple of ``(x, y)`` tuples,
+    as ``GridWorld.cells_of`` returns them: equal to ``SpaceTimePath(robot_id,
+    cells)``, without ``__post_init__``'s scan of every cell."""
+    path = object.__new__(SpaceTimePath)
+    object.__setattr__(path, "robot_id", robot_id)
+    object.__setattr__(path, "cells", cells)
+    return path
+
+
 @dataclass(frozen=True)
 class Conflict:
     kind: str  # "vertex" | "edge"
@@ -162,25 +174,30 @@ def default_horizon(world: GridWorld) -> int:
 
 
 class ReservationTable:
-    """One robot's reservation table: for each cell id the steps at which
-    the robot may not occupy the cell, and the ``(id, to_id, step)`` moves
-    it may not make.
+    """One robot's reservation table: the nodes ``step * ncell + cell`` at
+    which the robot may not stand, and the ``(id, to_id, step)`` moves it
+    may not make.
 
-    The step sets in ``cells`` may be shared with other tables:
-    :meth:`block_cell` replaces a cell's step set instead of changing it, so
-    a table over a copy of another's dict takes blocks without touching it.
+    ``last_step``, when known, is a step no node of the table lies past
+    (see :func:`_latest_step`). ``nodes`` may be a frozen set shared with
+    other tables, such as the human table a solo route is searched under;
+    :meth:`block_cell` needs a ``set`` of the table's own.
     """
 
-    __slots__ = ("robot_id", "cells", "edges")
+    __slots__ = ("robot_id", "nodes", "edges", "last_step")
 
-    def __init__(self, robot_id: int, cells: Dict[int, AbstractSet[int]]):
+    def __init__(self, robot_id: int, nodes: AbstractSet[int] = frozenset(), last_step: Optional[int] = None):
         self.robot_id = robot_id
-        self.cells = cells
+        self.nodes = nodes
         self.edges: Set[Tuple[int, int, int]] = set()
+        self.last_step = last_step
 
-    def block_cell(self, cell: int, step_lo: int, step_hi: int) -> None:
-        """Bar cell id ``cell`` at every step in [step_lo, step_hi]."""
-        self.cells[cell] = self.cells.get(cell, frozenset()).union(range(step_lo, step_hi + 1))
+    def block_cell(self, cell: int, step_lo: int, step_hi: int, ncell: int) -> None:
+        """Bar cell id ``cell`` at every step in [step_lo, step_hi], on a
+        world of ``ncell`` cells."""
+        self.nodes.update(range(step_lo * ncell + cell, step_hi * ncell + cell + 1, ncell))
+        if self.last_step is not None:
+            self.last_step = max(self.last_step, step_hi)
 
     def block_move(self, cell: int, to_cell: int, step: int) -> None:
         """Bar the move ``cell -> to_cell`` (ids) from ``step`` to ``step + 1``."""
@@ -213,19 +230,20 @@ def low_level_search(
     if not world.passable(robot.cell) or not world.passable(robot.goal):
         raise PlanningError(f"robot {robot.id}: start {robot.cell} or goal {robot.goal} not passable")
     if table is None:
-        table = ReservationTable(robot.id, {})
+        table = ReservationTable(robot.id)
     elif table.robot_id != robot.id:
         raise ValueError(f"reservation table of robot {table.robot_id} given for robot {robot.id}")
     start, goal = world.cell_id(robot.cell), world.cell_id(robot.goal)
-    cell_blocks, edge_blocks = table.cells, table.edges
-    goal_latest = max(cell_blocks.get(goal, ()), default=-1)
-    if 0 in cell_blocks.get(start, ()):
+    nodes, edge_blocks = table.nodes, table.edges
+    moves = world.moves
+    ncell = len(moves)
+    if start in nodes:  # the start at step 0
         raise PlanningInfeasible(robot.id, horizon)
+    goal_latest = _latest_step(nodes, goal, ncell, table.last_step)
     hfield = world.goal_field(goal)
     dist = hfield[start]
     if dist is None:
         raise PlanningInfeasible(robot.id, horizon)
-    moves = world.moves
 
     # The free route: the search's result whenever the table blocks none of
     # its nodes and moves (see the module docstring).
@@ -236,20 +254,17 @@ def low_level_search(
             for nxt in moves[cell]:  # the first move one step nearer
                 if hfield[nxt] == h:
                     break
-            blocked = cell_blocks.get(nxt)
-            if (blocked is not None and step in blocked) or (edge_blocks and (cell, nxt, step - 1) in edge_blocks):
+            if step * ncell + nxt in nodes or (edge_blocks and (cell, nxt, step - 1) in edge_blocks):
                 break
             route.append(nxt)
             cell = nxt
         else:
-            return SpaceTimePath(robot.id, world.cells_of(route))
+            return _path(robot.id, world.cells_of(route))
 
     # A node's f-value (step + distance to goal) is fixed, so its first push
     # is also the first of its copies to pop: a node is pushed only once,
-    # and being in ``parent`` marks it as reached. A node is the int
-    # ``step * ncell + cell``; the heap key is (f, -step, push order, step,
-    # cell).
-    ncell = len(moves)
+    # and being in ``parent`` marks it as reached. The heap key is (f,
+    # -step, push order, step, cell).
     push, pop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     heap = [(dist, 0, next(counter), 0, start)]
@@ -262,17 +277,14 @@ def low_level_search(
             while node in parent:
                 node = parent[node]
                 cells.append(node % ncell)
-            return SpaceTimePath(robot.id, world.cells_of(reversed(cells)))
+            return _path(robot.id, world.cells_of(reversed(cells)))
         nstep = step + 1
         if nstep > horizon:
             continue
         base = nstep * ncell
         for nxt in moves[cell]:
             child = base + nxt
-            if child in parent:
-                continue
-            blocked = cell_blocks.get(nxt)
-            if blocked is not None and nstep in blocked:
+            if child in parent or child in nodes:
                 continue
             if edge_blocks and (cell, nxt, step) in edge_blocks:
                 continue
@@ -317,38 +329,76 @@ def makespan(paths: Iterable[SpaceTimePath]) -> int:
     return max(p.arrival_step for p in paths)
 
 
-def _human_reservations(
-    world: GridWorld, pairs: Sequence[Tuple[Cell, int]], objective: str
-) -> Dict[int, FrozenSet[int]]:
-    """The cells and steps the human forecasts block for every robot, as one
-    cell id -> steps table. Its step sets are frozen, so that the table can
-    be shared by every search that reads it.
+def _latest_step(nodes: AbstractSet[int], cell: int, ncell: int, last_step: Optional[int]) -> int:
+    """The latest step at which ``nodes`` bars cell id ``cell`` on a world
+    of ``ncell`` cells, or -1.
 
-    A forecast ``(cell, step)`` blocks its cell at its step. Under
-    ``safety_first`` it blocks the cell over steps ``step - 1 .. step + 1``
-    (from 0) and each free 4-neighbour at the step. A forecast outside the
-    grid blocks no cell of its own.
+    When ``last_step``, a step no node lies past, is below the number of
+    nodes, the cell's nodes are looked up from that step down; otherwise
+    one pass over the nodes finds them. Either way the cost is at most
+    linear in the number of nodes, however far apart their steps lie.
     """
+    if last_step is not None and last_step < len(nodes):
+        for node in range(last_step * ncell + cell, -1, -ncell):
+            if node in nodes:
+                return node // ncell
+        return -1
+    return max([n for n in nodes if n % ncell == cell], default=-1) // ncell
+
+
+def _footprint(world: GridWorld, pair: Tuple[Cell, int], safety: bool) -> FrozenSet[int]:
+    """The nodes one human forecast ``(cell, step)`` blocks for every robot.
+
+    It blocks its cell at its step. Under ``safety_first`` it blocks the
+    cell over steps ``step - 1 .. step + 1`` (from 0) and each free
+    4-neighbour at the step. A forecast outside the grid blocks no cell of
+    its own.
+    """
+    (x, y), step = pair
+    if step < 0:
+        raise ValueError(f"forecast step {step} is negative")
     width, height, moves = world.width, world.height, world.moves
+    ncell = len(moves)
+    base = step * ncell
+    inside = 0 <= x < width and 0 <= y < height
+    if not safety:
+        return frozenset((base + x * height + y,) if inside else ())
+    nodes = []
+    ring = None
+    if inside:
+        cell = x * height + y
+        nodes += [s * ncell + cell for s in ((step - 1, step, step + 1) if step else (0, 1))]
+        ring = moves[cell]
+    if ring is not None:  # a free cell's free 4-neighbours, then the cell
+        nodes += [base + n for n in ring[:-1]]
+    else:  # a forecast on a blocked cell still rings its free neighbours
+        for nx, ny in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+            if 0 <= nx < width and 0 <= ny < height and moves[nx * height + ny] is not None:
+                nodes.append(base + nx * height + ny)
+    return frozenset(nodes)
+
+
+def _human_reservations(
+    world: GridWorld,
+    pairs: Iterable[Tuple[Cell, int]],
+    objective: str,
+    footprints: Optional[Dict[Tuple[Cell, int], FrozenSet[int]]] = None,
+) -> FrozenSet[int]:
+    """The nodes the human forecasts block for every robot, as one frozen
+    set, shared by every search that reads it: the union of each forecast's
+    :func:`_footprint` under ``objective``.
+
+    ``footprints`` keeps the footprints already made on ``world`` under
+    ``objective``, keyed by forecast; each one missing is made once and
+    added. Without it, a footprint is made once per call.
+    """
     safety = objective == "safety_first"
-    blocks: Dict[int, set] = defaultdict(set)
-    for (x, y), step in set(pairs):  # forecasts repeat a (cell, step) often
-        if step < 0:
-            raise ValueError(f"forecast step {step} is negative")
-        inside = 0 <= x < width and 0 <= y < height
-        if inside:
-            blocks[x * height + y].update(((step - 1, step, step + 1) if step else (0, 1)) if safety else (step,))
-        if not safety:
-            continue
-        ring = moves[x * height + y] if inside else None
-        if ring is not None:  # a free cell's free 4-neighbours, then the cell
-            for n in ring[:-1]:
-                blocks[n].add(step)
-        else:  # a forecast on a blocked cell still rings its free neighbours
-            for nx, ny in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
-                if 0 <= nx < width and 0 <= ny < height and moves[nx * height + ny] is not None:
-                    blocks[nx * height + ny].add(step)
-    return {cell: frozenset(steps) for cell, steps in blocks.items()}
+    if footprints is None:
+        footprints = {}
+    pairs = set(pairs)  # forecasts repeat a (cell, step) often
+    for pair in pairs.difference(footprints):
+        footprints[pair] = _footprint(world, pair, safety)
+    return frozenset().union(*map(footprints.__getitem__, pairs))
 
 
 def _widen_conflict(world: GridWorld, conflict: Conflict, table: ReservationTable, gap: int) -> bool:
@@ -360,9 +410,9 @@ def _widen_conflict(world: GridWorld, conflict: Conflict, table: ReservationTabl
     """
     lo, hi = max(0, conflict.step - gap), conflict.step + gap
     if conflict.kind == "vertex":
-        cell = world.cell_id(conflict.cell)
-        fresh = conflict.step not in table.cells.get(cell, ())
-        table.block_cell(cell, lo, hi)
+        cell, ncell = world.cell_id(conflict.cell), len(world.moves)
+        fresh = conflict.step * ncell + cell not in table.nodes
+        table.block_cell(cell, lo, hi, ncell)
         return fresh
     if table.robot_id == conflict.robot_a:
         frm, to = conflict.cell, conflict.to_cell
@@ -376,16 +426,18 @@ def _widen_conflict(world: GridWorld, conflict: Conflict, table: ReservationTabl
 
 
 def _solo_route(
-    world: GridWorld, robot: RobotState, human: Dict[int, FrozenSet[int]], horizon: int,
+    world: GridWorld, robot: RobotState, human: FrozenSet[int], last_step: Optional[int], horizon: int,
     routes: Dict[Tuple[int, Cell, Cell, int], SpaceTimePath],
 ) -> SpaceTimePath:
-    """``robot``'s route under ``human`` alone, searched once per key
-    ``(id, start, goal, horizon)`` of ``routes``; a failed search raises and
-    is not kept, so a later need meets the same error."""
+    """``robot``'s route under ``human`` alone (``last_step`` as in
+    :class:`ReservationTable`), searched once per key ``(id, start, goal,
+    horizon)`` of ``routes``; a failed search raises and is not kept, so a
+    later need meets the same error."""
     key = (robot.id, robot.cell, robot.goal, horizon)
     path = routes.get(key)
     if path is None:
-        path = routes[key] = low_level_search(world, robot, ReservationTable(robot.id, human), horizon)
+        table = ReservationTable(robot.id, human, last_step)
+        path = routes[key] = low_level_search(world, robot, table, horizon)
     return path
 
 
@@ -393,15 +445,16 @@ def _solve_ordering(
     world: GridWorld,
     robots: Dict[int, RobotState],
     order: Sequence[int],
-    human: Dict[int, FrozenSet[int]],
+    human: FrozenSet[int],
+    last_step: Optional[int],
     gap: int,
     horizon: int,
     routes: Dict[Tuple[int, Cell, Cell, int], SpaceTimePath],
 ) -> Dict[int, SpaceTimePath]:
     """Paths for ``order`` by priority, starting from each robot's solo
     route in ``routes`` (searched, in ``order``, on first need). A robot's
-    first conflict gives it a table over its own copy of ``human``."""
-    paths = {rid: _solo_route(world, robots[rid], human, horizon, routes) for rid in order}
+    first conflict gives it a table over its own ``set`` copy of ``human``."""
+    paths = {rid: _solo_route(world, robots[rid], human, last_step, horizon, routes) for rid in order}
     # Exact: a conflict step is at most the horizon and no search reads a step
     # past it; without the clip each window materialises 2 * gap + 1 steps.
     gap = min(gap, horizon)
@@ -413,7 +466,7 @@ def _solve_ordering(
             return paths
         lower = conflict.robot_a if rank[conflict.robot_a] > rank[conflict.robot_b] else conflict.robot_b
         if lower not in tables:
-            tables[lower] = ReservationTable(lower, dict(human))
+            tables[lower] = ReservationTable(lower, set(human), last_step)
         # The lower robot's path was searched under its table, so the table
         # cannot bar the conflict itself unless the search is wrong.
         if not _widen_conflict(world, conflict, tables[lower], gap):
@@ -427,7 +480,7 @@ def _time_expanded_layers(
     start: int,
     goal: int,
     arrival: int,
-    human: Dict[int, FrozenSet[int]],
+    human: FrozenSet[int],
 ) -> List[Set[int]]:
     """Cell ids the lead robot may occupy at each step on some optimal route.
 
@@ -436,25 +489,28 @@ def _time_expanded_layers(
     that arrives then is left out.
     """
     moves = world.moves
+    ncell = len(moves)
     hfield = world.goal_field(goal)
     fwd = [set() for _ in range(arrival + 1)]
     fwd[0].add(start)
     for t in range(arrival):
         left = arrival - t - 1
+        base = (t + 1) * ncell
         for cell in fwd[t]:
             for nxt in moves[cell]:
                 h = hfield[nxt]
                 if h is None or h > left:
                     continue
-                if (t + 1) in human.get(nxt, ()):
+                if base + nxt in human:
                     continue
                 fwd[t + 1].add(nxt)
     bwd = [set() for _ in range(arrival + 1)]
     bwd[arrival].add(goal)
     for t in range(arrival - 1, -1, -1):
+        base = (t + 1) * ncell
         for cell in fwd[t]:
             for nxt in moves[cell]:
-                if nxt in bwd[t + 1] and (t + 1) not in human.get(nxt, ()):
+                if nxt in bwd[t + 1] and base + nxt not in human:
                     bwd[t].add(cell)
                     break
     return [fwd[t] & bwd[t] for t in range(arrival + 1)]
@@ -464,13 +520,15 @@ def _joint_best_response(
     world: GridWorld,
     lead: RobotState,
     follow: RobotState,
-    human: Dict[int, FrozenSet[int]],
+    human: FrozenSet[int],
+    last_step: Optional[int],
     solo: SpaceTimePath,
     limit: int,
 ) -> Optional[Tuple[int, SpaceTimePath, SpaceTimePath]]:
     """Exact best makespan when ``lead`` plans first and ``follow`` responds,
     if it is at most ``limit``; ``solo`` is the lead's route under ``human``,
-    the table both robots search under.
+    the table both robots search under (``last_step`` as in
+    :class:`ReservationTable`).
 
     The lead may take any of its optimal solo routes; a breadth-first search
     over the joint state space, with the lead restricted to those routes,
@@ -488,7 +546,7 @@ def _joint_best_response(
     ncell = len(moves)
     goal1, goal2 = world.cell_id(lead.goal), world.cell_id(follow.goal)
     layers = _time_expanded_layers(world, world.cell_id(lead.cell), goal1, t1, human)
-    fol_goal_latest = max(human.get(goal2, ()), default=-1)
+    fol_goal_latest = _latest_step(human, goal2, ncell, last_step)
     hfield = world.goal_field(goal2)
     parked = [goal1]
 
@@ -512,11 +570,12 @@ def _joint_best_response(
             cells1 = cells1[: t1 + 1]
             while len(cells2) >= 2 and cells2[-1] == goal2 and cells2[-2] == goal2:
                 cells2.pop()
-            return t, SpaceTimePath(lead.id, world.cells_of(cells1)), SpaceTimePath(follow.id, world.cells_of(cells2))
+            return t, _path(lead.id, world.cells_of(cells1)), _path(follow.id, world.cells_of(cells2))
         if t == limit:
             return None
         nstep = t + 1
         slack = limit - nstep
+        nbase = nstep * ncell
         # Each robot's moves depend only on its own cell within a layer.
         lead_moves: Dict[int, List[int]] = {}
         if nstep <= t1:
@@ -537,7 +596,7 @@ def _joint_best_response(
                     d = hfield[n]
                     if d is None or d > slack:
                         continue
-                    if nstep in human.get(n, ()):
+                    if nbase + n in human:
                         continue
                     moves2.append(n)
             for n1 in moves1:
@@ -558,23 +617,27 @@ def _joint_best_response(
 def plan(
     world: GridWorld,
     robots: Sequence[RobotState],
-    human_forecasts: Union[Iterable[Tuple[Cell, int]], Dict[int, FrozenSet[int]]],
+    human_forecasts: Union[Iterable[Tuple[Cell, int]], FrozenSet[int]],
     cfg: PlanConfig,
     horizon: Optional[int] = None,
     routes: Optional[Dict[Tuple[int, Cell, Cell, int], SpaceTimePath]] = None,
+    last_step: Optional[int] = None,
 ) -> List[SpaceTimePath]:
     """Conflict-free paths for all robots.
 
     ``human_forecasts`` is the humans' ``(cell, step)`` forecasts, or, as a
-    dict, the cell id -> steps table ``_human_reservations`` made of them on
+    frozenset, the node table ``_human_reservations`` made of them on
     ``world`` under ``cfg.objective``; such a table is read as it is and
-    never changed.
+    never changed. A table made on a world that differs from ``world`` only
+    in cells blocked here serves as well: it differs only at those cells,
+    and no search reads a blocked cell.
 
     ``routes`` holds solo routes already searched on ``world`` under that
     same table, keyed by ``(robot id, start, goal, horizon)``: a robot's
     route found there is not searched again, and every solo route this call
     searches is added to it as it is found, also when the call raises. The
-    call writes nothing into the human table.
+    call writes nothing into the human table. ``last_step``, when given,
+    is a step no node of that table lies past.
 
     One list of priority orderings serves both objectives: a configured
     ``cfg.priority_robot`` first, then the other ids in every order for up
@@ -599,7 +662,7 @@ def plan(
     if len(set(starts)) != len(starts) or len(set(goals)) != len(goals):
         raise PlanningError("robot starts and goals must be pairwise distinct")
 
-    if isinstance(human_forecasts, dict):
+    if isinstance(human_forecasts, frozenset):
         human = human_forecasts
     else:
         human = _human_reservations(world, [(tuple(c), int(s)) for c, s in human_forecasts], cfg.objective)
@@ -630,20 +693,23 @@ def plan(
         solo: Dict[int, SpaceTimePath] = {}
         for rid in orderings[0]:
             try:
-                solo[rid] = _solo_route(world, by_id[rid], human, horizon, routes)
+                solo[rid] = _solo_route(world, by_id[rid], human, last_step, horizon, routes)
             except PlanningInfeasible:
                 pass
         limit = horizon
         if len(solo) == 2:
             try:
-                limit = makespan(_solve_ordering(world, by_id, orderings[0], human, 0, horizon, routes).values())
+                paths = _solve_ordering(world, by_id, orderings[0], human, last_step, 0, horizon, routes)
+                limit = makespan(paths.values())
             except PlanningError:
                 pass
         floor = max((p.arrival_step for p in solo.values()), default=0)
         best = None
         for lead_id, follow_id in orderings:
             if lead_id in solo and limit >= floor:
-                res = _joint_best_response(world, by_id[lead_id], by_id[follow_id], human, solo[lead_id], limit)
+                res = _joint_best_response(
+                    world, by_id[lead_id], by_id[follow_id], human, last_step, solo[lead_id], limit
+                )
                 if res is not None:
                     best, limit = res, res[0] - 1
         if best is None:
@@ -654,7 +720,7 @@ def plan(
     best_paths = best_span = failure = None
     for cand in orderings:
         try:
-            paths = _solve_ordering(world, by_id, cand, human, gap, horizon, routes)
+            paths = _solve_ordering(world, by_id, cand, human, last_step, gap, horizon, routes)
         except PlanningInfeasible as exc:
             failure = exc
             continue

@@ -19,8 +19,8 @@ per-robot reservation tables keyed by cells, ``reference_widen_conflict``
 the conflict window, ``reference_layers`` and
 ``reference_bounded_joint_search`` the lead's layers and the bounded joint
 search over pairs of cells, and ``reference_plan`` picks the plan reference
-that ``plan``'s rules pick. ``table_ids`` turns a cell-keyed table into the
-id-keyed one the planner reads.
+that ``plan``'s rules pick. ``node_ids`` turns a cell-keyed table into the
+set of node ids ``step * ncell + cell id`` the planner reads.
 
 ``reference_makespan_plan`` is the two-robot makespan refinement as it was
 before its joint search was bounded: ``reference_joint_best_response`` is
@@ -687,10 +687,14 @@ def reference_goal_distances(world, goal):
     return dist
 
 
-def table_ids(world, table):
-    """A cell -> steps table keyed by cell ids instead, without the cells
-    outside ``world``."""
-    return {world.cell_id(cell): steps for cell, steps in table.items() if world.in_bounds(cell)}
+def node_ids(world, table):
+    """A cell -> steps table as the frozen set of its nodes ``step * ncell
+    + cell id``, ``ncell = width * height``, without the cells outside
+    ``world``."""
+    ncell = world.width * world.height
+    return frozenset(
+        step * ncell + world.cell_id(cell) for cell, steps in table.items() if world.in_bounds(cell) for step in steps
+    )
 
 
 class ReferenceTable:
@@ -1121,7 +1125,7 @@ def reference_plan_next(sim, rt, plan_time):
     world, human = reference_human_table(sim, parked, sim._frame(plan_time))
     pp = sim.cfg.pp if sim.cfg.pp.priority_robot in [s.id for s in states] else sim._pp_without_priority
     try:
-        paths = plan(world, states, table_ids(world, human), pp)
+        paths = plan(world, states, node_ids(world, human), pp)
     except PlanningError:
         return None
     for p in paths:

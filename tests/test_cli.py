@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import reference_plan_next
+from oracles import node_ids, reference_human_table, reference_plan_next
 from r2xsim import cli
 from r2xsim.cli import main
 from r2xsim.orchestrator import WAREHOUSE_METHODS, HumanReservations, UnfinishedRun, WarehouseSimulation
@@ -524,6 +524,63 @@ class TestClampedFrame:
         assert memo._last_frame == 1
         assert [frame for _, frame in memo._tables] == [1]
         assert [len(replans) for *_, replans in memo._tables.values()] == [1]
+
+
+class TestSharedFrameTables:
+    """Replans at one frame read one human table, made on the base world,
+    whatever robots are parked."""
+
+    def test_small_documents_replan_as_the_reference(self, monkeypatch):
+        """Random small warehouse documents of two or more robots, where a
+        human passes next to a goal, under safety-first intents, two seeds
+        each: every replan's next cell, planned under its frame's shared
+        table, is the one a fresh plan gives under the table built afresh on
+        the parked world at the unclamped frame. Many replans park a robot,
+        and some of those read a table that differs from the fresh one at a
+        parked cell."""
+        rng = np.random.default_rng(36)
+        real_next = WarehouseSimulation._plan_next
+        seen = Counter()
+
+        def checked(sim, rt, plan_time):
+            got = real_next(sim, rt, plan_time)
+            assert got == reference_plan_next(sim, rt, plan_time)
+            parked = frozenset(other.goal for other in sim.robots.values() if other.arrived)
+            if parked:
+                frame = sim._frame(plan_time)
+                fresh_world, fresh = reference_human_table(sim, parked, frame)
+                memo = sim._human
+                shared = memo._frames[min(frame, memo._last_frame)]
+                seen["parked"] += 1
+                seen["differs at a parked cell"] += shared != node_ids(fresh_world, fresh)
+            return got
+
+        monkeypatch.setattr(WarehouseSimulation, "_plan_next", checked)
+        docs = 0
+        while docs < 24:
+            doc = random_small_warehouse(rng, 20.0)
+            w = doc["warehouse"]
+            # The two tables differ where a safety-first ring reaches a
+            # parked goal: keep documents where a human passes next to a goal.
+            goals = [robot["goal"] for robot in w["robots"]]
+            if len(goals) < 2 or not any(
+                abs(x - gx) + abs(y - gy) == 1
+                for human in w.get("humans", ()) for x, y in human["waypoints"] for gx, gy in goals
+            ):
+                continue
+            w["intent_text"] = "Move safely." if docs % 2 else "Guarantee the minimum quality, safe, gap 2."
+            try:
+                scn = parse_scenario(doc)
+            except ScenarioError:
+                continue
+            docs += 1
+            for method in ("lorc_p", "lorc_sc", "lorc_sc_p"):
+                for seed in (0, 1):
+                    run_outcome(scn, method, seed)
+            memo = scn.inputs.human
+            seen["frames read under two parked sets"] += len(memo._tables) - len(memo._frames)
+        assert seen["parked"] >= 500 and seen["differs at a parked cell"] >= 30, seen
+        assert seen["frames read under two parked sets"] >= 10, seen
 
 
 class TestUnreachableGoal:

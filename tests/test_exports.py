@@ -7,11 +7,13 @@ import importlib.util
 import inspect
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import r2xsim
+import r2xsim.cli
 
 
 def test_star_import_resolves_every_export():
@@ -22,13 +24,19 @@ def test_star_import_resolves_every_export():
         assert namespace[name] is getattr(r2xsim, name)
 
 
-def test_traced_functions_resolve():
-    """Every function the benchmark's tracer patches by name exists, so a
-    change that drops or renames one fails here, not only in a traced run."""
+def load_tracing():
+    """The benchmark's ``perfbench/tracing.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_resolve():
+    """Every function the benchmark's tracer patches by name exists, so a
+    change that drops or renames one fails here, not only in a traced run."""
+    tracing = load_tracing()
     assert tracing.SPANS and tracing.COUNTS
     for name, module, attr in tracing.SPANS + tracing.COUNTS:
         assert module == "r2xsim" or module.startswith("r2xsim."), name
@@ -37,6 +45,44 @@ def test_traced_functions_resolve():
             assert hasattr(owner, part), f"{name}: {module}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"{name}: {module}.{attr}"
+
+
+def test_every_traced_row_is_called(tmp_path):
+    """``r2xsim run`` of seed 0 of every bundled file, under the benchmark's
+    tracer, calls the function of every ``SPANS`` and ``COUNTS`` row,
+    counted per (module, attribute), since one name may cover several
+    functions. A function whose only reader is a tracer row, with no
+    production caller, fails here."""
+    tracing = load_tracing()
+    calls = Counter()
+
+    def counted(fn, wrapped):
+        def wrapper(*args, **kwargs):
+            calls[fn] += 1
+            return wrapped(*args, **kwargs)
+
+        return wrapper
+
+    class RowTracer(tracing.Tracer):
+        def span(self, name, fn):
+            return counted(fn, super().span(name, fn))
+
+        def counter(self, name, fn):
+            return counted(fn, super().counter(name, fn))
+
+    rows = {}
+    for _, module, attr in tracing.SPANS + tracing.COUNTS:
+        importlib.import_module(module)
+        owner, leaf = tracing._resolve(module, attr)
+        rows[f"{module}.{attr}"] = owner.__dict__[leaf]
+    assert len(rows) == len(tracing.SPANS + tracing.COUNTS)
+    files = sorted((Path(r2xsim.__file__).parent / "scenarios").glob("*.json"))
+    assert len(files) == 6
+    with RowTracer():
+        for path in files:
+            argv = ["run", str(path), "--seeds", "0", "--parallel", "1", "--out", str(tmp_path / path.stem)]
+            assert r2xsim.cli.main(argv) == 0
+    assert [row for row, fn in rows.items() if not calls[fn]] == []
 
 
 def public_names():

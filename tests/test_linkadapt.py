@@ -230,6 +230,22 @@ class TestLinkTable:
         with pytest.raises(ValueError):
             LinkTable([1.0, 2.0], STEP_TABLE, map_snr=[1.0, bad])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e151, -1e151])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_snr_bound_names_the_series(self, bad, at):
+        """A value past 1e150 in magnitude, or a NaN, anywhere in either
+        series is refused with that series' message; the bound itself is
+        accepted."""
+        good = [1e150, -1e150, 0.0, 5e-324, -1e150]
+        LinkTable(good, STEP_TABLE, map_snr=good)
+        series = good[:at] + [bad] + good[at + 1:]
+        with pytest.raises(ValueError, match=r"^true SNRs must be at most 1e\+150 in magnitude$"):
+            LinkTable(series, STEP_TABLE)
+        with pytest.raises(ValueError, match=r"^true SNRs must be at most 1e\+150 in magnitude$"):
+            LinkTable(series, STEP_TABLE, map_snr=good)
+        with pytest.raises(ValueError, match=r"^map SNRs must be at most 1e\+150 in magnitude$"):
+            LinkTable(good, STEP_TABLE, map_snr=series)
+
 
 # Tables whose cut-offs are checked: the default waterfall, a step curve, and
 # slopes steep and shallow enough that the exp clamp and subnormal BLERs show.

@@ -22,7 +22,7 @@ from oracles import (
     reference_prioritized_plan,
     reference_refinement_plan,
     reference_widen_conflict,
-    table_ids,
+    node_ids,
     validate_path,
 )
 from r2xsim import planner
@@ -46,6 +46,10 @@ from r2xsim.world import GridWorld, RobotState
 
 def world_of(w, h, blocked=()):
     return GridWorld(w, h, blocked=frozenset(blocked))
+
+
+def ncell(world):
+    return world.width * world.height
 
 
 def edge_ids(world, edges):
@@ -75,6 +79,35 @@ class TestSpaceTimePath:
             assert converted.cells == cells
             assert converted == kept and hash(converted) == hash(kept)
 
+    def test_planner_paths_equal_checked_paths(self):
+        """The planner's own paths, made from ``GridWorld.cells_of`` without
+        ``__post_init__``'s type scan, equal the paths made through it."""
+        rng = np.random.default_rng(36)
+        world = world_of(7, 5)
+        for _ in range(200):
+            cells = world.cells_of(int(i) for i in rng.integers(0, 35, size=int(rng.integers(1, 12))))
+            fast = planner._path(3, cells)
+            checked = SpaceTimePath(3, [list(c) for c in cells])
+            assert fast == checked and hash(fast) == hash(checked) and vars(fast) == vars(checked)
+            assert fast.cells is cells and all(type(c) is tuple for c in fast.cells)
+            assert (fast.arrival_step, fast.at(0), fast.at(99)) == (len(cells) - 1, cells[0], cells[-1])
+
+    def test_planner_skips_the_type_scan(self, monkeypatch):
+        """Searches and plans, the joint refinement's included, build no path
+        through ``__post_init__``."""
+
+        def refuse(path):
+            raise AssertionError("the planner ran the type scan")
+
+        w = world_of(4, 4)
+        robots = [RobotState(1, (0, 0), (3, 3)), RobotState(2, (3, 3), (0, 0))]
+        want = [plan(w, robots, [], PlanConfig(cfg)) for cfg in ("makespan", "safety_first")]
+        monkeypatch.setattr(SpaceTimePath, "__post_init__", refuse)
+        assert [plan(w, robots, [], PlanConfig(cfg)) for cfg in ("makespan", "safety_first")] == want
+        assert low_level_search(w, robots[0]).cells[-1] == (3, 3)
+        with pytest.raises(AssertionError, match="type scan"):
+            SpaceTimePath(1, ((0, 0),))
+
     def test_validate_path_rejects_jump_and_blocked(self):
         w = world_of(3, 3, blocked={(1, 0)})
         validate_path(SpaceTimePath(1, ((0, 0), (0, 1))), w)
@@ -92,20 +125,20 @@ class TestLowLevelSearch:
 
     def test_vertex_constraint_forces_wait(self):
         w = world_of(3, 1)
-        path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, {w.cell_id((1, 0)): {1}}))
+        path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, node_ids(w, {(1, 0): {1}})))
         assert path.cells == ((0, 0), (0, 0), (1, 0), (2, 0))
 
     def test_edge_constraint_forces_wait(self):
         w = world_of(2, 1)
-        table = ReservationTable(1, {})
+        table = ReservationTable(1)
         table.block_move(w.cell_id((0, 0)), w.cell_id((1, 0)), 0)
         path = low_level_search(w, RobotState(1, (0, 0), (1, 0)), table)
         assert path.cells == ((0, 0), (0, 0), (1, 0))
 
     def test_goal_window_delays_arrival(self):
         w = world_of(3, 1)
-        table = ReservationTable(1, {})
-        table.block_cell(w.cell_id((2, 0)), 0, 4)
+        table = ReservationTable(1, set())
+        table.block_cell(w.cell_id((2, 0)), 0, 4, ncell(w))
         path = low_level_search(w, RobotState(1, (0, 0), (2, 0)), table)
         assert path.arrival_step == 5
         assert path.cells[-1] == (2, 0)
@@ -114,7 +147,7 @@ class TestLowLevelSearch:
     def test_blocked_start_step0_infeasible(self):
         w = world_of(3, 1)
         with pytest.raises(PlanningInfeasible):
-            low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, {w.cell_id((0, 0)): {0}}))
+            low_level_search(w, RobotState(1, (0, 0), (2, 0)), ReservationTable(1, node_ids(w, {(0, 0): {0}})))
 
     def test_unreachable_goal_infeasible(self):
         w = world_of(3, 1, blocked={(1, 0)})
@@ -134,7 +167,7 @@ class TestLowLevelSearch:
     def test_infeasible_carries_context(self):
         w = world_of(3, 1)
         with pytest.raises(PlanningInfeasible) as exc:
-            low_level_search(w, RobotState(7, (0, 0), (2, 0)), ReservationTable(7, {w.cell_id((0, 0)): {0}}), horizon=9)
+            low_level_search(w, RobotState(7, (0, 0), (2, 0)), ReservationTable(7, node_ids(w, {(0, 0): {0}})), horizon=9)
         assert exc.value.robot_id == 7
         assert exc.value.horizon == 9
 
@@ -163,11 +196,11 @@ def random_search_instance(rng):
     span = width + height
     if rng.random() < 0.1:
         return world, robot, None, None, None
-    table, ref = ReservationTable(rid, {}), ReferenceTable(rid, {})
+    table, ref = ReservationTable(rid, set()), ReferenceTable(rid, {})
     for _ in range(int(rng.integers(0, 16))):
         lo = int(rng.integers(0, span))
         cell, hi = free[int(rng.integers(len(free)))], lo + int(rng.integers(0, 4))
-        table.block_cell(world.cell_id(cell), lo, hi)
+        table.block_cell(world.cell_id(cell), lo, hi, ncell(world))
         ref.block_cell(cell, lo, hi)
     for _ in range(int(rng.integers(0, 16))):
         cell = free[int(rng.integers(len(free)))]
@@ -221,7 +254,7 @@ class TestDeeperFirstTieBreak:
         them, the deeper-first search at most five per step of the route.
         The free route's first node is barred, so that the heap search runs."""
         world, robot = world_of(100, 100), RobotState(1, (0, 0), (99, 99))
-        table, ref = ReservationTable(1, {world.cell_id((0, 1)): frozenset({1})}), ReferenceTable(1, {(0, 1): {1}})
+        table, ref = ReservationTable(1, node_ids(world, {(0, 1): {1}})), ReferenceTable(1, {(0, 1): {1}})
         path = low_level_search(world, robot, table)
         assert reference_low_level_search(world, robot, ref) == path
         pushes = Counter(len(item) for item in heap_pushes)  # 5 fields: low_level_search, 4: the reference
@@ -244,9 +277,9 @@ class TestFreeRoute:
     def tables(world, rid, cells=(), edges=()):
         """The same blocks as a table on ids and one on cells: ``cells`` as
         ``(cell, lo, hi)`` windows, ``edges`` as ``(cell, to_cell, step)``."""
-        table, ref = ReservationTable(rid, {}), ReferenceTable(rid, {})
+        table, ref = ReservationTable(rid, set()), ReferenceTable(rid, {})
         for cell, lo, hi in cells:
-            table.block_cell(world.cell_id(cell), lo, hi)
+            table.block_cell(world.cell_id(cell), lo, hi, ncell(world))
             ref.block_cell(cell, lo, hi)
         for a, b, step in edges:
             table.block_move(world.cell_id(a), world.cell_id(b), step)
@@ -314,19 +347,27 @@ class TestFreeRoute:
 
 class TestReservationTable:
     def test_copy_takes_constraints_without_changing_the_original(self):
-        """A table over a copy of the shared human table's dict takes blocks
-        without changing that table or its step sets."""
-        c = world_of(2, 2).cell_id
-        steps = frozenset({2})  # forecast step sets are shared by every robot's table
-        shared = {c((1, 1)): steps}
-        table = ReservationTable(1, dict(shared))
-        table.block_cell(c((1, 1)), 5, 6)
-        table.block_cell(c((1, 0)), 2, 4)
-        table.block_cell(c((1, 0)), 6, 6)
+        """A table over a ``set`` copy of the shared human table's nodes
+        takes blocks without changing that table."""
+        w = world_of(2, 2)
+        c = w.cell_id
+        shared = node_ids(w, {(1, 1): {2}})  # the human table is shared by every robot's table
+        table = ReservationTable(1, set(shared))
+        table.block_cell(c((1, 1)), 5, 6, ncell(w))
+        table.block_cell(c((1, 0)), 2, 4, ncell(w))
+        table.block_cell(c((1, 0)), 6, 6, ncell(w))
         table.block_move(c((0, 0)), c((0, 1)), 0)
-        assert shared == {c((1, 1)): {2}} and shared[c((1, 1))] is steps
-        assert table.cells == {c((1, 1)): {2, 5, 6}, c((1, 0)): {2, 3, 4, 6}}
+        assert shared == {2 * 4 + c((1, 1))} and type(shared) is frozenset
+        assert table.nodes == node_ids(w, {(1, 1): {2, 5, 6}, (1, 0): {2, 3, 4, 6}})
         assert table.edges == {(c((0, 0)), c((0, 1)), 0)}
+
+    def test_frozen_table_takes_no_blocks(self):
+        """A table over the shared frozen human table cannot widen it."""
+        w = world_of(2, 2)
+        shared = node_ids(w, {(1, 1): {2}})
+        with pytest.raises(AttributeError):
+            ReservationTable(1, shared).block_cell(w.cell_id((1, 0)), 0, 1, ncell(w))
+        assert shared == {2 * 4 + w.cell_id((1, 1))}
 
     @pytest.mark.parametrize("objective", ["makespan", "safety_first"])
     def test_forecast_table_indexes_the_forecast_constraints(self, objective):
@@ -339,11 +380,68 @@ class TestReservationTable:
                 for _ in range(int(rng.integers(1, 8)))
             ]
             pairs += pairs[:2]
-            assert _human_reservations(w, pairs, objective) == table_ids(w, forecast_reservations(w, pairs, objective))
+            assert _human_reservations(w, pairs, objective) == node_ids(w, forecast_reservations(w, pairs, objective))
 
     def test_table_of_another_robot_rejected(self):
         with pytest.raises(ValueError):
-            low_level_search(world_of(3, 1), RobotState(1, (0, 0), (2, 0)), ReservationTable(2, {}))
+            low_level_search(world_of(3, 1), RobotState(1, (0, 0), (2, 0)), ReservationTable(2))
+
+
+class TestNodeTable:
+    """The human table is one frozen set of nodes ``step * ncell + cell``:
+    the union of each forecast's footprint, made once per forecast when a
+    footprint memo is given."""
+
+    def test_table_matches_the_cell_table(self):
+        """On random worlds under both objectives, the node table, with and
+        without a footprint memo, is the cell table turned into node ids, and
+        every cell's latest blocked step, probed from a step bound or found
+        in one pass, is the cell table's."""
+        rng = np.random.default_rng(36)
+        seen = Counter()
+        for _ in range(300):
+            width, height = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            cells = [(x, y) for x in range(width) for y in range(height)]
+            world = world_of(width, height, [c for c in cells if rng.random() < 0.25])
+            ncell = width * height
+            pairs = [
+                ((int(rng.integers(-1, width + 1)), int(rng.integers(-1, height + 1))), int(rng.integers(0, 6)))
+                for _ in range(int(rng.integers(0, 10)))
+            ]
+            pairs += pairs[: int(rng.integers(0, 3))]
+            seen["step 0"] += any(step == 0 for _, step in pairs)
+            seen["off the grid"] += any(not world.in_bounds(cell) for cell, _ in pairs)
+            seen["on a blocked cell"] += any(cell in world.blocked for cell, _ in pairs)
+            seen["repeated"] += len(set(pairs)) < len(pairs)
+            for objective in ("makespan", "safety_first"):
+                ref = reference_human_reservations(world, pairs, objective)
+                want = node_ids(world, ref)
+                footprints = {}
+                assert _human_reservations(world, pairs, objective) == want
+                assert _human_reservations(world, pairs, objective, footprints) == want
+                kept = dict(footprints)
+                assert set(kept) == set(pairs) and all(type(part) is frozenset for part in kept.values())
+                assert _human_reservations(world, pairs[::-1], objective, footprints) == want
+                assert footprints == kept and all(footprints[p] is kept[p] for p in kept)
+                last = max((step for _, step in pairs), default=0) + 1
+                for cell in cells:
+                    latest = max(ref.get(cell, ()), default=-1)
+                    for bound in (None, last, last + len(want)):
+                        assert planner._latest_step(want, world.cell_id(cell), ncell, bound) == latest
+        assert min(seen.values()) >= 30, seen
+
+    def test_negative_step_is_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            _human_reservations(world_of(3, 3), [((1, 1), 2), ((0, 0), -1)], "safety_first")
+
+    def test_far_steps_are_found_in_one_pass(self):
+        """A step near the loader's bound (about 10^9) is found by one pass
+        over the nodes, not by probing every step below it."""
+        w = world_of(3, 3)
+        table = _human_reservations(w, [((1, 1), 10**9), ((1, 1), 3)], "safety_first")
+        assert planner._latest_step(table, w.cell_id((1, 1)), 9, 10**9 + 1) == 10**9 + 1
+        assert planner._latest_step(table, w.cell_id((0, 1)), 9, 10**9 + 1) == 10**9
+        assert planner._latest_step(table, w.cell_id((0, 0)), 9, 10**9 + 1) == -1
 
 
 class TestDetectFirstConflict:
@@ -391,11 +489,11 @@ class TestDetectFirstConflict:
 class TestHumanConstraints:
     def test_makespan_vertex_only(self):
         w = world_of(3, 3)
-        assert _human_reservations(w, [((1, 1), 2)], "makespan") == table_ids(w, {(1, 1): {2}})
+        assert _human_reservations(w, [((1, 1), 2)], "makespan") == node_ids(w, {(1, 1): {2}})
 
     def test_safety_first_widens(self):
         w = world_of(3, 3)
-        assert _human_reservations(w, [((1, 1), 2)], "safety_first") == table_ids(w, {
+        assert _human_reservations(w, [((1, 1), 2)], "safety_first") == node_ids(w, {
             (1, 1): {1, 2, 3},
             (1, 2): {2},
             (2, 1): {2},
@@ -405,7 +503,7 @@ class TestHumanConstraints:
 
     def test_safety_first_skips_blocked_neighbors_and_clamps(self):
         w = world_of(3, 3, blocked={(1, 2)})
-        assert _human_reservations(w, [((1, 1), 0)], "safety_first") == table_ids(w, {
+        assert _human_reservations(w, [((1, 1), 0)], "safety_first") == node_ids(w, {
             (1, 1): {0, 1},
             (2, 1): {0},
             (1, 0): {0},
@@ -417,29 +515,29 @@ class TestWidenConflict:
     world = world_of(4, 4)
 
     def test_vertex_becomes_window(self):
-        w, table = self.world, ReservationTable(2, {})
+        w, table = self.world, ReservationTable(2, set())
         assert _widen_conflict(w, Conflict("vertex", 5, 1, 2, (3, 3)), table, 2)
-        assert table.cells == table_ids(w, {(3, 3): {3, 4, 5, 6, 7}}) and not table.edges
+        assert table.nodes == node_ids(w, {(3, 3): {3, 4, 5, 6, 7}}) and not table.edges
 
     def test_vertex_window_clamps_at_zero(self):
-        w, table = self.world, ReservationTable(1, {})
+        w, table = self.world, ReservationTable(1, set())
         assert _widen_conflict(w, Conflict("vertex", 1, 1, 2, (3, 3)), table, 3)
-        assert table.cells == table_ids(w, {(3, 3): {0, 1, 2, 3, 4}})
+        assert table.nodes == node_ids(w, {(3, 3): {0, 1, 2, 3, 4}})
 
     def test_edge_direction_per_robot(self):
         w, c = self.world, Conflict("edge", 5, 1, 2, (0, 0), (1, 0))
-        for_a = ReservationTable(1, {})
+        for_a = ReservationTable(1, set())
         assert _widen_conflict(w, c, for_a, 1)
-        assert for_a.edges == edge_ids(w, {((0, 0), (1, 0), s) for s in (4, 5, 6)}) and not for_a.cells
-        for_b = ReservationTable(2, {})
+        assert for_a.edges == edge_ids(w, {((0, 0), (1, 0), s) for s in (4, 5, 6)}) and not for_a.nodes
+        for_b = ReservationTable(2, set())
         assert _widen_conflict(w, c, for_b, 1)
         assert for_b.edges == edge_ids(w, {((1, 0), (0, 0), s) for s in (4, 5, 6)})
 
     def test_conflict_already_barred_is_reported(self):
         w = self.world
-        vertex = ReservationTable(2, table_ids(w, {(3, 3): {5}}))
+        vertex = ReservationTable(2, set(node_ids(w, {(3, 3): {5}})))
         assert not _widen_conflict(w, Conflict("vertex", 5, 1, 2, (3, 3)), vertex, 0)
-        edge = ReservationTable(2, {})
+        edge = ReservationTable(2)
         edge.block_move(w.cell_id((1, 0)), w.cell_id((0, 0)), 5)
         assert not _widen_conflict(w, Conflict("edge", 5, 1, 2, (0, 0), (1, 0)), edge, 0)
 
@@ -796,10 +894,10 @@ class TestSharedSoloRoutes:
         world = world_of(10, 10)
         horizon = default_horizon(world)
         routes = {}
-        first = plan(world, robots, {}, PlanConfig("makespan"), routes=routes)
+        first = plan(world, robots, frozenset(), PlanConfig("makespan"), routes=routes)
         assert sum(calls.values()) == 66
         assert routes == {(r.id, r.cell, r.goal, horizon): low_level_search(world, r) for r in robots}
-        assert plan(world, robots, {}, PlanConfig("makespan"), routes=routes) == first
+        assert plan(world, robots, frozenset(), PlanConfig("makespan"), routes=routes) == first
         assert sum(calls.values()) == 66 + 62
 
     @pytest.mark.parametrize("kind", ["prioritized", "makespan"])
@@ -817,7 +915,7 @@ class TestSharedSoloRoutes:
                 world, robots, forecasts, horizon = random_makespan_instance(rng)
                 cfg = PlanConfig("makespan", None, 0)
             human = _human_reservations(world, forecasts, cfg.objective)
-            before = {cell: set(steps) for cell, steps in human.items()}
+            before = set(human)
             routes = {}
             # The same robots, then each alone and the pair reversed, share the table.
             for group in (robots, robots[:1], robots[::-1], robots):
@@ -825,7 +923,7 @@ class TestSharedSoloRoutes:
                     continue
                 want = plan_outcome(lambda: plan(world, group, human, cfg, horizon))
                 assert plan_outcome(lambda: plan(world, group, human, cfg, horizon, routes=routes)) == want
-            assert human == before and all(type(steps) is frozenset for steps in human.values())
+            assert human == before and type(human) is frozenset
             for (rid, start, goal, h), path in routes.items():
                 assert path == low_level_search(world, RobotState(rid, start, goal), ReservationTable(rid, human), h)
             routes_seen += len(routes)
@@ -892,17 +990,17 @@ class TestIdsMatchCells:
             for objective in ("makespan", "safety_first"):
                 human = _human_reservations(world, forecasts, objective)
                 ref_human = reference_human_reservations(world, forecasts, objective)
-                assert human == table_ids(world, ref_human)
+                assert human == node_ids(world, ref_human)
                 for cfg in (PlanConfig(objective), PlanConfig(objective, 2, int(rng.integers(0, 3)))):
                     got = plan_outcome(lambda: plan(world, robots, forecasts, cfg, horizon))
                     want = plan_outcome(lambda: reference_plan(world, robots, forecasts, cfg, horizon))
                     assert got == want, (world, robots, forecasts, cfg)
                     kinds["plan " + got[0]] += 1
-                table, ref = ReservationTable(1, dict(human)), ReferenceTable(1, dict(ref_human))
+                table, ref = ReservationTable(1, set(human)), ReferenceTable(1, dict(ref_human))
                 for _ in range(int(rng.integers(1, 6))):
                     conflict, gap = random_conflict(rng, world), int(rng.integers(0, 3))
                     assert _widen_conflict(world, conflict, table, gap) == reference_widen_conflict(conflict, ref, gap)
-                assert table.cells == table_ids(world, ref.cells) and table.edges == edge_ids(world, ref.edges)
+                assert table.nodes == node_ids(world, ref.cells) and table.edges == edge_ids(world, ref.edges)
                 got = search_outcome(lambda: low_level_search(world, robots[0], table, horizon))
                 want = search_outcome(lambda: reference_low_level_search(world, robots[0], ref, horizon))
                 assert got == want, (world, robots[0], ref.cells, ref.edges)

@@ -23,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WAREHOUSE_IDS, check_digests, scenario_errors
-from oracles import reference_human_table, reference_plan_next, reference_run_followme, table_ids
-from r2xsim import orchestrator, radio, scenarios
+from oracles import node_ids, reference_human_table, reference_plan_next, reference_run_followme
+from r2xsim import orchestrator, planner, radio, scenarios
 from r2xsim.cli import main
 from r2xsim.linkadapt import PolicySpec
 from r2xsim.orchestrator import HumanReservations
@@ -1127,24 +1127,34 @@ class TestHumanReservationMemo:
                 assert run_one(scn, method, seed) == run_one(load_scenario(path), method, seed)
         memo = scn.inputs.human
         assert 0 < len(memo._tables) <= orchestrator._MAX_HUMAN_TABLES
-        # The plans read the shared tables; none of them was changed, and
-        # each kept route is the route searched afresh under its table. A
+        assert 0 < len(memo._frames) <= len(memo._tables)
+        ncell = memo.world.width * memo.world.height
+        # Every entry of a frame reads that frame's one table, made on the
+        # base world; none of them was changed. It differs from the table
+        # made afresh on the entry's parked world only at parked cells. A
         # parked world's derived move table is the one built afresh.
         for (parked, frame), (world, table, routes, replans) in memo._tables.items():
+            assert table is memo._frames[frame] and type(table) is frozenset
+            assert table == node_ids(memo.world, reference_human_table(scn.inputs, frozenset(), frame)[1])
             fresh_world, fresh_table = reference_human_table(scn.inputs, parked, frame)
-            assert (world, table) == (fresh_world, table_ids(fresh_world, fresh_table))
-            assert world.moves == fresh_world.moves
-            assert all(type(steps) is frozenset for steps in table.values())
+            fresh_nodes = node_ids(fresh_world, fresh_table)
+            parked_ids = {memo.world.cell_id(cell) for cell in parked}
+            assert {n for n in table if n % ncell not in parked_ids} == {
+                n for n in fresh_nodes if n % ncell not in parked_ids
+            }
+            assert world == fresh_world and world.moves == fresh_world.moves
+            # Each kept route is the route searched afresh under the table
+            # made on the entry's own world.
             assert 0 < len(routes) <= orchestrator._MAX_PER_TABLE
             for (rid, start, goal, horizon), path in routes.items():
-                fresh = low_level_search(world, RobotState(rid, start, goal), ReservationTable(rid, table), horizon)
-                assert path == fresh
+                robot = RobotState(rid, start, goal)
+                assert path == low_level_search(fresh_world, robot, ReservationTable(rid, fresh_nodes), horizon)
             # Each kept replan is the replan made afresh.
             assert 0 < len(replans) <= orchestrator._MAX_PER_TABLE
             for (robots, pp), nxt in replans.items():
                 states = [RobotState(rid, cell, goal) for rid, cell, goal in robots]
                 try:
-                    paths = plan(fresh_world, states, table_ids(fresh_world, fresh_table), pp)
+                    paths = plan(fresh_world, states, fresh_nodes, pp)
                     want = {p.robot_id: p.at(1) for p in paths}
                 except PlanningError:
                     want = {}
@@ -1159,14 +1169,20 @@ class TestHumanReservationMemo:
         assert all_records(pinned_warehouse_scenario(sid, tmp_path), seeds=range(4)) == want
 
     def test_each_table_is_built_once(self, bundled_dir, monkeypatch):
-        built = []
-        real = orchestrator._human_reservations
-        monkeypatch.setattr(orchestrator, "_human_reservations", lambda *args: built.append(1) or real(*args))
-        scn = load_scenario(bundled_dir / "warehouse-s3.json")
+        """One table per frame, whatever robots are parked; each footprint
+        is made once and kept."""
+        built, footprints = [], []
+        real, real_footprint = orchestrator._human_reservations, planner._footprint
+        monkeypatch.setattr(orchestrator, "_human_reservations", lambda *args: built.append(args[1]) or real(*args))
+        monkeypatch.setattr(planner, "_footprint", lambda *args: footprints.append(1) or real_footprint(*args))
+        scn = load_scenario(bundled_dir / "warehouse-s4.json")
         all_records(scn)
-        assert len(built) == len(scn.inputs.human._tables) > 0
+        memo = scn.inputs.human
+        assert len(built) == len(memo._frames) > 0
+        assert len({parked for parked, _ in memo._tables}) > 1 and len(memo._frames) < len(memo._tables)
+        assert len(footprints) == len(memo._footprints) < sum(map(len, built))
         all_records(scn)
-        assert len(built) == len(scn.inputs.human._tables)
+        assert len(built) == len(memo._frames) and len(footprints) == len(memo._footprints)
 
     @pytest.mark.parametrize("sid", ["warehouse-s3", "warehouse-s3-makespan"])
     def test_plan_is_called_once_per_key(self, sid, tmp_path, monkeypatch):
@@ -1185,28 +1201,35 @@ class TestHumanReservationMemo:
         scn = pinned_warehouse_scenario(sid, tmp_path)
         all_records(scn, seeds=range(4))
         memo = scn.inputs.human
-        assert len(plans) == replan_count(memo) > len(tables) == len(memo._tables) > 0
+        assert len(plans) == replan_count(memo) > len(memo._tables) >= len(tables) == len(memo._frames) > 0
         assert len(replans) > 2 * len(plans)
         all_records(scn, seeds=range(4))
-        assert len(plans) == replan_count(memo) and len(tables) == len(memo._tables)
+        assert len(plans) == replan_count(memo) and len(tables) == len(memo._frames)
 
     def test_bounded_memo_gives_the_same_records(self, bundled_dir, monkeypatch):
         path = bundled_dir / "warehouse-s3.json"
         want = all_records(load_scenario(path))
-        for name in ("_MAX_HUMAN_TABLES", "_MAX_PARKED_WORLDS", "_MAX_PER_TABLE"):
+        for name in ("_MAX_HUMAN_TABLES", "_MAX_PARKED_WORLDS", "_MAX_FRAME_TABLES", "_MAX_FOOTPRINTS", "_MAX_PER_TABLE"):
             monkeypatch.setattr(orchestrator, name, 1)
         sizes = []
         real = HumanReservations.at
 
         def at(memo, parked, frame):
             found = real(memo, parked, frame)
-            sizes.append((len(memo._tables), len(memo._worlds), len(found[2]), len(found[3])))
+            sizes.append((
+                len(memo._tables), len(memo._worlds), len(memo._frames), len(memo._footprints), len(found[2]),
+                len(found[3]),
+            ))
             return found
 
         monkeypatch.setattr(HumanReservations, "at", at)
-        assert all_records(load_scenario(path)) == want
-        # An entry takes at most the two robots' routes of one replan.
-        assert [max(size) for size in zip(*sizes)] == [1, 1, 2, 1] and len(sizes) > 100
+        scn = load_scenario(path)
+        assert all_records(scn) == want
+        # At most the footprints of one frame's forecasts, and the two
+        # robots' routes of one replan, are kept.
+        forecasts = sum(map(len, scn.inputs.human._offsets))
+        most = [max(size) for size in zip(*sizes)]
+        assert most[:3] + most[4:] == [1, 1, 1, 2, 1] and 1 < most[3] <= forecasts and len(sizes) > 100
 
     def test_memo_survives_pickling(self, bundled_dir):
         scn = load_scenario(bundled_dir / "warehouse-s1.json")
@@ -1214,7 +1237,9 @@ class TestHumanReservationMemo:
         copied = pickle.loads(pickle.dumps(scn))
         memo, kept = scn.inputs.human, copied.inputs.human
         assert len(kept._tables) == len(memo._tables) > 0 and replan_count(kept) == replan_count(memo) > 0
-        assert [entry[2:] for entry in kept._tables.values()] == [entry[2:] for entry in memo._tables.values()]
+        assert [entry[1:] for entry in kept._tables.values()] == [entry[1:] for entry in memo._tables.values()]
+        assert kept._frames == memo._frames and kept._footprints == memo._footprints and kept._frames
+        assert all(entry[1] is kept._frames[frame] for (_, frame), entry in kept._tables.items())
         assert kept.world is copied.inputs.world
         assert all_records(copied) == want
 
@@ -1233,11 +1258,11 @@ class TestHumanReservationMemo:
         scn = load_scenario(bundled_dir / "warehouse-s1.json")
         want = all_records(scn, seeds=(0,))
         fresh = dataclasses.replace(scn.inputs)
-        assert fresh.human is not scn.inputs.human and not fresh.human._tables
+        assert fresh.human is not scn.inputs.human and not fresh.human._tables and not fresh.human._frames
         assert fresh.human.world is fresh.world is scn.inputs.world
         assert (fresh.human.tracks, fresh.human.objective) == (tuple(fresh.tracks), fresh.cfg.pp.objective)
         scn.inputs = fresh
-        assert all_records(scn, seeds=(0,)) == want and fresh.human._tables
+        assert all_records(scn, seeds=(0,)) == want and fresh.human._tables and fresh.human._footprints
 
 
 @pytest.fixture
@@ -1269,6 +1294,20 @@ class TestNoReferenceCycles:
         for method in scn.methods:
             run_one(scn, method, 0)
         assert made and not [ref for ref in made if ref() is not None]
+
+    def test_human_memo_is_freed_by_reference_counting(self, bundled_dir, no_cyclic_gc):
+        """The frame tables, footprints and kept routes of a warehouse
+        file's memo go with its scenario."""
+        scn = load_scenario(bundled_dir / "warehouse-s1.json")
+        for method in scn.methods:
+            run_one(scn, method, 0)
+        memo = scn.inputs.human
+        kept = [*memo._frames.values(), *memo._footprints.values()]
+        kept += [path for _, _, routes, _ in memo._tables.values() for path in routes.values()]
+        refs = [weakref.ref(obj) for obj in kept if obj]
+        assert memo._frames and memo._footprints and len(refs) > len(memo._frames) + len(memo._footprints)
+        del scn, memo, kept
+        assert not [ref for ref in refs if ref() is not None]
 
     def test_mcs_seed_table_is_freed_by_reference_counting(self, no_cyclic_gc):
         scn = parse_scenario(tiny_mcs())
